@@ -1,7 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -209,6 +212,48 @@ func TestIncrementalMatchesDefaultNoiseless(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// neverRefreshedDigest is the SHA-256 over the (Success, Metrics) of the
+// 36 noisy runs in TestNeverRefreshedEpochPinned, captured from the
+// never-refreshed incremental mode.
+const neverRefreshedDigest = "700e52926848e6b6fcca34f74abc4376bee90a20eeb8683938be91806faf3d46"
+
+// TestNeverRefreshedEpochPinned pins the equivalence behind retiring the
+// never-refreshed incremental mode: HashEpoch with EpochRefresh at least
+// the iteration budget never leaves epoch 0, whose seed block is the
+// stable block the incremental mode hashes over, so the two must agree
+// run for run. Schemes 1/A/B under random noise, 12 seeds each; the
+// digest pins the outcomes themselves.
+func TestNeverRefreshedEpochPinned(t *testing.T) {
+	run := func(scheme Scheme, seed int64, mut func(*Params)) *Result {
+		g := graph.Line(4)
+		params := ParamsFor(scheme, g)
+		params.IterFactor = 6
+		params.CRSKey = seed
+		mut(&params)
+		res, err := Run(Options{Protocol: protocol.NewRandom(g, 80, 0.5, seed, nil), Params: params,
+			Adversary: adversary.NewRandomRate(0.004, rand.New(rand.NewSource(seed)))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	h := sha256.New()
+	for _, scheme := range []Scheme{Alg1, AlgA, AlgB} {
+		for seed := int64(1); seed <= 12; seed++ {
+			epoch := run(scheme, seed, func(p *Params) { p.EpochRefresh = 1 << 30 })
+			inc := run(scheme, seed, func(p *Params) { p.HashMode = HashIncremental })
+			if epoch.Success != inc.Success || *epoch.Metrics != *inc.Metrics {
+				t.Fatalf("%v seed %d: unrefreshed epoch {succ:%v %+v} != incremental {succ:%v %+v}",
+					scheme, seed, epoch.Success, *epoch.Metrics, inc.Success, *inc.Metrics)
+			}
+			fmt.Fprintf(h, "%v %v %+v\n", scheme, epoch.Success, *epoch.Metrics)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != neverRefreshedDigest {
+		t.Fatalf("never-refreshed outcomes drifted: digest %s, want %s", got, neverRefreshedDigest)
 	}
 }
 
