@@ -2,13 +2,13 @@
 # suite (build, vet, test) plus a race-detector pass with GOMAXPROCS
 # forced to 4, so the persistent parallel round engine, the incremental
 # checkpoint store, the elastic core-budget scheduler, AND the streaming
-# parallel grid engine (package mpic: Runner.RunGrid / Sweep workers
-# sharing one arena) get real concurrency coverage even on single-CPU
+# parallel grid engine (package mpic: Runner.RunGrid workers sharing one
+# arena) get real concurrency coverage even on single-CPU
 # boxes (where the worker pools would otherwise stay at width 1 and
 # races could hide), plus an explicit build/vet/test pass over examples/
 # so the public Scenario/Runner API cannot drift from its documented
 # usage, plus cross-GOARCH and purego builds so the arch-gated hash
-# kernels cannot silently break platforms this box does not run.
+# kernel cannot silently break the pure-Go fallback other platforms run.
 
 GO ?= go
 
@@ -20,7 +20,7 @@ SWEEP_PARALLEL ?= 0
 # persisted, and re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-epoch bench-kernel compare sweep cover chaos lint serve-e2e crossbuild
+.PHONY: verify tier1 race examples bench bench-epoch bench-kernel compare sweep cover chaos lint serve-e2e crossbuild fuzz
 
 verify: tier1 lint race examples crossbuild
 
@@ -41,14 +41,13 @@ examples:
 	$(GO) vet ./examples/...
 	$(GO) test -count=1 ./examples/...
 
-# Every GOARCH with a hand-written hash kernel, plus the purego escape
-# hatch, must keep compiling and vetting no matter which box edits the
-# dispatch layer. `go vet` assembles the .s files, so a broken NEON or
-# AVX2 kernel fails here even though only one arch can *run* natively.
+# amd64 (the AVX2 kernel), arm64 (the batched pure-Go kernel every
+# non-amd64 build uses), and the purego escape hatch must keep compiling
+# no matter which box edits the dispatch layer; the purego pass also
+# vets and tests the fallback dispatch.
 crossbuild:
 	GOARCH=amd64 $(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/hashing/
 	$(GO) build -tags purego ./...
 	$(GO) vet -tags purego ./internal/hashing/
 	$(GO) test -tags purego -count=1 ./internal/hashing/
@@ -76,8 +75,8 @@ bench:
 
 # The epoch-refresh R-axis sweep behind core.DefaultEpochRefresh: ns per
 # iteration as the seed-refresh interval grows from every-iteration
-# (≈ quadratic) to once-per-run (≈ the never-refreshed incremental
-# path). PERF.md records the trajectory.
+# (≈ quadratic) to once-per-run (≈ never refreshing). PERF.md records
+# the trajectory.
 bench-epoch:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpochRefresh' -benchmem .
 
@@ -93,6 +92,11 @@ bench-kernel:
 # preempted run cannot flap the gate (the PR 9 BENCH_PR8 regeneration).
 compare:
 	$(GO) run ./cmd/mpicbench -quick -repeat 3 -json BENCH_PR10.json -compare BENCH_PR9.json
+
+# A bounded run of the grid-spec fuzzer (request body → decode →
+# Normalize → Build); plain `go test` only replays its seed corpus.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzGridBuild$$' -fuzztime 20s -parallel 2 ./internal/gridspec/
 
 # The grid service end to end: submit over HTTP, shard across workers,
 # stream progress over SSE, survive a restart mid-grid, and release

@@ -88,10 +88,10 @@ func BenchmarkSchemeEndToEnd(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var blowup float64
 			for i := 0; i < b.N; i++ {
-				res, err := mpic.Run(mpic.Config{
-					Topology: "random", N: 8,
-					Noise: "random", NoiseRate: 0.0005,
-					Scheme: s, Seed: int64(i + 1), IterFactor: 50,
+				res, err := mpic.RunScenario(context.Background(), mpic.Scenario{
+					Topology: mpic.RandomTopology(8),
+					Noise:    mpic.RandomNoise(0.0005),
+					Scheme:   s, Seed: int64(i + 1), IterFactor: 50,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -118,7 +118,7 @@ func BenchmarkScalingNetworkSize(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := mpic.Run(mpic.Config{Topology: "line", N: n, Seed: 1, IterFactor: 10, Parallel: parallel})
+					res, err := mpic.RunScenario(context.Background(), mpic.Scenario{Topology: mpic.Line(n), Seed: 1, IterFactor: 10, Parallel: parallel})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -176,7 +176,7 @@ func BenchmarkRunnerArena(b *testing.B) {
 // when off — the `-compare` wall-clock gate enforces that end to end.
 func BenchmarkGridSession(b *testing.B) {
 	mkGrid := func() mpic.Grid {
-		grid, err := mpic.Sweep{
+		return sweep{
 			Base: mpic.Scenario{
 				Topology:   mpic.Line(4),
 				Workload:   mpic.RandomTraffic(40),
@@ -187,11 +187,7 @@ func BenchmarkGridSession(b *testing.B) {
 			},
 			Rates:  []float64{0, 0.001},
 			Trials: 2,
-		}.Grid()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return grid
+		}.grid()
 	}
 	run := func(b *testing.B, mut func(*mpic.Grid)) {
 		runner := mpic.NewRunner()
@@ -363,24 +359,25 @@ func BenchmarkMicroIteration(b *testing.B) {
 
 // BenchmarkScalingBudget sweeps the iteration budget with the quadratic
 // (per-iteration seed blocks, now the HashLegacy escape hatch), the
-// never-refreshed incremental (PR 2), and the default epoch-refresh
-// (PR 9) hash paths side by side. Quadratic ns/iteration grows linearly
-// with IterFactor (mean transcript length is proportional to the
-// budget); incremental stays flat; epoch must stay within 10% of
-// incremental — the amortized Θ(|T|/R) refresh sweep is the entire
-// fidelity premium of the default.
+// never-refreshed checkpointed (epoch mode with R beyond the budget), and
+// the default epoch-refresh (PR 9) hash paths side by side. Quadratic
+// ns/iteration grows linearly with IterFactor (mean transcript length is
+// proportional to the budget); unrefreshed stays flat; epoch must stay
+// within 10% of unrefreshed — the amortized Θ(|T|/R) refresh sweep is the
+// entire fidelity premium of the default.
 func BenchmarkScalingBudget(b *testing.B) {
 	for _, itf := range []int{8, 16, 32} {
 		for _, v := range []struct {
 			name string
 			mode core.HashMode
+			r    int
 		}{
-			{"quadratic", core.HashLegacy},
-			{"incremental", core.HashIncremental},
-			{"epoch", core.HashEpoch},
+			{"quadratic", core.HashLegacy, 0},
+			{"unrefreshed", core.HashEpoch, 1 << 30},
+			{"epoch", core.HashEpoch, 0},
 		} {
 			b.Run("iterfactor="+strconv.Itoa(itf)+"/"+v.name, func(b *testing.B) {
-				benchIterations(b, itf, v.mode, 0)
+				benchIterations(b, itf, v.mode, v.r)
 			})
 		}
 	}
@@ -413,8 +410,8 @@ func BenchmarkMicroNetworkTiming(b *testing.B) {
 		delay mpic.DelaySpec
 	}{
 		{"lockstep", nil},
-		{"jitter-ontime", mpic.JitterDelay(0.5)},  // base 0.45 + 0.5 → never late
-		{"jitter-late", mpic.JitterDelay(0.8)},    // tail crosses the deadline
+		{"jitter-ontime", mpic.JitterDelay(0.5)}, // base 0.45 + 0.5 → never late
+		{"jitter-late", mpic.JitterDelay(0.8)},   // tail crosses the deadline
 		{"lognormal", mpic.LognormalDelay(0.25)},
 	}
 	for _, v := range variants {

@@ -134,7 +134,7 @@ func run(args []string) error {
 		swIters    = fs.Int("sweep-iterfactor", 30, "sweep: iteration budget multiplier")
 		swParallel = fs.Int("parallel", 0, "sweep: concurrent cells (0 = GOMAXPROCS, 1 = sequential)")
 		swCkpt     = fs.String("sweep-checkpoint", "", "sweep: incremental JSON checkpoint file; an existing one resumes the grid")
-		swHashMode = fs.String("sweep-hashmode", "", "sweep: prefix-hash seed discipline for every cell (epoch|legacy|incremental; empty = the library default, epoch)")
+		swHashMode = fs.String("sweep-hashmode", "", "sweep: prefix-hash seed discipline for every cell (epoch|legacy; empty = the library default, epoch)")
 		swEpochR   = fs.Int("sweep-epoch-refresh", 0, "sweep: epoch mode's seed-refresh interval R in iterations (0 = default)")
 		swDelay    = fs.String("delay", "", "sweep: comma-separated delay models (name[:param], "+strings.Join(mpic.DelayNames(), "|")+") run as a fourth grid axis; empty = lockstep")
 		swNetFlt   = fs.String("netfaults", "", "sweep: network-fault schedule applied to every cell, comma-separated k=v (outage, spike, stragglers, crashes, ...)")
@@ -436,25 +436,21 @@ func runSweep(w io.Writer, f sweepFlags) error {
 	// The grid-defining flags resolve through the shared spec parser
 	// (internal/gridspec) — the same code path mpicserve submissions
 	// take, including the checkpoint fingerprint.
-	sw, err := f.Grid.Sweep()
+	grid, err := f.Grid.Build()
 	if err != nil {
 		return err
 	}
-	if sw.Base.Noise == nil && f.ratesSet {
+	base := grid.Cells[0].Scenario
+	if base.Noise == nil && f.ratesSet {
 		return fmt.Errorf("-sweep-rates has no effect with -sweep-noise %q; pick a noise model to sweep rates over", f.Noise)
 	}
-	sw.Workers = f.parallel
-	grid, err := sw.Grid()
-	if err != nil {
-		return err
-	}
-	delays := sw.Delays
+	grid.Workers = f.parallel
 	if f.checkpoint != "" {
 		// The library owns the resume flow; the flag fingerprint is the
-		// session's spec, so a checkpoint written by different grid flags
-		// is rejected instead of silently merged. Retry/quarantine flags
-		// stay out of the spec: they change fault handling, never results.
-		grid.Spec = f.Grid.Spec()
+		// session's spec (Build sets it), so a checkpoint written by
+		// different grid flags is rejected instead of silently merged.
+		// Retry/quarantine flags stay out of the spec: they change fault
+		// handling, never results.
 		grid.Store = mpic.NewFileGridStore(f.checkpoint)
 	}
 	if f.retries > 0 {
@@ -468,10 +464,10 @@ func runSweep(w io.Writer, f sweepFlags) error {
 	// moment it completes (restored cells first, in definition order).
 	// Row order under -parallel is completion order; the n/scheme/rate
 	// columns are the row identity, exactly like the checkpoint keys.
-	title := fmt.Sprintf("Runner.Sweep: %s workload over %s, noise %s", f.Workload, sw.Base.Topology.Name, f.Noise)
+	title := fmt.Sprintf("grid: %s workload over %s, noise %s", f.Workload, base.Topology.Name, f.Noise)
 	// The delay column appears only when the delay axis is in use, so
 	// lockstep sweeps keep their historical table shape.
-	withDelay := len(delays) > 0
+	withDelay := f.Delay != ""
 	header := []string{"n", "scheme", "noise rate", "success", "mean blowup",
 		"mean iterations", "corruptions"}
 	if withDelay {

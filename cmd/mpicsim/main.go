@@ -84,9 +84,8 @@ func run(w io.Writer, args []string) error {
 		iters    = fs.Int("iterfactor", 100, "iteration budget multiplier (paper: 100)")
 		faithful = fs.Bool("faithful", false, "run all iterations (no early stop)")
 		parallel = fs.Bool("parallel", false, "use the concurrent network executor")
-		hashmode = fs.String("hashmode", "", "prefix-hash seed discipline: epoch|legacy|incremental (default epoch — checkpointed hashing with the seed block refreshed every -epoch-refresh iterations)")
-		epochR   = fs.Int("epoch-refresh", 0, "epoch mode's seed-refresh interval R in iterations (0 = default)")
-		increm   = fs.Bool("incremental-hash", false, "deprecated alias for -hashmode incremental: checkpointed prefix hashing with a never-refreshed seed block")
+		hashmode = fs.String("hashmode", "", "prefix-hash seed discipline: epoch|legacy (default epoch — checkpointed hashing with the seed block refreshed every -epoch-refresh iterations)")
+		epochR   = fs.Int("epoch-refresh", 0, "epoch mode's seed-refresh interval R in iterations (0 = default; at least the iteration budget never refreshes)")
 		observe  = fs.Bool("observe", false, "stream per-iteration progress to stderr (an mpic.Observer sink)")
 		obsEvery = fs.Int("observe-every", 0, "with -observe and -trials > 1: subsample iteration lines (print every k-th, with percent + ETA; 0 = every iteration, -1 = auto ~5% of the budget)")
 		delay    = fs.String("delay", "", "delay model name[:param] ("+strings.Join(mpic.DelayNames(), "|")+"; empty or 'none' = lockstep)")
@@ -104,22 +103,21 @@ func run(w io.Writer, args []string) error {
 	// The flag values resolve through the shared spec parser — the same
 	// struct, field for field, that mpicserve accepts as a JSON body.
 	sc, err := gridspec.Scenario{
-		Topology:        *topology,
-		N:               *n,
-		Workload:        *workload,
-		Rounds:          *rounds,
-		Scheme:          *scheme,
-		Noise:           *noise,
-		Rate:            *rate,
-		Seed:            *seed,
-		IterFactor:      *iters,
-		Faithful:        *faithful,
-		Parallel:        *parallel,
-		HashMode:        *hashmode,
-		EpochRefresh:    *epochR,
-		IncrementalHash: *increm,
-		Delay:           *delay,
-		NetFaults:       *netflt,
+		Topology:     *topology,
+		N:            *n,
+		Workload:     *workload,
+		Rounds:       *rounds,
+		Scheme:       *scheme,
+		Noise:        *noise,
+		Rate:         *rate,
+		Seed:         *seed,
+		IterFactor:   *iters,
+		Faithful:     *faithful,
+		Parallel:     *parallel,
+		HashMode:     *hashmode,
+		EpochRefresh: *epochR,
+		Delay:        *delay,
+		NetFaults:    *netflt,
 	}.Build()
 	if err != nil {
 		return err

@@ -38,20 +38,20 @@ func TestLockstepDelayPinned(t *testing.T) {
 	}
 }
 
-// timedSweep is the delay-axis grid the determinism tests run: three
+// timedGrid is the delay-axis grid the determinism tests run: three
 // delay models (including explicit lockstep) with spikes and a straggler
 // layered on every cell.
-func timedSweep() mpic.Sweep {
+func timedGrid() mpic.Grid {
 	base := gridBase()
 	base.Noise = mpic.RandomNoise(0.002)
 	base.Faults = &mpic.NetFaults{SpikeRate: 0.05, Stragglers: 1}
-	return mpic.Sweep{
+	return sweep{
 		Base:     base,
 		N:        []int{4, 5},
 		Delays:   []mpic.DelaySpec{mpic.LockstepDelay(), mpic.JitterDelay(0.8), mpic.LognormalDelay(0.3)},
 		Trials:   2,
 		SeedStep: 100,
-	}
+	}.grid()
 }
 
 // TestTimedGridDeterminism extends the engine's determinism pin to the
@@ -61,18 +61,12 @@ func timedSweep() mpic.Sweep {
 func TestTimedGridDeterminism(t *testing.T) {
 	runner := mpic.NewRunner()
 	defer runner.Close()
-	sw := timedSweep()
+	grid := timedGrid()
 
-	sw.Workers = 1
-	seq, err := runner.Sweep(context.Background(), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Workers = 4
-	par, err := runner.Sweep(context.Background(), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid.Workers = 1
+	seq := collectCells(t, runner, grid)
+	grid.Workers = 4
+	par := collectCells(t, runner, grid)
 	if len(seq) != 6 || len(par) != len(seq) {
 		t.Fatalf("got %d sequential and %d parallel cells, want 6", len(seq), len(par))
 	}
@@ -98,10 +92,7 @@ func TestTimedGridKeepResults(t *testing.T) {
 	collect := func(workers int) []mpic.GridCellResult {
 		runner := mpic.NewRunner()
 		defer runner.Close()
-		grid, err := timedSweep().Grid()
-		if err != nil {
-			t.Fatal(err)
-		}
+		grid := timedGrid()
 		grid.Workers = workers
 		grid.KeepResults = true
 		results, err := runner.CollectGrid(context.Background(), grid)

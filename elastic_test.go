@@ -9,6 +9,29 @@ import (
 	"mpic/internal/cores"
 )
 
+// elasticGrid is the Parallel-scenario grid the elastic-split test and
+// benchmark run: n ∈ {4,5,6} × schemes {A, 1}, two trials per cell.
+func elasticGrid() Grid {
+	var grid Grid
+	for _, n := range []int{4, 5, 6} {
+		for _, scheme := range []Scheme{AlgorithmA, Algorithm1} {
+			grid.Cells = append(grid.Cells, GridCell{
+				Scenario: Scenario{
+					Topology:   Line(n),
+					Workload:   RandomTraffic(48),
+					Scheme:     scheme,
+					Noise:      RandomNoise(0.002),
+					Seed:       11,
+					IterFactor: 12,
+					Parallel:   true,
+				},
+				Trials: 2,
+			})
+		}
+	}
+	return grid
+}
+
 // TestGridElasticSplitIdentical pins the elastic worker split end to
 // end: a grid of Parallel scenarios run sequentially (Workers=1, so the
 // lone cell worker leaves most of the core budget spare for round
@@ -21,29 +44,21 @@ func TestGridElasticSplitIdentical(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
-	sw := Sweep{
-		Base: Scenario{
-			Topology:   Line(5),
-			Workload:   RandomTraffic(48),
-			Noise:      RandomNoise(0.002),
-			Seed:       11,
-			IterFactor: 12,
-			Parallel:   true,
-		},
-		N:       []int{4, 5, 6},
-		Schemes: []Scheme{AlgorithmA, Algorithm1},
-		Trials:  2,
-	}
+	grid := elasticGrid()
 
 	runAt := func(workers int) ([]SweepCell, cores.Stats) {
 		t.Helper()
 		runner := NewRunner()
 		defer runner.Close()
-		sw := sw
-		sw.Workers = workers
-		cells, err := runner.Sweep(context.Background(), sw)
+		grid := grid
+		grid.Workers = workers
+		results, err := runner.CollectGrid(context.Background(), grid)
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		cells := make([]SweepCell, len(results))
+		for i, r := range results {
+			cells[i] = r.Cell
 		}
 		return cells, runner.gridPoolStats()
 	}
@@ -80,25 +95,13 @@ func TestGridElasticSplitIdentical(t *testing.T) {
 // borrow attempt (0 = round pools starved, higher = spare cores really
 // flowed to heavy rounds).
 func BenchmarkGridElastic(b *testing.B) {
-	sw := Sweep{
-		Base: Scenario{
-			Topology:   Line(5),
-			Workload:   RandomTraffic(48),
-			Noise:      RandomNoise(0.002),
-			Seed:       11,
-			IterFactor: 12,
-			Parallel:   true,
-		},
-		N:       []int{4, 5, 6},
-		Schemes: []Scheme{AlgorithmA, Algorithm1},
-		Trials:  2,
-	}
+	grid := elasticGrid()
 	runner := NewRunner()
 	defer runner.Close()
 	var borrows, granted int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Sweep(context.Background(), sw); err != nil {
+		if err := runner.RunGrid(context.Background(), grid, func(GridCellResult) {}); err != nil {
 			b.Fatal(err)
 		}
 		st := runner.gridPoolStats()

@@ -29,30 +29,35 @@ func ExampleRunner_Run() {
 	// success: true
 }
 
-// Runner.Sweep batches a cartesian grid — here party counts × noise
-// rates — and aggregates per-cell statistics.
-func ExampleRunner_Sweep() {
+// Runner.CollectGrid runs a grid of cells — here party counts × noise
+// rates — and returns the per-cell statistics in definition order.
+func ExampleRunner_CollectGrid() {
+	var grid mpic.Grid
+	for _, n := range []int{4, 5} {
+		for _, rate := range []float64{0, 0.001} {
+			grid.Cells = append(grid.Cells, mpic.GridCell{
+				Key: mpic.GridKey{Rate: rate},
+				Scenario: mpic.Scenario{
+					Topology:   mpic.Line(n),
+					Workload:   mpic.RandomTraffic(40),
+					Noise:      mpic.RandomNoise(rate),
+					Seed:       2,
+					IterFactor: 15,
+				},
+				Trials: 2,
+			})
+		}
+	}
 	runner := mpic.NewRunner()
 	defer runner.Close()
-	cells, err := runner.Sweep(context.Background(), mpic.Sweep{
-		Base: mpic.Scenario{
-			Topology:   mpic.Line(4),
-			Workload:   mpic.RandomTraffic(40),
-			Noise:      mpic.RandomNoise(0),
-			Seed:       2,
-			IterFactor: 15,
-		},
-		N:      []int{4, 5},
-		Rates:  []float64{0, 0.001},
-		Trials: 2,
-	})
+	cells, err := runner.CollectGrid(context.Background(), grid)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	noiseless := 0
 	for _, c := range cells {
-		if c.Rate == 0 && c.Successes == c.Trials {
+		if c.Key.Rate == 0 && c.Cell.Successes == c.Cell.Trials {
 			noiseless++
 		}
 	}
@@ -63,15 +68,13 @@ func ExampleRunner_Sweep() {
 
 // The simplest use: protect a built-in workload over a noisy line with
 // Algorithm A and check the run against the noiseless reference.
-func ExampleRun() {
-	res, err := mpic.Run(mpic.Config{
-		Topology:  "line",
-		N:         5,
-		Workload:  "random",
-		Scheme:    mpic.AlgorithmA,
-		Noise:     "random",
-		NoiseRate: 0.001,
-		Seed:      1,
+func ExampleRunScenario() {
+	res, err := mpic.RunScenario(context.Background(), mpic.Scenario{
+		Topology: mpic.Line(5),
+		Workload: mpic.RandomTraffic(0),
+		Scheme:   mpic.AlgorithmA,
+		Noise:    mpic.RandomNoise(0.001),
+		Seed:     1,
 	})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -84,12 +87,18 @@ func ExampleRun() {
 
 // Baselines run the same workload without interactive coding, for
 // comparison tables.
-func ExampleRunUncoded() {
-	res, err := mpic.RunUncoded(mpic.Config{
-		Topology: "ring",
-		N:        4,
-		Seed:     2,
-	})
+func ExampleRunUncodedProtocol() {
+	g, err := mpic.NewTopology("ring", 4)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	proto, err := mpic.NewWorkload("random", g, 0, 2)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	res, err := mpic.RunUncodedProtocol(proto, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

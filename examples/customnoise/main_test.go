@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"mpic"
+	"mpic/internal/gridspec"
 )
 
 // TestExternalRegistration proves the acceptance property end to end: a
@@ -22,22 +24,26 @@ func TestExternalRegistration(t *testing.T) {
 	}
 }
 
-// ...and through the legacy string Config, which parses the same
-// registries.
-func TestExternalNamesViaLegacyConfig(t *testing.T) {
-	res, err := mpic.Run(mpic.Config{
-		Topology:  "wheel",
-		N:         8,
-		Workload:  "echo",
-		Noise:     "every-kth",
-		NoiseRate: 0.005,
-		Seed:      9,
-	})
+// ...and through the string specs of internal/gridspec (the flag and
+// request-body parser), which resolve names through the same registries.
+func TestExternalNamesViaGridspec(t *testing.T) {
+	sc, err := gridspec.Scenario{
+		Topology: "wheel",
+		N:        8,
+		Workload: "echo",
+		Noise:    "every-kth",
+		Rate:     0.005,
+		Seed:     9,
+	}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mpic.RunScenario(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Success {
-		t.Fatalf("legacy-config custom run failed: G*=%d/%d", res.GStar, res.NumChunks)
+		t.Fatalf("string-spec custom run failed: G*=%d/%d", res.GStar, res.NumChunks)
 	}
 }
 

@@ -30,21 +30,24 @@ import (
 )
 
 func main() {
-	grid, err := mpic.Sweep{
-		Base: mpic.Scenario{
-			Topology:   mpic.Line(4),
-			Workload:   mpic.RandomTraffic(0),
-			Scheme:     mpic.AlgorithmA,
-			Noise:      mpic.RandomNoise(0),
-			Seed:       7,
-			IterFactor: 20,
-		},
-		N:      []int{4, 5},
-		Rates:  []float64{0, 0.002},
-		Trials: 2,
-	}.Grid()
-	if err != nil {
-		log.Fatal(err)
+	// One cell per (n, rate) point; the key's rate labels the cell, and
+	// N and scheme are derived from the scenario.
+	var grid mpic.Grid
+	for _, n := range []int{4, 5} {
+		for _, rate := range []float64{0, 0.002} {
+			grid.Cells = append(grid.Cells, mpic.GridCell{
+				Key: mpic.GridKey{Rate: rate},
+				Scenario: mpic.Scenario{
+					Topology:   mpic.Line(n),
+					Workload:   mpic.RandomTraffic(0),
+					Scheme:     mpic.AlgorithmA,
+					Noise:      mpic.RandomNoise(rate),
+					Seed:       7,
+					IterFactor: 20,
+				},
+				Trials: 2,
+			})
+		}
 	}
 	grid.Store = mpic.NewFileGridStore("session.json")
 	grid.Progress = mpic.NewProgressLog(os.Stderr)
@@ -52,7 +55,7 @@ func main() {
 	runner := mpic.NewRunner()
 	defer runner.Close()
 	restored := 0
-	err = runner.RunGrid(context.Background(), grid, func(res mpic.GridCellResult) {
+	err := runner.RunGrid(context.Background(), grid, func(res mpic.GridCellResult) {
 		marker := ""
 		if res.Restored {
 			restored++

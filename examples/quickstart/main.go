@@ -3,10 +3,9 @@
 //
 // A run is described by a typed Scenario — topology, workload, scheme,
 // noise — and executed by a Runner (which can be reused across runs and
-// cancelled through its context). The legacy string-keyed equivalent is
+// cancelled through its context). The command-line equivalent is
 //
-//	mpic.Run(mpic.Config{Topology: "line", N: 6, Workload: "random",
-//	    Scheme: mpic.AlgorithmA, Noise: "random", NoiseRate: 0.002, Seed: 42})
+//	go run ./cmd/mpicsim -topology line -n 6 -scheme A -noise random -rate 0.002 -seed 42
 //
 // Run with:
 //

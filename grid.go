@@ -817,7 +817,7 @@ func (r *Runner) CollectGrid(ctx context.Context, g Grid) ([]GridCellResult, err
 func (c GridCell) key() GridKey {
 	k := c.Key
 	if k.N == 0 {
-		k.N = c.Scenario.partyCount(c.Scenario.Topology)
+		k.N = c.Scenario.partyCount()
 	}
 	if k.Scheme == 0 {
 		k.Scheme = c.Scenario.Scheme
@@ -825,8 +825,8 @@ func (c GridCell) key() GridKey {
 	if k.Scheme == 0 {
 		k.Scheme = AlgorithmA
 	}
-	if k.Delay == "" {
-		k.Delay = delayKeyName(c.Scenario.Delay)
+	if k.Delay == "" && c.Scenario.Delay != nil {
+		k.Delay = c.Scenario.Delay.DelayName()
 	}
 	return k
 }

@@ -44,14 +44,11 @@ func (f *flakyObserver) IterationDone(st mpic.IterationStats) {
 // given observer.
 func faultGrid(t *testing.T, obs mpic.Observer, faultyIndex int) mpic.Grid {
 	t.Helper()
-	grid, err := mpic.Sweep{
+	grid := sweep{
 		Base:   gridBase(),
 		Rates:  []float64{0, 0.002, 0.004},
 		Trials: 2,
-	}.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}.grid()
 	if obs != nil {
 		sc := grid.Cells[faultyIndex].Scenario
 		sc.Observers = append(append([]mpic.Observer(nil), sc.Observers...), obs)

@@ -21,33 +21,78 @@ func gridBase() mpic.Scenario {
 	}
 }
 
+// sweep expands a typed base scenario over cartesian axes into grid
+// cells: every combination of N, Schemes, Rates and Delays, nested in
+// that order (an empty axis keeps the base value), with Trials seeds per
+// cell at SeedStep stride. The rate axis re-rates Base.Noise.
+type sweep struct {
+	Base     mpic.Scenario
+	N        []int
+	Schemes  []mpic.Scheme
+	Rates    []float64
+	Delays   []mpic.DelaySpec
+	Trials   int
+	SeedStep int64
+}
+
+func (sw sweep) grid() mpic.Grid {
+	ns, schemes, rates, delays := sw.N, sw.Schemes, sw.Rates, sw.Delays
+	if len(ns) == 0 {
+		ns = []int{sw.Base.Topology.N}
+	}
+	if len(schemes) == 0 {
+		schemes = []mpic.Scheme{sw.Base.Scheme}
+	}
+	if len(rates) == 0 {
+		rates = []float64{0}
+	}
+	if len(delays) == 0 {
+		delays = []mpic.DelaySpec{sw.Base.Delay}
+	}
+	var grid mpic.Grid
+	for _, n := range ns {
+		for _, scheme := range schemes {
+			for _, rate := range rates {
+				for _, delay := range delays {
+					sc := sw.Base
+					sc.Topology.N = n
+					sc.Scheme = scheme
+					if len(sw.Rates) > 0 {
+						sc.Noise = sc.Noise.WithRate(rate)
+					}
+					sc.Delay = delay
+					grid.Cells = append(grid.Cells, mpic.GridCell{
+						Key: mpic.GridKey{Rate: rate}, Scenario: sc,
+						Trials: sw.Trials, SeedStep: sw.SeedStep,
+					})
+				}
+			}
+		}
+	}
+	return grid
+}
+
 // TestGridParallelSequentialIdentical is the engine's determinism pin:
 // the same grid executed sequentially (Workers=1) and on a worker pool
 // (Workers=4) produces bit-identical cells, trial for trial — the
 // property that makes parallel sweeps trustworthy and checkpointed runs
 // mergeable.
 func TestGridParallelSequentialIdentical(t *testing.T) {
-	sw := mpic.Sweep{
+	grid := sweep{
 		Base:     gridBase(),
 		N:        []int{4, 5},
 		Schemes:  []mpic.Scheme{mpic.AlgorithmA, mpic.Algorithm1},
 		Rates:    []float64{0, 0.002},
 		Trials:   2,
 		SeedStep: 100,
-	}
+	}.grid()
 	runner := mpic.NewRunner()
 	defer runner.Close()
 
-	sw.Workers = 1
-	seq, err := runner.Sweep(context.Background(), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Workers = 4
-	par, err := runner.Sweep(context.Background(), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid.Workers = 1
+	seq := collectCells(t, runner, grid)
+	grid.Workers = 4
+	par := collectCells(t, runner, grid)
 	if len(seq) != 8 || len(par) != len(seq) {
 		t.Fatalf("got %d sequential and %d parallel cells, want 8", len(seq), len(par))
 	}
@@ -66,10 +111,7 @@ func TestGridStreamsBeforeCompletion(t *testing.T) {
 	var runsStarted atomic.Int64
 	base := gridBase()
 	base.Observers = []mpic.Observer{startCounter{&runsStarted}}
-	grid, err := mpic.Sweep{Base: base, Rates: []float64{0, 0.001, 0.002}}.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := sweep{Base: base, Rates: []float64{0, 0.001, 0.002}}.grid()
 	grid.Workers = 1
 
 	type delivery struct {
@@ -79,7 +121,7 @@ func TestGridStreamsBeforeCompletion(t *testing.T) {
 	var deliveries []delivery
 	runner := mpic.NewRunner()
 	defer runner.Close()
-	err = runner.RunGrid(context.Background(), grid, func(res mpic.GridCellResult) {
+	err := runner.RunGrid(context.Background(), grid, func(res mpic.GridCellResult) {
 		deliveries = append(deliveries, delivery{res.Index, runsStarted.Load()})
 	})
 	if err != nil {
@@ -108,14 +150,9 @@ func (s startCounter) RunStarted(mpic.RunInfo)           { s.n.Add(1) }
 func TestGridDuplicateKeys(t *testing.T) {
 	runner := mpic.NewRunner()
 	defer runner.Close()
-	cells, err := runner.Sweep(context.Background(), mpic.Sweep{
-		Base:    gridBase(),
-		N:       []int{4, 4},
-		Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := sweep{Base: gridBase(), N: []int{4, 4}}.grid()
+	grid.Workers = 4
+	cells := collectCells(t, runner, grid)
 	if len(cells) != 2 {
 		t.Fatalf("got %d cells, want 2", len(cells))
 	}
@@ -198,13 +235,10 @@ func TestGridCancellation(t *testing.T) {
 	defer cancel()
 	runner := mpic.NewRunner()
 	defer runner.Close()
-	grid, err := mpic.Sweep{Base: gridBase(), Rates: []float64{0, 0.001, 0.002, 0.003}}.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := sweep{Base: gridBase(), Rates: []float64{0, 0.001, 0.002, 0.003}}.grid()
 	grid.Workers = 1
 	delivered := 0
-	err = runner.RunGrid(ctx, grid, func(mpic.GridCellResult) {
+	err := runner.RunGrid(ctx, grid, func(mpic.GridCellResult) {
 		delivered++
 		cancel()
 	})
@@ -225,13 +259,10 @@ func TestGridCancelAfterLastCell(t *testing.T) {
 	defer cancel()
 	runner := mpic.NewRunner()
 	defer runner.Close()
-	grid, err := mpic.Sweep{Base: gridBase(), Rates: []float64{0, 0.001}}.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := sweep{Base: gridBase(), Rates: []float64{0, 0.001}}.grid()
 	grid.Workers = 1
 	delivered := 0
-	err = runner.RunGrid(ctx, grid, func(mpic.GridCellResult) {
+	err := runner.RunGrid(ctx, grid, func(mpic.GridCellResult) {
 		delivered++
 		if delivered == len(grid.Cells) {
 			cancel()
@@ -274,11 +305,11 @@ func TestGridArenaTelemetry(t *testing.T) {
 	if wst == nil || wst.Hits == 0 || wst.WordsReused == 0 {
 		t.Fatalf("warm run arena stats = %+v, want hits and words reused > 0", wst)
 	}
-	// The incremental-hash path draws from the same pool (pooled
+	// A never-refreshed epoch run draws from the same pool (pooled
 	// checkpoint stores): a warmed arena serves it without fresh misses
 	// for the prefix-slot buffers.
 	inc := gridBase()
-	inc.IncrementalHash = true
+	inc.EpochRefresh = 1 << 30
 	incGrid := mpic.Grid{Cells: []mpic.GridCell{{Scenario: inc}}, KeepResults: true}
 	if _, err := runner.CollectGrid(context.Background(), incGrid); err != nil {
 		t.Fatal(err)
@@ -289,6 +320,6 @@ func TestGridArenaTelemetry(t *testing.T) {
 	}
 	ist := incWarm[0].Results[0].Arena
 	if ist == nil || ist.Hits == 0 {
-		t.Fatalf("warm incremental run arena stats = %+v, want hits > 0", ist)
+		t.Fatalf("warm never-refreshed run arena stats = %+v, want hits > 0", ist)
 	}
 }

@@ -634,15 +634,11 @@ func (sc Scenario) fingerprint() string {
 	case wl == "":
 		wl = "random"
 	}
-	// Resolve the deprecated bool the way Params.Validate does, so the
-	// two spellings of "incremental" share a fingerprint.
-	mode := sc.HashMode
-	if mode == HashEpoch && sc.IncrementalHash {
-		mode = HashIncremental
-	}
-	fp := fmt.Sprintf("topo=%s wl=%s/%d scheme=%d noise=%s seed=%d iters=%d faithful=%t inc=%t wb=%g",
+	// inc=false is the literal left by the retired never-refreshed hash
+	// mode; it stays so every existing session keeps its fingerprint.
+	fp := fmt.Sprintf("topo=%s wl=%s/%d scheme=%d noise=%s seed=%d iters=%d faithful=%t inc=false wb=%g",
 		topo, wl, sc.Workload.Rounds, sc.Scheme, describeNoise(sc.Noise),
-		sc.Seed, sc.IterFactor, sc.Faithful, mode == HashIncremental, sc.WhiteBoxRate)
+		sc.Seed, sc.IterFactor, sc.Faithful, sc.WhiteBoxRate)
 	// The network-model suffix appears only when a scenario actually sets
 	// a delay or fault schedule, so every pre-virtual-time session keeps
 	// its exact fingerprint and resumes unchanged.
@@ -654,7 +650,7 @@ func (sc Scenario) fingerprint() string {
 	// bare fingerprint (bit-identical results to the old default), and
 	// sessions recorded under the old default resume only against
 	// HashLegacy, never silently against the new seed discipline.
-	if mode == HashEpoch {
+	if sc.HashMode == HashEpoch {
 		r := sc.EpochRefresh
 		if r <= 0 {
 			r = DefaultEpochRefresh

@@ -19,15 +19,12 @@ import (
 // cancellation lands mid-flight.
 func sessionGrid(t *testing.T) mpic.Grid {
 	t.Helper()
-	grid, err := mpic.Sweep{
+	grid := sweep{
 		Base:     gridBase(),
 		Rates:    []float64{0, 0.001, 0.002, 0.003, 0.004, 0.005},
 		Trials:   2,
 		SeedStep: 100,
-	}.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}.grid()
 	return grid
 }
 
@@ -472,10 +469,6 @@ func TestGridValidation(t *testing.T) {
 	if ran != 0 {
 		t.Errorf("%d cells ran despite invalid specs", ran)
 	}
-	// Sweep surfaces the same validation through its Workers knob.
-	if _, err := runner.Sweep(context.Background(), mpic.Sweep{Base: gridBase(), Workers: -3}); err == nil {
-		t.Error("negative Sweep.Workers accepted")
-	}
 	// The documented clamps still hold: zero Workers and zero Trials run.
 	cells, err := runner.CollectGrid(context.Background(), mpic.Grid{
 		Cells: []mpic.GridCell{{Scenario: gridBase()}},
@@ -490,14 +483,11 @@ func TestGridValidation(t *testing.T) {
 // grid is still executing (before later cells complete), and cell
 // completions close each cell's stream.
 func TestGridProgressStream(t *testing.T) {
-	grid, err := mpic.Sweep{
+	grid := sweep{
 		Base:   gridBase(),
 		Rates:  []float64{0, 0.001},
 		Trials: 2,
-	}.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}.grid()
 	grid.Workers = 1 // one goroutine: progress and sink order is total
 
 	type step struct {
@@ -530,7 +520,7 @@ func TestGridProgressStream(t *testing.T) {
 	runner := mpic.NewRunner()
 	defer runner.Close()
 	delivered := 0
-	err = runner.RunGrid(context.Background(), grid, func(res mpic.GridCellResult) {
+	err := runner.RunGrid(context.Background(), grid, func(res mpic.GridCellResult) {
 		steps = append(steps, step{cell: res.Index, sink: true})
 		delivered++
 	})
@@ -605,10 +595,7 @@ func TestGridProgressStream(t *testing.T) {
 // including the restored-cell line on resume.
 func TestProgressLogAndRestoredEvents(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.json")
-	grid, err := mpic.Sweep{Base: gridBase(), Rates: []float64{0, 0.001}}.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := sweep{Base: gridBase(), Rates: []float64{0, 0.001}}.grid()
 	grid.Store = mpic.NewFileGridStore(path)
 	var log strings.Builder
 	grid.Progress = mpic.NewProgressLog(&log)
@@ -640,16 +627,12 @@ func TestProgressLogAndRestoredEvents(t *testing.T) {
 // checkpoint must not survive — seed, trials, noise rate, scheme —
 // changes it.
 func TestGridFingerprint(t *testing.T) {
-	mk := func(mut func(*mpic.Sweep)) string {
-		sw := mpic.Sweep{Base: gridBase(), Rates: []float64{0, 0.001}, Trials: 2}
+	mk := func(mut func(*sweep)) string {
+		sw := sweep{Base: gridBase(), Rates: []float64{0, 0.001}, Trials: 2}
 		if mut != nil {
 			mut(&sw)
 		}
-		grid, err := sw.Grid()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return grid.Fingerprint()
+		return sw.grid().Fingerprint()
 	}
 	base := mk(nil)
 	if again := mk(nil); again != base {
@@ -686,16 +669,16 @@ func TestGridFingerprint(t *testing.T) {
 	if again := graphFP(mkGraph([][2]int{{0, 1}, {1, 2}, {2, 3}})); again != path {
 		t.Errorf("same explicit graph fingerprints differ: %q vs %q", path, again)
 	}
-	for name, mut := range map[string]func(*mpic.Sweep){
-		"seed":    func(sw *mpic.Sweep) { sw.Base.Seed++ },
-		"trials":  func(sw *mpic.Sweep) { sw.Trials = 3 },
-		"rates":   func(sw *mpic.Sweep) { sw.Rates = []float64{0, 0.002} },
-		"scheme":  func(sw *mpic.Sweep) { sw.Schemes = []mpic.Scheme{mpic.AlgorithmB} },
-		"n":       func(sw *mpic.Sweep) { sw.N = []int{5} },
-		"budget":  func(sw *mpic.Sweep) { sw.Base.IterFactor = 99 },
-		"noise":   func(sw *mpic.Sweep) { sw.Base.Noise = mpic.Adaptive(0) },
-		"rounds":  func(sw *mpic.Sweep) { sw.Base.Workload = mpic.RandomTraffic(41) },
-		"seedstp": func(sw *mpic.Sweep) { sw.SeedStep = 7 },
+	for name, mut := range map[string]func(*sweep){
+		"seed":    func(sw *sweep) { sw.Base.Seed++ },
+		"trials":  func(sw *sweep) { sw.Trials = 3 },
+		"rates":   func(sw *sweep) { sw.Rates = []float64{0, 0.002} },
+		"scheme":  func(sw *sweep) { sw.Schemes = []mpic.Scheme{mpic.AlgorithmB} },
+		"n":       func(sw *sweep) { sw.N = []int{5} },
+		"budget":  func(sw *sweep) { sw.Base.IterFactor = 99 },
+		"noise":   func(sw *sweep) { sw.Base.Noise = mpic.Adaptive(0) },
+		"rounds":  func(sw *sweep) { sw.Base.Workload = mpic.RandomTraffic(41) },
+		"seedstp": func(sw *sweep) { sw.SeedStep = 7 },
 	} {
 		if mk(mut) == base {
 			t.Errorf("fingerprint blind to %s", name)
@@ -715,15 +698,12 @@ func TestKeepResultsPersistAndRestore(t *testing.T) {
 		base.Noise = mpic.RandomNoise(0.002)
 		base.Delay = mpic.JitterDelay(0.8)
 		base.Faults = &mpic.NetFaults{SpikeRate: 0.05}
-		grid, err := mpic.Sweep{
+		grid := sweep{
 			Base:     base,
 			Rates:    []float64{0, 0.002},
 			Trials:   2,
 			SeedStep: 100,
-		}.Grid()
-		if err != nil {
-			t.Fatal(err)
-		}
+		}.grid()
 		grid.KeepResults = true
 		grid.Store = mpic.NewFileGridStore(path)
 		return grid

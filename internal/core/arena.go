@@ -5,15 +5,15 @@ import "mpic/internal/hashing"
 // Arena recycles the per-link hash state buffers across runs. One run of
 // a scheme allocates three seed block caches per link endpoint — the two
 // prefix blocks alone are seedHint·τ words each — and drops them all at
-// the end; a driver executing many runs (Runner.Sweep, the grid engine,
-// the experiment harness) pays that allocation churn for every cell.
+// the end; a driver executing many runs (the grid engine, the
+// experiment harness) pays that allocation churn for every cell.
 // Passing the same Arena through Options.Arena makes each run draw its
 // block buffers from the previous runs' and hand them back on exit, so
 // steady-state sweeps stop allocating in the seed-materialization path
 // (the ROADMAP's "amortize seed materialization across links"). The
-// incremental-hash path (Params.IncrementalHash) draws from the same
-// pool: the checkpointed stores' seed rows and accumulator snapshots are
-// recycled alongside the plain block caches.
+// checkpointed hash path (HashEpoch) draws from the same pool: the
+// checkpointed stores' seed rows and accumulator snapshots are recycled
+// alongside the plain block caches.
 //
 // An Arena is safe for concurrent use by multiple runs — the grid engine
 // drives one arena from its whole worker pool — and results are

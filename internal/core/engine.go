@@ -185,7 +185,7 @@ func Run(opts Options) (*Result, error) {
 	if p.HashMode == HashEpoch {
 		epochs := (iters-1)/e.epochR() + 1
 		if !e.seedLay.EpochsFit(epochs) {
-			return nil, fmt.Errorf("core: %d refresh epochs overrun the epoch seed region (iters=%d, EpochRefresh=%d); raise EpochRefresh or select HashIncremental/HashLegacy", epochs, iters, p.EpochRefresh)
+			return nil, fmt.Errorf("core: %d refresh epochs overrun the epoch seed region (iters=%d, EpochRefresh=%d); raise EpochRefresh or select HashLegacy", epochs, iters, p.EpochRefresh)
 		}
 	}
 	// Pre-size the per-link seed caches for the transcript lengths runs

@@ -186,10 +186,11 @@ func TestSingleDeletionRecovery(t *testing.T) {
 // — never unbounded. This seed actually hits a persistent collision at
 // n=7 (32 undetected-collision iterations — exactly one epoch at the
 // pinned R — before the refresh clears it), making it a live regression
-// test for the refresh mechanism: HashIncremental never recovers on the
-// same input, and the persistence cap scales with R, which is why the
-// test pins R = 32 rather than the perf-tuned default (this scenario's
-// tight iteration budget ends before a default-sized epoch would).
+// test for the refresh mechanism: a never-refreshed run (EpochRefresh at
+// least the budget) never recovers on the same input, and the
+// persistence cap scales with R, which is why the test pins R = 32 rather
+// than the perf-tuned default (this scenario's tight iteration budget
+// ends before a default-sized epoch would).
 func TestSingleDeletionRecoveryEpochBounded(t *testing.T) {
 	const r = 32
 	for _, n := range []int{4, 7} {
@@ -221,6 +222,24 @@ func TestSingleDeletionRecoveryEpochBounded(t *testing.T) {
 		if limit := 4 * r; extra > limit {
 			t.Errorf("n=%d: one deletion cost %d extra iterations, want <= %d (collision persistence must be epoch-bounded)", n, extra, limit)
 		}
+	}
+	// The contrast: without refreshes the n=7 collision persists for the
+	// rest of the run.
+	g := graph.Line(7)
+	params := quickParams(AlgA, g, 4)
+	params.EpochRefresh = 1 << 30
+	stuck, err := Run(Options{
+		Protocol: quickProto(g, 4),
+		Params:   params,
+		AdversaryFactory: func(info RunInfo) adversary.Adversary {
+			return &oneSimDeletion{oracle: info.PhaseOracle, target: channel.Link{From: 0, To: 1}}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stuck.Success {
+		t.Error("n=7: a never-refreshed run recovered from the persistent collision")
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -24,26 +23,19 @@ type inspectFunc func(it int, parties []*party)
 func (inspectFunc) IterationDone(IterationStats)              {}
 func (f inspectFunc) inspectParties(it int, parties []*party) { f(it, parties) }
 
-// testEnvIncremental mirrors testEnv with the never-refreshed
-// incremental prefix-hash path enabled.
-func testEnvIncremental(t *testing.T, g *graph.Graph) *env {
-	t.Helper()
-	e := testEnv(t, g)
-	e.params.HashMode = HashIncremental
-	e.params.IncrementalHash = true
-	return e
-}
-
 // testEnvEpoch mirrors testEnv with the epoch-refresh path at refresh
 // interval r.
 func testEnvEpoch(t *testing.T, g *graph.Graph, r int) *env {
 	t.Helper()
 	e := testEnv(t, g)
 	e.params.HashMode = HashEpoch
-	e.params.IncrementalHash = false
 	e.params.EpochRefresh = r
 	return e
 }
+
+// neverRefresh is an EpochRefresh beyond every test's iteration budget:
+// the run stays in epoch 0, whose seed block is the stable block.
+const neverRefresh = 1 << 30
 
 // TestRunFixedSeedPinned pins the observable outcome of fixed-seed runs
 // across four configurations (CRS, exchange, adaptive noise, white-box
@@ -170,10 +162,9 @@ func TestRunFixedSeedPinned(t *testing.T) {
 // TestIncrementalMatchesDefaultNoiseless: without noise, transcripts
 // never diverge, every consistency check compares identical prefixes
 // under identical seed blocks, and the hash values themselves never steer
-// control flow — so every hash mode (the epoch default, the
-// never-refreshed incremental opt-in, and the deprecated bool spelling of
-// it) must reproduce the legacy mode's observable results exactly, for
-// CRS and exchange randomness.
+// control flow — so every hash mode (the epoch default, a short refresh
+// interval, and a never-refreshed epoch) must reproduce the legacy mode's
+// observable results exactly, for CRS and exchange randomness.
 func TestIncrementalMatchesDefaultNoiseless(t *testing.T) {
 	for _, scheme := range []Scheme{Alg1, AlgA} {
 		g := graph.Ring(5)
@@ -196,8 +187,7 @@ func TestIncrementalMatchesDefaultNoiseless(t *testing.T) {
 		}{
 			{"epoch-default", func(p *Params) {}},
 			{"epoch-r4", func(p *Params) { p.EpochRefresh = 4 }},
-			{"incremental", func(p *Params) { p.HashMode = HashIncremental }},
-			{"incremental-bool", func(p *Params) { p.IncrementalHash = true }},
+			{"epoch-unrefreshed", func(p *Params) { p.EpochRefresh = neverRefresh }},
 		} {
 			inc := run(alt.mut)
 			if def.Success != inc.Success || def.Iterations != inc.Iterations ||
@@ -217,22 +207,22 @@ func TestIncrementalMatchesDefaultNoiseless(t *testing.T) {
 
 // neverRefreshedDigest is the SHA-256 over the (Success, Metrics) of the
 // 36 noisy runs in TestNeverRefreshedEpochPinned, captured from the
-// never-refreshed incremental mode.
+// retired never-refreshed incremental mode, which the unrefreshed epoch
+// mode matched run for run before that mode was deleted.
 const neverRefreshedDigest = "700e52926848e6b6fcca34f74abc4376bee90a20eeb8683938be91806faf3d46"
 
-// TestNeverRefreshedEpochPinned pins the equivalence behind retiring the
+// TestNeverRefreshedEpochPinned pins the replacement for the retired
 // never-refreshed incremental mode: HashEpoch with EpochRefresh at least
 // the iteration budget never leaves epoch 0, whose seed block is the
-// stable block the incremental mode hashes over, so the two must agree
-// run for run. Schemes 1/A/B under random noise, 12 seeds each; the
-// digest pins the outcomes themselves.
+// stable block that mode hashed over, so it reproduces that mode's
+// outcomes exactly. Schemes 1/A/B under random noise, 12 seeds each.
 func TestNeverRefreshedEpochPinned(t *testing.T) {
-	run := func(scheme Scheme, seed int64, mut func(*Params)) *Result {
+	run := func(scheme Scheme, seed int64) *Result {
 		g := graph.Line(4)
 		params := ParamsFor(scheme, g)
 		params.IterFactor = 6
 		params.CRSKey = seed
-		mut(&params)
+		params.EpochRefresh = neverRefresh
 		res, err := Run(Options{Protocol: protocol.NewRandom(g, 80, 0.5, seed, nil), Params: params,
 			Adversary: adversary.NewRandomRate(0.004, rand.New(rand.NewSource(seed)))})
 		if err != nil {
@@ -243,13 +233,8 @@ func TestNeverRefreshedEpochPinned(t *testing.T) {
 	h := sha256.New()
 	for _, scheme := range []Scheme{Alg1, AlgA, AlgB} {
 		for seed := int64(1); seed <= 12; seed++ {
-			epoch := run(scheme, seed, func(p *Params) { p.EpochRefresh = 1 << 30 })
-			inc := run(scheme, seed, func(p *Params) { p.HashMode = HashIncremental })
-			if epoch.Success != inc.Success || *epoch.Metrics != *inc.Metrics {
-				t.Fatalf("%v seed %d: unrefreshed epoch {succ:%v %+v} != incremental {succ:%v %+v}",
-					scheme, seed, epoch.Success, *epoch.Metrics, inc.Success, *inc.Metrics)
-			}
-			fmt.Fprintf(h, "%v %v %+v\n", scheme, epoch.Success, *epoch.Metrics)
+			res := run(scheme, seed)
+			fmt.Fprintf(h, "%v %v %+v\n", scheme, res.Success, *res.Metrics)
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != neverRefreshedDigest {
@@ -257,53 +242,33 @@ func TestNeverRefreshedEpochPinned(t *testing.T) {
 	}
 }
 
-// TestHashModeConflict pins the loud-failure contract: the deprecated
-// IncrementalHash bool set alongside a contradictory HashMode is a typed
-// error, never a silent preference; set consistently it keeps working.
-func TestHashModeConflict(t *testing.T) {
-	p := Params{ChunkBits: 10, HashBits: 8, HashMode: HashLegacy, IncrementalHash: true}
-	err := p.Validate()
-	var conflict *HashModeConflictError
-	if !errors.As(err, &conflict) {
-		t.Fatalf("Validate() = %v, want *HashModeConflictError", err)
-	}
-	if conflict.Mode != HashLegacy {
-		t.Fatalf("conflict reports mode %v, want legacy", conflict.Mode)
-	}
-	// The conflict must also surface through Run, not just direct Validate.
-	g := graph.Line(3)
-	bad := quickParams(Alg1, g, 1)
-	bad.HashMode = HashLegacy
-	bad.IncrementalHash = true
-	if _, err := Run(Options{Protocol: quickProto(g, 1), Params: bad}); !errors.As(err, &conflict) {
-		t.Fatalf("Run() = %v, want *HashModeConflictError", err)
-	}
-	// Consistent spellings normalize instead of erroring.
-	for _, p := range []Params{
-		{ChunkBits: 10, HashBits: 8, IncrementalHash: true},
-		{ChunkBits: 10, HashBits: 8, HashMode: HashIncremental, IncrementalHash: true},
-	} {
-		if err := p.Validate(); err != nil {
-			t.Fatalf("consistent params rejected: %v", err)
-		}
-		if p.HashMode != HashIncremental || !p.IncrementalHash {
-			t.Fatalf("normalization broken: mode=%v bool=%v", p.HashMode, p.IncrementalHash)
+// TestParseHashMode pins the two mode names, their round trip through
+// String, and the rejection of every other name — the retired
+// "incremental" included, so a persisted spec naming it fails loudly.
+func TestParseHashMode(t *testing.T) {
+	for _, m := range []HashMode{HashEpoch, HashLegacy} {
+		if got, err := ParseHashMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseHashMode(%q) = %v, %v; want %v", m.String(), got, err, m)
 		}
 	}
-	// Invalid EpochRefresh is rejected.
-	neg := Params{ChunkBits: 10, HashBits: 8, EpochRefresh: -1}
-	if err := neg.Validate(); err == nil {
-		t.Fatal("negative EpochRefresh accepted")
+	if got, err := ParseHashMode(""); err != nil || got != HashEpoch {
+		t.Errorf("ParseHashMode(\"\") = %v, %v; want the epoch default", got, err)
+	}
+	for _, name := range []string{"incremental", "Epoch", "unknown"} {
+		if _, err := ParseHashMode(name); err == nil {
+			t.Errorf("ParseHashMode(%q) accepted", name)
+		}
 	}
 }
 
 // TestHasherIncrementalMatchesReference is the party-level golden test
-// for the incremental path: through real link state, across iterations,
-// appends and truncations, the checkpointed hasher must produce exactly
-// what the reference evaluator produces on the stable seed blocks.
+// for the never-refreshed checkpointed path: through real link state,
+// across iterations, appends and truncations, the checkpointed hasher
+// must produce exactly what the reference evaluator produces on the
+// stable seed blocks (epoch 0's block, which a never-refreshed run keeps).
 func TestHasherIncrementalMatchesReference(t *testing.T) {
 	g := graph.Line(3)
-	e := testEnvIncremental(t, g)
+	e := testEnvEpoch(t, g, neverRefresh)
 	p := newParty(e, 1)
 	rng := rand.New(rand.NewSource(4))
 	appendChunk := func(ls *linkState, i int) {
@@ -336,7 +301,7 @@ func TestHasherIncrementalMatchesReference(t *testing.T) {
 					}
 					want := e.hash.HashPrefix(ls.T.Bits(), ls.T.PrefixBits(chunks), ls.src, e.seedLay.StableOffset(s))
 					if got := ls.h.HashPrefix(chunks, slot); got != want {
-						t.Fatalf("it=%d chunks=%d slot=%d: incremental %#x != reference %#x", it, chunks, slot, got, want)
+						t.Fatalf("it=%d chunks=%d slot=%d: checkpointed %#x != reference %#x", it, chunks, slot, got, want)
 					}
 				}
 			}
@@ -348,7 +313,7 @@ func TestHasherIncrementalMatchesReference(t *testing.T) {
 // epoch-refresh path: across iterations spanning several refresh
 // boundaries (R=2 here, so every other prepareIteration rebases the
 // checkpoint store onto a fresh seed block), interleaved with the same
-// truncate/regrow churn as the incremental variant, the checkpointed
+// truncate/regrow churn as the never-refreshed variant, the checkpointed
 // hasher must produce exactly what the reference evaluator produces on
 // the live epoch's seed block.
 func TestHasherEpochMatchesReference(t *testing.T) {
@@ -400,9 +365,9 @@ func TestHasherEpochMatchesReference(t *testing.T) {
 // schemes A and B under every hash mode: the runs must complete, account
 // their corruptions, and — because the hammer's whole point is forcing
 // deep rollbacks — actually truncate transcripts. In the checkpointed
-// modes, an after-iteration whitebox invariant re-checks every link's
-// prefix hashes against the reference evaluator on the mode's own seed
-// block (the stable block, or the live epoch's block), so checkpoint
+// epoch mode, an after-iteration whitebox invariant re-checks every link's
+// prefix hashes against the reference evaluator on the live epoch's seed
+// block (the stable block when the run never refreshes), so checkpoint
 // invalidation AND epoch rebasing are exercised by a live rewind storm,
 // not just by unit fuzz. The hammer's poison/quiet cycle is depth+quiet
 // = 4 iterations, so the epoch cases at R=4 put a truncation burst at a
@@ -417,11 +382,11 @@ func TestRewindHammerSchemes(t *testing.T) {
 		r      int
 	}{
 		{"algA/legacy", AlgA, HashLegacy, 0},
-		{"algA/incremental", AlgA, HashIncremental, 0},
+		{"algA/epoch-unrefreshed", AlgA, HashEpoch, neverRefresh},
 		{"algA/epoch-r1", AlgA, HashEpoch, 1},
 		{"algA/epoch-r4", AlgA, HashEpoch, 4},
 		{"algB/legacy", AlgB, HashLegacy, 0},
-		{"algB/incremental", AlgB, HashIncremental, 0},
+		{"algB/epoch-unrefreshed", AlgB, HashEpoch, neverRefresh},
 		{"algB/epoch-r4", AlgB, HashEpoch, 4},
 	} {
 		g := graph.Line(4)
@@ -433,14 +398,10 @@ func TestRewindHammerSchemes(t *testing.T) {
 		params.HashMode = tc.mode
 		params.EpochRefresh = tc.r
 		refOffset := func(p *party, s hashing.Slot, it int) (uint64, bool) {
-			switch tc.mode {
-			case HashIncremental:
-				return p.env.seedLay.StableOffset(s), true
-			case HashEpoch:
-				return p.env.seedLay.EpochOffset(s, it/p.env.epochR()), true
-			default:
+			if tc.mode == HashLegacy {
 				return 0, false
 			}
+			return p.env.seedLay.EpochOffset(s, it/p.env.epochR()), true
 		}
 		var hammer *adversary.RewindHammer
 		truncations := 0
@@ -498,12 +459,12 @@ func TestRewindHammerSchemes(t *testing.T) {
 }
 
 // TestPrepareIterationIncrementalAllocs extends the steady-state
-// allocation pin to the incremental path: preparing iterations —
-// including the append/truncate churn that moves the checkpoint frontier
-// — must not allocate once warm.
+// allocation pin to the never-refreshed checkpointed path: preparing
+// iterations — including the append/truncate churn that moves the
+// checkpoint frontier — must not allocate once warm.
 func TestPrepareIterationIncrementalAllocs(t *testing.T) {
 	g := graph.Line(3)
-	e := testEnvIncremental(t, g)
+	e := testEnvEpoch(t, g, neverRefresh)
 	p := newParty(e, 1)
 	for _, ls := range p.links {
 		for i := 1; i <= 30; i++ {
@@ -520,7 +481,7 @@ func TestPrepareIterationIncrementalAllocs(t *testing.T) {
 		p.prepareIteration(3)
 	})
 	if allocs != 0 {
-		t.Fatalf("incremental prepareIteration allocates %.1f times in steady state, want 0", allocs)
+		t.Fatalf("never-refreshed prepareIteration allocates %.1f times in steady state, want 0", allocs)
 	}
 }
 

@@ -92,12 +92,6 @@ const (
 	// CRSKey. The escape hatch when exact reproducibility against old
 	// recorded runs matters more than wall-clock.
 	HashLegacy
-	// HashIncremental is the PR 2 opt-in path: incremental checkpoints
-	// over one rewind-stable seed block that is never refreshed. Fastest,
-	// but a colliding pair persists for the rest of the run, so the
-	// per-check independence of Lemma 2.3 is lost entirely — raise
-	// HashBits when using this at scale.
-	HashIncremental
 )
 
 // String implements fmt.Stringer.
@@ -107,58 +101,40 @@ func (m HashMode) String() string {
 		return "epoch"
 	case HashLegacy:
 		return "legacy"
-	case HashIncremental:
-		return "incremental"
 	default:
 		return "unknown"
 	}
 }
 
 // ParseHashMode maps the conventional mode names to a HashMode: "epoch"
-// (or empty — the default), "legacy", and "incremental". Names are the
-// String() spellings, so parse∘print round-trips.
+// (or empty — the default) and "legacy". Names are the String()
+// spellings, so parse∘print round-trips.
 func ParseHashMode(s string) (HashMode, error) {
 	switch s {
 	case "", "epoch":
 		return HashEpoch, nil
 	case "legacy":
 		return HashLegacy, nil
-	case "incremental":
-		return HashIncremental, nil
 	default:
-		return 0, fmt.Errorf("core: unknown hash mode %q (want epoch, legacy, or incremental)", s)
+		return 0, fmt.Errorf("core: unknown hash mode %q (want epoch or legacy)", s)
 	}
 }
 
 // DefaultEpochRefresh is the default seed-refresh interval R in
 // iterations, picked from the R-axis benchmark sweep in PERF.md: 256 is
 // the smallest R whose amortized Θ(|T|/R) refresh sweep stays within 10%
-// of the never-refreshed incremental path at the 32·|Π| budget (R=128
+// of a never-refreshed run (R ≥ budget) at the 32·|Π| budget (R=128
 // costs 25%, R=32 costs 47%). The fidelity price is log₂256 = 8 bits of
 // the Lemma 2.3 union bound — as large as Alg1/A's default HashBits, so
 // at default τ the refresh is a persistence *cap* (a colliding pair
 // self-heals within ≤ R checks instead of surviving the run, which is
-// what turns HashIncremental's permanent-failure pathology into bounded
-// extra iterations) rather than a restored union bound. Callers that
+// what turns the never-refreshed permanent-failure pathology into
+// bounded extra iterations) rather than a restored union bound. Callers that
 // want the bound back set EpochRefresh ≤ 2^(HashBits-3) (e.g. R=32 at
 // τ=8 costs 1/8 of a corrupted check per collision) or raise HashBits by
 // log₂R; Algorithm B's τ = Θ(log m) absorbs the default R at realistic
 // sizes. See the hashing package doc for the full derivation.
 const DefaultEpochRefresh = 256
-
-// HashModeConflictError reports Params that set the deprecated
-// IncrementalHash bool alongside a HashMode that contradicts it. The two
-// knobs are never silently reconciled: callers that say "legacy" and
-// "incremental" at once get this error, loudly.
-type HashModeConflictError struct {
-	// Mode is the explicit HashMode that contradicted IncrementalHash.
-	Mode HashMode
-}
-
-// Error implements error.
-func (e *HashModeConflictError) Error() string {
-	return fmt.Sprintf("core: Params.HashMode=%v conflicts with deprecated Params.IncrementalHash=true; set exactly one", e.Mode)
-}
 
 // Params fully determines a coding-scheme instance. Zero values are
 // filled with defaults by Validate.
@@ -197,25 +173,17 @@ type Params struct {
 	// Θ(growth) per-iteration hash cost with collision persistence
 	// bounded to R checks. HashLegacy restores the paper's
 	// fresh-seeds-every-iteration Θ(|T|) path, bit-identical to previous
-	// releases for a fixed CRSKey; HashIncremental is the never-refreshed
-	// PR 2 opt-in. See the HashMode constants for the full trade-off.
+	// releases for a fixed CRSKey. See the HashMode constants for the full
+	// trade-off.
 	HashMode HashMode
 	// EpochRefresh is the seed-refresh interval R (iterations) for
 	// HashEpoch; 0 selects DefaultEpochRefresh. Smaller R tightens the
 	// union bound (a collision persists ≤ R checks) at a higher amortized
 	// Θ(|T|/R) re-sweep cost; the R-axis table in PERF.md quantifies the
-	// trade-off. Ignored by the other modes.
+	// trade-off. An R at least the iteration budget never refreshes: the
+	// whole run hashes over the stable epoch-0 block. Ignored by
+	// HashLegacy.
 	EpochRefresh int
-	// IncrementalHash is the deprecated PR 2 bool for what is now
-	// HashMode == HashIncremental. Setting it with HashMode left at the
-	// zero value still selects the never-refreshed incremental path
-	// (Validate normalizes HashMode to HashIncremental), so existing
-	// callers keep their exact behavior; setting it alongside
-	// HashMode == HashLegacy is a contradiction and Validate rejects it
-	// with a *HashModeConflictError. New code should set HashMode only.
-	//
-	// Deprecated: set HashMode instead.
-	IncrementalHash bool
 }
 
 // Log2Ceil returns ⌈log₂ n⌉ for n ≥ 1 (0 for n ≤ 1). Exposed because the
@@ -300,23 +268,9 @@ func (p *Params) Validate() error {
 	if p.RSBlockK <= 0 || p.RSBlockK >= p.RSBlockN || p.RSBlockN > 255 {
 		return fmt.Errorf("core: invalid RS block (%d,%d)", p.RSBlockN, p.RSBlockK)
 	}
-	if p.HashMode < HashEpoch || p.HashMode > HashIncremental {
+	if p.HashMode < HashEpoch || p.HashMode > HashLegacy {
 		return fmt.Errorf("core: invalid HashMode %d", int(p.HashMode))
 	}
-	if p.IncrementalHash {
-		switch p.HashMode {
-		case HashEpoch:
-			// The deprecated bool on an otherwise-zero HashMode keeps its
-			// PR 2 meaning: the never-refreshed incremental path.
-			p.HashMode = HashIncremental
-		case HashIncremental:
-			// Redundant but consistent.
-		default:
-			return &HashModeConflictError{Mode: p.HashMode}
-		}
-	}
-	// Keep the deprecated bool coherent for any remaining readers.
-	p.IncrementalHash = p.HashMode == HashIncremental
 	if p.EpochRefresh < 0 {
 		return fmt.Errorf("core: EpochRefresh must be non-negative, got %d", p.EpochRefresh)
 	}

@@ -71,6 +71,8 @@ func TestParamsValidate(t *testing.T) {
 		{ChunkBits: 10, HashBits: 0},
 		{ChunkBits: 10, HashBits: 65},
 		{ChunkBits: 10, HashBits: 8, RSBlockN: 5, RSBlockK: 9},
+		{ChunkBits: 10, HashBits: 8, EpochRefresh: -1},
+		{ChunkBits: 10, HashBits: 8, HashMode: HashLegacy + 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -53,11 +53,11 @@ type linkState struct {
 	// are re-pointed by prepareIteration and feed the allocation-free
 	// kernel.
 	ck, c1, c2 *hashing.BlockCache
-	// p1, p2 replace c1, c2 in the checkpointed modes (HashEpoch /
-	// HashIncremental): rewind-aware checkpointed hashers over the stable
-	// seed region, whose cost per evaluation is proportional to
-	// transcript growth, not length. Under HashEpoch, prepareIteration
-	// rebases them onto a fresh seed block every EpochRefresh iterations.
+	// p1, p2 replace c1, c2 in the checkpointed mode (HashEpoch):
+	// rewind-aware checkpointed hashers over the stable seed region, whose
+	// cost per evaluation is proportional to transcript growth, not
+	// length. prepareIteration rebases them onto a fresh seed block every
+	// EpochRefresh iterations.
 	p1, p2 *hashing.Checkpointed
 	// h is the link's meeting.Hasher, boxed once at source binding so the
 	// per-iteration hash calls do not re-box the interface value.
@@ -417,7 +417,7 @@ func (p *party) prepareIteration(it int) {
 			// iteration's blocks.
 			ls.c1.SetBlock(p.env.seedLay.Offset(it, hashing.SlotMP1))
 			ls.c2.SetBlock(p.env.seedLay.Offset(it, hashing.SlotMP2))
-		} else if p.env.params.HashMode == HashEpoch {
+		} else {
 			// Epoch refresh: rebase the checkpointed hashers onto the
 			// current epoch's seed block. SetBlock is a no-op within an
 			// epoch; at a boundary it discards the checkpoints, and the
@@ -427,9 +427,6 @@ func (p *party) prepareIteration(it int) {
 			ls.p1.SetBlock(p.env.seedLay.EpochOffset(hashing.SlotMP1, epoch))
 			ls.p2.SetBlock(p.env.seedLay.EpochOffset(hashing.SlotMP2, epoch))
 		}
-		// HashIncremental needs no per-iteration step — its seed block is
-		// rewind-stable for the whole run and invalidation is driven by
-		// the transcript itself.
 		msg := ls.mp.Outgoing(ls.h, ls.T.Len())
 		ls.mpOwn = msg
 		if ls.mpOut == nil {

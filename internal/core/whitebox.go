@@ -99,10 +99,9 @@ func (w *whiteBoxAttacker) Corrupt(round int, link channel.Link, sent bitstring.
 // futureHash predicts the endpoint's full-transcript hash at the next
 // meeting-points check, with the chunk's final slot holding sym. The seed
 // block mirrors the parties' configuration: the per-iteration block
-// (HashLegacy), the rewind-stable one (HashIncremental — which makes the
-// attacker's life easier still: a found collision keeps paying across
-// iterations), or the block of the epoch the check lands in (HashEpoch —
-// a found collision pays only until the next refresh).
+// (HashLegacy) or the block of the epoch the check lands in (HashEpoch —
+// a found collision pays only until the next refresh, and for the whole
+// run when EpochRefresh is at least the budget).
 func (w *whiteBoxAttacker) futureHash(ls *linkState, pending []bitstring.Symbol, lastIdx int, sym bitstring.Symbol, iter int) uint64 {
 	bits := ls.T.Bits().Clone()
 	bits.AppendUint(uint64(ls.simChunk), chunkIndexBits)
@@ -112,14 +111,9 @@ func (w *whiteBoxAttacker) futureHash(ls *linkState, pending []bitstring.Symbol,
 		}
 		bits.AppendSymbol(s)
 	}
-	var off uint64
-	switch w.e.params.HashMode {
-	case HashIncremental:
-		off = w.e.seedLay.StableOffset(hashing.SlotMP1)
-	case HashEpoch:
+	off := w.e.seedLay.Offset(iter, hashing.SlotMP1)
+	if w.e.params.HashMode == HashEpoch {
 		off = w.e.seedLay.EpochOffset(hashing.SlotMP1, iter/w.e.epochR())
-	default:
-		off = w.e.seedLay.Offset(iter, hashing.SlotMP1)
 	}
 	return w.e.hash.Hash(bits, ls.src, off)
 }

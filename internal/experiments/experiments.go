@@ -184,7 +184,7 @@ type cell struct {
 	Corruptions int64
 }
 
-// fromSweep converts a Runner.Sweep cell into the harness's aggregate.
+// fromSweep converts a grid cell's aggregate into the harness's.
 func fromSweep(c mpic.SweepCell) cell {
 	return cell{
 		Successes:   c.Successes,

@@ -17,8 +17,8 @@ import (
 )
 
 // TestSweepReproducesExperimentTable is the acceptance check for the
-// Runner.Sweep migration: building the CC-vs-noise grid (E-F3) directly
-// through the public mpic.Sweep API reproduces the table the experiment
+// harness's grid path: building the CC-vs-noise grid (E-F3) directly
+// from public mpic.GridCell values reproduces the table the experiment
 // harness produces, cell for cell.
 func TestSweepReproducesExperimentTable(t *testing.T) {
 	cfg := Config{Trials: 2, Seed: 3, Quick: true}
@@ -36,8 +36,8 @@ func TestSweepReproducesExperimentTable(t *testing.T) {
 		if mult > 0 {
 			noise = mpic.RandomNoise(mult / m)
 		}
-		cells, err := runner.Sweep(context.Background(), mpic.Sweep{
-			Base: mpic.Scenario{
+		cells, err := runner.CollectGrid(context.Background(), mpic.Grid{Cells: []mpic.GridCell{{
+			Scenario: mpic.Scenario{
 				Topology:   mpic.GraphTopology(g),
 				Workload:   workloadSpec(g.N(), cfg.Quick),
 				Scheme:     core.AlgA,
@@ -48,11 +48,11 @@ func TestSweepReproducesExperimentTable(t *testing.T) {
 			},
 			Trials:   cfg.trials(),
 			SeedStep: trialSeedStep,
-		})
+		}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := cells[0]
+		c := cells[0].Cell
 		want := []string{
 			fmt.Sprintf("%.3f", mult),
 			fmt.Sprintf("%d/%d", c.Successes, c.Trials),

@@ -110,6 +110,9 @@ func RandomConnected(n, extraEdges int, rng *rand.Rand) *Graph {
 // harness: "line", "ring", "star", "clique", "tree" (binary), or
 // "random" (tree + n/2 extra edges, seeded from size).
 func ByName(name string, n int) (*Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("graph: topology %q needs n >= 1, got %d", name, n)
+	}
 	switch name {
 	case "line":
 		return Line(n), nil

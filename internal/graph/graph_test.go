@@ -208,4 +208,12 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("ring", 2); err == nil {
 		t.Error("ring of 2 accepted")
 	}
+	// Party counts below one are an error, not a panic in New.
+	for _, name := range []string{"line", "ring", "star", "clique", "tree", "random"} {
+		for _, n := range []int{0, -3} {
+			if _, err := ByName(name, n); err == nil {
+				t.Errorf("ByName(%q, %d) accepted", name, n)
+			}
+		}
+	}
 }

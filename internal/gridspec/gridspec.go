@@ -13,71 +13,113 @@ import (
 	"strings"
 
 	"mpic"
+	"mpic/internal/protocol"
 )
 
 // Scenario is a single-run specification — the scenario-shaping flags
 // of mpicsim, by their flag names.
 type Scenario struct {
-	Topology        string  `json:"topology,omitempty"`
-	N               int     `json:"n,omitempty"`
-	Workload        string  `json:"workload,omitempty"`
-	Rounds          int     `json:"rounds,omitempty"`
-	Scheme          string  `json:"scheme,omitempty"`
-	Noise           string  `json:"noise,omitempty"`
-	Rate            float64 `json:"rate,omitempty"`
-	Seed            int64   `json:"seed,omitempty"`
-	IterFactor      int     `json:"iterfactor,omitempty"`
-	Faithful        bool    `json:"faithful,omitempty"`
-	Parallel        bool    `json:"parallel,omitempty"`
-	HashMode        string  `json:"hashmode,omitempty"`
-	EpochRefresh    int     `json:"epochRefresh,omitempty"`
-	IncrementalHash bool    `json:"incrementalHash,omitempty"`
-	Delay           string  `json:"delay,omitempty"`
-	NetFaults       string  `json:"netfaults,omitempty"`
+	Topology     string  `json:"topology,omitempty"`
+	N            int     `json:"n,omitempty"`
+	Workload     string  `json:"workload,omitempty"`
+	Rounds       int     `json:"rounds,omitempty"`
+	Scheme       string  `json:"scheme,omitempty"`
+	Noise        string  `json:"noise,omitempty"`
+	Rate         float64 `json:"rate,omitempty"`
+	Seed         int64   `json:"seed,omitempty"`
+	IterFactor   int     `json:"iterfactor,omitempty"`
+	Faithful     bool    `json:"faithful,omitempty"`
+	Parallel     bool    `json:"parallel,omitempty"`
+	HashMode     string  `json:"hashmode,omitempty"`
+	EpochRefresh int     `json:"epochRefresh,omitempty"`
+	Delay        string  `json:"delay,omitempty"`
+	NetFaults    string  `json:"netfaults,omitempty"`
 }
 
-// Build resolves the specification into a runnable mpic.Scenario
-// through the legacy Config shim (so empty topology falls back to the
-// workload's own default) plus the delay and net-fault parsers.
+// Build resolves the specification into a runnable mpic.Scenario. Empty
+// fields take the defaults of the mpicsim flags: 6 parties, the "random"
+// workload, and the workload's own topology family (see base).
 func (s Scenario) Build() (mpic.Scenario, error) {
-	var sch mpic.Scheme
-	if s.Scheme != "" {
-		var err error
-		if sch, err = mpic.ParseScheme(s.Scheme); err != nil {
-			return mpic.Scenario{}, err
-		}
+	if s.N == 0 {
+		s.N = 6
 	}
-	sc, err := mpic.Config{
-		Topology:        s.Topology,
-		N:               s.N,
-		Workload:        s.Workload,
-		WorkloadRounds:  s.Rounds,
-		Scheme:          sch,
-		Noise:           s.Noise,
-		NoiseRate:       s.Rate,
-		Seed:            s.Seed,
-		IterFactor:      s.IterFactor,
-		Faithful:        s.Faithful,
-		Parallel:        s.Parallel,
-		HashMode:        s.HashMode,
-		EpochRefresh:    s.EpochRefresh,
-		IncrementalHash: s.IncrementalHash,
-	}.Scenario()
+	sc, err := s.base()
 	if err != nil {
 		return mpic.Scenario{}, err
 	}
-	if sc.Delay, err = mpic.ParseDelay(s.Delay); err != nil {
-		return mpic.Scenario{}, err
+	if s.Scheme != "" {
+		if sc.Scheme, err = mpic.ParseScheme(s.Scheme); err != nil {
+			return mpic.Scenario{}, err
+		}
 	}
-	if sc.Faults, err = mpic.ParseNetFaults(s.NetFaults); err != nil {
+	if sc.Delay, err = mpic.ParseDelay(s.Delay); err != nil {
 		return mpic.Scenario{}, err
 	}
 	return sc, nil
 }
 
+// base resolves the fields a single run and every cell of a grid share.
+// An empty workload is "random"; an empty topology is the workload's
+// fixed family, or "line" for workloads that run anywhere. A workload
+// fixed to one family rejects any other explicit topology rather than
+// silently overriding it.
+func (s Scenario) base() (mpic.Scenario, error) {
+	if s.N < 1 {
+		return mpic.Scenario{}, fmt.Errorf("n: party counts must be at least 1, got %d", s.N)
+	}
+	workload := s.Workload
+	if workload == "" {
+		workload = "random"
+	}
+	fixed, err := protocol.FixedTopology(workload)
+	if err != nil {
+		return mpic.Scenario{}, err
+	}
+	topology := s.Topology
+	switch {
+	case fixed != "" && topology != "" && topology != fixed:
+		return mpic.Scenario{}, fmt.Errorf(
+			"gridspec: workload %q runs only on the %q topology, got explicit %q (leave the topology empty to accept the default)",
+			workload, fixed, topology)
+	case fixed != "":
+		topology = fixed
+	case topology == "":
+		topology = "line"
+	}
+	noise, err := mpic.Noise(s.Noise, s.Rate)
+	if err != nil {
+		return mpic.Scenario{}, err
+	}
+	mode, err := mpic.ParseHashMode(s.HashMode)
+	if err != nil {
+		return mpic.Scenario{}, err
+	}
+	faults, err := mpic.ParseNetFaults(s.NetFaults)
+	if err != nil {
+		return mpic.Scenario{}, err
+	}
+	return mpic.Scenario{
+		Topology:     mpic.Topology(topology, s.N),
+		Workload:     mpic.Workload(workload, s.Rounds),
+		Noise:        noise,
+		Faults:       faults,
+		Seed:         s.Seed,
+		IterFactor:   s.IterFactor,
+		Faithful:     s.Faithful,
+		Parallel:     s.Parallel,
+		HashMode:     mode,
+		EpochRefresh: s.EpochRefresh,
+	}, nil
+}
+
 // defaultSeedStep is the per-trial seed stride grids run at unless the
 // spec overrides it — the same prime mpicbench sweeps have always used.
 const defaultSeedStep = 7907
+
+// maxCells bounds a grid's cell count: the service builds grids from
+// request bodies, and an axis product in the millions would exhaust
+// memory before a single cell ran.
+const maxCells = 1 << 16
 
 // Grid is a cartesian grid specification — the sweep-shaping flags of
 // `mpicbench -sweep`, by their flag names, with list-valued axes as
@@ -96,10 +138,10 @@ type Grid struct {
 	Trials     int    `json:"trials,omitempty"`
 	Seed       int64  `json:"seed,omitempty"`
 	IterFactor int    `json:"iterfactor,omitempty"`
-	// HashMode pins the sweep's prefix-hash seed discipline ("epoch",
-	// "legacy", "incremental"); empty means the library default. Set
-	// fields join the Spec fingerprint, so checkpoints from before the
-	// fields existed keep theirs.
+	// HashMode pins the grid's prefix-hash seed discipline ("epoch" or
+	// "legacy"); empty means the library default. Set fields join the
+	// Spec fingerprint, so checkpoints from before the fields existed keep
+	// theirs.
 	HashMode     string `json:"hashmode,omitempty"`
 	EpochRefresh int    `json:"epochRefresh,omitempty"`
 	// SeedStep overrides the per-trial seed stride; 0 means the default
@@ -161,55 +203,59 @@ func (g Grid) Spec() string {
 	return s
 }
 
-// Sweep resolves the specification into an mpic.Sweep. The noise-rate
-// axis applies only when the scenario has a noise model at all; callers
-// that want to reject a useless rate axis loudly (mpicbench does, for
-// an explicit -sweep-rates flag) check sw.Base.Noise themselves.
-func (g Grid) Sweep() (mpic.Sweep, error) {
+// Build resolves the specification into an mpic.Grid with its Spec set —
+// ready for the engine or the lease-sharded worker loop. The cells are
+// the cartesian product of the n, scheme, rate and delay axes, nested in
+// that order; an empty scheme or delay axis keeps the scenario default.
+// The rate axis applies only when the scenario has a noise model at all;
+// callers that want to reject a useless rate axis loudly (mpicbench does,
+// for an explicit -sweep-rates flag) check the cells' Noise themselves.
+func (g Grid) Build() (mpic.Grid, error) {
 	ns, err := ParseInts(g.N)
 	if err != nil {
-		return mpic.Sweep{}, fmt.Errorf("n: %w", err)
+		return mpic.Grid{}, fmt.Errorf("n: %w", err)
 	}
-	if len(ns) == 0 {
-		return mpic.Sweep{}, fmt.Errorf("n: at least one party count is required")
+	for _, n := range ns {
+		if n < 1 {
+			return mpic.Grid{}, fmt.Errorf("n: party counts must be at least 1, got %d", n)
+		}
 	}
-	var rates []float64
+	rates := []float64{0}
 	if g.Rates != "" {
 		if rates, err = ParseFloats(g.Rates); err != nil {
-			return mpic.Sweep{}, fmt.Errorf("rates: %w", err)
+			return mpic.Grid{}, fmt.Errorf("rates: %w", err)
 		}
 	}
-	var schemes []mpic.Scheme
+	schemes := []mpic.Scheme{0}
 	if g.Schemes != "" {
 		if schemes, err = ParseSchemes(g.Schemes); err != nil {
-			return mpic.Sweep{}, fmt.Errorf("schemes: %w", err)
+			return mpic.Grid{}, fmt.Errorf("schemes: %w", err)
 		}
 	}
-	// Resolve the names exactly like mpicsim does — through the legacy
-	// Config shim — so an empty topology falls back to the workload's
-	// own default (fixed-topology workloads included).
-	base, err := mpic.Config{
-		Topology: g.Topology,
-		N:        ns[0],
-		Workload: g.Workload, WorkloadRounds: g.Rounds,
+	base, err := Scenario{
+		Topology: g.Topology, N: ns[0],
+		Workload: g.Workload, Rounds: g.Rounds,
 		Noise:        g.Noise,
 		Seed:         g.Seed,
 		IterFactor:   g.IterFactor,
 		HashMode:     g.HashMode,
 		EpochRefresh: g.EpochRefresh,
-	}.Scenario()
+		NetFaults:    g.NetFaults,
+	}.base()
 	if err != nil {
-		return mpic.Sweep{}, err
+		return mpic.Grid{}, err
 	}
-	if base.Faults, err = mpic.ParseNetFaults(g.NetFaults); err != nil {
-		return mpic.Sweep{}, err
+	rated := g.Rates != "" && base.Noise != nil
+	if !rated {
+		rates = []float64{0}
 	}
-	var delays []mpic.DelaySpec
+	delays := []mpic.DelaySpec{nil}
 	if g.Delay != "" {
+		delays = delays[:0]
 		for _, part := range strings.Split(g.Delay, ",") {
 			d, err := mpic.ParseDelay(strings.TrimSpace(part))
 			if err != nil {
-				return mpic.Sweep{}, fmt.Errorf("delay: %w", err)
+				return mpic.Grid{}, fmt.Errorf("delay: %w", err)
 			}
 			if d == nil {
 				d = mpic.LockstepDelay()
@@ -217,37 +263,44 @@ func (g Grid) Sweep() (mpic.Sweep, error) {
 			delays = append(delays, d)
 		}
 	}
+	total := 1
+	for _, axis := range []int{len(ns), len(schemes), len(rates), len(delays)} {
+		if total *= axis; total > maxCells {
+			return mpic.Grid{}, fmt.Errorf("grid: the n × schemes × rates × delays product exceeds %d cells", maxCells)
+		}
+	}
 	step := g.SeedStep
 	if step == 0 {
 		step = defaultSeedStep
 	}
-	sw := mpic.Sweep{
-		Base:     base,
-		N:        ns,
-		Schemes:  schemes,
-		Delays:   delays,
-		Trials:   g.Trials,
-		SeedStep: step,
+	cells := make([]mpic.GridCell, 0, total)
+	for _, n := range ns {
+		for _, scheme := range schemes {
+			for _, rate := range rates {
+				for _, delay := range delays {
+					sc := base
+					sc.Topology.N = n
+					sc.Scheme = scheme
+					if rated {
+						if sc.Noise = base.Noise.WithRate(rate); sc.Noise == nil {
+							return mpic.Grid{}, fmt.Errorf("rates: noise %q cannot vary its rate (WithRate returned nil); register a rate-parameterized NoiseFamily to sweep it",
+								base.Noise.NoiseName())
+						}
+					}
+					sc.Delay = delay
+					key := mpic.GridKey{N: n, Scheme: scheme, Rate: rate}
+					if key.Scheme == 0 {
+						key.Scheme = mpic.AlgorithmA
+					}
+					if delay != nil {
+						key.Delay = delay.DelayName()
+					}
+					cells = append(cells, mpic.GridCell{Key: key, Scenario: sc, Trials: g.Trials, SeedStep: step})
+				}
+			}
+		}
 	}
-	if base.Noise != nil {
-		sw.Rates = rates
-	}
-	return sw, nil
-}
-
-// Build resolves the specification all the way to an mpic.Grid with its
-// Spec set — ready for the engine or the lease-sharded worker loop.
-func (g Grid) Build() (mpic.Grid, error) {
-	sw, err := g.Sweep()
-	if err != nil {
-		return mpic.Grid{}, err
-	}
-	grid, err := sw.Grid()
-	if err != nil {
-		return mpic.Grid{}, err
-	}
-	grid.Spec = g.Spec()
-	return grid, nil
+	return mpic.Grid{Cells: cells, Spec: g.Spec()}, nil
 }
 
 // ParseInts parses a comma-separated integer list.

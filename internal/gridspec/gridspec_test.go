@@ -1,6 +1,7 @@
 package gridspec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,6 +34,9 @@ func TestScenarioBuildErrors(t *testing.T) {
 		"bad noise":     {N: 4, Noise: "no-such-noise"},
 		"bad delay":     {N: 4, Delay: "no-such-delay"},
 		"bad netfaults": {N: 4, NetFaults: "outage=not-a-number"},
+		"bad workload":  {N: 4, Workload: "no-such-workload"},
+		"n=-3":          {N: -3},
+		"retired mode":  {N: 4, HashMode: "incremental"},
 	} {
 		if _, err := s.Build(); err == nil {
 			t.Errorf("%s accepted", name)
@@ -71,29 +75,89 @@ func TestGridSpecFingerprint(t *testing.T) {
 	}
 }
 
+// TestGridSweepAxes pins the cartesian expansion: n → scheme → rate →
+// delay nesting, the keys, the re-rated noise, and the default stride.
 func TestGridSweepAxes(t *testing.T) {
-	sw, err := Grid{
+	grid, err := Grid{
 		Workload: "random", Noise: "random",
 		N: "4,6", Schemes: "A,B", Rates: "0,0.002",
 		Delay: "unit,jitter:0.5", Trials: 3, Seed: 1, IterFactor: 10,
-	}.Sweep()
+	}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sw.N) != 2 || len(sw.Schemes) != 2 || len(sw.Rates) != 2 || len(sw.Delays) != 2 {
-		t.Fatalf("axes = n:%d schemes:%d rates:%d delays:%d, want 2 each",
-			len(sw.N), len(sw.Schemes), len(sw.Rates), len(sw.Delays))
+	if len(grid.Cells) != 16 {
+		t.Fatalf("grid has %d cells, want 2·2·2·2", len(grid.Cells))
 	}
-	if sw.SeedStep != 7907 {
-		t.Fatalf("default seed step = %d, want 7907", sw.SeedStep)
+	i := 0
+	for _, n := range []int{4, 6} {
+		for _, scheme := range []mpic.Scheme{mpic.AlgorithmA, mpic.AlgorithmB} {
+			for _, rate := range []float64{0, 0.002} {
+				for _, delay := range []string{"unit", "jitter"} {
+					c := grid.Cells[i]
+					want := mpic.GridKey{N: n, Scheme: scheme, Rate: rate, Delay: delay}
+					if c.Key != want {
+						t.Fatalf("cell %d key = %+v, want %+v", i, c.Key, want)
+					}
+					if c.Scenario.Topology.N != n || c.Scenario.Scheme != scheme ||
+						c.Scenario.Noise != mpic.RandomNoise(rate) || c.Scenario.Delay.DelayName() != delay {
+						t.Fatalf("cell %d scenario does not match its key %+v", i, want)
+					}
+					if c.Trials != 3 || c.SeedStep != 7907 {
+						t.Fatalf("cell %d trials/stride = %d/%d, want 3/7907", i, c.Trials, c.SeedStep)
+					}
+					i++
+				}
+			}
+		}
 	}
 	// Rates only apply when there is a noise model to take them.
-	sw, err = Grid{Workload: "random", Noise: "none", N: "4", Rates: "0.001", Trials: 1, IterFactor: 10}.Sweep()
+	grid, err = Grid{Workload: "random", Noise: "none", N: "4", Rates: "0.001,0.002", Trials: 1, IterFactor: 10}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.Rates != nil {
-		t.Fatalf("noiseless sweep kept a rate axis: %v", sw.Rates)
+	if len(grid.Cells) != 1 || grid.Cells[0].Key.Rate != 0 || grid.Cells[0].Scenario.Noise != nil {
+		t.Fatalf("noiseless grid kept a rate axis: %+v", grid.Cells)
+	}
+}
+
+// TestScenarioFixedTopologyConflict pins the fixed-topology rule: a
+// workload fixed to one family rejects a conflicting explicit topology
+// with an error naming the family, and an empty topology resolves to the
+// same scenario as the matching explicit name.
+func TestScenarioFixedTopologyConflict(t *testing.T) {
+	for _, tc := range []struct{ workload, fixed string }{
+		{"pipelined-line", "line"},
+		{"token-ring", "ring"},
+		{"phase-king", "clique"},
+	} {
+		if _, err := (Scenario{Workload: tc.workload, Topology: "star", N: 4}).Build(); err == nil {
+			t.Errorf("%s: conflicting explicit topology accepted", tc.workload)
+		} else if !strings.Contains(err.Error(), tc.fixed) {
+			t.Errorf("%s: conflict error does not name the fixed topology %q: %v", tc.workload, tc.fixed, err)
+		}
+		if _, err := (Grid{Workload: tc.workload, Topology: "star", N: "4"}).Build(); err == nil {
+			t.Errorf("%s: grid with a conflicting explicit topology accepted", tc.workload)
+		}
+		matching, err := Scenario{Workload: tc.workload, Topology: tc.fixed, N: 4, Rounds: 40, Seed: 3}.Build()
+		if err != nil {
+			t.Fatalf("%s: matching explicit topology rejected: %v", tc.workload, err)
+		}
+		dflt, err := Scenario{Workload: tc.workload, N: 4, Rounds: 40, Seed: 3}.Build()
+		if err != nil {
+			t.Fatalf("%s: empty topology rejected: %v", tc.workload, err)
+		}
+		if !reflect.DeepEqual(dflt.Topology, mpic.Topology(tc.fixed, 4)) || !reflect.DeepEqual(matching, dflt) {
+			t.Errorf("%s: empty topology resolved to %+v, want the explicit %q scenario", tc.workload, dflt.Topology, tc.fixed)
+		}
+	}
+	// Workloads that run anywhere default to the line.
+	sc, err := Scenario{}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sc.Topology, mpic.Line(6)) || !reflect.DeepEqual(sc.Workload, mpic.RandomTraffic(0)) {
+		t.Errorf("zero spec resolved to %+v / %+v, want line(6) / random", sc.Topology, sc.Workload)
 	}
 }
 
@@ -112,15 +176,22 @@ func TestGridBuild(t *testing.T) {
 	}
 }
 
+// TestGridSweepErrors pins the grid error paths, including party counts
+// below one: n=0 once silently ran the 6-party default under key N=6,
+// and n=-3 built a grid whose cells panicked in the graph constructor.
 func TestGridSweepErrors(t *testing.T) {
 	for name, g := range map[string]Grid{
-		"empty n":    {Workload: "random", Trials: 1},
-		"bad n":      {N: "4,x", Workload: "random", Trials: 1},
-		"bad rates":  {N: "4", Rates: "0,x", Workload: "random", Trials: 1},
-		"bad scheme": {N: "4", Schemes: "Z", Workload: "random", Trials: 1},
-		"bad delay":  {N: "4", Delay: "no-such-delay", Workload: "random", Trials: 1},
+		"empty n":      {Workload: "random", Trials: 1},
+		"bad n":        {N: "4,x", Workload: "random", Trials: 1},
+		"n=0":          {N: "0", Workload: "random", Trials: 1},
+		"n=-3":         {N: "-3", Workload: "random", Trials: 1},
+		"late n=0":     {N: "4,0", Workload: "random", Trials: 1},
+		"bad rates":    {N: "4", Rates: "0,x", Workload: "random", Trials: 1},
+		"bad scheme":   {N: "4", Schemes: "Z", Workload: "random", Trials: 1},
+		"bad delay":    {N: "4", Delay: "no-such-delay", Workload: "random", Trials: 1},
+		"retired mode": {N: "4", HashMode: "incremental", Workload: "random", Trials: 1},
 	} {
-		if _, err := g.Sweep(); err == nil {
+		if _, err := g.Build(); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -159,7 +230,7 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := ParseSchemes("A,Z"); err == nil {
 		t.Error("bad scheme accepted")
 	}
-	if _, err := (Grid{N: "", Workload: "random"}).Sweep(); err == nil || !strings.Contains(err.Error(), "n:") {
+	if _, err := (Grid{N: "", Workload: "random"}).Build(); err == nil || !strings.Contains(err.Error(), "n:") {
 		t.Error("empty n accepted")
 	}
 }

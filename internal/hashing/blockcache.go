@@ -11,10 +11,10 @@ package hashing
 // sequentially. This is also the layout the vector kernels (kernel.go)
 // consume: one broadcast input word ANDed against 4–8 contiguous row
 // words per op. Alignment contract: buf is a []uint64, so the Go
-// allocator guarantees 8-byte alignment; the AVX2 and NEON kernels use
-// only unaligned vector loads (VMOVDQU / VLD1), for which 8-byte
-// alignment is sufficient on both architectures — no 32-byte padding is
-// required, and row blocks may straddle cache lines safely.
+// allocator guarantees 8-byte alignment; the AVX2 kernel uses only
+// unaligned vector loads (VMOVDQU), for which 8-byte alignment is
+// sufficient — no 32-byte padding is required, and row blocks may
+// straddle cache lines safely.
 //
 // Prefix hashes only ever touch the first ⌈nbits/64⌉ words of each row, so
 // the cache grows row prefixes on demand: a consistency check over a short

@@ -77,8 +77,8 @@ func NewCheckpointed(h *InnerProductHash, src SeedSource, base uint64, x *bitstr
 // NewCheckpointedIn is NewCheckpointed drawing the seed-row and
 // checkpoint buffers from pool (nil behaves like NewCheckpointed). Hand
 // the buffers back with Release when the run is over so the next run can
-// reuse them — this is what keeps IncrementalHash sweeps from paying the
-// accumulator/checkpoint allocations per run.
+// reuse them — this is what keeps grids of checkpointed-hash runs from
+// paying the accumulator/checkpoint allocations per run.
 func NewCheckpointedIn(pool *BufferPool, h *InnerProductHash, src SeedSource, base uint64, x *bitstring.BitVec, hintWords, spacing int) *Checkpointed {
 	if spacing <= 0 {
 		spacing = DefaultCheckpointSpacing

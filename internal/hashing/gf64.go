@@ -48,23 +48,22 @@
 //
 // The cached evaluators (HashPrefixCached, HashWordCached, Checkpointed)
 // sweep the interleaved seed buffer through a dispatched τ-row kernel
-// selected once at process start: the best vector kernel the CPU
-// supports ("avx2" on amd64 — detected at runtime via CPUID/XGETBV, so
-// the same binary runs on pre-AVX2 silicon; "neon" on arm64, where
-// AdvSIMD is baseline), falling back to the portable 4-way word-batched
-// Go kernel ("batched") and the scalar sweep ("reference"). All kernels
-// are bit-identical on every input — the golden fuzz tests pin each one
-// against the reference evaluator — so dispatch never affects protocol
-// transcripts, only throughput.
+// selected once at process start: the AVX2 kernel on amd64 CPUs that
+// support it ("avx2" — detected at runtime via CPUID/XGETBV, so the same
+// binary runs on pre-AVX2 silicon), else the portable 4-way word-batched
+// Go kernel ("batched", the default on every other GOARCH), then the
+// scalar sweep ("reference"). All kernels are bit-identical on every
+// input — the golden fuzz tests pin each one against the reference
+// evaluator — so dispatch never affects protocol transcripts, only
+// throughput.
 //
 // Two escape hatches exist. Building with -tags purego excludes the
-// assembly entirely (auditing, or a GOASM-hostile toolchain); the
-// batched Go kernel is then the default. At runtime, SetKernel (or the
-// MPIC_HASH_KERNEL environment variable, e.g. MPIC_HASH_KERNEL=reference)
-// forces a specific kernel — forcing "reference" makes the cached path
-// take the exact arithmetic of the golden oracle, the first thing to try
-// when debugging a suspected kernel miscompare. Kernels reports what the
-// running binary offers.
+// assembly entirely (auditing, or a GOASM-hostile toolchain); the batched
+// Go kernel is then the default. At runtime, SetKernel forces a specific
+// kernel — forcing "reference" makes the cached path take the exact
+// arithmetic of the golden oracle, the first thing to try when debugging
+// a suspected kernel miscompare. Kernels reports what the running binary
+// offers.
 package hashing
 
 import "math/bits"

@@ -1,9 +1,6 @@
 package hashing
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // A kernel is a τ-row accumulate: XOR every word of xw, masked by the
 // matching interleaved seed words, into the τ row accumulators. buf
@@ -21,7 +18,7 @@ type kernelID int
 const (
 	kernelReference kernelID = iota
 	kernelBatched
-	kernelArch // the GOARCH vector kernel (avx2 / neon), when available
+	kernelArch // the GOARCH vector kernel (avx2), when available
 )
 
 // kernelImpl pairs a kernel id with its dispatch name.
@@ -37,8 +34,8 @@ type kernelImpl struct {
 var kernels []kernelImpl
 
 // activeKernel is the kernel every cached evaluator dispatches through.
-// Selected once at init (overridable via MPIC_HASH_KERNEL or SetKernel);
-// not synchronized — see SetKernel.
+// Selected once at init (overridable via SetKernel); not synchronized —
+// see SetKernel.
 var activeKernel kernelImpl
 
 func init() {
@@ -47,11 +44,6 @@ func init() {
 		kernelImpl{"reference", kernelReference},
 	)
 	activeKernel = kernels[0]
-	if name := os.Getenv("MPIC_HASH_KERNEL"); name != "" {
-		// Best effort: an unknown or unavailable name keeps the detected
-		// kernel rather than failing a process that may not even hash.
-		_ = SetKernel(name)
-	}
 }
 
 // Kernels returns the dispatch names of every hash kernel available in
@@ -68,13 +60,12 @@ func Kernels() []string {
 // Kernel returns the name of the kernel currently in use.
 func Kernel() string { return activeKernel.name }
 
-// SetKernel selects the τ-row accumulate kernel by name ("avx2", "neon",
+// SetKernel selects the τ-row accumulate kernel by name ("avx2",
 // "batched", "reference" — see Kernels for what this binary offers).
 // Every kernel is bit-identical on every input; the switch exists for
-// debugging (force "reference" to take the golden oracle's exact path)
-// and benchmarking. Not safe to call concurrently with hashing — switch
-// kernels between runs, not during them. The MPIC_HASH_KERNEL
-// environment variable applies the same selection at process start.
+// the kernel tests, debugging (force "reference" to take the golden
+// oracle's exact path) and benchmarking. Not safe to call concurrently
+// with hashing — switch kernels between runs, not during them.
 func SetKernel(name string) error {
 	for _, k := range kernels {
 		if k.name == name {

@@ -9,9 +9,9 @@ import (
 // coding-scheme run builds two large seed buffers per link endpoint (the
 // mp1/mp2 prefix blocks, seedHint·τ words each) plus a small counter
 // block; on an n-party clique that is Θ(n²) short-lived allocations per
-// run. Batch drivers (Runner.Sweep, the experiment harness) run hundreds
-// of simulations back to back, so handing the buffers back to a pool
-// turns the per-run cost into a one-time warm-up — the ROADMAP's
+// run. Batch drivers (the grid engine, the experiment harness) run
+// hundreds of simulations back to back, so handing the buffers back to a
+// pool turns the per-run cost into a one-time warm-up — the ROADMAP's
 // "amortize seed materialization across links".
 //
 // Buffers are matched by capacity. The free list is segregated into

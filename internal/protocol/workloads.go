@@ -10,6 +10,13 @@ import (
 	"mpic/internal/graph"
 )
 
+// FixedTopology reports the topology family the named registered
+// workload runs on ("" = any connected topology), or an error for an
+// unregistered name. The workload registry lives in package mpic, which
+// installs this at init; internal/gridspec resolves workload names
+// through it without the registry joining the public API.
+var FixedTopology func(workload string) (string, error)
+
 // prfBit derives a deterministic pseudo-random bit from its arguments; it
 // gives workloads input-dependent but reproducible content.
 func prfBit(parts ...uint64) byte {

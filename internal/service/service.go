@@ -153,7 +153,11 @@ func (s *Server) resume() error {
 		}
 		sess, _, err := s.open(g)
 		if err != nil {
-			return fmt.Errorf("service: resuming session %s: %w", e.Name(), err)
+			// A spec persisted by an older build may name something this
+			// build no longer runs (a retired hash mode, say); the session
+			// cannot resume, and only the operator may discard its results.
+			return fmt.Errorf("service: session directory %s cannot resume: %w (delete the directory and restart to drop the session)",
+				filepath.Join(s.opts.DataDir, e.Name()), err)
 		}
 		s.opts.Logf("service: resumed session %s (%d cells)", sess.id, len(sess.grid.Cells))
 	}
@@ -298,15 +302,15 @@ type Event struct {
 	// "cell-done", ...) or the synthetic "session" lifecycle event.
 	Event string `json:"event"`
 	// Worker is the lease name of the worker that produced the event.
-	Worker string `json:"worker,omitempty"`
-	Cell   int    `json:"cell"`
-	Cells  int    `json:"cells"`
-	Key    mpic.GridKey `json:"key"`
-	Trial     int    `json:"trial,omitempty"`
-	Trials    int    `json:"trials,omitempty"`
-	Iteration int    `json:"iteration,omitempty"`
-	Attempt   int    `json:"attempt,omitempty"`
-	Error     string `json:"error,omitempty"`
+	Worker    string       `json:"worker,omitempty"`
+	Cell      int          `json:"cell"`
+	Cells     int          `json:"cells"`
+	Key       mpic.GridKey `json:"key"`
+	Trial     int          `json:"trial,omitempty"`
+	Trials    int          `json:"trials,omitempty"`
+	Iteration int          `json:"iteration,omitempty"`
+	Attempt   int          `json:"attempt,omitempty"`
+	Error     string       `json:"error,omitempty"`
 	// Completed/Failed are session-wide cell counters, maintained on
 	// cell-done and cell-failed events; State is set on "session"
 	// lifecycle events ("running", "done", "failed").

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -329,10 +331,38 @@ func TestServiceRestartResume(t *testing.T) {
 }
 
 // TestServiceBadRequests pins the HTTP error surface.
+// TestServiceRejectsRetiredSpec pins the restart path for a spec this
+// build can no longer run: a persisted spec.json naming the retired
+// "incremental" hash mode fails New with an error that names the session
+// directory and the mode, and tells the operator how to recover.
+func TestServiceRejectsRetiredSpec(t *testing.T) {
+	dataDir := t.TempDir()
+	dir := filepath.Join(dataDir, "0123456789abcdef")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"workload":"random","noise":"random","n":"4","schemes":"A","rates":"0.001","trials":1,"seed":1,"iterfactor":10,"hashmode":"incremental"}`
+	if err := os.WriteFile(filepath.Join(dir, "spec.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{DataDir: dataDir, Workers: 1})
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("New resumed a session with a retired hash mode")
+	}
+	for _, want := range []string{dir, `"incremental"`, "delete the directory and restart"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
 func TestServiceBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	// Malformed and unknown-field bodies are 400s, not silent defaults.
-	for _, body := range []string{"{not json", `{"nope":"x"}`, `{"schemes":"Z"}`} {
+	// Party counts below one are rejected up front (n=-3 once built a
+	// grid whose cells panicked in the graph constructor).
+	for _, body := range []string{"{not json", `{"nope":"x"}`, `{"schemes":"Z"}`, `{"n":"0"}`, `{"n":"-3"}`, `{"hashmode":"incremental"}`} {
 		resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -215,17 +215,17 @@ func TestLeaseLedgerSpecMismatch(t *testing.T) {
 	}
 }
 
-// shardSweep is the grid the sharding determinism tests run: big enough
+// shardGrid is the grid the sharding determinism tests run: big enough
 // to spread over several workers, cheap enough for unit tests.
-func shardSweep() mpic.Sweep {
-	return mpic.Sweep{
+func shardGrid() mpic.Grid {
+	return sweep{
 		Base:     gridBase(),
 		N:        []int{4, 5},
 		Schemes:  []mpic.Scheme{mpic.AlgorithmA, mpic.Algorithm1},
 		Rates:    []float64{0, 0.002},
 		Trials:   2,
 		SeedStep: 100,
-	}
+	}.grid()
 }
 
 // TestShardedGridDeterminism is the subsystem's core pin: N in-process
@@ -234,10 +234,7 @@ func shardSweep() mpic.Sweep {
 // included — and the ordinary engine restores the finished session
 // without executing anything.
 func TestShardedGridDeterminism(t *testing.T) {
-	grid, err := shardSweep().Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := shardGrid()
 	grid.KeepResults = true
 	runner := mpic.NewRunner()
 	defer runner.Close()

@@ -32,7 +32,7 @@
 //
 // The Runner holds per-link hash buffers across runs (batch drivers stop
 // paying per-run seed materialization), honors context cancellation, and
-// batches cartesian parameter grids through Runner.Sweep. Per-iteration
+// executes parameter grids through Runner.RunGrid. Per-iteration
 // progress is observable by attaching an Observer to the scenario, and
 // per-run arena telemetry through Result.Arena (or the NewArenaLog
 // sink).
@@ -45,7 +45,15 @@
 // a callback the moment it finishes — a long grid reports (and can be
 // checkpointed) as it runs instead of at the end:
 //
-//	grid, _ := mpic.Sweep{Base: base, N: []int{8, 16}, Rates: rates}.Grid()
+//	var grid mpic.Grid
+//	for _, n := range []int{8, 16} {
+//	    for _, rate := range rates {
+//	        sc := base
+//	        sc.Topology, sc.Noise = mpic.Line(n), mpic.RandomNoise(rate)
+//	        grid.Cells = append(grid.Cells, mpic.GridCell{
+//	            Key: mpic.GridKey{Rate: rate}, Scenario: sc, Trials: 10})
+//	    }
+//	}
 //	err := runner.RunGrid(ctx, grid, func(res mpic.GridCellResult) {
 //	    fmt.Printf("n=%d rate=%g: %d/%d\n", res.Key.N, res.Key.Rate,
 //	        res.Cell.Successes, res.Cell.Trials)
@@ -55,11 +63,10 @@
 // seed is a pure function of its cell's spec (seed salting is per-cell
 // and deterministic), so scheduling never leaks into results. Cells are
 // keyed by (n, scheme, rate) — GridKey — which is how streamed,
-// shuffled, and resumed runs merge. Runner.Sweep is the declarative
-// wrapper over the engine (axes → cells, results in definition order);
-// the experiment harness (internal/experiments) and both CLIs
-// (mpicbench -sweep, mpicsim -trials) declare cells and let the engine
-// execute them.
+// shuffled, and resumed runs merge; CollectGrid buffers the results in
+// definition order. The experiment harness (internal/experiments) and
+// both CLIs (mpicbench -sweep, mpicsim -trials) declare cells and let
+// the engine execute them.
 //
 // # Durable sessions
 //
@@ -181,41 +188,6 @@
 // RegisterWorkload, RegisterNoise, RegisterDelay), so external packages
 // plug in new ones without touching this module; see examples/customnoise.
 //
-// # Legacy string configuration
-//
-// The string-keyed Config surface predates scenarios and remains as a
-// thin shim that parses through the same registries, bit-identical to
-// earlier releases:
-//
-//	res, err := mpic.Run(mpic.Config{
-//	    Topology: "line", N: 6,
-//	    Workload: "random", WorkloadRounds: 120,
-//	    Scheme:   mpic.AlgorithmA,
-//	    Noise:    "random", NoiseRate: 0.002,
-//	})
-//
-// Migration from legacy strings to typed specs:
-//
-//	Config field                 Scenario spec
-//	------------------------     -------------------------------------
-//	Topology: "line", N: 6       Topology: mpic.Line(6)
-//	Topology: "ring", N: 8       Topology: mpic.Ring(8)
-//	Topology: "star" ...         mpic.Star, mpic.Clique, mpic.Tree,
-//	                             mpic.RandomTopology, mpic.Topology(name, n)
-//	Workload: "random",          Workload: mpic.RandomTraffic(120)
-//	  WorkloadRounds: 120
-//	Workload: "token-ring"       Workload: mpic.TokenRing(rounds)
-//	Workload: "dense" ...        mpic.DenseTraffic, mpic.PhaseKing,
-//	                             mpic.PipelinedLine, mpic.TreeSum,
-//	                             mpic.Workload(name, rounds)
-//	Noise: "none"                Noise: nil
-//	Noise: "random", NoiseRate   Noise: mpic.RandomNoise(rate)
-//	Noise: "burst", NoiseRate    Noise: mpic.BurstNoise(rate) — with
-//	                             optional Link/Start/Length fields
-//	Noise: "adaptive", NoiseRate Noise: mpic.Adaptive(rate)
-//	(custom protocol)            Workload: mpic.UseProtocol(p)
-//	(custom adversary)           Noise: mpic.CustomNoise(name, adv)
-//
 // Advanced callers can still assemble runs from the underlying pieces
 // via NewWorkload, RunProtocol, and the re-exported option types.
 package mpic
@@ -256,26 +228,20 @@ type Params = core.Params
 // means the default mode.
 type HashMode = core.HashMode
 
-// The three hash modes: epoch-refresh (default — incremental cost, with
+// The two hash modes: epoch-refresh (default — incremental cost, with
 // the seed block re-derived every EpochRefresh iterations so collisions
-// cannot persist), the paper-faithful per-iteration reseeding, and the
-// never-refreshed incremental opt-in.
+// cannot persist) and the paper-faithful per-iteration reseeding.
 const (
-	HashEpoch       = core.HashEpoch
-	HashLegacy      = core.HashLegacy
-	HashIncremental = core.HashIncremental
+	HashEpoch  = core.HashEpoch
+	HashLegacy = core.HashLegacy
 )
 
 // DefaultEpochRefresh is the default refresh interval R of HashEpoch, in
 // iterations (see PERF.md for the sweep behind the value).
 const DefaultEpochRefresh = core.DefaultEpochRefresh
 
-// HashModeConflictError reports a deprecated IncrementalHash bool set
-// alongside a contradictory HashMode.
-type HashModeConflictError = core.HashModeConflictError
-
-// ParseHashMode maps the conventional mode names ("epoch", "legacy",
-// "incremental"; empty selects the default) to a HashMode.
+// ParseHashMode maps the conventional mode names ("epoch", "legacy";
+// empty selects the default) to a HashMode.
 func ParseHashMode(s string) (HashMode, error) { return core.ParseHashMode(s) }
 
 // WhiteBoxStats reports the Section 6.1 collision attacker's bookkeeping

@@ -1,11 +1,15 @@
 package mpic
 
 import (
+	"context"
 	"testing"
 )
 
+// run executes a scenario one-shot.
+func run(sc Scenario) (*Result, error) { return RunScenario(context.Background(), sc) }
+
 func TestRunDefaultsNoiseless(t *testing.T) {
-	res, err := Run(Config{Seed: 1, IterFactor: 20})
+	res, err := run(Scenario{Topology: Line(6), Seed: 1, IterFactor: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,17 +21,17 @@ func TestRunDefaultsNoiseless(t *testing.T) {
 func TestRunAllWorkloads(t *testing.T) {
 	tests := []struct {
 		name string
-		cfg  Config
+		sc   Scenario
 	}{
-		{"random/line", Config{Topology: "line", N: 4, Workload: "random", Seed: 2, IterFactor: 20}},
-		{"random/star", Config{Topology: "star", N: 5, Workload: "random", Seed: 2, IterFactor: 20}},
-		{"pipelined-line", Config{N: 4, Workload: "pipelined-line", Seed: 3, IterFactor: 20, WorkloadRounds: 40}},
-		{"tree-sum", Config{Topology: "tree", N: 6, Workload: "tree-sum", Seed: 4, IterFactor: 20, WorkloadRounds: 60}},
-		{"token-ring", Config{N: 5, Workload: "token-ring", Seed: 5, IterFactor: 20, WorkloadRounds: 25}},
+		{"random/line", Scenario{Topology: Line(4), Workload: RandomTraffic(0), Seed: 2, IterFactor: 20}},
+		{"random/star", Scenario{Topology: Star(5), Workload: RandomTraffic(0), Seed: 2, IterFactor: 20}},
+		{"pipelined-line", Scenario{Topology: Line(4), Workload: PipelinedLine(40), Seed: 3, IterFactor: 20}},
+		{"tree-sum", Scenario{Topology: Tree(6), Workload: TreeSum(60), Seed: 4, IterFactor: 20}},
+		{"token-ring", Scenario{Topology: Ring(5), Workload: TokenRing(25), Seed: 5, IterFactor: 20}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := Run(tt.cfg)
+			res, err := run(tt.sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,10 +45,10 @@ func TestRunAllWorkloads(t *testing.T) {
 func TestRunAllSchemesUnderNoise(t *testing.T) {
 	for _, s := range []Scheme{Algorithm1, AlgorithmA, AlgorithmB, AlgorithmC} {
 		t.Run(s.String(), func(t *testing.T) {
-			res, err := Run(Config{
-				Topology: "line", N: 4, Scheme: s,
-				Noise: "random", NoiseRate: 0.001,
-				Seed: 7, IterFactor: 50,
+			res, err := run(Scenario{
+				Topology: Line(4), Scheme: s,
+				Noise: RandomNoise(0.001),
+				Seed:  7, IterFactor: 50,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -57,10 +61,10 @@ func TestRunAllSchemesUnderNoise(t *testing.T) {
 }
 
 func TestRunAdaptiveNoise(t *testing.T) {
-	res, err := Run(Config{
-		Topology: "ring", N: 4, Scheme: AlgorithmB,
-		Noise: "adaptive", NoiseRate: 0.0005,
-		Seed: 11, IterFactor: 60,
+	res, err := run(Scenario{
+		Topology: Ring(4), Scheme: AlgorithmB,
+		Noise: Adaptive(0.0005),
+		Seed:  11, IterFactor: 60,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,39 +75,47 @@ func TestRunAdaptiveNoise(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{Topology: "nope", N: 4}); err == nil {
+	if _, err := run(Scenario{Topology: Topology("nope", 4)}); err == nil {
 		t.Error("bad topology accepted")
 	}
-	if _, err := Run(Config{Workload: "nope", N: 4}); err == nil {
+	if _, err := run(Scenario{Topology: Line(4), Workload: Workload("nope", 0)}); err == nil {
 		t.Error("bad workload accepted")
 	}
-	if _, err := Run(Config{Noise: "nope", N: 4}); err == nil {
+	if _, err := Noise("nope", 0); err == nil {
 		t.Error("bad noise accepted")
+	}
+	for _, n := range []int{0, -3} {
+		if _, err := run(Scenario{Topology: Line(n)}); err == nil {
+			t.Errorf("n=%d accepted", n)
+		}
 	}
 }
 
 func TestBaselinesViaFacade(t *testing.T) {
-	cfg := Config{Topology: "line", N: 4, Seed: 9}
-	ub, err := RunUncoded(cfg)
+	g, err := NewTopology("line", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := NewWorkload("random", g, 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ub, err := RunUncodedProtocol(proto, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ub.Success {
 		t.Error("noiseless uncoded baseline failed")
 	}
-	fec, err := RunNaiveFEC(cfg, 3)
+	fec, err := RunNaiveFECProtocol(proto, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fec.Success {
 		t.Error("noiseless FEC baseline failed")
 	}
-	if _, err := RunNaiveFEC(cfg, 2); err == nil {
+	if _, err := RunNaiveFECProtocol(proto, nil, 2); err == nil {
 		t.Error("even repetition accepted")
-	}
-	cfg.Noise = "adaptive"
-	if _, err := RunUncoded(cfg); err == nil {
-		t.Error("adaptive baseline should be rejected")
 	}
 }
 
@@ -125,8 +137,7 @@ func TestNewTopologyAndWorkload(t *testing.T) {
 }
 
 func TestFaithfulModeRunsAllIterations(t *testing.T) {
-	cfg := Config{Topology: "line", N: 3, Seed: 13, IterFactor: 5, Faithful: true, WorkloadRounds: 30}
-	res, err := Run(cfg)
+	res, err := run(Scenario{Topology: Line(3), Workload: RandomTraffic(30), Seed: 13, IterFactor: 5, Faithful: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +150,13 @@ func TestFaithfulModeRunsAllIterations(t *testing.T) {
 }
 
 func TestParallelExecutorMatches(t *testing.T) {
-	base := Config{Topology: "clique", N: 5, Seed: 17, IterFactor: 10}
-	seq, err := Run(base)
+	base := Scenario{Topology: Clique(5), Seed: 17, IterFactor: 10}
+	seq, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Parallel = true
-	par, err := Run(base)
+	par, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}

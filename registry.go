@@ -14,7 +14,7 @@ import (
 // ordinary seed entries in these tables; external packages extend the
 // library by registering their own under new names, after which the
 // names work everywhere a built-in name does — typed specs (Topology,
-// Workload, Noise, Delay), the legacy string Config, and the
+// Workload, Noise, Delay), the string specs of internal/gridspec, and the
 // command-line tools.
 //
 // Registration is typically done from an init function:
@@ -234,6 +234,14 @@ func init() {
 	}))
 }
 
+// internal/gridspec reads the fixed-topology rule through this bridge.
+func init() {
+	protocol.FixedTopology = func(name string) (string, error) {
+		def, err := workloads.lookup(name)
+		return def.FixedTopology, err
+	}
+}
+
 // The built-in noise models: the arms of the old wireNoise switch.
 func init() {
 	mustRegister(RegisterNoise("none", func(rate float64) NoiseSpec { return nil }))
@@ -257,6 +265,9 @@ func init() {
 // NewTopology builds one of the registered topology families — the
 // string-keyed entry point the typed Topology spec supersedes.
 func NewTopology(name string, n int) (*Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("mpic: topology %q needs at least one party, got n=%d", name, n)
+	}
 	build, err := topologies.lookup(name)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mpic"
+	"mpic/internal/gridspec"
 )
 
 // The external registrations below live at package test scope — outside
@@ -119,12 +120,12 @@ func TestRegistryNamesSorted(t *testing.T) {
 }
 
 // TestExternalRegistrationsRun drives the three test-scope registrations
-// through both the typed and the legacy surface.
+// through both the typed and the string surface.
 func TestExternalRegistrationsRun(t *testing.T) {
-	res, err := mpic.Run(mpic.Config{
+	res, err := runSpec(gridspec.Scenario{
 		Topology: "test-double-line", N: 5,
-		Workload: "test-sparse", WorkloadRounds: 60,
-		Noise: "test-quiet", NoiseRate: 0.5,
+		Workload: "test-sparse", Rounds: 60,
+		Noise: "test-quiet", Rate: 0.5,
 		Seed: 3, IterFactor: 15,
 	})
 	if err != nil {
@@ -155,8 +156,13 @@ func ExampleRegisterNoise() {
 		fmt.Println("register:", err)
 		return
 	}
-	res, runErr := mpic.Run(mpic.Config{
-		Topology: "line", N: 4, Noise: "example-drop-none", Seed: 1, IterFactor: 10,
+	noise, err := mpic.Noise("example-drop-none", 0)
+	if err != nil {
+		fmt.Println("noise:", err)
+		return
+	}
+	res, runErr := mpic.RunScenario(context.Background(), mpic.Scenario{
+		Topology: mpic.Line(4), Noise: noise, Seed: 1, IterFactor: 10,
 	})
 	if runErr != nil {
 		fmt.Println("run:", runErr)
@@ -165,4 +171,118 @@ func ExampleRegisterNoise() {
 	fmt.Println("success:", res.Success)
 	// Output:
 	// success: true
+}
+
+// runSpec resolves a string spec through internal/gridspec and runs it
+// one-shot.
+func runSpec(spec gridspec.Scenario) (*mpic.Result, error) {
+	sc, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	return mpic.RunScenario(context.Background(), sc)
+}
+
+// checkShim runs a string spec (internal/gridspec, the string shim over
+// the typed API) and its hand-built typed Scenario through one Runner and
+// asserts bit-identical results.
+func checkShim(t *testing.T, runner *mpic.Runner, spec gridspec.Scenario, typed mpic.Scenario) {
+	t.Helper()
+	sc, err := spec.Build()
+	if err != nil {
+		t.Fatalf("Build(): %v", err)
+	}
+	viaSpec, err := runner.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatalf("spec run: %v", err)
+	}
+	direct, err := runner.Run(context.Background(), typed)
+	if err != nil {
+		t.Fatalf("typed run: %v", err)
+	}
+	sameResult(t, viaSpec, direct)
+}
+
+// TestShimEquivalenceTopologies routes every registered built-in topology
+// name through both surfaces.
+func TestShimEquivalenceTopologies(t *testing.T) {
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	for _, topo := range []string{"line", "ring", "star", "clique", "tree", "random"} {
+		t.Run(topo, func(t *testing.T) {
+			checkShim(t, runner, gridspec.Scenario{
+				Topology: topo, N: 4, Workload: "random",
+				Noise: "random", Rate: 0.001,
+				Seed: 5, IterFactor: 15,
+			}, mpic.Scenario{
+				Topology: mpic.Topology(topo, 4), Workload: mpic.RandomTraffic(0),
+				Noise: mpic.RandomNoise(0.001),
+				Seed:  5, IterFactor: 15,
+			})
+		})
+	}
+}
+
+// TestShimEquivalenceWorkloads routes every registered built-in workload
+// name through both surfaces (topology left empty in the spec: the
+// fixed-topology workloads must pick their own family, the rest "line").
+func TestShimEquivalenceWorkloads(t *testing.T) {
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	for _, tc := range []struct {
+		workload string
+		topo     mpic.TopologySpec
+	}{
+		{"random", mpic.Line(4)},
+		{"dense", mpic.Line(4)},
+		{"phase-king", mpic.Clique(4)},
+		{"pipelined-line", mpic.Line(4)},
+		{"tree-sum", mpic.Line(4)},
+		{"token-ring", mpic.Ring(4)},
+	} {
+		t.Run(tc.workload, func(t *testing.T) {
+			checkShim(t, runner, gridspec.Scenario{
+				Workload: tc.workload, N: 4, Rounds: 40,
+				Seed: 7, IterFactor: 15,
+			}, mpic.Scenario{
+				Topology: tc.topo, Workload: mpic.Workload(tc.workload, 40),
+				Seed: 7, IterFactor: 15,
+			})
+		})
+	}
+}
+
+// TestShimEquivalenceNoises routes every registered built-in noise name
+// through both surfaces, across the scheme whose randomness mode the
+// noise stresses.
+func TestShimEquivalenceNoises(t *testing.T) {
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	for _, tc := range []struct {
+		noise  string
+		scheme string
+		rate   float64
+		typed  mpic.NoiseSpec
+	}{
+		{"none", "1", 0, nil},
+		{"random", "A", 0.002, mpic.RandomNoise(0.002)},
+		{"burst", "A", 0.002, mpic.BurstNoise(0.002)},
+		{"adaptive", "B", 0.0005, mpic.Adaptive(0.0005)},
+	} {
+		t.Run(tc.noise, func(t *testing.T) {
+			scheme, err := mpic.ParseScheme(tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkShim(t, runner, gridspec.Scenario{
+				Topology: "ring", N: 4, Scheme: tc.scheme,
+				Noise: tc.noise, Rate: tc.rate,
+				Seed: 11, IterFactor: 20,
+			}, mpic.Scenario{
+				Topology: mpic.Ring(4), Scheme: scheme,
+				Noise: tc.typed,
+				Seed:  11, IterFactor: 20,
+			})
+		})
+	}
 }

@@ -2,7 +2,6 @@ package mpic
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"mpic/internal/core"
@@ -79,127 +78,10 @@ func RunScenario(ctx context.Context, sc Scenario) (*Result, error) {
 	return (*Runner)(nil).Run(ctx, sc)
 }
 
-// Sweep describes a cartesian grid of scenarios: the base scenario is
-// re-run at every combination of the N, Schemes, Rates, and Delays axes
-// (an empty axis keeps the base value), with Trials seeds per cell. A
-// Sweep is a declarative front end to the grid engine — Grid expands it
-// into cells, and Runner.Sweep executes it through Runner.RunGrid.
-type Sweep struct {
-	// Base is the scenario template every cell starts from.
-	Base Scenario
-	// N resizes Base.Topology across these party counts (the topology
-	// must be a named or builder family, not an explicit graph).
-	N []int
-	// Schemes substitutes these coding schemes.
-	Schemes []Scheme
-	// Rates substitutes these noise rates into Base.Noise (which must be
-	// non-nil when the axis is used).
-	Rates []float64
-	// Delays substitutes these flight-delay models into Base.Delay — the
-	// coding-overhead-vs-latency-distribution axis. A nil entry means
-	// the lockstep network, so {nil, JitterDelay(0.5)} sweeps
-	// synchronous vs jittered on otherwise identical cells.
-	Delays []DelaySpec
-	// Trials is the number of seeds per cell (default 1); trial t runs at
-	// Base.Seed + t·SeedStep.
-	Trials int
-	// SeedStep is the per-trial seed stride (default 1).
-	SeedStep int64
-	// Workers bounds how many cells execute concurrently (0 = GOMAXPROCS,
-	// 1 = sequential). Cell results are bit-identical at any setting.
-	Workers int
-	// Retry is the per-cell retry policy the expanded grid runs under
-	// (see Grid.Retry); the zero value runs each cell once.
-	Retry RetryPolicy
-}
-
-// Grid expands the sweep's axes into engine cells, in the nested
-// N → Schemes → Rates → Delays order Runner.Sweep has always reported,
-// validating the axes up front (an unresizable topology or an un-ratable
-// noise spec is rejected before anything runs).
-func (sw Sweep) Grid() (Grid, error) {
-	ns := sw.N
-	if len(ns) == 0 {
-		ns = []int{0} // sentinel: keep the base topology
-	}
-	schemes := sw.Schemes
-	if len(schemes) == 0 {
-		schemes = []Scheme{0} // sentinel: keep the base scheme
-	}
-	useRates := len(sw.Rates) > 0
-	rates := sw.Rates
-	if !useRates {
-		rates = []float64{0}
-	}
-	if useRates && sw.Base.Noise == nil {
-		return Grid{}, fmt.Errorf("mpic: Sweep.Rates needs Base.Noise to vary")
-	}
-	useDelays := len(sw.Delays) > 0
-	delays := sw.Delays
-	if !useDelays {
-		delays = []DelaySpec{nil} // sentinel: keep the base delay
-	}
-	cells := make([]GridCell, 0, len(ns)*len(schemes)*len(rates)*len(delays))
-	for _, n := range ns {
-		topo := sw.Base.Topology
-		if n > 0 {
-			var err error
-			topo, err = topo.withN(n)
-			if err != nil {
-				return Grid{}, err
-			}
-			if topo.isZero() {
-				return Grid{}, fmt.Errorf("mpic: Sweep.N cannot resize an implicit topology (set Base.Topology to a named family; workload-provided protocols are fixed-size)")
-			}
-		}
-		for _, scheme := range schemes {
-			for _, rate := range rates {
-				for _, delay := range delays {
-					sc := sw.Base
-					sc.Topology = topo
-					if scheme != 0 {
-						sc.Scheme = scheme
-					}
-					if useRates {
-						sc.Noise = sw.Base.Noise.WithRate(rate)
-						if sc.Noise == nil {
-							return Grid{}, fmt.Errorf("mpic: noise %q cannot vary its rate (WithRate returned nil); register a rate-parameterized NoiseFamily to sweep it",
-								sw.Base.Noise.NoiseName())
-						}
-					}
-					if useDelays {
-						sc.Delay = delay
-					}
-					key := GridKey{N: sw.Base.partyCount(topo), Scheme: sc.Scheme, Rate: rate, Delay: delayKeyName(sc.Delay)}
-					if key.Scheme == 0 {
-						key.Scheme = AlgorithmA
-					}
-					cells = append(cells, GridCell{
-						Key:      key,
-						Scenario: sc,
-						Trials:   sw.Trials,
-						SeedStep: sw.SeedStep,
-					})
-				}
-			}
-		}
-	}
-	return Grid{Cells: cells, Workers: sw.Workers, Retry: sw.Retry}, nil
-}
-
-// delayKeyName renders a delay spec's grid-key name; the empty string
-// means the lockstep network.
-func delayKeyName(d DelaySpec) string {
-	if d == nil {
-		return ""
-	}
-	return d.DelayName()
-}
-
 // SweepCell aggregates the runs of one grid point.
 type SweepCell struct {
-	// N, Scheme, Rate and Delay identify the cell. Rate is meaningful
-	// only when the sweep's Rates axis was used; Delay is the delay
+	// N, Scheme, Rate and Delay identify the cell (its GridKey). Rate is
+	// meaningful only on grids with a rate axis; Delay is the delay
 	// model's registered name ("" = lockstep).
 	N      int
 	Scheme Scheme
@@ -221,7 +103,7 @@ type SweepCell struct {
 	// failed across trials.
 	BrokenSeedLinks int
 	// WhiteBox totals the collision attacker's bookkeeping across trials
-	// (zero unless Base.WhiteBoxRate was set).
+	// (zero unless the scenario set WhiteBoxRate).
 	WhiteBox WhiteBoxStats
 }
 
@@ -264,43 +146,4 @@ func mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Sweep executes the grid through the streaming parallel engine (see
-// Runner.RunGrid) and returns one aggregated cell per grid point, in the
-// nested N → Schemes → Rates axis order. The first run error aborts the
-// sweep, as does ctx cancellation.
-//
-// Streamed results are merged into the output by their explicit
-// (n, scheme, rate) key — not by arrival order — so a parallel sweep, a
-// shuffled grid, or a resumed run all assemble the same slice; cells
-// with duplicate keys (e.g. a repeated N entry) fall back to definition
-// order, which is well-defined because duplicate specs produce identical
-// results.
-func (r *Runner) Sweep(ctx context.Context, sw Sweep) ([]SweepCell, error) {
-	grid, err := sw.Grid()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepCell, len(grid.Cells))
-	slots := make(map[GridKey][]int, len(grid.Cells))
-	for i, c := range grid.Cells {
-		slots[c.Key] = append(slots[c.Key], i)
-	}
-	err = r.RunGrid(ctx, grid, func(res GridCellResult) {
-		free := slots[res.Key]
-		if len(free) == 0 {
-			// The engine echoes the keys Grid() assigned, so every result
-			// finds its slot; fall back to definition order rather than
-			// panicking if that invariant is ever disturbed.
-			out[res.Index] = res.Cell
-			return
-		}
-		out[free[0]] = res.Cell
-		slots[res.Key] = free[1:]
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

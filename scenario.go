@@ -72,15 +72,6 @@ func (t TopologySpec) label() string {
 	return "custom"
 }
 
-// withN returns the spec resized to n parties (for sweeps over n).
-func (t TopologySpec) withN(n int) (TopologySpec, error) {
-	if t.Graph != nil {
-		return t, fmt.Errorf("mpic: cannot resize an explicit-graph topology to n=%d", n)
-	}
-	t.N = n
-	return t, nil
-}
-
 // size reports the number of parties the spec will produce.
 func (t TopologySpec) size() int {
 	if t.Graph != nil {
@@ -89,14 +80,14 @@ func (t TopologySpec) size() int {
 	return t.N
 }
 
-// partyCount reports the number of parties a scenario runs with under
-// the given (possibly resized) topology spec, falling back to the
-// workload's own protocol graph when the topology is implicit.
-func (sc Scenario) partyCount(topo TopologySpec) int {
-	if topo.isZero() && sc.Workload.Protocol != nil {
+// partyCount reports the number of parties the scenario runs with,
+// falling back to the workload's own protocol graph when the topology is
+// implicit.
+func (sc Scenario) partyCount() int {
+	if sc.Topology.isZero() && sc.Workload.Protocol != nil {
 		return sc.Workload.Protocol.Graph().N()
 	}
-	return topo.size()
+	return sc.Topology.size()
 }
 
 // materialize builds the graph.
@@ -196,10 +187,10 @@ type NoiseSpec interface {
 	// NoiseName identifies the model in errors and tables.
 	NoiseName() string
 	// WithRate returns a copy of the spec at a different corruption rate
-	// (used by Runner.Sweep's rate axis), or nil if the spec cannot be
-	// re-rated (its rate is baked into a closure or an adversary
-	// instance) — Sweep turns that nil into a loud error rather than
-	// running mislabeled cells.
+	// (used by a grid's rate axis), or nil if the spec cannot be re-rated
+	// (its rate is baked into a closure or an adversary instance) — grid
+	// builders turn that nil into a loud error rather than running
+	// mislabeled cells.
 	WithRate(rate float64) NoiseSpec
 	// Wire materializes the adversary.
 	Wire(env NoiseEnv) (WiredNoise, error)
@@ -236,7 +227,7 @@ type BurstSpec struct {
 	Rate float64
 	// Link is the attacked directed link; nil picks a uniformly random
 	// edge and attacks its canonical (lower→higher endpoint) direction —
-	// the legacy default, pinned by the Config shim's bit-identity. Set
+	// the legacy default, pinned by TestBurstSpecDefaultsMatchLegacy. Set
 	// Link explicitly to attack a specific direction (e.g. the reverse
 	// one, which the random default never chooses).
 	Link *Link
@@ -392,19 +383,12 @@ type Scenario struct {
 	Parallel bool
 	// HashMode selects the prefix-hash seed discipline (zero value:
 	// HashEpoch, the epoch-refresh fast path). HashLegacy restores the
-	// paper-faithful per-iteration reseeding; HashIncremental the
-	// never-refreshed incremental opt-in. See core.Params.HashMode.
+	// paper-faithful per-iteration reseeding. See core.Params.HashMode.
 	HashMode HashMode
 	// EpochRefresh is the refresh interval R of HashEpoch in iterations
-	// (0 selects DefaultEpochRefresh; ignored by the other modes).
+	// (0 selects DefaultEpochRefresh; ignored by HashLegacy). An R at
+	// least the iteration budget never refreshes.
 	EpochRefresh int
-	// IncrementalHash routes the meeting-points prefix hashes through
-	// rewind-aware incremental checkpoints.
-	//
-	// Deprecated: set HashMode to HashIncremental instead. The bool keeps
-	// working on its own; combined with a contradictory HashMode it is a
-	// HashModeConflictError.
-	IncrementalHash bool
 	// WhiteBoxRate, if positive, replaces Noise with the seed-aware
 	// collision attacker of Section 6.1 at the given rate.
 	WhiteBoxRate float64
@@ -416,8 +400,8 @@ type Scenario struct {
 }
 
 // noiseRngSalt derives the noise-wiring rng from the scenario seed; the
-// constant is pinned because the legacy Config shim (and therefore every
-// pre-Scenario fixed-seed result) depends on the exact stream.
+// constant is pinned because every pre-Scenario fixed-seed result
+// depends on the exact stream.
 const noiseRngSalt = 2654435761
 
 // materialize resolves the topology and workload into a runnable
@@ -445,7 +429,7 @@ func (sc Scenario) materialize() (Protocol, *Graph, error) {
 				return nil, nil, fmt.Errorf("mpic: workload %q needs a topology size; set Topology to mpic.Topology(%q, n)", name, fixed)
 			}
 			if sc.Topology.Name != fixed {
-				return nil, nil, fmt.Errorf("mpic: workload %q runs only on the %q topology, got %q (fixed-topology workloads lay out their own graph, so pass mpic.Topology(%q, n) or leave the topology empty in a Config)",
+				return nil, nil, fmt.Errorf("mpic: workload %q runs only on the %q topology, got %q (fixed-topology workloads lay out their own graph, so pass mpic.Topology(%q, n))",
 					name, fixed, sc.Topology.label(), fixed)
 			}
 		}
@@ -485,7 +469,6 @@ func (sc Scenario) options() (core.Options, error) {
 	}
 	params.HashMode = sc.HashMode
 	params.EpochRefresh = sc.EpochRefresh
-	params.IncrementalHash = sc.IncrementalHash
 	if sc.Tune != nil {
 		sc.Tune(&params)
 	}
@@ -547,29 +530,4 @@ func (sc Scenario) wireNoise(g *Graph, opts *core.Options) error {
 	opts.Adversary = wn.Adversary
 	opts.AdversaryFactory = wn.Factory
 	return nil
-}
-
-// baseline resolves the scenario into just the pieces an uncoded or
-// naive-FEC run needs — the protocol and an oblivious adversary — without
-// materializing any coding-scheme parameters or factory wiring.
-func (sc Scenario) baseline() (Protocol, Adversary, error) {
-	proto, g, err := sc.materialize()
-	if err != nil {
-		return nil, nil, err
-	}
-	if sc.Noise == nil {
-		return proto, adversary.None{}, nil
-	}
-	env := NoiseEnv{Graph: g, Rng: rand.New(rand.NewSource(sc.Seed*noiseRngSalt + 1))}
-	wn, err := sc.Noise.Wire(env)
-	if err != nil {
-		return nil, nil, err
-	}
-	if wn.Factory != nil {
-		return nil, nil, fmt.Errorf("mpic: baseline runs do not support adaptive noise")
-	}
-	if wn.Adversary == nil {
-		return nil, nil, fmt.Errorf("mpic: noise %q wired no adversary", sc.Noise.NoiseName())
-	}
-	return proto, wn.Adversary, nil
 }
