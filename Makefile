@@ -20,7 +20,7 @@ SWEEP_PARALLEL ?= 0
 # persisted, and re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-epoch bench-kernel compare sweep cover chaos lint serve-e2e crossbuild fuzz
+.PHONY: verify tier1 race examples bench bench-epoch bench-kernel bench-net compare sweep cover chaos lint serve-e2e crossbuild fuzz
 
 verify: tier1 lint race examples crossbuild
 
@@ -86,6 +86,12 @@ bench-epoch:
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelSweep' -benchmem ./internal/hashing/
 
+# One virtual-time (DES) round on Clique(12), under the unit model and
+# under lognormal delays with rare spikes: ns and allocs per round
+# (allocs must stay 0). PERF.md records the figures.
+bench-net:
+	$(GO) test -run '^$$' -bench 'BenchmarkStepTimed' -benchmem ./internal/network/
+
 # Regenerate the experiment artefact and gate it against the previous
 # PR's (fails on >10% regression in wall clock or heap allocations).
 # -repeat 3 stamps the artefact with median-of-three timings so a single
@@ -93,10 +99,14 @@ bench-kernel:
 compare:
 	$(GO) run ./cmd/mpicbench -quick -repeat 3 -json BENCH_PR10.json -compare BENCH_PR9.json
 
-# A bounded run of the grid-spec fuzzer (request body → decode →
-# Normalize → Build); plain `go test` only replays its seed corpus.
+# A bounded run of each fuzzer: the grid-spec body (decode → Normalize →
+# Build) and the CLI delay and network-fault strings (parse → wire →
+# probe). `go test -fuzz` takes one target per run, hence three runs;
+# plain `go test` only replays their seed corpora.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGridBuild$$' -fuzztime 20s -parallel 2 ./internal/gridspec/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDelay$$' -fuzztime 20s -parallel 2 .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseNetFaults$$' -fuzztime 20s -parallel 2 .
 
 # The grid service end to end: submit over HTTP, shard across workers,
 # stream progress over SSE, survive a restart mid-grid, and release

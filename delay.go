@@ -13,6 +13,10 @@ import (
 // positive, measured in round-periods).
 type DelayModel = network.DelayModel
 
+// NonFiniteError is the error Delay, ParseDelay, ParseNetFaults and
+// NetFaults.Validate return for a NaN or infinite parameter.
+type NonFiniteError = network.NonFiniteError
+
 // NetFaults is a network-fault schedule: link outage windows, delay
 // spikes, straggler parties, and crash-stop/restart parties, every
 // decision a pure function of its seed. A nil *NetFaults means a
@@ -158,8 +162,12 @@ func (s BandedDelaySpec) Wire(env DelayEnv) (DelayModel, error) {
 // Delay instantiates a registered delay model at the given parameter —
 // the bridge from string-keyed configuration to a typed spec. The
 // parameter's meaning is per-family (jitter width, lognormal sigma, slow
-// fraction); 0 selects the family default.
+// fraction); 0 selects the family default. A NaN or infinite parameter
+// is a *NonFiniteError.
 func Delay(name string, param float64) (DelaySpec, error) {
+	if err := network.CheckFinite(name+" delay parameter", param); err != nil {
+		return nil, err
+	}
 	if name == "" || name == "none" {
 		return nil, nil
 	}

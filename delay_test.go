@@ -2,6 +2,7 @@ package mpic_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -192,6 +193,14 @@ func TestParseDelayAndFaults(t *testing.T) {
 	if _, err := mpic.ParseDelay("no-such-model"); err == nil {
 		t.Error("unknown delay model accepted")
 	}
+	// NaN delays were never late and wedged the event heap; infinite
+	// ones made every symbol late. Both are typed errors up front.
+	for _, bad := range []string{"lognormal:NaN", "jitter:Inf", "jitter:-Inf", "bands:+Inf", "unit:NaN"} {
+		var nf *mpic.NonFiniteError
+		if _, err := mpic.ParseDelay(bad); !errors.As(err, &nf) {
+			t.Errorf("ParseDelay(%q) error = %v, want *NonFiniteError", bad, err)
+		}
+	}
 
 	f, err := mpic.ParseNetFaults("outage=0.01,outage-len=4,spike=0.1,spike-delay=1.5,stragglers=2,straggler-delay=0.7,crashes=1,crash-len=20,seed=9")
 	if err != nil {
@@ -207,6 +216,14 @@ func TestParseDelayAndFaults(t *testing.T) {
 	for _, bad := range []string{"outage", "outage=x", "nope=1", "outage=2"} {
 		if _, err := mpic.ParseNetFaults(bad); err == nil {
 			t.Errorf("ParseNetFaults(%q) accepted", bad)
+		}
+	}
+	// spike=NaN used to pass the range checks and silently turn spikes
+	// off; spike-delay=NaN made spiked symbols late forever.
+	for _, bad := range []string{"spike=NaN", "spike=0.01,spike-delay=NaN", "outage=Inf", "straggler-delay=-Inf", "stragglers=1,straggler-delay=+Inf"} {
+		var nf *mpic.NonFiniteError
+		if _, err := mpic.ParseNetFaults(bad); !errors.As(err, &nf) {
+			t.Errorf("ParseNetFaults(%q) error = %v, want *NonFiniteError", bad, err)
 		}
 	}
 }

@@ -5,15 +5,20 @@ import (
 	"testing"
 )
 
+// refSite is the reference site hash: hash/fnv's 64-bit FNV-1a.
+func refSite(label string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	return h.Sum64()
+}
+
 // refKey is the reference definition of Key: splitmix64 over the seed
 // xor the FNV-1a hash of the site label, then over the ordinal.
 func refKey(seed int64, label string, n uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return Mix(Mix(uint64(seed)^h.Sum64()) ^ n)
+	return Mix(Mix(uint64(seed)^refSite(label)) ^ n)
 }
 
-// pinnedKeys are Key(42, label, 7) for every site label the network
+// pinnedKeys are Key(42, NewSite(label), 7) for every site label the network
 // package draws from. They pin the draw streams independently of the
 // reference: a change to Mix, to the label hash or to the fold shows up
 // here even if refKey were changed to match.
@@ -37,20 +42,24 @@ func TestKeyRollPickPinned(t *testing.T) {
 	seeds := []int64{0, 1, 42, -5, 1 << 40}
 	ords := []uint64{0, 1, 7, 1 << 33, 0x9e3779b97f4a7c15}
 	for label, pin := range pinnedKeys {
-		if got := Key(42, label, 7); got != pin {
+		site := NewSite(label)
+		if uint64(site) != refSite(label) {
+			t.Fatalf("NewSite(%q) = %#x, reference %#x", label, uint64(site), refSite(label))
+		}
+		if got := Key(42, site, 7); got != pin {
 			t.Errorf("Key(42, %q, 7) = %#x, pinned %#x", label, got, pin)
 		}
 		for _, seed := range seeds {
 			for _, n := range ords {
 				ref := refKey(seed, label, n)
-				if got := Key(seed, label, n); got != ref {
+				if got := Key(seed, site, n); got != ref {
 					t.Fatalf("Key(%d, %q, %d) = %#x, reference %#x", seed, label, n, got, ref)
 				}
-				if got, want := Roll(seed, label, n), float64(ref>>11)/float64(uint64(1)<<53); got != want {
+				if got, want := Roll(seed, site, n), float64(ref>>11)/float64(uint64(1)<<53); got != want {
 					t.Fatalf("Roll(%d, %q, %d) = %v, reference %v", seed, label, n, got, want)
 				}
 				for _, max := range []int{1, 3, 17, 1000} {
-					if got, want := Pick(seed, label, n, max), int(ref%uint64(max)); got != want {
+					if got, want := Pick(seed, site, n, max), int(ref%uint64(max)); got != want {
 						t.Fatalf("Pick(%d, %q, %d, %d) = %d, reference %d", seed, label, n, max, got, want)
 					}
 				}

@@ -27,14 +27,14 @@ import "mpic/internal/detrand"
 
 // Roll returns a uniform value in [0, 1), deterministic in
 // (seed, site, n). A fault with probability p fires iff
-// Roll(seed, site, n) < p. It is internal/detrand's Roll, re-exported so
-// chaos tests keep a single import.
+// Roll(seed, site, n) < p. It is internal/detrand's Roll keyed by the
+// label's site hash, re-exported so chaos tests keep a single import.
 func Roll(seed int64, site string, n uint64) float64 {
-	return detrand.Roll(seed, site, n)
+	return detrand.Roll(seed, detrand.NewSite(site), n)
 }
 
 // Pick returns a uniform value in [0, max), deterministic in
 // (seed, site, n). max must be positive.
 func Pick(seed int64, site string, n uint64, max int) int {
-	return detrand.Pick(seed, site, n, max)
+	return detrand.Pick(seed, detrand.NewSite(site), n, max)
 }

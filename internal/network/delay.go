@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math"
 
 	"mpic/internal/channel"
@@ -18,15 +19,60 @@ import (
 // configuration (draw randomness through internal/detrand's site-hashed
 // primitives, never a stateful RNG): the DES core relies on it for
 // bit-identical replay from a seed at any worker count.
+//
+// Delay should return a finite positive value. The DES step floors
+// anything that is not positive — zero, negative or NaN — at 1e-3
+// rounds, so a faulty model cannot wedge the event heap; a +Inf delay
+// loses its symbol for good (a deletion that never lands).
 type DelayModel interface {
 	// Delay returns the flight time, in rounds, of the symbol sent in
-	// `round` on the directed link `link`. Must be positive.
+	// `round` on the directed link `link`.
 	Delay(round int, link channel.Link) float64
 	// Lockstep reports whether the model is the unit model (every delay
 	// exactly 1.0). The engine runs lockstep models without a fault
 	// schedule on the classic synchronous path, byte-identical to the
 	// pre-virtual-time engine.
 	Lockstep() bool
+}
+
+// The sites of every draw the package makes, hashed once: a delay
+// model draws per symbol, so re-hashing the label on every draw would
+// cost as much as the draw itself.
+var (
+	siteJitter     = detrand.NewSite("delay-jitter")
+	siteLnU1       = detrand.NewSite("delay-ln-u1")
+	siteLnU2       = detrand.NewSite("delay-ln-u2")
+	siteBand       = detrand.NewSite("delay-band")
+	siteBandJitter = detrand.NewSite("delay-band-jitter")
+	siteSpike      = detrand.NewSite("net-spike")
+	siteOutage     = detrand.NewSite("net-outage")
+	siteStraggler  = detrand.NewSite("net-straggler")
+	siteCrash      = detrand.NewSite("net-crash")
+	siteCrashStart = detrand.NewSite("net-crash-start")
+)
+
+// NonFiniteError reports a delay or fault parameter that is NaN or
+// infinite. Such a parameter would make every symbol late (+Inf), never
+// late (NaN compares false against every deadline), or silently turn a
+// fault off, so it is rejected before anything runs.
+type NonFiniteError struct {
+	// Param names the parameter, e.g. "SpikeDelay" or "lognormal delay
+	// parameter".
+	Param string
+	// Value is the rejected value.
+	Value float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("network: %s is %g, want a finite number", e.Param, e.Value)
+}
+
+// CheckFinite returns a *NonFiniteError naming param if v is NaN or ±Inf.
+func CheckFinite(param string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return &NonFiniteError{Param: param, Value: v}
+	}
+	return nil
 }
 
 // delayOrd folds a (round, link) coordinate into the ordinal fed to the
@@ -68,7 +114,7 @@ type FixedJitter struct {
 
 // Delay implements DelayModel.
 func (m FixedJitter) Delay(round int, link channel.Link) float64 {
-	return m.Base + m.Jitter*detrand.Roll(m.Seed, "delay-jitter", delayOrd(round, link))
+	return m.Base + m.Jitter*detrand.Roll(m.Seed, siteJitter, delayOrd(round, link))
 }
 
 // Lockstep implements DelayModel.
@@ -77,9 +123,9 @@ func (m FixedJitter) Lockstep() bool { return false }
 // Lognormal draws flight times from a lognormal distribution — the
 // standard model of legitimate wide-area latency (cf. the
 // satnet-simulator's LegitMu/LegitSigma): median Median, log-scale
-// spread Sigma. The heavy upper tail produces occasional late symbols
-// without any symbol ever being early-infinite: delays are clamped
-// below at a small positive floor.
+// spread Sigma. The heavy upper tail produces occasional late symbols.
+// Delays are clamped below at a small positive floor and above at
+// maxLognormalDelay, so every finite Sigma yields finite delays.
 type Lognormal struct {
 	// Median is the distribution's median flight time in rounds.
 	Median float64
@@ -94,8 +140,8 @@ func (m Lognormal) Delay(round int, link channel.Link) float64 {
 	ord := delayOrd(round, link)
 	// Box–Muller from two independent site-hashed uniforms; u1 is kept
 	// away from 0 so the log stays finite.
-	u1 := detrand.Roll(m.Seed, "delay-ln-u1", ord)
-	u2 := detrand.Roll(m.Seed, "delay-ln-u2", ord)
+	u1 := detrand.Roll(m.Seed, siteLnU1, ord)
+	u2 := detrand.Roll(m.Seed, siteLnU2, ord)
 	if u1 < 1e-12 {
 		u1 = 1e-12
 	}
@@ -104,8 +150,16 @@ func (m Lognormal) Delay(round int, link channel.Link) float64 {
 	if d < 1e-3 {
 		d = 1e-3
 	}
+	if d > maxLognormalDelay {
+		d = maxLognormalDelay
+	}
 	return d
 }
+
+// maxLognormalDelay caps a lognormal draw: a billion rounds is past any
+// run's end, and without the cap a Sigma above about 95 overflows the
+// exponential to +Inf.
+const maxLognormalDelay = 1e9
 
 // Lockstep implements DelayModel.
 func (m Lognormal) Lockstep() bool { return false }
@@ -133,7 +187,7 @@ type Bands struct {
 
 // band returns the band a directed link is assigned to.
 func (m Bands) band(link channel.Link) Band {
-	u := detrand.Roll(m.Seed, "delay-band", linkOrd(link))
+	u := detrand.Roll(m.Seed, siteBand, linkOrd(link))
 	acc := 0.0
 	for _, b := range m.Bands {
 		acc += b.Fraction
@@ -147,7 +201,7 @@ func (m Bands) band(link channel.Link) Band {
 // Delay implements DelayModel.
 func (m Bands) Delay(round int, link channel.Link) float64 {
 	b := m.band(link)
-	return b.Base + b.Jitter*detrand.Roll(m.Seed, "delay-band-jitter", delayOrd(round, link))
+	return b.Base + b.Jitter*detrand.Roll(m.Seed, siteBandJitter, delayOrd(round, link))
 }
 
 // Lockstep implements DelayModel.

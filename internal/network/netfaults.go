@@ -55,8 +55,22 @@ type FaultSchedule struct {
 	CrashLen int
 }
 
-// Validate rejects malformed schedules before anything runs.
+// Validate rejects malformed schedules before anything runs. A NaN or
+// infinite rate or delay is a *NonFiniteError.
 func (f *FaultSchedule) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"OutageRate", f.OutageRate},
+		{"SpikeRate", f.SpikeRate},
+		{"SpikeDelay", f.SpikeDelay},
+		{"StragglerDelay", f.StragglerDelay},
+	} {
+		if err := CheckFinite(p.name, p.v); err != nil {
+			return err
+		}
+	}
 	if f.OutageRate < 0 || f.OutageRate > 1 {
 		return fmt.Errorf("network: OutageRate %g outside [0,1]", f.OutageRate)
 	}
@@ -92,7 +106,7 @@ type WiredFaults struct {
 // pickParties deterministically selects count distinct parties out of n:
 // the count smallest under a seed-hashed ranking, so the choice is a
 // pure function of (seed, site, n).
-func pickParties(seed int64, site string, n, count int) []bool {
+func pickParties(seed int64, site detrand.Site, n, count int) []bool {
 	chosen := make([]bool, n)
 	if count <= 0 {
 		return chosen
@@ -143,7 +157,7 @@ func (f *FaultSchedule) Wire(n, totalRounds int) (*WiredFaults, error) {
 	if w.stragglerDelay <= 0 {
 		w.stragglerDelay = 0.6
 	}
-	w.straggler = pickParties(f.Seed, "net-straggler", n, f.Stragglers)
+	w.straggler = pickParties(f.Seed, siteStraggler, n, f.Stragglers)
 	w.crashStart = make([]int, n)
 	w.crashEnd = make([]int, n)
 	if f.Crashes > 0 {
@@ -154,7 +168,7 @@ func (f *FaultSchedule) Wire(n, totalRounds int) (*WiredFaults, error) {
 		if crashLen > totalRounds/2 {
 			crashLen = totalRounds / 2
 		}
-		crashed := pickParties(f.Seed, "net-crash", n, f.Crashes)
+		crashed := pickParties(f.Seed, siteCrash, n, f.Crashes)
 		lo := totalRounds / 4
 		span := totalRounds*3/4 - crashLen - lo
 		if span < 1 {
@@ -164,7 +178,7 @@ func (f *FaultSchedule) Wire(n, totalRounds int) (*WiredFaults, error) {
 			if !crashed[p] || crashLen == 0 {
 				continue
 			}
-			start := lo + detrand.Pick(f.Seed, "net-crash-start", uint64(p), span)
+			start := lo + detrand.Pick(f.Seed, siteCrashStart, uint64(p), span)
 			w.crashStart[p] = start
 			w.crashEnd[p] = start + crashLen
 		}
@@ -189,7 +203,7 @@ func (w *WiredFaults) outage(link channel.Link, r int) bool {
 		return false
 	}
 	for d := 0; d < w.outageLen && d <= r; d++ {
-		if detrand.Roll(w.spec.Seed, "net-outage", delayOrd(r-d, link)) < w.spec.OutageRate {
+		if detrand.Roll(w.spec.Seed, siteOutage, delayOrd(r-d, link)) < w.spec.OutageRate {
 			return true
 		}
 	}
@@ -212,7 +226,7 @@ func (w *WiredFaults) ExtraDelay(link channel.Link, r int) float64 {
 		extra += w.stragglerDelay
 	}
 	if w.spec.SpikeRate > 0 &&
-		detrand.Roll(w.spec.Seed, "net-spike", delayOrd(r, link)) < w.spec.SpikeRate {
+		detrand.Roll(w.spec.Seed, siteSpike, delayOrd(r, link)) < w.spec.SpikeRate {
 		extra += w.spikeDelay
 	}
 	return extra

@@ -6,18 +6,20 @@ import (
 	"mpic/internal/trace"
 )
 
-// event is one in-flight symbol: pushed when sent, popped when its virtual
-// arrival time is reached. Events are ordered by (time, seq); seq is
-// assigned monotonically at push, so ties in arrival time resolve in push
-// order — which is itself deterministic (rounds ascend, links in the
-// engine's sorted order within a round). The pop order is therefore a pure
-// function of the run's seeds, independent of GOMAXPROCS or worker count.
+// event is one late symbol in flight: pushed when its flight time
+// misses the send round's deadline, popped in the first round whose
+// deadline its arrival meets. On-time symbols never become events — they
+// go straight to their link's slot. Events are ordered by (time, seq);
+// seq is assigned monotonically at push, so ties in arrival time among
+// late symbols resolve in push order — which is itself deterministic
+// (rounds ascend, links in the engine's sorted order within a round).
+// The pop order is therefore a pure function of the run's seeds,
+// independent of GOMAXPROCS or worker count.
 type event struct {
-	time  float64          // virtual arrival time, in round-periods
-	seq   uint64           // push order, tie-breaker
-	li    int              // index into Engine.links
-	sym   bitstring.Symbol // the wire symbol (post-adversary)
-	round int              // the round the symbol was sent in
+	time float64          // virtual arrival time, in round-periods
+	seq  uint64           // push order, tie-breaker
+	li   int              // index into Engine.links
+	sym  bitstring.Symbol // the wire symbol (post-adversary)
 }
 
 func eventLess(a, b event) bool {
@@ -27,7 +29,8 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a binary min-heap over (time, seq).
+// eventHeap is a binary min-heap over (time, seq) holding the late
+// symbols still in flight.
 type eventHeap []event
 
 func (h *eventHeap) push(ev event) {
@@ -68,15 +71,14 @@ func (h *eventHeap) pop() event {
 }
 
 // timedState is the virtual-time machinery of a timed engine: the delay
-// model, the (optional) fault schedule, the in-flight event heap, and the
-// per-round delivery slots of the deadline synchronizer.
+// model, the (optional) fault schedule, the heap of late symbols in
+// flight, and the per-round delivery slots of the deadline synchronizer.
 type timedState struct {
 	model  DelayModel
 	faults *WiredFaults
 	heap   eventHeap
 	seq    uint64
 	slots  []bitstring.Symbol // per link, rebuilt every round
-	late   []event            // scratch: late arrivals popped this round
 	stats  *trace.NetStats
 }
 
@@ -115,9 +117,10 @@ func (e *Engine) SetTiming(model DelayModel, wf *WiredFaults) {
 // Send and adversary accounting are identical to the synchronous path:
 // every party's Send is collected first, then the adversary is consulted
 // on every directed link in deterministic order. What changes is
-// delivery: each wire symbol is assigned a flight delay and scheduled on
-// the event heap, and only the events whose arrival time is ≤ the
-// deadline are delivered this round.
+// delivery: each wire symbol is assigned a flight delay. A symbol whose
+// arrival meets the deadline fills its link's slot at once; a late one
+// goes on the event heap, and the heap delivers earlier rounds' late
+// symbols whose arrival meets this round's deadline.
 //
 // Timing faults map onto the paper's insdel noise model:
 //
@@ -146,6 +149,9 @@ func (e *Engine) stepTimed(round int) {
 	e.collectSends(round)
 
 	deadline := float64(round + 1)
+	for i := range t.slots {
+		t.slots[i] = bitstring.Silence
+	}
 	for i, l := range e.links {
 		sent := e.sendBuf[i]
 		if sent != bitstring.Silence {
@@ -168,40 +174,30 @@ func (e *Engine) stepTimed(round int) {
 		if t.faults != nil {
 			d += t.faults.ExtraDelay(l, round)
 		}
-		if d <= 0 {
+		// !(d > 0) rather than d <= 0: a NaN delay fails every comparison,
+		// so it would never meet a deadline nor leave the heap.
+		if !(d > 0) {
 			d = 1e-3
 		}
 		t.stats.Links[i].Hist.Observe(d)
 		arrival := float64(round) + d
-		if arrival > deadline {
-			// Misses its deadline: deletion now, insertion when it lands.
-			e.metrics.AddCorruption(channel.KindDeletion)
-			t.stats.LateSymbols++
+		if arrival <= deadline {
+			// On time: the symbol owns its link's slot this round.
+			t.slots[i] = recv
+			continue
 		}
+		// Misses its deadline: deletion now, insertion when it lands.
+		e.metrics.AddCorruption(channel.KindDeletion)
+		t.stats.LateSymbols++
 		t.seq++
-		t.heap.push(event{time: arrival, seq: t.seq, li: i, sym: recv, round: round})
+		t.heap.push(event{time: arrival, seq: t.seq, li: i, sym: recv})
 	}
 
-	// Deadline synchronizer: drain every event due by the deadline.
-	// On-time symbols (sent this round) claim their link's slot; late
-	// stragglers from earlier rounds are buffered and, in pop order, fill
-	// whatever slots are still silent.
-	for i := range t.slots {
-		t.slots[i] = bitstring.Silence
-	}
-	t.late = t.late[:0]
+	// Deadline synchronizer: every event due by the deadline is a late
+	// symbol from an earlier round. In pop order, each fills its slot if
+	// the slot is still silent after the on-time symbols claimed theirs.
 	for len(t.heap) > 0 && t.heap[0].time <= deadline {
 		ev := t.heap.pop()
-		if ev.time > t.stats.Makespan {
-			t.stats.Makespan = ev.time
-		}
-		if ev.round == round {
-			t.slots[ev.li] = ev.sym
-		} else {
-			t.late = append(t.late, ev)
-		}
-	}
-	for _, ev := range t.late {
 		l := e.links[ev.li]
 		if t.slots[ev.li] != bitstring.Silence ||
 			(t.faults != nil && t.faults.Crashed(l.To, round)) {
@@ -212,6 +208,8 @@ func (e *Engine) stepTimed(round int) {
 		e.metrics.AddCorruption(channel.KindInsertion)
 		t.stats.LateDelivered++
 	}
+	// Every arrival delivered this round is at most the deadline, so the
+	// deadline alone advances the makespan.
 	if deadline > t.stats.Makespan {
 		t.stats.Makespan = deadline
 	}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -453,8 +454,72 @@ func TestFaultScheduleValidate(t *testing.T) {
 			t.Errorf("case %d: malformed schedule %+v accepted", i, f)
 		}
 	}
+	nonFinite := []FaultSchedule{
+		{SpikeRate: math.NaN()},
+		{OutageRate: math.NaN()},
+		{OutageRate: math.Inf(1)},
+		{SpikeRate: 0.01, SpikeDelay: math.NaN()},
+		{SpikeDelay: math.Inf(1)},
+		{Stragglers: 1, StragglerDelay: math.Inf(-1)},
+	}
+	for i, f := range nonFinite {
+		var nf *NonFiniteError
+		if err := f.Validate(); !errors.As(err, &nf) {
+			t.Errorf("non-finite case %d: %+v: error %v, want *NonFiniteError", i, f, err)
+		}
+	}
 	good := FaultSchedule{OutageRate: 0.5, SpikeRate: 0.1, Stragglers: 1, Crashes: 1}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)
+	}
+}
+
+// TestNonFiniteDelayFloored: a custom model that returns NaN, zero or a
+// negative delay cannot wedge the event heap. The DES step floors such
+// delays at 1e-3, so those symbols are on time, and a genuinely late
+// symbol behind them still lands.
+func TestNonFiniteDelayFloored(t *testing.T) {
+	g := graph.Line(2)
+	ps, eps := mkParties(2, map[int]func(int, graph.Node) bitstring.Symbol{
+		0: func(r int, to graph.Node) bitstring.Symbol {
+			if r <= 3 {
+				return bitstring.Sym1
+			}
+			return bitstring.Silence
+		},
+	})
+	eng, _ := NewEngine(g, ps, nil, nil)
+	eng.SetTiming(scriptDelay{d: func(r int, l channel.Link) float64 {
+		switch r {
+		case 0:
+			return math.NaN()
+		case 1:
+			return 0
+		case 2:
+			return -3
+		}
+		return 1.5 // round 3: late, lands in round 4's silent slot
+	}}, nil)
+	eng.RunRounds(0, 6)
+
+	m := eng.Metrics()
+	if m.Net.LateSymbols != 1 || m.Net.LateDelivered != 1 {
+		t.Fatalf("late=%d delivered=%d, want 1/1", m.Net.LateSymbols, m.Net.LateDelivered)
+	}
+	h := m.Net.Links[0].Hist
+	if math.IsNaN(h.Sum) || h.Count != 4 {
+		t.Fatalf("delay histogram %+v: want 4 finite observations", h)
+	}
+	want := []bitstring.Symbol{bitstring.Sym1, bitstring.Sym1, bitstring.Sym1, bitstring.Silence, bitstring.Sym1, bitstring.Silence}
+	var got []bitstring.Symbol
+	for _, r := range eps[1].received {
+		if r.from == 0 {
+			got = append(got, r.sym)
+		}
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Fatalf("party 1 round %d received %v, want %v (all: %v)", i, got[i], w, got)
+		}
 	}
 }

@@ -361,8 +361,11 @@ func TestServiceBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	// Malformed and unknown-field bodies are 400s, not silent defaults.
 	// Party counts below one are rejected up front (n=-3 once built a
-	// grid whose cells panicked in the graph constructor).
-	for _, body := range []string{"{not json", `{"nope":"x"}`, `{"schemes":"Z"}`, `{"n":"0"}`, `{"n":"-3"}`, `{"hashmode":"incremental"}`} {
+	// grid whose cells panicked in the graph constructor). NaN and
+	// infinite delay or fault parameters are rejected too (a NaN delay
+	// once wedged the virtual-time engine).
+	for _, body := range []string{"{not json", `{"nope":"x"}`, `{"schemes":"Z"}`, `{"n":"0"}`, `{"n":"-3"}`, `{"hashmode":"incremental"}`,
+		`{"delay":"lognormal:NaN"}`, `{"delay":"jitter:Inf"}`, `{"netfaults":"spike=NaN"}`, `{"netfaults":"spike=0.01,spike-delay=NaN"}`} {
 		resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
