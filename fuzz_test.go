@@ -7,8 +7,8 @@ import (
 	"mpic"
 )
 
-// probeLinks are the directed links of a 4-clique, the graph the delay
-// fuzzer wires its specs on.
+// probeLinks returns every directed link among n parties, the links the
+// fuzzers probe.
 func probeLinks(n int) []mpic.Link {
 	var links []mpic.Link
 	for u := 0; u < n; u++ {

@@ -13,9 +13,7 @@
 // parties — onto the paper's insdel noise model, so the protocol and the
 // coding scheme are untouched semantically. A symbol that meets its
 // round's deadline fills its receiver's slot directly; only late symbols
-// go on the event heap, so the per-symbol cost of the virtual-time path
-// is one delay draw (through detrand sites hashed once per process) plus
-// the lockstep bookkeeping. Both paths are bit-exactly deterministic from
+// go on the event heap. Both paths are bit-exactly deterministic from
 // their seeds at any GOMAXPROCS.
 package network
 
