@@ -16,11 +16,11 @@ GO ?= go
 # Grid results are bit-identical at any setting.
 SWEEP_PARALLEL ?= 0
 
-# Incremental JSON checkpoint for `make sweep`: every completed cell is
-# persisted, and re-running the same grid resumes instead of restarting.
+# Session journal for `make sweep`: every completed cell is appended, and
+# re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-epoch bench-kernel bench-net compare sweep cover chaos lint serve-e2e crossbuild fuzz
+.PHONY: verify tier1 race examples bench bench-epoch bench-kernel bench-net bench-store compare sweep cover chaos lint serve-e2e crossbuild fuzz
 
 verify: tier1 lint race examples crossbuild
 
@@ -92,6 +92,13 @@ bench-kernel:
 bench-net:
 	$(GO) test -run '^$$' -bench 'BenchmarkStepTimed' -benchmem ./internal/network/
 
+# The durable session's per-cell store cost: one FileGridStore.Save that
+# adds a cell to a session of 10, 100 and 1000 cells, in ns and allocs
+# per save (PERF.md records the figures; with the append-only journal the
+# 1000-cell cost stays within 1.5x of the 10-cell one).
+bench-store:
+	$(GO) test -run '^$$' -bench 'BenchmarkFileGridStoreSave' -benchmem -benchtime 300x .
+
 # Regenerate the experiment artefact and gate it against the previous
 # PR's (fails on >10% regression in wall clock or heap allocations).
 # -repeat 3 stamps the artefact with median-of-three timings so a single
@@ -100,13 +107,15 @@ compare:
 	$(GO) run ./cmd/mpicbench -quick -repeat 3 -json BENCH_PR10.json -compare BENCH_PR9.json
 
 # A bounded run of each fuzzer: the grid-spec body (decode → Normalize →
-# Build) and the CLI delay and network-fault strings (parse → wire →
-# probe). `go test -fuzz` takes one target per run, hence three runs;
+# Build), the CLI delay and network-fault strings (parse → wire →
+# probe), and the session journal decoder (arbitrary bytes → both
+# stores). `go test -fuzz` takes one target per run, hence four runs;
 # plain `go test` only replays their seed corpora.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGridBuild$$' -fuzztime 20s -parallel 2 ./internal/gridspec/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelay$$' -fuzztime 20s -parallel 2 .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNetFaults$$' -fuzztime 20s -parallel 2 .
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 20s -parallel 2 .
 
 # The grid service end to end: submit over HTTP, shard across workers,
 # stream progress over SSE, survive a restart mid-grid, and release

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -224,6 +225,83 @@ func BenchmarkGridSession(b *testing.B) {
 			g.Store = mpic.NewFileGridStore(filepath.Join(dir, fmt.Sprintf("s%d.json", n)))
 		})
 	})
+}
+
+// BenchmarkFileGridStoreSave measures the durable session's per-cell
+// cost: one Save that adds a single completed cell to a live session
+// already holding 10, 100 or 1000 cells — the engine's call after every
+// completion. The session file is reset outside the timer, so every
+// iteration saves into the same size; an untimed Save of one cell goes
+// first, because the first write to a just-created file also pays the
+// filesystem's commit of that file, which a running session pays once.
+func BenchmarkFileGridStoreSave(b *testing.B) {
+	const spec = "bench-store-save"
+	for _, held := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("cells=%d", held), func(b *testing.B) {
+			cells := make([]mpic.StoredCell, held+2)
+			for i := range cells {
+				rate := 0.002 * float64(i) / float64(len(cells))
+				key := mpic.GridKey{N: 4 + 2*(i%2), Scheme: mpic.AlgorithmA, Rate: rate}
+				cells[i] = mpic.StoredCell{Index: i, Key: key, Cell: mpic.SweepCell{
+					N: key.N, Scheme: key.Scheme, Rate: rate, Trials: 1, Successes: 1,
+					Blowups: []float64{2.5 + rate}, Iterations: []float64{48}, Corruptions: int64(i % 7),
+				}}
+			}
+			dir := b.TempDir()
+			base := filepath.Join(dir, "base.json")
+			if err := mpic.NewFileGridStore(base).Save(spec, cells[:held]); err != nil {
+				b.Fatal(err)
+			}
+			data, err := os.ReadFile(base)
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(dir, "session.json")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for _, p := range []string{path, path + ".bak"} {
+					if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+						b.Fatal(err)
+					}
+				}
+				// Synced here, so the timed save's fsync flushes only what
+				// the save itself wrote.
+				if err := writeSynced(path, data); err != nil {
+					b.Fatal(err)
+				}
+				store := mpic.NewFileGridStore(path)
+				if _, err := store.Load(spec); err != nil {
+					b.Fatal(err)
+				}
+				if err := store.Save(spec, cells[:held+1]); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := store.Save(spec, cells); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// writeSynced writes data to path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // BenchmarkMicroInnerProductHash measures one τ=8 hash over a 4096-bit

@@ -1,6 +1,7 @@
 package mpic
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,14 +21,16 @@ import (
 // durable parallel session while everything that can go wrong does, on a
 // deterministic seed-driven schedule —
 //
-//   - the session store injects Save/Load errors and tears checkpoint
-//     files mid-JSON after "successful" writes (absorbed by
-//     RetryingGridStore and FileGridStore's last-good-state recovery),
+//   - the session store injects Save/Load errors and tears the journal
+//     inside its final record after "successful" writes (absorbed by
+//     RetryingGridStore and FileGridStore's torn-tail recovery, which
+//     cuts the record off and lets the engine append it again),
 //   - a fault plan makes a fraction of the cells panic mid-run on their
 //     leading attempts (absorbed by the engine's panic recovery and
 //     Grid.Retry),
-//   - the first pass is cancelled mid-flight and the primary checkpoint
-//     corrupted behind its back (absorbed by .bak recovery on resume).
+//   - the first pass is cancelled mid-flight and the journal torn behind
+//     its back (absorbed by torn-tail recovery on resume, which re-runs
+//     the lost cell).
 //
 // Despite all of it, the finished grid must be bit-identical to a clean
 // sequential run — the repo's core determinism contract extended to the
@@ -45,8 +48,8 @@ func TestChaosGridSoak(t *testing.T) {
 
 	// The faulty session store: FileGridStore at the bottom, deterministic
 	// fault injection in the middle, bounded retries on top. Torn writes
-	// truncate the checkpoint mid-JSON — the exact shape a crash during a
-	// non-atomic write would leave.
+	// truncate the journal inside its final record — the exact shape a
+	// crash during an append leaves.
 	path := filepath.Join(t.TempDir(), "chaos.json")
 	inner := NewFileGridStore(path)
 	var recoveries []error
@@ -57,13 +60,7 @@ func TestChaosGridSoak(t *testing.T) {
 		LoadErrorRate: 0.2,
 		TornRate:      0.15,
 	})
-	faulty.Tear = func() error {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, data[:len(data)/2], 0o644)
-	}
+	faulty.Tear = func() error { return tearFinalRecord(path) }
 	store := &RetryingGridStore{Inner: faulty, MaxAttempts: 8, Sleep: func(time.Duration) {}}
 
 	// The cell fault plan: roughly a third of the cells panic mid-run on
@@ -113,18 +110,11 @@ func TestChaosGridSoak(t *testing.T) {
 		t.Fatalf("cancelled pass returned %v, want a context.Canceled-derived error", err)
 	}
 
-	// Corrupt the primary checkpoint behind the session's back — the
-	// crash-after-torn-write scenario. Resume must fall back to the .bak
-	// last good state, not abort and not silently restart from zero.
-	data, err := os.ReadFile(path)
-	if err != nil {
+	// Tear the journal behind the session's back — a crash mid-append.
+	// Resume must cut off the torn record and re-run its cell, not abort
+	// and not silently restart from zero.
+	if err := tearFinalRecord(path); err != nil {
 		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(inner.BackupPath()); err != nil {
-		t.Fatalf("no backup to recover from after %d saves: %v", streamed, err)
 	}
 
 	// Pass 2: run to completion under the same fault schedule.
@@ -133,7 +123,7 @@ func TestChaosGridSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(recoveries) == 0 {
-		t.Error("torn primary did not trigger last-good-state recovery")
+		t.Error("torn journal did not trigger torn-tail recovery")
 	}
 	restored := 0
 	for i := range want {
@@ -163,6 +153,17 @@ func TestChaosGridSoak(t *testing.T) {
 	}
 	t.Logf("chaos soak: %d cells (%d afflicted by panics), %d restored on resume, %d store recoveries, store stats %+v",
 		len(cells), afflicted, restored, len(recoveries), st)
+}
+
+// tearFinalRecord truncates a session journal inside its final record —
+// what a crash mid-append leaves behind.
+func tearFinalRecord(path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	start := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	return os.Truncate(path, int64(start+(len(data)-start)/2))
 }
 
 // TestChaosNetworkSoak extends the chaos contract to the virtual-time

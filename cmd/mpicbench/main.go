@@ -59,10 +59,10 @@
 // with code 3 (partial success) instead of 1 (hard failure).
 //
 // The -sweep-checkpoint flag makes long grids resumable through the
-// library's durable-session layer (mpic.FileGridStore): after every
-// completed cell the named JSON file is atomically rewritten with all
-// finished cells, keyed by (n, scheme, rate), plus a fingerprint of the
-// grid flags. Re-running the same command after an interruption restores
+// library's durable-session layer (mpic.FileGridStore): every completed
+// cell is appended to the named session journal as one checksummed
+// record, keyed by (n, scheme, rate), under a header holding a
+// fingerprint of the grid flags. Re-running the same command after an interruption restores
 // the checkpointed cells without re-running them and executes only the
 // rest; a checkpoint written by different grid flags is rejected. The
 // -checkpoint flag is the experiment-mode equivalent: a directory in

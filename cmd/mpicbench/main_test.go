@@ -361,33 +361,22 @@ func TestSweepCheckpointResume(t *testing.T) {
 	if err := runSweep(&fresh, sweepTestFlags(full)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(full)
+	version, spec := checkpointHeader(t, full)
+	cells, err := mpic.NewFileGridStore(full).Load(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ckpt struct {
-		Version int
-		Spec    string
-		Cells   []json.RawMessage
-	}
-	if err := json.Unmarshal(data, &ckpt); err != nil {
-		t.Fatal(err)
-	}
-	if ckpt.Version != 3 || ckpt.Spec == "" || len(ckpt.Cells) != 2 {
-		t.Fatalf("full checkpoint has version %d, spec %q and %d cells, want v3 with 2 cells",
-			ckpt.Version, ckpt.Spec, len(ckpt.Cells))
+	if version != 4 || spec == "" || len(cells) != 2 {
+		t.Fatalf("full checkpoint has version %d, spec %q and %d cells, want v4 with 2 cells",
+			version, spec, len(cells))
 	}
 
-	// Simulate an interruption: drop the second cell and resume. The
-	// truncation goes through the store API so the partial file carries a
-	// valid checksum — a hand-edited file would (correctly) be treated as
-	// corrupt.
+	// Simulate an interruption: save only the first cell to a new session
+	// file and resume from it. The partial file goes through the store API
+	// so it carries valid checksums — a hand-edited file would (correctly)
+	// be treated as corrupt.
 	partial := filepath.Join(dir, "partial.json")
-	cells, err := mpic.NewFileGridStore(full).Load(ckpt.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mpic.NewFileGridStore(partial).Save(ckpt.Spec, cells[:1]); err != nil {
+	if err := mpic.NewFileGridStore(partial).Save(spec, cells[:1]); err != nil {
 		t.Fatal(err)
 	}
 	var resumed strings.Builder
@@ -407,15 +396,8 @@ func TestSweepCheckpointResume(t *testing.T) {
 		}
 	}
 	// The resumed run completed the checkpoint back to all cells.
-	data, err = os.ReadFile(partial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &ckpt); err != nil {
-		t.Fatal(err)
-	}
-	if len(ckpt.Cells) != 2 {
-		t.Fatalf("resumed checkpoint has %d cells, want 2", len(ckpt.Cells))
+	if cells, err = mpic.NewFileGridStore(partial).Load(spec); err != nil || len(cells) != 2 {
+		t.Fatalf("resumed checkpoint has %d cells (%v), want 2", len(cells), err)
 	}
 
 	// A fully checkpointed grid restores everything and runs nothing.
@@ -434,6 +416,25 @@ func TestSweepCheckpointResume(t *testing.T) {
 	if err := runSweep(io.Discard, other); err == nil || !strings.Contains(err.Error(), "different grid") {
 		t.Fatalf("mismatched checkpoint spec accepted: %v", err)
 	}
+}
+
+// checkpointHeader reads the format version and spec from the header
+// line of a session journal.
+func checkpointHeader(t *testing.T, path string) (version int, spec string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _, _ := strings.Cut(string(data), "\n")
+	var header struct {
+		Version int
+		Spec    string
+	}
+	if err := json.Unmarshal([]byte(line), &header); err != nil {
+		t.Fatal(err)
+	}
+	return header.Version, header.Spec
 }
 
 // TestSweepCheckpointVersionRejected pins the format-versioning

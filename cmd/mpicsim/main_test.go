@@ -86,6 +86,25 @@ func TestRunTrialsGrid(t *testing.T) {
 	}
 }
 
+// checkpointHeader reads the format version and spec from the header
+// line of a session journal.
+func checkpointHeader(t *testing.T, path string) (version int, spec string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _, _ := strings.Cut(string(data), "\n")
+	var header struct {
+		Version int
+		Spec    string
+	}
+	if err := json.Unmarshal([]byte(line), &header); err != nil {
+		t.Fatal(err)
+	}
+	return header.Version, header.Spec
+}
+
 // TestRunTrialsCheckpointResume pins the durable trial grid: a full run
 // writes the session file, a truncated session resumes the missing
 // trials, and the resumed output is line-identical to the fresh run.
@@ -101,33 +120,24 @@ func TestRunTrialsCheckpointResume(t *testing.T) {
 	if err := run(&fresh, args); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(ck)
+	version, spec := checkpointHeader(t, ck)
+	cells, err := mpic.NewFileGridStore(ck).Load(spec)
 	if err != nil {
-		t.Fatalf("checkpoint not written: %v", err)
-	}
-	var state struct {
-		Version int
-		Spec    string
-		Cells   []json.RawMessage
-	}
-	if err := json.Unmarshal(data, &state); err != nil {
 		t.Fatal(err)
 	}
-	if state.Version != 3 || state.Spec == "" || len(state.Cells) != 3 {
-		t.Fatalf("checkpoint state = version %d, spec %q, %d cells; want v3 with 3 cells",
-			state.Version, state.Spec, len(state.Cells))
+	if version != 4 || spec == "" || len(cells) != 3 {
+		t.Fatalf("checkpoint state = version %d, spec %q, %d cells; want v4 with 3 cells",
+			version, spec, len(cells))
 	}
 
-	// Simulate an interruption: drop the last trial and resume. The
-	// truncation goes through the store API so the rewritten file carries
-	// a valid checksum — a hand-edited file would (correctly) be treated
-	// as corrupt.
-	store := mpic.NewFileGridStore(ck)
-	cells, err := store.Load(state.Spec)
-	if err != nil {
+	// Simulate an interruption: rewrite the session with the first two
+	// trials only and resume. The rewrite goes through the store API so
+	// the new file carries valid checksums — a hand-edited file would
+	// (correctly) be treated as corrupt.
+	if err := os.Remove(ck); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(state.Spec, cells[:2]); err != nil {
+	if err := mpic.NewFileGridStore(ck).Save(spec, cells[:2]); err != nil {
 		t.Fatal(err)
 	}
 	var resumed strings.Builder

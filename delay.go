@@ -17,6 +17,11 @@ type DelayModel = network.DelayModel
 // NetFaults.Validate return for a NaN or infinite parameter.
 type NonFiniteError = network.NonFiniteError
 
+// DelayRangeError is the error Delay, ParseDelay, ParseNetFaults,
+// NetFaults.Validate and the built-in delay specs' Wire return for a
+// delay parameter above network.MaxDelay (a billion rounds).
+type DelayRangeError = network.DelayRangeError
+
 // NetFaults is a network-fault schedule: link outage windows, delay
 // spikes, straggler parties, and crash-stop/restart parties, every
 // decision a pure function of its seed. A nil *NetFaults means a
@@ -82,6 +87,12 @@ func (JitterDelaySpec) DelayName() string { return "jitter" }
 
 // Wire implements DelaySpec.
 func (s JitterDelaySpec) Wire(env DelayEnv) (DelayModel, error) {
+	if err := network.CheckDelay("jitter Base", s.Base); err != nil {
+		return nil, err
+	}
+	if err := network.CheckDelay("jitter Jitter", s.Jitter); err != nil {
+		return nil, err
+	}
 	base, jitter := s.Base, s.Jitter
 	if base <= 0 {
 		base = 0.45
@@ -113,6 +124,9 @@ func (LognormalDelaySpec) DelayName() string { return "lognormal" }
 
 // Wire implements DelaySpec.
 func (s LognormalDelaySpec) Wire(env DelayEnv) (DelayModel, error) {
+	if err := network.CheckDelay("lognormal Median", s.Median); err != nil {
+		return nil, err
+	}
 	median, sigma := s.Median, s.Sigma
 	if median <= 0 {
 		median = 0.5
@@ -163,9 +177,10 @@ func (s BandedDelaySpec) Wire(env DelayEnv) (DelayModel, error) {
 // the bridge from string-keyed configuration to a typed spec. The
 // parameter's meaning is per-family (jitter width, lognormal sigma, slow
 // fraction); 0 selects the family default. A NaN or infinite parameter
-// is a *NonFiniteError.
+// is a *NonFiniteError, and one above network.MaxDelay a
+// *DelayRangeError.
 func Delay(name string, param float64) (DelaySpec, error) {
-	if err := network.CheckFinite(name+" delay parameter", param); err != nil {
+	if err := network.CheckDelay(name+" delay parameter", param); err != nil {
 		return nil, err
 	}
 	if name == "" || name == "none" {

@@ -201,6 +201,20 @@ func TestParseDelayAndFaults(t *testing.T) {
 			t.Errorf("ParseDelay(%q) error = %v, want *NonFiniteError", bad, err)
 		}
 	}
+	// Finite but huge parameters filed their delays in histogram bucket
+	// 0 and overflowed its sums; they are typed errors too.
+	for _, bad := range []string{"jitter:1e308", "jitter:2e9", "lognormal:1e300"} {
+		var re *mpic.DelayRangeError
+		if _, err := mpic.ParseDelay(bad); !errors.As(err, &re) {
+			t.Errorf("ParseDelay(%q) error = %v, want *DelayRangeError", bad, err)
+		}
+	}
+	for _, spec := range []mpic.DelaySpec{mpic.JitterDelaySpec{Base: 1e308}, mpic.LognormalDelaySpec{Median: 2e9}} {
+		var re *mpic.DelayRangeError
+		if _, err := spec.Wire(mpic.DelayEnv{}); !errors.As(err, &re) {
+			t.Errorf("%+v.Wire error = %v, want *DelayRangeError", spec, err)
+		}
+	}
 
 	f, err := mpic.ParseNetFaults("outage=0.01,outage-len=4,spike=0.1,spike-delay=1.5,stragglers=2,straggler-delay=0.7,crashes=1,crash-len=20,seed=9")
 	if err != nil {
@@ -224,6 +238,12 @@ func TestParseDelayAndFaults(t *testing.T) {
 		var nf *mpic.NonFiniteError
 		if _, err := mpic.ParseNetFaults(bad); !errors.As(err, &nf) {
 			t.Errorf("ParseNetFaults(%q) error = %v, want *NonFiniteError", bad, err)
+		}
+	}
+	for _, bad := range []string{"spike=0.01,spike-delay=1e308", "stragglers=1,straggler-delay=1e10"} {
+		var re *mpic.DelayRangeError
+		if _, err := mpic.ParseNetFaults(bad); !errors.As(err, &re) {
+			t.Errorf("ParseNetFaults(%q) error = %v, want *DelayRangeError", bad, err)
 		}
 	}
 }

@@ -3,10 +3,11 @@
 // The grid engine (mpic.Runner.RunGrid) executes every cell of an
 // n × rate grid; two options turn the batch into a session:
 //
-//   - Store (here an mpic.FileGridStore) persists each completed cell
-//     the moment it finishes, so interrupting this program — Ctrl-C,
-//     crash, reboot — and re-running it resumes from the finished cells
-//     instead of restarting. Delete session.json to start over.
+//   - Store (here an mpic.FileGridStore) appends each completed cell to
+//     the session journal the moment it finishes, so interrupting this
+//     program — Ctrl-C, crash, reboot — and re-running it resumes from
+//     the finished cells instead of restarting (a crash mid-append
+//     loses at most that one cell). Delete session.json to start over.
 //   - Progress streams fine-grained events ("trial k of cell j,
 //     iteration i") through a serialized callback; mpic.NewProgressLog
 //     is the ready-made sink used here on stderr.

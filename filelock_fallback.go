@@ -17,9 +17,9 @@ const lockStaleAfter = 10 * time.Second
 // O_EXCL create-spin on the lock file, refreshed by mtime, with stale
 // locks (a holder that crashed before unlocking) broken after
 // lockStaleAfter. Weaker than the flock build — a break races with a
-// merely slow holder — but the sessions it guards are checksummed and
-// conflict-checked, so the failure mode is a loud error, not silent
-// corruption.
+// merely slow holder — but every record of the journals it guards is
+// checksummed, so a lost race costs a cut-off record (a cell that runs
+// again, bit-identically) or a loud error, never a silently wrong one.
 func flockPath(path string) (func() error, error) {
 	for {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)

@@ -2,7 +2,12 @@ package mpic_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"mpic"
 )
@@ -85,6 +90,55 @@ func FuzzParseNetFaults(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// fuzzJournalSpec is the spec FuzzJournalLoad reads journals under; the
+// seed corpus journals are written under it.
+const fuzzJournalSpec = "fuzz-spec"
+
+// FuzzJournalLoad writes arbitrary bytes as a session journal and reads
+// it through both stores: FileGridStore.Load, then a DirLeaseStore's
+// Load, Claim and Failures on the same file. The contract: an error or
+// a state, never a panic; decoding allocates within a constant multiple
+// of the file's size (a length read from the file never sizes an
+// allocation); and whatever Load cut off as a torn tail stays cut, so a
+// second reader agrees without recovering again. Plain `go test`
+// replays the seed corpus in testdata/fuzz/FuzzJournalLoad.
+func FuzzJournalLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cells, err := mpic.NewFileGridStore(path).Load(fuzzJournalSpec)
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("Load of a %d-byte journal allocated %d bytes", len(data), grown)
+		}
+		again := mpic.NewFileGridStore(path)
+		again.OnRecovery = func(reason error) { t.Fatalf("second Load recovered again: %v", reason) }
+		cells2, err2 := again.Load(fuzzJournalSpec)
+		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(cells, cells2) {
+			t.Fatalf("second Load disagrees: (%d cells, %v) then (%d cells, %v)", len(cells), err, len(cells2), err2)
+		}
+		leases := mpic.NewDirLeaseStore(dir)
+		if _, err := leases.Load(fuzzJournalSpec); err != nil {
+			return
+		}
+		claimed, pending, err := leases.Claim(fuzzJournalSpec, "fuzz", 8, 2, time.Minute)
+		if err != nil {
+			t.Fatalf("Claim failed on a journal Load accepted: %v", err)
+		}
+		if pending < 0 || pending > 8 || len(claimed) > 2 || len(claimed) > pending {
+			t.Fatalf("Claim returned %v with %d pending of 8", claimed, pending)
+		}
+		if _, err := leases.Failures(fuzzJournalSpec); err != nil {
+			t.Fatalf("Failures failed after Claim: %v", err)
 		}
 	})
 }

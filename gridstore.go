@@ -2,7 +2,6 @@ package mpic
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -142,301 +141,128 @@ type GridStore interface {
 	// a store holding a different spec or an unreadable state returns an
 	// error.
 	Load(spec string) ([]StoredCell, error)
-	// Save atomically replaces the persisted state with the given
-	// completed cells. A failed Save aborts the grid — a durable session
-	// that silently stops being durable is worse than a loud error.
+	// Save persists the given completed cells; cells already held are
+	// kept, not rewritten. A failed Save aborts the grid — a durable
+	// session that silently stops being durable is worse than a loud
+	// error.
 	Save(spec string, cells []StoredCell) error
 }
 
-// fileGridStoreVersion is the on-disk checkpoint format version. It is
-// bumped when the JSON shape changes incompatibly; FileGridStore rejects
-// checkpoints from other versions instead of guessing at their layout
-// (version 0 — the pre-session format once private to mpicbench — is
-// rejected with the same message; version 1 predates the payload
-// checksum; version 2 predates the delay key field and per-trial
-// Results, whose checksums this build could no longer reproduce).
-const fileGridStoreVersion = 3
-
-// fileGridState is the on-disk JSON shape of FileGridStore.
-type fileGridState struct {
-	// Version is the checkpoint format version (fileGridStoreVersion).
-	Version int
-	// Spec fingerprints the grid the cells belong to.
-	Spec string
-	// Checksum authenticates the payload: hex SHA-256 over the version,
-	// the spec, and the compact JSON of Cells (see checkpointChecksum).
-	// A file whose recomputed checksum disagrees — a torn write, a
-	// bit-flip, a hand edit — is treated as corrupt, not as a different
-	// grid.
-	Checksum string
-	// Cells are the completed cells, in completion order.
-	Cells []StoredCell
-}
-
-// checkpointChecksum computes the integrity checksum of a checkpoint
-// payload. It covers the version and spec too, so corruption anywhere in
-// the file surfaces as a checksum mismatch (the corrupt-and-recover
-// path) rather than being misread as a semantic rejection.
-func checkpointChecksum(version int, spec string, cellsJSON []byte) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "mpic-checkpoint-v%d %s\n", version, spec)
-	h.Write(cellsJSON)
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// CorruptCheckpointError reports a checkpoint file that could not be
-// read back: unreadable bytes, invalid JSON (e.g. a write torn mid-
-// array), or a payload whose checksum does not match. FileGridStore
-// recovers from its .bak backup when one is good; this error surfaces
-// only when no good state is left, and Reason carries the underlying
-// cause.
+// CorruptCheckpointError reports a session file that cannot be read
+// back: an unreadable header, or a bad record followed by good ones —
+// damage a crash mid-append cannot leave behind, so no record is
+// silently dropped. (A torn final record is not an error: it is cut off
+// and reported through FileGridStore.OnRecovery.) Reason carries the
+// underlying cause.
 type CorruptCheckpointError struct {
 	// Path is the corrupt file.
 	Path string
-	// Reason is the underlying parse/checksum/read failure.
+	// Reason is the underlying parse/checksum failure.
 	Reason error
 }
 
 // Error implements error.
 func (e *CorruptCheckpointError) Error() string {
-	return fmt.Sprintf("mpic: checkpoint %s is corrupt (%v); no usable backup — delete the file to restart the grid", e.Path, e.Reason)
+	return fmt.Sprintf("mpic: checkpoint %s is corrupt (%v) — delete the file to restart the grid", e.Path, e.Reason)
 }
 
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *CorruptCheckpointError) Unwrap() error { return e.Reason }
 
 // FileGridStore is the GridStore used by both CLIs and the experiment
-// harness: one JSON file per grid session, atomically rewritten after
-// every completed cell. Save is crash-proof: the temporary file is
-// fsynced before the rename, the parent directory is fsynced after it
-// (so neither the data nor the rename can be lost to a power cut behind
-// a "successful" Save), the payload carries a SHA-256 checksum, and the
-// previous state is kept as a verified-good .bak — Load falls back to it
-// when the primary file is torn, corrupt, or missing mid-rotation, so a
-// damaged session resumes from its last good state instead of aborting
-// or silently restarting. A missing file (with no backup) is an empty
+// harness: one append-only journal file per grid session. The file is a
+// header line naming the format version and the spec, then one
+// checksummed record per completed cell, so a completed cell costs one
+// appended line and one fsync whatever the session size. A record is
+// durable once Save returns: the append is fsynced, and the file's
+// creation is followed by a directory fsync. A missing file is an empty
 // session; parent directories are created on first Save.
 //
-// Concurrent access is coordinated, not assumed away: every Load and
-// Save holds an exclusive advisory lock on a <path>.lock sidecar (so two
-// processes sharing a session file serialize instead of interleaving
-// renames), and Save detects a session rewritten behind this store's
-// back — valid state on disk whose checksum is not the one this store
-// last read or wrote — and fails loudly with *SessionConflictError
-// instead of silently clobbering the other writer's cells. Multi-writer
-// sharding goes through a LeaseStore (NewDirLeaseStore), which
-// serializes whole read-modify-write merges; the conflict error is the
-// backstop for uncoordinated writers.
+// A crash mid-append leaves a torn final record. Load cuts it off and
+// tells OnRecovery, losing at most that one cell, which a resumed run
+// re-executes bit-identically. A bad record followed by good ones is not
+// something a crash leaves behind, so it is a *CorruptCheckpointError,
+// never silently dropped.
+//
+// Stores sharing one file merge rather than clobber each other: every
+// Load and Save holds an exclusive advisory lock on a <path>.lock
+// sidecar and first replays whatever other writers appended, so each
+// cell is recorded once whoever saves it. Multi-worker sharding with
+// leases goes through a LeaseStore (NewDirLeaseStore), whose journal a
+// FileGridStore opened on it reads the completed cells of.
 type FileGridStore struct {
 	path string
-	// OnRecovery, when non-nil, is called when Load falls back to the
-	// .bak backup, with the corruption that made the primary unusable —
-	// the hook CLIs use to tell the user a damaged session was recovered
-	// rather than resumed verbatim.
+	// OnRecovery, when non-nil, is called when a torn final record is
+	// cut off, with the damage found — the hook CLIs use to tell the user
+	// the last completed cell will re-run.
 	OnRecovery func(reason error)
 
-	// mu serializes Load/Save within the process; the .lock sidecar
+	// mu serializes operations within the process; the .lock sidecar
 	// serializes them across processes.
 	mu sync.Mutex
-	// lastChecksum is the checksum of the state this store last read or
-	// wrote ("" before the first Load, or after loading an empty
-	// session) — the optimistic-concurrency token Save compares against
-	// the file on disk.
-	lastChecksum string
-}
-
-// SessionConflictError reports a checkpoint rewritten behind a store's
-// back: between this store's last read (or write) and this Save, another
-// writer — a second process sharing the session file, or a second store
-// in this one — replaced the state with valid state of its own.
-// Proceeding would silently discard that writer's cells, so the Save
-// fails loudly instead. Writers that mean to share a session must
-// coordinate through a LeaseStore (NewDirLeaseStore), which serializes
-// read-modify-write merges under a directory lock.
-type SessionConflictError struct {
-	// Path is the contested checkpoint file.
-	Path string
-	// StoredSpec is the spec of the state found on disk.
-	StoredSpec string
-}
-
-// Error implements error.
-func (e *SessionConflictError) Error() string {
-	return fmt.Sprintf("mpic: checkpoint %s was rewritten by another writer (spec %q); concurrent sessions must share a lease store, not a bare file", e.Path, e.StoredSpec)
+	j  journal
 }
 
 // NewFileGridStore returns a store persisting to the given file path.
 func NewFileGridStore(path string) *FileGridStore {
-	return &FileGridStore{path: path}
+	return &FileGridStore{path: path, j: journal{path: path}}
 }
 
 // Path returns the file the store persists to.
 func (s *FileGridStore) Path() string { return s.path }
 
-// BackupPath returns the last-good-state backup file Load recovers from.
-func (s *FileGridStore) BackupPath() string { return s.path + ".bak" }
-
-// readRaw reads and structurally validates one checkpoint file — JSON
-// shape, format version, payload checksum — without judging its spec.
-// Corruption (unreadable, unparsable, checksum mismatch) comes back as
-// *CorruptCheckpointError; a version rejection is a semantic error that
-// no backup can fix.
-func readRaw(path string) (*fileGridState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, err // sentinel for the caller's fallback logic
+// update runs fn under the store's locks on journal state brought up to
+// date with the file; f is the journal file open for an append, nil when
+// none exists yet. create makes the parent directory first, so a store
+// about to write locks a sidecar that exists.
+func (s *FileGridStore) update(spec string, create bool, fn func(f *os.File) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if create {
+		if err := os.MkdirAll(filepath.Dir(s.path), 0o755); err != nil {
+			return err
 		}
-		return nil, &CorruptCheckpointError{Path: path, Reason: err}
 	}
-	var st fileGridState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, &CorruptCheckpointError{Path: path, Reason: err}
-	}
-	if st.Version != fileGridStoreVersion {
-		return nil, fmt.Errorf("mpic: checkpoint %s has format version %d; this build reads version %d — delete the file to restart the grid",
-			path, st.Version, fileGridStoreVersion)
-	}
-	cellsJSON, err := json.Marshal(st.Cells)
+	unlock, err := lockSidecar(s.path)
 	if err != nil {
-		return nil, &CorruptCheckpointError{Path: path, Reason: err}
+		return err
 	}
-	if sum := checkpointChecksum(st.Version, st.Spec, cellsJSON); sum != st.Checksum {
-		return nil, &CorruptCheckpointError{Path: path,
-			Reason: fmt.Errorf("payload checksum mismatch (stored %.12s…, computed %.12s…)", st.Checksum, sum)}
+	defer unlock()
+	f, err := s.j.sync(spec, s.OnRecovery)
+	if err != nil {
+		return err
 	}
-	return &st, nil
+	if f != nil {
+		defer f.Close()
+	}
+	return fn(f)
 }
 
-// readState reads and fully validates one checkpoint file: everything
-// readRaw checks, then the spec.
-func readState(path, spec string) (*fileGridState, error) {
-	st, err := readRaw(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.Spec != spec {
-		return nil, fmt.Errorf("mpic: checkpoint %s was written by a different grid (%q); delete it or match the grid (%q)",
-			path, st.Spec, spec)
-	}
-	return st, nil
-}
-
-// Load implements GridStore, with last-good-state recovery: when the
-// primary file is corrupt — or missing while a backup exists, the window
-// a crash between Save's two renames leaves behind — the verified .bak
-// is loaded instead and OnRecovery (if set) is told why. Semantic
-// rejections (wrong format version, wrong spec) are returned as-is: a
-// backup of the same session could not answer differently.
+// Load implements GridStore.
 func (s *FileGridStore) Load(spec string) ([]StoredCell, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unlock, err := lockSidecar(s.path)
+	var cells []StoredCell
+	err := s.update(spec, false, func(*os.File) error {
+		cells = append(cells, s.j.cells...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer unlock()
-	st, err := readState(s.path, spec)
-	if err == nil {
-		s.lastChecksum = st.Checksum
-		return st.Cells, nil
-	}
-	var corrupt *CorruptCheckpointError
-	missing := os.IsNotExist(err)
-	if !missing && !errors.As(err, &corrupt) {
-		return nil, err // version/spec rejection: loud, unrecoverable
-	}
-	bst, berr := readState(s.BackupPath(), spec)
-	if berr == nil {
-		if missing {
-			err = fmt.Errorf("mpic: checkpoint %s missing (crash between Save renames?)", s.path)
-		}
-		if s.OnRecovery != nil {
-			s.OnRecovery(err)
-		}
-		s.lastChecksum = bst.Checksum
-		return bst.Cells, nil
-	}
-	if missing {
-		// Neither file exists (or the backup is itself unusable for a
-		// session that never had a primary): an empty session.
-		if os.IsNotExist(berr) {
-			s.lastChecksum = ""
-			return nil, nil
-		}
-		return nil, berr
-	}
-	return nil, corrupt
+	return cells, nil
 }
 
-// Save implements GridStore. The write path is ordered for crash
-// durability: marshal with checksum, write and fsync a temporary file,
-// rotate the current file — only after verifying it still parses, so the
-// backup always holds the last GOOD state — to .bak, rename the
-// temporary into place, and fsync the parent directory so both renames
-// survive power loss. A crash at any point leaves either the old state,
-// the new state, or a missing primary with a good backup — never a
-// half-written file presented as truth.
-//
-// Before writing, Save re-reads the file under the lock: valid state
-// whose checksum differs from what this store last read or wrote means
-// another writer got there first, and the Save fails with
-// *SessionConflictError rather than clobbering it. (Unreadable or torn
-// state is NOT a conflict — overwriting corruption with good state is
-// exactly the recovery path.)
+// Save implements GridStore by appending the cells whose (Index, Key) the
+// journal does not hold yet, in one write and one fsync. A Save with no
+// new cells writes nothing.
 func (s *FileGridStore) Save(spec string, cells []StoredCell) error {
-	cellsJSON, err := json.Marshal(cells)
-	if err != nil {
-		return err
-	}
-	checksum := checkpointChecksum(fileGridStoreVersion, spec, cellsJSON)
-	data, err := json.MarshalIndent(fileGridState{
-		Version:  fileGridStoreVersion,
-		Spec:     spec,
-		Checksum: checksum,
-		Cells:    cells,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(s.path)
-	if dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
+	return s.update(spec, true, func(f *os.File) error {
+		fresh := s.j.fresh(cells)
+		recs := make([]journalRecord, len(fresh))
+		for i := range fresh {
+			recs[i].Done = &fresh[i]
 		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unlock, err := lockSidecar(s.path)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	cur, curErr := readRaw(s.path)
-	if curErr == nil && cur.Checksum != s.lastChecksum {
-		return &SessionConflictError{Path: s.path, StoredSpec: cur.Spec}
-	}
-	tmp := s.path + ".tmp"
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
-		return err
-	}
-	// Rotate the previous state to .bak only when it verifies: a torn
-	// primary must not evict the good backup that is the recovery path.
-	// (After the conflict check, valid current state is necessarily this
-	// store's own last state.)
-	if curErr == nil && cur.Spec == spec {
-		if err := os.Rename(s.path, s.BackupPath()); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return err
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	s.lastChecksum = checksum
-	return nil
+		return s.j.append(f, spec, recs)
+	})
 }
 
 // lockSidecar locks the <path>.lock sidecar guarding a session file. A
@@ -454,48 +280,14 @@ func lockSidecar(path string) (func() error, error) {
 	return unlock, nil
 }
 
-// writeFileSync writes data to path and fsyncs it before closing — the
-// half of crash durability that guarantees the bytes, not just the name,
-// are on disk.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory, making renames inside it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // RetryingGridStore decorates any GridStore with bounded retries under
 // capped exponential backoff — the wrapper that keeps a transient I/O
 // error (NFS hiccup, antivirus lock, overloaded disk) from aborting a
 // durable session whose whole point is surviving interruptions.
 //
-// Corruption errors (*CorruptCheckpointError), session conflicts
-// (*SessionConflictError), and semantic rejections are NOT retried-
-// around by re-reading: a deterministic failure answers the same every
-// time, so only the first error class — everything else — consumes
-// attempts. The zero value of every knob picks a sane default.
+// Corruption errors (*CorruptCheckpointError) are NOT retried: a
+// deterministic failure answers the same every time, so it returns on
+// the first attempt. The zero value of every knob picks a sane default.
 type RetryingGridStore struct {
 	// Inner is the decorated store.
 	Inner GridStore
@@ -534,8 +326,7 @@ func (r *RetryingGridStore) retry(op func() error) error {
 	for a := 1; ; a++ {
 		err = op()
 		var corrupt *CorruptCheckpointError
-		var conflict *SessionConflictError
-		if err == nil || a >= attempts || errors.As(err, &corrupt) || errors.As(err, &conflict) {
+		if err == nil || a >= attempts || errors.As(err, &corrupt) {
 			return err
 		}
 		d := delay

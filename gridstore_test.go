@@ -28,29 +28,39 @@ func sessionGrid(t *testing.T) mpic.Grid {
 	return grid
 }
 
-// readStore decodes a FileGridStore file for assertions.
+// readStore decodes a FileGridStore journal for assertions: the spec
+// from its header and the completed cells of its done records.
 func readStore(t *testing.T, path string) (spec string, cells []json.RawMessage) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var state struct {
-		Version  int
-		Spec     string
-		Checksum string
-		Cells    []json.RawMessage
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	var header struct {
+		Version int
+		Spec    string
 	}
-	if err := json.Unmarshal(data, &state); err != nil {
+	if err := json.Unmarshal([]byte(lines[0]), &header); err != nil {
 		t.Fatal(err)
 	}
-	if state.Version != 3 {
-		t.Fatalf("store version = %d, want 3", state.Version)
+	if header.Version != 4 {
+		t.Fatalf("store version = %d, want 4", header.Version)
 	}
-	if len(state.Checksum) != 64 {
-		t.Fatalf("store checksum %q is not a hex SHA-256", state.Checksum)
+	for _, line := range lines[1:] {
+		sum, payload, ok := strings.Cut(line, " ")
+		if !ok || len(sum) != 64 {
+			t.Fatalf("record %q does not start with a hex SHA-256", line)
+		}
+		var rec struct{ Done json.RawMessage }
+		if err := json.Unmarshal([]byte(payload), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Done != nil {
+			cells = append(cells, rec.Done)
+		}
 	}
-	return state.Spec, state.Cells
+	return header.Spec, cells
 }
 
 // TestGridCancelThenResume is the durable-session pin: cancel a parallel
@@ -228,133 +238,139 @@ func TestFileGridStoreContract(t *testing.T) {
 	if _, err := mpic.NewFileGridStore(v1).Load("spec"); err == nil || !strings.Contains(err.Error(), "format version") {
 		t.Errorf("pre-checksum v1 checkpoint: got %v", err)
 	}
-}
 
-// corruptTail truncates a store file mid-JSON — the shape a torn write
-// leaves behind.
-func corruptTail(t *testing.T, path string) {
-	t.Helper()
-	data, err := os.ReadFile(path)
+	// Save appends only what the journal lacks: resaving held cells, in
+	// any order, writes nothing.
+	before, err := os.ReadFile(store.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+	if err := store.Save("spec", append(saved, saved...)); err != nil {
 		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(store.Path()); err != nil || string(after) != string(before) {
+		t.Errorf("a Save of held cells rewrote the journal (%v)", err)
 	}
 }
 
-// TestFileGridStoreCorruptionRecovery pins the crash-durability
-// contract: a session file truncated mid-JSON (or checksum-corrupted in
-// place) recovers from the .bak last-good state with the OnRecovery hook
-// told why; with no usable backup, Load returns a clear typed
-// *CorruptCheckpointError instead of a bare JSON error; and the
-// crash-between-renames window (primary missing, backup present) also
-// recovers.
+// genCells returns n distinct stored cells.
+func genCells(n int) []mpic.StoredCell {
+	var cells []mpic.StoredCell
+	for i := 0; i < n; i++ {
+		cells = append(cells, mpic.StoredCell{Index: i, Key: mpic.GridKey{N: 4 + i}, Cell: mpic.SweepCell{N: 4 + i, Trials: 1}})
+	}
+	return cells
+}
+
+// lineStart returns the byte offset where line k of data begins.
+func lineStart(data []byte, k int) int {
+	at := 0
+	for ; k > 0; k-- {
+		at += strings.IndexByte(string(data[at:]), '\n') + 1
+	}
+	return at
+}
+
+// flipAt returns data with the byte at i changed.
+func flipAt(data []byte, i int) []byte {
+	out := append([]byte(nil), data...)
+	out[i] ^= 0x01
+	return out
+}
+
+// TestFileGridStoreCorruptionRecovery pins the journal's damage
+// contract on a session of three saved cells: a torn or bit-flipped
+// final record is what a crash mid-append leaves, so Load cuts it off,
+// tells OnRecovery, and keeps the rest; a bad record followed by good
+// ones, or a torn header, is a typed *CorruptCheckpointError with
+// delete-to-restart guidance; and the whole-file checkpoints of older
+// versions are rejected by version.
 func TestFileGridStoreCorruptionRecovery(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "s.json")
-	store := mpic.NewFileGridStore(path)
-	gen := func(n int) []mpic.StoredCell {
-		var cells []mpic.StoredCell
-		for i := 0; i < n; i++ {
-			cells = append(cells, mpic.StoredCell{Index: i, Key: mpic.GridKey{N: 4 + i}, Cell: mpic.SweepCell{N: 4 + i, Trials: 1}})
-		}
-		return cells
-	}
-
-	// No backup yet: a torn first save is a loud, typed corruption error.
-	if err := store.Save("spec", gen(1)); err != nil {
-		t.Fatal(err)
-	}
-	corruptTail(t, path)
-	_, err := store.Load("spec")
-	var corrupt *mpic.CorruptCheckpointError
-	if !errors.As(err, &corrupt) {
-		t.Fatalf("torn checkpoint without backup: got %v, want *CorruptCheckpointError", err)
-	}
-	if !strings.Contains(err.Error(), "delete the file") {
-		t.Errorf("corruption error gives no recovery guidance: %v", err)
-	}
-
-	// Rebuild two generations so a .bak exists, then tear the primary:
-	// Load must fall back to the last good state and report the recovery.
-	if err := store.Save("spec", gen(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save("spec", gen(2)); err != nil {
-		t.Fatal(err)
-	}
-	corruptTail(t, path)
-	var recovered error
-	store.OnRecovery = func(reason error) { recovered = reason }
-	cells, err := store.Load("spec")
-	if err != nil {
-		t.Fatalf("torn checkpoint with backup: %v", err)
-	}
-	if len(cells) != 1 || !reflect.DeepEqual(cells, gen(1)) {
-		t.Fatalf("recovered %d cells %+v, want the last good state %+v", len(cells), cells, gen(1))
-	}
-	if recovered == nil || !errors.As(recovered, &corrupt) {
-		t.Errorf("OnRecovery reason = %v, want the corruption", recovered)
-	}
-
-	// The next Save must not rotate the torn primary over the good
-	// backup; after it, both primary and backup verify again.
-	if err := store.Save("spec", gen(3)); err != nil {
-		t.Fatal(err)
-	}
-	recovered = nil
-	if cells, err = store.Load("spec"); err != nil || len(cells) != 3 {
-		t.Fatalf("post-recovery save: got %d cells, %v", len(cells), err)
-	}
-	if recovered != nil {
-		t.Errorf("clean load after recovery still reported %v", recovered)
-	}
-
-	// Crash window between Save's two renames: primary missing, backup
-	// good — the session resumes from the backup instead of silently
-	// restarting as "empty".
-	if err := store.Save("spec", gen(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	cells, err = store.Load("spec")
-	if err != nil || len(cells) != 3 {
-		t.Fatalf("missing-primary recovery: got %d cells, %v, want the 3-cell backup", len(cells), err)
-	}
-	if recovered == nil {
-		t.Error("missing-primary recovery did not report through OnRecovery")
-	}
-
-	// In-place corruption that keeps the JSON valid: the checksum (which
-	// also covers the spec) catches it.
-	if err := store.Save("spec", gen(2)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	munged := strings.Replace(string(data), `"Trials": 1`, `"Trials": 9`, 1)
-	if munged == string(data) {
-		t.Fatal("test did not mutate the payload")
-	}
-	if err := os.WriteFile(path, []byte(munged), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recovered = nil
-	if cells, err = store.Load("spec"); err != nil {
-		t.Fatalf("checksum recovery: %v", err)
-	}
-	if recovered == nil || !strings.Contains(recovered.Error(), "checksum") {
-		t.Errorf("valid-JSON corruption not caught by the checksum: recovery reason %v", recovered)
-	}
-	for _, c := range cells {
-		if c.Cell.Trials == 9 {
-			t.Fatal("corrupted payload served as truth")
-		}
+	const (
+		recovered = iota
+		corrupt
+		version
+	)
+	for _, tc := range []struct {
+		name   string
+		damage func(data []byte) []byte
+		want   int
+	}{
+		{"truncated last record", func(d []byte) []byte {
+			start := lineStart(d, 3)
+			return d[:start+(len(d)-start)/2]
+		}, recovered},
+		{"last record without its newline", func(d []byte) []byte { return d[:len(d)-1] }, recovered},
+		{"flipped byte in last record", func(d []byte) []byte {
+			start := lineStart(d, 3)
+			return flipAt(d, start+(len(d)-start)/2)
+		}, recovered},
+		{"flipped byte in middle record", func(d []byte) []byte {
+			start := lineStart(d, 2)
+			return flipAt(d, (start+lineStart(d, 3))/2)
+		}, corrupt},
+		{"flipped byte in header", func(d []byte) []byte { return flipAt(d, lineStart(d, 1)/2) }, corrupt},
+		{"torn header", func(d []byte) []byte { return d[:lineStart(d, 1)/2] }, corrupt},
+		{"v3 checkpoint", func([]byte) []byte {
+			return []byte("{\n  \"Version\": 3,\n  \"Spec\": \"spec\",\n  \"Checksum\": \"00\",\n  \"Cells\": []\n}\n")
+		}, version},
+		{"versionless checkpoint", func([]byte) []byte { return []byte(`{"Spec":"spec","Cells":[]}`) }, version},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "s.json")
+			writer := mpic.NewFileGridStore(path)
+			for n := 1; n <= 3; n++ {
+				if err := writer.Save("spec", genCells(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var reasons []error
+			store := mpic.NewFileGridStore(path)
+			store.OnRecovery = func(reason error) { reasons = append(reasons, reason) }
+			cells, err := store.Load("spec")
+			var ce *mpic.CorruptCheckpointError
+			switch tc.want {
+			case recovered:
+				if err != nil {
+					t.Fatalf("torn tail: %v", err)
+				}
+				if !reflect.DeepEqual(cells, genCells(2)) {
+					t.Fatalf("recovered %+v, want the first two cells", cells)
+				}
+				if len(reasons) != 1 || !errors.As(reasons[0], &ce) {
+					t.Fatalf("OnRecovery saw %v, want one *CorruptCheckpointError", reasons)
+				}
+				// The cut is durable, and the lost cell saves again.
+				if err := mpic.NewFileGridStore(path).Save("spec", genCells(3)); err != nil {
+					t.Fatal(err)
+				}
+				again, err := store.Load("spec")
+				if err != nil || !reflect.DeepEqual(again, genCells(3)) || len(reasons) != 1 {
+					t.Fatalf("after re-saving: %+v, %v, %d recoveries", again, err, len(reasons))
+				}
+			case corrupt:
+				if !errors.As(err, &ce) {
+					t.Fatalf("got %v, want *CorruptCheckpointError", err)
+				}
+				if !strings.Contains(err.Error(), "delete the file") {
+					t.Errorf("corruption error gives no recovery guidance: %v", err)
+				}
+				if len(reasons) != 0 {
+					t.Errorf("corruption reported as a recovery: %v", reasons)
+				}
+			case version:
+				if err == nil || !strings.Contains(err.Error(), "format version") || errors.As(err, &ce) {
+					t.Fatalf("got %v, want a format version rejection", err)
+				}
+			}
+		})
 	}
 }
 
@@ -427,8 +443,9 @@ func TestRetryingGridStore(t *testing.T) {
 	}
 
 	// Corruption is not retried: one attempt, typed error through.
-	corruptTail(t, inner.Path())
-	os.Remove(inner.BackupPath())
+	if err := os.Truncate(inner.Path(), 10); err != nil {
+		t.Fatal(err)
+	}
 	flaky.failNext = 0
 	flaky.loads = 0
 	_, err := store.Load("spec")
@@ -768,111 +785,63 @@ func TestKeepResultsPersistAndRestore(t *testing.T) {
 	}
 }
 
-// TestFileGridStoreConflictDetected is the concurrent-access regression
-// pin: two stores sharing one session file must not silently clobber
-// each other. The second writer's Save fails loudly with a typed
-// *SessionConflictError the moment the file no longer holds the state
-// it last read — and the error is deterministic, so RetryingGridStore
-// refuses to burn attempts on it.
-func TestFileGridStoreConflictDetected(t *testing.T) {
+// TestFileGridStoreWritersMerge pins what uncoordinated writers on one
+// session file get: two stores saving interleaved, each without
+// re-reading the other's cells, merge into the union — every cell once,
+// in append order — because each store replays the other's appends
+// before its own.
+func TestFileGridStoreWritersMerge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.json")
 	a := mpic.NewFileGridStore(path)
 	b := mpic.NewFileGridStore(path)
-	const spec = "conflict-spec"
-	cell := func(i int) mpic.StoredCell {
-		return mpic.StoredCell{Index: i, Cell: mpic.SweepCell{N: 4, Trials: 1}}
-	}
+	const spec = "merge-spec"
+	cells := genCells(4)
 
-	if _, err := a.Load(spec); err != nil {
+	if err := a.Save(spec, cells[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Save(spec, []mpic.StoredCell{cell(0)}); err != nil {
+	if err := b.Save(spec, []mpic.StoredCell{cells[1]}); err != nil {
 		t.Fatal(err)
 	}
-	// b reads a's state, then a moves on: b's next write would discard
-	// cell 1.
-	if _, err := b.Load(spec); err != nil {
+	if err := a.Save(spec, []mpic.StoredCell{cells[0], cells[2]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Save(spec, []mpic.StoredCell{cell(0), cell(1)}); err != nil {
+	if err := b.Save(spec, []mpic.StoredCell{cells[2], cells[1], cells[0], cells[3]}); err != nil {
 		t.Fatal(err)
 	}
-	err := b.Save(spec, []mpic.StoredCell{cell(0), cell(2)})
-	var conflict *mpic.SessionConflictError
-	if !errors.As(err, &conflict) {
-		t.Fatalf("second writer's Save returned %v, want *SessionConflictError", err)
-	}
-	if conflict.Path != path || conflict.StoredSpec != spec {
-		t.Errorf("conflict error carries %q/%q, want %q/%q", conflict.Path, conflict.StoredSpec, path, spec)
-	}
-	// The winner's state is untouched by the refused write.
-	cells, err := a.Load(spec)
+	got, err := mpic.NewFileGridStore(path).Load(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 2 || cells[1].Index != 1 {
-		t.Fatalf("refused write damaged the session: %+v", cells)
+	if !reflect.DeepEqual(got, cells) {
+		t.Fatalf("merged session holds %+v, want %+v", got, cells)
 	}
-	// b recovers by re-reading — Load refreshes its view of the state —
-	// after which its merge-and-save goes through.
-	merged, err := b.Load(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Save(spec, append(merged, cell(2))); err != nil {
-		t.Fatalf("save after re-read: %v", err)
-	}
-
-	// A conflict is deterministic: the retrying decorator must return it
-	// on the first attempt instead of retrying into the same answer.
-	stale := mpic.NewFileGridStore(path)
-	if _, err := stale.Load(spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Save(spec, append(merged, cell(2), cell(3))); err != nil {
-		t.Fatal(err)
-	}
-	slept := 0
-	retrying := &mpic.RetryingGridStore{
-		Inner: stale, MaxAttempts: 5,
-		Sleep: func(time.Duration) { slept++ },
-	}
-	if err := retrying.Save(spec, []mpic.StoredCell{cell(9)}); !errors.As(err, &conflict) {
-		t.Fatalf("retrying store returned %v, want *SessionConflictError", err)
-	}
-	if slept != 0 {
-		t.Errorf("retrying store slept %d times over a deterministic conflict", slept)
+	if _, saved := readStore(t, path); len(saved) != len(cells) {
+		t.Errorf("journal holds %d done records for %d cells", len(saved), len(cells))
 	}
 }
 
 // TestFileGridStoreLockSerializesWriters pins the coordination half of
-// concurrent-access safety: many goroutines hammering load-merge-save
-// on separate store handles (the uncoordinated-two-process shape) never
-// corrupt the file — every outcome is either a cleanly merged state or
-// a loud conflict, and the file always parses.
+// concurrent access: many goroutines hammering load-merge-save on
+// separate store handles (the uncoordinated-two-process shape) serialize
+// on the lock, and the file ends up holding every cell exactly once.
 func TestFileGridStoreLockSerializesWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hammer.json")
 	const spec = "hammer-spec"
+	const workers, each = 8, 10
 	var wg sync.WaitGroup
-	conflicts := make([]int, 8)
-	for w := 0; w < len(conflicts); w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			store := mpic.NewFileGridStore(path)
-			for i := 0; i < 10; i++ {
+			for i := 0; i < each; i++ {
 				cells, err := store.Load(spec)
 				if err != nil {
 					t.Errorf("worker %d load: %v", w, err)
 					return
 				}
-				err = store.Save(spec, append(cells, mpic.StoredCell{Index: w*100 + i}))
-				var conflict *mpic.SessionConflictError
-				if errors.As(err, &conflict) {
-					conflicts[w]++
-					continue
-				}
-				if err != nil {
+				if err := store.Save(spec, append(cells, mpic.StoredCell{Index: w*100 + i})); err != nil {
 					t.Errorf("worker %d save: %v", w, err)
 					return
 				}
@@ -880,8 +849,18 @@ func TestFileGridStoreLockSerializesWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	final := mpic.NewFileGridStore(path)
-	if _, err := final.Load(spec); err != nil {
+	cells, err := mpic.NewFileGridStore(path).Load(spec)
+	if err != nil {
 		t.Fatalf("file corrupt after concurrent hammering: %v", err)
+	}
+	seen := map[int]bool{}
+	for _, c := range cells {
+		if seen[c.Index] {
+			t.Errorf("cell %d stored twice", c.Index)
+		}
+		seen[c.Index] = true
+	}
+	if len(seen) != workers*each {
+		t.Errorf("session holds %d distinct cells, want %d", len(seen), workers*each)
 	}
 }

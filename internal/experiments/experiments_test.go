@@ -69,9 +69,8 @@ func TestSweepReproducesExperimentTable(t *testing.T) {
 	}
 }
 
-// sessionFiles lists the primary session files in a checkpoint dir,
-// skipping the .bak last-good-state copies and the .lock concurrency
-// sidecars the store keeps beside them.
+// sessionFiles lists the session files in a checkpoint dir, skipping
+// the .lock concurrency sidecars the store keeps beside them.
 func sessionFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -80,7 +79,7 @@ func sessionFiles(t *testing.T, dir string) []string {
 	}
 	var names []string
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".bak") && !strings.HasSuffix(e.Name(), ".lock") {
+		if !strings.HasSuffix(e.Name(), ".lock") {
 			names = append(names, e.Name())
 		}
 	}
@@ -112,29 +111,33 @@ func TestExperimentCheckpointResume(t *testing.T) {
 		t.Fatalf("checkpoint dir holds %d session files, want 1", len(sessions))
 	}
 
-	// Simulate an interruption: drop the last two persisted cells. The
-	// rewrite must go through the store API — the checksummed format
-	// correctly treats hand-edited checkpoint JSON as corruption.
+	// Simulate an interruption: rewrite the session without the last two
+	// persisted cells. The rewrite must go through the store API — the
+	// checksummed format correctly treats hand-edited records as
+	// corruption.
 	path := filepath.Join(cfg.Checkpoint, sessions[0])
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	header, _, _ := strings.Cut(string(data), "\n")
 	var state struct {
 		Spec string
 	}
-	if err := json.Unmarshal(data, &state); err != nil {
+	if err := json.Unmarshal([]byte(header), &state); err != nil {
 		t.Fatal(err)
 	}
-	store := mpic.NewFileGridStore(path)
-	cells, err := store.Load(state.Spec)
+	cells, err := mpic.NewFileGridStore(path).Load(state.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cells) != 5 {
 		t.Fatalf("session holds %d cells, want 5", len(cells))
 	}
-	if err := store.Save(state.Spec, cells[:3]); err != nil {
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := mpic.NewFileGridStore(path).Save(state.Spec, cells[:3]); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := CCVsNoise(cfg)

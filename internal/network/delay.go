@@ -75,6 +75,35 @@ func CheckFinite(param string, v float64) error {
 	return nil
 }
 
+// MaxDelay caps delay parameters and lognormal draws, in rounds: a
+// billion rounds is past any run's end, while a finite but huge delay
+// (1e308) overflows the delay histogram's sums.
+const MaxDelay = 1e9
+
+// DelayRangeError reports a finite delay parameter above MaxDelay.
+type DelayRangeError struct {
+	// Param names the parameter, e.g. "SpikeDelay".
+	Param string
+	// Value is the rejected value.
+	Value float64
+}
+
+func (e *DelayRangeError) Error() string {
+	return fmt.Sprintf("network: %s is %g rounds, above the %g-round cap", e.Param, e.Value, float64(MaxDelay))
+}
+
+// CheckDelay returns CheckFinite's error for a NaN or infinite delay
+// parameter and a *DelayRangeError for one above MaxDelay.
+func CheckDelay(param string, v float64) error {
+	if err := CheckFinite(param, v); err != nil {
+		return err
+	}
+	if v > MaxDelay {
+		return &DelayRangeError{Param: param, Value: v}
+	}
+	return nil
+}
+
 // delayOrd folds a (round, link) coordinate into the ordinal fed to the
 // site-hashed fault primitives. The multipliers keep distinct
 // coordinates from colliding before detrand.Roll's own mixing.
@@ -150,16 +179,13 @@ func (m Lognormal) Delay(round int, link channel.Link) float64 {
 	if d < 1e-3 {
 		d = 1e-3
 	}
-	if d > maxLognormalDelay {
-		d = maxLognormalDelay
+	// Without the cap a Sigma above about 95 overflows the exponential
+	// to +Inf.
+	if d > MaxDelay {
+		d = MaxDelay
 	}
 	return d
 }
-
-// maxLognormalDelay caps a lognormal draw: a billion rounds is past any
-// run's end, and without the cap a Sigma above about 95 overflows the
-// exponential to +Inf.
-const maxLognormalDelay = 1e9
 
 // Lockstep implements DelayModel.
 func (m Lognormal) Lockstep() bool { return false }

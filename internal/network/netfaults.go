@@ -56,18 +56,16 @@ type FaultSchedule struct {
 }
 
 // Validate rejects malformed schedules before anything runs. A NaN or
-// infinite rate or delay is a *NonFiniteError.
+// infinite rate or delay is a *NonFiniteError, and an extra delay above
+// MaxDelay rounds a *DelayRangeError.
 func (f *FaultSchedule) Validate() error {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"OutageRate", f.OutageRate},
-		{"SpikeRate", f.SpikeRate},
-		{"SpikeDelay", f.SpikeDelay},
-		{"StragglerDelay", f.StragglerDelay},
+	for _, err := range []error{
+		CheckFinite("OutageRate", f.OutageRate),
+		CheckFinite("SpikeRate", f.SpikeRate),
+		CheckDelay("SpikeDelay", f.SpikeDelay),
+		CheckDelay("StragglerDelay", f.StragglerDelay),
 	} {
-		if err := CheckFinite(p.name, p.v); err != nil {
+		if err != nil {
 			return err
 		}
 	}

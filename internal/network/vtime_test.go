@@ -468,6 +468,19 @@ func TestFaultScheduleValidate(t *testing.T) {
 			t.Errorf("non-finite case %d: %+v: error %v, want *NonFiniteError", i, f, err)
 		}
 	}
+	// Finite but huge extra delays overflowed the delay histogram.
+	for i, f := range []FaultSchedule{
+		{SpikeRate: 0.01, SpikeDelay: 1e308},
+		{Stragglers: 1, StragglerDelay: 2e9},
+	} {
+		var re *DelayRangeError
+		if err := f.Validate(); !errors.As(err, &re) {
+			t.Errorf("huge-delay case %d: %+v: error %v, want *DelayRangeError", i, f, err)
+		}
+	}
+	if err := (&FaultSchedule{SpikeRate: 0.01, SpikeDelay: MaxDelay}).Validate(); err != nil {
+		t.Errorf("spike delay at the cap rejected: %v", err)
+	}
 	good := FaultSchedule{OutageRate: 0.5, SpikeRate: 0.1, Stragglers: 1, Crashes: 1}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)

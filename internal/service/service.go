@@ -208,10 +208,14 @@ func (s *Server) open(g gridspec.Grid) (*session, bool, error) {
 		return nil, false, err
 	}
 	// Cells already in the store (a resumed session) count as completed
-	// before any worker starts.
-	if cells, err := store.Load(g.Spec()); err == nil {
-		sess.completed = len(cells)
+	// before any worker starts. A store this build cannot read — a
+	// retired format, a corrupt journal — fails the open, so a restart
+	// names the directory instead of starting workers that cannot run.
+	cells, err := store.Load(g.Spec())
+	if err != nil {
+		return nil, false, err
 	}
+	sess.completed = len(cells)
 	if failed, err := store.Failures(g.Spec()); err == nil {
 		sess.failed = len(failed)
 	}

@@ -357,15 +357,52 @@ func TestServiceRejectsRetiredSpec(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsRetiredSessionLayout pins the restart path for a
+// session directory written before the session journal: a session whose
+// store still holds the two-ledger cells.json/leases.json layout fails
+// New with an error that names the directory and says how to recover.
+func TestServiceRejectsRetiredSessionLayout(t *testing.T) {
+	dataDir := t.TempDir()
+	g := gridspec.Grid{N: "4", Schemes: "A", Rates: "0.001", Trials: 1, IterFactor: 10}
+	dir := filepath.Join(dataDir, SessionID(g))
+	if err := os.MkdirAll(filepath.Join(dir, "session"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(g.Normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{
+		"spec.json":          string(spec),
+		"session/cells.json": `{"Version":3,"Spec":"x","Checksum":"00","Cells":[]}`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Options{DataDir: dataDir, Workers: 1})
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("New resumed a session in the retired two-ledger layout")
+	}
+	for _, want := range []string{dir, "cells.json", "delete the directory and restart"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
 func TestServiceBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	// Malformed and unknown-field bodies are 400s, not silent defaults.
 	// Party counts below one are rejected up front (n=-3 once built a
-	// grid whose cells panicked in the graph constructor). NaN and
-	// infinite delay or fault parameters are rejected too (a NaN delay
-	// once wedged the virtual-time engine).
+	// grid whose cells panicked in the graph constructor). NaN, infinite
+	// and huge (above a billion rounds) delay or fault parameters are
+	// rejected too (a NaN delay once wedged the virtual-time engine; a
+	// 1e308 one was filed in the wrong histogram bucket).
 	for _, body := range []string{"{not json", `{"nope":"x"}`, `{"schemes":"Z"}`, `{"n":"0"}`, `{"n":"-3"}`, `{"hashmode":"incremental"}`,
-		`{"delay":"lognormal:NaN"}`, `{"delay":"jitter:Inf"}`, `{"netfaults":"spike=NaN"}`, `{"netfaults":"spike=0.01,spike-delay=NaN"}`} {
+		`{"delay":"lognormal:NaN"}`, `{"delay":"jitter:Inf"}`, `{"netfaults":"spike=NaN"}`, `{"netfaults":"spike=0.01,spike-delay=NaN"}`,
+		`{"delay":"jitter:1e308"}`, `{"netfaults":"spike=0.01,spike-delay=1e308"}`} {
 		resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

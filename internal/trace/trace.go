@@ -135,12 +135,15 @@ func (h *DelayHist) Observe(d float64) {
 	if d > h.Max {
 		h.Max = d
 	}
-	i := int(d / delayHistWidth)
-	if i < 0 {
-		i = 0
-	}
-	if i >= delayHistBuckets {
+	// Clamp in float before converting: int() of a quotient past ~9.2e18
+	// (a delay past ~5.8e17 rounds, or +Inf) overflows and would file
+	// the delay in bucket 0.
+	i := 0
+	switch x := d / delayHistWidth; {
+	case x >= delayHistBuckets-1:
 		i = delayHistBuckets - 1
+	case x > 0:
+		i = int(x)
 	}
 	h.Buckets[i]++
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"mpic/internal/channel"
@@ -69,6 +70,16 @@ func TestDelayHist(t *testing.T) {
 	wide.Observe(100)
 	if wide.Buckets[0] != 1 || wide.Buckets[delayHistBuckets-1] != 1 {
 		t.Error("out-of-range delays not clamped into the end buckets")
+	}
+	// Huge delays overflowed the int conversion and landed in bucket 0.
+	var huge DelayHist
+	huge.Observe(1e300)
+	huge.Observe(math.Inf(1))
+	if huge.Buckets[delayHistBuckets-1] != 2 || huge.Buckets[0] != 0 {
+		t.Errorf("huge delays filed in %v, want both in the last bucket", huge.Buckets)
+	}
+	if got := huge.P99(); got < (delayHistBuckets-1)*delayHistWidth {
+		t.Errorf("P99 of huge delays = %g, want the open-ended last bucket", got)
 	}
 
 	stats := NetStats{Links: []LinkDelay{{From: 0, To: 1, Hist: h}, {From: 1, To: 0}}}

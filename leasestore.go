@@ -1,13 +1,8 @@
 package mpic
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -86,89 +81,46 @@ type FailedCell struct {
 	Reason string
 }
 
-// leaseFileVersion is the on-disk format version of the lease ledger.
-const leaseFileVersion = 1
-
-// leaseFileState is the on-disk JSON shape of the lease ledger — the
-// same checksummed, fsync'd, atomically rotated discipline as the cell
-// checkpoint, over the coordination state instead of the results.
-type leaseFileState struct {
-	Version  int
-	Spec     string
-	Checksum string
-	Leases   []Lease      `json:",omitempty"`
-	Failed   []FailedCell `json:",omitempty"`
-}
-
-// leaseChecksum computes the ledger's integrity checksum, tagged
-// distinctly from the cell checkpoint so the two file kinds can never
-// authenticate each other.
-func leaseChecksum(version int, spec string, payloadJSON []byte) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "mpic-leases-v%d %s\n", version, spec)
-	h.Write(payloadJSON)
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// leasePayload renders the checksummed portion of the ledger. Empty
-// slices normalize to nil so the payload is identical whether it was
-// just filtered in memory (empty non-nil) or round-tripped through JSON
-// omitempty (nil).
-func leasePayload(leases []Lease, failed []FailedCell) ([]byte, error) {
-	if len(leases) == 0 {
-		leases = nil
-	}
-	if len(failed) == 0 {
-		failed = nil
-	}
-	return json.Marshal(struct {
-		Leases []Lease
-		Failed []FailedCell
-	}{leases, failed})
-}
-
 // DirLeaseStore is the LeaseStore used by the grid service and the
 // sharded CLI paths: one session directory shared by every worker,
 // holding
 //
-//	cells.json   — the merged completed cells (a FileGridStore, the
-//	               ordinary checksummed v3 checkpoint format)
-//	leases.json  — the lease/quarantine ledger (checksummed v1)
-//	lock         — the flock sidecar serializing multi-file operations
+//	journal       — the session journal: completed cells, lease claims,
+//	                renewals and releases, and quarantined cells, one
+//	                checksummed record per line (the FileGridStore format)
+//	journal.lock  — the flock sidecar serializing every operation
 //
-// Every operation runs under an exclusive directory lock, so the
-// read-merge-write cycles of concurrent workers — in this process or
-// others — serialize instead of interleaving. The embedded cell store's
-// own sidecar lock nests inside the directory lock in a fixed order, so
-// the two can never deadlock.
+// Every operation runs under the lock and first replays what other
+// workers — in this process or others — appended since this store last
+// read, so each claim, completion and failure is decided on the merged
+// state and costs one appended record. A claim that changes nothing
+// appends nothing. Superseded lease records are dropped by compaction:
+// an atomic rewrite of the live state (temporary file, fsync, rename,
+// directory fsync) when the session drains and when dead records
+// outnumber the live state by journalCompactFactor. A FileGridStore
+// opened on the journal path reads the session's completed cells.
 type DirLeaseStore struct {
-	dir   string
-	cells *FileGridStore
+	dir  string
+	file *FileGridStore
 
 	// Clock replaces time.Now for lease expiry decisions; nil means
 	// time.Now. Tests inject a fake clock to step leases over their TTL
 	// without sleeping.
 	Clock func() time.Time
-
-	mu sync.Mutex
 }
 
 // NewDirLeaseStore returns a lease store over the given session
 // directory, created on first use.
 func NewDirLeaseStore(dir string) *DirLeaseStore {
-	return &DirLeaseStore{
-		dir:   dir,
-		cells: NewFileGridStore(filepath.Join(dir, "cells.json")),
-	}
+	file := NewFileGridStore(filepath.Join(dir, "journal"))
+	// A directory still holding the two-ledger layout is a session this
+	// build cannot read.
+	file.j.retired = []string{filepath.Join(dir, "cells.json"), filepath.Join(dir, "leases.json")}
+	return &DirLeaseStore{dir: dir, file: file}
 }
 
 // Dir returns the session directory.
 func (s *DirLeaseStore) Dir() string { return s.dir }
-
-// CellsPath returns the merged cell checkpoint file inside the session
-// directory — a plain FileGridStore file, readable by anything that
-// reads grid checkpoints.
-func (s *DirLeaseStore) CellsPath() string { return s.cells.Path() }
 
 func (s *DirLeaseStore) now() time.Time {
 	if s.Clock != nil {
@@ -177,169 +129,48 @@ func (s *DirLeaseStore) now() time.Time {
 	return time.Now()
 }
 
-// withLock runs fn under the process mutex and the directory flock.
-func (s *DirLeaseStore) withLock(fn func() error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return err
-	}
-	unlock, err := flockPath(filepath.Join(s.dir, "lock"))
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	return fn()
-}
-
-// leasesPath returns the lease ledger file.
-func (s *DirLeaseStore) leasesPath() string { return filepath.Join(s.dir, "leases.json") }
-
-// readLeases reads and validates the lease ledger; a missing file is an
-// empty ledger. Must run under the directory lock.
-func (s *DirLeaseStore) readLeases(spec string) (*leaseFileState, error) {
-	path := s.leasesPath()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return &leaseFileState{Version: leaseFileVersion, Spec: spec}, nil
+// record runs decide under the journal lock and appends the records it
+// returns, compacting afterwards when the session has drained or its
+// dead records pile up.
+func (s *DirLeaseStore) record(spec string, decide func(j *journal) (recs []journalRecord, drained bool)) error {
+	return s.file.update(spec, true, func(f *os.File) error {
+		j := &s.file.j
+		recs, drained := decide(j)
+		if err := j.append(f, spec, recs); err != nil {
+			return err
 		}
-		return nil, &CorruptCheckpointError{Path: path, Reason: err}
-	}
-	var st leaseFileState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, &CorruptCheckpointError{Path: path, Reason: err}
-	}
-	if st.Version != leaseFileVersion {
-		return nil, fmt.Errorf("mpic: lease ledger %s has format version %d; this build reads version %d — delete the session directory to restart",
-			path, st.Version, leaseFileVersion)
-	}
-	payload, err := leasePayload(st.Leases, st.Failed)
-	if err != nil {
-		return nil, &CorruptCheckpointError{Path: path, Reason: err}
-	}
-	if sum := leaseChecksum(st.Version, st.Spec, payload); sum != st.Checksum {
-		return nil, &CorruptCheckpointError{Path: path,
-			Reason: fmt.Errorf("lease ledger checksum mismatch (stored %.12s…, computed %.12s…)", st.Checksum, sum)}
-	}
-	if st.Spec != spec {
-		return nil, fmt.Errorf("mpic: lease ledger %s belongs to a different grid (%q); delete the session directory or match the grid (%q)",
-			path, st.Spec, spec)
-	}
-	return &st, nil
-}
-
-// writeLeases persists the ledger with the same crash discipline as the
-// cell checkpoint: checksummed payload, fsync'd temp file, atomic
-// rename, directory fsync. Must run under the directory lock.
-func (s *DirLeaseStore) writeLeases(spec string, st *leaseFileState) error {
-	st.Version = leaseFileVersion
-	st.Spec = spec
-	if len(st.Leases) == 0 {
-		st.Leases = nil
-	}
-	if len(st.Failed) == 0 {
-		st.Failed = nil
-	}
-	payload, err := leasePayload(st.Leases, st.Failed)
-	if err != nil {
-		return err
-	}
-	st.Checksum = leaseChecksum(st.Version, st.Spec, payload)
-	data, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := s.leasesPath()
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(s.dir)
-}
-
-// doneSet returns the indices of completed cells. Must run under the
-// directory lock.
-func (s *DirLeaseStore) doneSet(spec string) (map[int]bool, []StoredCell, error) {
-	cells, err := s.cells.Load(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	done := make(map[int]bool, len(cells))
-	for _, c := range cells {
-		done[c.Index] = true
-	}
-	return done, cells, nil
+		if dead := j.records - j.live(); (drained && dead > 0) || dead > journalCompactFactor*(j.live()+1) {
+			return j.compact(s.now())
+		}
+		return nil
+	})
 }
 
 // Load implements GridStore over the merged session state.
-func (s *DirLeaseStore) Load(spec string) ([]StoredCell, error) {
-	var cells []StoredCell
-	err := s.withLock(func() error {
-		var e error
-		cells, e = s.cells.Load(spec)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
+func (s *DirLeaseStore) Load(spec string) ([]StoredCell, error) { return s.file.Load(spec) }
 
-// Save implements GridStore by replacing the merged session state —
-// the path the ordinary single-writer engine uses when it finishes a
-// sharded session's stragglers.
-func (s *DirLeaseStore) Save(spec string, cells []StoredCell) error {
-	return s.withLock(func() error { return s.cells.Save(spec, cells) })
-}
+// Save implements GridStore by appending the cells the session does not
+// hold yet — the path the ordinary single-writer engine uses when it
+// finishes a sharded session's stragglers.
+func (s *DirLeaseStore) Save(spec string, cells []StoredCell) error { return s.file.Save(spec, cells) }
 
 // Claim implements LeaseStore.
 func (s *DirLeaseStore) Claim(spec, worker string, total, limit int, ttl time.Duration) (claimed []int, pending int, err error) {
-	err = s.withLock(func() error {
-		done, _, err := s.doneSet(spec)
-		if err != nil {
-			return err
-		}
-		st, err := s.readLeases(spec)
-		if err != nil {
-			return err
-		}
+	err = s.record(spec, func(j *journal) ([]journalRecord, bool) {
 		now := s.now()
-		failed := make(map[int]bool, len(st.Failed))
-		for _, f := range st.Failed {
-			failed[f.Cell] = true
-		}
-		// Prune expired leases and leases on settled cells; note whether
-		// anything changed so an idle poll doesn't rewrite (and fsync)
-		// an unchanged ledger.
-		active := st.Leases[:0]
-		changed := false
-		leased := make(map[int]bool)
-		for _, l := range st.Leases {
-			if done[l.Cell] || failed[l.Cell] || !l.Expires.After(now) {
-				changed = true
+		for i := 0; i < total; i++ {
+			if _, failed := j.failed[i]; j.done[i] || failed {
 				continue
 			}
-			active = append(active, l)
-			leased[l.Cell] = true
-		}
-		for i := 0; i < total && len(claimed) < limit; i++ {
-			if done[i] || failed[i] || leased[i] {
-				continue
+			pending++
+			if l, leased := j.leases[i]; len(claimed) < limit && !(leased && l.Expires.After(now)) {
+				claimed = append(claimed, i)
 			}
-			claimed = append(claimed, i)
-			active = append(active, Lease{Cell: i, Worker: worker, Expires: now.Add(ttl)})
-			changed = true
 		}
-		pending = total - len(done) - len(failed)
-		st.Leases = active
-		if !changed {
-			return nil
+		if len(claimed) == 0 {
+			return nil, pending == 0
 		}
-		return s.writeLeases(spec, st)
+		return []journalRecord{{Claim: &journalLease{Worker: worker, Cells: claimed, Expires: now.Add(ttl)}}}, pending == 0
 	})
 	if err != nil {
 		return nil, 0, err
@@ -347,132 +178,64 @@ func (s *DirLeaseStore) Claim(spec, worker string, total, limit int, ttl time.Du
 	return claimed, pending, nil
 }
 
+// holds reports whether worker holds any lease, expired or not.
+func holds(j *journal, worker string) bool {
+	for _, l := range j.leases {
+		if l.Worker == worker {
+			return true
+		}
+	}
+	return false
+}
+
 // Renew implements LeaseStore.
 func (s *DirLeaseStore) Renew(spec, worker string, ttl time.Duration) error {
-	return s.withLock(func() error {
-		st, err := s.readLeases(spec)
-		if err != nil {
-			return err
+	return s.record(spec, func(j *journal) ([]journalRecord, bool) {
+		if !holds(j, worker) {
+			return nil, false
 		}
-		expires := s.now().Add(ttl)
-		changed := false
-		for i := range st.Leases {
-			if st.Leases[i].Worker == worker {
-				st.Leases[i].Expires = expires
-				changed = true
-			}
-		}
-		if !changed {
-			return nil
-		}
-		return s.writeLeases(spec, st)
+		return []journalRecord{{Renew: &journalLease{Worker: worker, Expires: s.now().Add(ttl)}}}, false
 	})
 }
 
 // Release implements LeaseStore.
 func (s *DirLeaseStore) Release(spec, worker string) error {
-	return s.withLock(func() error {
-		st, err := s.readLeases(spec)
-		if err != nil {
-			return err
+	return s.record(spec, func(j *journal) ([]journalRecord, bool) {
+		if !holds(j, worker) {
+			return nil, false
 		}
-		active := st.Leases[:0]
-		changed := false
-		for _, l := range st.Leases {
-			if l.Worker == worker {
-				changed = true
-				continue
-			}
-			active = append(active, l)
-		}
-		if !changed {
-			return nil
-		}
-		st.Leases = active
-		return s.writeLeases(spec, st)
+		return []journalRecord{{Release: &journalLease{Worker: worker}}}, false
 	})
 }
 
-// SaveCell implements LeaseStore.
+// SaveCell implements LeaseStore. The done record also drops every lease
+// on the cell, whoever holds one — a lease on a completed cell is pure
+// staleness.
 func (s *DirLeaseStore) SaveCell(spec, worker string, cell StoredCell) error {
-	return s.withLock(func() error {
-		done, cells, err := s.doneSet(spec)
-		if err != nil {
-			return err
+	return s.record(spec, func(j *journal) ([]journalRecord, bool) {
+		if j.done[cell.Index] {
+			return nil, false
 		}
-		if !done[cell.Index] {
-			if err := s.cells.Save(spec, append(cells, cell)); err != nil {
-				return err
-			}
-		}
-		// The cell is settled; drop every lease on it, whoever holds
-		// one — a lease on a completed cell is pure staleness.
-		st, err := s.readLeases(spec)
-		if err != nil {
-			return err
-		}
-		active := st.Leases[:0]
-		changed := false
-		for _, l := range st.Leases {
-			if l.Cell == cell.Index {
-				changed = true
-				continue
-			}
-			active = append(active, l)
-		}
-		if !changed {
-			return nil
-		}
-		st.Leases = active
-		return s.writeLeases(spec, st)
+		return []journalRecord{{Done: &cell}}, false
 	})
 }
 
 // MarkFailed implements LeaseStore.
 func (s *DirLeaseStore) MarkFailed(spec, worker string, failure FailedCell) error {
-	return s.withLock(func() error {
-		done, _, err := s.doneSet(spec)
-		if err != nil {
-			return err
+	return s.record(spec, func(j *journal) ([]journalRecord, bool) {
+		_, failed := j.failed[failure.Cell]
+		if j.done[failure.Cell] || failed {
+			return nil, false
 		}
-		st, err := s.readLeases(spec)
-		if err != nil {
-			return err
-		}
-		if !done[failure.Cell] {
-			already := false
-			for _, f := range st.Failed {
-				if f.Cell == failure.Cell {
-					already = true
-					break
-				}
-			}
-			if !already {
-				st.Failed = append(st.Failed, failure)
-				sort.Slice(st.Failed, func(i, j int) bool { return st.Failed[i].Cell < st.Failed[j].Cell })
-			}
-		}
-		active := st.Leases[:0]
-		for _, l := range st.Leases {
-			if l.Cell == failure.Cell {
-				continue
-			}
-			active = append(active, l)
-		}
-		st.Leases = active
-		return s.writeLeases(spec, st)
+		return []journalRecord{{Failed: &failure}}, false
 	})
 }
 
 // Failures implements LeaseStore.
 func (s *DirLeaseStore) Failures(spec string) ([]FailedCell, error) {
 	var failed []FailedCell
-	err := s.withLock(func() error {
-		st, err := s.readLeases(spec)
-		if err != nil {
-			return err
-		}
-		failed = st.Failed
+	err := s.file.update(spec, false, func(*os.File) error {
+		failed = s.file.j.failures()
 		return nil
 	})
 	if err != nil {
@@ -486,22 +249,12 @@ func (s *DirLeaseStore) Failures(spec string) ([]FailedCell, error) {
 // LeaseStore protocol.
 func (s *DirLeaseStore) Leases(spec string) ([]Lease, error) {
 	var leases []Lease
-	err := s.withLock(func() error {
-		st, err := s.readLeases(spec)
-		if err != nil {
-			return err
-		}
-		now := s.now()
-		for _, l := range st.Leases {
-			if l.Expires.After(now) {
-				leases = append(leases, l)
-			}
-		}
+	err := s.file.update(spec, false, func(*os.File) error {
+		leases = s.file.j.activeLeases(s.now())
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(leases, func(i, j int) bool { return leases[i].Cell < leases[j].Cell })
 	return leases, nil
 }

@@ -71,7 +71,8 @@
 // # Durable sessions
 //
 // A grid becomes a durable, observable session through two Grid options.
-// Setting Store to a GridStore (FileGridStore is the atomic-JSON
+// Setting Store to a GridStore (FileGridStore, an append-only journal
+// that records each completed cell as one checksummed line, is the
 // implementation both CLIs and the experiment harness use) checkpoints
 // the grid: the engine persists every completed cell the moment it
 // finishes, and a re-run restores the persisted cells — streamed first,
@@ -114,11 +115,12 @@
 //	var gf *mpic.GridFailure
 //	if errors.As(err, &gf) { /* partial success; gf.Report says what failed */ }
 //
-// The storage layer is hardened the same way: FileGridStore fsyncs both
-// the checkpoint bytes and the rename that publishes them, checksums the
-// payload, and keeps the previous state as a verified-good .bak — a
-// checkpoint torn by a crash is detected (never half-parsed as truth)
-// and the session resumes from its last good state. RetryingGridStore
+// The storage layer is hardened the same way: FileGridStore fsyncs every
+// append and checksums every record — a record torn by a crash
+// mid-append is detected (never half-parsed as truth) and cut off, so
+// the session loses at most that cell and re-runs it bit-identically,
+// while damage a crash cannot cause is a loud *CorruptCheckpointError.
+// RetryingGridStore
 // wraps any GridStore with bounded retries for transient I/O errors.
 // Both CLIs expose the machinery as -retries (and mpicbench's
 // -fail-fast=false), with exit code 3 distinguishing a quarantined
@@ -137,10 +139,13 @@
 // duplicates work, never corrupts it, because every cell is a pure
 // function of spec + salt and duplicated results are bit-identical.
 // The merged session equals a sequential RunGrid of the same grid, byte
-// for byte. FileGridStore additionally detects concurrent writers that
-// bypass the lease protocol: an flock sidecar serializes access, and a
-// checkpoint rewritten behind a session's back surfaces as a
-// *SessionConflictError instead of a silent lost update. cmd/mpicserve
+// for byte. Claims, renewals, releases, completions and quarantines are
+// records in the same append-only journal a FileGridStore reads, so each
+// costs one appended line; the journal is compacted to its live state
+// when the session drains. Writers that bypass the lease protocol merge
+// rather than clobber each other: an flock sidecar serializes access,
+// and every store replays the others' appends before adding its own.
+// cmd/mpicserve
 // wraps the whole machinery in a long-lived HTTP service — grid specs
 // in, Server-Sent progress events out, sessions durable across
 // restarts (package internal/service).
