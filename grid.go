@@ -761,8 +761,13 @@ func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *p
 	for attempt := 1; ; attempt++ {
 		res, err = r.runGridCellOnce(ctx, g.Cells[i], i, len(g.Cells), g.KeepResults, prog, budget)
 		res.Attempts = attempt
-		if err == nil || ctx.Err() != nil || attempt >= attempts {
+		if err == nil || attempt >= attempts {
 			return res, err
+		}
+		if ctx.Err() != nil {
+			// Cancellation, not the cell, ended its retries: a retry would
+			// have run had the grid gone on, so the grid was cancelled.
+			return res, fmt.Errorf("mpic: grid cell %d: %w before retrying (%v)", i, ctx.Err(), err)
 		}
 		if prog != nil {
 			prog.emit(GridProgress{

@@ -170,26 +170,21 @@ func (e *CorruptCheckpointError) Error() string {
 func (e *CorruptCheckpointError) Unwrap() error { return e.Reason }
 
 // FileGridStore is the GridStore used by both CLIs and the experiment
-// harness: one append-only journal file per grid session. The file is a
-// header line naming the format version and the spec, then one
-// checksummed record per completed cell, so a completed cell costs one
-// appended line and one fsync whatever the session size. A record is
-// durable once Save returns: the append is fsynced, and the file's
-// creation is followed by a directory fsync. A missing file is an empty
+// harness: one append-only journal file per grid session — a header line
+// naming the format version and the spec, then one checksummed record
+// per completed cell — so a completed cell costs one appended line and
+// one fsync whatever the session size. A missing file is an empty
 // session; parent directories are created on first Save.
 //
-// A crash mid-append leaves a torn final record. Load cuts it off and
-// tells OnRecovery, losing at most that one cell, which a resumed run
-// re-executes bit-identically. A bad record followed by good ones is not
-// something a crash leaves behind, so it is a *CorruptCheckpointError,
-// never silently dropped.
+// A crash mid-append leaves a torn final record: Load cuts it off and
+// tells OnRecovery, losing at most that cell, which a resumed run
+// re-executes bit-identically. A bad record followed by good ones is no
+// crash's doing, so it is a *CorruptCheckpointError, never dropped.
 //
 // Stores sharing one file merge rather than clobber each other: every
-// Load and Save holds an exclusive advisory lock on a <path>.lock
-// sidecar and first replays whatever other writers appended, so each
-// cell is recorded once whoever saves it. Multi-worker sharding with
-// leases goes through a LeaseStore (NewDirLeaseStore), whose journal a
-// FileGridStore opened on it reads the completed cells of.
+// operation holds an exclusive lock on a <path>.lock sidecar and first
+// replays what other writers appended. A FileGridStore opened on a
+// DirLeaseStore's journal reads its completed cells.
 type FileGridStore struct {
 	path string
 	// OnRecovery, when non-nil, is called when a torn final record is
@@ -212,9 +207,8 @@ func NewFileGridStore(path string) *FileGridStore {
 func (s *FileGridStore) Path() string { return s.path }
 
 // update runs fn under the store's locks on journal state brought up to
-// date with the file; f is the journal file open for an append, nil when
-// none exists yet. create makes the parent directory first, so a store
-// about to write locks a sidecar that exists.
+// date with the file; f is the file open for an append (nil when there is
+// none). create makes the parent directory first.
 func (s *FileGridStore) update(spec string, create bool, fn func(f *os.File) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,7 +217,11 @@ func (s *FileGridStore) update(spec string, create bool, fn func(f *os.File) err
 			return err
 		}
 	}
-	unlock, err := lockSidecar(s.path)
+	unlock, err := flockPath(s.path + ".lock")
+	if os.IsNotExist(err) {
+		// Never saved: there is nothing on disk to contend for.
+		unlock, err = func() error { return nil }, nil
+	}
 	if err != nil {
 		return err
 	}
@@ -263,21 +261,6 @@ func (s *FileGridStore) Save(spec string, cells []StoredCell) error {
 		}
 		return s.j.append(f, spec, recs)
 	})
-}
-
-// lockSidecar locks the <path>.lock sidecar guarding a session file. A
-// missing parent directory (a session that has never been saved) yields
-// a no-op unlock: there is nothing on disk to contend for, and Save
-// creates the directory before locking.
-func lockSidecar(path string) (func() error, error) {
-	unlock, err := flockPath(path + ".lock")
-	if err != nil {
-		if os.IsNotExist(err) {
-			return func() error { return nil }, nil
-		}
-		return nil, err
-	}
-	return unlock, nil
 }
 
 // RetryingGridStore decorates any GridStore with bounded retries under

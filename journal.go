@@ -14,51 +14,38 @@ import (
 	"time"
 )
 
-// journalVersion is the on-disk format version of a session journal.
-// Versions up to 3 were whole-file JSON checkpoints (version 0 — the
-// pre-session format once private to mpicbench — 1 without a checksum, 2
-// without the delay key and per-trial Results, 3 the last of them), and
-// lease sessions kept a separate version-1 ledger beside the cells. All
-// of them are rejected with delete-to-restart guidance rather than
-// guessed at.
+// journalVersion is the session file format version. Versions up to 3
+// were whole-file JSON checkpoints (lease sessions also kept a version-1
+// ledger beside theirs); all are rejected with delete-to-restart
+// guidance rather than guessed at.
 const journalVersion = 4
 
-// journalFormat names the format in the header line, telling a journal
-// apart from the whole-file JSON checkpoints it replaced.
+// journalFormat names the format in the header line.
 const journalFormat = "mpic-session-journal"
 
-// journalCompactFactor bounds a lease session's dead records: once
-// superseded claim, renew and release records outnumber the live state
-// by this factor, the journal is rewritten as its live state.
+// journalCompactFactor bounds a lease journal's dead records: once they
+// outnumber the live state by this factor, compaction drops them.
 const journalCompactFactor = 4
 
 // journalHeader is the first line of a journal.
 type journalHeader struct {
 	Format  string
 	Version int
-	// Spec fingerprints the grid the records belong to.
-	Spec string
+	Spec    string
 	// ID is random per file, so a file that replaces this one under the
-	// same name — a compaction, a deleted and restarted session — is
-	// never mistaken for it, even when it reuses the inode.
+	// same name and inode is never mistaken for it.
 	ID string
-	// Sum authenticates the header: hex SHA-256 of ID under the tag of
-	// the version and spec (see journalTag).
+	// Sum is the hex SHA-256 of ID under the journal's checksum tag.
 	Sum string
 }
 
-// journalRecord is one line after the header. Exactly one field is set.
+// journalRecord is one line after the header; exactly one field is set.
 type journalRecord struct {
-	// Done is a completed cell.
-	Done *StoredCell `json:",omitempty"`
-	// Claim leases Cells to Worker until Expires.
-	Claim *journalLease `json:",omitempty"`
-	// Renew extends every lease Worker holds to Expires.
-	Renew *journalLease `json:",omitempty"`
-	// Release drops every lease Worker holds.
-	Release *journalLease `json:",omitempty"`
-	// Failed quarantines a cell.
-	Failed *FailedCell `json:",omitempty"`
+	Done    *StoredCell   `json:",omitempty"` // a completed cell
+	Claim   *journalLease `json:",omitempty"` // leases Cells to Worker until Expires
+	Renew   *journalLease `json:",omitempty"` // extends Worker's leases to Expires
+	Release *journalLease `json:",omitempty"` // drops Worker's leases
+	Failed  *FailedCell   `json:",omitempty"` // a quarantined cell
 }
 
 // journalLease is the payload of the three lease records.
@@ -68,131 +55,101 @@ type journalLease struct {
 	Expires time.Time
 }
 
-// cellID is what makes a stored cell distinct: resume matches on the
-// index and the key together.
+// cellID identifies a stored cell: resume matches index and key together.
 type cellID struct {
 	Index int
 	Key   GridKey
 }
 
-// journal is the replayed state of one session journal file, plus how far
-// into which file it has read. A journal file is a header line followed
-// by one record per line, each line
+// journal is the replayed state of one session file and how far into
+// which file it has read. The file is a header line, then one record
+// per line:
 //
 //	<hex SHA-256> <compact JSON record>\n
 //
-// whose checksum covers the record under the version-and-spec tag, so a
-// record copied from another session or format cannot authenticate.
-// Records are only ever appended, under the owner's file lock; a store
-// replays what other writers appended before each operation, so stores
-// sharing one file merge instead of clobbering each other. A bad final
-// line is a torn append: it is cut off, losing at most that record. A
-// bad line followed by good ones is corruption and is never dropped.
-//
-// The owner serializes access; journal itself does no locking.
+// The checksum covers the record under a tag naming the version and the
+// spec, so a record from another session or format cannot authenticate.
+// Records are only appended, under the owner's file lock, and every
+// operation first replays what other writers appended, so stores sharing
+// a file merge. A bad final line is a torn append and is cut off; a bad
+// line followed by good ones is corruption and is never dropped. The
+// owner serializes access.
 type journal struct {
 	path string
-	// retired names files whose presence beside the journal marks a
-	// session in a retired format.
+	// retired are files whose presence marks a retired session layout.
 	retired []string
 
-	// header is the header line as on disk (nil: no file replayed), tag
-	// the checksum tag derived from it.
-	header []byte
+	header []byte // the header line as on disk; nil before one is read
 	spec   string
-	tag    []byte
-	// file identifies the replayed file, off is how many of its bytes
-	// are replayed.
-	file os.FileInfo
-	off  int64
+	tag    []byte      // checksum tag of every line
+	file   os.FileInfo // identity of the replayed file
+	off    int64       // bytes of it replayed
 
-	cells   []StoredCell // done records, first occurrence, in journal order
+	cells   []StoredCell // completed cells, first occurrence, in journal order
 	held    map[cellID]bool
 	done    map[int]bool
 	leases  map[int]Lease
 	failed  map[int]FailedCell
-	records int // records replayed or appended since the header
+	records int // records since the header
 }
 
-// reset forgets everything replayed, so the next sync reads the file from
-// its start.
-func (j *journal) reset() {
-	*j = journal{path: j.path, retired: j.retired}
+// reset forgets the replayed state, so the next sync rereads the file.
+func (j *journal) reset() { *j = journal{path: j.path, retired: j.retired} }
+
+// setHeader starts an empty state under a header.
+func (j *journal) setHeader(line []byte, spec string) {
+	j.header, j.spec, j.tag = line, spec, []byte(fmt.Sprintf("mpic-checkpoint-v%d %s\n", journalVersion, spec))
+	j.cells, j.records = nil, 0
+	j.held = make(map[cellID]bool)
+	j.done = make(map[int]bool)
+	j.leases = make(map[int]Lease)
+	j.failed = make(map[int]FailedCell)
 }
 
-// journalTag is the checksum tag of every line of a journal for spec.
-func journalTag(spec string) []byte {
-	return []byte(fmt.Sprintf("mpic-checkpoint-v%d %s\n", journalVersion, spec))
-}
-
-// lineSum is the checksum of one journal payload under tag.
-func lineSum(tag, payload []byte) [sha256.Size]byte {
+// sum is the checksum of one line's payload under the journal's tag.
+func (j *journal) sum(payload []byte) [sha256.Size]byte {
 	h := sha256.New()
-	h.Write(tag)
+	h.Write(j.tag)
 	h.Write(payload)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
+	var s [sha256.Size]byte
+	h.Sum(s[:0])
+	return s
 }
 
-// newHeader renders a fresh header line for spec.
-func newHeader(spec string) ([]byte, error) {
-	var id [8]byte
-	if _, err := rand.Read(id[:]); err != nil {
-		return nil, err
-	}
-	h := journalHeader{Format: journalFormat, Version: journalVersion, Spec: spec, ID: hex.EncodeToString(id[:])}
-	sum := lineSum(journalTag(spec), []byte(h.ID))
-	h.Sum = hex.EncodeToString(sum[:])
-	line, err := json.Marshal(h)
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
-}
-
-// versionError is the rejection of a file in another format version.
-func versionError(path string, version int) error {
-	return fmt.Errorf("mpic: checkpoint %s has format version %d; this build reads version %d — delete the file to restart the grid",
-		path, version, journalVersion)
-}
-
-// sync brings the replayed state up to date with the file and checks it
-// belongs to spec, returning the journal file open for an append (nil
-// when no file exists yet). A replaced or shortened file is replayed
-// from its start; a torn final record is truncated and reported through
-// onRecovery.
+// sync brings the state up to date with the file and checks it belongs
+// to spec, returning the file open for an append (nil when there is no
+// file). A replaced or shortened file is replayed from its start; a torn
+// final record is cut off and reported through onRecovery.
 func (j *journal) sync(spec string, onRecovery func(error)) (*os.File, error) {
-	if j.header == nil {
-		for _, name := range j.retired {
-			if _, err := os.Stat(name); err == nil {
-				return nil, fmt.Errorf("mpic: session directory %s holds %s from a retired session format; this build reads journal version %d — delete the session directory to restart",
-					filepath.Dir(name), filepath.Base(name), journalVersion)
-			}
+	for _, name := range j.retired {
+		if j.header != nil {
+			break
+		}
+		if _, err := os.Stat(name); err == nil {
+			return nil, fmt.Errorf("mpic: session directory %s holds %s from a retired session format; this build reads journal version %d — delete the session directory to restart",
+				filepath.Dir(name), filepath.Base(name), journalVersion)
 		}
 	}
 	f, err := os.OpenFile(j.path, os.O_RDWR, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			j.reset()
-			return nil, nil
-		}
-		return nil, err
-	}
-	if err := j.replay(f, onRecovery); err != nil {
-		f.Close()
+	if os.IsNotExist(err) {
 		j.reset()
+		return nil, nil
+	}
+	if err != nil {
 		return nil, err
 	}
-	if j.header != nil && j.spec != spec {
-		f.Close()
-		return nil, fmt.Errorf("mpic: checkpoint %s was written by a different grid (%q); delete it or match the grid (%q)",
+	if err = j.replay(f, onRecovery); err == nil && j.header != nil && j.spec != spec {
+		err = fmt.Errorf("mpic: checkpoint %s was written by a different grid (%q); delete it or match the grid (%q)",
 			j.path, j.spec, spec)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return f, nil
 }
 
-// replay reads the bytes of f past the replayed offset and applies them.
+// replay applies the bytes of f past the replayed offset.
 func (j *journal) replay(f *os.File, onRecovery func(error)) error {
 	fi, err := f.Stat()
 	if err != nil {
@@ -202,16 +159,14 @@ func (j *journal) replay(f *os.File, onRecovery func(error)) error {
 		j.reset()
 	}
 	j.file = fi
-	if fi.Size() == j.off {
-		return nil
-	}
 	buf := make([]byte, fi.Size()-j.off)
 	if _, err := f.ReadAt(buf, j.off); err != nil {
 		return err
 	}
-	if j.header == nil {
+	if j.header == nil && len(buf) > 0 {
 		n, err := j.readHeader(buf)
 		if err != nil {
+			j.reset()
 			return err
 		}
 		buf = buf[n:]
@@ -219,115 +174,81 @@ func (j *journal) replay(f *os.File, onRecovery func(error)) error {
 	for len(buf) > 0 {
 		n := bytes.IndexByte(buf, '\n') + 1
 		var rec journalRecord
-		var bad error
-		if n == 0 {
-			bad = errors.New("no line end")
-			n = len(buf)
-		} else {
+		bad := errNoLineEnd
+		if n > 0 {
 			bad = j.decode(buf[:n-1], &rec)
 		}
-		if bad != nil {
-			at := j.off
-			if n < len(buf) {
-				return &CorruptCheckpointError{Path: j.path,
-					Reason: fmt.Errorf("bad record at byte %d followed by more records: %w", at, bad)}
-			}
-			if err := f.Truncate(at); err != nil {
-				return err
-			}
-			if err := f.Sync(); err != nil {
-				return err
-			}
-			if onRecovery != nil {
-				onRecovery(&CorruptCheckpointError{Path: j.path,
-					Reason: fmt.Errorf("torn final record at byte %d cut off: %w", at, bad)})
-			}
-			j.file, err = f.Stat()
+		if bad == nil {
+			j.apply(&rec)
+			j.off += int64(n)
+			buf = buf[n:]
+			continue
+		}
+		if n > 0 && n < len(buf) {
+			j.reset()
+			return &CorruptCheckpointError{Path: j.path,
+				Reason: fmt.Errorf("bad record at byte %d followed by more records: %w", j.off, bad)}
+		}
+		if err := f.Truncate(j.off); err != nil {
 			return err
 		}
-		j.apply(&rec)
-		j.off += int64(n)
-		buf = buf[n:]
+		if onRecovery != nil {
+			onRecovery(&CorruptCheckpointError{Path: j.path,
+				Reason: fmt.Errorf("torn final record at byte %d cut off: %w", j.off, bad)})
+		}
+		return f.Sync()
 	}
 	return nil
 }
 
+// errNoLineEnd is the damage of a final line without its newline.
+var errNoLineEnd = errors.New("record without a line end")
+
 // headerIntact reports whether the file still starts with the replayed
 // header — false when a new file took over the old one's inode.
 func (j *journal) headerIntact(f *os.File) bool {
-	if j.header == nil {
-		return true
-	}
 	got := make([]byte, len(j.header))
 	_, err := f.ReadAt(got, 0)
 	return err == nil && bytes.Equal(got, j.header)
 }
 
-// readHeader parses the header at the start of buf, returning its
-// length. Whole-file JSON from an older format is a version rejection;
-// anything else unparsable is a torn header.
+// readHeader installs the header at the start of buf and returns its
+// length. A whole-file JSON checkpoint of an older format is rejected by
+// its version; anything else unreadable is a torn header.
 func (j *journal) readHeader(buf []byte) (int, error) {
 	n := bytes.IndexByte(buf, '\n') + 1
 	var h journalHeader
 	if n == 0 || json.Unmarshal(buf[:n-1], &h) != nil || h.Format != journalFormat {
-		var old struct{ Version int }
-		if json.Unmarshal(buf, &old) == nil {
-			return 0, versionError(j.path, old.Version)
+		if h = (journalHeader{}); json.Unmarshal(buf, &h) != nil || h.Format == journalFormat {
+			return 0, &CorruptCheckpointError{Path: j.path, Reason: errors.New("torn or unreadable header")}
 		}
-		return 0, &CorruptCheckpointError{Path: j.path, Reason: errors.New("torn or unreadable header")}
 	}
 	if h.Version != journalVersion {
-		return 0, versionError(j.path, h.Version)
+		return 0, fmt.Errorf("mpic: checkpoint %s has format version %d; this build reads version %d — delete the file to restart the grid",
+			j.path, h.Version, journalVersion)
 	}
-	tag := journalTag(h.Spec)
-	if sum := lineSum(tag, []byte(h.ID)); h.Sum != hex.EncodeToString(sum[:]) {
+	j.setHeader(append([]byte(nil), buf[:n]...), h.Spec)
+	if sum := j.sum([]byte(h.ID)); h.Sum != hex.EncodeToString(sum[:]) {
 		return 0, &CorruptCheckpointError{Path: j.path, Reason: errors.New("header checksum mismatch")}
 	}
-	j.setHeader(append([]byte(nil), buf[:n]...), h.Spec, tag)
 	j.off = int64(n)
 	return n, nil
-}
-
-// setHeader installs a header and empties the replayed state under it.
-func (j *journal) setHeader(line []byte, spec string, tag []byte) {
-	j.header, j.spec, j.tag = line, spec, tag
-	j.cells, j.records = nil, 0
-	j.held = make(map[cellID]bool)
-	j.done = make(map[int]bool)
-	j.leases = make(map[int]Lease)
-	j.failed = make(map[int]FailedCell)
 }
 
 // decode authenticates and parses one record line (without its newline).
 func (j *journal) decode(line []byte, rec *journalRecord) error {
 	const hexLen = 2 * sha256.Size
+	var want [sha256.Size]byte
 	if len(line) <= hexLen || line[hexLen] != ' ' {
 		return errors.New("malformed record")
 	}
-	var want [sha256.Size]byte
-	if _, err := hex.Decode(want[:], line[:hexLen]); err != nil {
-		return errors.New("malformed record checksum")
-	}
-	payload := line[hexLen+1:]
-	if lineSum(j.tag, payload) != want {
+	if _, err := hex.Decode(want[:], line[:hexLen]); err != nil || j.sum(line[hexLen+1:]) != want {
 		return errors.New("record checksum mismatch")
 	}
-	if err := json.Unmarshal(payload, rec); err != nil {
-		return err
-	}
-	kinds := 0
-	for _, set := range []bool{rec.Done != nil, rec.Claim != nil, rec.Renew != nil, rec.Release != nil, rec.Failed != nil} {
-		if set {
-			kinds++
-		}
-	}
-	if kinds != 1 {
-		return fmt.Errorf("record sets %d kinds, want 1", kinds)
-	}
-	return nil
+	return json.Unmarshal(line[hexLen+1:], rec)
 }
 
-// apply folds one record into the replayed state.
+// apply folds one record into the state.
 func (j *journal) apply(r *journalRecord) {
 	j.records++
 	switch {
@@ -343,16 +264,13 @@ func (j *journal) apply(r *journalRecord) {
 		for _, i := range r.Claim.Cells {
 			j.leases[i] = Lease{Cell: i, Worker: r.Claim.Worker, Expires: r.Claim.Expires}
 		}
-	case r.Renew != nil:
+	case r.Renew != nil, r.Release != nil:
 		for i, l := range j.leases {
-			if l.Worker == r.Renew.Worker {
+			switch {
+			case r.Renew != nil && l.Worker == r.Renew.Worker:
 				l.Expires = r.Renew.Expires
 				j.leases[i] = l
-			}
-		}
-	case r.Release != nil:
-		for i, l := range j.leases {
-			if l.Worker == r.Release.Worker {
+			case r.Release != nil && l.Worker == r.Release.Worker:
 				delete(j.leases, i)
 			}
 		}
@@ -366,25 +284,23 @@ func (j *journal) apply(r *journalRecord) {
 }
 
 // fresh returns the cells the journal does not hold yet, each once. The
-// usual caller passes everything the journal holds, in journal order,
-// plus new cells at the end; that prefix costs one comparison per held
-// cell.
+// usual caller passes what the journal holds, in journal order, then the
+// new cells; that prefix costs one comparison per held cell.
 func (j *journal) fresh(cells []StoredCell) []StoredCell {
-	start := 0
-	if n := len(j.cells); n <= len(cells) {
-		start = n
-		for i, c := range j.cells {
-			if cells[i].Index != c.Index || cells[i].Key != c.Key {
-				start = 0
-				break
-			}
+	start := len(j.cells)
+	if start > len(cells) {
+		start = 0
+	}
+	for i, c := range j.cells[:start] {
+		if cells[i].Index != c.Index || cells[i].Key != c.Key {
+			start = 0
+			break
 		}
 	}
 	var out []StoredCell
 	seen := make(map[cellID]bool)
 	for _, c := range cells[start:] {
-		id := cellID{c.Index, c.Key}
-		if !j.held[id] && !seen[id] {
+		if id := (cellID{c.Index, c.Key}); !j.held[id] && !seen[id] {
 			seen[id] = true
 			out = append(out, c)
 		}
@@ -392,82 +308,99 @@ func (j *journal) fresh(cells []StoredCell) []StoredCell {
 	return out
 }
 
-// encode renders records as journal lines under the current tag.
-func (j *journal) encode(recs []journalRecord) ([]byte, error) {
+// write appends recs to f in one write — after a fresh header when the
+// state has none — fsyncs f and applies recs. A failure resets the state,
+// so the next sync rereads whatever reached the file.
+func (j *journal) write(f *os.File, spec string, recs []journalRecord) (err error) {
+	defer func() {
+		if err != nil {
+			j.reset()
+		}
+	}()
 	var buf []byte
+	if j.header == nil {
+		var id [8]byte
+		if _, err := rand.Read(id[:]); err != nil {
+			return err
+		}
+		h := journalHeader{Format: journalFormat, Version: journalVersion, Spec: spec, ID: hex.EncodeToString(id[:])}
+		j.setHeader(nil, spec)
+		sum := j.sum([]byte(h.ID))
+		h.Sum = hex.EncodeToString(sum[:])
+		if buf, err = json.Marshal(h); err != nil {
+			return err
+		}
+		buf = append(buf, '\n')
+		j.header = append([]byte(nil), buf...)
+	}
 	for i := range recs {
 		payload, err := json.Marshal(&recs[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sum := lineSum(j.tag, payload)
+		sum := j.sum(payload)
 		var sumHex [2 * sha256.Size]byte
 		hex.Encode(sumHex[:], sum[:])
-		buf = append(buf, sumHex[:]...)
-		buf = append(buf, ' ')
-		buf = append(buf, payload...)
-		buf = append(buf, '\n')
+		buf = append(append(append(append(buf, sumHex[:]...), ' '), payload...), '\n')
 	}
-	return buf, nil
-}
-
-// append writes recs at the end of the journal in one write and fsyncs
-// it, then applies them. f is what sync returned; with no file yet, the
-// journal is created with its header and the records in one write, and
-// the directory is fsynced so the new name survives a power cut.
-func (j *journal) append(f *os.File, spec string, recs []journalRecord) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	created := f == nil
-	if created {
-		var err error
-		if f, err = os.OpenFile(j.path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644); err != nil {
-			return err
-		}
-		defer f.Close()
-	}
-	var head []byte
-	if j.header == nil {
-		line, err := newHeader(spec)
-		if err != nil {
-			return err
-		}
-		j.setHeader(line, spec, journalTag(spec))
-		head = line
-	}
-	body, err := j.encode(recs)
-	if err != nil {
-		return err
-	}
-	at := j.off
-	if _, err := f.WriteAt(append(head, body...), at); err != nil {
+	if _, err := f.WriteAt(buf, j.off); err != nil {
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	if created {
-		if err := syncDir(filepath.Dir(j.path)); err != nil {
-			return err
-		}
-		if j.file, err = f.Stat(); err != nil {
-			return err
-		}
-	}
-	j.off = at + int64(len(head)+len(body))
+	j.off += int64(len(buf))
 	for i := range recs {
 		j.apply(&recs[i])
 	}
 	return nil
 }
 
-// live is the size of the live state in records: what a compaction keeps.
+// append writes recs at the end of the journal with one write and one
+// fsync. f is what sync returned; with no file yet, the journal is
+// created with its header and recs in one write, and the directory is
+// fsynced so the new name survives a power cut.
+func (j *journal) append(f *os.File, spec string, recs []journalRecord) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	if f != nil {
+		return j.write(f, spec, recs)
+	}
+	return j.create(j.path, spec, recs)
+}
+
+// create writes a new journal file at path holding a fresh header and
+// recs, fsyncs it and its directory, and makes it the replayed state.
+func (j *journal) create(path, spec string, recs []journalRecord) error {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	*j = journal{path: j.path, retired: j.retired}
+	if err := j.write(f, spec, recs); err != nil {
+		return err
+	}
+	if path != j.path {
+		if err := os.Rename(path, j.path); err != nil {
+			j.reset()
+			return err
+		}
+	}
+	if err := syncDir(filepath.Dir(j.path)); err != nil {
+		return err
+	}
+	j.file, err = f.Stat()
+	return err
+}
+
+// live is the size of the live state in records.
 func (j *journal) live() int { return len(j.cells) + len(j.failed) + len(j.leases) }
 
-// compact atomically rewrites the journal as its live state — done cells,
-// quarantined cells, and leases still unexpired at now — through an
-// fsynced temporary file, a rename, and a directory fsync.
+// compact atomically replaces the journal with its live state — done and
+// quarantined cells, leases unexpired at now — written to a temporary
+// file, fsynced, renamed over the journal, and the directory fsynced.
 func (j *journal) compact(now time.Time) error {
 	recs := make([]journalRecord, 0, j.live())
 	for i := range j.cells {
@@ -480,35 +413,9 @@ func (j *journal) compact(now time.Time) error {
 	for _, l := range j.activeLeases(now) {
 		recs = append(recs, journalRecord{Claim: &journalLease{Worker: l.Worker, Cells: []int{l.Cell}, Expires: l.Expires}})
 	}
-	line, err := newHeader(j.spec)
-	if err != nil {
-		return err
-	}
-	next := journal{path: j.path, retired: j.retired}
-	next.setHeader(line, j.spec, j.tag)
-	body, err := next.encode(recs)
-	if err != nil {
-		return err
-	}
 	tmp := j.path + ".tmp"
-	if err := writeFileSync(tmp, append(line, body...)); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return err
-	}
-	if err := syncDir(filepath.Dir(j.path)); err != nil {
-		return err
-	}
-	if next.file, err = os.Stat(j.path); err != nil {
-		return err
-	}
-	next.off = int64(len(line) + len(body))
-	for i := range recs {
-		next.apply(&recs[i])
-	}
-	*j = next
-	return nil
+	os.Remove(tmp) // left by a crash mid-compaction
+	return j.create(tmp, j.spec, recs)
 }
 
 // failures returns the quarantined cells in cell order.
@@ -533,26 +440,7 @@ func (j *journal) activeLeases(now time.Time) []Lease {
 	return out
 }
 
-// writeFileSync writes data to path and fsyncs it before closing — the
-// half of crash durability that guarantees the bytes, not just the name,
-// are on disk.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory, making renames inside it durable.
+// syncDir fsyncs a directory, making the names created in it durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

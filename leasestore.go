@@ -85,20 +85,16 @@ type FailedCell struct {
 // sharded CLI paths: one session directory shared by every worker,
 // holding
 //
-//	journal       — the session journal: completed cells, lease claims,
-//	                renewals and releases, and quarantined cells, one
-//	                checksummed record per line (the FileGridStore format)
+//	journal       — completed cells, lease claims, renewals, releases
+//	                and quarantined cells, one checksummed record per
+//	                line (the FileGridStore format)
 //	journal.lock  — the flock sidecar serializing every operation
 //
-// Every operation runs under the lock and first replays what other
-// workers — in this process or others — appended since this store last
-// read, so each claim, completion and failure is decided on the merged
-// state and costs one appended record. A claim that changes nothing
-// appends nothing. Superseded lease records are dropped by compaction:
-// an atomic rewrite of the live state (temporary file, fsync, rename,
-// directory fsync) when the session drains and when dead records
-// outnumber the live state by journalCompactFactor. A FileGridStore
-// opened on the journal path reads the session's completed cells.
+// Every operation replays what other workers appended, decides on the
+// merged state, and appends at most one record; a claim that changes
+// nothing appends nothing. Compaction atomically rewrites the live state
+// (temporary file, fsync, rename, directory fsync) when the session
+// drains and when dead records outnumber it by journalCompactFactor.
 type DirLeaseStore struct {
 	dir  string
 	file *FileGridStore
@@ -178,33 +174,25 @@ func (s *DirLeaseStore) Claim(spec, worker string, total, limit int, ttl time.Du
 	return claimed, pending, nil
 }
 
-// holds reports whether worker holds any lease, expired or not.
-func holds(j *journal, worker string) bool {
-	for _, l := range j.leases {
-		if l.Worker == worker {
-			return true
-		}
-	}
-	return false
-}
-
 // Renew implements LeaseStore.
 func (s *DirLeaseStore) Renew(spec, worker string, ttl time.Duration) error {
-	return s.record(spec, func(j *journal) ([]journalRecord, bool) {
-		if !holds(j, worker) {
-			return nil, false
-		}
-		return []journalRecord{{Renew: &journalLease{Worker: worker, Expires: s.now().Add(ttl)}}}, false
-	})
+	return s.workerRecord(spec, worker, journalRecord{Renew: &journalLease{Worker: worker, Expires: s.now().Add(ttl)}})
 }
 
 // Release implements LeaseStore.
 func (s *DirLeaseStore) Release(spec, worker string) error {
+	return s.workerRecord(spec, worker, journalRecord{Release: &journalLease{Worker: worker}})
+}
+
+// workerRecord appends rec if worker holds any lease, expired or not.
+func (s *DirLeaseStore) workerRecord(spec, worker string, rec journalRecord) error {
 	return s.record(spec, func(j *journal) ([]journalRecord, bool) {
-		if !holds(j, worker) {
-			return nil, false
+		for _, l := range j.leases {
+			if l.Worker == worker {
+				return []journalRecord{rec}, false
+			}
 		}
-		return []journalRecord{{Release: &journalLease{Worker: worker}}}, false
+		return nil, false
 	})
 }
 
