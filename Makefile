@@ -110,12 +110,15 @@ compare:
 # Build), the CLI delay and network-fault strings (parse → wire →
 # probe), and the session journal decoder (arbitrary bytes → both
 # stores). `go test -fuzz` takes one target per run, hence four runs;
-# plain `go test` only replays their seed corpora.
+# plain `go test` only replays their seed corpora. The journal fuzzer
+# writes and fsyncs a file per input, so it runs in /dev/shm where that
+# exists: on a disk the fsyncs hold a 20 s pass to a few hundred inputs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGridBuild$$' -fuzztime 20s -parallel 2 ./internal/gridspec/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelay$$' -fuzztime 20s -parallel 2 .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNetFaults$$' -fuzztime 20s -parallel 2 .
-	$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 20s -parallel 2 .
+	TMPDIR=$$(test -d /dev/shm && echo /dev/shm || echo $${TMPDIR:-/tmp}) \
+		$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 20s -parallel 2 .
 
 # The grid service end to end: submit over HTTP, shard across workers,
 # stream progress over SSE, survive a restart mid-grid, and release

@@ -261,10 +261,8 @@ func BenchmarkFileGridStoreSave(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				for _, p := range []string{path, path + ".bak"} {
-					if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-						b.Fatal(err)
-					}
+				if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+					b.Fatal(err)
 				}
 				// Synced here, so the timed save's fsync flushes only what
 				// the save itself wrote.

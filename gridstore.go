@@ -230,10 +230,14 @@ func (s *FileGridStore) update(spec string, create bool, fn func(f *os.File) err
 	if err != nil {
 		return err
 	}
-	if f != nil {
-		defer f.Close()
+	if f == nil {
+		return fn(nil)
 	}
-	return fn(f)
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Load implements GridStore.

@@ -377,22 +377,21 @@ func (j *journal) create(path, spec string, recs []journalRecord) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	*j = journal{path: j.path, retired: j.retired}
-	if err := j.write(f, spec, recs); err != nil {
+	if err = j.write(f, spec, recs); err == nil {
+		j.file, err = f.Stat()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && path != j.path {
+		err = os.Rename(path, j.path)
+	}
+	if err != nil {
+		j.reset()
 		return err
 	}
-	if path != j.path {
-		if err := os.Rename(path, j.path); err != nil {
-			j.reset()
-			return err
-		}
-	}
-	if err := syncDir(filepath.Dir(j.path)); err != nil {
-		return err
-	}
-	j.file, err = f.Stat()
-	return err
+	return syncDir(filepath.Dir(j.path))
 }
 
 // live is the size of the live state in records.
