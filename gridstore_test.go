@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -358,6 +359,9 @@ func TestFileGridStoreCorruptionRecovery(t *testing.T) {
 			case corrupt:
 				if !errors.As(err, &ce) {
 					t.Fatalf("got %v, want *CorruptCheckpointError", err)
+				}
+				if tc.name == "flipped byte in middle record" && !strings.Contains(err.Error(), fmt.Sprintf("byte %d", lineStart(data, 2))) {
+					t.Errorf("corruption error does not name the bad record's offset %d: %v", lineStart(data, 2), err)
 				}
 				if !strings.Contains(err.Error(), "delete the file") {
 					t.Errorf("corruption error gives no recovery guidance: %v", err)

@@ -185,9 +185,10 @@ func (j *journal) replay(f *os.File, onRecovery func(error)) error {
 			continue
 		}
 		if n > 0 && n < len(buf) {
-			j.reset()
-			return &CorruptCheckpointError{Path: j.path,
+			err := &CorruptCheckpointError{Path: j.path,
 				Reason: fmt.Errorf("bad record at byte %d followed by more records: %w", j.off, bad)}
+			j.reset()
+			return err
 		}
 		if err := f.Truncate(j.off); err != nil {
 			return err
