@@ -230,6 +230,9 @@ func (s *FileGridStore) update(spec string, create bool, fn func(f *os.File) err
 	if err != nil {
 		return err
 	}
+	if s.j.drained {
+		defer s.j.reset()
+	}
 	if f == nil {
 		return fn(nil)
 	}

@@ -78,6 +78,10 @@ type journal struct {
 	path string
 	// retired are files whose presence marks a retired session layout.
 	retired []string
+	// drained is set once the session has nothing pending: the owner then
+	// drops the replayed state after every call, so a finished session
+	// holds no cells in memory between calls.
+	drained bool
 
 	header []byte // the header line as on disk; nil before one is read
 	spec   string
@@ -94,7 +98,7 @@ type journal struct {
 }
 
 // reset forgets the replayed state, so the next sync rereads the file.
-func (j *journal) reset() { *j = journal{path: j.path, retired: j.retired} }
+func (j *journal) reset() { *j = journal{path: j.path, retired: j.retired, drained: j.drained} }
 
 // setHeader starts an empty state under a header.
 func (j *journal) setHeader(line []byte, spec string) {
@@ -378,7 +382,7 @@ func (j *journal) create(path, spec string, recs []journalRecord) error {
 	if err != nil {
 		return err
 	}
-	*j = journal{path: j.path, retired: j.retired}
+	j.reset()
 	if err = j.write(f, spec, recs); err == nil {
 		j.file, err = f.Stat()
 	}

@@ -135,6 +135,7 @@ func (s *DirLeaseStore) record(spec string, decide func(j *journal) (recs []jour
 		if err := j.append(f, spec, recs); err != nil {
 			return err
 		}
+		j.drained = j.drained || drained
 		if dead := j.records - j.live(); (drained && dead > 0) || dead > journalCompactFactor*(j.live()+1) {
 			return j.compact(s.now())
 		}
