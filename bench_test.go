@@ -173,7 +173,7 @@ func BenchmarkRunnerArena(b *testing.B) {
 // iteration through a discarding progress sink, and the same grid
 // persisting every completed cell through a FileGridStore. Progress cost
 // is dominated by the per-iteration callback + mutex; store cost by one
-// atomic JSON rewrite per cell. Both are opt-in and must stay invisible
+// journal append and fsync per cell. Both are opt-in and must stay invisible
 // when off — the `-compare` wall-clock gate enforces that end to end.
 func BenchmarkGridSession(b *testing.B) {
 	mkGrid := func() mpic.Grid {

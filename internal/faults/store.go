@@ -73,7 +73,7 @@ type FaultyStore[C any] struct {
 	// Faults is the fault schedule.
 	Faults StoreFaults
 	// Tear, when non-nil, corrupts the persisted state of the inner
-	// store (e.g. truncate the checkpoint file mid-JSON). Invoked for
+	// store (e.g. truncate a journal inside its final record). Invoked for
 	// torn-write faults after a successful inner Save; the Save still
 	// reports success, exactly like a real torn write.
 	Tear func() error
