@@ -261,13 +261,17 @@ func (s *FileGridStore) Load(spec string) ([]StoredCell, error) {
 // new cells writes nothing.
 func (s *FileGridStore) Save(spec string, cells []StoredCell) error {
 	return s.update(spec, true, func(f *os.File) error {
-		fresh := s.j.fresh(cells)
-		recs := make([]journalRecord, len(fresh))
-		for i := range fresh {
-			recs[i].Done = &fresh[i]
-		}
-		return s.j.append(f, spec, recs)
+		return s.j.append(f, spec, doneRecords(s.j.fresh(cells)))
 	})
+}
+
+// doneRecords wraps cells as done records.
+func doneRecords(cells []StoredCell) []journalRecord {
+	recs := make([]journalRecord, len(cells))
+	for i := range cells {
+		recs[i].Done = &cells[i]
+	}
+	return recs
 }
 
 // RetryingGridStore decorates any GridStore with bounded retries under

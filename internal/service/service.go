@@ -13,6 +13,12 @@
 // each cell is a pure function of the spec, so resumed, re-submitted,
 // or concurrently sharded sessions all converge on bit-identical
 // results.
+//
+// The server keeps every session it has served. A finished session
+// keeps only a summary — its spec, state and counters — and its status
+// and result reopen the lease store in its directory, which for a
+// drained session rereads the journal on every call anyway; the built
+// grid, the store and the subscriber map go when the session finishes.
 package service
 
 import (
@@ -82,23 +88,28 @@ type Server struct {
 	sessions map[string]*session
 }
 
-// session is one grid run: a spec, its lease store, and the fan-out of
-// progress events to SSE subscribers.
+// session is one grid run: a spec, its counters, and while it runs its
+// lease store and the fan-out of progress events to SSE subscribers.
 type session struct {
-	id    string
-	spec  gridspec.Grid // normalized submission
-	print string        // checkpoint fingerprint (spec.Spec())
-	dir   string
-	store *mpic.DirLeaseStore
-	grid  mpic.Grid
+	id   string
+	spec gridspec.Grid // normalized submission
+	dir  string
 
 	mu        sync.Mutex
 	state     string // "running", "done", "failed"
 	failure   string
-	completed int // cells finished (restored + executed) across workers
-	failed    int // cells quarantined
-	subs      map[int]chan []byte
-	nextSub   int
+	cells     int         // cells in the grid
+	completed int         // cells finished (restored + executed) across workers
+	failed    int         // cells quarantined
+	run       *sessionRun // nil once the session is terminal
+}
+
+// sessionRun is the part of a session that lives only while it runs.
+type sessionRun struct {
+	store   *mpic.DirLeaseStore
+	grid    mpic.Grid
+	subs    map[int]chan []byte
+	nextSub int
 }
 
 // New creates a server over a data directory and resumes every
@@ -159,7 +170,7 @@ func (s *Server) resume() error {
 			return fmt.Errorf("service: session directory %s cannot resume: %w (delete the directory and restart to drop the session)",
 				filepath.Join(s.opts.DataDir, e.Name()), err)
 		}
-		s.opts.Logf("service: resumed session %s (%d cells)", sess.id, len(sess.grid.Cells))
+		s.opts.Logf("service: resumed session %s (%d cells)", sess.id, sess.cells)
 	}
 	return nil
 }
@@ -187,24 +198,23 @@ func (s *Server) open(g gridspec.Grid) (*session, bool, error) {
 	if sess, ok := s.sessions[id]; ok {
 		return sess, false, nil
 	}
-	dir := filepath.Join(s.opts.DataDir, id)
-	store := mpic.NewDirLeaseStore(filepath.Join(dir, "session"))
 	sess := &session{
-		id: id, spec: g, print: g.Spec(), dir: dir,
-		store: store, grid: grid,
-		state: "running",
-		subs:  make(map[int]chan []byte),
+		id: id, spec: g, dir: filepath.Join(s.opts.DataDir, id),
+		state: "running", cells: len(grid.Cells),
 	}
+	store := s.store(sess)
+	run := &sessionRun{store: store, grid: grid, subs: make(map[int]chan []byte)}
+	sess.run = run
 	// Persist the spec first: a crash between here and the first cell
 	// must leave a resumable directory, not an orphan.
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(sess.dir, 0o755); err != nil {
 		return nil, false, err
 	}
 	specJSON, err := json.MarshalIndent(g, "", "  ")
 	if err != nil {
 		return nil, false, err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "spec.json"), append(specJSON, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(sess.dir, "spec.json"), append(specJSON, '\n'), 0o644); err != nil {
 		return nil, false, err
 	}
 	// Cells already in the store (a resumed session) count as completed
@@ -220,12 +230,35 @@ func (s *Server) open(g gridspec.Grid) (*session, bool, error) {
 		sess.failed = len(failed)
 	}
 	s.sessions[id] = sess
-	s.start(sess)
+	s.start(sess, run)
 	return sess, true, nil
 }
 
+// store opens the lease store in a session's directory, logging any torn
+// journal tail it cuts off.
+func (s *Server) store(sess *session) *mpic.DirLeaseStore {
+	store := mpic.NewDirLeaseStore(filepath.Join(sess.dir, "session"))
+	store.OnRecovery = func(reason error) {
+		s.opts.Logf("service: session %s: recovered its journal: %v", sess.id, reason)
+	}
+	return store
+}
+
+// storeOf returns a session's lease store: the running session's own,
+// or for a finished one a store reopened over its directory (a drained
+// store rereads the journal on every call anyway).
+func (s *Server) storeOf(sess *session) *mpic.DirLeaseStore {
+	sess.mu.Lock()
+	run := sess.run
+	sess.mu.Unlock()
+	if run != nil {
+		return run.store
+	}
+	return s.store(sess)
+}
+
 // start launches the session's worker pool and its supervisor.
-func (s *Server) start(sess *session) {
+func (s *Server) start(sess *session, run *sessionRun) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -236,7 +269,7 @@ func (s *Server) start(sess *session) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				errs[i] = s.runWorker(sess, i)
+				errs[i] = s.runWorker(sess, run, i)
 			}(i)
 		}
 		wg.Wait()
@@ -255,16 +288,16 @@ func (s *Server) start(sess *session) {
 // runWorker is one lease-sharded worker of a session. Its grid shares
 // the session's cells but carries worker-scoped progress and sink
 // closures; the event hub serializes the fan-in.
-func (s *Server) runWorker(sess *session, i int) error {
+func (s *Server) runWorker(sess *session, run *sessionRun, i int) error {
 	worker := fmt.Sprintf("pid%d-w%d", os.Getpid(), i)
-	g := sess.grid
+	g := run.grid
 	g.OnCellError = mpic.QuarantineCells
 	if s.opts.Retries > 0 {
 		g.Retry = mpic.RetryPolicy{MaxAttempts: s.opts.Retries + 1, JitterSeed: sess.spec.Seed}
 	}
 	g.Progress = func(p mpic.GridProgress) { sess.publish(worker, p) }
 	sink := func(res mpic.GridCellResult) { sess.count(res) }
-	return s.runner.RunGridSharded(s.ctx, g, sess.store, mpic.ShardOptions{
+	return s.runner.RunGridSharded(s.ctx, g, run.store, mpic.ShardOptions{
 		Worker:   worker,
 		LeaseTTL: s.opts.LeaseTTL,
 	}, sink)
@@ -353,9 +386,10 @@ func (sess *session) count(res mpic.GridCellResult) {
 }
 
 // finish resolves the session's terminal state from its workers'
-// returns and broadcasts the lifecycle event. A *mpic.GridFailure is a
-// partial success — the session is "done" with failed cells reported —
-// while any other error marks it "failed".
+// returns, broadcasts the lifecycle event, and drops what only a running
+// session needs. A *mpic.GridFailure is a partial success — the session
+// is "done" with failed cells reported — while any other error marks it
+// "failed".
 func (sess *session) finish(errs []error) {
 	state, failure := "done", ""
 	for _, err := range errs {
@@ -368,13 +402,14 @@ func (sess *session) finish(errs []error) {
 	}
 	sess.mu.Lock()
 	sess.state, sess.failure = state, failure
-	ev := Event{Event: "session", Cells: len(sess.grid.Cells),
+	ev := Event{Event: "session", Cells: sess.cells,
 		Completed: sess.completed, Failed: sess.failed, State: state}
 	if failure != "" {
 		ev.Error = failure
 	}
 	sess.broadcastLocked(ev)
 	sess.closeSubsLocked()
+	sess.run = nil
 	sess.mu.Unlock()
 }
 
@@ -394,31 +429,34 @@ func (sess *session) subscribe() (int, <-chan []byte) {
 	if sess.state != "running" {
 		return 0, nil
 	}
-	id := sess.nextSub
-	sess.nextSub++
+	id := sess.run.nextSub
+	sess.run.nextSub++
 	ch := make(chan []byte, 1024)
-	sess.subs[id] = ch
+	sess.run.subs[id] = ch
 	return id, ch
 }
 
 func (sess *session) unsubscribe(id int) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if ch, ok := sess.subs[id]; ok {
-		delete(sess.subs, id)
+	if sess.run == nil {
+		return // finish closed the channel
+	}
+	if ch, ok := sess.run.subs[id]; ok {
+		delete(sess.run.subs, id)
 		close(ch)
 	}
 }
 
 func (sess *session) broadcastLocked(ev Event) {
-	if len(sess.subs) == 0 {
+	if sess.run == nil || len(sess.run.subs) == 0 {
 		return
 	}
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return
 	}
-	for _, ch := range sess.subs {
+	for _, ch := range sess.run.subs {
 		select {
 		case ch <- data:
 		default: // slow subscriber: drop, never stall the engine
@@ -433,8 +471,11 @@ func (sess *session) closeSubs() {
 }
 
 func (sess *session) closeSubsLocked() {
-	for id, ch := range sess.subs {
-		delete(sess.subs, id)
+	if sess.run == nil {
+		return
+	}
+	for id, ch := range sess.run.subs {
+		delete(sess.run.subs, id)
 		close(ch)
 	}
 }
@@ -457,12 +498,12 @@ type sessionInfo struct {
 func (s *Server) info(sess *session, withLeases bool) sessionInfo {
 	state, failure, completed, failed := sess.status()
 	info := sessionInfo{
-		ID: sess.id, Spec: sess.spec, Print: sess.print,
+		ID: sess.id, Spec: sess.spec, Print: sess.spec.Spec(),
 		State: state, Error: failure,
-		Cells: len(sess.grid.Cells), Completed: completed, Failed: failed,
+		Cells: sess.cells, Completed: completed, Failed: failed,
 	}
 	if withLeases {
-		if leases, err := sess.store.Leases(sess.print); err == nil {
+		if leases, err := s.storeOf(sess).Leases(info.Print); err == nil {
 			info.Leases = leases
 		}
 	}
@@ -515,7 +556,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		code := http.StatusOK
 		if created {
 			code = http.StatusCreated
-			s.opts.Logf("service: created session %s (%d cells)", sess.id, len(sess.grid.Cells))
+			s.opts.Logf("service: created session %s (%d cells)", sess.id, sess.cells)
 		}
 		writeJSON(w, code, s.info(sess, false))
 	default:
@@ -560,12 +601,13 @@ type resultRow struct {
 // lease store (in grid order — the deterministic identity, not the
 // nondeterministic completion order) plus the quarantined failures.
 func (s *Server) handleResult(w http.ResponseWriter, sess *session) {
-	cells, err := sess.store.Load(sess.print)
+	store, print := s.storeOf(sess), sess.spec.Spec()
+	cells, err := store.Load(print)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	failures, err := sess.store.Failures(sess.print)
+	failures, err := store.Failures(print)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
@@ -579,10 +621,10 @@ func (s *Server) handleResult(w http.ResponseWriter, sess *session) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"id":       sess.id,
 		"state":    state,
-		"cells":    len(sess.grid.Cells),
+		"cells":    sess.cells,
 		"rows":     rows,
 		"failures": failures,
-		"complete": len(rows)+len(failures) == len(sess.grid.Cells),
+		"complete": len(rows)+len(failures) == sess.cells,
 	})
 }
 

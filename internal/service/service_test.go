@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ func smallSpec() gridspec.Grid {
 	}
 }
 
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	if opts.DataDir == "" {
 		opts.DataDir = t.TempDir()
@@ -327,6 +329,131 @@ func TestServiceRestartResume(t *testing.T) {
 			t.Errorf("cell %d differs after restart:\nservice:    %+v\nsequential: %+v",
 				row.Index, row.Cell, want[row.Index])
 		}
+	}
+}
+
+// failNoise is a noiseless model whose noisy cells fail to wire, so the
+// service quarantines every cell of a session at a rate above zero.
+type failNoise struct{ rate float64 }
+
+func (failNoise) NoiseName() string                    { return "svc-test-failwire" }
+func (failNoise) WithRate(rate float64) mpic.NoiseSpec { return failNoise{rate} }
+func (n failNoise) Wire(env mpic.NoiseEnv) (mpic.WiredNoise, error) {
+	if n.rate > 0 {
+		return mpic.WiredNoise{}, errors.New("injected wiring failure")
+	}
+	return mpic.RandomNoise(0).Wire(env)
+}
+
+// failingNoise registers failNoise once per test binary.
+var failingNoise = sync.OnceValue(func() error {
+	return mpic.RegisterNoise("svc-test-failwire", func(rate float64) mpic.NoiseSpec { return failNoise{rate} })
+})
+
+// sessionAnswers is everything the HTTP surface says about one session.
+type sessionAnswers struct {
+	List, Status, Result, Events string
+}
+
+func getBody(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, data)
+	}
+	return string(data)
+}
+
+func answers(t *testing.T, url, id string) sessionAnswers {
+	t.Helper()
+	return sessionAnswers{
+		List:   getBody(t, url+"/sessions"),
+		Status: getBody(t, url+"/sessions/"+id),
+		Result: getBody(t, url+"/sessions/"+id+"/result"),
+		Events: getBody(t, url+"/sessions/"+id+"/events"),
+	}
+}
+
+// finishedRun reports whether the server holds the session and, if so,
+// whether it still holds its running state (grid, store, subscribers).
+func finishedRun(s *Server, id string) (held, running bool) {
+	s.mu.Lock()
+	sess, ok := s.sessions[id]
+	s.mu.Unlock()
+	if !ok {
+		return false, false
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return true, sess.run != nil
+}
+
+// TestServiceFinishedSessionSummary pins the finished-session shape: once
+// a session is terminal the server keeps no grid, lease store or
+// subscriber map for it, and every endpoint still answers from the
+// summary and the reopened store — the same fingerprint, cell count,
+// rows, failures and completeness, byte for byte the answers a server
+// restarted over the completed data directory gives.
+func TestServiceFinishedSessionSummary(t *testing.T) {
+	if err := failingNoise(); err != nil {
+		t.Fatal(err)
+	}
+	dataDir := t.TempDir()
+	spec := gridspec.Grid{Noise: "svc-test-failwire", N: "4", Schemes: "A", Rates: "0,0.001", Trials: 1, Seed: 5, IterFactor: 10}
+	want := spec.Normalize().Spec()
+
+	first, err := New(Options{DataDir: dataDir, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(first.Handler())
+	info, code := postSpec(t, ts1.URL, spec)
+	if code != http.StatusCreated {
+		t.Fatalf("submit = %d %+v", code, info)
+	}
+	final := waitDone(t, ts1.URL, info.ID)
+	if final.State != "done" || final.Print != want || final.Cells != 2 || final.Completed != 1 || final.Failed != 1 {
+		t.Fatalf("final status = %+v", final)
+	}
+	if held, running := finishedRun(first, info.ID); !held || running {
+		t.Fatalf("finished session: held %v, still holding its running state %v", held, running)
+	}
+	got := answers(t, ts1.URL, info.ID)
+	res := getResult(t, ts1.URL, info.ID)
+	if res.State != "done" || res.Cells != 2 || !res.Complete || len(res.Rows) != 1 || res.Rows[0].Index != 0 ||
+		len(res.Failures) != 1 || res.Failures[0].Cell != 1 {
+		t.Fatalf("finished result = %+v", res)
+	}
+	if !strings.Contains(got.Events, "event: status") || !strings.Contains(got.Events, `"state":"done"`) {
+		t.Fatalf("finished event stream:\n%s", got.Events)
+	}
+	if !strings.Contains(got.List, `"fingerprint": "`+want+`"`) {
+		t.Fatalf("session list misses the fingerprint:\n%s", got.List)
+	}
+	ts1.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := first.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// A restarted server takes the completed session through the same
+	// path and gives the same answers.
+	second, ts2 := newTestServer(t, Options{DataDir: dataDir, Workers: 2})
+	waitDone(t, ts2.URL, info.ID)
+	if held, running := finishedRun(second, info.ID); !held || running {
+		t.Fatalf("resumed finished session: held %v, still holding its running state %v", held, running)
+	}
+	if again := answers(t, ts2.URL, info.ID); again != got {
+		t.Errorf("restarted server answers differently:\nfirst:  %+v\nsecond: %+v", got, again)
 	}
 }
 

@@ -95,9 +95,22 @@ type FailedCell struct {
 // nothing appends nothing. Compaction atomically rewrites the live state
 // (temporary file, fsync, rename, directory fsync) when the session
 // drains and when dead records outnumber it by journalCompactFactor.
+//
+// Workers sharing one DirLeaseStore value wake each other: every append
+// closes a channel a RunGridSharded worker with nothing to claim waits
+// on, so it asks again at once instead of sleeping out ShardOptions.Poll.
+// Workers in other processes see the appends only when they poll.
 type DirLeaseStore struct {
 	dir  string
 	file *FileGridStore
+	// wake is closed and cleared by every append; nil until a worker
+	// asks for it. Guarded by file.mu.
+	wake chan struct{}
+
+	// OnRecovery, when non-nil, is called when a torn final record of
+	// the journal is cut off, with the damage found: a lost claim, renewal
+	// or release is re-derived by the next Claim, a lost done cell re-runs.
+	OnRecovery func(reason error)
 
 	// Clock replaces time.Now for lease expiry decisions; nil means
 	// time.Now. Tests inject a fake clock to step leases over their TTL
@@ -112,7 +125,13 @@ func NewDirLeaseStore(dir string) *DirLeaseStore {
 	// A directory still holding the two-ledger layout is a session this
 	// build cannot read.
 	file.j.retired = []string{filepath.Join(dir, "cells.json"), filepath.Join(dir, "leases.json")}
-	return &DirLeaseStore{dir: dir, file: file}
+	s := &DirLeaseStore{dir: dir, file: file}
+	file.OnRecovery = func(reason error) {
+		if s.OnRecovery != nil {
+			s.OnRecovery(reason)
+		}
+	}
+	return s
 }
 
 // Dir returns the session directory.
@@ -125,15 +144,30 @@ func (s *DirLeaseStore) now() time.Time {
 	return time.Now()
 }
 
+// wakeup returns a channel closed by the next append through this store
+// value — the hook RunGridSharded waits on beside its Poll timer.
+func (s *DirLeaseStore) wakeup() <-chan struct{} {
+	s.file.mu.Lock()
+	defer s.file.mu.Unlock()
+	if s.wake == nil {
+		s.wake = make(chan struct{})
+	}
+	return s.wake
+}
+
 // record runs decide under the journal lock and appends the records it
-// returns, compacting afterwards when the session has drained or its
-// dead records pile up.
+// returns, waking the workers waiting on this store, then compacts when
+// the session has drained or its dead records pile up.
 func (s *DirLeaseStore) record(spec string, decide func(j *journal) (recs []journalRecord, drained bool)) error {
 	return s.file.update(spec, true, func(f *os.File) error {
 		j := &s.file.j
 		recs, drained := decide(j)
 		if err := j.append(f, spec, recs); err != nil {
 			return err
+		}
+		if len(recs) > 0 && s.wake != nil {
+			close(s.wake)
+			s.wake = nil
 		}
 		j.drained = j.drained || drained
 		if dead := j.records - j.live(); (drained && dead > 0) || dead > journalCompactFactor*(j.live()+1) {
@@ -149,7 +183,9 @@ func (s *DirLeaseStore) Load(spec string) ([]StoredCell, error) { return s.file.
 // Save implements GridStore by appending the cells the session does not
 // hold yet — the path the ordinary single-writer engine uses when it
 // finishes a sharded session's stragglers.
-func (s *DirLeaseStore) Save(spec string, cells []StoredCell) error { return s.file.Save(spec, cells) }
+func (s *DirLeaseStore) Save(spec string, cells []StoredCell) error {
+	return s.record(spec, func(j *journal) ([]journalRecord, bool) { return doneRecords(j.fresh(cells)), false })
+}
 
 // Claim implements LeaseStore.
 func (s *DirLeaseStore) Claim(spec, worker string, total, limit int, ttl time.Duration) (claimed []int, pending int, err error) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -298,6 +300,123 @@ func TestShardedGridDeterminism(t *testing.T) {
 	}
 	if len(leases) != 0 {
 		t.Errorf("finished session still holds leases: %+v", leases)
+	}
+}
+
+// TestShardedWorkersWakeOnPeerAppend pins the in-process wake-up: two
+// workers share a session, the first to claim takes every cell, and the
+// other waits with a Poll of an hour, so it can return in time only if
+// each of its peer's appends wakes it. Two stores on one directory stand
+// in for two processes: no append reaches across them, and the waiting
+// worker drains through the Poll fallback. Either way the session is
+// bit-identical to a sequential run.
+func TestShardedWorkersWakeOnPeerAppend(t *testing.T) {
+	grid := sweep{Base: gridBase(), N: []int{4, 5}, Rates: []float64{0, 0.002}, Trials: 1}.grid()
+	grid.Spec = "shard-wake"
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	seqGrid := grid
+	seqGrid.Workers = 1
+	want, err := runner.CollectGrid(context.Background(), seqGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		shared bool
+		poll   time.Duration
+	}{
+		{"shared store", true, time.Hour},
+		{"store per worker", false, 20 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			stores := []*mpic.DirLeaseStore{mpic.NewDirLeaseStore(dir), mpic.NewDirLeaseStore(dir)}
+			if tc.shared {
+				stores[1] = stores[0]
+			}
+			start := time.Now()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			var wg sync.WaitGroup
+			errs := make([]error, len(stores))
+			for w := range stores {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					errs[w] = runner.RunGridSharded(ctx, grid, stores[w], mpic.ShardOptions{
+						Worker: fmt.Sprintf("w%d", w), LeaseTTL: time.Minute, Batch: len(grid.Cells), Poll: tc.poll,
+					}, nil)
+				}(w)
+			}
+			wg.Wait()
+			if took := time.Since(start); took > 30*time.Second {
+				t.Errorf("workers took %v to drain the session", took)
+			}
+			for w, err := range errs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", w, err)
+				}
+			}
+			restore := grid
+			restore.Store = stores[0]
+			got, err := runner.CollectGrid(context.Background(), restore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if !got[i].Restored || !reflect.DeepEqual(got[i].Cell, want[i].Cell) {
+					t.Errorf("cell %d (restored %v) diverged from sequential run:\n got %+v\nwant %+v",
+						i, got[i].Restored, got[i].Cell, want[i].Cell)
+				}
+			}
+		})
+	}
+}
+
+// TestLeaseStoreTornTailRecovery pins DirLeaseStore.OnRecovery: a lease
+// journal whose last record was torn mid-append is cut back to its last
+// whole record on the next call, the hook hears about it once, and the
+// lost claim is re-derived — its cells are pending and claimable again.
+func TestLeaseStoreTornTailRecovery(t *testing.T) {
+	dir := t.TempDir()
+	store := mpic.NewDirLeaseStore(dir)
+	var recovered []error
+	store.OnRecovery = func(reason error) { recovered = append(recovered, reason) }
+	const spec, total = "torn-lease", 3
+	if err := store.SaveCell(spec, "w-a", mpic.StoredCell{Index: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if claimed, _, err := store.Claim(spec, "w-a", total, 2, time.Minute); err != nil || len(claimed) != 2 {
+		t.Fatalf("claim: %v, %v", claimed, err)
+	}
+	path := filepath.Join(dir, "journal")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-10); err != nil {
+		t.Fatal(err)
+	}
+
+	claimed, pending, err := store.Claim(spec, "w-b", total, 2, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(claimed, []int{1, 2}) || pending != 2 {
+		t.Errorf("after the torn claim, w-b claimed %v with %d pending; want [1 2] with 2", claimed, pending)
+	}
+	var corrupt *mpic.CorruptCheckpointError
+	if len(recovered) != 1 || !errors.As(recovered[0], &corrupt) || !strings.Contains(recovered[0].Error(), "torn final record") {
+		t.Fatalf("OnRecovery calls: %v, want one torn-record report", recovered)
+	}
+	cells, err := store.Load(spec)
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("the done cell before the torn claim: %d cells, %v", len(cells), err)
+	}
+	if len(recovered) != 1 {
+		t.Errorf("OnRecovery fired %d times, want once", len(recovered))
 	}
 }
 

@@ -30,7 +30,10 @@ type ShardOptions struct {
 	// rebalancing when workers run at different speeds.
 	Batch int
 	// Poll is how long to wait before re-asking for work when every
-	// pending cell is leased to someone else (0 means 200ms).
+	// pending cell is leased to someone else (0 means 200ms). Workers
+	// sharing one *DirLeaseStore wake each other on every append, so
+	// Poll bounds only the waits no in-process append can end: peers in
+	// other processes, and lease expiry.
 	Poll time.Duration
 }
 
@@ -74,6 +77,12 @@ func (o ShardOptions) withDefaults() ShardOptions {
 // the session-wide failed cells. On any return — including cancellation
 // — the worker releases its leases; only a crash leaves leases to
 // expire.
+//
+// A worker with nothing to claim waits for the session to change. On a
+// *DirLeaseStore it wakes as soon as a worker sharing that store value
+// appends a record (a done cell, a release, a failure, a claim) and
+// otherwise after ShardOptions.Poll — the bound for peers in other
+// processes and for lease expiry. Any other LeaseStore is polled.
 //
 // Progress events are serialized within this worker only. A Progress
 // callback shared by several in-process workers must synchronize its
@@ -139,9 +148,16 @@ func (r *Runner) RunGridSharded(ctx context.Context, g Grid, store LeaseStore, o
 		_ = store.Release(spec, opts.Worker)
 	}()
 
+	waker, _ := store.(interface{ wakeup() <-chan struct{} })
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		// Take the wake channel before claiming, so an append between the
+		// Claim and the wait still ends the wait. Nil (no waker) blocks.
+		var wake <-chan struct{}
+		if waker != nil {
+			wake = waker.wakeup()
 		}
 		claimed, pending, err := store.Claim(spec, opts.Worker, len(g.Cells), opts.Batch, opts.LeaseTTL)
 		if err != nil {
@@ -153,11 +169,13 @@ func (r *Runner) RunGridSharded(ctx context.Context, g Grid, store LeaseStore, o
 		if len(claimed) == 0 {
 			// Everything pending is leased elsewhere; wait for leases to
 			// resolve (complete, release, or expire) and ask again.
+			poll := time.NewTimer(opts.Poll)
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(opts.Poll):
+			case <-wake:
+			case <-poll.C:
 			}
+			poll.Stop()
 			continue
 		}
 		for _, i := range claimed {
