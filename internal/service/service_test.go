@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -454,6 +455,64 @@ func TestServiceFinishedSessionSummary(t *testing.T) {
 	}
 	if again := answers(t, ts2.URL, info.ID); again != got {
 		t.Errorf("restarted server answers differently:\nfirst:  %+v\nsecond: %+v", got, again)
+	}
+}
+
+// TestServiceLogsJournalRecovery pins the service's use of
+// DirLeaseStore.OnRecovery: a session journal whose last record was torn
+// is cut back on restart, the log names the session, and the session
+// re-runs the lost cell to the same result.
+func TestServiceLogsJournalRecovery(t *testing.T) {
+	dataDir := t.TempDir()
+	first, ts1 := newTestServer(t, Options{DataDir: dataDir, Workers: 2})
+	info, _ := postSpec(t, ts1.URL, smallSpec())
+	if final := waitDone(t, ts1.URL, info.ID); final.State != "done" {
+		t.Fatalf("final status = %+v", final)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := first.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(dataDir, info.ID, "session", "journal")
+	fi, err := os.Stat(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(journal, fi.Size()-10); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	_, ts2 := newTestServer(t, Options{DataDir: dataDir, Workers: 2, Logf: func(format string, args ...interface{}) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	if final := waitDone(t, ts2.URL, info.ID); final.State != "done" || final.Completed != 2 {
+		t.Fatalf("resumed status = %+v", final)
+	}
+	mu.Lock()
+	var recovered []string
+	for _, l := range logs {
+		if strings.Contains(l, info.ID) && strings.Contains(l, "torn final record") {
+			recovered = append(recovered, l)
+		}
+	}
+	mu.Unlock()
+	if len(recovered) != 1 {
+		t.Errorf("recovery log lines naming the session: %q (all: %q)", recovered, logs)
+	}
+	want := sequentialCells(t, smallSpec())
+	res := getResult(t, ts2.URL, info.ID)
+	if !res.Complete || len(res.Rows) != 2 {
+		t.Fatalf("result after recovery = %+v", res)
+	}
+	for _, row := range res.Rows {
+		if !reflect.DeepEqual(row.Cell, want[row.Index]) {
+			t.Errorf("cell %d differs from sequential run after recovery", row.Index)
+		}
 	}
 }
 
