@@ -1,14 +1,14 @@
 # Verification entry points. `make verify` is the PR gate: the tier-1
 # suite (build, vet, test) plus a race-detector pass with GOMAXPROCS
-# forced to 4, so the persistent parallel round engine, the incremental
-# checkpoint store, the elastic core-budget scheduler, AND the streaming
-# parallel grid engine (package mpic: Runner.RunGrid workers sharing one
-# arena) get real concurrency coverage even on single-CPU
-# boxes (where the worker pools would otherwise stay at width 1 and
-# races could hide), plus an explicit build/vet/test pass over examples/
-# so the public Scenario/Runner API cannot drift from its documented
-# usage, plus cross-GOARCH and purego builds so the arch-gated hash
-# kernel cannot silently break the pure-Go fallback other platforms run.
+# forced to 4, so the concurrent parts — the grid engine's cell workers
+# (Runner.RunGrid, sharing one arena and one session store), the
+# lease-sharded workers (RunGridSharded), and the grid service — get
+# real concurrency coverage even on single-CPU boxes (where the worker
+# pools would otherwise stay at width 1 and races could hide), plus an
+# explicit build/vet/test pass over examples/ so the public
+# Scenario/Runner API cannot drift from its documented usage, plus
+# cross-GOARCH and purego builds so the arch-gated hash kernel cannot
+# silently break the pure-Go fallback other platforms run.
 
 GO ?= go
 
@@ -117,8 +117,9 @@ compare:
 
 # A bounded run of each fuzzer: the grid-spec body (decode → Normalize →
 # Build), the CLI delay and network-fault strings (parse → wire →
-# probe), and the session journal decoder (arbitrary bytes → both
-# stores). `go test -fuzz` takes one target per run, hence four runs;
+# probe), the session journal decoder (arbitrary bytes → both stores),
+# and the Reed–Solomon decoder (codes, error patterns and erasure lists
+# → Decode). `go test -fuzz` takes one target per run, hence five runs;
 # plain `go test` only replays their seed corpora. The journal fuzzer
 # writes and fsyncs a file per input, so it runs in /dev/shm where that
 # exists: on a disk the fsyncs hold a 20 s pass to a few hundred inputs.
@@ -126,6 +127,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGridBuild$$' -fuzztime 20s -parallel 2 ./internal/gridspec/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelay$$' -fuzztime 20s -parallel 2 .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNetFaults$$' -fuzztime 20s -parallel 2 .
+	$(GO) test -run '^$$' -fuzz '^FuzzRSDecode$$' -fuzztime 20s -parallel 2 ./internal/ecc/
 	TMPDIR=$$(test -d /dev/shm && echo /dev/shm || echo $${TMPDIR:-/tmp}) \
 		$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 20s -parallel 2 .
 

@@ -108,27 +108,20 @@ func BenchmarkSchemeEndToEnd(b *testing.B) {
 }
 
 // BenchmarkScalingNetworkSize times Algorithm A end to end as the
-// network grows (noiseless): the per-node simulation cost, with the
-// sequential and worker-pool send executors side by side.
+// network grows (noiseless): the per-node simulation cost.
 func BenchmarkScalingNetworkSize(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32} {
-		for _, parallel := range []bool{false, true} {
-			name := "n=" + strconv.Itoa(n)
-			if parallel {
-				name += "/parallel"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := mpic.RunScenario(context.Background(), mpic.Scenario{Topology: mpic.Line(n), Seed: 1, IterFactor: 10, Parallel: parallel})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Success {
-						b.Fatal("run failed")
-					}
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := mpic.RunScenario(context.Background(), mpic.Scenario{Topology: mpic.Line(n), Seed: 1, IterFactor: 10})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if !res.Success {
+					b.Fatal("run failed")
+				}
+			}
+		})
 	}
 }
 

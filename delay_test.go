@@ -3,11 +3,15 @@ package mpic_test
 import (
 	"context"
 	"errors"
+	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mpic"
+	"mpic/internal/channel"
+	"mpic/internal/network"
 )
 
 // TestLockstepDelayPinned is the compatibility pin of the virtual-time
@@ -282,4 +286,80 @@ func sortedStrings(s []string) bool {
 		}
 	}
 	return true
+}
+
+// lossyDelay is a custom delay model (and its own spec) that loses every
+// symbol sent in every 7th round: its delay there is +Inf, and every
+// other symbol arrives on time.
+type lossyDelay struct{}
+
+func (lossyDelay) DelayName() string                           { return "lossy" }
+func (lossyDelay) Wire(mpic.DelayEnv) (mpic.DelayModel, error) { return lossyDelay{}, nil }
+func (lossyDelay) Lockstep() bool                              { return false }
+
+func (lossyDelay) Delay(round int, _ mpic.Link) float64 {
+	if round%7 == 6 {
+		return math.Inf(1)
+	}
+	return 0.5
+}
+
+// TestInfiniteDelayKeepResults: a custom model returning +Inf loses
+// those symbols for good — deletions at the deadline that never land —
+// and a KeepResults session over a FileGridStore persists such trials
+// and restores them unchanged. The DES step caps the delay at
+// network.MaxDelay, so the delay histograms stay finite and the session
+// journal can encode them.
+func TestInfiniteDelayKeepResults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lossy.json")
+	mk := func() mpic.Grid {
+		sc := gridBase()
+		sc.Topology = mpic.Line(3)
+		sc.Delay = lossyDelay{}
+		return mpic.Grid{
+			Cells:       []mpic.GridCell{{Scenario: sc, Trials: 2}},
+			KeepResults: true,
+			Store:       mpic.NewFileGridStore(path),
+		}
+	}
+	runner := mpic.NewRunner()
+	defer runner.Close()
+
+	fresh, err := runner.CollectGrid(context.Background(), mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, res := range fresh[0].Results {
+		net := res.Metrics.Net
+		if net == nil {
+			t.Fatalf("trial %d: no NetStats on a timed run", j)
+		}
+		if net.LateSymbols == 0 || net.LateDelivered != 0 {
+			t.Errorf("trial %d: %d late symbols, %d landed; want some lost and none landed",
+				j, net.LateSymbols, net.LateDelivered)
+		}
+		if got := res.Metrics.Corruptions[channel.KindDeletion]; got != net.LateSymbols {
+			t.Errorf("trial %d: %d deletions, want one per lost symbol (%d)", j, got, net.LateSymbols)
+		}
+		for _, l := range net.Links {
+			if l.Hist.Max > network.MaxDelay || math.IsInf(l.Hist.Sum, 0) {
+				t.Errorf("trial %d link %d->%d: delay histogram max %g sum %g, want capped at %g",
+					j, l.From, l.To, l.Hist.Max, l.Hist.Sum, float64(network.MaxDelay))
+			}
+		}
+	}
+
+	replayed, err := runner.CollectGrid(context.Background(), mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !replayed[0].Restored || len(replayed[0].Results) != len(fresh[0].Results) {
+		t.Fatalf("replay restored=%v with %d results, want the %d stored trials",
+			replayed[0].Restored, len(replayed[0].Results), len(fresh[0].Results))
+	}
+	for j, got := range replayed[0].Results {
+		if !reflect.DeepEqual(got.Metrics, fresh[0].Results[j].Metrics) {
+			t.Errorf("trial %d metrics differ after restore:\n%+v\n%+v", j, got.Metrics, fresh[0].Results[j].Metrics)
+		}
+	}
 }

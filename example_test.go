@@ -125,7 +125,7 @@ func ExampleRunProtocol() {
 	params.CRSKey = 3
 	// Delete 5 payload bits on the link 0→1.
 	adv := mpic.NewFixedDeletions(0, 1, 10, 5)
-	res, err := mpic.RunProtocol(proto, params, adv, false)
+	res, err := mpic.RunProtocol(proto, params, adv)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -8,7 +8,6 @@ import (
 
 	"mpic/internal/adversary"
 	"mpic/internal/channel"
-	"mpic/internal/cores"
 	"mpic/internal/ecc"
 	"mpic/internal/graph"
 	"mpic/internal/hashing"
@@ -52,8 +51,6 @@ type Options struct {
 	// seed-aware collision attacker of Section 6.1 at the given
 	// corruption rate — the strongest non-oblivious attack implemented.
 	WhiteBoxRate float64
-	// Parallel enables the concurrent send executor.
-	Parallel bool
 	// Delay, if non-nil and not lockstep (or if NetFaults is set), runs
 	// the network on the virtual-time discrete-event path with the given
 	// flight-delay model; Metrics.Net then reports the timing story. Nil
@@ -74,14 +71,6 @@ type Options struct {
 	// Arena, if non-nil, supplies recycled per-link hash buffers and gets
 	// them back when the run ends (see Arena).
 	Arena *Arena
-	// CoreBudget, if non-nil, is the shared core-budget token pool the
-	// run's parallel send executor borrows helper cores from (the elastic
-	// worker split: a grid sizes one budget at GOMAXPROCS, each cell
-	// worker holds a token, and spare tokens flow to whichever cell hits
-	// a heavy round). Only consulted when Parallel is set; results are
-	// bit-identical at any borrow outcome. Nil lets a parallel run assume
-	// it owns the machine.
-	CoreBudget *cores.Budget
 }
 
 // WhiteBoxStats reports the collision attacker's bookkeeping.
@@ -271,11 +260,6 @@ func Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.Parallel = opts.Parallel
-	if opts.CoreBudget != nil {
-		eng.SetCoreBudget(opts.CoreBudget)
-	}
-	defer eng.Close()
 	if opts.Delay != nil || opts.NetFaults != nil {
 		var wired *network.WiredFaults
 		if opts.NetFaults != nil {
@@ -289,15 +273,6 @@ func Run(opts Options) (*Result, error) {
 	eng.SetPhaseFn(func(round int) trace.Phase {
 		_, ph, _ := lay.phaseAt(round)
 		return ph
-	})
-	// Almost every round moves one symbol per link; the compute of an
-	// iteration concentrates in the first meeting-points round, where each
-	// party rehashes its transcripts (prepareIteration). Point the
-	// parallel executor at exactly those rounds so pool synchronization is
-	// paid only where the fan-out wins.
-	eng.SetParallelHint(func(round int) bool {
-		_, ph, rel := lay.phaseAt(round)
-		return ph == trace.PhaseMeetingPoints && rel == 0
 	})
 
 	ref := protocol.RunReference(opts.Protocol)

@@ -44,8 +44,7 @@ const neverRefresh = 1 << 30
 // them bit-for-bit, proving the legacy escape hatch really is the seed
 // engine — now that the repo default is epoch refresh, these pins are
 // what keeps old recorded runs reproducible on demand. A fifth subtest
-// pins the epoch default itself: a given (seed, R) replays bit-identically
-// under the sequential and the parallel executor.
+// pins the epoch default itself: a given (seed, R) replays bit-identically.
 func TestRunFixedSeedPinned(t *testing.T) {
 	type pin struct {
 		succ          bool
@@ -125,37 +124,26 @@ func TestRunFixedSeedPinned(t *testing.T) {
 	})
 	t.Run("epoch", func(t *testing.T) {
 		// The default mode's own pin: a fixed (seed, R) replays
-		// bit-identically, sequential or parallel. R = 32 puts three
+		// bit-identically. R = 32 puts three
 		// refreshes inside the 104-iteration run, so the pin covers the
 		// rebase machinery, not just the within-epoch incremental path —
 		// and on this seed the within-epoch-only run (any R > 104,
 		// including the default) actually fails on a persistent
 		// collision, which is exactly the pathology refreshing exists to
 		// cap. Values captured when epoch refresh became the default.
-		run := func(parallel bool) *Result {
-			g := graph.Ring(6)
-			proto := protocol.NewRandom(g, 120, 0.5, 3, nil)
-			params := ParamsFor(Alg1, g)
-			params.IterFactor = 4
-			params.EarlyStop = false
-			params.CRSKey = 42
-			params.EpochRefresh = 32
-			res, err := Run(Options{Protocol: proto, Params: params, Parallel: parallel,
-				Adversary: adversary.NewRandomRate(0.002, rand.New(rand.NewSource(11)))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+		g := graph.Ring(6)
+		proto := protocol.NewRandom(g, 120, 0.5, 3, nil)
+		params := ParamsFor(Alg1, g)
+		params.IterFactor = 4
+		params.EarlyStop = false
+		params.CRSKey = 42
+		params.EpochRefresh = 32
+		res, err := Run(Options{Protocol: proto, Params: params,
+			Adversary: adversary.NewRandomRate(0.002, rand.New(rand.NewSource(11)))})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seq, par := run(false), run(true)
-		want := pin{true, 104, 49, 32833, 0, -1, -1}
-		check(t, seq, want)
-		check(t, par, want)
-		for i := range seq.Outputs {
-			if string(seq.Outputs[i]) != string(par.Outputs[i]) {
-				t.Fatalf("party %d output differs between sequential and parallel epoch runs", i)
-			}
-		}
+		check(t, res, pin{true, 104, 49, 32833, 0, -1, -1})
 	})
 }
 

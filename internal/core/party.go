@@ -142,8 +142,7 @@ type party struct {
 
 	// Memoized phase decomposition of the last round seen: Send, Deliver
 	// and EndRound each decompose the same round once per link, and the
-	// layout division showed up in profiles. Private to the party, so the
-	// parallel executor (one worker per party at a time) stays race-free.
+	// layout division showed up in profiles.
 	phRound int
 	phIter  int
 	phPh    trace.Phase

@@ -29,7 +29,6 @@ type Scenario struct {
 	Seed         int64   `json:"seed,omitempty"`
 	IterFactor   int     `json:"iterfactor,omitempty"`
 	Faithful     bool    `json:"faithful,omitempty"`
-	Parallel     bool    `json:"parallel,omitempty"`
 	HashMode     string  `json:"hashmode,omitempty"`
 	EpochRefresh int     `json:"epochRefresh,omitempty"`
 	Delay        string  `json:"delay,omitempty"`
@@ -106,7 +105,6 @@ func (s Scenario) base() (mpic.Scenario, error) {
 		Seed:         s.Seed,
 		IterFactor:   s.IterFactor,
 		Faithful:     s.Faithful,
-		Parallel:     s.Parallel,
 		HashMode:     mode,
 		EpochRefresh: s.EpochRefresh,
 	}, nil

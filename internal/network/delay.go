@@ -22,8 +22,10 @@ import (
 //
 // Delay should return a finite positive value. The DES step floors
 // anything that is not positive — zero, negative or NaN — at 1e-3
-// rounds, so a faulty model cannot wedge the event heap; a +Inf delay
-// loses its symbol for good (a deletion that never lands).
+// rounds, so a faulty model cannot wedge the event heap, and caps
+// anything above MaxDelay (+Inf included) at MaxDelay: such a symbol is
+// lost for good (a deletion that never lands), and the per-link delay
+// histograms stay finite.
 type DelayModel interface {
 	// Delay returns the flight time, in rounds, of the symbol sent in
 	// `round` on the directed link `link`.

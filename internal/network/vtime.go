@@ -179,6 +179,12 @@ func (e *Engine) stepTimed(round int) {
 		if !(d > 0) {
 			d = 1e-3
 		}
+		// A delay past MaxDelay (+Inf included) lands after any run ends,
+		// so capping it loses the same symbol while keeping the delay
+		// histogram's sums finite (and so JSON-encodable).
+		if d > MaxDelay {
+			d = MaxDelay
+		}
 		t.stats.Links[i].Hist.Observe(d)
 		arrival := float64(round) + d
 		if arrival <= deadline {

@@ -59,9 +59,11 @@
 //	        res.Cell.Successes, res.Cell.Trials)
 //	})
 //
-// Parallel execution is result-identical to sequential: every trial's
-// seed is a pure function of its cell's spec (seed salting is per-cell
-// and deterministic), so scheduling never leaks into results. Cells are
+// Cell workers are the library's only parallelism: a run steps its
+// parties in one sequential loop per round. Parallel execution is
+// result-identical to sequential: every trial's seed is a pure function
+// of its cell's spec (seed salting is per-cell and deterministic), so
+// scheduling never leaks into results. Cells are
 // keyed by (n, scheme, rate) — GridKey — which is how streamed,
 // shuffled, and resumed runs merge; CollectGrid buffers the results in
 // definition order. The experiment harness (internal/experiments) and
@@ -194,7 +196,10 @@
 // plug in new ones without touching this module; see examples/customnoise.
 //
 // Advanced callers can still assemble runs from the underlying pieces
-// via NewWorkload, RunProtocol, and the re-exported option types.
+// via NewWorkload, the re-exported option types, and
+// RunProtocol(p, params, adv), which runs the coding scheme over a
+// caller-built protocol with explicit Params under an Adversary (nil
+// for none).
 package mpic
 
 import (
@@ -303,8 +308,8 @@ type BaselineResult = baseline.Result
 
 // RunProtocol executes a coded simulation of a caller-provided protocol
 // with explicit parameters — the advanced entry point below Scenario.
-func RunProtocol(p Protocol, params Params, adv Adversary, parallel bool) (*Result, error) {
-	return core.Run(core.Options{Protocol: p, Params: params, Adversary: adv, Parallel: parallel})
+func RunProtocol(p Protocol, params Params, adv Adversary) (*Result, error) {
+	return core.Run(core.Options{Protocol: p, Params: params, Adversary: adv})
 }
 
 // Adversary is the channel-noise interface (see the adversary

@@ -379,8 +379,6 @@ type Scenario struct {
 	// Faithful disables the oracle's early stop, running all
 	// IterFactor·|Π| iterations like the paper's protocol.
 	Faithful bool
-	// Parallel enables the concurrent network executor.
-	Parallel bool
 	// HashMode selects the prefix-hash seed discipline (zero value:
 	// HashEpoch, the epoch-refresh fast path). HashLegacy restores the
 	// paper-faithful per-iteration reseeding. See core.Params.HashMode.
@@ -475,7 +473,6 @@ func (sc Scenario) options() (core.Options, error) {
 	opts := core.Options{
 		Protocol:     proto,
 		Params:       params,
-		Parallel:     sc.Parallel,
 		WhiteBoxRate: sc.WhiteBoxRate,
 		Observers:    sc.Observers,
 	}

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"time"
-
-	"mpic/internal/cores"
 )
 
 // ShardOptions configures one worker of a sharded grid session — one
@@ -114,13 +111,6 @@ func (r *Runner) RunGridSharded(ctx context.Context, g Grid, store LeaseStore, o
 		prog = &progressEmitter{fn: g.Progress}
 	}
 
-	// This worker runs one cell at a time, holding one core-budget token;
-	// a cell's heavy rounds may borrow the rest of the machine (other
-	// shard workers are separate processes with budgets of their own).
-	budget := cores.NewBudget(runtime.GOMAXPROCS(0))
-	budget.Acquire(1)
-	defer budget.Release(1)
-
 	// The renewer extends this worker's leases at a third of the TTL so
 	// a slow cell never lapses under a live worker. Best-effort: a
 	// failed renewal risks duplicated work, not wrong results.
@@ -179,7 +169,7 @@ func (r *Runner) RunGridSharded(ctx context.Context, g Grid, store LeaseStore, o
 			continue
 		}
 		for _, i := range claimed {
-			res, err := r.runGridCellRetrying(ctx, g, i, prog, budget)
+			res, err := r.runGridCellRetrying(ctx, g, i, prog)
 			if err != nil && g.OnCellError == QuarantineCells && ctx.Err() == nil {
 				if mferr := store.MarkFailed(spec, opts.Worker, FailedCell{
 					Cell: i, Worker: opts.Worker, Attempts: res.Attempts, Reason: err.Error(),
