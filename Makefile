@@ -1,9 +1,9 @@
 # Verification entry points. `make verify` is the PR gate: the tier-1
 # suite (build, vet, test) plus a race-detector pass with GOMAXPROCS
 # forced to 4, so the concurrent parts — the grid engine's cell workers
-# (Runner.RunGrid, sharing one arena and one session store), the
-# lease-sharded workers (RunGridSharded), and the grid service — get
-# real concurrency coverage even on single-CPU boxes (where the worker
+# (Runner.RunGrid, sharing one arena and one session store) and the grid
+# service, which runs each session through them — get real concurrency
+# coverage even on single-CPU boxes (where the worker
 # pools would otherwise stay at width 1 and races could hide), plus an
 # explicit build/vet/test pass over examples/ so the public
 # Scenario/Runner API cannot drift from its documented usage, plus
@@ -117,7 +117,7 @@ compare:
 
 # A bounded run of each fuzzer: the grid-spec body (decode → Normalize →
 # Build), the CLI delay and network-fault strings (parse → wire →
-# probe), the session journal decoder (arbitrary bytes → both stores),
+# probe), the session journal decoder (arbitrary bytes → Load, Save, reload),
 # and the Reed–Solomon decoder (codes, error patterns and erasure lists
 # → Decode). `go test -fuzz` takes one target per run, hence five runs;
 # plain `go test` only replays their seed corpora. The journal fuzzer
@@ -131,9 +131,9 @@ fuzz:
 	TMPDIR=$$(test -d /dev/shm && echo /dev/shm || echo $${TMPDIR:-/tmp}) \
 		$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 20s -parallel 2 .
 
-# The grid service end to end: submit over HTTP, shard across workers,
-# stream progress over SSE, survive a restart mid-grid, and release
-# every lease on graceful shutdown — under the race detector.
+# The grid service end to end: submit over HTTP, run on a worker pool,
+# stream progress over SSE, resume after a restart mid-grid and after a
+# torn journal tail, and refuse bad requests — under the race detector.
 serve-e2e:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestService' -v ./internal/service/
 
@@ -141,8 +141,10 @@ serve-e2e:
 # a durable parallel session with deterministic injected store faults,
 # torn checkpoint writes, cell panics, and a mid-flight cancellation —
 # plus the network soak, where every cell runs on the virtual-time
-# engine under jitter, outages, stragglers, and a crash-restart. Both
-# must stay bit-identical to a clean sequential run. The soaks run the
+# engine under jitter, outages, stragglers, and a crash-restart — plus
+# the kill soak, where a second process running a durable session is
+# SIGKILLed mid-cell and this one resumes it under injected cell panics.
+# All must stay bit-identical to a clean sequential run. The soaks run the
 # library defaults, so since PR 9 every cell exercises the epoch-refresh
 # hash path.
 chaos:

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -272,11 +270,11 @@ func TestChaosNetworkSoak(t *testing.T) {
 	t.Logf("network chaos soak: %d cells, %d restored, %d late symbols, %d erasures", len(cells), restored, late, erasures)
 }
 
-// shardSoakCells is the deterministic work-list the sharded service
-// soak shares between the parent test and its victim subprocess: DES
-// delay models with a fault schedule, two seeds per shape, expensive
-// enough that a SIGKILL lands mid-grid.
-func shardSoakCells() []GridCell {
+// killSoakCells is the deterministic work-list the kill soak shares
+// between the parent test and its victim subprocess: DES delay models
+// with a fault schedule, two seeds per shape, expensive enough that a
+// SIGKILL lands mid-grid.
+func killSoakCells() []GridCell {
 	schedule := &NetFaults{OutageRate: 0.01, SpikeRate: 0.05, Stragglers: 1}
 	var cells []GridCell
 	for _, n := range []int{4, 5} {
@@ -296,9 +294,9 @@ func shardSoakCells() []GridCell {
 	return cells
 }
 
-// shardSoakSpec names the shared session; an explicit spec keeps the
+// killSoakSpec names the shared session; an explicit spec keeps the
 // parent and the subprocess honest about running the same grid.
-const shardSoakSpec = "chaos-shard-soak"
+const killSoakSpec = "chaos-kill-soak"
 
 // iterationSleeper slows a run down without touching its results —
 // observers only watch — so the victim subprocess is guaranteed to be
@@ -307,18 +305,18 @@ type iterationSleeper struct{ d time.Duration }
 
 func (s iterationSleeper) IterationDone(IterationStats) { time.Sleep(s.d) }
 
-// TestChaosShardHelper is not a test of its own: it is the victim
-// worker process of TestChaosShardedServiceSoak, re-executed from the
-// test binary with the session directory in the environment. It leases
-// cells from the shared session — deliberately slowed — until the
-// parent SIGKILLs it, leaving orphaned leases and a half-finished grid
-// behind. Without the environment variable it skips immediately.
-func TestChaosShardHelper(t *testing.T) {
-	dir := os.Getenv("MPIC_CHAOS_SHARD_DIR")
-	if dir == "" {
-		t.Skip("helper process for TestChaosShardedServiceSoak")
+// TestChaosKillVictimHelper is not a test of its own: it is the victim
+// process of TestChaosKilledSessionResume, re-executed from the test
+// binary with the session journal's path in the environment. It runs
+// the grid — deliberately slowed — as a durable two-worker session until
+// the parent SIGKILLs it, leaving a half-finished journal behind.
+// Without the environment variable it skips immediately.
+func TestChaosKillVictimHelper(t *testing.T) {
+	path := os.Getenv("MPIC_CHAOS_KILL_JOURNAL")
+	if path == "" {
+		t.Skip("helper process for TestChaosKilledSessionResume")
 	}
-	cells := shardSoakCells()
+	cells := killSoakCells()
 	for i := range cells {
 		sc := cells[i].Scenario
 		sc.Observers = append(append([]Observer(nil), sc.Observers...), iterationSleeper{2 * time.Millisecond})
@@ -326,25 +324,22 @@ func TestChaosShardHelper(t *testing.T) {
 	}
 	runner := NewRunner()
 	defer runner.Close()
-	store := NewDirLeaseStore(dir)
-	err := runner.RunGridSharded(context.Background(), Grid{Cells: cells, Spec: shardSoakSpec, KeepResults: true}, store,
-		ShardOptions{Worker: "victim", LeaseTTL: 2 * time.Second, Poll: 50 * time.Millisecond}, nil)
-	if err != nil {
+	grid := Grid{Cells: cells, Spec: killSoakSpec, KeepResults: true, Workers: 2, Store: NewFileGridStore(path)}
+	if err := runner.RunGrid(context.Background(), grid, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestChaosShardedServiceSoak is the sharded-service capstone pin
-// (`make chaos` runs it under -race): a real second OS process leases
-// cells from a shared session directory and is SIGKILLed mid-cell — no
-// deferred release, no flush, exactly what a crashed service worker
-// leaves behind — after which two in-process workers, themselves
-// afflicted by a panic fault plan, must wait out the orphaned leases,
-// reclaim the dead worker's cells, and finish the grid. The merged
-// session must be bit-identical to a clean sequential run, per-trial
-// metrics included.
-func TestChaosShardedServiceSoak(t *testing.T) {
-	cells := shardSoakCells()
+// TestChaosKilledSessionResume is the crash-resume capstone pin (`make
+// chaos` runs it under -race): a real second OS process runs a durable
+// session and is SIGKILLed mid-cell after its first saved cell — no
+// flush, no cleanup, exactly what a crashed service leaves behind —
+// after which this process resumes the session from the journal under
+// a panic fault plan and finishes it. Every cell, per-trial metrics
+// included, must be bit-identical to a clean sequential run, both as
+// the resume streams it and as the finished journal restores it.
+func TestChaosKilledSessionResume(t *testing.T) {
+	cells := killSoakCells()
 	runner := NewRunner()
 	defer runner.Close()
 
@@ -354,28 +349,28 @@ func TestChaosShardedServiceSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	store := NewDirLeaseStore(dir)
+	path := filepath.Join(t.TempDir(), "journal")
+	store := NewFileGridStore(path)
 
-	// The victim: this test binary re-executed as a lone worker on the
-	// shared session, slowed so the kill lands mid-cell.
-	victim := exec.Command(os.Args[0], "-test.run=^TestChaosShardHelper$")
-	victim.Env = append(os.Environ(), "MPIC_CHAOS_SHARD_DIR="+dir)
+	// The victim: this test binary re-executed on the session journal,
+	// slowed so the kill lands mid-cell.
+	victim := exec.Command(os.Args[0], "-test.run=^TestChaosKillVictimHelper$")
+	victim.Env = append(os.Environ(), "MPIC_CHAOS_KILL_JOURNAL="+path)
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer victim.Process.Kill()
 
-	// Kill as soon as the first completed cell lands — abrupt, with
-	// leases still held.
+	// Kill as soon as the first completed cell lands — abrupt, with the
+	// other worker mid-cell.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		saved, err := store.Load(shardSoakSpec)
+		saved, err := store.Load(killSoakSpec)
 		if err == nil && len(saved) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("victim worker saved nothing within 60s")
+			t.Fatal("victim saved nothing within 60s")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -384,85 +379,59 @@ func TestChaosShardedServiceSoak(t *testing.T) {
 	}
 	_ = victim.Wait()
 
-	saved, err := store.Load(shardSoakSpec)
+	saved, err := store.Load(killSoakSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(saved) == len(cells) {
 		t.Fatal("victim finished the whole grid before the kill; the soak proved nothing")
 	}
-	orphaned, err := store.Leases(shardSoakSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("killed victim after %d/%d cells, %d orphaned lease(s)", len(saved), len(cells), len(orphaned))
 
-	// The survivors: two in-process workers under a panic fault plan —
-	// the PR 6 retry machinery must keep absorbing failures on the
-	// sharded path too. They must wait out the victim's leases (TTL 2s)
-	// before reclaiming its cells.
+	// The resume runs under a panic fault plan — the retry machinery must
+	// keep absorbing failures on a resumed session too.
 	plan := faults.CellPlan{Seed: 99, PanicRate: 0.35, MaxPanics: 2}
-	workerGrid := func() Grid {
-		cc := make([]GridCell, len(cells))
-		for i, c := range cells {
-			sc := c.Scenario
-			sc.Observers = append(append([]Observer(nil), sc.Observers...), plan.Observer(i))
-			c.Scenario = sc
-			cc[i] = c
-		}
-		return Grid{
-			Cells: cc, Spec: shardSoakSpec, KeepResults: true,
-			Retry: RetryPolicy{MaxAttempts: 3, JitterSeed: 7, Sleep: func(time.Duration) {}},
-		}
+	resumed := make([]GridCell, len(cells))
+	for i, c := range cells {
+		sc := c.Scenario
+		sc.Observers = append(append([]Observer(nil), sc.Observers...), plan.Observer(i))
+		c.Scenario = sc
+		resumed[i] = c
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for w := range errs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = runner.RunGridSharded(context.Background(), workerGrid(), store,
-				ShardOptions{Worker: fmt.Sprintf("survivor-%d", w), LeaseTTL: 2 * time.Second, Poll: 50 * time.Millisecond}, nil)
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("survivor %d: %v", w, err)
-		}
-	}
-
-	// Merge check: the ordinary engine restores the whole session, and
-	// every cell — the victim's, the reclaimed, the survivors' — is
-	// bit-identical to the clean sequential run.
 	got, err := runner.CollectGrid(context.Background(), Grid{
-		Cells: cells, Spec: shardSoakSpec, Store: store, KeepResults: true,
+		Cells: resumed, Spec: killSoakSpec, Store: store, KeepResults: true, Workers: 2,
+		Retry: RetryPolicy{MaxAttempts: 3, JitterSeed: 7, Sleep: func(time.Duration) {}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if !got[i].Restored {
-			t.Errorf("cell %d missing from the merged session", i)
-		}
-		if !reflect.DeepEqual(got[i].Cell, want[i].Cell) {
-			t.Errorf("cell %d diverged from clean sequential run:\n got %+v\nwant %+v", i, got[i].Cell, want[i].Cell)
-		}
-		if len(got[i].Results) != len(want[i].Results) {
-			t.Fatalf("cell %d kept %d trials, want %d", i, len(got[i].Results), len(want[i].Results))
-		}
-		for j := range got[i].Results {
-			if !reflect.DeepEqual(got[i].Results[j].Metrics, want[i].Results[j].Metrics) {
-				t.Errorf("cell %d trial %d metrics diverged", i, j)
-			}
-		}
-	}
-	leases, err := store.Leases(shardSoakSpec)
+	// The finished journal restores every cell.
+	restored, err := runner.CollectGrid(context.Background(), Grid{
+		Cells: cells, Spec: killSoakSpec, Store: NewFileGridStore(path), KeepResults: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(leases) != 0 {
-		t.Errorf("finished session still holds leases: %+v", leases)
+	for _, run := range []struct {
+		name string
+		got  []GridCellResult
+	}{{"resumed", got}, {"restored", restored}} {
+		for i := range want {
+			g := run.got[i]
+			if run.name == "restored" && !g.Restored {
+				t.Errorf("cell %d missing from the finished journal", i)
+			}
+			if !reflect.DeepEqual(g.Cell, want[i].Cell) {
+				t.Errorf("%s cell %d diverged from clean sequential run:\n got %+v\nwant %+v", run.name, i, g.Cell, want[i].Cell)
+			}
+			if len(g.Results) != len(want[i].Results) {
+				t.Fatalf("%s cell %d kept %d trials, want %d", run.name, i, len(g.Results), len(want[i].Results))
+			}
+			for j := range g.Results {
+				if !reflect.DeepEqual(g.Results[j].Metrics, want[i].Results[j].Metrics) {
+					t.Errorf("%s cell %d trial %d metrics diverged", run.name, i, j)
+				}
+			}
+		}
 	}
-	t.Logf("sharded soak: %d cells, victim completed %d before SIGKILL, survivors finished the rest", len(cells), len(saved))
+	t.Logf("kill soak: %d cells, victim completed %d before SIGKILL, the resume finished the rest", len(cells), len(saved))
 }

@@ -1,8 +1,8 @@
 // Command mpicserve is the grid execution service: a long-lived HTTP
 // server that accepts grid specifications over JSON — the same fields
-// the mpicbench -sweep-* flags take — runs each as a lease-sharded
-// durable session under a data directory, and streams the engine's
-// fine-grained progress over Server-Sent Events.
+// the mpicbench -sweep-* flags take — runs each as a durable session
+// under a data directory, and streams the engine's fine-grained progress
+// over Server-Sent Events.
 //
 //	mpicserve -addr :8080 -data ./grids -workers 4
 //
@@ -16,10 +16,9 @@
 // Sessions are content-addressed by their spec, so re-submitting an
 // identical grid attaches to the existing session, and restarting the
 // server over the same -data directory resumes every unfinished
-// session from its checkpoint instead of starting over. On SIGINT or
-// SIGTERM the server stops its workers gracefully: cell leases are
-// released, completed cells stay durable, and the next start picks up
-// exactly where this one left off.
+// session from its journal instead of starting over. On SIGINT or
+// SIGTERM the server stops its workers: completed cells stay durable,
+// and the next start picks up exactly where this one left off.
 package main
 
 import (
@@ -47,11 +46,10 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mpicserve", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", ":8080", "listen address")
-		dataDir  = fs.String("data", "", "session data directory (required); restarting over it resumes unfinished sessions")
-		workers  = fs.Int("workers", 2, "lease-sharded workers per session")
-		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "cell lease TTL: how long a crashed worker's cells stay out of rotation")
-		retries  = fs.Int("retries", 0, "extra attempts per failed cell before it is quarantined")
+		addr    = fs.String("addr", ":8080", "listen address")
+		dataDir = fs.String("data", "", "session data directory (required); restarting over it resumes unfinished sessions")
+		workers = fs.Int("workers", 2, "cells each session runs at once")
+		retries = fs.Int("retries", 0, "extra attempts per failed cell before it is quarantined")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -68,11 +66,10 @@ func run(args []string) error {
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	svc, err := service.New(service.Options{
-		DataDir:  *dataDir,
-		Workers:  *workers,
-		LeaseTTL: *leaseTTL,
-		Retries:  *retries,
-		Logf:     logger.Printf,
+		DataDir: *dataDir,
+		Workers: *workers,
+		Retries: *retries,
+		Logf:    logger.Printf,
 	})
 	if err != nil {
 		return err
@@ -98,10 +95,8 @@ func run(args []string) error {
 	case <-ctx.Done():
 	}
 
-	// Graceful stop: close the HTTP surface first (SSE streams end when
-	// the sessions' subscriber channels close), then the workers — they
-	// release their leases on the way out, so nothing waits out a TTL on
-	// the next start.
+	// Graceful stop: stop the sessions' workers (SSE streams end when the
+	// sessions' subscriber channels close), then the HTTP surface.
 	logger.Printf("mpicserve: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

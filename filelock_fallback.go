@@ -8,8 +8,8 @@ import (
 )
 
 // lockStaleAfter bounds how long the fallback lock protocol trusts an
-// existing lock file. Without flock(2) there is no kernel-held lease to
-// expire when a holder dies, so a lock file older than this is presumed
+// existing lock file. Without flock(2) there is no kernel-held lock to
+// drop when a holder dies, so a lock file older than this is presumed
 // orphaned and broken.
 const lockStaleAfter = 10 * time.Second
 

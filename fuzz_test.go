@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"mpic"
 )
@@ -99,17 +98,22 @@ func FuzzParseNetFaults(f *testing.F) {
 const fuzzJournalSpec = "fuzz-spec"
 
 // FuzzJournalLoad writes arbitrary bytes as a session journal and reads
-// it through both stores: FileGridStore.Load, then a DirLeaseStore's
-// Load, Claim and Failures on the same file. The contract: an error or
-// a state, never a panic; decoding allocates within a constant multiple
-// of the file's size (a length read from the file never sizes an
-// allocation); and whatever Load cut off as a torn tail stays cut, so a
-// second reader agrees without recovering again. Plain `go test`
-// replays the seed corpus in testdata/fuzz/FuzzJournalLoad.
+// it through FileGridStore.Load. The contract: an error or a state,
+// never a panic; decoding allocates within a constant multiple of the
+// file's size (a length read from the file never sizes an allocation);
+// whatever Load cut off as a torn tail stays cut, so a second reader
+// agrees without recovering again; and a cell saved after a clean Load
+// lands intact, so a reload returns the loaded cells plus that one.
+// Plain `go test` replays the seed corpus in testdata/fuzz/FuzzJournalLoad
+// and the lease-era journal in testdata.
 func FuzzJournalLoad(f *testing.F) {
+	leaseEra, err := os.ReadFile(filepath.Join("testdata", "lease-era.journal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(leaseEra)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "journal")
+		path := filepath.Join(t.TempDir(), "journal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -126,19 +130,27 @@ func FuzzJournalLoad(f *testing.F) {
 		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(cells, cells2) {
 			t.Fatalf("second Load disagrees: (%d cells, %v) then (%d cells, %v)", len(cells), err, len(cells2), err2)
 		}
-		leases := mpic.NewDirLeaseStore(dir)
-		if _, err := leases.Load(fuzzJournalSpec); err != nil {
+		if err != nil {
 			return
 		}
-		claimed, pending, err := leases.Claim(fuzzJournalSpec, "fuzz", 8, 2, time.Minute)
-		if err != nil {
-			t.Fatalf("Claim failed on a journal Load accepted: %v", err)
+		fresh := mpic.StoredCell{Key: mpic.GridKey{N: 1}, Cell: mpic.SweepCell{N: 1, Trials: 1}}
+		for held := true; held; {
+			held = false
+			for _, c := range cells {
+				if c.Index == fresh.Index && c.Key == fresh.Key {
+					held = true
+					fresh.Index++
+				}
+			}
 		}
-		if pending < 0 || pending > 8 || len(claimed) > 2 || len(claimed) > pending {
-			t.Fatalf("Claim returned %v with %d pending of 8", claimed, pending)
+		want := append(cells, fresh)
+		if err := again.Save(fuzzJournalSpec, want); err != nil {
+			t.Fatalf("Save after a clean Load failed: %v", err)
 		}
-		if _, err := leases.Failures(fuzzJournalSpec); err != nil {
-			t.Fatalf("Failures failed after Claim: %v", err)
+		reloaded := mpic.NewFileGridStore(path)
+		reloaded.OnRecovery = func(reason error) { t.Fatalf("reload after a Save recovered: %v", reason) }
+		if got, err := reloaded.Load(fuzzJournalSpec); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("reload after a Save: (%d cells, %v), want the %d loaded cells plus the saved one", len(got), err, len(cells))
 		}
 	})
 }

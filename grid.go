@@ -621,7 +621,7 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 	defer cancel()
 
 	var (
-		next      atomic.Int64 // next pending slot to claim
+		next      atomic.Int64 // next pending slot to take
 		mu        sync.Mutex   // serializes sink calls, session saves, firstErr
 		firstErr  error
 		completed int

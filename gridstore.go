@@ -183,8 +183,7 @@ func (e *CorruptCheckpointError) Unwrap() error { return e.Reason }
 //
 // Stores sharing one file merge rather than clobber each other: every
 // operation holds an exclusive lock on a <path>.lock sidecar and first
-// replays what other writers appended. A FileGridStore opened on a
-// DirLeaseStore's journal reads its completed cells.
+// replays what other writers appended.
 type FileGridStore struct {
 	path string
 	// OnRecovery, when non-nil, is called when a torn final record is
@@ -229,9 +228,6 @@ func (s *FileGridStore) update(spec string, create bool, fn func(f *os.File) err
 	f, err := s.j.sync(spec, s.OnRecovery)
 	if err != nil {
 		return err
-	}
-	if s.j.drained {
-		defer s.j.reset()
 	}
 	if f == nil {
 		return fn(nil)

@@ -254,6 +254,47 @@ func TestFileGridStoreContract(t *testing.T) {
 	}
 }
 
+// TestLeaseEraJournalLoads pins the resume of a session journal written
+// by the retired lease store (testdata/lease-era.journal: claim, done,
+// renew, failed, claim, done, release). Load returns exactly its done
+// cells — the lease and failure records are skipped — and a later Save
+// appends a new cell after them.
+func TestLeaseEraJournalLoads(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "lease-era.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := mpic.NewFileGridStore(path)
+	store.OnRecovery = func(reason error) { t.Errorf("Load recovered a clean journal: %v", reason) }
+	cells, err := store.Load(fuzzJournalSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func(i int, rate float64) mpic.StoredCell {
+		return mpic.StoredCell{
+			Index: i, Key: mpic.GridKey{N: 4, Scheme: mpic.AlgorithmA, Rate: rate},
+			Cell: mpic.SweepCell{N: 4, Scheme: mpic.AlgorithmA, Rate: rate, Trials: 1, Successes: 1,
+				Blowups: []float64{2.5}, Iterations: []float64{40}},
+		}
+	}
+	want := []mpic.StoredCell{cell(0, 0), cell(2, 0.002)}
+	if !reflect.DeepEqual(cells, want) {
+		t.Fatalf("lease-era journal loaded\n%+v\nwant its done cells\n%+v", cells, want)
+	}
+	want = append(want, cell(3, 0.003))
+	if err := store.Save(fuzzJournalSpec, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := mpic.NewFileGridStore(path).Load(fuzzJournalSpec)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a Save the journal loads (%+v, %v), want %+v", got, err, want)
+	}
+}
+
 // genCells returns n distinct stored cells.
 func genCells(n int) []mpic.StoredCell {
 	var cells []mpic.StoredCell

@@ -202,7 +202,7 @@ func (g Grid) Spec() string {
 }
 
 // Build resolves the specification into an mpic.Grid with its Spec set —
-// ready for the engine or the lease-sharded worker loop. The cells are
+// ready for the engine. The cells are
 // the cartesian product of the n, scheme, rate and delay axes, nested in
 // that order; an empty scheme or delay axis keeps the scenario default.
 // The rate axis applies only when the scenario has a noise model at all;

@@ -1,24 +1,25 @@
 // Package service is the grid execution service behind cmd/mpicserve: a
 // long-lived HTTP server that accepts grid specifications (the same
 // gridspec.Grid struct the CLIs parse from flags), runs each as a
-// lease-sharded durable session under a data directory, and streams the
-// engine's fine-grained progress to any number of clients over
-// Server-Sent Events.
+// durable session under a data directory — one Runner.RunGrid call on a
+// worker pool over a FileGridStore journal — and streams the engine's
+// fine-grained progress to any number of clients over Server-Sent
+// Events.
 //
 // Sessions are content-addressed: the session ID is a hash of the
 // grid's checkpoint fingerprint, so submitting the same spec twice
 // attaches to the same session instead of re-running it, and a server
 // restarted over the same data directory resumes every unfinished
-// session from its lease store. Determinism makes all of this safe —
-// each cell is a pure function of the spec, so resumed, re-submitted,
-// or concurrently sharded sessions all converge on bit-identical
-// results.
+// session from its journal. Determinism makes all of this safe — each
+// cell is a pure function of the spec, so resumed or re-submitted
+// sessions converge on bit-identical results whatever the worker count.
+// Quarantined cells are not persisted: a restart re-attempts them.
 //
 // The server keeps every session it has served. A finished session
-// keeps only a summary — its spec, state and counters — and its status
-// and result reopen the lease store in its directory, which for a
-// drained session rereads the journal on every call anyway; the built
-// grid, the store and the subscriber map go when the session finishes.
+// keeps only a summary — its spec, state, counters and quarantined
+// cells — and its result rereads the journal in its directory; the
+// built grid, the store and the subscriber map go when the session
+// finishes.
 package service
 
 import (
@@ -43,14 +44,10 @@ import (
 // Options configures a Server.
 type Options struct {
 	// DataDir is the root of the session stores: each session lives in
-	// DataDir/<id>/ as a spec.json plus a lease-store directory.
+	// DataDir/<id>/ as a spec.json plus its journal, session/journal.
 	DataDir string
-	// Workers is how many lease-sharded workers each session runs with
-	// (0 means 2).
+	// Workers is how many cells each session runs at once (0 means 2).
 	Workers int
-	// LeaseTTL bounds how long a crashed worker's cells stay leased
-	// (0 means 30s).
-	LeaseTTL time.Duration
 	// Retries gives every failed cell that many extra attempts before
 	// it is quarantined (the session still finishes; failed cells are
 	// reported per session).
@@ -62,9 +59,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 2
-	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 30 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...interface{}) {}
@@ -78,8 +72,8 @@ type Server struct {
 	opts   Options
 	runner *mpic.Runner
 
-	// ctx cancels every session's workers; Shutdown cancels it and
-	// waits for wg (all session supervisors and their workers).
+	// ctx cancels every session's run; Shutdown cancels it and waits
+	// for wg (one goroutine per running session).
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -88,8 +82,9 @@ type Server struct {
 	sessions map[string]*session
 }
 
-// session is one grid run: a spec, its counters, and while it runs its
-// lease store and the fan-out of progress events to SSE subscribers.
+// session is one grid run: a spec, its counters and quarantined cells,
+// and while it runs its store and the fan-out of progress events to SSE
+// subscribers.
 type session struct {
 	id   string
 	spec gridspec.Grid // normalized submission
@@ -98,22 +93,29 @@ type session struct {
 	mu        sync.Mutex
 	state     string // "running", "done", "failed"
 	failure   string
-	cells     int         // cells in the grid
-	completed int         // cells finished (restored + executed) across workers
-	failed    int         // cells quarantined
-	run       *sessionRun // nil once the session is terminal
+	cells     int          // cells in the grid
+	completed int          // cells finished (restored + executed)
+	failures  []failedCell // cells quarantined this run, in completion order
+	run       *sessionRun  // nil once the session is terminal
+}
+
+// failedCell is one quarantined cell of a session's result.
+type failedCell struct {
+	Cell     int
+	Attempts int
+	Reason   string
 }
 
 // sessionRun is the part of a session that lives only while it runs.
 type sessionRun struct {
-	store   *mpic.DirLeaseStore
+	store   *mpic.FileGridStore
 	grid    mpic.Grid
 	subs    map[int]chan []byte
 	nextSub int
 }
 
 // New creates a server over a data directory and resumes every
-// unfinished session found in it. Call Shutdown to stop the workers.
+// unfinished session found in it. Call Shutdown to stop the sessions.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if opts.DataDir == "" {
@@ -139,8 +141,8 @@ func New(opts Options) (*Server, error) {
 }
 
 // resume scans the data directory for persisted specs and restarts
-// their sessions. A session whose store already holds every cell drains
-// immediately and lands in state "done" without re-running anything.
+// their sessions. A session whose store already holds every cell
+// finishes immediately in state "done" without re-running anything.
 func (s *Server) resume() error {
 	entries, err := os.ReadDir(s.opts.DataDir)
 	if err != nil {
@@ -202,6 +204,14 @@ func (s *Server) open(g gridspec.Grid) (*session, bool, error) {
 		id: id, spec: g, dir: filepath.Join(s.opts.DataDir, id),
 		state: "running", cells: len(grid.Cells),
 	}
+	// A directory still holding the two-ledger layout that preceded the
+	// session journal is a session this build cannot read.
+	for _, name := range []string{"cells.json", "leases.json"} {
+		if _, err := os.Stat(filepath.Join(sess.dir, "session", name)); err == nil {
+			return nil, false, fmt.Errorf("service: session directory %s holds session/%s from a retired session layout; delete the directory to restart the session",
+				sess.dir, name)
+		}
+	}
 	store := s.store(sess)
 	run := &sessionRun{store: store, grid: grid, subs: make(map[int]chan []byte)}
 	sess.run = run
@@ -218,36 +228,32 @@ func (s *Server) open(g gridspec.Grid) (*session, bool, error) {
 		return nil, false, err
 	}
 	// Cells already in the store (a resumed session) count as completed
-	// before any worker starts. A store this build cannot read — a
-	// retired format, a corrupt journal — fails the open, so a restart
-	// names the directory instead of starting workers that cannot run.
+	// before the run starts. A store this build cannot read — a retired
+	// format, a corrupt journal — fails the open, so a restart names the
+	// directory instead of starting a run that cannot resume.
 	cells, err := store.Load(g.Spec())
 	if err != nil {
 		return nil, false, err
 	}
 	sess.completed = len(cells)
-	if failed, err := store.Failures(g.Spec()); err == nil {
-		sess.failed = len(failed)
-	}
 	s.sessions[id] = sess
 	s.start(sess, run)
 	return sess, true, nil
 }
 
-// store opens the lease store in a session's directory, logging any torn
-// journal tail it cuts off.
-func (s *Server) store(sess *session) *mpic.DirLeaseStore {
-	store := mpic.NewDirLeaseStore(filepath.Join(sess.dir, "session"))
+// store opens the journal in a session's directory, logging any torn
+// final record it cuts off.
+func (s *Server) store(sess *session) *mpic.FileGridStore {
+	store := mpic.NewFileGridStore(filepath.Join(sess.dir, "session", "journal"))
 	store.OnRecovery = func(reason error) {
 		s.opts.Logf("service: session %s: recovered its journal: %v", sess.id, reason)
 	}
 	return store
 }
 
-// storeOf returns a session's lease store: the running session's own,
-// or for a finished one a store reopened over its directory (a drained
-// store rereads the journal on every call anyway).
-func (s *Server) storeOf(sess *session) *mpic.DirLeaseStore {
+// storeOf returns a session's store: the running session's own, or for
+// a finished one a store reopened over its journal.
+func (s *Server) storeOf(sess *session) *mpic.FileGridStore {
 	sess.mu.Lock()
 	run := sess.run
 	sess.mu.Unlock()
@@ -257,56 +263,38 @@ func (s *Server) storeOf(sess *session) *mpic.DirLeaseStore {
 	return s.store(sess)
 }
 
-// start launches the session's worker pool and its supervisor.
+// start runs the session's grid — restoring what its store holds,
+// executing the rest on the worker pool, quarantining cells that exhaust
+// their retries — and resolves its terminal state.
 func (s *Server) start(sess *session, run *sessionRun) {
+	g := run.grid
+	g.Workers = s.opts.Workers
+	g.Store = run.store
+	g.OnCellError = mpic.QuarantineCells
+	if s.opts.Retries > 0 {
+		g.Retry = mpic.RetryPolicy{MaxAttempts: s.opts.Retries + 1, JitterSeed: sess.spec.Seed}
+	}
+	g.Progress = sess.publish
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		workers := s.opts.Workers
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = s.runWorker(sess, run, i)
-			}(i)
-		}
-		wg.Wait()
+		err := s.runner.RunGrid(s.ctx, g, sess.count)
 		if s.ctx.Err() != nil {
-			// Shutdown, not completion: leases were released by the
-			// workers' deferred cleanup; the session resumes next start.
+			// Shutdown, not completion: every finished cell is in the
+			// journal; the session resumes next start.
 			s.opts.Logf("service: session %s interrupted by shutdown", sess.id)
 			return
 		}
-		sess.finish(errs)
+		sess.finish(err)
 		st, _, _, _ := sess.status()
 		s.opts.Logf("service: session %s %s", sess.id, st)
 	}()
 }
 
-// runWorker is one lease-sharded worker of a session. Its grid shares
-// the session's cells but carries worker-scoped progress and sink
-// closures; the event hub serializes the fan-in.
-func (s *Server) runWorker(sess *session, run *sessionRun, i int) error {
-	worker := fmt.Sprintf("pid%d-w%d", os.Getpid(), i)
-	g := run.grid
-	g.OnCellError = mpic.QuarantineCells
-	if s.opts.Retries > 0 {
-		g.Retry = mpic.RetryPolicy{MaxAttempts: s.opts.Retries + 1, JitterSeed: sess.spec.Seed}
-	}
-	g.Progress = func(p mpic.GridProgress) { sess.publish(worker, p) }
-	sink := func(res mpic.GridCellResult) { sess.count(res) }
-	return s.runner.RunGridSharded(s.ctx, g, run.store, mpic.ShardOptions{
-		Worker:   worker,
-		LeaseTTL: s.opts.LeaseTTL,
-	}, sink)
-}
-
-// Shutdown stops every worker (they release their leases on the way
-// out), waits for them up to the context's deadline, and closes the
-// runner. In-flight cells are abandoned mid-trial; the sessions resume
-// from their last completed cell on the next start.
+// Shutdown stops every session's run, waits for them up to the
+// context's deadline, and closes the runner. In-flight cells are
+// abandoned mid-trial; the sessions resume from their last completed
+// cell on the next start.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.cancel()
 	done := make(chan struct{})
@@ -337,9 +325,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type Event struct {
 	// Event is the GridEvent name ("trial-start", "iteration",
 	// "cell-done", ...) or the synthetic "session" lifecycle event.
-	Event string `json:"event"`
-	// Worker is the lease name of the worker that produced the event.
-	Worker    string       `json:"worker,omitempty"`
+	Event     string       `json:"event"`
 	Cell      int          `json:"cell"`
 	Cells     int          `json:"cells"`
 	Key       mpic.GridKey `json:"key"`
@@ -357,11 +343,10 @@ type Event struct {
 }
 
 // publish fans one engine progress event out to the subscribers.
-func (sess *session) publish(worker string, p mpic.GridProgress) {
+func (sess *session) publish(p mpic.GridProgress) {
 	ev := Event{
-		Event:  p.Event.String(),
-		Worker: worker,
-		Cell:   p.Cell, Cells: p.Cells, Key: p.Key,
+		Event: p.Event.String(),
+		Cell:  p.Cell, Cells: p.Cells, Key: p.Key,
 		Trial: p.Trial, Trials: p.Trials,
 		Iteration: p.Iteration, Attempt: p.Attempt,
 	}
@@ -369,41 +354,41 @@ func (sess *session) publish(worker string, p mpic.GridProgress) {
 		ev.Error = p.Err.Error()
 	}
 	sess.mu.Lock()
-	ev.Completed, ev.Failed = sess.completed, sess.failed
+	ev.Completed, ev.Failed = sess.completed, len(sess.failures)
 	sess.broadcastLocked(ev)
 	sess.mu.Unlock()
 }
 
-// count records a finished cell from a worker's sink.
+// count records a cell the run finished. Restored cells are skipped:
+// open counted them already.
 func (sess *session) count(res mpic.GridCellResult) {
+	if res.Restored {
+		return
+	}
 	sess.mu.Lock()
 	if res.Err != nil {
-		sess.failed++
+		sess.failures = append(sess.failures, failedCell{Cell: res.Index, Attempts: res.Attempts, Reason: res.Err.Error()})
 	} else {
 		sess.completed++
 	}
 	sess.mu.Unlock()
 }
 
-// finish resolves the session's terminal state from its workers'
-// returns, broadcasts the lifecycle event, and drops what only a running
-// session needs. A *mpic.GridFailure is a partial success — the session
-// is "done" with failed cells reported — while any other error marks it
+// finish resolves the session's terminal state from the run's return,
+// broadcasts the lifecycle event, and drops what only a running session
+// needs. A *mpic.GridFailure is a partial success — the session is
+// "done" with failed cells reported — while any other error marks it
 // "failed".
-func (sess *session) finish(errs []error) {
+func (sess *session) finish(err error) {
 	state, failure := "done", ""
-	for _, err := range errs {
-		var gf *mpic.GridFailure
-		if err == nil || errors.As(err, &gf) {
-			continue
-		}
+	var gf *mpic.GridFailure
+	if err != nil && !errors.As(err, &gf) {
 		state, failure = "failed", err.Error()
-		break
 	}
 	sess.mu.Lock()
 	sess.state, sess.failure = state, failure
 	ev := Event{Event: "session", Cells: sess.cells,
-		Completed: sess.completed, Failed: sess.failed, State: state}
+		Completed: sess.completed, Failed: len(sess.failures), State: state}
 	if failure != "" {
 		ev.Error = failure
 	}
@@ -416,7 +401,16 @@ func (sess *session) finish(errs []error) {
 func (sess *session) status() (state, failure string, completed, failed int) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return sess.state, sess.failure, sess.completed, sess.failed
+	return sess.state, sess.failure, sess.completed, len(sess.failures)
+}
+
+// failedCells returns the quarantined cells in cell order.
+func (sess *session) failedCells() []failedCell {
+	sess.mu.Lock()
+	out := append([]failedCell(nil), sess.failures...)
+	sess.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
+	return out
 }
 
 // subscribe registers an SSE client. The returned channel is buffered;
@@ -492,23 +486,20 @@ type sessionInfo struct {
 	Cells     int           `json:"cells"`
 	Completed int           `json:"completed"`
 	Failed    int           `json:"failed,omitempty"`
-	Leases    []mpic.Lease  `json:"leases,omitempty"`
 }
 
-func (s *Server) info(sess *session, withLeases bool) sessionInfo {
+func (sess *session) info() sessionInfo {
 	state, failure, completed, failed := sess.status()
-	info := sessionInfo{
+	return sessionInfo{
 		ID: sess.id, Spec: sess.spec, Print: sess.spec.Spec(),
 		State: state, Error: failure,
 		Cells: sess.cells, Completed: completed, Failed: failed,
 	}
-	if withLeases {
-		if leases, err := s.storeOf(sess).Leases(info.Print); err == nil {
-			info.Leases = leases
-		}
-	}
-	return info
 }
+
+// maxSpecBytes caps a submitted spec's body. A spec is a handful of short
+// strings; a grid of 65 536 cells fits in a few hundred bytes.
+const maxSpecBytes = 1 << 20
 
 // Handler returns the HTTP surface:
 //
@@ -516,7 +507,7 @@ func (s *Server) info(sess *session, withLeases bool) sessionInfo {
 //	GET  /sessions              — list sessions
 //	POST /sessions              — submit a grid spec (gridspec.Grid JSON);
 //	                              idempotent per spec, returns the session
-//	GET  /sessions/{id}         — status, including active leases
+//	GET  /sessions/{id}         — status
 //	GET  /sessions/{id}/result  — completed cells (and failures) so far
 //	GET  /sessions/{id}/events  — SSE progress stream
 func (s *Server) Handler() http.Handler {
@@ -535,17 +526,22 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		infos := make([]sessionInfo, 0, len(s.sessions))
 		for _, sess := range s.sessions {
-			infos = append(infos, s.info(sess, false))
+			infos = append(infos, sess.info())
 		}
 		s.mu.Unlock()
 		sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 		writeJSON(w, http.StatusOK, infos)
 	case http.MethodPost:
 		var g gridspec.Grid
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&g); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("parsing spec: %w", err))
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, fmt.Errorf("parsing spec: %w", err))
 			return
 		}
 		sess, created, err := s.open(g)
@@ -558,7 +554,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusCreated
 			s.opts.Logf("service: created session %s (%d cells)", sess.id, sess.cells)
 		}
-		writeJSON(w, code, s.info(sess, false))
+		writeJSON(w, code, sess.info())
 	default:
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
@@ -580,7 +576,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 	switch sub {
 	case "":
-		writeJSON(w, http.StatusOK, s.info(sess, true))
+		writeJSON(w, http.StatusOK, sess.info())
 	case "result":
 		s.handleResult(w, sess)
 	case "events":
@@ -597,21 +593,17 @@ type resultRow struct {
 	Cell  mpic.SweepCell `json:"cell"`
 }
 
-// handleResult reads the durable record: every completed cell in the
-// lease store (in grid order — the deterministic identity, not the
-// nondeterministic completion order) plus the quarantined failures.
+// handleResult reads the durable record — every completed cell in the
+// journal, in grid order (the deterministic identity, not the
+// nondeterministic completion order) — plus the session's quarantined
+// cells.
 func (s *Server) handleResult(w http.ResponseWriter, sess *session) {
-	store, print := s.storeOf(sess), sess.spec.Spec()
-	cells, err := store.Load(print)
+	cells, err := s.storeOf(sess).Load(sess.spec.Spec())
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	failures, err := store.Failures(print)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
+	failures := sess.failedCells()
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Index < cells[j].Index })
 	rows := make([]resultRow, 0, len(cells))
 	for _, c := range cells {
@@ -655,7 +647,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, sess *sess
 		flusher.Flush()
 		return true
 	}
-	if !writeEvent("status", s.info(sess, false)) {
+	if !writeEvent("status", sess.info()) {
 		return
 	}
 	subID, ch := sess.subscribe()

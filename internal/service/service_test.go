@@ -95,12 +95,12 @@ func waitDone(t *testing.T, url, id string) sessionInfo {
 }
 
 type resultBody struct {
-	ID       string            `json:"id"`
-	State    string            `json:"state"`
-	Cells    int               `json:"cells"`
-	Rows     []resultRow       `json:"rows"`
-	Failures []mpic.FailedCell `json:"failures"`
-	Complete bool              `json:"complete"`
+	ID       string       `json:"id"`
+	State    string       `json:"state"`
+	Cells    int          `json:"cells"`
+	Rows     []resultRow  `json:"rows"`
+	Failures []failedCell `json:"failures"`
+	Complete bool         `json:"complete"`
 }
 
 func getResult(t *testing.T, url, id string) resultBody {
@@ -139,7 +139,7 @@ func sequentialCells(t *testing.T, g gridspec.Grid) []mpic.SweepCell {
 }
 
 // TestServiceSubmitRunResult drives the primary flow: submit a grid
-// over HTTP, wait for the sharded workers to finish it, and check the
+// over HTTP, wait for the session's workers to finish it, and check the
 // result rows are bit-identical to a sequential run of the same spec.
 func TestServiceSubmitRunResult(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
@@ -170,10 +170,6 @@ func TestServiceSubmitRunResult(t *testing.T) {
 			t.Errorf("cell %d differs from sequential run:\nservice:    %+v\nsequential: %+v",
 				row.Index, row.Cell, want[row.Index])
 		}
-	}
-	// The session drained cleanly: no leases left behind.
-	if len(waitDone(t, ts.URL, info.ID).Leases) != 0 {
-		t.Error("finished session still holds leases")
 	}
 }
 
@@ -256,7 +252,7 @@ func TestServiceSSEStream(t *testing.T) {
 
 // TestServiceRestartResume stops a server mid-grid and starts a new one
 // over the same data directory: the unfinished session is resumed from
-// its lease store and completes with results identical to a sequential
+// its journal and completes with results identical to a sequential
 // run. (The chaos soak covers the harsher kill-mid-cell path; this test
 // pins the graceful restart-and-resume flow end to end.)
 func TestServiceRestartResume(t *testing.T) {
@@ -287,16 +283,7 @@ func TestServiceRestartResume(t *testing.T) {
 	}
 	ts1.Close()
 
-	// Graceful shutdown released every lease: the next server must not
-	// wait out a TTL to reclaim cells.
-	store := mpic.NewDirLeaseStore(dataDir + "/" + info.ID + "/session")
-	leases, err := store.Leases(info.Print)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(leases) != 0 {
-		t.Fatalf("shutdown left %d leases: %+v", len(leases), leases)
-	}
+	store := mpic.NewFileGridStore(filepath.Join(dataDir, info.ID, "session", "journal"))
 	done, err := store.Load(info.Print)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +385,7 @@ func finishedRun(s *Server, id string) (held, running bool) {
 }
 
 // TestServiceFinishedSessionSummary pins the finished-session shape: once
-// a session is terminal the server keeps no grid, lease store or
+// a session is terminal the server keeps no grid, store or
 // subscriber map for it, and every endpoint still answers from the
 // summary and the reopened store — the same fingerprint, cell count,
 // rows, failures and completeness, byte for byte the answers a server
@@ -459,7 +446,7 @@ func TestServiceFinishedSessionSummary(t *testing.T) {
 }
 
 // TestServiceLogsJournalRecovery pins the service's use of
-// DirLeaseStore.OnRecovery: a session journal whose last record was torn
+// FileGridStore.OnRecovery: a session journal whose last record was torn
 // is cut back on restart, the log names the session, and the session
 // re-runs the lost cell to the same result.
 func TestServiceLogsJournalRecovery(t *testing.T) {
@@ -516,7 +503,6 @@ func TestServiceLogsJournalRecovery(t *testing.T) {
 	}
 }
 
-// TestServiceBadRequests pins the HTTP error surface.
 // TestServiceRejectsRetiredSpec pins the restart path for a spec this
 // build can no longer run: a persisted spec.json naming the retired
 // "incremental" hash mode fails New with an error that names the session
@@ -578,6 +564,7 @@ func TestServiceRejectsRetiredSessionLayout(t *testing.T) {
 	}
 }
 
+// TestServiceBadRequests pins the HTTP error surface.
 func TestServiceBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	// Malformed and unknown-field bodies are 400s, not silent defaults.
@@ -598,6 +585,17 @@ func TestServiceBadRequests(t *testing.T) {
 			t.Errorf("POST %q status = %d, want 400", body, resp.StatusCode)
 		}
 	}
+	// A body over the limit is refused before it is read whole: one huge
+	// string field answers 413, not a 400 from gridspec.
+	huge := `{"topology":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST of a %d-byte body status = %d, want 413", len(huge), resp.StatusCode)
+	}
 	for _, path := range []string{"/sessions/doesnotexist", "/sessions/doesnotexist/result", "/sessions/x/nope"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -608,7 +606,7 @@ func TestServiceBadRequests(t *testing.T) {
 			t.Errorf("GET %s status = %d, want 404", path, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,22 +10,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"time"
 )
 
 // journalVersion is the session file format version. Versions up to 3
-// were whole-file JSON checkpoints (lease sessions also kept a version-1
-// ledger beside theirs); all are rejected with delete-to-restart
-// guidance rather than guessed at.
+// were whole-file JSON checkpoints; all are rejected with
+// delete-to-restart guidance rather than guessed at.
 const journalVersion = 4
 
 // journalFormat names the format in the header line.
 const journalFormat = "mpic-session-journal"
-
-// journalCompactFactor bounds a lease journal's dead records: once they
-// outnumber the live state by this factor, compaction drops them.
-const journalCompactFactor = 4
 
 // journalHeader is the first line of a journal.
 type journalHeader struct {
@@ -39,20 +32,11 @@ type journalHeader struct {
 	Sum string
 }
 
-// journalRecord is one line after the header; exactly one field is set.
+// journalRecord is one line after the header: a completed cell. Older
+// version-4 journals also hold records of other kinds; they pass the
+// checksum, decode with Done unset, and are skipped.
 type journalRecord struct {
-	Done    *StoredCell   `json:",omitempty"` // a completed cell
-	Claim   *journalLease `json:",omitempty"` // leases Cells to Worker until Expires
-	Renew   *journalLease `json:",omitempty"` // extends Worker's leases to Expires
-	Release *journalLease `json:",omitempty"` // drops Worker's leases
-	Failed  *FailedCell   `json:",omitempty"` // a quarantined cell
-}
-
-// journalLease is the payload of the three lease records.
-type journalLease struct {
-	Worker  string
-	Cells   []int `json:",omitempty"`
-	Expires time.Time
+	Done *StoredCell `json:",omitempty"`
 }
 
 // cellID identifies a stored cell: resume matches index and key together.
@@ -76,12 +60,6 @@ type cellID struct {
 // owner serializes access.
 type journal struct {
 	path string
-	// retired are files whose presence marks a retired session layout.
-	retired []string
-	// drained is set once the session has nothing pending: the owner then
-	// drops the replayed state after every call, so a finished session
-	// holds no cells in memory between calls.
-	drained bool
 
 	header []byte // the header line as on disk; nil before one is read
 	spec   string
@@ -89,25 +67,18 @@ type journal struct {
 	file   os.FileInfo // identity of the replayed file
 	off    int64       // bytes of it replayed
 
-	cells   []StoredCell // completed cells, first occurrence, in journal order
-	held    map[cellID]bool
-	done    map[int]bool
-	leases  map[int]Lease
-	failed  map[int]FailedCell
-	records int // records since the header
+	cells []StoredCell // completed cells, first occurrence, in journal order
+	held  map[cellID]bool
 }
 
 // reset forgets the replayed state, so the next sync rereads the file.
-func (j *journal) reset() { *j = journal{path: j.path, retired: j.retired, drained: j.drained} }
+func (j *journal) reset() { *j = journal{path: j.path} }
 
 // setHeader starts an empty state under a header.
 func (j *journal) setHeader(line []byte, spec string) {
 	j.header, j.spec, j.tag = line, spec, []byte(fmt.Sprintf("mpic-checkpoint-v%d %s\n", journalVersion, spec))
-	j.cells, j.records = nil, 0
+	j.cells = nil
 	j.held = make(map[cellID]bool)
-	j.done = make(map[int]bool)
-	j.leases = make(map[int]Lease)
-	j.failed = make(map[int]FailedCell)
 }
 
 // sum is the checksum of one line's payload under the journal's tag.
@@ -125,15 +96,6 @@ func (j *journal) sum(payload []byte) [sha256.Size]byte {
 // file). A replaced or shortened file is replayed from its start; a torn
 // final record is cut off and reported through onRecovery.
 func (j *journal) sync(spec string, onRecovery func(error)) (*os.File, error) {
-	for _, name := range j.retired {
-		if j.header != nil {
-			break
-		}
-		if _, err := os.Stat(name); err == nil {
-			return nil, fmt.Errorf("mpic: session directory %s holds %s from a retired session format; this build reads journal version %d — delete the session directory to restart",
-				filepath.Dir(name), filepath.Base(name), journalVersion)
-		}
-	}
 	f, err := os.OpenFile(j.path, os.O_RDWR, 0)
 	if os.IsNotExist(err) {
 		j.reset()
@@ -219,12 +181,13 @@ func (j *journal) headerIntact(f *os.File) bool {
 
 // readHeader installs the header at the start of buf and returns its
 // length. A whole-file JSON checkpoint of an older format is rejected by
-// its version; anything else unreadable is a torn header.
+// its version; anything else — a JSON object that claims this version
+// but lacks the format name included — is a torn or unreadable header.
 func (j *journal) readHeader(buf []byte) (int, error) {
 	n := bytes.IndexByte(buf, '\n') + 1
 	var h journalHeader
 	if n == 0 || json.Unmarshal(buf[:n-1], &h) != nil || h.Format != journalFormat {
-		if h = (journalHeader{}); json.Unmarshal(buf, &h) != nil || h.Format == journalFormat {
+		if h = (journalHeader{}); json.Unmarshal(buf, &h) != nil || h.Format == journalFormat || h.Version == journalVersion {
 			return 0, &CorruptCheckpointError{Path: j.path, Reason: errors.New("torn or unreadable header")}
 		}
 	}
@@ -255,36 +218,12 @@ func (j *journal) decode(line []byte, rec *journalRecord) error {
 
 // apply folds one record into the state.
 func (j *journal) apply(r *journalRecord) {
-	j.records++
-	switch {
-	case r.Done != nil:
-		c := *r.Done
-		delete(j.leases, c.Index)
-		if id := (cellID{c.Index, c.Key}); !j.held[id] {
-			j.held[id] = true
-			j.done[c.Index] = true
-			j.cells = append(j.cells, c)
-		}
-	case r.Claim != nil:
-		for _, i := range r.Claim.Cells {
-			j.leases[i] = Lease{Cell: i, Worker: r.Claim.Worker, Expires: r.Claim.Expires}
-		}
-	case r.Renew != nil, r.Release != nil:
-		for i, l := range j.leases {
-			switch {
-			case r.Renew != nil && l.Worker == r.Renew.Worker:
-				l.Expires = r.Renew.Expires
-				j.leases[i] = l
-			case r.Release != nil && l.Worker == r.Release.Worker:
-				delete(j.leases, i)
-			}
-		}
-	case r.Failed != nil:
-		f := *r.Failed
-		delete(j.leases, f.Cell)
-		if _, ok := j.failed[f.Cell]; !ok && !j.done[f.Cell] {
-			j.failed[f.Cell] = f
-		}
+	if r.Done == nil {
+		return
+	}
+	if id := (cellID{r.Done.Index, r.Done.Key}); !j.held[id] {
+		j.held[id] = true
+		j.cells = append(j.cells, *r.Done)
 	}
 }
 
@@ -372,13 +311,13 @@ func (j *journal) append(f *os.File, spec string, recs []journalRecord) error {
 	if f != nil {
 		return j.write(f, spec, recs)
 	}
-	return j.create(j.path, spec, recs)
+	return j.create(spec, recs)
 }
 
-// create writes a new journal file at path holding a fresh header and
-// recs, fsyncs it and its directory, and makes it the replayed state.
-func (j *journal) create(path, spec string, recs []journalRecord) error {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+// create writes a new journal file holding a fresh header and recs,
+// fsyncs it and its directory, and makes it the replayed state.
+func (j *journal) create(spec string, recs []journalRecord) error {
+	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
@@ -389,59 +328,11 @@ func (j *journal) create(path, spec string, recs []journalRecord) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil && path != j.path {
-		err = os.Rename(path, j.path)
-	}
 	if err != nil {
 		j.reset()
 		return err
 	}
 	return syncDir(filepath.Dir(j.path))
-}
-
-// live is the size of the live state in records.
-func (j *journal) live() int { return len(j.cells) + len(j.failed) + len(j.leases) }
-
-// compact atomically replaces the journal with its live state — done and
-// quarantined cells, leases unexpired at now — written to a temporary
-// file, fsynced, renamed over the journal, and the directory fsynced.
-func (j *journal) compact(now time.Time) error {
-	recs := make([]journalRecord, 0, j.live())
-	for i := range j.cells {
-		recs = append(recs, journalRecord{Done: &j.cells[i]})
-	}
-	for _, f := range j.failures() {
-		f := f
-		recs = append(recs, journalRecord{Failed: &f})
-	}
-	for _, l := range j.activeLeases(now) {
-		recs = append(recs, journalRecord{Claim: &journalLease{Worker: l.Worker, Cells: []int{l.Cell}, Expires: l.Expires}})
-	}
-	tmp := j.path + ".tmp"
-	os.Remove(tmp) // left by a crash mid-compaction
-	return j.create(tmp, j.spec, recs)
-}
-
-// failures returns the quarantined cells in cell order.
-func (j *journal) failures() []FailedCell {
-	var out []FailedCell
-	for _, f := range j.failed {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Cell < out[b].Cell })
-	return out
-}
-
-// activeLeases returns the leases unexpired at now, in cell order.
-func (j *journal) activeLeases(now time.Time) []Lease {
-	var out []Lease
-	for _, l := range j.leases {
-		if l.Expires.After(now) {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Cell < out[b].Cell })
-	return out
 }
 
 // syncDir fsyncs a directory, making the names created in it durable.

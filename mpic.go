@@ -129,28 +129,12 @@
 // partial success from a hard failure. The deterministic fault injector
 // behind the chaos suite lives in internal/faults.
 //
-// # Sharded sessions
-//
-// A LeaseStore extends GridStore with per-cell claim/renew/release
-// leases, and Runner.RunGridSharded is one worker of a sharded session:
-// N workers — goroutines sharing a DirLeaseStore, or separate processes
-// sharing its directory — each claim pending cells, execute them on the
-// same per-cell path as RunGrid, and persist results through the
-// checksummed store. Leases carry a TTL, so a crashed worker's cells
-// re-enter the pool when its leases expire; a lapsed lease at worst
-// duplicates work, never corrupts it, because every cell is a pure
-// function of spec + salt and duplicated results are bit-identical.
-// The merged session equals a sequential RunGrid of the same grid, byte
-// for byte. Claims, renewals, releases, completions and quarantines are
-// records in the same append-only journal a FileGridStore reads, so each
-// costs one appended line; the journal is compacted to its live state
-// when the session drains. Writers that bypass the lease protocol merge
-// rather than clobber each other: an flock sidecar serializes access,
-// and every store replays the others' appends before adding its own.
-// cmd/mpicserve
-// wraps the whole machinery in a long-lived HTTP service — grid specs
-// in, Server-Sent progress events out, sessions durable across
-// restarts (package internal/service).
+// Stores sharing one file merge rather than clobber each other: an
+// flock sidecar serializes access, and every store replays the others'
+// appends before adding its own. cmd/mpicserve runs each submitted grid
+// as one such durable session on a worker pool and wraps it in a
+// long-lived HTTP service — grid specs in, Server-Sent progress events
+// out, sessions durable across restarts (package internal/service).
 //
 // # Network model
 //
