@@ -1,10 +1,13 @@
 # Verification entry points. `make verify` is the PR gate: the tier-1
 # suite (build, vet, test) plus a race-detector pass with GOMAXPROCS
 # forced to 4, so the concurrent parts — the grid engine's cell workers
-# (Runner.RunGrid, sharing one arena and one session store) and the grid
-# service, which runs each session through them — get real concurrency
-# coverage even on single-CPU boxes (where the worker
-# pools would otherwise stay at width 1 and races could hide), plus an
+# (Runner.RunGrid, sharing one arena and one session store), the grid
+# service, which runs each session through them, and the CLI tests,
+# which drive multi-worker grids and -retries end to end (a pass of
+# their own: TestRunCompareEndToEnd gates real wall-clock, which the
+# other packages' load can trip) — get real concurrency coverage even
+# on single-CPU boxes (where the worker pools would otherwise stay at
+# width 1 and races could hide), plus an
 # explicit build/vet/test pass over examples/ so the public
 # Scenario/Runner API cannot drift from its documented usage, plus
 # cross-GOARCH and purego builds so the arch-gated hash kernel cannot
@@ -31,6 +34,7 @@ tier1:
 
 race:
 	GOMAXPROCS=4 $(GO) test -race -count=1 . ./internal/...
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./cmd/...
 
 # The examples are the public API's living documentation (including
 # examples/progress, the durable-session + progress-sink loop); their
@@ -138,8 +142,10 @@ serve-e2e:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestService' -v ./internal/service/
 
 # The chaos soaks under the race detector: the registry-cartesian grid as
-# a durable parallel session with deterministic injected store faults,
-# torn checkpoint writes, cell panics, and a mid-flight cancellation —
+# a durable parallel session with deterministic injected store faults
+# (each aborts its run, and the session resumes from its journal until a
+# run finishes, as the CLIs and the service recover), torn checkpoint
+# writes, cell panics, and a mid-flight cancellation —
 # plus the network soak, where every cell runs on the virtual-time
 # engine under jitter, outages, stragglers, and a crash-restart — plus
 # the kill soak, where a second process running a durable session is

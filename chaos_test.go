@@ -19,16 +19,19 @@ import (
 // durable parallel session while everything that can go wrong does, on a
 // deterministic seed-driven schedule —
 //
-//   - the session store injects Save/Load errors and tears the journal
-//     inside its final record after "successful" writes (absorbed by
-//     RetryingGridStore and FileGridStore's torn-tail recovery, which
-//     cuts the record off and lets the engine append it again),
+//   - the session store injects Save/Load errors, each of which aborts
+//     the run it hits, and the session is resumed from its journal until
+//     a run finishes — the way the CLIs and the service recover,
+//   - the store also tears the journal inside its final record after
+//     "successful" writes (absorbed by FileGridStore's torn-tail
+//     recovery, which cuts the record off and lets the engine append it
+//     again),
 //   - a fault plan makes a fraction of the cells panic mid-run on their
 //     leading attempts (absorbed by the engine's panic recovery and
-//     Grid.Retry),
-//   - the first pass is cancelled mid-flight and the journal torn behind
-//     its back (absorbed by torn-tail recovery on resume, which re-runs
-//     the lost cell).
+//     Grid.Retries),
+//   - once a third of the cells have completed, the run in flight is
+//     cancelled and the journal torn behind its back (absorbed by
+//     torn-tail recovery on resume, which re-runs the lost cell).
 //
 // Despite all of it, the finished grid must be bit-identical to a clean
 // sequential run — the repo's core determinism contract extended to the
@@ -44,10 +47,9 @@ func TestChaosGridSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The faulty session store: FileGridStore at the bottom, deterministic
-	// fault injection in the middle, bounded retries on top. Torn writes
-	// truncate the journal inside its final record — the exact shape a
-	// crash during an append leaves.
+	// The faulty session store: FileGridStore under deterministic fault
+	// injection. Torn writes truncate the journal inside its final record
+	// — the exact shape a crash during an append leaves.
 	path := filepath.Join(t.TempDir(), "chaos.json")
 	inner := NewFileGridStore(path)
 	var recoveries []error
@@ -59,7 +61,6 @@ func TestChaosGridSoak(t *testing.T) {
 		TornRate:      0.15,
 	})
 	faulty.Tear = func() error { return tearFinalRecord(path) }
-	store := &RetryingGridStore{Inner: faulty, MaxAttempts: 8, Sleep: func(time.Duration) {}}
 
 	// The cell fault plan: roughly a third of the cells panic mid-run on
 	// up to two leading attempts — always fewer than the retry budget, so
@@ -75,7 +76,7 @@ func TestChaosGridSoak(t *testing.T) {
 		t.Fatal("fault plan afflicts no cells; the soak would prove nothing")
 	}
 	// Fault agents are stateful (they count down their panic budget), so
-	// every pass gets a fresh grid with fresh agents.
+	// every run gets a fresh grid with fresh agents.
 	makeGrid := func() Grid {
 		cc := make([]GridCell, len(cells))
 		for i, c := range cells {
@@ -86,48 +87,25 @@ func TestChaosGridSoak(t *testing.T) {
 		}
 		return Grid{
 			Cells: cc, Workers: 4,
-			Store: store, Spec: "chaos-soak",
-			Retry: RetryPolicy{MaxAttempts: 3, JitterSeed: 7, Sleep: func(time.Duration) {}},
+			Store: faulty, Spec: "chaos-soak",
+			Retries: 2,
 		}
 	}
 
-	// Pass 1: cancel mid-flight, a third of the way through.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	streamed := 0
-	err = runner.RunGrid(ctx, makeGrid(), func(GridCellResult) {
-		streamed++
-		if streamed == len(cells)/3 {
-			cancel()
+	// Cancel a third of the way through, then tear the journal behind the
+	// session's back — a crash mid-append. Resume must cut off the torn
+	// record and re-run its cell, not abort and not silently restart from
+	// zero.
+	soak := resumeUntilDone(t, runner, makeGrid, len(cells)/3, func() {
+		if err := tearFinalRecord(path); err != nil {
+			t.Fatal(err)
 		}
 	})
-	if err == nil {
-		t.Fatal("cancelled pass reported success")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled pass returned %v, want a context.Canceled-derived error", err)
-	}
-
-	// Tear the journal behind the session's back — a crash mid-append.
-	// Resume must cut off the torn record and re-run its cell, not abort
-	// and not silently restart from zero.
-	if err := tearFinalRecord(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// Pass 2: run to completion under the same fault schedule.
-	got, err := runner.CollectGrid(context.Background(), makeGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := soak.got
 	if len(recoveries) == 0 {
 		t.Error("torn journal did not trigger torn-tail recovery")
 	}
-	restored := 0
 	for i := range want {
-		if got[i].Restored {
-			restored++
-		}
 		if got[i].Err != nil {
 			t.Fatalf("%s: cell failed despite retry budget: %v", labels[i], got[i].Err)
 		}
@@ -136,10 +114,10 @@ func TestChaosGridSoak(t *testing.T) {
 				labels[i], got[i].Cell, want[i].Cell)
 		}
 	}
-	if restored == 0 {
+	if soak.restored == 0 {
 		t.Error("resume restored nothing; the session store never held good state")
 	}
-	if restored == len(want) {
+	if soak.restored == len(want) {
 		t.Error("resume restored everything; the corruption wound back no cells")
 	}
 
@@ -149,8 +127,74 @@ func TestChaosGridSoak(t *testing.T) {
 	if st.SaveErrors == 0 || st.Tears == 0 {
 		t.Errorf("store fault schedule injected nothing: %+v", st)
 	}
-	t.Logf("chaos soak: %d cells (%d afflicted by panics), %d restored on resume, %d store recoveries, store stats %+v",
-		len(cells), afflicted, restored, len(recoveries), st)
+	t.Logf("chaos soak: %d cells (%d afflicted by panics) in %d runs, %d restored on resume, %d store recoveries, store stats %+v",
+		len(cells), afflicted, soak.runs, soak.restored, len(recoveries), st)
+}
+
+// soakRuns is what resumeUntilDone reports about a soak.
+type soakRuns struct {
+	// got holds the finished run's cells, by index.
+	got []GridCellResult
+	// runs counts the runs, the finished one included.
+	runs int
+	// restored counts the cells restored by the first run after the
+	// cancellation that got past Load. Later runs are no measure of the
+	// cancellation: the interrupted-exit flush can persist a cell whose
+	// own Save failed, so a last run may restore every cell.
+	restored int
+}
+
+// resumeUntilDone runs a durable session again and again, each run
+// resuming from the journal the one before left, until a run finishes;
+// it gives up after 200 runs. An injected store fault aborts the run it
+// hits, as a store error does for the CLIs and the service, and any other
+// error fails the test. Once cancelAfter cells have completed across
+// runs, it cancels the run in flight and calls tear, when non-nil, before
+// the next run.
+func resumeUntilDone(t *testing.T, runner *Runner, makeGrid func() Grid, cancelAfter int, tear func()) soakRuns {
+	t.Helper()
+	out := soakRuns{restored: -1}
+	fresh, cancelled := 0, false
+	for out.runs < 200 {
+		out.runs++
+		g := makeGrid()
+		got := make([]GridCellResult, len(g.Cells))
+		restored, afterCancel := 0, cancelled
+		ctx, cancel := context.WithCancel(context.Background())
+		err := runner.RunGrid(ctx, g, func(res GridCellResult) {
+			got[res.Index] = res
+			if res.Restored {
+				restored++
+				return
+			}
+			if fresh++; fresh == cancelAfter {
+				cancelled = true
+				cancel()
+			}
+		})
+		cancel()
+		var injected *faults.InjectedError
+		isInjected := errors.As(err, &injected)
+		if afterCancel && out.restored < 0 && !(isInjected && injected.Op == "load") {
+			out.restored = restored
+		}
+		switch {
+		case err == nil && afterCancel:
+			out.got = got
+			return out
+		case err == nil:
+			t.Fatalf("the session finished in run %d before the cancellation", out.runs)
+		case isInjected:
+		case errors.Is(err, context.Canceled) && cancelled && !afterCancel:
+		default:
+			t.Fatalf("run %d: %v", out.runs, err)
+		}
+		if cancelled && !afterCancel && tear != nil {
+			tear()
+		}
+	}
+	t.Fatalf("the session did not finish in %d runs", out.runs)
+	return out
 }
 
 // tearFinalRecord truncates a session journal inside its final record —
@@ -169,7 +213,8 @@ func tearFinalRecord(path string) error {
 // runs on the DES path — jitter, lognormal, and banded delay models,
 // with link outages, delay spikes, a straggler party, and one
 // crash-restart layered on top — executes as a durable parallel session
-// against a fault-injecting store, is cancelled mid-flight, and resumes.
+// against a store that injects Save/Load errors, is cancelled mid-flight,
+// and is resumed from its journal until a run finishes.
 // The finished grid must be bit-identical to a clean sequential run,
 // per-trial virtual-time metrics included: timing faults are seed-pure
 // noise, not nondeterminism.
@@ -205,39 +250,19 @@ func TestChaosNetworkSoak(t *testing.T) {
 	faulty := faults.NewFaultyStore[StoredCell](inner, faults.StoreFaults{
 		Seed: 17, SaveErrorRate: 0.2, LoadErrorRate: 0.2,
 	})
-	store := &RetryingGridStore{Inner: faulty, MaxAttempts: 8, Sleep: func(time.Duration) {}}
 	makeGrid := func() Grid {
 		return Grid{
 			Cells: cells, Workers: 4, KeepResults: true,
-			Store: store, Spec: "net-chaos-soak",
+			Store: faulty, Spec: "net-chaos-soak",
 		}
 	}
 
-	// Pass 1: cancel a third of the way through.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	streamed := 0
-	err = runner.RunGrid(ctx, makeGrid(), func(GridCellResult) {
-		streamed++
-		if streamed == len(cells)/3 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled pass returned %v, want a context.Canceled-derived error", err)
-	}
-
-	// Pass 2: resume to completion and compare bit for bit.
-	got, err := runner.CollectGrid(context.Background(), makeGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := 0
+	// Cancel a third of the way through, resume to completion and compare
+	// bit for bit.
+	soak := resumeUntilDone(t, runner, makeGrid, len(cells)/3, nil)
+	got := soak.got
 	var late, erasures int64
 	for i := range want {
-		if got[i].Restored {
-			restored++
-		}
 		if !reflect.DeepEqual(got[i].Cell, want[i].Cell) {
 			t.Errorf("cell %d (delay %q) diverged from clean sequential run:\n got %+v\nwant %+v",
 				i, got[i].Key.Delay, got[i].Cell, want[i].Cell)
@@ -258,7 +283,7 @@ func TestChaosNetworkSoak(t *testing.T) {
 			erasures += gm.Net.Erasures
 		}
 	}
-	if restored == 0 {
+	if soak.restored == 0 {
 		t.Error("resume restored nothing; the session never held good state")
 	}
 	if late == 0 || erasures == 0 {
@@ -267,7 +292,8 @@ func TestChaosNetworkSoak(t *testing.T) {
 	if st := faulty.Stats(); st.SaveErrors == 0 && st.LoadErrors == 0 {
 		t.Errorf("store fault schedule injected nothing: %+v", st)
 	}
-	t.Logf("network chaos soak: %d cells, %d restored, %d late symbols, %d erasures", len(cells), restored, late, erasures)
+	t.Logf("network chaos soak: %d cells in %d runs, %d restored on resume, %d late symbols, %d erasures",
+		len(cells), soak.runs, soak.restored, late, erasures)
 }
 
 // killSoakCells is the deterministic work-list the kill soak shares
@@ -399,7 +425,7 @@ func TestChaosKilledSessionResume(t *testing.T) {
 	}
 	got, err := runner.CollectGrid(context.Background(), Grid{
 		Cells: resumed, Spec: killSoakSpec, Store: store, KeepResults: true, Workers: 2,
-		Retry: RetryPolicy{MaxAttempts: 3, JitterSeed: 7, Sleep: func(time.Duration) {}},
+		Retries: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,11 +52,11 @@
 //	    -netfaults outage=0.01,stragglers=1 -trials 2
 //
 // The -retries flag gives every failed grid cell that many extra
-// attempts under deterministic backoff (retried results are
-// bit-identical to first-try ones); in sweep mode -fail-fast=false
-// additionally quarantines cells that exhaust the budget — the grid
-// finishes, failed cells print as ERROR rows, and the command exits
-// with code 3 (partial success) instead of 1 (hard failure).
+// attempts, each run at once (retried results are bit-identical to
+// first-try ones); in sweep mode -fail-fast=false additionally
+// quarantines cells that exhaust the budget — the grid finishes, failed
+// cells print as ERROR rows, and the command exits with code 3 (partial
+// success) instead of 1 (hard failure).
 //
 // The -sweep-checkpoint flag makes long grids resumable through the
 // library's durable-session layer (mpic.FileGridStore): every completed
@@ -120,7 +120,7 @@ func run(args []string) error {
 		repeat   = fs.Int("repeat", 1, "experiment mode: run the tables this many times and report the median ElapsedMS/Allocs (cuts same-binary timer noise out of the -compare gate)")
 		cpuProf  = fs.String("cpuprofile", "", "experiment mode: write a CPU profile to this file (not combinable with -json/-compare, whose timings assume unprofiled runs)")
 		memProf  = fs.String("memprofile", "", "experiment mode: write a heap profile to this file after the tables finish (not combinable with -json/-compare)")
-		retries  = fs.Int("retries", 0, "re-run a failed grid cell up to this many extra times (deterministic backoff; retried results are bit-identical)")
+		retries  = fs.Int("retries", 0, "re-run a failed grid cell up to this many extra times (run at once; retried results are bit-identical)")
 		failFast = fs.Bool("fail-fast", true, "sweep mode: stop on the first failed cell; =false quarantines failed cells, finishes the grid, and exits with code 3")
 
 		doSweep    = fs.Bool("sweep", false, "run a streaming grid instead of the named experiments")
@@ -453,9 +453,7 @@ func runSweep(w io.Writer, f sweepFlags) error {
 		// handling, never results.
 		grid.Store = mpic.NewFileGridStore(f.checkpoint)
 	}
-	if f.retries > 0 {
-		grid.Retry = mpic.RetryPolicy{MaxAttempts: f.retries + 1, JitterSeed: f.Seed}
-	}
+	grid.Retries = f.retries
 	if !f.failFast {
 		grid.OnCellError = mpic.QuarantineCells
 	}

@@ -187,7 +187,7 @@ func runTrials(w io.Writer, runner *mpic.Runner, sc mpic.Scenario, opts trialOpt
 		// that keeps failing is reported and skipped instead of killing
 		// the batch, and main maps the resulting *mpic.GridFailure to
 		// exit code 3.
-		grid.Retry = mpic.RetryPolicy{MaxAttempts: opts.retries + 1, JitterSeed: sc.Seed}
+		grid.Retries = opts.retries
 		grid.OnCellError = mpic.QuarantineCells
 	}
 	if opts.checkpoint != "" {

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // GridKey identifies one cell of a grid by its (n, scheme, rate, delay)
@@ -103,14 +102,14 @@ type Grid struct {
 	// the two callbacks needs its own lock. A slow callback stalls the
 	// runs that feed it. See NewProgressLog for a ready-made sink.
 	Progress GridProgressFunc
-	// Retry is the per-cell retry policy. The zero value runs each cell
-	// once; with MaxAttempts > 1 a failed cell (run error or recovered
-	// panic) is re-run up to that many times under capped exponential
-	// backoff with deterministic jitter. Retried attempts re-derive the
-	// exact same trial seeds, so a cell that fails transiently and then
-	// succeeds is bit-identical to one that succeeded first try.
-	// Cancellation is never retried.
-	Retry RetryPolicy
+	// Retries is how many extra attempts a failed cell (run error or
+	// recovered panic) gets, each run straight away; 0 runs each cell
+	// once, and a negative count is a spec error RunGrid rejects before
+	// anything runs. Retried attempts re-derive the exact same trial
+	// seeds, so a cell that fails transiently and then succeeds is
+	// bit-identical to one that succeeded first try. Cancellation is
+	// never retried.
+	Retries int
 	// OnCellError selects what a cell failure (after retries) does to the
 	// rest of the grid: FailFast (the default) cancels the grid and
 	// returns the cell's error; QuarantineCells keeps going, streams the
@@ -133,75 +132,6 @@ const (
 	// reporting the quarantined cells.
 	QuarantineCells
 )
-
-// RetryPolicy configures per-cell retries for RunGrid. All scheduling is
-// deterministic: the backoff for (cell, attempt) is a pure function of
-// the policy, so a retried grid is reproducible end to end.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of times a cell may run; 0 or 1
-	// means no retries. A negative count is a spec error RunGrid rejects
-	// before anything runs.
-	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt, doubling per
-	// subsequent attempt (0 means 10ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (0 means 1s).
-	MaxDelay time.Duration
-	// JitterSeed feeds the deterministic jitter: the actual backoff is
-	// uniform in [delay/2, delay), picked by (JitterSeed, cell, attempt).
-	// Two runs with the same seed sleep identically.
-	JitterSeed int64
-	// Sleep replaces the backoff sleep (tests use a recording stub); nil
-	// means time.Sleep.
-	Sleep func(time.Duration)
-}
-
-// delay returns the deterministic jittered backoff after the given
-// failed attempt (1-based) of the given cell: capped doubling of
-// BaseDelay, then uniform in [d/2, d) so concurrent retries decorrelate
-// without losing reproducibility.
-func (p RetryPolicy) delay(cell, attempt int) time.Duration {
-	d := p.BaseDelay
-	if d <= 0 {
-		d = 10 * time.Millisecond
-	}
-	maxDelay := p.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = time.Second
-	}
-	for i := 1; i < attempt && d < maxDelay; i++ {
-		d *= 2
-	}
-	if d > maxDelay {
-		d = maxDelay
-	}
-	return d/2 + time.Duration(jitterFrac(p.JitterSeed, cell, attempt)*float64(d/2))
-}
-
-// sleep pays one backoff through the policy's sleeper.
-func (p RetryPolicy) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// jitterFrac maps (seed, cell, attempt) to a uniform [0,1) fraction via
-// a splitmix64 finalizer — deterministic, and decorrelated across cells
-// and attempts.
-func jitterFrac(seed int64, cell, attempt int) float64 {
-	x := uint64(seed) ^ uint64(cell)*0x9e3779b97f4a7c15 ^ uint64(attempt)*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(uint64(1)<<53)
-}
 
 // CellPanicError is a panic recovered inside a grid cell — from a
 // protocol, an observer, or a Tune closure — converted into an ordinary
@@ -278,8 +208,8 @@ const (
 	// only — the aggregate streams through the GridSink).
 	GridCellDone
 	// GridCellRetrying: an attempt of the cell failed and the engine is
-	// about to back off and re-run it; Err is the attempt's error and
-	// Attempt its 1-based number.
+	// about to re-run it; Err is the attempt's error and Attempt its
+	// 1-based number.
 	GridCellRetrying
 	// GridCellFailed: the cell exhausted its attempts under
 	// Grid.OnCellError == QuarantineCells; Err is the final error and
@@ -390,11 +320,8 @@ func (g Grid) validate() error {
 	if g.Workers < 0 {
 		return fmt.Errorf("mpic: Grid.Workers is %d; negative worker counts are invalid (0 means GOMAXPROCS, 1 forces sequential)", g.Workers)
 	}
-	if g.Retry.MaxAttempts < 0 {
-		return fmt.Errorf("mpic: Grid.Retry.MaxAttempts is %d; negative attempt counts are invalid (0 means run once)", g.Retry.MaxAttempts)
-	}
-	if g.Retry.BaseDelay < 0 || g.Retry.MaxDelay < 0 {
-		return fmt.Errorf("mpic: Grid.Retry delays must be non-negative (BaseDelay %v, MaxDelay %v)", g.Retry.BaseDelay, g.Retry.MaxDelay)
+	if g.Retries < 0 {
+		return fmt.Errorf("mpic: Grid.Retries is %d; negative retry counts are invalid (0 means run once)", g.Retries)
 	}
 	if g.OnCellError != FailFast && g.OnCellError != QuarantineCells {
 		return fmt.Errorf("mpic: Grid.OnCellError is %d; valid modes are FailFast (0) and QuarantineCells (1)", g.OnCellError)
@@ -538,9 +465,9 @@ func (g Grid) openSession() (*gridSession, []int, error) {
 // and the rest are abandoned.
 //
 // Cell failures are contained: a panic inside a cell is recovered into a
-// *CellPanicError, Grid.Retry re-runs failed cells (bit-identically —
-// attempts re-derive the same trial seeds) under deterministic backoff,
-// and Grid.OnCellError == QuarantineCells finishes the grid around
+// *CellPanicError, Grid.Retries re-runs failed cells at once (bit-
+// identically — attempts re-derive the same trial seeds), and
+// Grid.OnCellError == QuarantineCells finishes the grid around
 // unrecoverable cells, returning their inventory as a *GridFailure.
 //
 // With Grid.Store set the grid is a durable session: previously
@@ -728,22 +655,16 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 	return ctx.Err()
 }
 
-// runGridCellRetrying runs one cell under the grid's retry policy: each
+// runGridCellRetrying runs one cell up to Grid.Retries+1 times: each
 // attempt re-derives the same trial seeds (so a retried success is
 // bit-identical to a first-try success), recovered panics count as
 // ordinary attempt failures, and cancellation is returned immediately
 // rather than retried.
 func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *progressEmitter) (GridCellResult, error) {
-	attempts := g.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var res GridCellResult
-	var err error
 	for attempt := 1; ; attempt++ {
-		res, err = r.runGridCellOnce(ctx, g.Cells[i], i, len(g.Cells), g.KeepResults, prog)
+		res, err := r.runGridCellOnce(ctx, g.Cells[i], i, len(g.Cells), g.KeepResults, prog)
 		res.Attempts = attempt
-		if err == nil || attempt >= attempts {
+		if err == nil || attempt > g.Retries {
 			return res, err
 		}
 		if ctx.Err() != nil {
@@ -758,7 +679,6 @@ func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *p
 				Key: res.Key, Err: err, Attempt: attempt,
 			})
 		}
-		g.Retry.sleep(g.Retry.delay(i, attempt))
 	}
 }
 

@@ -58,7 +58,7 @@ func faultGrid(t *testing.T, obs mpic.Observer, faultyIndex int) mpic.Grid {
 }
 
 // TestGridRetryDeterministic is the retry-determinism pin: a cell that
-// panics k < MaxAttempts times and then succeeds produces results
+// panics k <= Retries times and then succeeds produces results
 // bit-identical to a run where it never failed — retried attempts
 // re-derive the same seeds, so fault recovery is invisible in the data.
 func TestGridRetryDeterministic(t *testing.T) {
@@ -71,13 +71,8 @@ func TestGridRetryDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var slept []time.Duration
 	flaky := faultGrid(t, &flakyObserver{failLeft: 2}, 1)
-	flaky.Retry = mpic.RetryPolicy{
-		MaxAttempts: 3, JitterSeed: 9,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	}
-	flaky.Workers = 1 // the Sleep stub appends without a lock
+	flaky.Retries = 2
 	var events []string
 	flaky.Progress = func(p mpic.GridProgress) {
 		if p.Event == mpic.GridCellRetrying {
@@ -108,30 +103,6 @@ func TestGridRetryDeterministic(t *testing.T) {
 	}
 	if wantEvents := []string{"retry cell=1 attempt=1 err=true", "retry cell=1 attempt=2 err=true"}; !reflect.DeepEqual(events, wantEvents) {
 		t.Errorf("retry events = %v, want %v", events, wantEvents)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2 (one backoff per failed attempt)", len(slept))
-	}
-	for i, d := range slept {
-		lo := 5 * time.Millisecond << uint(i) // default base 10ms, doubling, half-jitter floor
-		if d < lo || d >= 2*lo {
-			t.Errorf("backoff %d = %v, want in [%v, %v)", i, d, lo, 2*lo)
-		}
-	}
-
-	// The backoff schedule itself is deterministic: replay and compare.
-	var replay []time.Duration
-	flaky2 := faultGrid(t, &flakyObserver{failLeft: 2}, 1)
-	flaky2.Retry = mpic.RetryPolicy{
-		MaxAttempts: 3, JitterSeed: 9,
-		Sleep: func(d time.Duration) { replay = append(replay, d) },
-	}
-	flaky2.Workers = 1
-	if _, err := runner.CollectGrid(context.Background(), flaky2); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(slept, replay) {
-		t.Errorf("backoff schedule not reproducible: %v vs %v", slept, replay)
 	}
 }
 
@@ -175,7 +146,7 @@ func TestGridQuarantine(t *testing.T) {
 	store := mpic.NewFileGridStore(filepath.Join(t.TempDir(), "q.json"))
 	spec := "quarantine-test"
 	grid := faultGrid(t, &flakyObserver{failLeft: 99}, 1)
-	grid.Retry = mpic.RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}}
+	grid.Retries = 1
 	grid.OnCellError = mpic.QuarantineCells
 	grid.Store = store
 	grid.Spec = spec
@@ -264,14 +235,9 @@ func TestGridFaultValidation(t *testing.T) {
 	runner := mpic.NewRunner()
 	defer runner.Close()
 	grid := faultGrid(t, nil, 0)
-	grid.Retry.MaxAttempts = -1
-	if _, err := runner.CollectGrid(context.Background(), grid); err == nil || !strings.Contains(err.Error(), "MaxAttempts") {
-		t.Errorf("negative MaxAttempts: got %v", err)
-	}
-	grid = faultGrid(t, nil, 0)
-	grid.Retry.BaseDelay = -time.Second
-	if _, err := runner.CollectGrid(context.Background(), grid); err == nil || !strings.Contains(err.Error(), "non-negative") {
-		t.Errorf("negative BaseDelay: got %v", err)
+	grid.Retries = -1
+	if _, err := runner.CollectGrid(context.Background(), grid); err == nil || !strings.Contains(err.Error(), "Retries") {
+		t.Errorf("negative Retries: got %v", err)
 	}
 	grid = faultGrid(t, nil, 0)
 	grid.OnCellError = mpic.CellErrorMode(7)
@@ -287,16 +253,54 @@ func TestGridCancelNotRetried(t *testing.T) {
 	runner := mpic.NewRunner()
 	defer runner.Close()
 	grid := faultGrid(t, nil, 0)
-	attempts := 0
-	grid.Retry = mpic.RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) { attempts++ }}
+	retries := 0
+	grid.Retries = 4
 	grid.Workers = 1
+	grid.Progress = func(p mpic.GridProgress) {
+		if p.Event == mpic.GridCellRetrying {
+			retries++
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := runner.CollectGrid(ctx, grid); err == nil {
 		t.Fatal("cancelled grid reported success")
 	}
-	if attempts != 0 {
-		t.Errorf("cancelled cell slept %d backoffs, want 0 (no retries after cancel)", attempts)
+	if retries != 0 {
+		t.Errorf("cancelled cell was retried %d times, want 0", retries)
+	}
+}
+
+// TestGridCancelBetweenAttemptsPrompt pins that a grid cancelled while a
+// cell is between attempts returns at once: the next attempt runs
+// straight away, finds the context cancelled and ends the grid, with no
+// backoff to sit out first.
+func TestGridCancelBetweenAttemptsPrompt(t *testing.T) {
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	grid := faultGrid(t, &flakyObserver{failLeft: 1 << 30}, 0)
+	grid.Cells = grid.Cells[:1]
+	grid.Retries = 12
+	grid.Workers = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelledAt time.Time
+	grid.Progress = func(p mpic.GridProgress) {
+		if p.Event == mpic.GridCellRetrying && p.Attempt == 9 {
+			cancelledAt = time.Now()
+			cancel()
+		}
+	}
+	err := runner.RunGrid(ctx, grid, nil)
+	took := time.Since(cancelledAt)
+	if cancelledAt.IsZero() {
+		t.Fatalf("the cell never reached its 9th retry: %v", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want an error wrapping context.Canceled", err)
+	}
+	if took > 250*time.Millisecond {
+		t.Errorf("RunGrid returned %v after the cancel, want at most 250ms", took)
 	}
 }
 

@@ -2,12 +2,10 @@ package mpic
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"mpic/internal/trace"
 )
@@ -268,87 +266,6 @@ func doneRecords(cells []StoredCell) []journalRecord {
 		recs[i].Done = &cells[i]
 	}
 	return recs
-}
-
-// RetryingGridStore decorates any GridStore with bounded retries under
-// capped exponential backoff — the wrapper that keeps a transient I/O
-// error (NFS hiccup, antivirus lock, overloaded disk) from aborting a
-// durable session whose whole point is surviving interruptions.
-//
-// Corruption errors (*CorruptCheckpointError) are NOT retried: a
-// deterministic failure answers the same every time, so it returns on
-// the first attempt. The zero value of every knob picks a sane default.
-type RetryingGridStore struct {
-	// Inner is the decorated store.
-	Inner GridStore
-	// MaxAttempts is the total tries per operation (0 means 3).
-	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt, doubling per
-	// attempt (0 means 5ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (0 means 250ms).
-	MaxDelay time.Duration
-	// Sleep replaces the backoff sleep (tests use a recording stub); nil
-	// means time.Sleep.
-	Sleep func(time.Duration)
-}
-
-// NewRetryingGridStore wraps inner with the default retry budget.
-func NewRetryingGridStore(inner GridStore) *RetryingGridStore {
-	return &RetryingGridStore{Inner: inner}
-}
-
-// retry runs op up to MaxAttempts times with capped doubling backoff.
-func (r *RetryingGridStore) retry(op func() error) error {
-	attempts := r.MaxAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	delay := r.BaseDelay
-	if delay <= 0 {
-		delay = 5 * time.Millisecond
-	}
-	maxDelay := r.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 250 * time.Millisecond
-	}
-	var err error
-	for a := 1; ; a++ {
-		err = op()
-		var corrupt *CorruptCheckpointError
-		if err == nil || a >= attempts || errors.As(err, &corrupt) {
-			return err
-		}
-		d := delay
-		if d > maxDelay {
-			d = maxDelay
-		}
-		if r.Sleep != nil {
-			r.Sleep(d)
-		} else {
-			time.Sleep(d)
-		}
-		delay *= 2
-	}
-}
-
-// Load implements GridStore with retries.
-func (r *RetryingGridStore) Load(spec string) ([]StoredCell, error) {
-	var cells []StoredCell
-	err := r.retry(func() error {
-		var e error
-		cells, e = r.Inner.Load(spec)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
-// Save implements GridStore with retries.
-func (r *RetryingGridStore) Save(spec string, cells []StoredCell) error {
-	return r.retry(func() error { return r.Inner.Save(spec, cells) })
 }
 
 // gridFingerprintVersion versions the Fingerprint preimage, separately

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mpic"
 )
@@ -416,95 +415,6 @@ func TestFileGridStoreCorruptionRecovery(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// flakyStore fails its first n operations with a transient error.
-type flakyStore struct {
-	inner     mpic.GridStore
-	failNext  int
-	saves     int
-	loads     int
-	lastError error
-}
-
-func (f *flakyStore) op() error {
-	if f.failNext > 0 {
-		f.failNext--
-		f.lastError = errors.New("transient: device busy")
-		return f.lastError
-	}
-	return nil
-}
-
-func (f *flakyStore) Load(spec string) ([]mpic.StoredCell, error) {
-	f.loads++
-	if err := f.op(); err != nil {
-		return nil, err
-	}
-	return f.inner.Load(spec)
-}
-
-func (f *flakyStore) Save(spec string, cells []mpic.StoredCell) error {
-	f.saves++
-	if err := f.op(); err != nil {
-		return err
-	}
-	return f.inner.Save(spec, cells)
-}
-
-// TestRetryingGridStore pins the retry wrapper: transient errors are
-// absorbed within the attempt budget with capped doubling backoff,
-// exhausted budgets surface the last error, and corruption is never
-// retried (a deterministic failure answers the same every time).
-func TestRetryingGridStore(t *testing.T) {
-	dir := t.TempDir()
-	inner := mpic.NewFileGridStore(filepath.Join(dir, "s.json"))
-	flaky := &flakyStore{inner: inner, failNext: 2}
-	var slept []time.Duration
-	store := &mpic.RetryingGridStore{
-		Inner: flaky, MaxAttempts: 3,
-		BaseDelay: 4 * time.Millisecond, MaxDelay: 6 * time.Millisecond,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	}
-	cells := []mpic.StoredCell{{Key: mpic.GridKey{N: 4}, Cell: mpic.SweepCell{N: 4, Trials: 1}}}
-	if err := store.Save("spec", cells); err != nil {
-		t.Fatalf("save within budget: %v", err)
-	}
-	if flaky.saves != 3 {
-		t.Errorf("save attempts = %d, want 3", flaky.saves)
-	}
-	if want := []time.Duration{4 * time.Millisecond, 6 * time.Millisecond}; !reflect.DeepEqual(slept, want) {
-		t.Errorf("backoff schedule = %v, want %v (doubling, capped)", slept, want)
-	}
-	if got, err := store.Load("spec"); err != nil || !reflect.DeepEqual(got, cells) {
-		t.Fatalf("load round-trip: %v, %v", got, err)
-	}
-
-	// Budget exhausted: the last transient error surfaces.
-	flaky.failNext = 5
-	if err := store.Save("spec", cells); err == nil || !strings.Contains(err.Error(), "transient") {
-		t.Errorf("exhausted budget: got %v", err)
-	}
-
-	// Corruption is not retried: one attempt, typed error through.
-	if err := os.Truncate(inner.Path(), 10); err != nil {
-		t.Fatal(err)
-	}
-	flaky.failNext = 0
-	flaky.loads = 0
-	_, err := store.Load("spec")
-	var corrupt *mpic.CorruptCheckpointError
-	if !errors.As(err, &corrupt) {
-		t.Fatalf("corrupt load through retry wrapper: got %v", err)
-	}
-	if flaky.loads != 1 {
-		t.Errorf("corruption consumed %d attempts, want 1 (not retryable)", flaky.loads)
-	}
-	// Defaults: zero-value knobs pick the documented budget.
-	def := mpic.NewRetryingGridStore(flaky)
-	if def.Inner == nil {
-		t.Fatal("NewRetryingGridStore dropped the inner store")
 	}
 }
 

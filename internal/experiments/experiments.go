@@ -48,11 +48,11 @@ type Config struct {
 	// keep per-trial trajectories (KeepResults) persist those too, so
 	// the rewind-wave/potential/rounds tables resume like the rest.
 	Checkpoint string
-	// Retries gives every failed grid cell that many extra attempts
-	// under the engine's deterministic backoff (see mpic.RetryPolicy);
-	// retried cells are bit-identical to first-try ones, so the tables
-	// are unaffected. Experiments always fail fast once the budget is
-	// spent — a table with quarantined holes would not be a table.
+	// Retries gives every failed grid cell that many extra attempts,
+	// each run at once (see mpic.Grid.Retries); retried cells are
+	// bit-identical to first-try ones, so the tables are unaffected.
+	// Experiments always fail fast once the budget is spent — a table
+	// with quarantined holes would not be a table.
 	Retries int
 }
 
@@ -247,10 +247,7 @@ func noiseCell(scheme core.Scheme, g *graph.Graph, noiseKind string, rate float6
 // exercised by the CLIs and the grid tests; lifting this pin needs the
 // artefact to record its worker count first (see ROADMAP).
 func runGrid(cfg Config, salt string, cells []mpic.GridCell, keep bool) ([]mpic.GridCellResult, error) {
-	g := mpic.Grid{Cells: cells, Workers: 1, KeepResults: keep}
-	if cfg.Retries > 0 {
-		g.Retry = mpic.RetryPolicy{MaxAttempts: cfg.Retries + 1, JitterSeed: cfg.Seed}
-	}
+	g := mpic.Grid{Cells: cells, Workers: 1, KeepResults: keep, Retries: cfg.Retries}
 	if cfg.Checkpoint != "" {
 		g.Spec = salt + " " + g.Fingerprint()
 		sum := sha256.Sum256([]byte(g.Spec))

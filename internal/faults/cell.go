@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"time"
 
 	"mpic/internal/core"
 )
@@ -13,8 +12,7 @@ const panicIterSpread = 3
 
 // CellPlan schedules deterministic in-cell faults: for each afflicted
 // cell, a number of leading attempts that panic mid-run (exercising the
-// engine's panic recovery and retry), and optional stalls (exercising
-// deadline and cancellation paths). Which cells are afflicted, how many
+// engine's panic recovery and retry). Which cells are afflicted, how many
 // attempts fail, and at which iteration are all pure functions of
 // (Seed, cell index) — a chaos grid replays identically from its seed.
 type CellPlan struct {
@@ -26,14 +24,6 @@ type CellPlan struct {
 	// panic (the schedule picks 1..MaxPanics). Keep it below the grid's
 	// retry budget so every cell eventually succeeds.
 	MaxPanics int
-	// StallRate is the fraction of cells that stall for Stall once per
-	// attempt.
-	StallRate float64
-	// Stall is the injected stall duration.
-	Stall time.Duration
-	// Sleep replaces time.Sleep for stalls (tests use a recording stub);
-	// nil means time.Sleep.
-	Sleep func(time.Duration)
 }
 
 // InjectedPanic is the value an injected cell panic carries, so panic
@@ -67,17 +57,11 @@ func (p CellPlan) Panics(cell int) int {
 // cell, attempts and trials execute sequentially on one worker, so the
 // agent needs no locking.
 func (p CellPlan) Observer(cell int) core.Observer {
-	a := &cellAgent{
+	return &cellAgent{
 		cell:       cell,
 		panicsLeft: p.Panics(cell),
 		panicIter:  Pick(p.Seed, "cell-panic-iter", uint64(cell), panicIterSpread),
-		sleep:      p.Sleep,
 	}
-	if p.Stall > 0 && Roll(p.Seed, "cell-stall", uint64(cell)) < p.StallRate {
-		a.stall = p.Stall
-		a.stallIter = Pick(p.Seed, "cell-stall-iter", uint64(cell), panicIterSpread)
-	}
-	return a
 }
 
 // cellAgent injects one cell's scheduled faults through the engine's
@@ -88,21 +72,11 @@ type cellAgent struct {
 	cell       int
 	panicsLeft int
 	panicIter  int
-	stall      time.Duration
-	stallIter  int
-	sleep      func(time.Duration)
 }
 
-// IterationDone implements core.Observer: stall first (a stalled cell
-// can still be cancelled), then panic while the fault budget lasts.
+// IterationDone implements core.Observer: panic while the fault budget
+// lasts.
 func (a *cellAgent) IterationDone(st core.IterationStats) {
-	if a.stall > 0 && st.Iteration == a.stallIter {
-		if a.sleep != nil {
-			a.sleep(a.stall)
-		} else {
-			time.Sleep(a.stall)
-		}
-	}
 	if a.panicsLeft > 0 && st.Iteration == a.panicIter {
 		a.panicsLeft--
 		panic(InjectedPanic{Cell: a.cell, Iteration: st.Iteration})

@@ -1,7 +1,7 @@
 // Package faults is a deterministic, seed-driven fault injector for the
 // grid engine's robustness tests: every failure decision — should this
-// Save error, should this cell panic, how long should this stall be — is
-// a pure function of a seed and the operation's coordinates, so a chaos
+// Save error, should this cell panic, and at which iteration — is a pure
+// function of a seed and the operation's coordinates, so a chaos
 // run is reproducible bit for bit from its seed, exactly like the
 // library's adversarial channel noise is reproducible from a scenario
 // seed. No global state, no time, no math/rand.
@@ -15,10 +15,10 @@
 // tolerate:
 //
 //   - FaultyStore decorates any Load/Save checkpoint store with injected
-//     I/O errors, latency, and torn writes (a Save that reports success
+//     I/O errors and torn writes (a Save that reports success
 //     but leaves corrupt bytes behind, via the Tear hook).
 //   - CellPlan builds per-cell observer hooks that make worker cells
-//     panic or stall mid-run on a deterministic schedule.
+//     panic mid-run on a deterministic schedule.
 //   - Plan-free primitives (Roll, Pick) for tests that schedule their
 //     own faults.
 package faults

@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Store is the minimal persistence contract FaultyStore decorates —
@@ -43,10 +42,6 @@ type StoreFaults struct {
 	// reports success, invokes Tear — simulating a write the caller
 	// believes durable that in fact left corrupt bytes behind.
 	TornRate float64
-	// Latency is the injected delay and LatencyRate the probability a
-	// Save or Load pays it.
-	Latency     time.Duration
-	LatencyRate float64
 }
 
 // StoreStats counts the faults a FaultyStore actually injected.
@@ -57,8 +52,6 @@ type StoreStats struct {
 	SaveErrors, LoadErrors uint64
 	// Tears counts torn writes (Tear invocations).
 	Tears uint64
-	// Delays counts injected latency hits.
-	Delays uint64
 }
 
 // FaultyStore decorates an inner Store with the failure modes of
@@ -77,9 +70,6 @@ type FaultyStore[C any] struct {
 	// torn-write faults after a successful inner Save; the Save still
 	// reports success, exactly like a real torn write.
 	Tear func() error
-	// Sleep replaces time.Sleep for injected latency (tests use a
-	// recording stub); nil means time.Sleep.
-	Sleep func(time.Duration)
 
 	mu    sync.Mutex
 	stats StoreStats
@@ -97,23 +87,16 @@ func (s *FaultyStore[C]) Stats() StoreStats {
 	return s.stats
 }
 
-// Load implements Store, injecting latency and errors per the schedule.
+// Load implements Store, injecting errors per the schedule.
 func (s *FaultyStore[C]) Load(spec string) ([]C, error) {
 	s.mu.Lock()
 	seq := s.stats.Loads
 	s.stats.Loads++
 	fail := Roll(s.Faults.Seed, "load-error", seq) < s.Faults.LoadErrorRate
-	slow := Roll(s.Faults.Seed, "load-latency", seq) < s.Faults.LatencyRate
 	if fail {
 		s.stats.LoadErrors++
 	}
-	if slow {
-		s.stats.Delays++
-	}
 	s.mu.Unlock()
-	if slow {
-		s.sleep(s.Faults.Latency)
-	}
 	if fail {
 		return nil, &InjectedError{Op: "load", Seq: seq}
 	}
@@ -128,18 +111,11 @@ func (s *FaultyStore[C]) Save(spec string, cells []C) error {
 	seq := s.stats.Saves
 	s.stats.Saves++
 	fail := Roll(s.Faults.Seed, "save-error", seq) < s.Faults.SaveErrorRate
-	slow := Roll(s.Faults.Seed, "save-latency", seq) < s.Faults.LatencyRate
 	torn := !fail && s.Tear != nil && Roll(s.Faults.Seed, "torn-write", seq) < s.Faults.TornRate
 	if fail {
 		s.stats.SaveErrors++
 	}
-	if slow {
-		s.stats.Delays++
-	}
 	s.mu.Unlock()
-	if slow {
-		s.sleep(s.Faults.Latency)
-	}
 	if fail {
 		return &InjectedError{Op: "save", Seq: seq}
 	}
@@ -155,15 +131,4 @@ func (s *FaultyStore[C]) Save(spec string, cells []C) error {
 		}
 	}
 	return nil
-}
-
-func (s *FaultyStore[C]) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if s.Sleep != nil {
-		s.Sleep(d)
-		return
-	}
-	time.Sleep(d)
 }

@@ -50,7 +50,7 @@ type Options struct {
 	Workers int
 	// Retries gives every failed cell that many extra attempts before
 	// it is quarantined (the session still finishes; failed cells are
-	// reported per session).
+	// reported per session). A negative count is rejected by New.
 	Retries int
 	// Logf receives one line per lifecycle event (nil discards).
 	Logf func(format string, args ...interface{})
@@ -120,6 +120,9 @@ func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("service: Options.DataDir is required")
+	}
+	if opts.Retries < 0 {
+		return nil, fmt.Errorf("service: Options.Retries is %d; negative retry counts are invalid (0 means run each cell once)", opts.Retries)
 	}
 	if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
 		return nil, err
@@ -217,14 +220,11 @@ func (s *Server) open(g gridspec.Grid) (*session, bool, error) {
 	sess.run = run
 	// Persist the spec first: a crash between here and the first cell
 	// must leave a resumable directory, not an orphan.
-	if err := os.MkdirAll(sess.dir, 0o755); err != nil {
-		return nil, false, err
-	}
 	specJSON, err := json.MarshalIndent(g, "", "  ")
 	if err != nil {
 		return nil, false, err
 	}
-	if err := os.WriteFile(filepath.Join(sess.dir, "spec.json"), append(specJSON, '\n'), 0o644); err != nil {
+	if err := s.writeSpec(sess.dir, append(specJSON, '\n')); err != nil {
 		return nil, false, err
 	}
 	// Cells already in the store (a resumed session) count as completed
@@ -239,6 +239,53 @@ func (s *Server) open(g gridspec.Grid) (*session, bool, error) {
 	s.sessions[id] = sess
 	s.start(sess, run)
 	return sess, true, nil
+}
+
+// writeSpec persists a session's spec.json atomically: it writes a temp
+// file in the session directory, fsyncs it and renames it into place,
+// then fsyncs the session directory and DataDir so both names survive a
+// power cut. A crash leaves either no spec.json — New skips the
+// directory, and resubmitting the spec recreates the session — or a
+// whole one, never a torn file that would stop New for every session.
+func (s *Server) writeSpec(dir string, data []byte) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp := filepath.Join(dir, "spec.json.tmp")
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, "spec.json"))
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	if err == nil {
+		err = syncDir(s.opts.DataDir)
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the names created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // store opens the journal in a session's directory, logging any torn
@@ -271,9 +318,7 @@ func (s *Server) start(sess *session, run *sessionRun) {
 	g.Workers = s.opts.Workers
 	g.Store = run.store
 	g.OnCellError = mpic.QuarantineCells
-	if s.opts.Retries > 0 {
-		g.Retry = mpic.RetryPolicy{MaxAttempts: s.opts.Retries + 1, JitterSeed: sess.spec.Seed}
-	}
+	g.Retries = s.opts.Retries
 	g.Progress = sess.publish
 	s.wg.Add(1)
 	go func() {

@@ -564,6 +564,56 @@ func TestServiceRejectsRetiredSessionLayout(t *testing.T) {
 	}
 }
 
+// TestServiceSkipsUnwrittenSpec pins the crash window of the spec write:
+// a session directory holding only the temp file of a spec.json that was
+// never renamed into place is skipped by New, and resubmitting that spec
+// creates the session and runs it.
+func TestServiceSkipsUnwrittenSpec(t *testing.T) {
+	dataDir := t.TempDir()
+	g := smallSpec()
+	dir := filepath.Join(dataDir, SessionID(g))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "spec.json.tmp"), []byte(`{"workload":"ran`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{DataDir: dataDir, Workers: 1})
+	if n := len(s.sessions); n != 0 {
+		t.Fatalf("New resumed %d sessions from a directory without spec.json", n)
+	}
+	info, code := postSpec(t, ts.URL, g)
+	if code != http.StatusCreated {
+		t.Fatalf("resubmit status = %d, want 201", code)
+	}
+	if info.ID != SessionID(g) {
+		t.Fatalf("resubmitted session id = %s, want %s", info.ID, SessionID(g))
+	}
+	if done := waitDone(t, ts.URL, info.ID); done.State != "done" {
+		t.Fatalf("resubmitted session ended %q, want done", done.State)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "spec.json")); err != nil {
+		t.Errorf("resubmitted session has no spec.json: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "spec.json.tmp")); !os.IsNotExist(err) {
+		t.Errorf("spec.json.tmp left behind after the write: %v", err)
+	}
+}
+
+// TestServiceRejectsNegativeRetries pins the Options check: a negative
+// retry budget fails New, the way an empty DataDir does, instead of
+// failing every session's grid at run time.
+func TestServiceRejectsNegativeRetries(t *testing.T) {
+	s, err := New(Options{DataDir: t.TempDir(), Retries: -1})
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("New accepted Retries -1")
+	}
+	if !strings.Contains(err.Error(), "Retries") {
+		t.Errorf("error %q does not name Options.Retries", err)
+	}
+}
+
 // TestServiceBadRequests pins the HTTP error surface.
 func TestServiceBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})

@@ -101,9 +101,9 @@
 // The grid engine contains cell failures instead of letting them take
 // the batch down. A panic anywhere inside a cell — protocol code, a
 // noise closure, an observer — is recovered into a typed
-// *CellPanicError; Grid.Retry re-runs failed cells under capped
-// exponential backoff with deterministic jitter, and because retried
-// attempts re-derive the exact same trial seeds, a cell that fails
+// *CellPanicError; Grid.Retries gives a failed cell that many extra
+// attempts, each run straight away, and because retried attempts
+// re-derive the exact same trial seeds, a cell that fails
 // transiently and then succeeds is bit-identical to one that succeeded
 // first try. Grid.OnCellError selects what an unrecoverable cell does to
 // the rest of the grid: FailFast (the default) aborts, QuarantineCells
@@ -111,7 +111,7 @@
 // out of the session store (a resumed run re-attempts them), and the run
 // returns a *GridFailure inventorying them:
 //
-//	grid.Retry = mpic.RetryPolicy{MaxAttempts: 3}
+//	grid.Retries = 2
 //	grid.OnCellError = mpic.QuarantineCells
 //	err := runner.RunGrid(ctx, grid, sink)
 //	var gf *mpic.GridFailure
@@ -122,8 +122,7 @@
 // mid-append is detected (never half-parsed as truth) and cut off, so
 // the session loses at most that cell and re-runs it bit-identically,
 // while damage a crash cannot cause is a loud *CorruptCheckpointError.
-// RetryingGridStore
-// wraps any GridStore with bounded retries for transient I/O errors.
+// A store error aborts the run; re-running it resumes from the journal.
 // Both CLIs expose the machinery as -retries (and mpicbench's
 // -fail-fast=false), with exit code 3 distinguishing a quarantined
 // partial success from a hard failure. The deterministic fault injector
