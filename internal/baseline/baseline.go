@@ -37,21 +37,23 @@ type uncodedParty struct {
 	proto protocol.Protocol
 	rep   int // repetition factor; 1 = uncoded
 	view  *protocol.MapView
-	seq   map[channel.Link]int
-	// repetition decoding state
-	votes map[channel.Link]int
-	count map[channel.Link]int
+	// All by port (the neighbor's position in the party's neighbor list):
+	// seq counts the transmissions committed on the outgoing link, and
+	// votes and count tally the incoming repetition block.
+	seq, votes, count []int
 }
 
 func newUncodedParty(id graph.Node, proto protocol.Protocol, rep int) *uncodedParty {
+	g := proto.Graph()
+	deg := g.Degree(id)
 	return &uncodedParty{
 		id:    id,
 		proto: proto,
 		rep:   rep,
-		view:  protocol.NewMapView(id, proto.Input(id)),
-		seq:   make(map[channel.Link]int),
-		votes: make(map[channel.Link]int),
-		count: make(map[channel.Link]int),
+		view:  protocol.NewMapView(g, id, proto.Input(id)),
+		seq:   make([]int, deg),
+		votes: make([]int, deg),
+		count: make([]int, deg),
 	}
 }
 
@@ -60,7 +62,7 @@ func (p *uncodedParty) ID() graph.Node { return p.id }
 
 // Send implements network.Party: round r of the real network carries
 // repetition copy r%rep of Π round r/rep.
-func (p *uncodedParty) Send(round int, to graph.Node) bitstring.Symbol {
+func (p *uncodedParty) Send(round int, to graph.Node, port int) bitstring.Symbol {
 	sched := p.proto.Schedule()
 	pr := round / p.rep
 	if pr >= sched.Rounds() {
@@ -69,13 +71,13 @@ func (p *uncodedParty) Send(round int, to graph.Node) bitstring.Symbol {
 	l := channel.Link{From: p.id, To: to}
 	for _, tx := range sched.At(pr) {
 		if tx.Link() == l {
-			bit := p.proto.SendBit(p.view, pr, tx, p.seq[l]) & 1
+			bit := p.proto.SendBit(p.view, pr, tx, p.seq[port]) & 1
 			if round%p.rep == p.rep-1 {
 				// Completed all copies: commit to own view on the last
 				// copy (the commit round shared with the receiver).
 				defer func() {
 					p.view.Record(l, bitstring.SymbolFromBit(bit))
-					p.seq[l]++
+					p.seq[port]++
 				}()
 			}
 			return bitstring.SymbolFromBit(bit)
@@ -85,7 +87,7 @@ func (p *uncodedParty) Send(round int, to graph.Node) bitstring.Symbol {
 }
 
 // Deliver implements network.Party: majority-decode the repetition block.
-func (p *uncodedParty) Deliver(round int, from graph.Node, sym bitstring.Symbol) {
+func (p *uncodedParty) Deliver(round int, from graph.Node, port int, sym bitstring.Symbol) {
 	sched := p.proto.Schedule()
 	pr := round / p.rep
 	if pr >= sched.Rounds() {
@@ -103,20 +105,19 @@ func (p *uncodedParty) Deliver(round int, from graph.Node, sym bitstring.Symbol)
 		return
 	}
 	if sym == bitstring.Sym1 {
-		p.votes[l]++
+		p.votes[port]++
 	}
 	if sym != bitstring.Silence {
-		p.count[l]++
+		p.count[port]++
 	}
 	if round%p.rep == p.rep-1 {
 		bit := byte(0)
-		if 2*p.votes[l] > p.count[l] {
+		if 2*p.votes[port] > p.count[port] {
 			bit = 1
 		}
 		p.view.Record(l, bitstring.SymbolFromBit(bit))
-		p.seq[l]++
-		p.votes[l] = 0
-		p.count[l] = 0
+		p.votes[port] = 0
+		p.count[port] = 0
 	}
 }
 
@@ -136,6 +137,9 @@ func RunNaiveFEC(proto protocol.Protocol, adv adversary.Adversary, rep int) (*Re
 
 func runRepetition(proto protocol.Protocol, adv adversary.Adversary, rep int) (*Result, error) {
 	g := proto.Graph()
+	if err := proto.Schedule().Validate(g); err != nil {
+		return nil, err
+	}
 	parties := make([]network.Party, g.N())
 	ups := make([]*uncodedParty, g.N())
 	for i := 0; i < g.N(); i++ {

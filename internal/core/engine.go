@@ -381,8 +381,8 @@ func newOracle(e *env, parties []*party, metrics *trace.Metrics) *oracle {
 
 // edgeState gathers both endpoints' view of one link.
 func (o *oracle) edgeState(edge graph.Edge) potential.EdgeState {
-	lu := o.parties[edge.U].links[edge.V]
-	lv := o.parties[edge.V].links[edge.U]
+	lu := o.parties[edge.U].link(edge.V)
+	lv := o.parties[edge.V].link(edge.U)
 	return potential.EdgeState{
 		LenU:   lu.T.Len(),
 		LenV:   lv.T.Len(),

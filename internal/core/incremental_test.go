@@ -541,22 +541,22 @@ func TestPlanRewindsUsesOrdinalSlice(t *testing.T) {
 	e := testEnv(t, g)
 	p := newParty(e, 1)
 	// Put one link ahead of the other.
-	long := p.links[graph.Node(0)]
+	long := p.link(0)
 	for i := 1; i <= 4; i++ {
 		long.T.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{bitstring.Sym1}})
 	}
 	p.prepareIteration(0)
 	p.planRewinds(100)
-	if !p.rewindPlan[long.ord] {
+	if !p.rewindPlan[long.port] {
 		t.Fatal("rewind not planned for the link ahead of the minimum")
 	}
-	if p.rewindPlan[p.links[graph.Node(2)].ord] {
+	if p.rewindPlan[p.link(2).port] {
 		t.Fatal("rewind planned for a link at the minimum")
 	}
 	if long.T.Len() != 3 {
 		t.Fatalf("planned rewind did not truncate: len=%d, want 3", long.T.Len())
 	}
-	p.rewindPlan[long.ord] = false
+	p.rewindPlan[long.port] = false
 	// Steady state: repeated planning rounds (lengths equalize, then
 	// no-ops) must not allocate.
 	round := 101

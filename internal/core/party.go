@@ -41,13 +41,14 @@ type env struct {
 type linkState struct {
 	peer graph.Node
 	edge graph.Edge
-	// ord is the link's position in the party's neighbor order; per-link
-	// scratch that must not allocate per round (the rewind plan) is
-	// indexed by it.
-	ord int
-	T   *Transcript
-	mp  *meeting.State
-	src hashing.SeedSource
+	eid  int // edge ID (graph.EdgeIndex): indexes ChunkSpec.LinkSlots
+	// port is the link's position in the party's neighbor order, and so
+	// in party.links; per-link scratch that must not allocate per round
+	// (the rewind plan) is indexed by it too.
+	port int
+	T    *Transcript
+	mp   *meeting.State
+	src  hashing.SeedSource
 	// ck, c1, c2 are the materialized seed blocks for the current
 	// iteration's three hash slots (counter, mp1 prefix, mp2 prefix); they
 	// are re-pointed by prepareIteration and feed the allocation-free
@@ -78,6 +79,7 @@ type linkState struct {
 	simChunk int  // chunk index being simulated; 0 = none
 	spec     *protocol.ChunkSpec
 	slots    []protocol.Slot
+	cursor   int // slotAt's position in slots
 	pending  []bitstring.Symbol
 
 	// Randomness-exchange state.
@@ -125,7 +127,7 @@ type party struct {
 	env       *env
 	id        graph.Node
 	neighbors []graph.Node
-	links     map[graph.Node]*linkState
+	links     []*linkState // by port: links[i] is the link to neighbors[i]
 
 	status     bool // the party's own continue/idle flag
 	flagAgg    bool // AND of own status and children's upward flags
@@ -134,8 +136,8 @@ type party struct {
 	preparedIter int // iteration whose MP messages are prepared (-1 none)
 
 	rewindRound int // round whose rewind decisions are already planned
-	// rewindPlan[ord] says whether a rewind symbol is pending for the
-	// link at neighbor ordinal ord. A reusable slice rather than a map:
+	// rewindPlan[port] says whether a rewind symbol is pending for the
+	// link at that port. A reusable slice rather than a map:
 	// planRewinds runs every rewind round of every iteration, and
 	// per-round map churn showed up as steady-state allocation.
 	rewindPlan []bool
@@ -147,8 +149,6 @@ type party struct {
 	phIter  int
 	phPh    trace.Phase
 	phRel   int
-
-	rng *rand.Rand // private randomness (seed sampling)
 }
 
 // phaseAt is the memoizing wrapper over layout.phaseAt.
@@ -168,24 +168,23 @@ func newParty(e *env, id graph.Node) *party {
 		env:          e,
 		id:           id,
 		neighbors:    e.g.Neighbors(id),
-		links:        make(map[graph.Node]*linkState),
+		links:        make([]*linkState, len(e.g.Neighbors(id))),
 		status:       true,
 		netCorrect:   true,
 		preparedIter: -1,
 		rewindRound:  -1,
 		phRound:      -1,
 		rewindPlan:   make([]bool, len(e.g.Neighbors(id))),
-		rng:          rand.New(rand.NewSource(e.params.CRSKey ^ (0x5851f42d4c957f2d * int64(id+1)))),
 	}
 	for i, v := range p.neighbors {
-		ls := &linkState{
+		p.links[i] = &linkState{
 			peer: v,
 			edge: graph.Edge{U: id, V: v}.Canonical(),
-			ord:  i,
+			eid:  e.g.EdgeIndex(id, v),
+			port: i,
 			T:    NewTranscript(),
 			mp:   meeting.NewState(),
 		}
-		p.links[v] = ls
 	}
 	p.initSeeds()
 	return p
@@ -196,21 +195,23 @@ func newParty(e *env, id graph.Node) *party {
 // mode the sender samples a short seed and encodes it, and sources are
 // built when the exchange phase completes.
 func (p *party) initSeeds() {
-	// Iterate links in neighbor order, not map order: exchange-mode
-	// senders draw their seeds from p.rng, and ranging over the map made
-	// the link→seed assignment (and so the whole run) vary between
-	// processes despite a fixed CRSKey.
-	for _, v := range p.neighbors {
-		ls := p.links[v]
+	// The party's private randomness, made on an exchange sender's first
+	// draw. Links go in neighbor order, so the senders draw their seeds
+	// in that order.
+	var rng *rand.Rand
+	for _, ls := range p.links {
 		if p.env.params.Randomness == RandCRS {
 			a, b := crsLinkSeed(p.env.crsK0, p.env.crsK1, ls.edge)
 			p.env.bindSource(ls, p.env.newSource(a, b))
 			continue
 		}
 		if p.isExchangeSender(ls) {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.env.params.CRSKey ^ (0x5851f42d4c957f2d * int64(p.id+1))))
+			}
 			seed := make([]byte, seedBits)
 			for i := range seed {
-				seed[i] = byte(p.rng.Intn(2))
+				seed[i] = byte(rng.Intn(2))
 			}
 			enc, err := p.env.codec.EncodeBits(seed)
 			if err != nil {
@@ -305,10 +306,19 @@ func seedToWords(bits []byte) (uint64, uint64) {
 // ID implements network.Party.
 func (p *party) ID() graph.Node { return p.id }
 
+// link returns the state of the link to peer, or nil if peer is not a
+// neighbor.
+func (p *party) link(peer graph.Node) *linkState {
+	if i := graph.IndexOf(p.neighbors, peer); i >= 0 {
+		return p.links[i]
+	}
+	return nil
+}
+
 // Send implements network.Party.
-func (p *party) Send(round int, to graph.Node) bitstring.Symbol {
+func (p *party) Send(round int, to graph.Node, port int) bitstring.Symbol {
 	iter, ph, rel := p.phaseAt(round)
-	ls := p.links[to]
+	ls := p.links[port]
 	switch ph {
 	case trace.PhaseExchange:
 		if ls.exchSend != nil && rel < len(ls.exchSend) {
@@ -326,8 +336,8 @@ func (p *party) Send(round int, to graph.Node) bitstring.Symbol {
 		return p.simSend(rel, ls)
 	default: // rewind
 		p.planRewinds(round)
-		if p.rewindPlan[ls.ord] {
-			p.rewindPlan[ls.ord] = false
+		if p.rewindPlan[port] {
+			p.rewindPlan[port] = false
 			return bitstring.Sym1
 		}
 		return bitstring.Silence
@@ -335,9 +345,9 @@ func (p *party) Send(round int, to graph.Node) bitstring.Symbol {
 }
 
 // Deliver implements network.Party.
-func (p *party) Deliver(round int, from graph.Node, sym bitstring.Symbol) {
+func (p *party) Deliver(round int, from graph.Node, port int, sym bitstring.Symbol) {
 	_, ph, rel := p.phaseAt(round)
-	ls := p.links[from]
+	ls := p.links[port]
 	switch ph {
 	case trace.PhaseExchange:
 		if ls.exchRecv != nil && rel < p.env.codec.CodewordBits() {
@@ -506,15 +516,14 @@ func (p *party) planRewinds(round int) {
 	}
 	p.rewindRound = round
 	minChunk := p.minChunk()
-	for _, v := range p.neighbors {
-		ls := p.links[v]
+	for _, ls := range p.links {
 		if ls.mp.Status == meeting.StatusMeetingPoints || ls.alreadyRewound {
 			continue
 		}
 		if ls.T.Len() > minChunk {
 			ls.T.TruncateTo(ls.T.Len() - 1)
 			ls.alreadyRewound = true
-			p.rewindPlan[ls.ord] = true
+			p.rewindPlan[ls.port] = true
 		}
 	}
 }

@@ -70,7 +70,7 @@ func (p *party) simSend(rel int, ls *linkState) bitstring.Symbol {
 	if ls.simChunk == 0 {
 		return bitstring.Silence
 	}
-	idx := ls.spec.SlotAt(ls.edge, rel-1, p.id)
+	idx := ls.slotAt(rel-1, p.id)
 	if idx < 0 {
 		return bitstring.Silence
 	}
@@ -104,10 +104,28 @@ func (p *party) simDeliver(rel int, ls *linkState, sym bitstring.Symbol) {
 	if ls.simChunk == 0 {
 		return
 	}
-	idx := ls.spec.SlotAt(ls.edge, rel-1, ls.peer)
+	idx := ls.slotAt(rel-1, ls.peer)
 	if idx >= 0 {
 		ls.pending[idx] = sym
 	}
+}
+
+// slotAt returns the index into ls.slots of the transmission from `from`
+// at relative round rel of the chunk being simulated, or -1 if none is
+// scheduled. A simulation phase queries rounds in order, so the cursor —
+// the first slot not before the last queried round — only moves forward:
+// O(1) amortized per query.
+func (ls *linkState) slotAt(rel int, from graph.Node) int {
+	for ls.cursor < len(ls.slots) && ls.slots[ls.cursor].RelRound < rel {
+		ls.cursor++
+	}
+	idx := -1
+	for i := ls.cursor; i < len(ls.slots) && ls.slots[i].RelRound == rel; i++ {
+		if ls.slots[i].Tx.From == from {
+			idx = i
+		}
+	}
+	return idx
 }
 
 // beginSimulation sets up per-link chunk state once the ⊥ round has been
@@ -123,7 +141,8 @@ func (p *party) beginSimulation() {
 		}
 		ls.simChunk = ls.T.Len() + 1
 		ls.spec = p.env.chunking.Spec(ls.simChunk)
-		ls.slots = ls.spec.LinkSlots[ls.edge]
+		ls.slots = ls.spec.LinkSlots[ls.eid]
+		ls.cursor = 0
 		ls.pending = make([]bitstring.Symbol, len(ls.slots))
 		for i := range ls.pending {
 			ls.pending[i] = bitstring.Silence
@@ -199,10 +218,6 @@ func (v codedView) Input() []byte { return v.p.env.proto.Input(v.p.id) }
 
 // Observed implements protocol.View.
 func (v codedView) Observed(l channel.Link, seq int) bitstring.Symbol {
-	loc, ok := v.p.env.chunking.Locate(l, seq)
-	if !ok {
-		return bitstring.Silence
-	}
 	var peer graph.Node
 	switch {
 	case l.From == v.p.id:
@@ -212,7 +227,15 @@ func (v codedView) Observed(l channel.Link, seq int) bitstring.Symbol {
 	default:
 		return bitstring.Silence
 	}
-	ls, ok := v.p.links[peer]
+	ls := v.p.link(peer)
+	if ls == nil {
+		return bitstring.Silence
+	}
+	li := 2 * ls.eid
+	if l.From > l.To {
+		li++
+	}
+	loc, ok := v.p.env.chunking.LocateIndex(li, seq)
 	if !ok {
 		return bitstring.Silence
 	}

@@ -58,8 +58,8 @@ func (w *whiteBoxAttacker) Corrupt(round int, link channel.Link, sent bitstring.
 		return sent
 	}
 	u := w.parties[link.From]
-	ls, ok := u.links[link.To]
-	if !ok || ls.simChunk == 0 || len(ls.slots) == 0 {
+	ls := u.link(link.To)
+	if ls == nil || ls.simChunk == 0 || len(ls.slots) == 0 {
 		return sent
 	}
 	// Only the chunk's final slot leaves both endpoint records fully
@@ -69,8 +69,8 @@ func (w *whiteBoxAttacker) Corrupt(round int, link channel.Link, sent bitstring.
 		return sent
 	}
 	v := w.parties[link.To]
-	lsv, ok := v.links[link.From]
-	if !ok || lsv.simChunk != ls.simChunk {
+	lsv := v.link(link.From)
+	if lsv == nil || lsv.simChunk != ls.simChunk {
 		return sent
 	}
 	// The next check compares full transcripts only when both endpoints

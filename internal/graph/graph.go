@@ -28,19 +28,23 @@ func (e Edge) Canonical() Edge {
 
 // Graph is a connected simple undirected graph. Build one with New and
 // AddEdge, then call Validate (or use a generator from this package).
+//
+// Every edge has an ID, its position in insertion order, and every
+// directed link (from, to) a link index 2·ID + (from > to): dense
+// positions the simulation indexes its per-link state by.
 type Graph struct {
 	n     int
-	adj   [][]Node
-	edges []Edge
-	seen  map[Edge]bool
+	adj   [][]Node // adj[v] is N(v), kept ascending
+	eid   [][]int  // eid[v][i] is the ID of the edge (v, adj[v][i])
+	edges []Edge   // by edge ID
 }
 
 // New returns an empty graph on n nodes.
 func New(n int) *Graph {
 	return &Graph{
-		n:    n,
-		adj:  make([][]Node, n),
-		seen: make(map[Edge]bool),
+		n:   n,
+		adj: make([][]Node, n),
+		eid: make([][]int, n),
 	}
 }
 
@@ -60,20 +64,67 @@ func (g *Graph) AddEdge(u, v Node) error {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
 	}
 	e := Edge{U: u, V: v}.Canonical()
-	if g.seen[e] {
+	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge (%d,%d)", e.U, e.V)
 	}
-	g.seen[e] = true
+	id := len(g.edges)
 	g.edges = append(g.edges, e)
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
+	g.insert(u, v, id)
+	g.insert(v, u, id)
 	return nil
 }
 
-// HasEdge reports whether (u, v) is a link.
-func (g *Graph) HasEdge(u, v Node) bool {
-	return g.seen[Edge{U: u, V: v}.Canonical()]
+// insert places neighbor w with edge ID id into v's sorted adjacency.
+// Generators add neighbors in ascending order, so this is an append.
+func (g *Graph) insert(v, w Node, id int) {
+	i := sort.Search(len(g.adj[v]), func(i int) bool { return g.adj[v][i] > w })
+	g.adj[v] = append(g.adj[v], 0)
+	copy(g.adj[v][i+1:], g.adj[v][i:])
+	g.adj[v][i] = w
+	g.eid[v] = append(g.eid[v], 0)
+	copy(g.eid[v][i+1:], g.eid[v][i:])
+	g.eid[v][i] = id
 }
+
+// IndexOf returns the position of v in the ascending slice nodes, or -1
+// if v is absent. With nodes = g.Neighbors(u) it is the port of v at u.
+func IndexOf(nodes []Node, v Node) int {
+	i := sort.Search(len(nodes), func(i int) bool { return nodes[i] >= v })
+	if i < len(nodes) && nodes[i] == v {
+		return i
+	}
+	return -1
+}
+
+// EdgeIndex returns the ID of the edge (u, v) in [0, M()), or -1 if u
+// and v are not adjacent or either is out of range.
+func (g *Graph) EdgeIndex(u, v Node) int {
+	if u < 0 || int(u) >= g.n {
+		return -1
+	}
+	i := IndexOf(g.adj[u], v)
+	if i < 0 {
+		return -1
+	}
+	return g.eid[u][i]
+}
+
+// LinkIndex returns the index of the directed link from → to in
+// [0, 2·M()): 2·EdgeIndex(from, to), plus one when from > to. It returns
+// -1 for a non-edge or an out-of-range node.
+func (g *Graph) LinkIndex(from, to Node) int {
+	e := g.EdgeIndex(from, to)
+	if e < 0 {
+		return -1
+	}
+	if from > to {
+		return 2*e + 1
+	}
+	return 2 * e
+}
+
+// HasEdge reports whether (u, v) is a link.
+func (g *Graph) HasEdge(u, v Node) bool { return g.EdgeIndex(u, v) >= 0 }
 
 // Neighbors returns the neighborhood N(v) in ascending order. The returned
 // slice is owned by the graph; callers must not modify it.
@@ -109,20 +160,11 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// sortAdj orders adjacency lists ascending so traversals are deterministic.
-func (g *Graph) sortAdj() {
-	for v := range g.adj {
-		sort.Slice(g.adj[v], func(i, j int) bool { return g.adj[v][i] < g.adj[v][j] })
-	}
-}
-
-// Validate checks the graph is non-empty, simple and connected, and
-// normalizes adjacency order.
+// Validate checks the graph is non-empty, simple and connected.
 func (g *Graph) Validate() error {
 	if g.n == 0 {
 		return errors.New("graph: no nodes")
 	}
-	g.sortAdj()
 	if g.n == 1 {
 		return nil
 	}

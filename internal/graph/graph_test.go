@@ -217,3 +217,115 @@ func TestByName(t *testing.T) {
 		}
 	}
 }
+
+// checkIndices checks EdgeIndex and LinkIndex on every node pair of g
+// against the edge set want: each edge gets a distinct ID in [0, M()),
+// both orientations agree, and non-edges, self-loops and out-of-range
+// nodes give -1.
+func checkIndices(t *testing.T, name string, g *Graph, want []Edge) {
+	t.Helper()
+	isEdge := make(map[Edge]bool, len(want))
+	for _, e := range want {
+		isEdge[e.Canonical()] = true
+	}
+	ids := make([]bool, g.M())
+	n := Node(g.N())
+	for u := Node(0); u < n; u++ {
+		for v := Node(0); v < n; v++ {
+			id := g.EdgeIndex(u, v)
+			if !isEdge[Edge{U: u, V: v}.Canonical()] || u == v {
+				if id != -1 || g.LinkIndex(u, v) != -1 {
+					t.Fatalf("%s: non-edge (%d,%d) has EdgeIndex %d, LinkIndex %d", name, u, v, id, g.LinkIndex(u, v))
+				}
+				continue
+			}
+			if id < 0 || id >= g.M() || g.EdgeIndex(v, u) != id {
+				t.Fatalf("%s: edge (%d,%d) has EdgeIndex %d, reversed %d", name, u, v, id, g.EdgeIndex(v, u))
+			}
+			wantLink := 2 * id
+			if u > v {
+				wantLink++
+			}
+			if g.LinkIndex(u, v) != wantLink {
+				t.Fatalf("%s: LinkIndex(%d,%d) = %d, want %d", name, u, v, g.LinkIndex(u, v), wantLink)
+			}
+			if u < v {
+				if ids[id] {
+					t.Fatalf("%s: edge ID %d reused", name, id)
+				}
+				ids[id] = true
+			}
+		}
+		for _, bad := range []Node{-1, -7, n, n + 3} {
+			if g.EdgeIndex(u, bad) != -1 || g.EdgeIndex(bad, u) != -1 || g.LinkIndex(u, bad) != -1 || g.LinkIndex(bad, u) != -1 {
+				t.Fatalf("%s: out-of-range node %d indexed from %d", name, bad, u)
+			}
+		}
+	}
+	for id, seen := range ids {
+		if !seen {
+			t.Fatalf("%s: edge ID %d unused", name, id)
+		}
+	}
+}
+
+func TestEdgeAndLinkIndex(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"line 6", Line(6)},
+		{"ring 7", Ring(7)},
+		{"clique 6", Clique(6)},
+		{"random 12", RandomConnected(12, 9, rand.New(rand.NewSource(5)))},
+	} {
+		edges := tt.g.Edges()
+		checkIndices(t, tt.name, tt.g, edges)
+		// The same edges added in shuffled order and orientation, checked
+		// before and after Validate.
+		rng := rand.New(rand.NewSource(int64(len(edges))))
+		h := New(tt.g.N())
+		for _, i := range rng.Perm(len(edges)) {
+			e := edges[i]
+			if rng.Intn(2) == 0 {
+				e.U, e.V = e.V, e.U
+			}
+			if err := h.AddEdge(e.U, e.V); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.AddEdge(e.V, e.U); err == nil {
+				t.Fatalf("%s: duplicate edge (%d,%d) accepted", tt.name, e.V, e.U)
+			}
+		}
+		checkIndices(t, tt.name+" before Validate", h, edges)
+		if err := h.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		checkIndices(t, tt.name+" after Validate", h, edges)
+		for v := 0; v < h.N(); v++ {
+			nb := h.Neighbors(Node(v))
+			for i := 1; i < len(nb); i++ {
+				if nb[i-1] >= nb[i] {
+					t.Fatalf("%s: neighbors of %d not ascending: %v", tt.name, v, nb)
+				}
+			}
+		}
+	}
+}
+
+func TestIndexOf(t *testing.T) {
+	nodes := []Node{1, 4, 9}
+	for i, v := range nodes {
+		if IndexOf(nodes, v) != i {
+			t.Errorf("IndexOf(%d) = %d, want %d", v, IndexOf(nodes, v), i)
+		}
+	}
+	for _, v := range []Node{-1, 0, 2, 10} {
+		if IndexOf(nodes, v) != -1 {
+			t.Errorf("IndexOf(%d) = %d, want -1", v, IndexOf(nodes, v))
+		}
+	}
+	if IndexOf(nil, 0) != -1 {
+		t.Error("IndexOf on an empty list")
+	}
+}

@@ -15,7 +15,6 @@ type SpanningTree struct {
 // BFSTree builds the breadth-first spanning tree from root. The graph must
 // be validated (connected) first.
 func (g *Graph) BFSTree(root Node) *SpanningTree {
-	g.sortAdj()
 	t := &SpanningTree{
 		Root:     root,
 		Parent:   make([]Node, g.n),

@@ -73,21 +73,28 @@ import "math/bits"
 const gf64Poly uint64 = 0x1b
 
 // gfMul64 multiplies two elements of GF(2^64) (carry-less multiplication
-// followed by reduction).
+// followed by reduction). The product is formed over 4-bit windows of b,
+// most significant first: a table of the 16 carry-less products a·k, then
+// one 128-bit shift-by-4 and table xor per window, with no branch on the
+// bits of either operand.
 func gfMul64(a, b uint64) uint64 {
+	// tlo[k], thi[k] hold the 67-bit carry-less product a·k; a·2j is
+	// a·j shifted left once and a·(2j+1) = a·2j ^ a.
+	var tlo, thi [16]uint64
+	tlo[1] = a
+	for k := 2; k < 16; k += 2 {
+		tlo[k] = tlo[k/2] << 1
+		thi[k] = thi[k/2]<<1 | tlo[k/2]>>63
+		tlo[k+1] = tlo[k] ^ a
+		thi[k+1] = thi[k]
+	}
 	var lo, hi uint64
-	for i := 0; i < 64; i += 8 {
-		// Process 8 bits of b at a time for speed.
-		chunk := (b >> uint(i)) & 0xff
-		for j := 0; j < 8; j++ {
-			if chunk>>uint(j)&1 == 1 {
-				sh := uint(i + j)
-				lo ^= a << sh
-				if sh != 0 {
-					hi ^= a >> (64 - sh)
-				}
-			}
-		}
+	for i := 60; i >= 0; i -= 4 {
+		hi = hi<<4 | lo>>60
+		lo <<= 4
+		k := (b >> uint(i)) & 0xf
+		lo ^= tlo[k]
+		hi ^= thi[k]
 	}
 	// Reduce the 128-bit product modulo x^64 + x^4 + x^3 + x + 1. Folding
 	// the high half twice suffices because the reduction polynomial's

@@ -377,3 +377,79 @@ func randomBits(rng *rand.Rand, n int) *bitstring.BitVec {
 	}
 	return v
 }
+
+// gfMul64BitSerial is the bit-serial GF(2^64) multiply gfMul64 replaced,
+// verbatim: one conditional shift-xor per set bit of b, then the same
+// reduction. It is kept as the golden reference for the windowed multiply.
+func gfMul64BitSerial(a, b uint64) uint64 {
+	var lo, hi uint64
+	for i := 0; i < 64; i += 8 {
+		// Process 8 bits of b at a time for speed.
+		chunk := (b >> uint(i)) & 0xff
+		for j := 0; j < 8; j++ {
+			if chunk>>uint(j)&1 == 1 {
+				sh := uint(i + j)
+				lo ^= a << sh
+				if sh != 0 {
+					hi ^= a >> (64 - sh)
+				}
+			}
+		}
+	}
+	// Reduce the 128-bit product modulo x^64 + x^4 + x^3 + x + 1. Folding
+	// the high half twice suffices because the reduction polynomial's
+	// non-leading part fits in 5 bits.
+	for hi != 0 {
+		h := hi
+		hi = 0
+		lo ^= h ^ (h << 1) ^ (h << 3) ^ (h << 4)
+		hi ^= (h >> 63) ^ (h >> 61) ^ (h >> 60)
+	}
+	return lo
+}
+
+func TestGFMulMatchesBitSerial(t *testing.T) {
+	special := []uint64{0, 1, ^uint64(0)}
+	for i := uint(0); i < 64; i++ {
+		special = append(special, 1<<i)
+	}
+	for _, a := range special {
+		for _, b := range special {
+			if got, want := gfMul64(a, b), gfMul64BitSerial(a, b); got != want {
+				t.Fatalf("gfMul64(%#x, %#x) = %#x, want %#x", a, b, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(64))
+	for i := 0; i < 1000000; i++ {
+		a, b := rng.Uint64(), rng.Uint64()
+		if got, want := gfMul64(a, b), gfMul64BitSerial(a, b); got != want {
+			t.Fatalf("gfMul64(%#x, %#x) = %#x, want %#x", a, b, got, want)
+		}
+	}
+}
+
+// gfOperands are random multiplication operands for the GF benchmarks,
+// so the bit-serial multiply's branches see unpredictable bits.
+var gfOperands = func() []uint64 {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]uint64, 1024)
+	for i := range xs {
+		xs[i] = rng.Uint64()
+	}
+	return xs
+}()
+
+func benchGFMul(b *testing.B, mul func(a, b uint64) uint64) {
+	var acc uint64
+	for i := 0; i < b.N; i++ {
+		acc ^= mul(gfOperands[i&1023], gfOperands[(i+1)&1023])
+	}
+	sinkGF = acc
+}
+
+func BenchmarkGFMul64(b *testing.B) { benchGFMul(b, gfMul64) }
+
+func BenchmarkGFMul64BitSerial(b *testing.B) { benchGFMul(b, gfMul64BitSerial) }
+
+var sinkGF uint64

@@ -35,15 +35,20 @@ import (
 // Deliver for every incoming directed link of every party (Silence when
 // nothing arrived). Implementations must not assume any ordering between
 // parties within a round.
+//
+// Both calls name the neighbor twice: as a node and as a port, its
+// position in the party's ascending neighbor list (graph.Neighbors), so
+// a party can keep its per-link state in a slice indexed by port.
 type Party interface {
 	// ID returns the node this party occupies.
 	ID() graph.Node
-	// Send returns the symbol to transmit to neighbor `to` this round;
-	// Silence means the party stays quiet on that link.
-	Send(round int, to graph.Node) bitstring.Symbol
-	// Deliver hands the party what it observed from neighbor `from` this
-	// round (Silence when no symbol arrived).
-	Deliver(round int, from graph.Node, sym bitstring.Symbol)
+	// Send returns the symbol to transmit to neighbor `to`, at port
+	// `port`, this round; Silence means the party stays quiet on that
+	// link.
+	Send(round int, to graph.Node, port int) bitstring.Symbol
+	// Deliver hands the party what it observed from neighbor `from`, at
+	// port `port`, this round (Silence when no symbol arrived).
+	Deliver(round int, from graph.Node, port int, sym bitstring.Symbol)
 }
 
 // RoundEnder is an optional Party extension: EndRound is invoked after all
@@ -60,8 +65,12 @@ type Engine struct {
 	adv     adversary.Adversary
 	metrics *trace.Metrics
 	links   []channel.Link // all directed links, deterministic order
-	phaseFn func(round int) trace.Phase
-	sendBuf []bitstring.Symbol
+	// sendPort[i] and recvPort[i] are links[i]'s port at its sender (the
+	// receiver's position among the sender's neighbors) and at its
+	// receiver (the sender's position among the receiver's neighbors).
+	sendPort, recvPort []int
+	phaseFn            func(round int) trace.Phase
+	sendBuf            []bitstring.Symbol
 	// timing, when non-nil, switches the engine onto the virtual-time
 	// discrete-event path (see vtime.go). Installed by SetTiming; nil
 	// engines run the classic synchronous loop.
@@ -100,12 +109,18 @@ func NewEngine(g *graph.Graph, parties []Party, adv adversary.Adversary, metrics
 		return links[i].To < links[j].To
 	})
 	e := &Engine{
-		g:       g,
-		parties: parties,
-		adv:     adv,
-		metrics: metrics,
-		links:   links,
-		sendBuf: make([]bitstring.Symbol, len(links)),
+		g:        g,
+		parties:  parties,
+		adv:      adv,
+		metrics:  metrics,
+		links:    links,
+		sendPort: make([]int, len(links)),
+		recvPort: make([]int, len(links)),
+		sendBuf:  make([]bitstring.Symbol, len(links)),
+	}
+	for i, l := range links {
+		e.sendPort[i] = graph.IndexOf(g.Neighbors(l.From), l.To)
+		e.recvPort[i] = graph.IndexOf(g.Neighbors(l.To), l.From)
 	}
 	if ca, ok := adv.(adversary.ContextAware); ok {
 		ca.SetContext(e)
@@ -144,7 +159,7 @@ func (e *Engine) RunRounds(from, to int) {
 // synchronous and the virtual-time paths use it.
 func (e *Engine) collectSends(round int) {
 	for i, l := range e.links {
-		e.sendBuf[i] = e.parties[l.From].Send(round, l.To)
+		e.sendBuf[i] = e.parties[l.From].Send(round, l.To, e.sendPort[i])
 	}
 }
 
@@ -170,7 +185,7 @@ func (e *Engine) step(round int) {
 		if k := channel.Classify(sent, recv); k != channel.KindNone {
 			e.metrics.AddCorruption(k)
 		}
-		e.parties[l.To].Deliver(round, l.From, recv)
+		e.parties[l.To].Deliver(round, l.From, e.recvPort[i], recv)
 	}
 	for _, p := range e.parties {
 		if re, ok := p.(RoundEnder); ok {

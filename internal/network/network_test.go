@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"mpic/internal/adversary"
@@ -22,20 +24,21 @@ type echoParty struct {
 type recorded struct {
 	round int
 	from  graph.Node
+	port  int
 	sym   bitstring.Symbol
 }
 
 func (p *echoParty) ID() graph.Node { return p.id }
 
-func (p *echoParty) Send(round int, to graph.Node) bitstring.Symbol {
+func (p *echoParty) Send(round int, to graph.Node, _ int) bitstring.Symbol {
 	if p.sendFn == nil {
 		return bitstring.Silence
 	}
 	return p.sendFn(round, to)
 }
 
-func (p *echoParty) Deliver(round int, from graph.Node, sym bitstring.Symbol) {
-	p.received = append(p.received, recorded{round: round, from: from, sym: sym})
+func (p *echoParty) Deliver(round int, from graph.Node, port int, sym bitstring.Symbol) {
+	p.received = append(p.received, recorded{round: round, from: from, port: port, sym: sym})
 }
 
 func (p *echoParty) EndRound(round int) { p.ends = append(p.ends, round) }
@@ -190,6 +193,62 @@ func TestLinksDeterministicOrder(t *testing.T) {
 		p, c := links[i-1], links[i]
 		if p.From > c.From || (p.From == c.From && p.To >= c.To) {
 			t.Fatal("links not sorted")
+		}
+	}
+}
+
+// portParty checks that every Send and Deliver names the neighbor's
+// position in the party's sorted neighbor list as its port.
+type portParty struct {
+	id    graph.Node
+	nbrs  []graph.Node
+	calls int
+	bad   []string
+}
+
+func (p *portParty) ID() graph.Node { return p.id }
+
+func (p *portParty) Send(round int, to graph.Node, port int) bitstring.Symbol {
+	p.check("Send", round, to, port)
+	return bitstring.Sym1
+}
+
+func (p *portParty) Deliver(round int, from graph.Node, port int, _ bitstring.Symbol) {
+	p.check("Deliver", round, from, port)
+}
+
+func (p *portParty) check(call string, round int, peer graph.Node, port int) {
+	p.calls++
+	if port < 0 || port >= len(p.nbrs) || p.nbrs[port] != peer {
+		p.bad = append(p.bad, fmt.Sprintf("party %d %s(round %d, %d) got port %d", p.id, call, round, peer, port))
+	}
+}
+
+func TestEnginePorts(t *testing.T) {
+	g := graph.RandomConnected(9, 6, rand.New(rand.NewSource(3)))
+	for _, timed := range []bool{false, true} {
+		ps := make([]Party, g.N())
+		pps := make([]*portParty, g.N())
+		for i := range ps {
+			pps[i] = &portParty{id: graph.Node(i), nbrs: g.Neighbors(graph.Node(i))}
+			ps[i] = pps[i]
+		}
+		eng, err := NewEngine(g, ps, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if timed {
+			eng.forceTimed = true
+			eng.SetTiming(Unit{}, nil)
+		}
+		eng.RunRounds(0, 3)
+		for _, p := range pps {
+			if want := 3 * 2 * g.Degree(p.id); p.calls != want {
+				t.Errorf("timed=%v: party %d saw %d calls, want %d", timed, p.id, p.calls, want)
+			}
+			for _, msg := range p.bad {
+				t.Errorf("timed=%v: %s", timed, msg)
+			}
 		}
 	}
 }

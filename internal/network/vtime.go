@@ -221,7 +221,7 @@ func (e *Engine) stepTimed(round int) {
 	}
 
 	for i, l := range e.links {
-		e.parties[l.To].Deliver(round, l.From, t.slots[i])
+		e.parties[l.To].Deliver(round, l.From, e.recvPort[i], t.slots[i])
 	}
 	for _, p := range e.parties {
 		if re, ok := p.(RoundEnder); ok {

@@ -16,11 +16,11 @@ type sinkParty struct {
 
 func (p *sinkParty) ID() graph.Node { return p.id }
 
-func (p *sinkParty) Send(round int, to graph.Node) bitstring.Symbol {
+func (p *sinkParty) Send(round int, to graph.Node, _ int) bitstring.Symbol {
 	return bitstring.Symbol(uint8(round+int(p.id)+int(to)) % 3)
 }
 
-func (p *sinkParty) Deliver(round int, from graph.Node, sym bitstring.Symbol) {
+func (p *sinkParty) Deliver(round int, from graph.Node, _ int, sym bitstring.Symbol) {
 	p.sum += uint64(sym)
 }
 

@@ -29,50 +29,10 @@ type ChunkSpec struct {
 	StartRound, EndRound int
 	// Bits is the total communication in the chunk.
 	Bits int
-	// LinkSlots lists each undirected link's slots in schedule order.
-	LinkSlots map[graph.Edge][]Slot
-	// roundIdx maps, per edge and relative round, the slot indices in each
-	// direction: [0] is U→V (canonical), [1] is V→U; -1 means no slot.
-	roundIdx map[graph.Edge]map[int][2]int
-}
-
-// buildRoundIndex populates roundIdx; called once at construction so the
-// spec is safe for concurrent readers afterwards.
-func (c *ChunkSpec) buildRoundIndex() {
-	c.roundIdx = make(map[graph.Edge]map[int][2]int, len(c.LinkSlots))
-	for e, slots := range c.LinkSlots {
-		byRound := make(map[int][2]int)
-		for i, s := range slots {
-			entry, ok := byRound[s.RelRound]
-			if !ok {
-				entry = [2]int{-1, -1}
-			}
-			dir := 0
-			if s.Tx.From == e.V {
-				dir = 1
-			}
-			entry[dir] = i
-			byRound[s.RelRound] = entry
-		}
-		c.roundIdx[e] = byRound
-	}
-}
-
-// SlotAt returns the index into LinkSlots[e] of the transmission at
-// relative round rel going from `from`, or -1 if none is scheduled.
-func (c *ChunkSpec) SlotAt(e graph.Edge, rel int, from graph.Node) int {
-	byRound, ok := c.roundIdx[e]
-	if !ok {
-		return -1
-	}
-	entry, ok := byRound[rel]
-	if !ok {
-		return -1
-	}
-	if from == e.U {
-		return entry[0]
-	}
-	return entry[1]
+	// LinkSlots lists each undirected link's slots in schedule order,
+	// indexed by the link's edge ID (graph.EdgeIndex); a link silent in
+	// the chunk has none.
+	LinkSlots [][]Slot
 }
 
 // Rounds returns the number of Π rounds the chunk spans.
@@ -106,79 +66,68 @@ type Chunking struct {
 
 	g     *graph.Graph
 	dummy *ChunkSpec
-	locs  map[channel.Link][]SeqLoc
+	locs  [][]SeqLoc // by graph.LinkIndex: each transmission's location, by seq
 }
 
 // NewChunking chunks the schedule of p into chunks of at most chunkBits
 // bits each. chunkBits must be at least the largest single round's
-// communication or that round becomes a chunk by itself.
+// communication or that round becomes a chunk by itself. The schedule
+// must use only links of p's graph (Schedule.Validate).
+//
+// Each chunk holds one slot list per edge, so the chunking takes
+// O(m·chunks + |Π|) memory — O(m + |Π|) whenever chunkBits is at least
+// twice the busiest round's communication, as the paper's 5K ≥ 5m is.
 func NewChunking(p Protocol, chunkBits int) *Chunking {
 	sched := p.Schedule()
 	g := p.Graph()
+	m := g.M()
 	c := &Chunking{
 		Sched:     sched,
 		ChunkBits: chunkBits,
 		g:         g,
-		locs:      make(map[channel.Link][]SeqLoc),
+		locs:      make([][]SeqLoc, 2*m),
 	}
-	seq := make(map[channel.Link]int)
-	var cur *ChunkSpec
-	flush := func(end int) {
-		if cur == nil {
-			return
-		}
-		cur.EndRound = end
-		c.Specs = append(c.Specs, cur)
-		if cur.Rounds() > c.MaxChunkRounds {
-			c.MaxChunkRounds = cur.Rounds()
-		}
-		for _, slots := range cur.LinkSlots {
-			if len(slots) > c.MaxSlotsPerLink {
-				c.MaxSlotsPerLink = len(slots)
-			}
-		}
-		cur = nil
-	}
+	// Every transmission's link index, in schedule order, and each link's
+	// transmission count, which sizes its slice of one shared locs slab.
+	lis := make([]int, 0, sched.TotalBits())
+	perLink := make([]int, 2*m)
 	for r := 0; r < sched.Rounds(); r++ {
-		bits := len(sched.At(r))
-		if cur != nil && cur.Bits+bits > chunkBits {
-			flush(r)
-		}
-		if cur == nil {
-			cur = &ChunkSpec{
-				Index:      len(c.Specs) + 1,
-				StartRound: r,
-				LinkSlots:  make(map[graph.Edge][]Slot),
-			}
-		}
 		for _, tx := range sched.At(r) {
-			l := tx.Link()
-			e := graph.Edge{U: tx.From, V: tx.To}.Canonical()
-			slot := Slot{RelRound: r - cur.StartRound, Tx: tx, Seq: seq[l]}
-			c.locs[l] = append(c.locs[l], SeqLoc{Chunk: cur.Index, Pos: len(cur.LinkSlots[e])})
-			cur.LinkSlots[e] = append(cur.LinkSlots[e], slot)
-			seq[l]++
-			cur.Bits++
+			li := g.LinkIndex(tx.From, tx.To)
+			lis = append(lis, li)
+			perLink[li]++
 		}
 	}
-	flush(sched.Rounds())
-	for _, spec := range c.Specs {
-		spec.buildRoundIndex()
+	slab := make([]SeqLoc, len(lis))
+	for li, n := range perLink {
+		c.locs[li] = slab[:0:n]
+		slab = slab[n:]
+	}
+	perEdge := make([]int, m)
+	for start, next := 0, 0; start < sched.Rounds(); {
+		// Pack whole rounds greedily; a chunk always takes its first round.
+		end, bits := start+1, len(sched.At(start))
+		for end < sched.Rounds() && bits+len(sched.At(end)) <= chunkBits {
+			bits += len(sched.At(end))
+			end++
+		}
+		c.addChunk(start, end, lis[next:next+bits], perEdge)
+		start, next = end, next+bits
 	}
 
 	// Dummy padding chunk (Section 3.2): one round in which every link
 	// carries one bit in each direction, content fixed to zero. Used for
 	// chunk indices past |Π| so the simulation can keep making progress
 	// while stragglers catch up.
-	dummy := &ChunkSpec{StartRound: 0, EndRound: 1, LinkSlots: make(map[graph.Edge][]Slot)}
+	dummy := &ChunkSpec{StartRound: 0, EndRound: 1, Bits: 2 * m, LinkSlots: make([][]Slot, m)}
+	dslab := make([]Slot, 2*m)
 	for _, e := range g.Edges() {
-		dummy.LinkSlots[e] = []Slot{
-			{RelRound: 0, Tx: Transmission{From: e.U, To: e.V}},
-			{RelRound: 0, Tx: Transmission{From: e.V, To: e.U}},
-		}
-		dummy.Bits += 2
+		id := g.EdgeIndex(e.U, e.V)
+		ds := dslab[2*id : 2*id+2 : 2*id+2]
+		ds[0] = Slot{Tx: Transmission{From: e.U, To: e.V}}
+		ds[1] = Slot{Tx: Transmission{From: e.V, To: e.U}}
+		dummy.LinkSlots[id] = ds
 	}
-	dummy.buildRoundIndex()
 	c.dummy = dummy
 	if c.MaxSlotsPerLink < 2 {
 		c.MaxSlotsPerLink = 2
@@ -187,6 +136,48 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 		c.MaxChunkRounds = 1
 	}
 	return c
+}
+
+// addChunk appends the chunk of rounds [start, end), whose transmissions
+// have link indices lis; perEdge is zeroed scratch of length m, returned
+// zeroed.
+func (c *Chunking) addChunk(start, end int, lis, perEdge []int) {
+	spec := &ChunkSpec{
+		Index:      len(c.Specs) + 1,
+		StartRound: start,
+		EndRound:   end,
+		Bits:       len(lis),
+		LinkSlots:  make([][]Slot, len(perEdge)),
+	}
+	for _, li := range lis {
+		perEdge[li/2]++
+	}
+	slab := make([]Slot, len(lis))
+	for e, n := range perEdge {
+		if n > 0 {
+			spec.LinkSlots[e] = slab[:0:n]
+			slab = slab[n:]
+			perEdge[e] = 0
+		}
+		if n > c.MaxSlotsPerLink {
+			c.MaxSlotsPerLink = n
+		}
+	}
+	k := 0
+	for r := start; r < end; r++ {
+		for _, tx := range c.Sched.At(r) {
+			li := lis[k]
+			k++
+			e := li / 2
+			seq := len(c.locs[li])
+			c.locs[li] = append(c.locs[li], SeqLoc{Chunk: spec.Index, Pos: len(spec.LinkSlots[e])})
+			spec.LinkSlots[e] = append(spec.LinkSlots[e], Slot{RelRound: r - start, Tx: tx, Seq: seq})
+		}
+	}
+	if spec.Rounds() > c.MaxChunkRounds {
+		c.MaxChunkRounds = spec.Rounds()
+	}
+	c.Specs = append(c.Specs, spec)
 }
 
 // NumChunks returns |Π| in chunks (the real chunks, excluding padding).
@@ -207,11 +198,17 @@ func (c *Chunking) Spec(i int) *ChunkSpec {
 func (c *Chunking) IsDummy(i int) bool { return i < 1 || i > len(c.Specs) }
 
 // Locate maps a directed transmission (link, seq) to its chunk and slot
-// position; ok is false if seq is out of range.
+// position; ok is false if l is not a link of the graph or seq is out of
+// range.
 func (c *Chunking) Locate(l channel.Link, seq int) (SeqLoc, bool) {
-	locs := c.locs[l]
-	if seq < 0 || seq >= len(locs) {
+	return c.LocateIndex(c.g.LinkIndex(l.From, l.To), seq)
+}
+
+// LocateIndex is Locate for the link with index li (graph.LinkIndex); ok
+// is false if li or seq is out of range.
+func (c *Chunking) LocateIndex(li, seq int) (SeqLoc, bool) {
+	if li < 0 || li >= len(c.locs) || seq < 0 || seq >= len(c.locs[li]) {
 		return SeqLoc{}, false
 	}
-	return locs[seq], true
+	return c.locs[li][seq], true
 }

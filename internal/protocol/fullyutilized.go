@@ -101,7 +101,7 @@ func (v fuView) Input() []byte { return v.outer.Input() }
 
 // Observed implements View.
 func (v fuView) Observed(l channel.Link, seq int) bitstring.Symbol {
-	rounds := v.p.inner.Schedule().txRounds[l]
+	rounds := v.p.inner.Schedule().roundsOn(l)
 	if seq < 0 || seq >= len(rounds) {
 		return bitstring.Silence
 	}

@@ -5,7 +5,9 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpic/internal/bitstring"
@@ -25,32 +27,75 @@ func (t Transmission) Link() channel.Link { return channel.Link{From: t.From, To
 // set of directed transmissions that occur. It is known to all parties
 // and independent of inputs — the standing assumption of the paper.
 type Schedule struct {
-	rounds   [][]Transmission
-	txRounds map[channel.Link][]int // per directed link: rounds of its transmissions, ascending
+	rounds [][]Transmission
+	// links lists every directed link the schedule uses, ascending by
+	// (From, To); txRounds[i] holds links[i]'s transmission rounds,
+	// ascending.
+	links    []channel.Link
+	txRounds [][]int
 	total    int
+}
+
+// linkCmp orders directed links by (From, To).
+func linkCmp(a, b channel.Link) int {
+	if a.From != b.From {
+		return cmp.Compare(a.From, b.From)
+	}
+	return cmp.Compare(a.To, b.To)
 }
 
 // NewSchedule builds a schedule from per-round transmissions. Within each
 // round, transmissions are normalized to a deterministic order.
 func NewSchedule(rounds [][]Transmission) *Schedule {
-	s := &Schedule{
-		rounds:   rounds,
-		txRounds: make(map[channel.Link][]int),
+	s := &Schedule{rounds: rounds}
+	for _, txs := range rounds {
+		slices.SortFunc(txs, func(a, b Transmission) int { return linkCmp(a.Link(), b.Link()) })
+		s.total += len(txs)
+	}
+	used := make([]channel.Link, 0, s.total)
+	for _, txs := range rounds {
+		for _, tx := range txs {
+			used = append(used, tx.Link())
+		}
+	}
+	slices.SortFunc(used, linkCmp)
+	// Each distinct link's run in used is its transmission count, which
+	// sizes its slice of one shared rounds slab.
+	slab := make([]int, s.total)
+	for i := 0; i < len(used); {
+		j := i + 1
+		for j < len(used) && used[j] == used[i] {
+			j++
+		}
+		s.links = append(s.links, used[i])
+		s.txRounds = append(s.txRounds, slab[i:i:j])
+		i = j
 	}
 	for r, txs := range rounds {
-		sort.Slice(txs, func(i, j int) bool {
-			if txs[i].From != txs[j].From {
-				return txs[i].From < txs[j].From
-			}
-			return txs[i].To < txs[j].To
-		})
 		for _, tx := range txs {
-			l := tx.Link()
-			s.txRounds[l] = append(s.txRounds[l], r)
-			s.total++
+			i := s.linkPos(tx.Link())
+			s.txRounds[i] = append(s.txRounds[i], r)
 		}
 	}
 	return s
+}
+
+// linkPos returns l's position in s.links, or -1 if the schedule never
+// uses l.
+func (s *Schedule) linkPos(l channel.Link) int {
+	if i, ok := slices.BinarySearchFunc(s.links, l, linkCmp); ok {
+		return i
+	}
+	return -1
+}
+
+// roundsOn returns the ascending rounds of l's transmissions (nil for a
+// link the schedule never uses). The slice is owned by the schedule.
+func (s *Schedule) roundsOn(l channel.Link) []int {
+	if i := s.linkPos(l); i >= 0 {
+		return s.txRounds[i]
+	}
+	return nil
 }
 
 // Rounds returns the number of rounds.
@@ -62,15 +107,15 @@ func (s *Schedule) At(r int) []Transmission { return s.rounds[r] }
 // TotalBits returns the communication complexity CC(Π) in bits.
 func (s *Schedule) TotalBits() int { return s.total }
 
-// CountOn returns the total number of transmissions on a directed link.
-func (s *Schedule) CountOn(l channel.Link) int { return len(s.txRounds[l]) }
+// CountOn returns the total number of transmissions on a directed link
+// (0 for a link the schedule never uses).
+func (s *Schedule) CountOn(l channel.Link) int { return len(s.roundsOn(l)) }
 
 // CountBefore returns how many transmissions occur on directed link l in
 // rounds strictly before r — i.e. the sequence number the next
 // transmission on l would get.
 func (s *Schedule) CountBefore(l channel.Link, r int) int {
-	rs := s.txRounds[l]
-	return sort.SearchInts(rs, r)
+	return sort.SearchInts(s.roundsOn(l), r)
 }
 
 // Validate checks every transmission uses an existing link of g.

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"mpic/internal/channel"
@@ -42,19 +43,31 @@ func TestScheduleValidate(t *testing.T) {
 }
 
 func TestMapView(t *testing.T) {
-	v := NewMapView(1, []byte{42})
+	v := NewMapView(graph.Line(3), 1, []byte{42})
 	l := channel.Link{From: 0, To: 1}
 	v.Record(l, 1)
 	v.Record(l, 0)
+	v.Record(l.Reverse(), 1)
 	if v.Self() != 1 || v.Input()[0] != 42 {
 		t.Error("identity accessors wrong")
 	}
-	if v.Observed(l, 0) != 1 || v.Observed(l, 1) != 0 {
+	if v.Observed(l, 0) != 1 || v.Observed(l, 1) != 0 || v.Observed(l.Reverse(), 0) != 1 {
 		t.Error("recorded observations wrong")
 	}
 	if v.Observed(l, 2) != 2 || v.Observed(l, -1) != 2 {
 		t.Error("out-of-range must read Silence")
 	}
+	for _, far := range []channel.Link{{From: 1, To: 1}, {From: -1, To: 1}, {From: 1, To: 3}, {From: 0, To: 2}} {
+		if v.Observed(far, 0) != 2 {
+			t.Errorf("link %v outside the view must read Silence", far)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("recording a non-incident link did not panic")
+		}
+	}()
+	v.Record(channel.Link{From: 0, To: 2}, 1)
 }
 
 func TestRunReferenceDeterministic(t *testing.T) {
@@ -218,8 +231,7 @@ func TestChunkingLocate(t *testing.T) {
 				t.Fatalf("Locate failed for %v seq %d", l, seq[l])
 			}
 			spec := ch.Spec(loc.Chunk)
-			e := graph.Edge{U: tx.From, V: tx.To}.Canonical()
-			slot := spec.LinkSlots[e][loc.Pos]
+			slot := spec.LinkSlots[g.EdgeIndex(tx.From, tx.To)][loc.Pos]
 			if slot.Tx != tx || slot.Seq != seq[l] {
 				t.Fatalf("Locate mismatch for %v seq %d: got %+v", l, seq[l], slot)
 			}
@@ -253,26 +265,9 @@ func TestChunkingDummySpec(t *testing.T) {
 		t.Errorf("dummy Bits = %d, want %d", d.Bits, 2*g.M())
 	}
 	for _, e := range g.Edges() {
-		if len(d.LinkSlots[e]) != 2 {
+		slots := d.LinkSlots[g.EdgeIndex(e.U, e.V)]
+		if len(slots) != 2 || slots[0].Tx.From != e.U || slots[1].Tx.From != e.V {
 			t.Fatal("dummy chunk must have one slot per direction per link")
-		}
-	}
-}
-
-func TestSlotAt(t *testing.T) {
-	g := graph.Line(3)
-	p := NewRandom(g, 30, 0.7, 2, nil)
-	ch := NewChunking(p, 10)
-	for _, spec := range ch.Specs {
-		for e, slots := range spec.LinkSlots {
-			for i, s := range slots {
-				if got := spec.SlotAt(e, s.RelRound, s.Tx.From); got != i {
-					t.Fatalf("SlotAt(%v,%d,%d) = %d, want %d", e, s.RelRound, s.Tx.From, got, i)
-				}
-			}
-		}
-		if spec.SlotAt(graph.Edge{U: 0, V: 1}, 9999, 0) != -1 {
-			t.Fatal("SlotAt must return -1 for unscheduled rounds")
 		}
 	}
 }
@@ -297,5 +292,42 @@ func TestDefaultInputsDeterministic(t *testing.T) {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Fatal("DefaultInputs not deterministic")
 		}
+	}
+}
+
+// TestScheduleCounts checks CountOn and CountBefore against a scan of a
+// random schedule, on every directed link of the graph and on links the
+// schedule never uses or that do not exist, which count 0.
+func TestScheduleCounts(t *testing.T) {
+	g := graph.RandomConnected(8, 5, rand.New(rand.NewSource(2)))
+	s := NewRandom(g, 60, 0.2, 7, nil).Schedule()
+	var links []channel.Link
+	for _, e := range g.Edges() {
+		links = append(links, channel.Link{From: e.U, To: e.V}, channel.Link{From: e.V, To: e.U})
+	}
+	links = append(links,
+		channel.Link{From: 0, To: 0}, channel.Link{From: -1, To: 2},
+		channel.Link{From: 3, To: 99}, channel.Link{From: 99, To: 3})
+	for _, l := range links {
+		count := 0
+		for r := 0; r <= s.Rounds(); r++ {
+			if got := s.CountBefore(l, r); got != count {
+				t.Fatalf("CountBefore(%v, %d) = %d, want %d", l, r, got, count)
+			}
+			if r < s.Rounds() {
+				for _, tx := range s.At(r) {
+					if tx.Link() == l {
+						count++
+					}
+				}
+			}
+		}
+		if got := s.CountOn(l); got != count {
+			t.Fatalf("CountOn(%v) = %d, want %d", l, got, count)
+		}
+	}
+	empty := NewSchedule(nil)
+	if empty.CountOn(links[0]) != 0 || empty.CountBefore(links[0], 5) != 0 || empty.TotalBits() != 0 {
+		t.Fatal("empty schedule counts transmissions")
 	}
 }

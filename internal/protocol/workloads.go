@@ -226,17 +226,19 @@ var _ Protocol = (*TreeSum)(nil)
 func NewTreeSum(g *graph.Graph, epochs, valueBits int, inputs [][]byte) *TreeSum {
 	tree := g.BFSTree(0)
 	width := valueBits + bitsFor(g.N()) + 1
-	var sch [][]Transmission
+	byLevel := make([][]graph.Node, tree.Depth+1) // ascending within a level
+	for v := 0; v < g.N(); v++ {
+		byLevel[tree.Level[v]] = append(byLevel[tree.Level[v]], graph.Node(v))
+	}
+	sch := make([][]Transmission, 0, 2*epochs*(tree.Depth-1)*width)
 	for e := 0; e < epochs; e++ {
 		// Convergecast: levels deepest-first; all nodes of a level send
 		// their width-bit subtree sums in parallel, bit-serially.
 		for lvl := tree.Depth; lvl >= 2; lvl-- {
 			for b := 0; b < width; b++ {
-				var txs []Transmission
-				for v := 0; v < g.N(); v++ {
-					if tree.Level[v] == lvl {
-						txs = append(txs, Transmission{From: graph.Node(v), To: tree.Parent[v]})
-					}
+				txs := make([]Transmission, 0, len(byLevel[lvl]))
+				for _, v := range byLevel[lvl] {
+					txs = append(txs, Transmission{From: v, To: tree.Parent[v]})
 				}
 				if len(txs) > 0 {
 					sch = append(sch, txs)
@@ -247,11 +249,9 @@ func NewTreeSum(g *graph.Graph, epochs, valueBits int, inputs [][]byte) *TreeSum
 		for lvl := 1; lvl < tree.Depth; lvl++ {
 			for b := 0; b < width; b++ {
 				var txs []Transmission
-				for v := 0; v < g.N(); v++ {
-					if tree.Level[v] == lvl {
-						for _, c := range tree.Children[v] {
-							txs = append(txs, Transmission{From: graph.Node(v), To: c})
-						}
+				for _, v := range byLevel[lvl] {
+					for _, c := range tree.Children[v] {
+						txs = append(txs, Transmission{From: v, To: c})
 					}
 				}
 				if len(txs) > 0 {
