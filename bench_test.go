@@ -161,6 +161,30 @@ func BenchmarkRunnerArena(b *testing.B) {
 	})
 }
 
+// BenchmarkRunLockstep is one default Runner.Run in the shape of the
+// repo benchmark's scenario-lockstep workload: a random 12-party graph,
+// 150 rounds of random traffic, Algorithm A at noise rate 0.0003 and
+// IterFactor 32, on one Runner, with the seed cycling over 64 values so
+// the mean covers a spread of noise patterns. `make bench-core` runs it.
+func BenchmarkRunLockstep(b *testing.B) {
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	sc := mpic.Scenario{
+		Topology:   mpic.RandomTopology(12),
+		Workload:   mpic.RandomTraffic(150),
+		Scheme:     mpic.AlgorithmA,
+		Noise:      mpic.RandomNoise(0.0003),
+		IterFactor: 32,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc.Seed = int64(i%64 + 1)
+		if _, err := runner.Run(context.Background(), sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGridSession measures the overhead of the durable-session
 // layers on a small grid: the bare engine, the same grid narrating every
 // iteration through a discarding progress sink, and the same grid

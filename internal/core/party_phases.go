@@ -231,11 +231,7 @@ func (v codedView) Observed(l channel.Link, seq int) bitstring.Symbol {
 	if ls == nil {
 		return bitstring.Silence
 	}
-	li := 2 * ls.eid
-	if l.From > l.To {
-		li++
-	}
-	loc, ok := v.p.env.chunking.LocateIndex(li, seq)
+	loc, ok := v.p.env.chunking.Locate(l, seq)
 	if !ok {
 		return bitstring.Silence
 	}

@@ -201,13 +201,8 @@ func (c *Chunking) IsDummy(i int) bool { return i < 1 || i > len(c.Specs) }
 // position; ok is false if l is not a link of the graph or seq is out of
 // range.
 func (c *Chunking) Locate(l channel.Link, seq int) (SeqLoc, bool) {
-	return c.LocateIndex(c.g.LinkIndex(l.From, l.To), seq)
-}
-
-// LocateIndex is Locate for the link with index li (graph.LinkIndex); ok
-// is false if li or seq is out of range.
-func (c *Chunking) LocateIndex(li, seq int) (SeqLoc, bool) {
-	if li < 0 || li >= len(c.locs) || seq < 0 || seq >= len(c.locs[li]) {
+	li := c.g.LinkIndex(l.From, l.To)
+	if li < 0 || seq < 0 || seq >= len(c.locs[li]) {
 		return SeqLoc{}, false
 	}
 	return c.locs[li][seq], true
