@@ -120,13 +120,11 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 	// chunk indices past |Π| so the simulation can keep making progress
 	// while stragglers catch up.
 	dummy := &ChunkSpec{StartRound: 0, EndRound: 1, Bits: 2 * m, LinkSlots: make([][]Slot, m)}
-	dslab := make([]Slot, 2*m)
 	for _, e := range g.Edges() {
-		id := g.EdgeIndex(e.U, e.V)
-		ds := dslab[2*id : 2*id+2 : 2*id+2]
-		ds[0] = Slot{Tx: Transmission{From: e.U, To: e.V}}
-		ds[1] = Slot{Tx: Transmission{From: e.V, To: e.U}}
-		dummy.LinkSlots[id] = ds
+		dummy.LinkSlots[g.EdgeIndex(e.U, e.V)] = []Slot{
+			{RelRound: 0, Tx: Transmission{From: e.U, To: e.V}},
+			{RelRound: 0, Tx: Transmission{From: e.V, To: e.U}},
+		}
 	}
 	c.dummy = dummy
 	if c.MaxSlotsPerLink < 2 {
