@@ -6,31 +6,13 @@
 //
 //	mpicbench -experiment table1
 //	mpicbench -experiment all -quick
-//	mpicbench -experiment all -quick -json BENCH_PR1.json
-//	mpicbench -experiment all -quick -json BENCH_PR2.json -compare BENCH_PR1.json
+//	mpicbench -experiment all -quick -json tables.json
 //
 // The -json flag additionally writes the tables as machine-readable JSON
-// (experiment ID, title, header, rows, notes, wall-clock cost), so
-// successive PRs can track the performance and fidelity trajectory by
-// diffing artefact files instead of re-parsing markdown.
-//
-// The -compare flag loads a prior artefact and prints per-experiment
-// speedup ratios (old wall-clock / new wall-clock); the command exits
-// non-zero if any experiment regressed by more than 10% (beyond a small
-// absolute guard against timer noise on sub-25ms experiments). Artefacts
-// produced before wall-clock stamping existed compare as "n/a".
-//
-// The -repeat flag runs the experiment tables N times and stamps each
-// table with the median ElapsedMS and Allocs across the runs, so the
-// artefact fed to -json/-compare carries a timing that same-binary
-// scheduler noise cannot flap by ±10%:
-//
-//	mpicbench -experiment all -quick -repeat 3 -json BENCH_PR10.json
-//
-// The -cpuprofile and -memprofile flags write pprof profiles of the
-// experiment run, so a claimed hot-path win can be verified against the
-// actual flame graph. Profiling skews wall clock, so — exactly like
-// -checkpoint — these flags do not combine with -json or -compare.
+// (experiment ID, registry name, title, header, rows, notes), so the
+// fidelity trajectory is tracked by diffing artefact files instead of
+// re-parsing markdown. The tables' performance is measured by the repo
+// benchmark (bench/, workload tables-quick), not by this command.
 //
 // The -sweep flag switches the command to a streaming grid run instead
 // of the named experiments: a cartesian product over party counts,
@@ -67,9 +49,9 @@
 // rest; a checkpoint written by different grid flags is rejected. The
 // -checkpoint flag is the experiment-mode equivalent: a directory in
 // which every experiment grid persists its cells, so an interrupted
-// `-experiment all` resumes the tables it finished. Because restored
-// tables replay with non-comparable wall-clock timings, -checkpoint
-// does not combine with -json or -compare.
+// `-experiment all` resumes the tables it finished. Restored cells are
+// bit-identical to re-run ones, so a resumed -json artefact is
+// byte-identical to a fresh one.
 package main
 
 import (
@@ -80,9 +62,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"sort"
 	"strings"
 
 	"mpic"
@@ -93,7 +72,7 @@ import (
 // Exit codes: 0 — clean success; 3 — a -sweep grid in quarantine mode
 // (-fail-fast=false) finished with failed cells (partial success: the
 // printed healthy rows are valid); 1 — hard failure (bad flags, a run
-// error in fail-fast mode, a wall-clock regression under -compare).
+// error in fail-fast mode).
 func main() {
 	err := run(os.Args[1:])
 	if err == nil {
@@ -114,12 +93,8 @@ func run(args []string) error {
 		trials   = fs.Int("trials", 10, "trials per measured cell")
 		seed     = fs.Int64("seed", 1, "base random seed")
 		quick    = fs.Bool("quick", false, "smaller sizes and trial counts")
-		jsonPath = fs.String("json", "", "also write results as JSON to this file (e.g. BENCH_PR2.json)")
-		compare  = fs.String("compare", "", "prior JSON artefact to compare against (e.g. BENCH_PR1.json); exits non-zero on >10% wall-clock regression")
-		ckptDir  = fs.String("checkpoint", "", "experiment mode: directory of resumable per-grid checkpoints (interrupted tables resume instead of restarting; not combinable with -json/-compare, whose timings assume fresh runs)")
-		repeat   = fs.Int("repeat", 1, "experiment mode: run the tables this many times and report the median ElapsedMS/Allocs (cuts same-binary timer noise out of the -compare gate)")
-		cpuProf  = fs.String("cpuprofile", "", "experiment mode: write a CPU profile to this file (not combinable with -json/-compare, whose timings assume unprofiled runs)")
-		memProf  = fs.String("memprofile", "", "experiment mode: write a heap profile to this file after the tables finish (not combinable with -json/-compare)")
+		jsonPath = fs.String("json", "", "also write results as JSON to this file")
+		ckptDir  = fs.String("checkpoint", "", "experiment mode: directory of resumable per-grid checkpoints (interrupted tables resume instead of restarting)")
 		retries  = fs.Int("retries", 0, "re-run a failed grid cell up to this many extra times (run at once; retried results are bit-identical)")
 		failFast = fs.Bool("fail-fast", true, "sweep mode: stop on the first failed cell; =false quarantines failed cells, finishes the grid, and exits with code 3")
 
@@ -171,10 +146,10 @@ func run(args []string) error {
 			switch fl.Name {
 			case "sweep-rates":
 				ratesSet = true
-			case "json", "compare", "experiment", "quick", "checkpoint", "repeat", "cpuprofile", "memprofile":
-				// Dropping these silently would un-gate CI jobs modeled on
-				// `make compare` (or leave a -quick grid running at full
-				// cost); reject the combination loudly instead.
+			case "json", "experiment", "quick", "checkpoint":
+				// Dropping these silently would leave a -json artefact
+				// unwritten (or a -quick grid running at full cost);
+				// reject the combination loudly instead.
 				flagErr = fmt.Errorf("-%s is not supported in -sweep mode", fl.Name)
 			}
 		})
@@ -193,132 +168,29 @@ func run(args []string) error {
 			retries: *retries, failFast: *failFast,
 		})
 	}
-	if *ckptDir != "" && (*jsonPath != "" || *compare != "") {
-		// Restored tables replay in near-zero wall clock, so a resumed
-		// run's ElapsedMS is meaningless: written to a -json artefact it
-		// poisons the next baseline, and fed to -compare it un-gates the
-		// regression check behind a fake speedup. Reject the combination
-		// loudly, exactly like sweep mode rejects its artefact flags.
-		return fmt.Errorf("-checkpoint resumes tables with non-comparable wall-clock timings; it does not combine with -json/-compare")
-	}
-	if *repeat < 1 {
-		return fmt.Errorf("-repeat must be at least 1, got %d", *repeat)
-	}
-	if *repeat > 1 && *ckptDir != "" {
-		// Every repetition after the first would restore the checkpointed
-		// tables in near-zero wall clock, so the "median" would be a replay
-		// timing — the exact poison -repeat exists to remove.
-		return fmt.Errorf("-repeat re-runs tables for median timings; it does not combine with -checkpoint, which replays finished tables")
-	}
-	if (*cpuProf != "" || *memProf != "") && (*jsonPath != "" || *compare != "") {
-		// A profiled run's wall clock carries the profiler's overhead:
-		// written to a -json artefact it poisons the next baseline, and fed
-		// to -compare it trips (or hides) the regression gate. Same
-		// rejection shape as -checkpoint.
-		return fmt.Errorf("profiling skews wall-clock timings; -cpuprofile/-memprofile do not combine with -json/-compare")
-	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("creating %s: %w", *cpuProf, err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("starting CPU profile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
 	cfg := experiments.Config{Trials: *trials, Seed: *seed, Quick: *quick, Checkpoint: *ckptDir, Retries: *retries}
-	collect := func() ([]*experiments.Table, error) {
-		if *name == "all" {
-			return experiments.RunAll(cfg)
+	var tables []*experiments.Table
+	if *name == "all" {
+		var err error
+		if tables, err = experiments.RunAll(cfg); err != nil {
+			return err
 		}
+	} else {
 		t, err := experiments.Run(*name, cfg)
 		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{t}, nil
-	}
-	runs := make([][]*experiments.Table, 0, *repeat)
-	for r := 0; r < *repeat; r++ {
-		ts, err := collect()
-		if err != nil {
 			return err
 		}
-		runs = append(runs, ts)
+		tables = []*experiments.Table{t}
 	}
-	tables := medianTables(runs)
 	for _, t := range tables {
 		fmt.Println(t.Markdown())
-	}
-	if *repeat > 1 {
-		fmt.Printf("*ElapsedMS/Allocs are medians over %d runs*\n\n", *repeat)
-	}
-	if *memProf != "" {
-		if err := writeHeapProfile(*memProf); err != nil {
-			return err
-		}
 	}
 	if *jsonPath != "" {
 		if err := writeJSON(*jsonPath, tables); err != nil {
 			return fmt.Errorf("writing %s: %w", *jsonPath, err)
 		}
 	}
-	if *compare != "" {
-		if err := compareAgainst(os.Stdout, *compare, tables); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// medianTables collapses N repeated runs into one table set: the first
-// run's tables (rows are deterministic, so every run printed the same
-// ones) restamped with the median ElapsedMS and Allocs across the runs.
-// The median — not the mean — is what de-flaps the -compare gate: one
-// run preempted by the scheduler moves the mean but not the median.
-func medianTables(runs [][]*experiments.Table) []*experiments.Table {
-	tables := runs[0]
-	if len(runs) == 1 {
-		return tables
-	}
-	for i, t := range tables {
-		ms := make([]float64, len(runs))
-		allocs := make([]uint64, len(runs))
-		for j, run := range runs {
-			ms[j] = run[i].ElapsedMS
-			allocs[j] = run[i].Allocs
-		}
-		sort.Float64s(ms)
-		sort.Slice(allocs, func(a, b int) bool { return allocs[a] < allocs[b] })
-		n := len(runs)
-		if n%2 == 1 {
-			t.ElapsedMS = ms[n/2]
-			t.Allocs = allocs[n/2]
-		} else {
-			t.ElapsedMS = (ms[n/2-1] + ms[n/2]) / 2
-			t.Allocs = (allocs[n/2-1] + allocs[n/2]) / 2
-		}
-	}
-	return tables
-}
-
-// writeHeapProfile snapshots the heap after a GC so the profile shows
-// live retention rather than garbage awaiting collection.
-func writeHeapProfile(path string) error {
-	runtime.GC()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating %s: %w", path, err)
-	}
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing heap profile: %w", err)
-	}
-	return f.Close()
 }
 
 func writeJSON(path string, tables []*experiments.Table) error {
@@ -327,84 +199,6 @@ func writeJSON(path string, tables []*experiments.Table) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// regressionGuardMS is the absolute slack added to the 10% regression
-// threshold: sub-25ms experiments flap by more than 10% from timer and
-// scheduler noise alone, so a regression must also cost at least this
-// much wall clock before it fails the comparison.
-const regressionGuardMS = 25
-
-// regressionGuardAllocs is the allocation-count analogue: GC timing and
-// map growth make tiny tables flap by a few thousand allocations, so an
-// allocs regression must also be at least this many allocations before
-// it fails the comparison.
-const regressionGuardAllocs = 10000
-
-// compareAgainst matches the freshly produced tables with a prior
-// artefact by experiment ID and prints the speedup table. It returns an
-// error (non-zero exit) if any experiment's wall clock or heap
-// allocation count regressed by more than 10% beyond the noise guards.
-func compareAgainst(w io.Writer, path string, tables []*experiments.Table) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading comparison artefact: %w", err)
-	}
-	var old []*experiments.Table
-	if err := json.Unmarshal(data, &old); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	oldByID := make(map[string]*experiments.Table, len(old))
-	for _, t := range old {
-		oldByID[t.ID] = t
-	}
-	fmt.Fprintf(w, "### Comparison against %s\n\n", path)
-	fmt.Fprintln(w, "| experiment | old ms | new ms | speedup | old allocs | new allocs |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|")
-	var regressed []string
-	seen := make(map[string]bool, len(tables))
-	allocCols := func(o, t *experiments.Table) string {
-		if o == nil || o.Allocs == 0 || t.Allocs == 0 {
-			return fmt.Sprintf(" n/a | %d |", t.Allocs)
-		}
-		return fmt.Sprintf(" %d | %d |", o.Allocs, t.Allocs)
-	}
-	for _, t := range tables {
-		seen[t.ID] = true
-		o, ok := oldByID[t.ID]
-		switch {
-		case !ok:
-			fmt.Fprintf(w, "| %s | — | %.1f | new |%s\n", t.ID, t.ElapsedMS, allocCols(nil, t))
-		case o.ElapsedMS <= 0 || t.ElapsedMS <= 0:
-			fmt.Fprintf(w, "| %s | n/a | %.1f | n/a |%s\n", t.ID, t.ElapsedMS, allocCols(o, t))
-		default:
-			fmt.Fprintf(w, "| %s | %.1f | %.1f | %.2f× |%s\n", t.ID, o.ElapsedMS, t.ElapsedMS, o.ElapsedMS/t.ElapsedMS, allocCols(o, t))
-			if t.ElapsedMS > o.ElapsedMS*1.10 && t.ElapsedMS-o.ElapsedMS > regressionGuardMS {
-				regressed = append(regressed, fmt.Sprintf("%s (%.1fms → %.1fms)", t.ID, o.ElapsedMS, t.ElapsedMS))
-			}
-		}
-		if ok && o.Allocs > 0 && t.Allocs > 0 &&
-			float64(t.Allocs) > float64(o.Allocs)*1.10 && t.Allocs-o.Allocs > regressionGuardAllocs {
-			regressed = append(regressed, fmt.Sprintf("%s (allocs %d → %d)", t.ID, o.Allocs, t.Allocs))
-		}
-	}
-	// Experiments in the old artefact that this run did not produce are
-	// lost coverage — a rename or removal must not silently pass the gate.
-	var missing []string
-	for _, o := range old {
-		if !seen[o.ID] {
-			fmt.Fprintf(w, "| %s | %.1f | — | missing |\n", o.ID, o.ElapsedMS)
-			missing = append(missing, o.ID)
-		}
-	}
-	fmt.Fprintln(w)
-	if len(regressed) > 0 {
-		return fmt.Errorf("performance regression >10%%: %s", strings.Join(regressed, ", "))
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("experiments in %s not produced by this run: %s", path, strings.Join(missing, ", "))
-	}
-	return nil
 }
 
 // sweepFlags carries the -sweep-* flag values: the grid-defining ones

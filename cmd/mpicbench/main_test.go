@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"mpic"
-	"mpic/internal/experiments"
 	"mpic/internal/gridspec"
 )
 
@@ -39,76 +38,6 @@ func TestRunWritesJSON(t *testing.T) {
 	}
 	if len(tables) != 1 || tables[0].ID == "" || len(tables[0].Rows) == 0 {
 		t.Fatalf("JSON artefact incomplete: %+v", tables)
-	}
-}
-
-func TestCompareSpeedupsAndRegressions(t *testing.T) {
-	mk := func(id string, ms float64) *experiments.Table {
-		return &experiments.Table{ID: id, ElapsedMS: ms}
-	}
-	write := func(tables []*experiments.Table) string {
-		data, err := json.Marshal(tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "old.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	// Faster or equal: fine. Missing and legacy (no timing) entries: fine.
-	old := write([]*experiments.Table{mk("E-1", 200), mk("E-2", 100), mk("E-3", 0)})
-	now := []*experiments.Table{mk("E-1", 100), mk("E-2", 104), mk("E-3", 80), mk("E-4", 5)}
-	var out strings.Builder
-	if err := compareAgainst(&out, old, now); err != nil {
-		t.Fatalf("clean comparison failed: %v", err)
-	}
-	for _, want := range []string{"2.00×", "n/a", "new"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("comparison table missing %q:\n%s", want, out.String())
-		}
-	}
-	// >10% and past the noise guard: must fail.
-	bad := []*experiments.Table{mk("E-1", 260), mk("E-2", 100)}
-	if err := compareAgainst(io.Discard, old, bad); err == nil {
-		t.Fatal("60ms/30% regression not reported")
-	}
-	// >10% but within the absolute noise guard: must pass. (E-1 and E-3
-	// are deliberately absent from the run here, so this also exercises
-	// the lost-coverage arm below before asserting it fails.)
-	noisy := []*experiments.Table{mk("E-1", 210), mk("E-2", 112), mk("E-3", 1)}
-	if err := compareAgainst(io.Discard, old, noisy); err != nil {
-		t.Fatalf("12ms wobble failed the gate: %v", err)
-	}
-	// An experiment present in the old artefact but missing from the new
-	// run is lost coverage and must fail the gate.
-	partial := []*experiments.Table{mk("E-1", 100), mk("E-3", 1)}
-	if err := compareAgainst(io.Discard, old, partial); err == nil {
-		t.Fatal("missing experiment E-2 passed the gate")
-	}
-}
-
-func TestRunCompareEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	first := filepath.Join(dir, "first.json")
-	if err := run([]string{"-experiment", "rewind-wave", "-quick", "-trials", "1", "-json", first}); err != nil {
-		t.Fatal(err)
-	}
-	second := filepath.Join(dir, "second.json")
-	if err := run([]string{"-experiment", "rewind-wave", "-quick", "-trials", "1", "-json", second, "-compare", first}); err != nil {
-		t.Fatalf("comparison run failed: %v", err)
-	}
-	data, err := os.ReadFile(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tables []*experiments.Table
-	if err := json.Unmarshal(data, &tables); err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || tables[0].ElapsedMS <= 0 || tables[0].Name != "rewind-wave" {
-		t.Fatalf("artefact missing timing or name: %+v", tables[0])
 	}
 }
 
@@ -142,19 +71,23 @@ func TestRunSweepGrid(t *testing.T) {
 	if err := run([]string{"-sweep", "-sweep-schemes", "Z"}); err == nil {
 		t.Error("bad sweep scheme accepted")
 	}
-	// The experiment-mode artefact flags have no meaning on a sweep grid;
-	// combining them must fail rather than silently skip the gate.
+	// The experiment-mode artefact flag has no meaning on a sweep grid;
+	// combining the two must fail rather than silently skip the artefact.
 	if err := run([]string{"-sweep", "-json", "x.json"}); err == nil {
 		t.Error("-json in sweep mode accepted")
-	}
-	if err := run([]string{"-sweep", "-compare", "x.json"}); err == nil {
-		t.Error("-compare in sweep mode accepted")
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+	// Timing the tables is the repo benchmark's job (bench/), so
+	// mpicbench defines no timing or profiling flags.
+	for _, fl := range []string{"-compare", "-repeat", "-cpuprofile", "-memprofile"} {
+		if err := run([]string{fl, "x"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: got %v, want an unknown-flag error", fl, err)
+		}
 	}
 }
 
@@ -175,106 +108,6 @@ func TestRunRetryFlags(t *testing.T) {
 	}
 	if err := run([]string{"-retries", "-2"}); err == nil || !strings.Contains(err.Error(), "non-negative") {
 		t.Errorf("negative -retries: got %v", err)
-	}
-}
-
-// TestRunRepeatMedian pins the -repeat contract: the artefact carries a
-// usable median timing, the flag composes with -json/-compare (cutting
-// compare-gate noise is its entire purpose), and the nonsensical
-// combinations are rejected.
-func TestRunRepeatMedian(t *testing.T) {
-	dir := t.TempDir()
-	first := filepath.Join(dir, "first.json")
-	if err := run([]string{"-experiment", "rewind-wave", "-quick", "-trials", "1",
-		"-repeat", "3", "-json", first}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tables []*experiments.Table
-	if err := json.Unmarshal(data, &tables); err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || tables[0].ElapsedMS <= 0 || tables[0].Allocs == 0 {
-		t.Fatalf("repeated artefact missing median stamps: %+v", tables[0])
-	}
-	// The whole point: -repeat feeds the -compare gate.
-	if err := run([]string{"-experiment", "rewind-wave", "-quick", "-trials", "1",
-		"-repeat", "2", "-compare", first}); err != nil {
-		t.Fatalf("repeated comparison run failed: %v", err)
-	}
-	if err := run([]string{"-repeat", "0"}); err == nil || !strings.Contains(err.Error(), "at least 1") {
-		t.Errorf("-repeat 0: got %v", err)
-	}
-	if err := run([]string{"-sweep", "-repeat", "2"}); err == nil {
-		t.Error("-repeat in sweep mode accepted")
-	}
-	if err := run([]string{"-experiment", "rewind-wave", "-repeat", "2",
-		"-checkpoint", dir}); err == nil || !strings.Contains(err.Error(), "replays") {
-		t.Errorf("-repeat with -checkpoint: got %v", err)
-	}
-}
-
-// TestMedianTables pins the aggregation itself: odd counts take the
-// middle run, even counts the midpoint of the middle two, and the rows
-// come from the first run untouched.
-func TestMedianTables(t *testing.T) {
-	mk := func(ms float64, allocs uint64) []*experiments.Table {
-		return []*experiments.Table{{ID: "E-1", Rows: [][]string{{"r"}}, ElapsedMS: ms, Allocs: allocs}}
-	}
-	odd := medianTables([][]*experiments.Table{mk(90, 10), mk(500, 70), mk(100, 30)})
-	if odd[0].ElapsedMS != 100 || odd[0].Allocs != 30 {
-		t.Fatalf("odd median = %.1fms/%d allocs, want 100/30", odd[0].ElapsedMS, odd[0].Allocs)
-	}
-	if len(odd[0].Rows) != 1 {
-		t.Fatalf("median dropped the rows: %+v", odd[0])
-	}
-	even := medianTables([][]*experiments.Table{mk(100, 20), mk(200, 40)})
-	if even[0].ElapsedMS != 150 || even[0].Allocs != 30 {
-		t.Fatalf("even median = %.1fms/%d allocs, want 150/30", even[0].ElapsedMS, even[0].Allocs)
-	}
-	single := medianTables([][]*experiments.Table{mk(42, 7)})
-	if single[0].ElapsedMS != 42 || single[0].Allocs != 7 {
-		t.Fatalf("repeat=1 must pass through: %+v", single[0])
-	}
-}
-
-// TestRunProfileFlags pins the pprof satellites: both profiles land on
-// disk non-empty, and — like -checkpoint — they refuse to stamp the
-// -json/-compare artefact path with profiler-skewed timings.
-func TestRunProfileFlags(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	if err := run([]string{"-experiment", "rewind-wave", "-quick", "-trials", "1",
-		"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{cpu, mem} {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("profile not written: %v", err)
-		}
-		if st.Size() == 0 {
-			t.Fatalf("profile %s is empty", p)
-		}
-	}
-	for _, extra := range [][]string{
-		{"-cpuprofile", cpu, "-json", filepath.Join(dir, "x.json")},
-		{"-memprofile", mem, "-compare", "BENCH_PR9.json"},
-	} {
-		args := append([]string{"-experiment", "rewind-wave", "-quick", "-trials", "1"}, extra...)
-		if err := run(args); err == nil || !strings.Contains(err.Error(), "skews") {
-			t.Errorf("%v: got %v, want profiling rejection", extra, err)
-		}
-	}
-	if err := run([]string{"-sweep", "-cpuprofile", cpu}); err == nil {
-		t.Error("-cpuprofile in sweep mode accepted")
-	}
-	if err := run([]string{"-sweep", "-memprofile", mem}); err == nil {
-		t.Error("-memprofile in sweep mode accepted")
 	}
 }
 
@@ -455,37 +288,42 @@ func TestSweepCheckpointVersionRejected(t *testing.T) {
 
 // TestRunExperimentCheckpoint exercises the experiment-mode -checkpoint
 // flag: grids persist per-fingerprint session files into the directory,
-// and a second run resumes from them without error. (Row-level
-// resume identity is pinned in internal/experiments.)
+// and a fresh run, a first checkpointed run and a resumed one write
+// byte-identical -json artefacts. (Row-level resume identity after an
+// interruption is pinned in internal/experiments.)
 func TestRunExperimentCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-experiment", "cc-noise", "-quick", "-trials", "1", "-checkpoint", dir}
-	if err := run(args); err != nil {
-		t.Fatal(err)
+	ckpt := filepath.Join(dir, "ckpt")
+	base := []string{"-experiment", "cc-noise", "-quick", "-trials", "1"}
+	artefact := func(name string, extra ...string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := run(append(append(append([]string(nil), base...), extra...), "-json", path)); err != nil {
+			t.Fatalf("%s run: %v", name, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	entries, err := os.ReadDir(dir)
+	fresh := artefact("fresh.json")
+	first := artefact("first.json", "-checkpoint", ckpt)
+	entries, err := os.ReadDir(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) == 0 {
 		t.Fatal("experiment checkpoint directory left empty")
 	}
-	if err := run(args); err != nil {
-		t.Fatalf("checkpointed re-run failed: %v", err)
+	resumed := artefact("resumed.json", "-checkpoint", ckpt)
+	if string(first) != string(fresh) || string(resumed) != string(fresh) {
+		t.Fatalf("artefacts differ:\nfresh:   %s\nfirst:   %s\nresumed: %s", fresh, first, resumed)
 	}
 	// The flag belongs to experiment mode; a sweep grid uses
 	// -sweep-checkpoint instead.
 	if err := run([]string{"-sweep", "-checkpoint", dir}); err == nil {
 		t.Error("-checkpoint in sweep mode accepted")
-	}
-	// Resumed tables replay with near-zero ElapsedMS; letting them feed
-	// the -json artefact or the -compare gate would poison the baseline
-	// / fake a speedup.
-	if err := run(append(args, "-json", filepath.Join(dir, "x.json"))); err == nil {
-		t.Error("-checkpoint with -json accepted")
-	}
-	if err := run(append(args, "-compare", "BENCH_PR4.json")); err == nil {
-		t.Error("-checkpoint with -compare accepted")
 	}
 }
 

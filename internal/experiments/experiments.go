@@ -86,19 +86,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// ElapsedMS is the wall-clock cost of producing the table (set by Run
-	// and RunAll). Successive BENCH_PR<n>.json artefacts carry it so
-	// `mpicbench -compare` can report per-experiment speedups and catch
-	// performance regressions between PRs.
-	ElapsedMS float64 `json:",omitempty"`
-	// Allocs is the number of heap allocations made while producing the
-	// table (set by Run and RunAll from the runtime's cumulative malloc
-	// counter; the experiment harness pins Workers to 1, so the delta is
-	// attributable). Unlike ElapsedMS it is near-deterministic, which
-	// makes it the sharper `-compare` gate: an allocation regression
-	// shows up at count precision long before it costs measurable wall
-	// clock. Artefacts from before the field existed compare as "n/a".
-	Allocs uint64 `json:",omitempty"`
 }
 
 // Markdown renders the table as GitHub markdown.
@@ -236,16 +223,9 @@ func noiseCell(scheme core.Scheme, g *graph.Graph, noiseKind string, rate float6
 //
 // With cfg.Checkpoint set, the grid persists each completed cell into a
 // per-grid file, so re-running the same experiment under the same Config
-// resumes instead of restarting — Workers stays 1, which also makes the
-// saved completion order the definition order (duplicate-key cells, e.g.
+// resumes instead of restarting — Workers stays 1, which makes the saved
+// completion order the definition order (duplicate-key cells, e.g.
 // ablation variants, resume exactly).
-//
-// Workers is pinned to 1: the tables' ElapsedMS feeds the `-compare`
-// wall-clock regression gate, and parallel cell execution would make
-// those timings incomparable across artefacts (a real per-run slowdown
-// could hide behind a multicore speedup). The engine's parallelism is
-// exercised by the CLIs and the grid tests; lifting this pin needs the
-// artefact to record its worker count first (see ROADMAP).
 func runGrid(cfg Config, salt string, cells []mpic.GridCell, keep bool) ([]mpic.GridCellResult, error) {
 	g := mpic.Grid{Cells: cells, Workers: 1, KeepResults: keep, Retries: cfg.Retries}
 	if cfg.Checkpoint != "" {

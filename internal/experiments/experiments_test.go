@@ -209,19 +209,35 @@ func TestRunUnknown(t *testing.T) {
 }
 
 // TestAllExperimentsQuick executes every experiment end to end in quick
-// mode: the assertions are structural (tables render, rows exist); the
-// quantitative shape is recorded in EXPERIMENTS.md from full-mode runs.
+// mode at seed 1 and pins every table — ID, registry name, title,
+// header, rows and notes — to the experiment artefact BENCH_PR10.json
+// (`mpicbench -experiment all -quick -json`), so a change that moves any
+// experiment row fails here. The structural checks (tables render, rows
+// fit the header) stay; the quantitative shape is recorded in
+// EXPERIMENTS.md from full-mode runs.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment sweep still costs seconds")
 	}
-	cfg := Config{Trials: 2, Seed: 3, Quick: true}
+	data, err := os.ReadFile("../../BENCH_PR10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned []*Table
+	if err := json.Unmarshal(data, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]*Table, len(pinned))
+	for _, tab := range pinned {
+		want[tab.ID] = tab
+	}
+	cfg := Config{Trials: 10, Quick: true, Seed: 1}
 	tables, err := RunAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != len(Registry) {
-		t.Fatalf("got %d tables, want %d", len(tables), len(Registry))
+	if len(tables) != len(Registry) || len(pinned) != len(Registry) {
+		t.Fatalf("got %d tables and %d pinned ones, want %d", len(tables), len(pinned), len(Registry))
 	}
 	for _, tab := range tables {
 		if len(tab.Rows) == 0 {
@@ -235,6 +251,9 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if len(row) != len(tab.Header) {
 				t.Errorf("%s: row width %d != header %d", tab.ID, len(row), len(tab.Header))
 			}
+		}
+		if !reflect.DeepEqual(tab, want[tab.ID]) {
+			t.Errorf("%s differs from BENCH_PR10.json:\ngot:  %+v\nwant: %+v", tab.ID, tab, want[tab.ID])
 		}
 		t.Log("\n" + md)
 	}

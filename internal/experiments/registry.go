@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 )
 
 // Runner produces one experiment table.
@@ -39,24 +37,17 @@ func Names() []string {
 }
 
 // Run executes one named experiment, stamping the table with the
-// registry key, its wall-clock cost, and its heap-allocation count.
+// registry key.
 func Run(name string, cfg Config) (*Table, error) {
 	r, ok := Registry[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocs := ms.Mallocs
-	start := time.Now()
 	t, err := r(cfg)
 	if err != nil {
 		return nil, err
 	}
 	t.Name = name
-	t.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	runtime.ReadMemStats(&ms)
-	t.Allocs = ms.Mallocs - mallocs
 	return t, nil
 }
 

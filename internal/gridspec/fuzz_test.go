@@ -3,14 +3,15 @@ package gridspec
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
 // FuzzGridBuild feeds request bodies through the grid service's parse
 // path — a DisallowUnknownFields decode, Normalize, Build — and checks
 // the contract: the result is an error or a grid, every cell of a grid
-// has at least one party, the grid carries the normalized spec's
-// fingerprint, and nothing panics. Plain `go test` replays the seed
+// has at least one party and a finite, non-negative rate, the grid
+// carries the normalized spec's fingerprint, and nothing panics. Plain `go test` replays the seed
 // corpus in testdata/fuzz/FuzzGridBuild; `make fuzz` explores further.
 func FuzzGridBuild(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -28,6 +29,9 @@ func FuzzGridBuild(f *testing.F) {
 		for i, c := range grid.Cells {
 			if c.Key.N < 1 {
 				t.Fatalf("cell %d has key N=%d", i, c.Key.N)
+			}
+			if r := c.Key.Rate; math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+				t.Fatalf("cell %d has key rate %g", i, r)
 			}
 		}
 		if want := g.Normalize().Spec(); grid.Spec != want {

@@ -9,6 +9,7 @@ package gridspec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -61,10 +62,24 @@ func (s Scenario) Build() (mpic.Scenario, error) {
 // An empty workload is "random"; an empty topology is the workload's
 // fixed family, or "line" for workloads that run anywhere. A workload
 // fixed to one family rejects any other explicit topology rather than
-// silently overriding it.
+// silently overriding it. Out-of-range numbers are rejected here, before
+// any cell runs: the library reads a negative iteration factor or round
+// count as its default, a negative epoch refresh fails every run, and a
+// non-finite rate fails only when a finished cell is persisted.
 func (s Scenario) base() (mpic.Scenario, error) {
 	if s.N < 1 {
 		return mpic.Scenario{}, fmt.Errorf("n: party counts must be at least 1, got %d", s.N)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rounds", s.Rounds}, {"iterfactor", s.IterFactor}, {"epochRefresh", s.EpochRefresh}} {
+		if f.v < 0 {
+			return mpic.Scenario{}, fmt.Errorf("%s: must be non-negative (0 = the default), got %d", f.name, f.v)
+		}
+	}
+	if err := checkRate(s.Rate); err != nil {
+		return mpic.Scenario{}, fmt.Errorf("rate: %w", err)
 	}
 	workload := s.Workload
 	if workload == "" {
@@ -223,6 +238,11 @@ func (g Grid) Build() (mpic.Grid, error) {
 		if rates, err = ParseFloats(g.Rates); err != nil {
 			return mpic.Grid{}, fmt.Errorf("rates: %w", err)
 		}
+		for _, r := range rates {
+			if err := checkRate(r); err != nil {
+				return mpic.Grid{}, fmt.Errorf("rates: %w", err)
+			}
+		}
 	}
 	schemes := []mpic.Scheme{0}
 	if g.Schemes != "" {
@@ -299,6 +319,16 @@ func (g Grid) Build() (mpic.Grid, error) {
 		}
 	}
 	return mpic.Grid{Cells: cells, Spec: g.Spec()}, nil
+}
+
+// checkRate rejects a noise rate that is NaN, infinite or negative: a
+// negative rate silently runs noiseless, and a non-finite one cannot be
+// persisted in a session journal.
+func checkRate(r float64) error {
+	if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+		return fmt.Errorf("noise rates must be finite and non-negative, got %g", r)
+	}
+	return nil
 }
 
 // ParseInts parses a comma-separated integer list.

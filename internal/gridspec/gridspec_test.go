@@ -1,6 +1,7 @@
 package gridspec
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,6 +38,14 @@ func TestScenarioBuildErrors(t *testing.T) {
 		"bad workload":  {N: 4, Workload: "no-such-workload"},
 		"n=-3":          {N: -3},
 		"retired mode":  {N: 4, HashMode: "incremental"},
+		// Out-of-range numbers the library would run as something else
+		// (its default, or no noise) or fail on only after the work.
+		"iterfactor=-5":   {N: 4, IterFactor: -5},
+		"rounds=-5":       {N: 4, Rounds: -5},
+		"epochRefresh=-5": {N: 4, EpochRefresh: -5},
+		"rate=NaN":        {N: 4, Noise: "random", Rate: math.NaN()},
+		"rate=+Inf":       {N: 4, Noise: "random", Rate: math.Inf(1)},
+		"rate=-0.01":      {N: 4, Noise: "random", Rate: -0.01},
 	} {
 		if _, err := s.Build(); err == nil {
 			t.Errorf("%s accepted", name)
@@ -190,6 +199,15 @@ func TestGridSweepErrors(t *testing.T) {
 		"bad scheme":   {N: "4", Schemes: "Z", Workload: "random", Trials: 1},
 		"bad delay":    {N: "4", Delay: "no-such-delay", Workload: "random", Trials: 1},
 		"retired mode": {N: "4", HashMode: "incremental", Workload: "random", Trials: 1},
+		// Out-of-range numbers the library would run as something else
+		// (its default, or no noise) or fail on only after the work.
+		"iterfactor=-5":   {N: "4", IterFactor: -5, Workload: "random", Trials: 1},
+		"rounds=-5":       {N: "4", Rounds: -5, Workload: "random", Trials: 1},
+		"epochRefresh=-5": {N: "4", EpochRefresh: -5, Workload: "random", Trials: 1},
+		"rates=NaN":       {N: "4", Rates: "NaN", Workload: "random", Trials: 1},
+		"rates=+Inf":      {N: "4", Rates: "+Inf", Workload: "random", Trials: 1},
+		"rates=-0.01":     {N: "4", Rates: "-0.01", Workload: "random", Trials: 1},
+		"late rate=NaN":   {N: "4", Rates: "0,NaN", Workload: "random", Trials: 1},
 	} {
 		if _, err := g.Build(); err == nil {
 			t.Errorf("%s accepted", name)
