@@ -73,6 +73,7 @@ cover:
 	$(GO) test -cover ./...
 
 # Amortized per-iteration cost and the budget-scaling sweep (PERF.md).
+# The prefix-hash kernel sweep itself is `make bench-kernel`.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMicro|BenchmarkScaling' -benchmem .
 
@@ -119,9 +120,10 @@ bench-serve:
 
 # A bounded run of each fuzzer: the grid-spec body (decode → Normalize →
 # Build), the CLI delay and network-fault strings (parse → wire →
-# probe), the session journal decoder (arbitrary bytes → Load, Save, reload),
-# and the Reed–Solomon decoder (codes, error patterns and erasure lists
-# → Decode). `go test -fuzz` takes one target per run, hence five runs;
+# probe), the hash-mode names (parse → String round trip), the session
+# journal decoder (arbitrary bytes → Load, Save, reload), and the
+# Reed–Solomon decoder (codes, error patterns and erasure lists →
+# Decode). `go test -fuzz` takes one target per run, hence six runs;
 # plain `go test` only replays their seed corpora. The journal fuzzer
 # writes and fsyncs a file per input, so it runs in /dev/shm where that
 # exists: on a disk the fsyncs hold a 20 s pass to a few hundred inputs.
@@ -129,6 +131,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGridBuild$$' -fuzztime 20s -parallel 2 ./internal/gridspec/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelay$$' -fuzztime 20s -parallel 2 .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNetFaults$$' -fuzztime 20s -parallel 2 .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseHashMode$$' -fuzztime 20s -parallel 2 .
 	$(GO) test -run '^$$' -fuzz '^FuzzRSDecode$$' -fuzztime 20s -parallel 2 ./internal/ecc/
 	TMPDIR=$$(test -d /dev/shm && echo /dev/shm || echo $${TMPDIR:-/tmp}) \
 		$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 20s -parallel 2 .

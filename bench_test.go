@@ -319,29 +319,12 @@ func writeSynced(path string, data []byte) error {
 	return f.Close()
 }
 
-// BenchmarkMicroInnerProductHash measures one τ=8 hash over a 4096-bit
-// transcript prefix — the inner loop of every consistency check — through
-// the materialized-seed kernel the protocol actually runs (seeds are
-// produced once per block and swept many times as prefixes regrow).
-func BenchmarkMicroInnerProductHash(b *testing.B) {
-	h := hashing.NewInnerProductHash(8, 8192)
-	c := hashing.NewBlockCache(h, hashing.NewPRFSource(1, 2), 8192/64)
-	c.SetBlock(0)
-	x := bitstring.NewBitVec(4096)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 4096; i++ {
-		x.Append(byte(rng.Intn(2)))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = h.HashPrefixCached(x, x.Len(), c)
-	}
-}
-
-// BenchmarkMicroInnerProductHashReference measures the same hash through
-// the per-word interface-dispatch reference evaluator (the pre-PR-1 code
-// path, kept as the golden oracle).
+// BenchmarkMicroInnerProductHashReference measures one τ=8 hash over a
+// 4096-bit transcript prefix through the per-word interface-dispatch
+// reference evaluator (the original code path, kept as the golden
+// oracle). The materialized-seed kernel on the same sweep is
+// BenchmarkKernelSweep/tau=8/bits=4096 in internal/hashing (make
+// bench-kernel).
 func BenchmarkMicroInnerProductHashReference(b *testing.B) {
 	h := hashing.NewInnerProductHash(8, 8192)
 	src := hashing.NewPRFSource(1, 2)

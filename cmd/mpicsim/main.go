@@ -84,7 +84,7 @@ func run(w io.Writer, args []string) error {
 		iters    = fs.Int("iterfactor", 100, "iteration budget multiplier (paper: 100)")
 		faithful = fs.Bool("faithful", false, "run all iterations (no early stop)")
 		hashmode = fs.String("hashmode", "", "prefix-hash seed discipline: epoch|legacy (default epoch — checkpointed hashing with the seed block refreshed every -epoch-refresh iterations)")
-		epochR   = fs.Int("epoch-refresh", 0, "epoch mode's seed-refresh interval R in iterations (0 = default; at least the iteration budget never refreshes)")
+		refresh  = fs.Int("epoch-refresh", 0, "epoch mode's seed-refresh interval R in iterations (0 = default; at least the iteration budget never refreshes)")
 		observe  = fs.Bool("observe", false, "stream per-iteration progress to stderr (an mpic.Observer sink)")
 		obsEvery = fs.Int("observe-every", 0, "with -observe and -trials > 1: subsample iteration lines (print every k-th, with percent + ETA; 0 = every iteration, -1 = auto ~5% of the budget)")
 		delay    = fs.String("delay", "", "delay model name[:param] ("+strings.Join(mpic.DelayNames(), "|")+"; empty or 'none' = lockstep)")
@@ -113,7 +113,7 @@ func run(w io.Writer, args []string) error {
 		IterFactor:   *iters,
 		Faithful:     *faithful,
 		HashMode:     *hashmode,
-		EpochRefresh: *epochR,
+		EpochRefresh: *refresh,
 		Delay:        *delay,
 		NetFaults:    *netflt,
 	}.Build()

@@ -93,6 +93,28 @@ func FuzzParseNetFaults(f *testing.F) {
 	})
 }
 
+// FuzzParseHashMode feeds hash-mode names — the CLIs' -hashmode and the
+// grid spec's hashmode — through ParseHashMode and checks the contract:
+// nothing panics, only "", "epoch" and "legacy" are accepted, and an
+// accepted mode round-trips through its String spelling. Plain `go test`
+// replays the seed corpus in testdata/fuzz/FuzzParseHashMode.
+func FuzzParseHashMode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := mpic.ParseHashMode(s)
+		if err != nil {
+			return
+		}
+		switch s {
+		case "", "epoch", "legacy":
+		default:
+			t.Fatalf("ParseHashMode(%q) accepted as %v", s, m)
+		}
+		if back, err := mpic.ParseHashMode(m.String()); err != nil || back != m {
+			t.Fatalf("ParseHashMode(%q) = %v, but its String %q parses to %v, %v", s, m, m.String(), back, err)
+		}
+	})
+}
+
 // fuzzJournalSpec is the spec FuzzJournalLoad reads journals under; the
 // seed corpus journals are written under it.
 const fuzzJournalSpec = "fuzz-spec"

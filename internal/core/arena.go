@@ -3,17 +3,15 @@ package core
 import "mpic/internal/hashing"
 
 // Arena recycles the per-link hash state buffers across runs. One run of
-// a scheme allocates three seed block caches per link endpoint — the two
-// prefix blocks alone are seedHint·τ words each — and drops them all at
-// the end; a driver executing many runs (the grid engine, the
+// a scheme allocates, per link endpoint, a counter-slot block cache and
+// two checkpointed prefix hashers — each hasher's seed rows alone are
+// seedHint·τ words, plus its accumulator snapshots — and drops them all
+// at the end; a caller executing many runs (the grid engine, the
 // experiment harness) pays that allocation churn for every cell.
-// Passing the same Arena through Options.Arena makes each run draw its
-// block buffers from the previous runs' and hand them back on exit, so
+// Passing the same Arena through Options.Arena makes each run draw
+// those buffers from the previous runs' and hand them back on exit, so
 // steady-state sweeps stop allocating in the seed-materialization path
-// (the ROADMAP's "amortize seed materialization across links"). The
-// checkpointed hash path (HashEpoch) draws from the same pool: the
-// checkpointed stores' seed rows and accumulator snapshots are recycled
-// alongside the plain block caches.
+// (the ROADMAP's "amortize seed materialization across links").
 //
 // An Arena is safe for concurrent use by multiple runs — the grid engine
 // drives one arena from its whole worker pool — and results are
@@ -57,11 +55,8 @@ func (a *Arena) Stats() ArenaStats {
 func (a *Arena) release(p *party) {
 	for _, ls := range p.links {
 		ls.ck.Release(&a.pool)
-		ls.c1.Release(&a.pool)
-		ls.c2.Release(&a.pool)
 		ls.p1.Release(&a.pool)
 		ls.p2.Release(&a.pool)
-		ls.ck, ls.c1, ls.c2 = nil, nil, nil
-		ls.p1, ls.p2 = nil, nil
+		ls.ck, ls.p1, ls.p2 = nil, nil, nil
 	}
 }

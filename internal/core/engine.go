@@ -172,7 +172,7 @@ func Run(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: iteration budget %d overruns the stable seed region", iters)
 	}
 	if p.HashMode == HashEpoch {
-		epochs := (iters-1)/e.epochR() + 1
+		epochs := (iters-1)/p.EpochRefresh + 1
 		if !e.seedLay.EpochsFit(epochs) {
 			return nil, fmt.Errorf("core: %d refresh epochs overrun the epoch seed region (iters=%d, EpochRefresh=%d); raise EpochRefresh or select HashLegacy", epochs, iters, p.EpochRefresh)
 		}

@@ -320,7 +320,7 @@ func TestHasherEpochMatchesReference(t *testing.T) {
 	}
 	for it := 0; it < 7; it++ {
 		p.prepareIteration(it)
-		epoch := it / e.epochR()
+		epoch := it / e.params.EpochRefresh
 		for _, ls := range p.links {
 			// Rewind mid-sequence, then regrow — once straddling a refresh
 			// boundary (it=2 is the first rebase with R=2) and once inside
@@ -352,12 +352,12 @@ func TestHasherEpochMatchesReference(t *testing.T) {
 // TestRewindHammerSchemes runs the truncation-forcing adversary against
 // schemes A and B under every hash mode: the runs must complete, account
 // their corruptions, and — because the hammer's whole point is forcing
-// deep rollbacks — actually truncate transcripts. In the checkpointed
-// epoch mode, an after-iteration whitebox invariant re-checks every link's
-// prefix hashes against the reference evaluator on the live epoch's seed
-// block (the stable block when the run never refreshes), so checkpoint
-// invalidation AND epoch rebasing are exercised by a live rewind storm,
-// not just by unit fuzz. The hammer's poison/quiet cycle is depth+quiet
+// deep rollbacks — actually truncate transcripts. In every mode, an
+// after-iteration whitebox invariant re-checks every link's prefix hashes
+// against the reference evaluator on the iteration's seed block (the
+// stable block when an epoch run never refreshes), so checkpoint
+// invalidation AND rebasing are exercised by a live rewind storm, not
+// just by unit fuzz. The hammer's poison/quiet cycle is depth+quiet
 // = 4 iterations, so the epoch cases at R=4 put a truncation burst at a
 // fixed phase of every refresh interval — including bursts landing
 // exactly on the refresh iteration — and R=1 refreshes under every
@@ -385,12 +385,6 @@ func TestRewindHammerSchemes(t *testing.T) {
 		params.CRSKey = 21
 		params.HashMode = tc.mode
 		params.EpochRefresh = tc.r
-		refOffset := func(p *party, s hashing.Slot, it int) (uint64, bool) {
-			if tc.mode == HashLegacy {
-				return 0, false
-			}
-			return p.env.seedLay.EpochOffset(s, it/p.env.epochR()), true
-		}
 		var hammer *adversary.RewindHammer
 		truncations := 0
 		lastLen := map[[2]graph.Node]int{}
@@ -415,11 +409,7 @@ func TestRewindHammerSchemes(t *testing.T) {
 								if slot == 2 {
 									s = hashing.SlotMP2
 								}
-								off, ok := refOffset(p, s, it)
-								if !ok {
-									continue
-								}
-								want := p.env.hash.HashPrefix(ls.T.Bits(), ls.T.PrefixBits(chunks), ls.src, off)
+								want := p.env.hash.HashPrefix(ls.T.Bits(), ls.T.PrefixBits(chunks), ls.src, p.env.prefixOffset(it, s))
 								if got := ls.h.HashPrefix(chunks, slot); got != want {
 									t.Fatalf("%s it=%d link %d→%d chunks=%d slot=%d: %#x != reference %#x",
 										tc.name, it, p.id, ls.peer, chunks, slot, got, want)

@@ -86,8 +86,8 @@ const (
 	// bound of Lemma 2.3 degrades by a factor ≤ R (equivalently, τ+log₂R
 	// output bits restore it; see the hashing package doc).
 	HashEpoch HashMode = iota
-	// HashLegacy draws fresh prefix-hash seeds every iteration and
-	// re-sweeps the whole transcript at every check — the paper-faithful
+	// HashLegacy draws fresh prefix-hash seeds every iteration, so each
+	// iteration re-sweeps the whole transcript — the paper-faithful
 	// Θ(|T|) path, bit-identical to the original engine for a fixed
 	// CRSKey. The escape hatch when exact reproducibility against old
 	// recorded runs matters more than wall-clock.
@@ -123,17 +123,18 @@ func ParseHashMode(s string) (HashMode, error) {
 // DefaultEpochRefresh is the default seed-refresh interval R in
 // iterations, picked from the R-axis benchmark sweep in PERF.md: 256 is
 // the smallest R whose amortized Θ(|T|/R) refresh sweep stays within 10%
-// of a never-refreshed run (R ≥ budget) at the 32·|Π| budget (R=128
-// costs 25%, R=32 costs 47%). The fidelity price is log₂256 = 8 bits of
-// the Lemma 2.3 union bound — as large as Alg1/A's default HashBits, so
-// at default τ the refresh is a persistence *cap* (a colliding pair
-// self-heals within ≤ R checks instead of surviving the run, which is
-// what turns the never-refreshed permanent-failure pathology into
-// bounded extra iterations) rather than a restored union bound. Callers that
-// want the bound back set EpochRefresh ≤ 2^(HashBits-3) (e.g. R=32 at
-// τ=8 costs 1/8 of a corrupted check per collision) or raise HashBits by
-// log₂R; Algorithm B's τ = Θ(log m) absorbs the default R at realistic
-// sizes. See the hashing package doc for the full derivation.
+// of a never-refreshed run (R ≥ budget) at the 32·|Π| budget (the table
+// reads +5% at R=256, +10% at R=128 and +52% at R=32). The fidelity price
+// is log₂256 = 8 bits of the Lemma 2.3 union bound — as large as Alg1/A's
+// default HashBits, so at default τ the refresh is a persistence *cap* (a
+// colliding pair self-heals within ≤ R checks instead of surviving the
+// run, which is what turns the never-refreshed permanent-failure
+// pathology into bounded extra iterations) rather than a restored union
+// bound. Callers that want the bound back set EpochRefresh ≤
+// 2^(HashBits-3) (e.g. R=32 at τ=8 costs 1/8 of a corrupted check per
+// collision) or raise HashBits by log₂R; Algorithm B's τ = Θ(log m)
+// absorbs the default R at realistic sizes. See the hashing package doc
+// for the full derivation.
 const DefaultEpochRefresh = 256
 
 // Params fully determines a coding-scheme instance. Zero values are

@@ -49,16 +49,15 @@ type linkState struct {
 	T    *Transcript
 	mp   *meeting.State
 	src  hashing.SeedSource
-	// ck, c1, c2 are the materialized seed blocks for the current
-	// iteration's three hash slots (counter, mp1 prefix, mp2 prefix); they
-	// are re-pointed by prepareIteration and feed the allocation-free
-	// kernel.
-	ck, c1, c2 *hashing.BlockCache
-	// p1, p2 replace c1, c2 in the checkpointed mode (HashEpoch):
-	// rewind-aware checkpointed hashers over the stable seed region, whose
-	// cost per evaluation is proportional to transcript growth, not
-	// length. prepareIteration rebases them onto a fresh seed block every
-	// EpochRefresh iterations.
+	// ck is the materialized seed block of the current iteration's
+	// counter slot, re-pointed by prepareIteration.
+	ck *hashing.BlockCache
+	// p1, p2 are the rewind-aware checkpointed hashers of the two prefix
+	// slots, whose cost per evaluation is proportional to transcript
+	// growth, not length, while their seed block stays put.
+	// prepareIteration points them at the block env.prefixOffset
+	// selects: a new one every iteration (HashLegacy) or every
+	// EpochRefresh iterations (HashEpoch).
 	p1, p2 *hashing.Checkpointed
 	// h is the link's meeting.Hasher, boxed once at source binding so the
 	// per-iteration hash calls do not re-box the interface value.
@@ -97,28 +96,20 @@ type hasher struct {
 }
 
 // HashK implements meeting.Hasher via the allocation-free cached kernel;
-// prepareIteration points the block caches at the current iteration's
-// seed blocks before any hash is evaluated.
+// prepareIteration points the counter block cache and the prefix hashers
+// at the current iteration's seed blocks before any hash is evaluated.
 func (h hasher) HashK(k int) uint64 {
 	return h.env.hash.HashWordCached(uint64(k), meeting.KWidth, h.ls.ck)
 }
 
-// HashPrefix implements meeting.Hasher. In the checkpointed modes the
-// evaluation resumes from the checkpointed accumulators; under
-// HashLegacy it sweeps the materialized per-iteration seed block.
+// HashPrefix implements meeting.Hasher: the evaluation resumes from the
+// slot's checkpointed accumulators.
 func (h hasher) HashPrefix(chunks int, slot int) uint64 {
-	if h.ls.p1 != nil {
-		p := h.ls.p1
-		if slot == 2 {
-			p = h.ls.p2
-		}
-		return p.HashPrefix(h.ls.T.PrefixBits(chunks))
-	}
-	c := h.ls.c1
+	p := h.ls.p1
 	if slot == 2 {
-		c = h.ls.c2
+		p = h.ls.p2
 	}
-	return h.env.hash.HashPrefixCached(h.ls.T.Bits(), h.ls.T.PrefixBits(chunks), c)
+	return p.HashPrefix(h.ls.T.PrefixBits(chunks))
 }
 
 // party is one node's implementation of the coding scheme: a state
@@ -229,24 +220,24 @@ func (p *party) initSeeds() {
 	}
 }
 
-// epochR returns the effective seed-refresh interval for HashEpoch,
-// tolerating manually built test envs that never ran Params.Validate.
-func (e *env) epochR() int {
-	if r := e.params.EpochRefresh; r > 0 {
-		return r
+// prefixOffset returns the first seed word of the block a prefix slot
+// (SlotMP1 or SlotMP2) hashes against in iteration it. This is the only
+// difference between the hash modes: HashLegacy reads the paper's fresh
+// per-iteration block, HashEpoch the block of the refresh epoch it falls
+// in (Params.Validate has made EpochRefresh positive).
+func (e *env) prefixOffset(it int, s hashing.Slot) uint64 {
+	if e.params.HashMode == HashLegacy {
+		return e.seedLay.Offset(it, s)
 	}
-	return DefaultEpochRefresh
+	return e.seedLay.EpochOffset(s, it/e.params.EpochRefresh)
 }
 
 // bindSource installs a link's seed stream and builds its per-slot hash
 // state over it, pre-sized from the layout so steady-state hashing
-// allocates nothing: per-iteration block caches for the counter slot and
-// — depending on Params.HashMode — either per-iteration caches
-// (HashLegacy) or checkpointed hashers over the stable seed region for
-// the two prefix slots (HashEpoch starts in epoch 0, whose block
-// coincides with StableOffset; prepareIteration rebases it every
-// EpochRefresh iterations). Exchange-mode receivers bind late
-// (finishExchange); everyone else binds at construction.
+// allocates nothing: a block cache for the counter slot and checkpointed
+// hashers for the two prefix slots, starting on iteration 0's blocks.
+// Exchange-mode receivers bind late (finishExchange); everyone else binds
+// at construction.
 func (e *env) bindSource(ls *linkState, src hashing.SeedSource) {
 	ls.src = src
 	var pool *hashing.BufferPool
@@ -254,14 +245,9 @@ func (e *env) bindSource(ls *linkState, src hashing.SeedSource) {
 		pool = &e.arena.pool
 	}
 	ls.ck = hashing.NewBlockCacheIn(pool, e.hash, src, 1)
-	if e.params.HashMode != HashLegacy {
-		bits := ls.T.Bits()
-		ls.p1 = hashing.NewCheckpointedIn(pool, e.hash, src, e.seedLay.EpochOffset(hashing.SlotMP1, 0), bits, e.seedHintWords, 0)
-		ls.p2 = hashing.NewCheckpointedIn(pool, e.hash, src, e.seedLay.EpochOffset(hashing.SlotMP2, 0), bits, e.seedHintWords, 0)
-	} else {
-		ls.c1 = hashing.NewBlockCacheIn(pool, e.hash, src, e.seedHintWords)
-		ls.c2 = hashing.NewBlockCacheIn(pool, e.hash, src, e.seedHintWords)
-	}
+	bits := ls.T.Bits()
+	ls.p1 = hashing.NewCheckpointedIn(pool, e.hash, src, e.prefixOffset(0, hashing.SlotMP1), bits, e.seedHintWords)
+	ls.p2 = hashing.NewCheckpointedIn(pool, e.hash, src, e.prefixOffset(0, hashing.SlotMP2), bits, e.seedHintWords)
 	ls.h = hasher{env: e, ls: ls}
 }
 
@@ -409,7 +395,7 @@ func (p *party) EndRound(round int) {
 
 // prepareIteration computes the meeting-points messages for iteration it
 // and resets the per-iteration link scratch state. The mpOut/mpRecv
-// buffers and the seed block caches are reused across iterations, so in
+// buffers and the hashers' seed buffers are reused across iterations, so in
 // steady state this performs zero allocations; mpRecv needs no clearing
 // because the engine delivers exactly one symbol per slot of the phase,
 // overwriting all 3τ positions.
@@ -421,21 +407,12 @@ func (p *party) prepareIteration(it int) {
 		ls.alreadyRewound = false
 		ls.skip = false
 		ls.ck.SetBlock(p.env.seedLay.Offset(it, hashing.SlotK))
-		if ls.p1 == nil {
-			// Per-iteration prefix seeds: re-point the caches at this
-			// iteration's blocks.
-			ls.c1.SetBlock(p.env.seedLay.Offset(it, hashing.SlotMP1))
-			ls.c2.SetBlock(p.env.seedLay.Offset(it, hashing.SlotMP2))
-		} else {
-			// Epoch refresh: rebase the checkpointed hashers onto the
-			// current epoch's seed block. SetBlock is a no-op within an
-			// epoch; at a boundary it discards the checkpoints, and the
-			// next evaluation re-sweeps the whole prefix against the fresh
-			// block — amortized Θ(|T|/R) per iteration.
-			epoch := it / p.env.epochR()
-			ls.p1.SetBlock(p.env.seedLay.EpochOffset(hashing.SlotMP1, epoch))
-			ls.p2.SetBlock(p.env.seedLay.EpochOffset(hashing.SlotMP2, epoch))
-		}
+		// SetBlock is a no-op while the block stays put; on a change it
+		// discards the checkpoints, and the next evaluation re-sweeps the
+		// whole prefix against the new block — every iteration under
+		// HashLegacy, amortized Θ(|T|/R) per iteration under HashEpoch.
+		ls.p1.SetBlock(p.env.prefixOffset(it, hashing.SlotMP1))
+		ls.p2.SetBlock(p.env.prefixOffset(it, hashing.SlotMP2))
 		msg := ls.mp.Outgoing(ls.h, ls.T.Len())
 		ls.mpOwn = msg
 		if ls.mpOut == nil {

@@ -16,8 +16,8 @@ import (
 func testEnv(t *testing.T, g *graph.Graph) *env {
 	t.Helper()
 	// HashLegacy: these whitebox tests compare the hasher against the
-	// per-iteration reference offsets; the checkpointed modes have their
-	// own env (testEnvEpoch).
+	// per-iteration reference offsets; the epoch mode has its own env
+	// (testEnvEpoch).
 	p := Params{ChunkBits: 10, HashBits: 8, IterFactor: 4, CRSKey: 7, HashMode: HashLegacy}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)

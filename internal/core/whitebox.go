@@ -97,11 +97,10 @@ func (w *whiteBoxAttacker) Corrupt(round int, link channel.Link, sent bitstring.
 }
 
 // futureHash predicts the endpoint's full-transcript hash at the next
-// meeting-points check, with the chunk's final slot holding sym. The seed
-// block mirrors the parties' configuration: the per-iteration block
-// (HashLegacy) or the block of the epoch the check lands in (HashEpoch —
-// a found collision pays only until the next refresh, and for the whole
-// run when EpochRefresh is at least the budget).
+// meeting-points check, with the chunk's final slot holding sym, on the
+// seed block the parties will use there (env.prefixOffset: under
+// HashEpoch a found collision pays only until the next refresh, and for
+// the whole run when EpochRefresh is at least the budget).
 func (w *whiteBoxAttacker) futureHash(ls *linkState, pending []bitstring.Symbol, lastIdx int, sym bitstring.Symbol, iter int) uint64 {
 	bits := ls.T.Bits().Clone()
 	bits.AppendUint(uint64(ls.simChunk), chunkIndexBits)
@@ -111,9 +110,5 @@ func (w *whiteBoxAttacker) futureHash(ls *linkState, pending []bitstring.Symbol,
 		}
 		bits.AppendSymbol(s)
 	}
-	off := w.e.seedLay.Offset(iter, hashing.SlotMP1)
-	if w.e.params.HashMode == HashEpoch {
-		off = w.e.seedLay.EpochOffset(hashing.SlotMP1, iter/w.e.epochR())
-	}
-	return w.e.hash.Hash(bits, ls.src, off)
+	return w.e.hash.Hash(bits, ls.src, w.e.prefixOffset(iter, hashing.SlotMP1))
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
+	"mpic/internal/bitstring"
 	"mpic/internal/graph"
 )
 
@@ -85,5 +87,50 @@ func TestWhiteBoxRespectsBudget(t *testing.T) {
 	if float64(res.Metrics.TotalCorruptions()) > allowance {
 		t.Fatalf("attacker spent %d corruptions with allowance %.0f",
 			res.Metrics.TotalCorruptions(), allowance)
+	}
+}
+
+// TestWhiteBoxPredictsPartyHash pins the attacker's seed-block choice: the
+// hash futureHash predicts for the next check must be the one the party's
+// own hasher computes there once the chunk lands in the transcript, in
+// both hash modes. With R = 2 the epoch case crosses refresh boundaries,
+// so a prediction made on the wrong epoch's block would show up here.
+func TestWhiteBoxPredictsPartyHash(t *testing.T) {
+	g := graph.Line(3)
+	for _, tc := range []struct {
+		name string
+		env  *env
+	}{
+		{"legacy", testEnv(t, g)},
+		{"epoch-r2", testEnvEpoch(t, g, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newParty(tc.env, 1)
+			w := newWhiteBoxAttacker(tc.env, []*party{p}, 0)
+			rng := rand.New(rand.NewSource(12))
+			want := make([]uint64, len(p.links))
+			p.prepareIteration(0)
+			for it := 0; it < 5; it++ {
+				for port, ls := range p.links {
+					ls.simChunk = ls.T.Len() + 1
+					ls.pending = ls.pending[:0]
+					for i := 0; i < 4; i++ {
+						ls.pending = append(ls.pending, bitstring.Symbol(rng.Intn(3)))
+					}
+					last := len(ls.pending) - 1
+					sym := bitstring.Symbol(rng.Intn(3))
+					want[port] = w.futureHash(ls, ls.pending, last, sym, it+1)
+					syms := append([]bitstring.Symbol(nil), ls.pending...)
+					syms[last] = sym
+					ls.T.Append(ChunkRecord{Index: ls.simChunk, Syms: syms})
+				}
+				p.prepareIteration(it + 1)
+				for port, ls := range p.links {
+					if got := ls.h.HashPrefix(ls.T.Len(), 1); got != want[port] {
+						t.Fatalf("it=%d port=%d: party hashes %#x, attacker predicted %#x", it+1, port, got, want[port])
+					}
+				}
+			}
+		})
 	}
 }

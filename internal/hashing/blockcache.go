@@ -6,8 +6,8 @@ package hashing
 //
 // The buffer is interleaved: buf[i*τ+j] holds stream word base + j·row + i,
 // i.e. the i-th seed word of every row sits contiguously. The transposed
-// kernel (InnerProductHash.hashWords) then loads each transcript word once
-// and XORs it into all τ row accumulators while reading buf strictly
+// kernels (InnerProductHash.hashWords, Checkpointed.HashPrefix) load each transcript word once
+// and XOR it into all τ row accumulators while reading buf strictly
 // sequentially. This is also the layout the vector kernels (kernel.go)
 // consume: one broadcast input word ANDed against 4–8 contiguous row
 // words per op. Alignment contract: buf is a []uint64, so the Go
@@ -95,10 +95,6 @@ func (c *BlockCache) SetBlock(base uint64) {
 	c.nw = 0
 	c.buf = c.buf[:0]
 }
-
-// Source returns the underlying seed source (shared with the reference
-// hash path and the randomness-exchange machinery).
-func (c *BlockCache) Source() SeedSource { return c.src }
 
 // ensure extends every row's materialized prefix to nw words.
 func (c *BlockCache) ensure(nw int) {

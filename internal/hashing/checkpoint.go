@@ -15,15 +15,18 @@ import (
 const DefaultCheckpointSpacing = 8
 
 // Checkpointed evaluates prefix hashes of one growing, rewindable bit
-// vector against one fixed seed block, in time proportional to the growth
-// since the previous evaluation rather than to the prefix length.
+// vector against one seed block at a time, in time proportional to the
+// growth since the previous evaluation rather than to the prefix length.
+// It is the only prefix evaluator of the protocol's hot path: both hash
+// modes use it and differ only in which block SetBlock selects per
+// iteration.
 //
 // It maintains the τ per-row partial accumulators of the inner-product
-// kernel, snapshotted every spacing words: checkpoint i stores the
-// accumulator state over words [0, i·spacing) of x. HashPrefix resumes
-// from the highest valid checkpoint at or below the requested prefix,
-// sweeps only the remaining tail, and pushes new checkpoints as it
-// crosses boundaries. Because the meeting-points mechanism only ever
+// kernel on a fixed grid: checkpoint i stores the accumulator state over
+// words [0, i·spacing) of x, so a checkpoint's position is implied by its
+// index. HashPrefix resumes from the highest valid checkpoint at or below
+// the requested prefix, sweeps only the remaining tail, and pushes new
+// checkpoints as it crosses grid points. Because the meeting-points mechanism only ever
 // extends or truncates the transcript, successive evaluations touch
 // Θ(growth + spacing) words instead of re-sweeping from word 0.
 //
@@ -45,70 +48,54 @@ const DefaultCheckpointSpacing = 8
 // InnerProductHash.HashPrefix(x, nbits, src, base) — the golden fuzz test
 // pins this under randomized append/truncate/hash schedules — so both
 // endpoints of a link agree as long as they use the same base offset,
-// which SeedLayout.StableOffset provides. A Checkpointed is owned by one
+// which the shared SeedLayout provides. A Checkpointed is owned by one
 // link endpoint and is not safe for concurrent use.
 type Checkpointed struct {
 	h *InnerProductHash
 	x *bitstring.BitVec
-	c *BlockCache // seed rows of the fixed block at base
+	c *BlockCache // seed rows of the current block
 	w *bitstring.Watermark
 
 	spacing int
-	fine    int      // dense spacing inside the rewind band (spacing/4, min 1)
 	gen     uint64   // x.Gen() at the last sync
-	ck      []uint64 // ck[(i-1)·τ + j]: row-j accumulator of checkpoint i
-	ckw     []int    // ckw[i-1]: words covered by checkpoint i (ascending)
+	ck      []uint64 // ck[(i-1)·τ + j]: row-j accumulator over words [0, i·spacing)
 	nck     int      // highest valid checkpoint index (0 = none)
-
-	lastLen int // x.Len() at the last sync — rewind depths measure from here
-	band    int // decaying max observed rewind depth in bits (0 = no rewind yet)
 }
 
-// NewCheckpointed returns an incremental prefix hasher for x over the
-// seed block of src starting at base (normally SeedLayout.StableOffset).
-// hintWords pre-sizes the seed rows and the checkpoint store for row
-// prefixes of that many words, so steady-state hashing allocates nothing;
-// spacing is the checkpoint interval in words (≤ 0 selects
-// DefaultCheckpointSpacing).
-func NewCheckpointed(h *InnerProductHash, src SeedSource, base uint64, x *bitstring.BitVec, hintWords, spacing int) *Checkpointed {
-	return NewCheckpointedIn(nil, h, src, base, x, hintWords, spacing)
+// NewCheckpointedIn returns an incremental prefix hasher for x over the
+// seed block of src starting at base (a SeedLayout offset), with
+// checkpoints every DefaultCheckpointSpacing words. hintWords pre-sizes
+// the seed rows and the checkpoint store for row prefixes of that many
+// words, so steady-state hashing allocates nothing. The buffers come from
+// pool (nil allocates privately); hand them back with Release when the
+// run is over so the next run can reuse them — this is what keeps grids
+// of runs from paying the accumulator/checkpoint allocations per run.
+func NewCheckpointedIn(pool *BufferPool, h *InnerProductHash, src SeedSource, base uint64, x *bitstring.BitVec, hintWords int) *Checkpointed {
+	return newCheckpointed(pool, h, src, base, x, hintWords, DefaultCheckpointSpacing)
 }
 
-// NewCheckpointedIn is NewCheckpointed drawing the seed-row and
-// checkpoint buffers from pool (nil behaves like NewCheckpointed). Hand
-// the buffers back with Release when the run is over so the next run can
-// reuse them — this is what keeps grids of checkpointed-hash runs from
-// paying the accumulator/checkpoint allocations per run.
-func NewCheckpointedIn(pool *BufferPool, h *InnerProductHash, src SeedSource, base uint64, x *bitstring.BitVec, hintWords, spacing int) *Checkpointed {
-	if spacing <= 0 {
-		spacing = DefaultCheckpointSpacing
-	}
-	fine := spacing / 4
-	if fine < 1 {
-		fine = 1
-	}
+// newCheckpointed is NewCheckpointedIn at an explicit checkpoint interval
+// (spacing ≥ 1 words); the in-package tests and benchmarks vary it.
+func newCheckpointed(pool *BufferPool, h *InnerProductHash, src SeedSource, base uint64, x *bitstring.BitVec, hintWords, spacing int) *Checkpointed {
 	s := &Checkpointed{
 		h:       h,
 		x:       x,
 		c:       NewBlockCacheIn(pool, h, src, hintWords),
 		w:       x.AttachWatermark(),
 		spacing: spacing,
-		fine:    fine,
 		gen:     x.Gen(),
-		lastLen: x.Len(),
 	}
 	s.c.SetBlock(base)
 	if maxRow := int(h.wordsPerRow()); hintWords > maxRow {
 		hintWords = maxRow
 	}
 	if hintWords > 0 {
-		need := hintWords/spacing + 1
+		need := (hintWords/spacing + 1) * h.Tau
 		if pool != nil {
-			s.ck = pool.Get(need * h.Tau)
+			s.ck = pool.Get(need)
 		} else {
-			s.ck = make([]uint64, 0, need*h.Tau)
+			s.ck = make([]uint64, 0, need)
 		}
-		s.ckw = make([]int, 0, need)
 	}
 	return s
 }
@@ -121,7 +108,10 @@ func NewCheckpointedIn(pool *BufferPool, h *InnerProductHash, src SeedSource, ba
 // iterations therefore pay one Θ(|T|) sweep per epoch — amortized
 // Θ(|T|/R) per iteration — in exchange for bounding how long a colliding
 // prefix pair can persist (see the package doc's union-bound discussion).
-// Re-pointing at the current block is a no-op.
+// Re-pointing at the current block is a no-op. Under per-iteration
+// seeds (a new block every iteration) the first evaluation of each
+// iteration is a full sweep, laying the checkpoints that the iteration's
+// later evaluations resume from.
 func (s *Checkpointed) SetBlock(base uint64) {
 	if s.c.haveSet && s.c.base == base {
 		return
@@ -145,15 +135,8 @@ func (s *Checkpointed) Release(pool *BufferPool) {
 	s.c.Release(pool)
 	pool.Put(s.ck)
 	s.ck = nil
-	s.ckw = nil
 	s.nck = 0
 }
-
-// Source returns the underlying seed source.
-func (s *Checkpointed) Source() SeedSource { return s.c.Source() }
-
-// Spacing returns the checkpoint interval in words.
-func (s *Checkpointed) Spacing() int { return s.spacing }
 
 // Checkpoints returns the number of currently valid checkpoints (test and
 // instrumentation hook).
@@ -165,50 +148,17 @@ func (s *Checkpointed) Checkpoints() int {
 // sync discards checkpoints that a rollback of x may have invalidated.
 // The generation check makes the no-mutation case one comparison; after
 // any mutation the watermark yields the lowest bit length x reached, and
-// every checkpoint covering words at or beyond that point is dropped.
-// Observed rewinds also feed the adaptive-spacing band: the depth of the
-// deepest recent truncation (as a decaying maximum) sizes the region
-// below the live frontier that gets denser checkpoints, so the next
-// truncation of similar depth lands near a checkpoint instead of forcing
-// a long re-sweep from a sparse one.
+// only the checkpoints whose words all lie strictly below that point's
+// word survive.
 func (s *Checkpointed) sync() {
 	g := s.x.Gen()
 	if g == s.gen {
 		return
 	}
-	low := s.w.Take()
-	if depth := s.lastLen - low; depth > 0 {
-		s.band -= s.band >> 2
-		if depth > s.band {
-			s.band = depth
-		}
-	}
-	s.lastLen = s.x.Len()
-	// Binary search for the number of checkpoints whose covered words all
-	// lie strictly below the low-water word (ckw is ascending).
-	lw := low >> 6
-	lo, hi := 0, s.nck
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.ckw[mid] <= lw {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < s.nck {
-		s.nck = lo
+	if keep := (s.w.Take() >> 6) / s.spacing; keep < s.nck {
+		s.nck = keep
 	}
 	s.gen = g
-}
-
-// RewindBand returns the current adaptive-spacing band in bits: the
-// decaying maximum truncation depth observed so far (0 until the first
-// rewind — fixed-spacing behavior is bit-for-bit unchanged until then).
-// Test and instrumentation hook.
-func (s *Checkpointed) RewindBand() int {
-	s.sync()
-	return s.band
 }
 
 // HashPrefix evaluates the hash on the first nbits bits of x, resuming
@@ -232,97 +182,35 @@ func (s *Checkpointed) HashPrefix(nbits int) uint64 {
 	tau := s.h.Tau
 	buf := s.c.buf
 	// Resume. The final word of the sweep is tail-masked, so a checkpoint
-	// is usable only if every word it covers lies strictly before nw-1:
-	// binary-search the highest checkpoint with ckw ≤ nw-1.
-	k := 0
-	{
-		lo, hi := 0, s.nck
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if s.ckw[mid] <= nw-1 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		k = lo
-	}
+	// is usable only if every word it covers lies strictly before nw-1.
+	k := min(s.nck, (nw-1)/s.spacing)
 	var acc [64]uint64
-	start := 0
 	if k > 0 {
 		copy(acc[:tau], s.ck[(k-1)*tau:k*tau])
-		start = s.ckw[k-1]
-	}
-	// Adaptive spacing: inside the band of recently observed truncation
-	// depths below the live frontier, checkpoints go down every fine
-	// words instead of every spacing words; bandStart stays past nw when
-	// no rewind has been seen, reproducing the fixed grid exactly.
-	frontier := 0
-	if s.nck > 0 {
-		frontier = s.ckw[s.nck-1]
-	}
-	bandStart := nw // band empty unless a rewind has been observed
-	if s.band > 0 {
-		bandStart = (s.x.Len() - s.band) >> 6
-		if bandStart < 0 {
-			bandStart = 0
-		}
 	}
 	// Segmented sweep: run whole checkpoint-free stretches through the
-	// dispatched τ-row kernel (see kernel.go) and snapshot only at the
-	// segment boundaries. nextPush gives the first word at or past which
-	// the per-word schedule would have snapshotted — frontier+spacing on
-	// the sparse grid, with the dense interval taking over at bandStart —
-	// so the checkpoint positions are bit-for-bit the ones the original
-	// word-at-a-time loop produced (the spacing pin tests hold this).
-	for i := start; i < nw; {
-		p := s.nextPush(frontier, bandStart)
-		if p < nw {
-			// acc after the sweep covers exactly words [0, p) of x, all of
-			// them complete (p ≤ nw-1 < ⌈Len/64⌉) and unmasked: snapshot.
-			kernelSweep(&acc, xw[i:p], buf[i*tau:], tau)
-			s.pushCheckpoint(acc[:tau], p)
-			frontier = p
-			i = p
-			continue
-		}
-		// Final segment: kernel over the complete words, then the
-		// tail-masked last word (kernels only ever see complete words).
-		kernelSweep(&acc, xw[i:nw-1], buf[i*tau:], tau)
-		w := xw[nw-1] & tailMask
-		for j, sw := range buf[(nw-1)*tau : nw*tau] {
-			acc[j] ^= w & sw
-		}
-		break
+	// dispatched τ-row kernel (see kernel.go) and snapshot at each grid
+	// point past the frontier nck·spacing that lies before the final word.
+	// When k < nck the next grid point is already past nw-1, so the loop
+	// is skipped and only the tail is swept.
+	i := k * s.spacing
+	for p := (s.nck + 1) * s.spacing; p < nw; p += s.spacing {
+		// acc after the sweep covers exactly words [0, p) of x, all of
+		// them complete (p ≤ nw-1 < ⌈Len/64⌉) and unmasked: snapshot.
+		// Entries past nck·τ are stale after an invalidation and are
+		// overwritten in place; append's geometric growth keeps
+		// steady-state extension allocation-free once warm.
+		kernelSweep(&acc, xw[i:p], buf[i*tau:], tau)
+		s.ck = append(s.ck[:s.nck*tau], acc[:tau]...)
+		s.nck++
+		i = p
+	}
+	// Final segment: kernel over the complete words, then the tail-masked
+	// last word (kernels only ever see complete words).
+	kernelSweep(&acc, xw[i:nw-1], buf[i*tau:], tau)
+	w := xw[nw-1] & tailMask
+	for j, sw := range buf[(nw-1)*tau : nw*tau] {
+		acc[j] ^= w & sw
 	}
 	return foldParity(acc[:tau])
-}
-
-// nextPush returns the first word index at which the checkpoint schedule
-// snapshots, given the current frontier: the next sparse-grid point
-// frontier+spacing, unless that lands at or past the rewind band's start,
-// where the dense interval takes over — the first dense point at or past
-// bandStart. This is exactly the first i > frontier satisfying the
-// per-word trigger i >= frontier + (fine if i >= bandStart else spacing),
-// and it is always strictly past the frontier (fine >= 1), so the
-// segmented sweep makes progress.
-func (s *Checkpointed) nextPush(frontier, bandStart int) int {
-	p := frontier + s.spacing
-	if p >= bandStart {
-		p = frontier + s.fine
-		if p < bandStart {
-			p = bandStart
-		}
-	}
-	return p
-}
-
-// pushCheckpoint appends the next checkpoint snapshot, covering words
-// [0, words), after the live frontier (entries past nck·τ are stale
-// after an invalidation and are overwritten in place; append's geometric
-// growth keeps steady-state extension allocation-free once warm).
-func (s *Checkpointed) pushCheckpoint(acc []uint64, words int) {
-	s.ck = append(s.ck[:s.nck*len(acc)], acc...)
-	s.ckw = append(s.ckw[:s.nck], words)
-	s.nck++
 }

@@ -31,8 +31,8 @@ func TestCheckpointedGoldenEquivalence(t *testing.T) {
 		lay := NewSeedLayout(h)
 		base := lay.StableOffset(Slot(rng.Intn(int(numSlots))))
 		x := bitstring.NewBitVec(0)
-		spacing := rng.Intn(12) // 0 selects the default
-		s := NewCheckpointed(h, src, base, x, rng.Intn(10), spacing)
+		spacing := 1 + rng.Intn(12)
+		s := newCheckpointed(nil, h, src, base, x, rng.Intn(10), spacing)
 		for step := 0; step < 40; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5: // append a short run of bits
@@ -49,7 +49,7 @@ func TestCheckpointedGoldenEquivalence(t *testing.T) {
 				want := h.HashPrefix(x, nbits, srcRef, base)
 				if got != want {
 					t.Fatalf("trial %d step %d: τ=%d maxLen=%d len=%d nbits=%d spacing=%d: incremental %#x != reference %#x",
-						trial, step, tau, maxLen, x.Len(), nbits, s.Spacing(), got, want)
+						trial, step, tau, maxLen, x.Len(), nbits, spacing, got, want)
 				}
 			}
 		}
@@ -82,7 +82,7 @@ func TestCheckpointedEpochGoldenEquivalence(t *testing.T) {
 		slot := Slot(rng.Intn(int(numSlots)))
 		base := lay.EpochOffset(slot, 0)
 		x := bitstring.NewBitVec(0)
-		s := NewCheckpointed(h, src, base, x, rng.Intn(10), rng.Intn(12))
+		s := newCheckpointed(nil, h, src, base, x, rng.Intn(10), 1+rng.Intn(12))
 		for step := 0; step < 48; step++ {
 			switch op := rng.Intn(12); {
 			case op < 5: // append a short run of bits
@@ -121,7 +121,7 @@ func TestCheckpointedSetBlockLifecycle(t *testing.T) {
 	src, ref := NewPRFSource(3, 4), NewPRFSource(3, 4)
 	lay := NewSeedLayout(h)
 	x := bitstring.NewBitVec(0)
-	s := NewCheckpointed(h, src, lay.EpochOffset(SlotMP1, 0), x, 0, 4)
+	s := newCheckpointed(nil, h, src, lay.EpochOffset(SlotMP1, 0), x, 0, 4)
 	for i := 0; i < 64; i++ {
 		x.AppendUint(rand.New(rand.NewSource(int64(i))).Uint64(), 64)
 	}
@@ -150,73 +150,6 @@ func TestCheckpointedSetBlockLifecycle(t *testing.T) {
 	}
 }
 
-// TestCheckpointedAdaptiveSpacing pins the rewind-band mechanics: before
-// any truncation the store lays the fixed grid (bit-for-bit the pre-band
-// behavior); a deep truncation opens a band of that depth, and regrowth
-// through the band lays checkpoints at the dense interval, so the next
-// same-depth truncation resumes from a nearby checkpoint; shallower
-// subsequent rewinds decay the band. Hash values are unaffected
-// throughout (the golden fuzz already proves that under random
-// schedules; here the band accessor itself is pinned).
-func TestCheckpointedAdaptiveSpacing(t *testing.T) {
-	h := NewInnerProductHash(8, 1<<14)
-	src, ref := NewPRFSource(11, 12), NewPRFSource(11, 12)
-	lay := NewSeedLayout(h)
-	base := lay.StableOffset(SlotMP1)
-	x := bitstring.NewBitVec(0)
-	s := NewCheckpointed(h, src, base, x, 0, 8) // fine interval = 2 words
-	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 64; i++ {
-		x.AppendUint(rng.Uint64(), 64)
-	}
-	s.HashPrefix(x.Len())
-	if got := s.RewindBand(); got != 0 {
-		t.Fatalf("band %d before any rewind, want 0", got)
-	}
-	// 64 words at spacing 8 with the masked final word: fixed grid lays
-	// checkpoints covering 8..56 words.
-	fixed := s.Checkpoints()
-	if fixed != 7 {
-		t.Fatalf("fixed-grid checkpoints = %d, want 7", fixed)
-	}
-	// Truncate 16 words deep, then regrow to the same length: the band
-	// opens at 1024 bits and the regrown tail gets the dense interval.
-	x.Truncate(48 * 64)
-	if got := s.RewindBand(); got != 16*64 {
-		t.Fatalf("band after 16-word truncation = %d, want %d", got, 16*64)
-	}
-	for i := 0; i < 16; i++ {
-		x.AppendUint(rng.Uint64(), 64)
-	}
-	if got, want := s.HashPrefix(x.Len()), h.HashPrefix(x, x.Len(), ref, base); got != want {
-		t.Fatalf("post-regrow hash %#x != reference %#x", got, want)
-	}
-	dense := s.Checkpoints()
-	if dense <= fixed {
-		t.Fatalf("adaptive spacing laid %d checkpoints, want more than the fixed grid's %d", dense, fixed)
-	}
-	// A truncation landing inside the band resumes from a dense
-	// checkpoint: the surviving count must exceed what the fixed grid
-	// would keep at the same cut (6 checkpoints cover ≤ 50 words).
-	x.Truncate(51 * 64)
-	if got := s.Checkpoints(); got <= 6 {
-		t.Fatalf("surviving checkpoints after in-band truncation = %d, want > 6", got)
-	}
-	if got, want := s.HashPrefix(x.Len()), h.HashPrefix(x, x.Len(), ref, base); got != want {
-		t.Fatalf("post-in-band-truncation hash %#x != reference %#x", got, want)
-	}
-	// Shallow rewinds decay the band toward the recent depth regime.
-	before := s.RewindBand()
-	for i := 0; i < 4; i++ {
-		x.Truncate(x.Len() - 64)
-		x.AppendUint(rng.Uint64(), 64)
-		s.HashPrefix(x.Len())
-	}
-	if got := s.RewindBand(); got >= before {
-		t.Fatalf("band did not decay under shallow rewinds: %d -> %d", before, got)
-	}
-}
-
 // TestCheckpointedResumesAndInvalidates pins the checkpoint lifecycle:
 // evaluations extend the checkpoint frontier as the vector grows, a
 // truncation drops exactly the checkpoints above the rollback point, and
@@ -227,7 +160,7 @@ func TestCheckpointedResumesAndInvalidates(t *testing.T) {
 	lay := NewSeedLayout(h)
 	base := lay.StableOffset(SlotMP1)
 	x := bitstring.NewBitVec(0)
-	s := NewCheckpointed(h, src, base, x, 0, 4)
+	s := newCheckpointed(nil, h, src, base, x, 0, 4)
 	for i := 0; i < 64; i++ {
 		x.AppendUint(rand.New(rand.NewSource(int64(i))).Uint64(), 64)
 	}
@@ -264,7 +197,7 @@ func TestCheckpointedSteadyStateAllocs(t *testing.T) {
 	src := NewPRFSource(1, 2)
 	lay := NewSeedLayout(h)
 	x := bitstring.NewBitVec(1 << 13)
-	s := NewCheckpointed(h, src, lay.StableOffset(SlotMP1), x, (1<<13)/64, 0)
+	s := NewCheckpointedIn(nil, h, src, lay.StableOffset(SlotMP1), x, (1<<13)/64)
 	rng := rand.New(rand.NewSource(9))
 	for x.Len() < 6000 {
 		x.AppendUint(rng.Uint64(), 37)
@@ -295,7 +228,7 @@ func BenchmarkCheckpointedSpacing(b *testing.B) {
 			src := NewPRFSource(1, 2)
 			lay := NewSeedLayout(h)
 			x := bitstring.NewBitVec(1 << 15)
-			s := NewCheckpointed(h, src, lay.StableOffset(SlotMP1), x, (1<<15)/64, spacing)
+			s := newCheckpointed(nil, h, src, lay.StableOffset(SlotMP1), x, (1<<15)/64, spacing)
 			rng := rand.New(rand.NewSource(7))
 			for x.Len() < 1<<14 {
 				x.AppendUint(rng.Uint64(), 42)
@@ -368,7 +301,7 @@ func TestCheckpointedPooledEquivalence(t *testing.T) {
 	}
 
 	x1 := bitstring.NewBitVec(0)
-	s1 := NewCheckpointedIn(pool, h, NewPRFSource(5, 6), base, x1, 64, 0)
+	s1 := NewCheckpointedIn(pool, h, NewPRFSource(5, 6), base, x1, 64)
 	run(s1, x1, NewPRFSource(5, 6))
 	if st := pool.Stats(); st.Hits != 0 || st.Misses == 0 {
 		t.Fatalf("cold pooled store stats %+v, want only misses", st)
@@ -380,7 +313,7 @@ func TestCheckpointedPooledEquivalence(t *testing.T) {
 
 	before := pool.Stats()
 	x2 := bitstring.NewBitVec(0)
-	s2 := NewCheckpointedIn(pool, h, NewPRFSource(7, 8), base, x2, 64, 0)
+	s2 := NewCheckpointedIn(pool, h, NewPRFSource(7, 8), base, x2, 64)
 	run(s2, x2, NewPRFSource(7, 8))
 	delta := pool.Stats().Sub(before)
 	if delta.Misses != 0 || delta.Hits == 0 || delta.WordsReused == 0 {
@@ -388,9 +321,9 @@ func TestCheckpointedPooledEquivalence(t *testing.T) {
 	}
 	s2.Release(pool)
 
-	// A nil pool degrades to the private-buffer constructor.
+	// A nil pool allocates privately.
 	x3 := bitstring.NewBitVec(0)
-	s3 := NewCheckpointedIn(nil, h, NewPRFSource(9, 10), base, x3, 64, 0)
+	s3 := NewCheckpointedIn(nil, h, NewPRFSource(9, 10), base, x3, 64)
 	run(s3, x3, NewPRFSource(9, 10))
 	s3.Release(nil) // no-op
 }

@@ -11,9 +11,9 @@
 // 2^-τ + δ, so a union bound — Lemma 2.3 — caps the probability of any
 // spurious agreement during the run at C·(2^-τ + δ).
 //
-// The incremental evaluator (Checkpointed) reuses one rewind-stable seed
-// block (SeedLayout.StableOffset) for the prefix slots across all
-// iterations, which is what lets partial accumulators survive between
+// Reusing one rewind-stable seed block (SeedLayout.StableOffset) for the
+// prefix slots across all iterations is what lets the incremental
+// evaluator's (Checkpointed's) partial accumulators survive between
 // checks. The price is persistence: a pair of divergent prefixes that
 // collides under the stable seed collides at *every* subsequent check
 // until one side's prefix changes, so collision events are no longer
@@ -46,7 +46,7 @@
 //
 // # Kernel dispatch
 //
-// The cached evaluators (HashPrefixCached, HashWordCached, Checkpointed)
+// The cached evaluators (HashWordCached and Checkpointed)
 // sweep the interleaved seed buffer through a dispatched τ-row kernel
 // selected once at process start: the AVX2 kernel on amd64 CPUs that
 // support it ("avx2" — detected at runtime via CPUID/XGETBV, so the same

@@ -60,7 +60,7 @@ func (h *InnerProductHash) Hash(x *bitstring.BitVec, src SeedSource, off uint64)
 //
 // This is the reference evaluator: it pulls seed words through the
 // SeedSource interface one at a time. The protocol's hot path goes through
-// HashPrefixCached, whose output is bit-identical (a property the golden
+// Checkpointed, whose output is bit-identical (a property the golden
 // equivalence tests pin down); this path remains for one-shot evaluations
 // such as the white-box attacker's lookahead, and as the independent
 // oracle those tests compare against.
@@ -113,21 +113,6 @@ func (h *InnerProductHash) HashUint(v uint64, width int, src SeedSource, off uin
 	return h.Hash(x, src, off)
 }
 
-// HashPrefixCached evaluates the hash on the first nbits bits of x using
-// the seed block materialized in c, which must point (via SetBlock) at the
-// offset the equivalent HashPrefix call would receive. Output is
-// bit-identical to the reference evaluator; steady-state evaluation
-// performs zero allocations and no per-word interface calls.
-func (h *InnerProductHash) HashPrefixCached(x *bitstring.BitVec, nbits int, c *BlockCache) uint64 {
-	if nbits > x.Len() {
-		nbits = x.Len()
-	}
-	if nbits < 0 {
-		nbits = 0
-	}
-	return h.hashWords(x.RawWords(), nbits, c)
-}
-
 // HashWordCached hashes the width low-order bits of v — the counter-hash
 // fast path, equivalent to HashUint without building a BitVec. width must
 // be at most 64.
@@ -145,7 +130,7 @@ func (h *InnerProductHash) HashWordCached(v uint64, width int, c *BlockCache) ui
 }
 
 // sweepBounds fixes the geometry every prefix sweep shares (the cached
-// kernel here and the checkpointed incremental evaluator): the number of
+// one-shot kernel here and the checkpointed incremental evaluator): the number of
 // input words a sweep of nbits bits covers — clamped to the row length
 // and the words actually present; missing trailing words are zero and
 // contribute nothing — and the mask applied to the sweep's final word.

@@ -203,7 +203,7 @@ func TestBlockCacheGoldenEquivalence(t *testing.T) {
 			// exercise cache growth and reuse.
 			for k := 0; k < 3; k++ {
 				nbits := rng.Intn(x.Len() + 1)
-				got := h.HashPrefixCached(x, nbits, c)
+				got := h.hashWords(x.RawWords(), nbits, c)
 				want := h.HashPrefix(x, nbits, srcRef, off)
 				if got != want {
 					t.Fatalf("trial %d: τ=%d maxLen=%d nbits=%d off=%d: cached %#x != reference %#x",
@@ -230,18 +230,18 @@ func TestBlockCacheSteadyStateAllocs(t *testing.T) {
 	lay := NewSeedLayout(h)
 	// Warm both blocks once.
 	c.SetBlock(lay.Offset(0, SlotMP1))
-	h.HashPrefixCached(x, x.Len(), c)
+	h.hashWords(x.RawWords(), x.Len(), c)
 	c.SetBlock(lay.Offset(1, SlotMP1))
-	h.HashPrefixCached(x, x.Len(), c)
+	h.hashWords(x.RawWords(), x.Len(), c)
 	allocs := testing.AllocsPerRun(100, func() {
 		c.SetBlock(lay.Offset(0, SlotMP1))
-		if h.HashPrefixCached(x, x.Len(), c) == 0 {
+		if h.hashWords(x.RawWords(), x.Len(), c) == 0 {
 			// Use the result so the call cannot be elided.
 			_ = x.Len()
 		}
 		_ = h.HashWordCached(42, 32, c)
 		c.SetBlock(lay.Offset(1, SlotMP1))
-		_ = h.HashPrefixCached(x, 1000, c)
+		_ = h.hashWords(x.RawWords(), 1000, c)
 	})
 	if allocs != 0 {
 		t.Fatalf("cached hash path allocates %.1f times per iteration, want 0", allocs)

@@ -89,7 +89,7 @@ func TestKernelGoldenEquivalence(t *testing.T) {
 				slot := Slot(rng.Intn(int(numSlots)))
 				base := lay.EpochOffset(slot, 0)
 				x := bitstring.NewBitVec(0)
-				s := NewCheckpointed(h, src, base, x, rng.Intn(10), rng.Intn(12))
+				s := newCheckpointed(nil, h, src, base, x, rng.Intn(10), 1+rng.Intn(12))
 				c := NewBlockCache(h, src, rng.Intn(10))
 				c.SetBlock(base)
 				for step := 0; step < 48; step++ {
@@ -112,7 +112,7 @@ func TestKernelGoldenEquivalence(t *testing.T) {
 							t.Fatalf("trial %d step %d: τ=%d len=%d nbits=%d: checkpointed(%s) %#x != reference %#x",
 								trial, step, tau, x.Len(), nbits, name, got, want)
 						}
-						if got := h.HashPrefixCached(x, nbits, c); got != want {
+						if got := h.hashWords(x.RawWords(), nbits, c); got != want {
 							t.Fatalf("trial %d step %d: τ=%d len=%d nbits=%d: cached(%s) %#x != reference %#x",
 								trial, step, tau, x.Len(), nbits, name, got, want)
 						}
@@ -152,9 +152,9 @@ func TestKernelSweepAllocs(t *testing.T) {
 			if err := SetKernel(name); err != nil {
 				t.Fatal(err)
 			}
-			h.HashPrefixCached(x, x.Len(), c) // warm the seed rows
+			h.hashWords(x.RawWords(), x.Len(), c) // warm the seed rows
 			allocs := testing.AllocsPerRun(100, func() {
-				h.HashPrefixCached(x, x.Len(), c)
+				h.hashWords(x.RawWords(), x.Len(), c)
 			})
 			if allocs != 0 {
 				t.Fatalf("kernel %s allocates %.1f times per hash in steady state, want 0", name, allocs)
@@ -184,7 +184,7 @@ func BenchmarkKernelSweep(b *testing.B) {
 			}
 			c := NewBlockCache(h, src, bits/64)
 			c.SetBlock(NewSeedLayout(h).StableOffset(SlotK))
-			h.HashPrefixCached(x, bits, c)
+			h.hashWords(x.RawWords(), bits, c)
 			for _, name := range Kernels() {
 				b.Run(fmt.Sprintf("tau=%d/bits=%d/%s", tau, bits, name), func(b *testing.B) {
 					if err := SetKernel(name); err != nil {
@@ -193,7 +193,7 @@ func BenchmarkKernelSweep(b *testing.B) {
 					b.ReportAllocs()
 					var sink uint64
 					for i := 0; i < b.N; i++ {
-						sink ^= h.HashPrefixCached(x, bits, c)
+						sink ^= h.hashWords(x.RawWords(), bits, c)
 					}
 					benchSink = sink
 				})

@@ -37,8 +37,8 @@ func TestPooledBlockCacheEquivalence(t *testing.T) {
 			fresh.SetBlock(base)
 			pooled.SetBlock(base)
 			for _, nbits := range []int{0, 13, 64, 700, 2048} {
-				want := h.HashPrefixCached(x, nbits, fresh)
-				got := h.HashPrefixCached(x, nbits, pooled)
+				want := h.hashWords(x.RawWords(), nbits, fresh)
+				got := h.hashWords(x.RawWords(), nbits, pooled)
 				if got != want {
 					t.Fatalf("round=%d base=%d nbits=%d: pooled %#x != fresh %#x", round, base, nbits, got, want)
 				}
