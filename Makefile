@@ -46,14 +46,18 @@ examples:
 
 # amd64 (the AVX2 kernel), arm64 (the batched pure-Go kernel every
 # non-amd64 build uses), and the purego escape hatch must keep compiling
-# no matter which box edits the dispatch layer; the purego pass also
-# vets and tests the fallback dispatch.
+# no matter which box edits the kernel layer. The kernel is picked from
+# the CPU with no switch to override it, so the purego pass is what runs
+# the batched kernel end to end on an AVX2 box: it vets and tests the
+# hashing package and runs the core tests (TestRunFixedSeedPinned
+# included) on that kernel.
 crossbuild:
 	GOARCH=amd64 $(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) build -tags purego ./...
 	$(GO) vet -tags purego ./internal/hashing/
 	$(GO) test -tags purego -count=1 ./internal/hashing/
+	$(GO) test -tags purego -count=1 ./internal/core/
 
 # Static analysis beyond `go vet`: staticcheck when installed, with a
 # loud fallback to a second vet pass so `make verify` never silently
@@ -90,9 +94,10 @@ bench-core:
 bench-epoch:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpochRefresh' -benchmem .
 
-# The τ-row sweep kernels head to head (reference vs batched vs the
-# arch vector path) across τ and transcript sizes — the PERF.md kernel
-# micro table.
+# The τ-row sweep kernels head to head (batched, the AVX2 kernel where
+# the CPU has it, and the test file's scalar loop as the baseline), called
+# directly on pre-materialized rows across τ and transcript sizes — the
+# PERF.md kernel micro table.
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelSweep' -benchmem ./internal/hashing/
 

@@ -127,8 +127,8 @@ func BenchmarkScalingNetworkSize(b *testing.B) {
 
 // BenchmarkRunnerArena measures back-to-back scenario runs with and
 // without the Runner's buffer arena: the reused variant must allocate
-// measurably less (the per-link block caches are the dominant per-run
-// allocation; see core.Arena).
+// measurably less (the per-link prefix-hash seed rows are the dominant
+// per-run allocation; see core.Arena).
 func BenchmarkRunnerArena(b *testing.B) {
 	sc := mpic.Scenario{
 		Topology:   mpic.Clique(6),

@@ -24,6 +24,10 @@
 //
 //	mpicbench -sweep -sweep-n 4,6 -sweep-schemes A,B -sweep-rates 0,0.002 -trials 2
 //
+// -parallel and the -sweep-* flags, like -delay, -netfaults and
+// -fail-fast below, apply to sweep mode only: experiment mode rejects
+// them instead of ignoring them.
+//
 // In sweep mode, -delay adds a fourth grid axis of network delay models
 // (comma-separated name[:param], run on the virtual-time executor; the
 // table gains a delay column) and -netfaults layers a deterministic
@@ -125,14 +129,17 @@ func run(args []string) error {
 		// is meaningless with holes in it, so experiment mode always fails
 		// fast and the flag is rejected rather than ignored. The network
 		// timing flags are likewise sweep-only: the named experiments pin
-		// the paper's lockstep tables.
+		// the paper's lockstep tables. So are -parallel and every -sweep-*
+		// flag: the tables define their own grids.
 		var flagErr error
 		fs.Visit(func(fl *flag.Flag) {
-			switch fl.Name {
-			case "fail-fast":
+			switch {
+			case fl.Name == "fail-fast":
 				flagErr = fmt.Errorf("-fail-fast applies to -sweep mode only (experiment tables always fail fast)")
-			case "delay", "netfaults":
+			case fl.Name == "delay", fl.Name == "netfaults":
 				flagErr = fmt.Errorf("-%s applies to -sweep mode only (experiment tables pin the lockstep network)", fl.Name)
+			case fl.Name == "parallel", strings.HasPrefix(fl.Name, "sweep-"):
+				flagErr = fmt.Errorf("-%s applies to -sweep mode only (experiment tables define their own grids)", fl.Name)
 			}
 		})
 		if flagErr != nil {

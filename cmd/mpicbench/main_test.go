@@ -111,6 +111,29 @@ func TestRunRetryFlags(t *testing.T) {
 	}
 }
 
+// TestRunExperimentRejectsSweepFlags pins that experiment mode refuses
+// the grid flags it would otherwise drop: -parallel and every -sweep-*
+// flag. A -sweep-checkpoint given there must not leave the run looking
+// checkpointed while writing nothing.
+func TestRunExperimentRejectsSweepFlags(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck")
+	for _, args := range [][]string{
+		{"-parallel", "2"},
+		{"-sweep-checkpoint", ck},
+		{"-sweep-n", "4"},
+		{"-sweep-rates", "0"},
+		{"-sweep-hashmode", "legacy"},
+	} {
+		err := run(append([]string{"-experiment", "rewind-wave", "-quick", "-trials", "1"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "-sweep mode only") {
+			t.Errorf("experiment mode with %v: got %v, want a sweep-only error", args, err)
+		}
+	}
+	if _, err := os.Stat(ck); !os.IsNotExist(err) {
+		t.Errorf("rejected -sweep-checkpoint still created %s (stat: %v)", ck, err)
+	}
+}
+
 // failWireNoise is a rate-parameterized noise family whose wiring
 // always errors — it drives the sweep sink's failure path without
 // touching the engine.

@@ -20,7 +20,9 @@
 // per-iteration ticks) to stderr through mpic.NewProgressLog; -retries
 // re-runs a failed trial up to that many extra times and then
 // quarantines it so the rest of the batch still completes (partial
-// success exits with code 3, see main).
+// success exits with code 3, see main). These grid flags, and
+// -observe-every (which subsamples -observe), need -trials above 1; a
+// single run rejects them instead of ignoring them.
 //
 //	mpicsim -topology line -n 6 -noise random -rate 0.002 -trials 20 -workers 4 \
 //	    -checkpoint trials.ckpt.json -observe -retries 2
@@ -120,6 +122,9 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	if *obsEvery != 0 && !*observe {
+		return fmt.Errorf("-observe-every subsamples the -observe stream; it needs -observe")
+	}
 	runner := mpic.NewRunner()
 	defer runner.Close()
 	if *trials > 1 {
@@ -139,6 +144,12 @@ func run(w io.Writer, args []string) error {
 	}
 	if *retries != 0 {
 		return fmt.Errorf("-retries applies to a trial grid; it needs -trials > 1")
+	}
+	if *workers != 0 {
+		return fmt.Errorf("-workers bounds a trial grid; it needs -trials > 1")
+	}
+	if *obsEvery != 0 {
+		return fmt.Errorf("-observe-every subsamples a trial grid's progress; it needs -trials > 1")
 	}
 	if *observe {
 		sc.Observers = append(sc.Observers, mpic.NewIterationLog(os.Stderr))

@@ -242,3 +242,23 @@ func TestRunTrialsRetries(t *testing.T) {
 		t.Errorf("negative -retries: got %v", err)
 	}
 }
+
+// TestRunRejectsIgnoredGridFlags pins that the flags a single run would
+// drop are refused, the way -checkpoint and -retries are: -workers and
+// -observe-every need -trials > 1, and -observe-every needs -observe.
+func TestRunRejectsIgnoredGridFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workers", "2"}, "needs -trials"},
+		{[]string{"-observe", "-observe-every", "3"}, "needs -trials"},
+		{[]string{"-trials", "2", "-observe-every", "3"}, "needs -observe"},
+		{[]string{"-trials", "2", "-observe-every", "-1"}, "needs -observe"},
+	} {
+		args := append([]string{"-topology", "line", "-n", "4", "-iterfactor", "10"}, tc.args...)
+		if err := run(io.Discard, args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error naming %s", tc.args, err, tc.want)
+		}
+	}
+}

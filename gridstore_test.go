@@ -152,6 +152,76 @@ func TestGridCancelThenResume(t *testing.T) {
 	}
 }
 
+// TestGridDuplicateKeyResume pins resume for cells that share a key and
+// differ only in Tune (the ablation shape): a 4-worker session is
+// cancelled mid-flight and resumed on 4 workers, and every cell must
+// still match a sequential uninterrupted run. The first two cells run
+// every iteration of a larger budget, several times the cost of the
+// others, so the cells the cancelled run completes are not a prefix of
+// the definition order: a resume that matched saved cells on key order
+// alone, not on (Index, Key), would hand them to the wrong cells.
+func TestGridDuplicateKeyResume(t *testing.T) {
+	cells := make([]mpic.GridCell, 8)
+	for i := range cells {
+		sc := gridBase()
+		sc.Noise = mpic.RandomNoise(0.004)
+		bits, heavy := 2+i, i < 2
+		sc.Tune = func(p *mpic.Params) {
+			p.HashBits = bits
+			if heavy {
+				p.EarlyStop, p.IterFactor = false, 40
+			}
+		}
+		cells[i] = mpic.GridCell{Scenario: sc, Trials: 2, SeedStep: 100}
+	}
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	want, err := runner.CollectGrid(context.Background(), mpic.Grid{Cells: cells, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The check is only as strong as the cells are distinct.
+	for i := range want {
+		for j := i + 1; j < len(want); j++ {
+			if reflect.DeepEqual(want[i].Cell, want[j].Cell) {
+				t.Fatalf("cells %d and %d are identical; a swapped restore would go unseen", i, j)
+			}
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "session.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	streamed := 0
+	err = runner.RunGrid(ctx, mpic.Grid{Cells: cells, Workers: 4, Store: mpic.NewFileGridStore(path)},
+		func(mpic.GridCellResult) {
+			if streamed++; streamed == 3 {
+				cancel()
+			}
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled grid returned %v, want context.Canceled", err)
+	}
+
+	got, err := runner.CollectGrid(context.Background(), mpic.Grid{Cells: cells, Workers: 4, Store: mpic.NewFileGridStore(path)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := 0
+	for i := range got {
+		if got[i].Restored {
+			restored++
+		}
+		if !reflect.DeepEqual(got[i].Cell, want[i].Cell) {
+			t.Errorf("cell %d (restored=%v) differs from the sequential run:\nresumed:    %+v\nsequential: %+v",
+				i, got[i].Restored, got[i].Cell, want[i].Cell)
+		}
+	}
+	if restored != streamed || restored == len(cells) {
+		t.Errorf("resume restored %d of %d cells, the cancelled run completed %d", restored, len(cells), streamed)
+	}
+}
+
 // recordingStore counts Save calls and remembers the cell counts it was
 // handed — a stand-in for a GridStore that batches its writes.
 type recordingStore struct {

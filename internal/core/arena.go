@@ -3,9 +3,9 @@ package core
 import "mpic/internal/hashing"
 
 // Arena recycles the per-link hash state buffers across runs. One run of
-// a scheme allocates, per link endpoint, a counter-slot block cache and
-// two checkpointed prefix hashers — each hasher's seed rows alone are
-// seedHint·τ words, plus its accumulator snapshots — and drops them all
+// a scheme allocates, per link endpoint, two checkpointed prefix hashers
+// — each hasher's seed rows alone are seedHint·τ words, plus a staging
+// row and its accumulator snapshots — and drops them all
 // at the end; a caller executing many runs (the grid engine, the
 // experiment harness) pays that allocation churn for every cell.
 // Passing the same Arena through Options.Arena makes each run draw
@@ -54,9 +54,8 @@ func (a *Arena) Stats() ArenaStats {
 // release hands a party's per-link hash buffers back to the arena.
 func (a *Arena) release(p *party) {
 	for _, ls := range p.links {
-		ls.ck.Release(&a.pool)
 		ls.p1.Release(&a.pool)
 		ls.p2.Release(&a.pool)
-		ls.ck, ls.p1, ls.p2 = nil, nil, nil
+		ls.p1, ls.p2 = nil, nil
 	}
 }

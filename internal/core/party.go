@@ -49,9 +49,6 @@ type linkState struct {
 	T    *Transcript
 	mp   *meeting.State
 	src  hashing.SeedSource
-	// ck is the materialized seed block of the current iteration's
-	// counter slot, re-pointed by prepareIteration.
-	ck *hashing.BlockCache
 	// p1, p2 are the rewind-aware checkpointed hashers of the two prefix
 	// slots, whose cost per evaluation is proportional to transcript
 	// growth, not length, while their seed block stays put.
@@ -95,11 +92,11 @@ type hasher struct {
 	ls  *linkState
 }
 
-// HashK implements meeting.Hasher via the allocation-free cached kernel;
-// prepareIteration points the counter block cache and the prefix hashers
-// at the current iteration's seed blocks before any hash is evaluated.
+// HashK implements meeting.Hasher: the counter hash reads τ seed words
+// of the iteration's counter block straight from the link's source and
+// allocates nothing.
 func (h hasher) HashK(k int) uint64 {
-	return h.env.hash.HashWordCached(uint64(k), meeting.KWidth, h.ls.ck)
+	return h.env.hash.HashUint(uint64(k), meeting.KWidth, h.ls.src, h.env.seedLay.Offset(h.ls.iter, hashing.SlotK))
 }
 
 // HashPrefix implements meeting.Hasher: the evaluation resumes from the
@@ -234,8 +231,9 @@ func (e *env) prefixOffset(it int, s hashing.Slot) uint64 {
 
 // bindSource installs a link's seed stream and builds its per-slot hash
 // state over it, pre-sized from the layout so steady-state hashing
-// allocates nothing: a block cache for the counter slot and checkpointed
-// hashers for the two prefix slots, starting on iteration 0's blocks.
+// allocates nothing: checkpointed hashers for the two prefix slots,
+// starting on iteration 0's blocks (the counter hash reads the source
+// directly).
 // Exchange-mode receivers bind late (finishExchange); everyone else binds
 // at construction.
 func (e *env) bindSource(ls *linkState, src hashing.SeedSource) {
@@ -244,7 +242,6 @@ func (e *env) bindSource(ls *linkState, src hashing.SeedSource) {
 	if e.arena != nil {
 		pool = &e.arena.pool
 	}
-	ls.ck = hashing.NewBlockCacheIn(pool, e.hash, src, 1)
 	bits := ls.T.Bits()
 	ls.p1 = hashing.NewCheckpointedIn(pool, e.hash, src, e.prefixOffset(0, hashing.SlotMP1), bits, e.seedHintWords)
 	ls.p2 = hashing.NewCheckpointedIn(pool, e.hash, src, e.prefixOffset(0, hashing.SlotMP2), bits, e.seedHintWords)
@@ -406,7 +403,6 @@ func (p *party) prepareIteration(it int) {
 		ls.iter = it
 		ls.alreadyRewound = false
 		ls.skip = false
-		ls.ck.SetBlock(p.env.seedLay.Offset(it, hashing.SlotK))
 		// SetBlock is a no-op while the block stays put; on a change it
 		// discards the checkpoints, and the next evaluation re-sweeps the
 		// whole prefix against the new block — every iteration under

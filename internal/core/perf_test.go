@@ -8,6 +8,7 @@ import (
 	"mpic/internal/bitstring"
 	"mpic/internal/graph"
 	"mpic/internal/hashing"
+	"mpic/internal/meeting"
 	"mpic/internal/protocol"
 )
 
@@ -60,10 +61,11 @@ func TestPrepareIterationSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestHasherMatchesReferenceEvaluators: the party's cached hasher must
-// produce exactly what the reference interface-dispatch evaluators produce
-// for the same layout offsets — the end-to-end form of the kernel golden
-// test, through real party state.
+// TestHasherMatchesReferenceEvaluators: the party's hasher must produce
+// exactly what the reference evaluator produces over a BitVec for the
+// same layout offsets — the end-to-end form of the golden tests, through
+// real party state. The counter is checked against Hash over a BitVec
+// holding k, not against HashUint, which HashK itself calls.
 func TestHasherMatchesReferenceEvaluators(t *testing.T) {
 	g := graph.Line(3)
 	e := testEnv(t, g)
@@ -78,7 +80,9 @@ func TestHasherMatchesReferenceEvaluators(t *testing.T) {
 		for _, ls := range p.links {
 			h := hasher{env: e, ls: ls}
 			for k := 1; k <= 4; k++ {
-				want := e.hash.HashUint(uint64(k), 32, ls.src, e.seedLay.Offset(it, hashing.SlotK))
+				kv := bitstring.NewBitVec(meeting.KWidth)
+				kv.AppendUint(uint64(k), meeting.KWidth)
+				want := e.hash.Hash(kv, ls.src, e.seedLay.Offset(it, hashing.SlotK))
 				if got := h.HashK(k); got != want {
 					t.Fatalf("it=%d HashK(%d) = %#x, want %#x", it, k, got, want)
 				}

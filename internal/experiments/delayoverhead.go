@@ -54,7 +54,7 @@ func DelayOverhead(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for i, res := range measured {
-		c := fromSweep(res.Cell)
+		c := res.Cell
 		var makespan, p99 float64
 		var late, erasures int64
 		withNet := 0
@@ -83,7 +83,7 @@ func DelayOverhead(cfg Config) (*Table, error) {
 			models[i],
 			fmt.Sprintf("%.2f", stats.Rate(c.Successes, c.Trials)),
 			fmt.Sprintf("%.1f", stats.Summarize(c.Blowups).Mean),
-			fmt.Sprintf("%.0f", stats.Summarize(c.Iters).Mean),
+			fmt.Sprintf("%.0f", stats.Summarize(c.Iterations).Mean),
 		}, netCols...))
 	}
 	t.Notes = append(t.Notes,

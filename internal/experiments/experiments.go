@@ -161,28 +161,6 @@ func burstOn(u, v graph.Node, schedRounds int, rate float64) adversary.Adversary
 	return adversary.NewBurst(channel.Link{From: u, To: v}, schedRounds, 1<<30, rate)
 }
 
-// cell aggregates the trials of one measured grid point.
-type cell struct {
-	Successes   int
-	Trials      int
-	Blowups     []float64
-	Iters       []float64
-	Collisions  int64
-	Corruptions int64
-}
-
-// fromSweep converts a grid cell's aggregate into the harness's.
-func fromSweep(c mpic.SweepCell) cell {
-	return cell{
-		Successes:   c.Successes,
-		Trials:      c.Trials,
-		Blowups:     c.Blowups,
-		Iters:       c.Iterations,
-		Collisions:  c.Collisions,
-		Corruptions: c.Corruptions,
-	}
-}
-
 // gridCell wraps a scenario as one measured grid point: cfg.trials()
 // seeds at the harness's historical per-trial stride.
 func gridCell(base mpic.Scenario, cfg Config) mpic.GridCell {
@@ -223,9 +201,12 @@ func noiseCell(scheme core.Scheme, g *graph.Graph, noiseKind string, rate float6
 //
 // With cfg.Checkpoint set, the grid persists each completed cell into a
 // per-grid file, so re-running the same experiment under the same Config
-// resumes instead of restarting — Workers stays 1, which makes the saved
-// completion order the definition order (duplicate-key cells, e.g.
-// ablation variants, resume exactly).
+// resumes instead of restarting. Resume is exact at any worker count:
+// the session matches saved cells on (Index, Key), so duplicate-key
+// cells such as ablation variants get their own results back
+// (mpic's TestGridDuplicateKeyResume). Workers stays 1 only because
+// lifting it changes the tables-quick benchmark's cost, which needs its
+// own measurement.
 func runGrid(cfg Config, salt string, cells []mpic.GridCell, keep bool) ([]mpic.GridCellResult, error) {
 	g := mpic.Grid{Cells: cells, Workers: 1, KeepResults: keep, Retries: cfg.Retries}
 	if cfg.Checkpoint != "" {
@@ -254,14 +235,14 @@ func fileToken(salt string) string {
 
 // runCells is runGrid for experiments that only need the per-cell
 // aggregates.
-func runCells(cfg Config, salt string, cells []mpic.GridCell) ([]cell, error) {
+func runCells(cfg Config, salt string, cells []mpic.GridCell) ([]mpic.SweepCell, error) {
 	results, err := runGrid(cfg, salt, cells, false)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]cell, len(results))
+	out := make([]mpic.SweepCell, len(results))
 	for i, r := range results {
-		out[i] = fromSweep(r.Cell)
+		out[i] = r.Cell
 	}
 	return out, nil
 }

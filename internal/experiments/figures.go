@@ -168,7 +168,7 @@ func CCVsNoise(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.3f", mult),
 			fmt.Sprintf("%d/%d", c.Successes, c.Trials),
 			fmt.Sprintf("%.1f", stats.Summarize(c.Blowups).Mean),
-			fmt.Sprintf("%.0f", stats.Summarize(c.Iters).Mean),
+			fmt.Sprintf("%.0f", stats.Summarize(c.Iterations).Mean),
 			fmt.Sprint(c.Corruptions),
 		})
 	}

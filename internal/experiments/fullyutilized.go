@@ -64,7 +64,7 @@ func FullyUtilizedCost(cfg Config) (*Table, error) {
 		// fully-utilized conversion's padding is pure overhead, so the fu
 		// cell's CC/CC(fu) blowup is rescaled by CC(fu)/CC(Π).
 		var sparseBlow, fuBlow []float64
-		for v, c := range []cell{measured[2*i], measured[2*i+1]} {
+		for v, c := range []mpic.SweepCell{measured[2*i], measured[2*i+1]} {
 			if c.Successes < c.Trials {
 				t.Notes = append(t.Notes, fmt.Sprintf("n=%d variant %d: %d/%d trials FAILED", r.n, v, c.Trials-c.Successes, c.Trials))
 			}

@@ -242,7 +242,7 @@ func Ablation(cfg Config) (*Table, error) {
 			v.name,
 			fmt.Sprintf("%d/%d", c.Successes, c.Trials),
 			fmt.Sprintf("%.1f", stats.Summarize(c.Blowups).Mean),
-			fmt.Sprintf("%.0f", stats.Summarize(c.Iters).Mean),
+			fmt.Sprintf("%.0f", stats.Summarize(c.Iterations).Mean),
 		})
 	}
 	t.Notes = append(t.Notes, "ablated variants should need more iterations/communication (or fail outright) at the same noise budget")

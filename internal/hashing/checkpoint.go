@@ -1,6 +1,8 @@
 package hashing
 
 import (
+	"math/bits"
+
 	"mpic/internal/bitstring"
 )
 
@@ -51,10 +53,22 @@ const DefaultCheckpointSpacing = 8
 // which the shared SeedLayout provides. A Checkpointed is owned by one
 // link endpoint and is not safe for concurrent use.
 type Checkpointed struct {
-	h *InnerProductHash
-	x *bitstring.BitVec
-	c *BlockCache // seed rows of the current block
-	w *bitstring.Watermark
+	h   *InnerProductHash
+	x   *bitstring.BitVec
+	src SeedSource
+	w   *bitstring.Watermark
+
+	// The seed rows of the current block, materialized on demand: rows is
+	// interleaved, rows[i*τ+j] holding stream word base + j·row + i, so
+	// the kernels load each transcript word once and AND it against τ
+	// contiguous seed words (see kernel.go; the AVX2 kernel uses only
+	// unaligned loads, for which a []uint64's 8-byte alignment suffices).
+	// A prefix hash touches only the first ⌈nbits/64⌉ words of each row,
+	// so nw grows with the transcript, one Fill per row per extension.
+	base  uint64   // first stream word of the current block
+	nw    int      // words materialized per row
+	rows  []uint64 // len nw·τ
+	stage []uint64 // one row's fill, before it is interleaved
 
 	spacing int
 	gen     uint64   // x.Gen() at the last sync
@@ -80,30 +94,27 @@ func newCheckpointed(pool *BufferPool, h *InnerProductHash, src SeedSource, base
 	s := &Checkpointed{
 		h:       h,
 		x:       x,
-		c:       NewBlockCacheIn(pool, h, src, hintWords),
+		src:     src,
 		w:       x.AttachWatermark(),
+		base:    base,
 		spacing: spacing,
 		gen:     x.Gen(),
 	}
-	s.c.SetBlock(base)
 	if maxRow := int(h.wordsPerRow()); hintWords > maxRow {
 		hintWords = maxRow
 	}
 	if hintWords > 0 {
-		need := (hintWords/spacing + 1) * h.Tau
-		if pool != nil {
-			s.ck = pool.Get(need)
-		} else {
-			s.ck = make([]uint64, 0, need)
-		}
+		s.rows = pool.Get(hintWords * h.Tau)
+		s.stage = pool.Get(hintWords)
+		s.ck = pool.Get((hintWords/spacing + 1) * h.Tau)
 	}
 	return s
 }
 
 // SetBlock re-points the store at a new seed block — the epoch-refresh
 // primitive. Every checkpoint is discarded (the accumulators cache inner
-// products against the old block's rows) and the seed-row cache is
-// rebased, both keeping their allocations; the next HashPrefix re-sweeps
+// products against the old block's rows) and so are the materialized
+// seed rows, both keeping their allocations; the next HashPrefix re-sweeps
 // the whole prefix against the fresh block. Callers that refresh every R
 // iterations therefore pay one Θ(|T|) sweep per epoch — amortized
 // Θ(|T|/R) per iteration — in exchange for bounding how long a colliding
@@ -113,29 +124,32 @@ func newCheckpointed(pool *BufferPool, h *InnerProductHash, src SeedSource, base
 // iteration is a full sweep, laying the checkpoints that the iteration's
 // later evaluations resume from.
 func (s *Checkpointed) SetBlock(base uint64) {
-	if s.c.haveSet && s.c.base == base {
+	if s.base == base {
 		return
 	}
-	s.c.SetBlock(base)
+	s.base = base
+	s.nw = 0
+	s.rows = s.rows[:0]
 	s.nck = 0
 }
 
 // Base returns the first stream word of the current seed block.
-func (s *Checkpointed) Base() uint64 { return s.c.base }
+func (s *Checkpointed) Base() uint64 { return s.base }
 
 // Release hands the store's buffers back to pool (nil is a no-op) and
-// empties the store; it must not be used afterwards. Checkpoint contents
-// never leak between runs: a fresh store starts with zero valid
-// checkpoints and rebuilds every accumulator from its own transcript and
-// seed block before any read.
+// empties the store; it must not be used afterwards. Nothing leaks
+// between runs through a recycled buffer: a fresh store starts with no
+// materialized seed words and no valid checkpoints, and derives every
+// word it reads from its own seed block and transcript first.
 func (s *Checkpointed) Release(pool *BufferPool) {
 	if s == nil || pool == nil {
 		return
 	}
-	s.c.Release(pool)
+	pool.Put(s.rows)
+	pool.Put(s.stage)
 	pool.Put(s.ck)
-	s.ck = nil
-	s.nck = 0
+	s.rows, s.stage, s.ck = nil, nil, nil
+	s.nw, s.nck = 0, 0
 }
 
 // Checkpoints returns the number of currently valid checkpoints (test and
@@ -161,6 +175,37 @@ func (s *Checkpointed) sync() {
 	s.gen = g
 }
 
+// ensure extends every row's materialized prefix to nw words.
+func (s *Checkpointed) ensure(nw int) {
+	if nw <= s.nw {
+		return
+	}
+	tau := s.h.Tau
+	rows := s.rows
+	if need := nw * tau; cap(rows) < need {
+		// Grow geometrically: transcripts lengthen by one chunk per
+		// iteration, and exact-fit growth would reallocate every iteration.
+		grown := make([]uint64, len(rows), max(2*cap(rows), need))
+		copy(grown, rows)
+		rows = grown
+	}
+	rows = rows[:nw*tau]
+	seg := nw - s.nw
+	if cap(s.stage) < seg {
+		s.stage = make([]uint64, seg)
+	}
+	stage := s.stage[:seg]
+	row := s.h.wordsPerRow()
+	for j := 0; j < tau; j++ {
+		s.src.Fill(stage, s.base+uint64(j)*row+uint64(s.nw))
+		for i, w := range stage {
+			rows[(s.nw+i)*tau+j] = w
+		}
+	}
+	s.rows = rows
+	s.nw = nw
+}
+
 // HashPrefix evaluates the hash on the first nbits bits of x, resuming
 // from the highest valid checkpoint at or below the prefix. Output is
 // bit-identical to the reference evaluator on the same seed block;
@@ -173,14 +218,21 @@ func (s *Checkpointed) HashPrefix(nbits int) uint64 {
 		nbits = 0
 	}
 	s.sync()
+	// The sweep covers ⌈nbits/64⌉ words, clamped to the row length and to
+	// the words present (missing trailing words are zero and contribute
+	// nothing); its final word is masked to nbits.
 	xw := s.x.RawWords()
-	nw, tailMask := s.h.sweepBounds(nbits, len(xw))
+	nw := min((nbits+63)/64, int(s.h.wordsPerRow()), len(xw))
 	if nw == 0 {
 		return 0
 	}
-	s.c.ensure(nw)
+	tailMask := ^uint64(0)
+	if r := uint(nbits & 63); r != 0 {
+		tailMask = 1<<r - 1
+	}
+	s.ensure(nw)
 	tau := s.h.Tau
-	buf := s.c.buf
+	buf := s.rows
 	// Resume. The final word of the sweep is tail-masked, so a checkpoint
 	// is usable only if every word it covers lies strictly before nw-1.
 	k := min(s.nck, (nw-1)/s.spacing)
@@ -212,5 +264,9 @@ func (s *Checkpointed) HashPrefix(nbits int) uint64 {
 	for j, sw := range buf[(nw-1)*tau : nw*tau] {
 		acc[j] ^= w & sw
 	}
-	return foldParity(acc[:tau])
+	var out uint64
+	for j, a := range acc[:tau] {
+		out |= uint64(bits.OnesCount64(a)&1) << j
+	}
+	return out
 }

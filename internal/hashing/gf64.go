@@ -46,24 +46,22 @@
 //
 // # Kernel dispatch
 //
-// The cached evaluators (HashWordCached and Checkpointed)
-// sweep the interleaved seed buffer through a dispatched τ-row kernel
-// selected once at process start: the AVX2 kernel on amd64 CPUs that
-// support it ("avx2" — detected at runtime via CPUID/XGETBV, so the same
+// Checkpointed sweeps its interleaved seed rows through a τ-row kernel
+// picked once at process start from the CPU: the AVX2 kernel on amd64
+// CPUs that support it (detected at runtime via CPUID/XGETBV, so the same
 // binary runs on pre-AVX2 silicon), else the portable 4-way word-batched
-// Go kernel ("batched", the default on every other GOARCH), then the
-// scalar sweep ("reference"). All kernels are bit-identical on every
-// input — the golden fuzz tests pin each one against the reference
-// evaluator — so dispatch never affects protocol transcripts, only
-// throughput.
+// Go kernel (the kernel of every other GOARCH). Both kernels are
+// bit-identical on every input — the kernel tests pin each against a
+// scalar loop, and the golden tests pin Checkpointed against the
+// reference evaluator HashPrefix — so the pick never affects protocol
+// transcripts, only throughput. The counter hash (HashUint) reads one
+// input word and needs no kernel.
 //
-// Two escape hatches exist. Building with -tags purego excludes the
-// assembly entirely (auditing, or a GOASM-hostile toolchain); the batched
-// Go kernel is then the default. At runtime, SetKernel forces a specific
-// kernel — forcing "reference" makes the cached path take the exact
-// arithmetic of the golden oracle, the first thing to try when debugging
-// a suspected kernel miscompare. Kernels reports what the running binary
-// offers.
+// Building with -tags purego excludes the assembly entirely (auditing,
+// or a GOASM-hostile toolchain), so the batched kernel runs everywhere;
+// `make crossbuild` runs the hashing and core tests that way. To debug a
+// suspected kernel miscompare, compare Checkpointed against HashPrefix,
+// the golden oracle, which uses no kernel at all.
 package hashing
 
 import "math/bits"

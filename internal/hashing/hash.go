@@ -103,84 +103,23 @@ func (h *InnerProductHash) HashPrefix(x *bitstring.BitVec, nbits int, src SeedSo
 	return out
 }
 
-// HashUint hashes a fixed-width unsigned value (used for the meeting-point
-// counter k, which the parties compare by hash; see Section 3.1). Like
-// HashPrefix this is the reference evaluator; HashWordCached is the
-// allocation-free equivalent on the hot path.
+// HashUint hashes the width low-order bits of v (width at most 64) — the
+// meeting-point counter k, which the parties compare by hash (Section
+// 3.1). It equals Hash over a BitVec holding those bits, without
+// building one: the input is a single word, so output bit j is the
+// parity of v & src.Word(off + j·row). Each call reads τ seed words and
+// allocates nothing.
 func (h *InnerProductHash) HashUint(v uint64, width int, src SeedSource, off uint64) uint64 {
-	x := bitstring.NewBitVec(width)
-	x.AppendUint(v, width)
-	return h.Hash(x, src, off)
-}
-
-// HashWordCached hashes the width low-order bits of v — the counter-hash
-// fast path, equivalent to HashUint without building a BitVec. width must
-// be at most 64.
-func (h *InnerProductHash) HashWordCached(v uint64, width int, c *BlockCache) uint64 {
 	if width <= 0 {
 		return 0
 	}
 	if width < 64 {
 		v &= 1<<uint(width) - 1
-	} else {
-		width = 64
 	}
-	xw := [1]uint64{v}
-	return h.hashWords(xw[:], width, c)
-}
-
-// sweepBounds fixes the geometry every prefix sweep shares (the cached
-// one-shot kernel here and the checkpointed incremental evaluator): the number of
-// input words a sweep of nbits bits covers — clamped to the row length
-// and the words actually present; missing trailing words are zero and
-// contribute nothing — and the mask applied to the sweep's final word.
-// Single-sourcing this is what keeps the evaluators bit-identical (the
-// golden-equivalence contract) when masking or clamping rules change.
-func (h *InnerProductHash) sweepBounds(nbits, words int) (nw int, tailMask uint64) {
-	nw = (nbits + 63) / 64
-	if row := int(h.wordsPerRow()); nw > row {
-		nw = row
-	}
-	if nw > words {
-		nw = words
-	}
-	tailMask = ^uint64(0)
-	if r := uint(nbits & 63); r != 0 {
-		tailMask = 1<<r - 1
-	}
-	return nw, tailMask
-}
-
-// foldParity folds each row accumulator to its parity bit with a
-// popcount, packing output bit j from acc[j]. Shared by every evaluator
-// for the same reason as sweepBounds.
-func foldParity(acc []uint64) uint64 {
+	row := h.wordsPerRow()
 	var out uint64
-	for j, a := range acc {
-		out |= uint64(bits.OnesCount64(a)&1) << j
+	for j := 0; j < h.Tau; j++ {
+		out |= uint64(bits.OnesCount64(v&src.Word(off+uint64(j)*row))&1) << j
 	}
 	return out
-}
-
-// hashWords is the devirtualized inner-product sweep: all complete input
-// words go through the dispatched τ-row kernel (see kernel.go), the final
-// word is tail-masked and accumulated here so the kernels only ever see
-// complete words, and each accumulator folds to its parity bit. Words of
-// xw at positions >= ⌈nbits/64⌉ are ignored and missing trailing words
-// are treated as zero (they contribute nothing to any inner product).
-func (h *InnerProductHash) hashWords(xw []uint64, nbits int, c *BlockCache) uint64 {
-	nw, tailMask := h.sweepBounds(nbits, len(xw))
-	if nw == 0 {
-		return 0
-	}
-	c.ensure(nw)
-	tau := h.Tau
-	buf := c.buf
-	var acc [64]uint64
-	kernelSweep(&acc, xw[:nw-1], buf, tau)
-	w := xw[nw-1] & tailMask
-	for j, sw := range buf[(nw-1)*tau : nw*tau] {
-		acc[j] ^= w & sw
-	}
-	return foldParity(acc[:tau])
 }

@@ -135,7 +135,7 @@ func TestAGHPBalance(t *testing.T) {
 }
 
 func TestBulkFillMatchesWord(t *testing.T) {
-	sources := map[string]BulkSeedSource{
+	sources := map[string]SeedSource{
 		"prf":  NewPRFSource(5, 9),
 		"aghp": NewAGHPSource(5, 9),
 	}
@@ -173,78 +173,102 @@ func TestBulkFillMatchesWord(t *testing.T) {
 	}
 }
 
-// TestBlockCacheGoldenEquivalence is the golden test for the kernel
-// rewrite: across random transcripts, prefix lengths, seeds, sources, and
-// τ ∈ {1..64}, the cached transposed kernel must agree bit-for-bit with
-// the reference interface-dispatch evaluator — the shared-randomness
-// invariant that keeps both endpoints' hashes equal.
-func TestBlockCacheGoldenEquivalence(t *testing.T) {
+// TestCheckpointedBlockSwitchGoldenEquivalence is the golden test for
+// per-iteration seed blocks (the HashLegacy access pattern): over a fixed
+// random transcript, the store is re-pointed at the Offset blocks of
+// random iterations and slots, and several prefix lengths per block, in
+// random order, grow and reuse the materialized rows. Every evaluation
+// must agree bit-for-bit with the reference evaluator, for τ ∈ {1..64}
+// and both seed sources.
+func TestCheckpointedBlockSwitchGoldenEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for trial := 0; trial < 300; trial++ {
 		tau := 1 + rng.Intn(64)
 		maxLen := 1 + rng.Intn(700)
 		h := NewInnerProductHash(tau, maxLen)
-		var src, srcRef SeedSource
-		a, b := rng.Uint64(), rng.Uint64()
-		if trial%2 == 0 {
-			src, srcRef = NewPRFSource(a, b), NewPRFSource(a, b)
-		} else {
-			src, srcRef = NewAGHPSource(a, b), NewAGHPSource(a, b)
-		}
+		src, srcRef := testSources(trial, rng)
 		x := randomBits(rng, rng.Intn(2*maxLen))
-		c := NewBlockCache(h, src, rng.Intn(8))
 		lay := NewSeedLayout(h)
+		s := NewCheckpointedIn(nil, h, src, lay.Offset(0, SlotMP1), x, rng.Intn(8))
 		for step := 0; step < 6; step++ {
-			it := rng.Intn(5)
-			slot := Slot(rng.Intn(int(numSlots)))
-			off := lay.Offset(it, slot)
-			c.SetBlock(off)
-			// Several prefix lengths per block, in random order, to
-			// exercise cache growth and reuse.
+			off := lay.Offset(rng.Intn(5), Slot(rng.Intn(int(numSlots))))
+			s.SetBlock(off)
 			for k := 0; k < 3; k++ {
 				nbits := rng.Intn(x.Len() + 1)
-				got := h.hashWords(x.RawWords(), nbits, c)
-				want := h.HashPrefix(x, nbits, srcRef, off)
-				if got != want {
-					t.Fatalf("trial %d: τ=%d maxLen=%d nbits=%d off=%d: cached %#x != reference %#x",
+				if got, want := s.HashPrefix(nbits), h.HashPrefix(x, nbits, srcRef, off); got != want {
+					t.Fatalf("trial %d: τ=%d maxLen=%d nbits=%d off=%d: checkpointed %#x != reference %#x",
 						trial, tau, maxLen, nbits, off, got, want)
 				}
-			}
-			v := rng.Uint64()
-			width := 1 + rng.Intn(64)
-			if got, want := h.HashWordCached(v, width, c), h.HashUint(v, width, srcRef, off); got != want {
-				t.Fatalf("trial %d: HashWordCached(%#x, %d) = %#x, want %#x", trial, v, width, got, want)
 			}
 		}
 	}
 }
 
-// TestBlockCacheSteadyStateAllocs pins the zero-allocation contract of the
-// cached hash path: once a block's rows are materialized, re-evaluation
-// (and re-pointing at an already-sized block) allocates nothing.
-func TestBlockCacheSteadyStateAllocs(t *testing.T) {
-	h := NewInnerProductHash(8, 4096)
-	src := NewPRFSource(1, 2)
-	c := NewBlockCache(h, src, int(h.wordsPerRow()))
-	x := randomBits(rand.New(rand.NewSource(3)), 4000)
-	lay := NewSeedLayout(h)
-	// Warm both blocks once.
-	c.SetBlock(lay.Offset(0, SlotMP1))
-	h.hashWords(x.RawWords(), x.Len(), c)
-	c.SetBlock(lay.Offset(1, SlotMP1))
-	h.hashWords(x.RawWords(), x.Len(), c)
-	allocs := testing.AllocsPerRun(100, func() {
-		c.SetBlock(lay.Offset(0, SlotMP1))
-		if h.hashWords(x.RawWords(), x.Len(), c) == 0 {
-			// Use the result so the call cannot be elided.
-			_ = x.Len()
+// testSources returns two independent instances of one random seed
+// source — PRF on even trials, AGHP on odd ones — so the AGHP
+// sequential-access memo of the one under test cannot feed the
+// reference.
+func testSources(trial int, rng *rand.Rand) (src, ref SeedSource) {
+	a, b := rng.Uint64(), rng.Uint64()
+	if trial%2 == 0 {
+		return NewPRFSource(a, b), NewPRFSource(a, b)
+	}
+	return NewAGHPSource(a, b), NewAGHPSource(a, b)
+}
+
+// TestHashUintMatchesBitVec pins the counter hash: HashUint(v, width)
+// must equal Hash over a BitVec holding the width low-order bits of v,
+// for τ ∈ {1..64}, widths 0..64 and both seed sources.
+func TestHashUintMatchesBitVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(31337))
+	for trial := 0; trial < 400; trial++ {
+		h := NewInnerProductHash(1+rng.Intn(64), 1+rng.Intn(700))
+		src, srcRef := testSources(trial, rng)
+		off := NewSeedLayout(h).Offset(rng.Intn(9), SlotK)
+		v, width := rng.Uint64(), rng.Intn(65)
+		x := bitstring.NewBitVec(width)
+		x.AppendUint(v, width)
+		if got, want := h.HashUint(v, width, src, off), h.Hash(x, srcRef, off); got != want {
+			t.Fatalf("trial %d: τ=%d HashUint(%#x, %d) = %#x, want %#x", trial, h.Tau, v, width, got, want)
 		}
-		_ = h.HashWordCached(42, 32, c)
-		c.SetBlock(lay.Offset(1, SlotMP1))
-		_ = h.hashWords(x.RawWords(), 1000, c)
+	}
+}
+
+// TestHashUintAllocs pins the counter hash's zero-allocation contract:
+// the meeting-points step calls it once per link per iteration.
+func TestHashUintAllocs(t *testing.T) {
+	h := NewInnerProductHash(16, 4096)
+	for _, src := range []SeedSource{NewPRFSource(1, 2), NewAGHPSource(1, 2)} {
+		allocs := testing.AllocsPerRun(100, func() {
+			benchSink ^= h.HashUint(42, 32, src, h.SeedWords())
+		})
+		if allocs != 0 {
+			t.Fatalf("HashUint over %T allocates %.1f times per call, want 0", src, allocs)
+		}
+	}
+}
+
+// TestCheckpointedBlockSwitchAllocs pins the zero-allocation contract of
+// re-pointing a store between per-iteration blocks: once the rows and
+// checkpoints are sized, switching blocks and re-sweeping against the
+// new one allocates nothing.
+func TestCheckpointedBlockSwitchAllocs(t *testing.T) {
+	h := NewInnerProductHash(8, 4096)
+	lay := NewSeedLayout(h)
+	x := randomBits(rand.New(rand.NewSource(3)), 4000)
+	s := NewCheckpointedIn(nil, h, NewPRFSource(1, 2), lay.Offset(0, SlotMP1), x, int(h.wordsPerRow()))
+	// Warm both blocks once.
+	s.HashPrefix(x.Len())
+	s.SetBlock(lay.Offset(1, SlotMP1))
+	s.HashPrefix(x.Len())
+	allocs := testing.AllocsPerRun(100, func() {
+		s.SetBlock(lay.Offset(0, SlotMP1))
+		benchSink ^= s.HashPrefix(x.Len())
+		s.SetBlock(lay.Offset(1, SlotMP1))
+		benchSink ^= s.HashPrefix(1000)
 	})
 	if allocs != 0 {
-		t.Fatalf("cached hash path allocates %.1f times per iteration, want 0", allocs)
+		t.Fatalf("block switch allocates %.1f times per iteration, want 0", allocs)
 	}
 }
 

@@ -40,15 +40,8 @@ func hasAVX2() bool {
 	return b7&(1<<5) != 0
 }
 
-// archKernels returns the amd64 vector kernels usable on this CPU.
-func archKernels() []kernelImpl {
-	if !hasAVX2() {
-		return nil
-	}
-	return []kernelImpl{{"avx2", kernelArch}}
-}
-
-// archSweep is the kernelArch dispatch target on amd64.
+// archSweep runs the AVX2 kernel; kernelSweep calls it only when
+// hasAVX2() and never with an empty xw.
 func archSweep(acc *[64]uint64, xw []uint64, buf []uint64, tau int) {
 	sweepAVX2(acc, &xw[0], len(xw), &buf[0], tau)
 }

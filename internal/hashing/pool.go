@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// BufferPool recycles the backing arrays of BlockCaches across runs. A
-// coding-scheme run builds two large seed buffers per link endpoint (the
-// mp1/mp2 prefix blocks, seedHint·τ words each) plus a small counter
-// block; on an n-party clique that is Θ(n²) short-lived allocations per
-// run. Batch drivers (the grid engine, the experiment harness) run
+// BufferPool recycles the backing arrays of Checkpointed stores across
+// runs. A coding-scheme run builds two prefix-hash stores per link
+// endpoint (the mp1/mp2 slots), each holding seed rows of seedHint·τ
+// words, a one-row staging buffer and a checkpoint array; on an n-party
+// clique that is Θ(n²) short-lived allocations per run. Batch drivers (the grid engine, the experiment harness) run
 // hundreds of simulations back to back, so handing the buffers back to a
 // pool turns the per-run cost into a one-time warm-up — the ROADMAP's
 // "amortize seed materialization across links".
@@ -20,9 +20,10 @@ import (
 // entries, since one run's buffers concentrate in two or three classes —
 // and falls through to the smallest-capacity buffer of the next
 // non-empty class above, every member of which is guaranteed to fit.
-// This keeps the former global best-fit semantics (a tiny counter-block
-// request cannot claim a recycled prefix buffer while same-class buffers
-// exist — see Get for why first-fit would defeat the pool) while
+// This keeps the former global best-fit semantics (a small staging or
+// checkpoint request cannot claim a recycled seed-row buffer while
+// same-class buffers exist — see Get for why first-fit would defeat the
+// pool) while
 // replacing the O(pool) scan per Get with an O(class) one: the flat scan
 // was measurable once n≥64 cliques pushed the pool to tens of thousands
 // of buffers. Get and Put are safe for concurrent use; the pool never
@@ -76,25 +77,28 @@ func (p *BufferPool) Stats() PoolStats {
 	return p.stats
 }
 
-// maxPooled bounds the free list. 32768 covers the roughly eight pooled
-// buffers per link endpoint (two block caches plus a checkpoint store
-// for each prefix slot, and the counter block) of a 64-clique (m=2016,
-// 4032 endpoints) — the telemetry-driven raise from the former 4096,
+// maxPooled bounds the free list. 32768 covers the six pooled buffers
+// per link endpoint (seed rows, staging buffer and checkpoints for each
+// prefix slot) of a 64-clique (m=2016, 4032 endpoints) with room to
+// spare — the telemetry-driven raise from the former 4096,
 // which capped out at a 26-clique and turned every n≥64 sweep into a
 // steady miss stream (PERF.md, "arena tuning").
 const maxPooled = 32768
 
 // Get returns a zero-length buffer with capacity at least minCap, reusing
 // the best-fitting pooled array in minCap's capacity class, or the
-// smallest buffer of the next non-empty class above it. Fit quality
-// matters: each link endpoint requests one tiny counter block before its
-// two large prefix blocks, and a first-fit policy would let the tiny
-// request claim a recycled prefix buffer, forcing the large requests
-// that follow to allocate fresh — the exact churn the pool exists to
-// remove.
+// smallest buffer of the next non-empty class above it; a nil pool
+// allocates. Fit quality matters: each prefix-hash store requests a
+// staging buffer τ times smaller than its seed rows, and a first-fit
+// policy would let such small requests claim recycled seed-row buffers,
+// forcing the large requests that follow to allocate fresh — the exact
+// churn the pool exists to remove.
 func (p *BufferPool) Get(minCap int) []uint64 {
 	if minCap < 1 {
 		minCap = 1
+	}
+	if p == nil {
+		return make([]uint64, 0, minCap)
 	}
 	p.mu.Lock()
 	// Best fit within the request's own class (capacities here straddle

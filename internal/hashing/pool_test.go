@@ -7,16 +7,16 @@ import (
 	"mpic/internal/bitstring"
 )
 
-// TestPooledBlockCacheEquivalence pins the arena-safety property: a
-// BlockCache drawing recycled (dirty) buffers from a pool produces
-// exactly the hashes of a freshly allocated one, across block switches
-// and prefix growth.
-func TestPooledBlockCacheEquivalence(t *testing.T) {
+// TestCheckpointedDirtyPoolEquivalence pins the arena-safety property: a
+// store drawing recycled (dirty) buffers from a pool produces exactly
+// the hashes of a freshly allocated one, across block switches and
+// prefix growth.
+func TestCheckpointedDirtyPoolEquivalence(t *testing.T) {
 	h := NewInnerProductHash(8, 4096)
 	pool := &BufferPool{}
 	// Poison the pool with dirty buffers so reuse of stale words would
 	// show up as a hash mismatch.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		dirty := make([]uint64, 0, 512)
 		dirty = dirty[:cap(dirty)]
 		for j := range dirty {
@@ -31,15 +31,13 @@ func TestPooledBlockCacheEquivalence(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		src := NewPRFSource(uint64(round+1), uint64(round*13+5))
-		fresh := NewBlockCache(h, src, 32)
-		pooled := NewBlockCacheIn(pool, h, src, 32)
+		fresh := NewCheckpointedIn(nil, h, src, 0, x, 32)
+		pooled := NewCheckpointedIn(pool, h, src, 0, x, 32)
 		for _, base := range []uint64{0, 3 * h.SeedWords(), 7 * h.SeedWords()} {
 			fresh.SetBlock(base)
 			pooled.SetBlock(base)
 			for _, nbits := range []int{0, 13, 64, 700, 2048} {
-				want := h.hashWords(x.RawWords(), nbits, fresh)
-				got := h.hashWords(x.RawWords(), nbits, pooled)
-				if got != want {
+				if got, want := pooled.HashPrefix(nbits), fresh.HashPrefix(nbits); got != want {
 					t.Fatalf("round=%d base=%d nbits=%d: pooled %#x != fresh %#x", round, base, nbits, got, want)
 				}
 			}
@@ -73,13 +71,17 @@ func TestBufferPoolRecycles(t *testing.T) {
 	if pool.Len() != 0 {
 		t.Fatal("Reset left buffers pooled")
 	}
-	// Release is idempotent-ish: a released cache hands both buffers back.
+	// A released store hands all three buffers back.
 	h := NewInnerProductHash(4, 1024)
-	c := NewBlockCacheIn(pool, h, NewPRFSource(1, 2), 8)
-	c.Release(pool)
-	if pool.Len() != 2 {
-		t.Fatalf("Release returned %d buffers, want 2 (buf + stage)", pool.Len())
+	s := NewCheckpointedIn(pool, h, NewPRFSource(1, 2), 0, bitstring.NewBitVec(0), 8)
+	s.Release(pool)
+	if pool.Len() != 3 {
+		t.Fatalf("Release returned %d buffers, want 3 (rows + stage + checkpoints)", pool.Len())
 	}
-	var nilCache *BlockCache
-	nilCache.Release(pool) // must not panic
+	var nilStore *Checkpointed
+	nilStore.Release(pool) // must not panic
+	var nilPool *BufferPool
+	if got := nilPool.Get(10); cap(got) < 10 {
+		t.Fatalf("nil pool Get(10) cap %d", cap(got))
+	}
 }

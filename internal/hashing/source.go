@@ -7,16 +7,10 @@ package hashing
 type SeedSource interface {
 	// Word returns the i-th 64-bit word of the stream.
 	Word(i uint64) uint64
-}
-
-// BulkSeedSource is a SeedSource that can materialize a contiguous run of
-// stream words in one call. Bulk fills amortize per-word setup (for the
-// AGHP source, the gfPow that positions the powering sequence) and avoid
-// interface dispatch per word, which is what the BlockCache fast path
-// needs.
-type BulkSeedSource interface {
-	SeedSource
-	// Fill sets dst[i] = Word(off + i) for every i.
+	// Fill sets dst[i] = Word(off + i) for every i. A run of words in one
+	// call amortizes per-word setup (for the AGHP source, the gfPow that
+	// positions the powering sequence); Checkpointed materializes its
+	// seed rows this way.
 	Fill(dst []uint64, off uint64)
 }
 
@@ -33,7 +27,7 @@ func NewPRFSource(k0, k1 uint64) *PRFSource {
 	return &PRFSource{k0: k0, k1: k1}
 }
 
-// Fill implements BulkSeedSource. The mixing function is small enough to
+// Fill implements SeedSource. The mixing function is small enough to
 // inline, so the loop runs with no per-word call overhead.
 func (p *PRFSource) Fill(dst []uint64, off uint64) {
 	for i := range dst {
@@ -111,7 +105,7 @@ func (s *AGHPSource) Word(i uint64) uint64 {
 	return w[0]
 }
 
-// Fill implements BulkSeedSource: one gfPow positions the powering
+// Fill implements SeedSource: one gfPow positions the powering
 // sequence (skipped entirely when the fill continues the previous one),
 // then the whole run is swept with 64 table multiplications per word.
 // Sequential fills are therefore ~64× cheaper per word than random
