@@ -107,10 +107,11 @@ bench-kernel:
 bench-net:
 	$(GO) test -run '^$$' -bench 'BenchmarkStepTimed' -benchmem ./internal/network/
 
-# The durable session's per-cell store cost: one FileGridStore.Save that
-# adds a cell to a session of 10, 100 and 1000 cells, in ns and allocs
-# per save (PERF.md records the figures; with the append-only journal the
-# 1000-cell cost stays within 1.5x of the 10-cell one).
+# The durable session's per-cell store cost: one FileGridStore.Save
+# handed only the new cell, as the grid engine calls it, on a session of
+# 10, 100 and 1000 cells, in ns and allocs per save (PERF.md records the
+# figures; with the append-only journal the 1000-cell cost stays within
+# 1.5x of the 10-cell one).
 bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkFileGridStoreSave' -benchmem -benchtime 300x .
 

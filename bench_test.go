@@ -1,11 +1,11 @@
 package mpic_test
 
-// Benchmark harness: one benchmark per evaluation artefact of DESIGN.md
-// §4 (the Table 1 regeneration and every figure-style experiment), plus
-// micro-benchmarks of the substrates. The experiment benchmarks run the
-// corresponding experiment in quick mode and report domain metrics
-// (success rate, blowup) alongside time; `go run ./cmd/mpicbench` runs
-// the full-size versions that EXPERIMENTS.md records.
+// Benchmark harness: one benchmark per evaluation artefact (the Table 1
+// regeneration and every figure-style experiment of package
+// experiments), plus micro-benchmarks of the substrates. The experiment
+// benchmarks run the corresponding experiment in quick mode and report
+// domain metrics (success rate, blowup) alongside time; `go run
+// ./cmd/mpicbench` runs the full-size versions.
 
 import (
 	"context"
@@ -246,8 +246,8 @@ func BenchmarkGridSession(b *testing.B) {
 
 // BenchmarkFileGridStoreSave measures the durable session's per-cell
 // cost: one Save that adds a single completed cell to a live session
-// already holding 10, 100 or 1000 cells — the engine's call after every
-// completion. The session file is reset outside the timer, so every
+// already holding 10, 100 or 1000 cells, handed only that cell — the
+// engine's call after every completion. The session file is reset outside the timer, so every
 // iteration saves into the same size; an untimed Save of one cell goes
 // first, because the first write to a just-created file also pays the
 // filesystem's commit of that file, which a running session pays once.
@@ -290,11 +290,11 @@ func BenchmarkFileGridStoreSave(b *testing.B) {
 				if _, err := store.Load(spec); err != nil {
 					b.Fatal(err)
 				}
-				if err := store.Save(spec, cells[:held+1]); err != nil {
+				if err := store.Save(spec, cells[held:held+1]); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if err := store.Save(spec, cells); err != nil {
+				if err := store.Save(spec, cells[held+1:]); err != nil {
 					b.Fatal(err)
 				}
 			}

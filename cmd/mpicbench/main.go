@@ -1,6 +1,6 @@
 // Command mpicbench regenerates the paper's evaluation artefacts: the
-// Table 1 comparison and the figure-style experiments of DESIGN.md §4,
-// printed as markdown tables (the source material of EXPERIMENTS.md).
+// Table 1 comparison and the figure-style experiments (the registry of
+// package experiments), printed as markdown tables.
 //
 // Example:
 //

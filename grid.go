@@ -383,43 +383,25 @@ func (t *trialProgress) RunDone(res *Result) {
 	t.emit(ev)
 }
 
-// gridSession is the engine-side state of a durable grid: the resolved
-// spec, the store, and every completed cell (restored and fresh) in the
-// order they were persisted.
-type gridSession struct {
-	store    GridStore
-	spec     string
-	cells    []StoredCell
-	restored []GridCellResult
-}
-
-// save persists the session's completed cells.
-func (s *gridSession) save() error {
-	if err := s.store.Save(s.spec, s.cells); err != nil {
-		return fmt.Errorf("mpic: persisting grid checkpoint: %w", err)
-	}
-	return nil
-}
-
-// openSession loads the grid's persisted state and splits the cells into
-// restored results and the indices still pending execution. Matching is
-// two-pass: an entry whose recorded Index names a grid cell with the
-// same key reclaims exactly that cell — so cells that share a key but
-// differ in content (ablation variants, Tune sweeps, the cartesian fuzz
-// grid) resume correctly whatever order the previous run completed them
-// in. Entries without a usable index (a store written by another layout
-// or a hand-edited file) fall back to key matching in definition order,
-// which is the documented contract for identical duplicate keys.
-func (g Grid) openSession() (*gridSession, []int, error) {
-	spec := g.Spec
+// openSession resolves the grid's spec, loads its persisted state and
+// splits the cells into restored results and the indices still pending
+// execution. Matching is two-pass: an entry whose recorded Index names a
+// grid cell with the same key reclaims exactly that cell — so cells that
+// share a key but differ in content (ablation variants, Tune sweeps, the
+// cartesian fuzz grid) resume correctly whatever order the previous run
+// completed them in. Entries without a usable index (a store written by
+// another layout or a hand-edited file) fall back to key matching in
+// definition order, which is the documented contract for identical
+// duplicate keys.
+func (g Grid) openSession() (spec string, restored []GridCellResult, pending []int, err error) {
+	spec = g.Spec
 	if spec == "" {
 		spec = g.Fingerprint()
 	}
 	saved, err := g.Store.Load(spec)
 	if err != nil {
-		return nil, nil, err
+		return "", nil, nil, err
 	}
-	s := &gridSession{store: g.Store, spec: spec}
 	byCell := make(map[int]StoredCell, len(saved))
 	var keyed []StoredCell
 	for _, e := range saved {
@@ -434,7 +416,6 @@ func (g Grid) openSession() (*gridSession, []int, error) {
 	for _, e := range keyed {
 		have[e.Key] = append(have[e.Key], e)
 	}
-	var pending []int
 	for i, cell := range g.Cells {
 		e, ok := byCell[i]
 		if !ok {
@@ -447,15 +428,13 @@ func (g Grid) openSession() (*gridSession, []int, error) {
 			e = entries[0]
 			have[k] = entries[1:]
 		}
-		e.Index = i
-		s.cells = append(s.cells, e)
 		res := GridCellResult{Index: i, Key: e.Key, Cell: e.Cell, Restored: true}
 		if g.KeepResults {
 			res.Results = restoreResults(e.Results)
 		}
-		s.restored = append(s.restored, res)
+		restored = append(restored, res)
 	}
-	return s, pending, nil
+	return spec, restored, pending, nil
 }
 
 // RunGrid executes every cell of the grid on a worker pool and streams
@@ -499,15 +478,18 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 	}
 
 	// Durable session: restore persisted cells before anything runs.
-	var sess *gridSession
-	var pending []int
+	var (
+		spec     string
+		restored []GridCellResult
+		pending  []int
+	)
 	if g.Store != nil {
 		var err error
-		sess, pending, err = g.openSession()
+		spec, restored, pending, err = g.openSession()
 		if err != nil {
 			return err
 		}
-		for _, res := range sess.restored {
+		for _, res := range restored {
 			if prog != nil {
 				cell := g.Cells[res.Index]
 				trials := cell.Trials
@@ -549,7 +531,7 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 
 	var (
 		next      atomic.Int64 // next pending slot to take
-		mu        sync.Mutex   // serializes sink calls, session saves, firstErr
+		mu        sync.Mutex   // serializes sink calls, store saves, firstErr
 		firstErr  error
 		completed int
 		failed    []GridCellResult
@@ -589,12 +571,14 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 					mu.Unlock()
 					continue
 				}
-				if err == nil && sess != nil {
-					sess.cells = append(sess.cells, StoredCell{
+				if err == nil && g.Store != nil {
+					err = g.Store.Save(spec, []StoredCell{{
 						Index: res.Index, Key: res.Key, Cell: res.Cell,
 						Results: storeResults(res.Results),
-					})
-					err = sess.save()
+					}})
+					if err != nil {
+						err = fmt.Errorf("mpic: persisting grid checkpoint: %w", err)
+					}
 				}
 				if err != nil {
 					if firstErr == nil {
@@ -620,18 +604,6 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 		}()
 	}
 	wg.Wait()
-	if sess != nil && (firstErr != nil || ctx.Err() != nil) {
-		// Flush on any interrupted exit — including cancellations that
-		// surface as a wrapped run error in firstErr, and cell failures.
-		// Every completed cell was persisted as it finished, so this
-		// re-save is a no-op for FileGridStore; it exists to make the
-		// session's contract ("the store holds exactly the completed
-		// cells") hold even for a store that batches its writes. A flush
-		// failure never masks the original error.
-		if err := sess.save(); err != nil && firstErr == nil {
-			return err
-		}
-	}
 	if firstErr != nil {
 		return firstErr
 	}
@@ -639,14 +611,10 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 		// Every cell ran and streamed; a cancellation that landed after
 		// the last one must not make the caller discard a complete grid.
 		if len(failed) > 0 {
-			restored := 0
-			if sess != nil {
-				restored = len(sess.restored)
-			}
 			return &GridFailure{Report: GridReport{
 				Cells:     len(g.Cells),
 				Completed: completed,
-				Restored:  restored,
+				Restored:  len(restored),
 				Failed:    failed,
 			}}
 		}

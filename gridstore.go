@@ -124,8 +124,10 @@ func restoreResults(ss []*StoredResult) []*Result {
 
 // GridStore persists the completed cells of a grid session — the
 // checkpoint interface behind Grid.Store. The engine calls Load once
-// before anything runs and Save serially (never concurrently) after each
-// completed cell, so implementations need no locking of their own.
+// before anything runs, then Save once per cell it completes, with only
+// that cell; a cell restored by Load is never saved again. Saves are
+// serial (never concurrent), so implementations need no locking of their
+// own.
 //
 // The spec string fingerprints the grid: a store must refuse to Load
 // state written under a different spec (merging another grid's cells
@@ -139,10 +141,12 @@ type GridStore interface {
 	// a store holding a different spec or an unreadable state returns an
 	// error.
 	Load(spec string) ([]StoredCell, error)
-	// Save persists the given completed cells; cells already held are
-	// kept, not rewritten. A failed Save aborts the grid — a durable
-	// session that silently stops being durable is worse than a loud
-	// error.
+	// Save persists the given newly completed cells (the engine passes
+	// one), adding them to what the store holds. A failed Save aborts
+	// the grid — a durable session that silently stops being durable is
+	// worse than a loud error — and the engine does not retry it, so a
+	// store that buffers writes must make each Save durable before it
+	// returns.
 	Save(spec string, cells []StoredCell) error
 }
 
@@ -250,22 +254,20 @@ func (s *FileGridStore) Load(spec string) ([]StoredCell, error) {
 	return cells, nil
 }
 
-// Save implements GridStore by appending the cells whose (Index, Key) the
-// journal does not hold yet, in one write and one fsync. A Save with no
-// new cells writes nothing.
+// Save implements GridStore by appending the given cells whose (Index,
+// Key) the journal does not hold yet, in one write and one fsync: one
+// lookup per cell, whatever the session size. A Save of held cells
+// writes nothing.
 func (s *FileGridStore) Save(spec string, cells []StoredCell) error {
 	return s.update(spec, true, func(f *os.File) error {
-		return s.j.append(f, spec, doneRecords(s.j.fresh(cells)))
+		var recs []journalRecord
+		for i := range cells {
+			if !s.j.held[cellID{cells[i].Index, cells[i].Key}] {
+				recs = append(recs, journalRecord{Done: &cells[i]})
+			}
+		}
+		return s.j.append(f, spec, recs)
 	})
-}
-
-// doneRecords wraps cells as done records.
-func doneRecords(cells []StoredCell) []journalRecord {
-	recs := make([]journalRecord, len(cells))
-	for i := range cells {
-		recs[i].Done = &cells[i]
-	}
-	return recs
 }
 
 // gridFingerprintVersion versions the Fingerprint preimage, separately

@@ -222,48 +222,94 @@ func TestGridDuplicateKeyResume(t *testing.T) {
 	}
 }
 
-// recordingStore counts Save calls and remembers the cell counts it was
-// handed — a stand-in for a GridStore that batches its writes.
+// savedID is the identity of one saved cell.
+type savedID struct {
+	Index int
+	Key   mpic.GridKey
+}
+
+// recordingStore is a FileGridStore that records the identity of every
+// cell each Save is handed, one entry per Save call.
 type recordingStore struct {
-	saves []int
+	*mpic.FileGridStore
+	saves [][]savedID
 }
 
-func (r *recordingStore) Load(string) ([]mpic.StoredCell, error) { return nil, nil }
-func (r *recordingStore) Save(_ string, cells []mpic.StoredCell) error {
-	r.saves = append(r.saves, len(cells))
-	return nil
+func (r *recordingStore) Save(spec string, cells []mpic.StoredCell) error {
+	ids := make([]savedID, len(cells))
+	for i, c := range cells {
+		ids[i] = savedID{c.Index, c.Key}
+	}
+	r.saves = append(r.saves, ids)
+	return r.FileGridStore.Save(spec, cells)
 }
 
-// TestGridFlushOnCancellation pins the session contract for pluggable
-// stores: an interrupted grid — including a cancellation that surfaces
-// as a wrapped run error from an in-flight cell — gets one final Save
-// carrying every completed cell, so a batching store cannot lose the
-// tail on Ctrl-C.
-func TestGridFlushOnCancellation(t *testing.T) {
-	grid := sessionGrid(t)
-	grid.Workers = 2
-	store := &recordingStore{}
-	grid.Store = store
-
+// TestGridSavesEachCellOnce pins the session contract for pluggable
+// stores: the engine calls Save once per freshly completed cell, with
+// only that cell, and never saves a cell it restored. It checks a
+// cancelled 2-worker grid and then the run that resumes it.
+func TestGridSavesEachCellOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "session.journal")
 	runner := mpic.NewRunner()
 	defer runner.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	delivered := 0
-	err := runner.RunGrid(ctx, grid, func(mpic.GridCellResult) {
-		delivered++
-		if delivered == 2 {
-			cancel()
+
+	// run executes the session grid on a recording store over path,
+	// cancelling after cancelAt fresh cells (never when 0), and checks its
+	// saves against the cells it streamed.
+	run := func(name string, cancelAt int) (fresh, restored map[savedID]bool) {
+		grid := sessionGrid(t)
+		grid.Workers = 2
+		store := &recordingStore{FileGridStore: mpic.NewFileGridStore(path)}
+		grid.Store = store
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		fresh, restored = map[savedID]bool{}, map[savedID]bool{}
+		err := runner.RunGrid(ctx, grid, func(res mpic.GridCellResult) {
+			if res.Restored {
+				restored[savedID{res.Index, res.Key}] = true
+				return
+			}
+			fresh[savedID{res.Index, res.Key}] = true
+			if len(fresh) == cancelAt {
+				cancel()
+			}
+		})
+		if cancelAt > 0 && !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got %v, want context.Canceled", name, err)
 		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
+		if cancelAt == 0 && err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(store.saves) != len(fresh) {
+			t.Errorf("%s: %d saves for %d freshly completed cells, want one each", name, len(store.saves), len(fresh))
+		}
+		saved := map[savedID]bool{}
+		for k, ids := range store.saves {
+			if len(ids) != 1 {
+				t.Errorf("%s: save %d carried %d cells %v, want only the new one", name, k, len(ids), ids)
+			}
+			for _, id := range ids {
+				switch {
+				case restored[id]:
+					t.Errorf("%s: save %d carried restored cell %+v", name, k, id)
+				case !fresh[id]:
+					t.Errorf("%s: save %d carried cell %+v, which did not complete in this run", name, k, id)
+				case saved[id]:
+					t.Errorf("%s: cell %+v saved twice", name, id)
+				}
+				saved[id] = true
+			}
+		}
+		return fresh, restored
 	}
-	if len(store.saves) != delivered+1 {
-		t.Fatalf("store saw %d saves for %d completed cells, want per-cell saves plus one flush", len(store.saves), delivered)
+
+	first, _ := run("cancelled run", 2)
+	fresh, restored := run("resumed run", 0)
+	if !reflect.DeepEqual(restored, first) {
+		t.Errorf("resume restored cells %v, the cancelled run completed %v", restored, first)
 	}
-	if last := store.saves[len(store.saves)-1]; last != delivered {
-		t.Errorf("final flush carried %d cells, want all %d completed", last, delivered)
+	if n := len(sessionGrid(t).Cells); len(fresh)+len(restored) != n {
+		t.Errorf("resume ran %d and restored %d of %d cells", len(fresh), len(restored), n)
 	}
 }
 

@@ -3,8 +3,8 @@
 // network, and a naive forward-error-correction scheme (per-transmission
 // repetition) that handles random substitutions but has no feedback or
 // rollback — behavioural stand-ins for what the paper's scheme improves
-// on (tree-code approaches are computationally infeasible and therefore
-// absent; see DESIGN.md §3.6).
+// on (tree-code approaches have no efficient construction and are
+// therefore absent).
 package baseline
 
 import (

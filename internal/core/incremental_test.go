@@ -287,7 +287,7 @@ func TestHasherIncrementalMatchesReference(t *testing.T) {
 					if slot == 2 {
 						s = hashing.SlotMP2
 					}
-					want := e.hash.HashPrefix(ls.T.Bits(), ls.T.PrefixBits(chunks), ls.src, e.seedLay.StableOffset(s))
+					want := e.hash.HashPrefix(ls.T.Bits(), ls.T.PrefixBits(chunks), ls.src, e.seedLay.EpochOffset(s, 0))
 					if got := ls.h.HashPrefix(chunks, slot); got != want {
 						t.Fatalf("it=%d chunks=%d slot=%d: checkpointed %#x != reference %#x", it, chunks, slot, got, want)
 					}

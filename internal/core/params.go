@@ -64,7 +64,8 @@ type SeedKind int
 
 const (
 	// SeedPRF expands by strong integer mixing — the fast default,
-	// standing in for a uniform stream (see DESIGN.md §3.7).
+	// standing in for a uniform stream (the schemes' analysis assumes
+	// δ-biased seeds; a uniform stream is the δ = 0 case).
 	SeedPRF SeedKind = iota + 1
 	// SeedAGHP expands through the δ-biased AGHP powering construction of
 	// Lemma 2.5 — the paper-faithful choice, used in the δ-bias

@@ -1,6 +1,6 @@
-// Package experiments defines the reproduction experiments of DESIGN.md
-// §4: the empirical regeneration of the paper's Table 1 and the
-// figure-style experiments validating Theorems 1.1/1.2 and the key lemmas
+// Package experiments defines the reproduction experiments: the
+// empirical regeneration of the paper's Table 1 and the figure-style
+// experiments validating Theorems 1.1/1.2 and the key lemmas
 // (potential growth, hash-collision bounds, rewind-wave latency,
 // δ-biased seeding, randomness-exchange protection).
 //
@@ -55,9 +55,6 @@ type Config struct {
 	// with quarantined holes would not be a table.
 	Retries int
 }
-
-// DefaultConfig returns the configuration used to produce EXPERIMENTS.md.
-func DefaultConfig() Config { return Config{Trials: 10, Seed: 1} }
 
 func (c Config) trials() int {
 	if c.Trials <= 0 {

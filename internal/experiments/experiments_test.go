@@ -184,8 +184,8 @@ func TestExperimentCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestRegistryComplete ensures every experiment of DESIGN.md §4 is
-// registered.
+// TestRegistryComplete ensures every reproduction experiment — Table 1
+// and the figure-style experiments — is registered.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table1", "noise-sweep", "rate-size", "cc-noise", "rewind-wave",
@@ -213,8 +213,8 @@ func TestRunUnknown(t *testing.T) {
 // header, rows and notes — to the experiment artefact BENCH_PR10.json
 // (`mpicbench -experiment all -quick -json`), so a change that moves any
 // experiment row fails here. The structural checks (tables render, rows
-// fit the header) stay; the quantitative shape is recorded in
-// EXPERIMENTS.md from full-mode runs.
+// fit the header) stay; full-mode runs (`mpicbench -experiment all`)
+// give the quantitative shape.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment sweep still costs seconds")

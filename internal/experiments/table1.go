@@ -20,7 +20,7 @@ import (
 //
 // The paper's rows for prior work (RS94, JKL15, HS16) relied on tree
 // codes with no efficient construction; their stand-ins here are the
-// baselines (see DESIGN.md §3.6).
+// baselines of package baseline.
 func Table1(cfg Config) (*Table, error) {
 	n := 8
 	if cfg.Quick {

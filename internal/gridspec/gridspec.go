@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"mpic"
-	"mpic/internal/protocol"
 )
 
 // Scenario is a single-run specification — the scenario-shaping flags
@@ -85,10 +84,11 @@ func (s Scenario) base() (mpic.Scenario, error) {
 	if workload == "" {
 		workload = "random"
 	}
-	fixed, err := protocol.FixedTopology(workload)
+	def, err := mpic.LookupWorkload(workload)
 	if err != nil {
 		return mpic.Scenario{}, err
 	}
+	fixed := def.FixedTopology
 	topology := s.Topology
 	switch {
 	case fixed != "" && topology != "" && topology != fixed:

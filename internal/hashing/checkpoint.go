@@ -218,11 +218,12 @@ func (s *Checkpointed) HashPrefix(nbits int) uint64 {
 		nbits = 0
 	}
 	s.sync()
-	// The sweep covers ⌈nbits/64⌉ words, clamped to the row length and to
-	// the words present (missing trailing words are zero and contribute
-	// nothing); its final word is masked to nbits.
+	// The sweep covers ⌈nbits/64⌉ words, with nbits clamped to the row
+	// length, and stops at the words present (missing trailing words are
+	// zero and contribute nothing); its final word is masked to nbits.
+	nbits = min(nbits, 64*int(s.h.wordsPerRow()))
 	xw := s.x.RawWords()
-	nw := min((nbits+63)/64, int(s.h.wordsPerRow()), len(xw))
+	nw := min((nbits+63)/64, len(xw))
 	if nw == 0 {
 		return 0
 	}

@@ -29,7 +29,7 @@ func TestCheckpointedGoldenEquivalence(t *testing.T) {
 			src, srcRef = NewAGHPSource(a, b), NewAGHPSource(a, b)
 		}
 		lay := NewSeedLayout(h)
-		base := lay.StableOffset(Slot(rng.Intn(int(numSlots))))
+		base := lay.EpochOffset(Slot(rng.Intn(int(numSlots))), 0)
 		x := bitstring.NewBitVec(0)
 		spacing := 1 + rng.Intn(12)
 		s := newCheckpointed(nil, h, src, base, x, rng.Intn(10), spacing)
@@ -158,7 +158,7 @@ func TestCheckpointedResumesAndInvalidates(t *testing.T) {
 	h := NewInnerProductHash(8, 1<<14)
 	src, ref := NewPRFSource(3, 4), NewPRFSource(3, 4)
 	lay := NewSeedLayout(h)
-	base := lay.StableOffset(SlotMP1)
+	base := lay.EpochOffset(SlotMP1, 0)
 	x := bitstring.NewBitVec(0)
 	s := newCheckpointed(nil, h, src, base, x, 0, 4)
 	for i := 0; i < 64; i++ {
@@ -197,7 +197,7 @@ func TestCheckpointedSteadyStateAllocs(t *testing.T) {
 	src := NewPRFSource(1, 2)
 	lay := NewSeedLayout(h)
 	x := bitstring.NewBitVec(1 << 13)
-	s := NewCheckpointedIn(nil, h, src, lay.StableOffset(SlotMP1), x, (1<<13)/64)
+	s := NewCheckpointedIn(nil, h, src, lay.EpochOffset(SlotMP1, 0), x, (1<<13)/64)
 	rng := rand.New(rand.NewSource(9))
 	for x.Len() < 6000 {
 		x.AppendUint(rng.Uint64(), 37)
@@ -228,7 +228,7 @@ func BenchmarkCheckpointedSpacing(b *testing.B) {
 			src := NewPRFSource(1, 2)
 			lay := NewSeedLayout(h)
 			x := bitstring.NewBitVec(1 << 15)
-			s := newCheckpointed(nil, h, src, lay.StableOffset(SlotMP1), x, (1<<15)/64, spacing)
+			s := newCheckpointed(nil, h, src, lay.EpochOffset(SlotMP1, 0), x, (1<<15)/64, spacing)
 			rng := rand.New(rand.NewSource(7))
 			for x.Len() < 1<<14 {
 				x.AppendUint(rng.Uint64(), 42)
@@ -255,7 +255,7 @@ func TestStableOffsetsDisjoint(t *testing.T) {
 	l := NewSeedLayout(h)
 	for s := SlotK; s < numSlots; s++ {
 		for q := s + 1; q < numSlots; q++ {
-			lo, hi := l.StableOffset(s), l.StableOffset(q)
+			lo, hi := l.EpochOffset(s, 0), l.EpochOffset(q, 0)
 			if hi-lo < h.SeedWords() {
 				t.Fatalf("stable blocks for slots %d and %d overlap", s, q)
 			}
@@ -280,7 +280,7 @@ func TestStableOffsetsDisjoint(t *testing.T) {
 func TestCheckpointedPooledEquivalence(t *testing.T) {
 	h := NewInnerProductHash(8, 1<<13)
 	lay := NewSeedLayout(h)
-	base := lay.StableOffset(SlotMP1)
+	base := lay.EpochOffset(SlotMP1, 0)
 	pool := &BufferPool{}
 	rng := rand.New(rand.NewSource(99))
 

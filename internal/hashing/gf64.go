@@ -11,11 +11,11 @@
 // 2^-τ + δ, so a union bound — Lemma 2.3 — caps the probability of any
 // spurious agreement during the run at C·(2^-τ + δ).
 //
-// Reusing one rewind-stable seed block (SeedLayout.StableOffset) for the
-// prefix slots across all iterations is what lets the incremental
-// evaluator's (Checkpointed's) partial accumulators survive between
-// checks. The price is persistence: a pair of divergent prefixes that
-// collides under the stable seed collides at *every* subsequent check
+// Reusing one rewind-stable seed block (SeedLayout.EpochOffset at epoch
+// 0) for the prefix slots across all iterations is what lets the
+// incremental evaluator's (Checkpointed's) partial accumulators survive
+// between checks. The price is persistence: a pair of divergent prefixes
+// that collides under the stable seed collides at *every* subsequent check
 // until one side's prefix changes, so collision events are no longer
 // independent across iterations and the union bound degrades from "per
 // check" to "per distinct compared pair" — a weaker guarantee when the

@@ -49,7 +49,8 @@ func (h *InnerProductHash) SeedWords() uint64 {
 
 // Hash evaluates the hash on x (padded with zeros up to MaxLen) using the
 // seed words src.Word(off), src.Word(off+1), ... Bits of x beyond MaxLen
-// are ignored; callers size MaxLen so that never happens.
+// rounded up to whole words are ignored; callers size MaxLen so that
+// never happens.
 func (h *InnerProductHash) Hash(x *bitstring.BitVec, src SeedSource, off uint64) uint64 {
 	return h.HashPrefix(x, x.Len(), src, off)
 }
@@ -71,11 +72,11 @@ func (h *InnerProductHash) HashPrefix(x *bitstring.BitVec, nbits int, src SeedSo
 	if nbits < 0 {
 		nbits = 0
 	}
+	// Bits past the row length meet no seed: the hash is that of the
+	// first 64·row bits, so the tail mask is taken at the clamped length.
 	row := h.wordsPerRow()
+	nbits = min(nbits, int(64*row))
 	nw := uint64((nbits + 63) / 64)
-	if nw > row {
-		nw = row
-	}
 	var tailMask uint64 = ^uint64(0)
 	if r := uint(nbits & 63); r != 0 {
 		tailMask = (uint64(1) << r) - 1

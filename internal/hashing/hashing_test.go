@@ -234,6 +234,30 @@ func TestHashUintMatchesBitVec(t *testing.T) {
 	}
 }
 
+// TestHashPrefixPastMaxLen pins the hash of a vector longer than MaxLen:
+// bits past the row length meet no seed word, so with MaxLen ≤ 64 (one
+// seed word per row) both evaluators hash a 77-bit vector exactly as its
+// first 64 bits, for τ ∈ {1..64} and both seed sources.
+func TestHashPrefixPastMaxLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 40; trial++ {
+		h := NewInnerProductHash(1+rng.Intn(64), 1+rng.Intn(64))
+		src, srcRef := testSources(trial, rng)
+		off := NewSeedLayout(h).EpochOffset(SlotMP1, 0)
+		x := randomBits(rng, 77)
+		head := bitstring.NewBitVec(64)
+		head.AppendUint(x.Word(0), 64)
+		want := h.Hash(head, srcRef, off)
+		if got := h.Hash(x, srcRef, off); got != want {
+			t.Errorf("trial %d: τ=%d MaxLen=%d: reference hash of 77 bits = %#x, of the first 64 = %#x", trial, h.Tau, h.MaxLen, got, want)
+		}
+		s := NewCheckpointedIn(nil, h, src, off, x, 2)
+		if got := s.HashPrefix(x.Len()); got != want {
+			t.Errorf("trial %d: τ=%d MaxLen=%d: checkpointed hash of 77 bits = %#x, of the first 64 = %#x", trial, h.Tau, h.MaxLen, got, want)
+		}
+	}
+}
+
 // TestHashUintAllocs pins the counter hash's zero-allocation contract:
 // the meeting-points step calls it once per link per iteration.
 func TestHashUintAllocs(t *testing.T) {

@@ -51,17 +51,6 @@ func (l *SeedLayout) Offset(it int, s Slot) uint64 {
 // base like 2^50 would have floored δ at 2^-8 regardless of τ.
 const stableBase uint64 = 1 << 34
 
-// StableOffset returns the first seed word of the iteration-independent
-// block for slot s. Both endpoints of a link compute the same offsets over
-// the same stream, so — exactly as with Offset — their hash evaluations
-// agree. Unlike Offset, the returned block is fixed for the whole run:
-// hashing a transcript prefix against it yields the same value in every
-// iteration, which is what lets checkpointed partial accumulators survive
-// across iterations and rewinds (see Checkpointed).
-func (l *SeedLayout) StableOffset(s Slot) uint64 {
-	return stableBase + uint64(s)*l.hash.SeedWords()
-}
-
 // RegionsDisjoint reports whether the per-iteration region for the given
 // iteration budget stays clear of the stable region — construction-time
 // validation for configurations beyond the documented headroom.
@@ -76,11 +65,14 @@ func (l *SeedLayout) RegionsDisjoint(iters int) bool {
 // in epoch e. Epoch-refresh hashing (see Checkpointed.SetBlock and the
 // package doc's union-bound discussion) re-derives the prefix-hash seed
 // block every R iterations; each epoch gets its own numSlots-wide block
-// laid out contiguously above stableBase, so epoch 0 coincides exactly
-// with StableOffset — a run whose budget fits inside one epoch hashes
-// bit-identically to the always-stable layout. As with Offset and
-// StableOffset, both endpoints of a link compute the same offsets over
-// the same stream, so their per-epoch hash evaluations agree.
+// laid out contiguously above stableBase, so epoch 0 is the rewind-stable
+// block itself — a run whose budget fits inside one epoch hashes
+// against one fixed block for the whole run. As with Offset, both
+// endpoints of a link compute the same offsets over the same stream, so
+// their per-epoch hash evaluations agree. Within an epoch the block is
+// fixed: hashing a transcript prefix against it yields the same value in
+// every iteration, which is what lets checkpointed partial accumulators
+// survive across iterations and rewinds (see Checkpointed).
 func (l *SeedLayout) EpochOffset(s Slot, epoch int) uint64 {
 	if epoch < 0 {
 		epoch = 0

@@ -227,31 +227,6 @@ func (j *journal) apply(r *journalRecord) {
 	}
 }
 
-// fresh returns the cells the journal does not hold yet, each once. The
-// usual caller passes what the journal holds, in journal order, then the
-// new cells; that prefix costs one comparison per held cell.
-func (j *journal) fresh(cells []StoredCell) []StoredCell {
-	start := len(j.cells)
-	if start > len(cells) {
-		start = 0
-	}
-	for i, c := range j.cells[:start] {
-		if cells[i].Index != c.Index || cells[i].Key != c.Key {
-			start = 0
-			break
-		}
-	}
-	var out []StoredCell
-	seen := make(map[cellID]bool)
-	for _, c := range cells[start:] {
-		if id := (cellID{c.Index, c.Key}); !j.held[id] && !seen[id] {
-			seen[id] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // write appends recs to f in one write — after a fresh header when the
 // state has none — fsyncs f and applies recs. A failure resets the state,
 // so the next sync rereads whatever reached the file.

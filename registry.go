@@ -145,6 +145,10 @@ func RegisterDelay(name string, family DelayFamily) error {
 	return delays.register(name, family)
 }
 
+// LookupWorkload returns the definition registered under name, or an
+// error naming the registered workloads.
+func LookupWorkload(name string) (WorkloadDef, error) { return workloads.lookup(name) }
+
 // TopologyNames lists the registered topology families, sorted.
 func TopologyNames() []string { return topologies.names() }
 
@@ -232,14 +236,6 @@ func init() {
 			return protocol.NewTokenRing(g.N(), laps, defaultInputs(g, seed))
 		},
 	}))
-}
-
-// internal/gridspec reads the fixed-topology rule through this bridge.
-func init() {
-	protocol.FixedTopology = func(name string) (string, error) {
-		def, err := workloads.lookup(name)
-		return def.FixedTopology, err
-	}
 }
 
 // The built-in noise models: the arms of the old wireNoise switch.
