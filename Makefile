@@ -50,10 +50,14 @@ examples:
 # the CPU with no switch to override it, so the purego pass is what runs
 # the batched kernel end to end on an AVX2 box: it vets and tests the
 # hashing package and runs the core tests (TestRunFixedSeedPinned
-# included) on that kernel.
+# included) on that kernel. The windows pass compiles and vets the
+# root package's flock-free session-lock fallback (filelock_fallback.go),
+# which no unix target builds.
 crossbuild:
 	GOARCH=amd64 $(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) vet .
 	$(GO) build -tags purego ./...
 	$(GO) vet -tags purego ./internal/hashing/
 	$(GO) test -tags purego -count=1 ./internal/hashing/

@@ -126,7 +126,7 @@ func BenchmarkScalingNetworkSize(b *testing.B) {
 }
 
 // BenchmarkRunnerArena measures back-to-back scenario runs with and
-// without the Runner's buffer arena: the reused variant must allocate
+// without the Runner's store arena: the reused variant must allocate
 // measurably less (the per-link prefix-hash seed rows are the dominant
 // per-run allocation; see core.Arena).
 func BenchmarkRunnerArena(b *testing.B) {
@@ -191,7 +191,8 @@ func BenchmarkRunLockstep(b *testing.B) {
 // persisting every completed cell through a FileGridStore. Progress cost
 // is dominated by the per-iteration callback + mutex; store cost by one
 // journal append and fsync per cell. Both are opt-in and must stay invisible
-// when off — the `-compare` wall-clock gate enforces that end to end.
+// when off. bench/'s grid-session workload measures the store's cost end
+// to end.
 func BenchmarkGridSession(b *testing.B) {
 	mkGrid := func() mpic.Grid {
 		return sweep{

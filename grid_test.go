@@ -277,8 +277,10 @@ func TestGridCancelAfterLastCell(t *testing.T) {
 }
 
 // TestGridArenaTelemetry pins the arena counters: a second same-shaped
-// grid through the same Runner draws its buffers from the pool (hits,
-// words reused), and each run's delta is surfaced through Result.Arena.
+// grid through the same Runner draws all its prefix-hash stores from the
+// arena (hits, words reused, no misses: a run builds a store only when the
+// free list is empty), and each run's delta is surfaced through
+// Result.Arena.
 func TestGridArenaTelemetry(t *testing.T) {
 	runner := mpic.NewRunner()
 	defer runner.Close()
@@ -299,15 +301,13 @@ func TestGridArenaTelemetry(t *testing.T) {
 		t.Fatalf("cold run arena stats = %+v, want misses > 0", st)
 	}
 	if st.Hits != 0 {
-		t.Errorf("cold run reused %d buffers from an empty arena", st.Hits)
+		t.Errorf("cold run reused %d stores from an empty arena", st.Hits)
 	}
 	wst := warm[0].Results[0].Arena
-	if wst == nil || wst.Hits == 0 || wst.WordsReused == 0 {
-		t.Fatalf("warm run arena stats = %+v, want hits and words reused > 0", wst)
+	if wst == nil || wst.Hits == 0 || wst.WordsReused == 0 || wst.Misses != 0 {
+		t.Fatalf("warm run arena stats = %+v, want hits and words reused > 0 and no misses", wst)
 	}
-	// A never-refreshed epoch run draws from the same pool (pooled
-	// checkpoint stores): a warmed arena serves it without fresh misses
-	// for the prefix-slot buffers.
+	// A never-refreshed epoch run draws from the same arena.
 	inc := gridBase()
 	inc.EpochRefresh = 1 << 30
 	incGrid := mpic.Grid{Cells: []mpic.GridCell{{Scenario: inc}}, KeepResults: true}

@@ -68,8 +68,8 @@ type Options struct {
 	// returns ctx.Err() and no Result. Cancellation granularity is one
 	// iteration — a round in flight always completes.
 	Context context.Context
-	// Arena, if non-nil, supplies recycled per-link hash buffers and gets
-	// them back when the run ends (see Arena).
+	// Arena, if non-nil, supplies recycled per-link prefix-hash stores and
+	// gets them back when the run ends (see Arena).
 	Arena *Arena
 }
 
@@ -109,7 +109,7 @@ type Result struct {
 	// WhiteBox reports the collision attacker's statistics when
 	// WhiteBoxRate was set.
 	WhiteBox *WhiteBoxStats
-	// Arena reports this run's draw on the shared arena's buffer pool
+	// Arena reports this run's draw on the shared arena's store list
 	// (nil when the run had no arena). The counters are the arena-wide
 	// delta between run start and end: exact when runs use the arena one
 	// at a time, and an interleaved attribution when a parallel grid
@@ -207,8 +207,8 @@ func Run(opts Options) (*Result, error) {
 
 	var arenaStart ArenaStats
 	if opts.Arena != nil {
-		// Party construction below is where the run draws its pooled
-		// buffers; snapshot first so Result.Arena is the run's own delta.
+		// Binding a link's seed source draws its stores from the arena;
+		// snapshot first so Result.Arena is the run's own delta.
 		arenaStart = opts.Arena.Stats()
 	}
 	parties := make([]network.Party, g.N())

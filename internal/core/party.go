@@ -27,7 +27,7 @@ type env struct {
 	codec     *ecc.BitCodec
 	crsK0     uint64
 	crsK1     uint64
-	// arena, when non-nil, recycles the block-cache buffers across runs.
+	// arena, when non-nil, recycles the prefix-hash stores across runs.
 	arena *Arena
 	// seedHintWords pre-sizes the per-link prefix-hash seed caches: the
 	// row-prefix length (in words) a run's transcripts are expected to
@@ -238,13 +238,9 @@ func (e *env) prefixOffset(it int, s hashing.Slot) uint64 {
 // at construction.
 func (e *env) bindSource(ls *linkState, src hashing.SeedSource) {
 	ls.src = src
-	var pool *hashing.BufferPool
-	if e.arena != nil {
-		pool = &e.arena.pool
-	}
 	bits := ls.T.Bits()
-	ls.p1 = hashing.NewCheckpointedIn(pool, e.hash, src, e.prefixOffset(0, hashing.SlotMP1), bits, e.seedHintWords)
-	ls.p2 = hashing.NewCheckpointedIn(pool, e.hash, src, e.prefixOffset(0, hashing.SlotMP2), bits, e.seedHintWords)
+	ls.p1 = hashing.NewCheckpointedIn(e.arena.get(), e.hash, src, e.prefixOffset(0, hashing.SlotMP1), bits, e.seedHintWords)
+	ls.p2 = hashing.NewCheckpointedIn(e.arena.get(), e.hash, src, e.prefixOffset(0, hashing.SlotMP2), bits, e.seedHintWords)
 	ls.h = hasher{env: e, ls: ls}
 }
 

@@ -80,35 +80,57 @@ type Checkpointed struct {
 // seed block of src starting at base (a SeedLayout offset), with
 // checkpoints every DefaultCheckpointSpacing words. hintWords pre-sizes
 // the seed rows and the checkpoint store for row prefixes of that many
-// words, so steady-state hashing allocates nothing. The buffers come from
-// pool (nil allocates privately); hand them back with Release when the
-// run is over so the next run can reuse them — this is what keeps grids
-// of runs from paying the accumulator/checkpoint allocations per run.
-func NewCheckpointedIn(pool *BufferPool, h *InnerProductHash, src SeedSource, base uint64, x *bitstring.BitVec, hintWords int) *Checkpointed {
-	return newCheckpointed(pool, h, src, base, x, hintWords, DefaultCheckpointSpacing)
+// words, so steady-state hashing allocates nothing.
+//
+// old, if non-nil, is a retired store that nothing uses any more: it is
+// re-targeted at h, src, base and x and returned, keeping its buffers and
+// allocating only where one is below the hint. This is how a batch of
+// runs stops paying the seed-row and checkpoint allocations per run (see
+// core.Arena). Nothing leaks between runs through a recycled store: it
+// starts with no materialized seed words and no valid checkpoints, and
+// derives every word it reads from its new seed block and transcript
+// first.
+func NewCheckpointedIn(old *Checkpointed, h *InnerProductHash, src SeedSource, base uint64, x *bitstring.BitVec, hintWords int) *Checkpointed {
+	return newCheckpointed(old, h, src, base, x, hintWords, DefaultCheckpointSpacing)
 }
 
 // newCheckpointed is NewCheckpointedIn at an explicit checkpoint interval
 // (spacing ≥ 1 words); the in-package tests and benchmarks vary it.
-func newCheckpointed(pool *BufferPool, h *InnerProductHash, src SeedSource, base uint64, x *bitstring.BitVec, hintWords, spacing int) *Checkpointed {
-	s := &Checkpointed{
+func newCheckpointed(old *Checkpointed, h *InnerProductHash, src SeedSource, base uint64, x *bitstring.BitVec, hintWords, spacing int) *Checkpointed {
+	s := old
+	if s == nil {
+		s = new(Checkpointed)
+	}
+	*s = Checkpointed{
 		h:       h,
 		x:       x,
 		src:     src,
 		w:       x.AttachWatermark(),
 		base:    base,
+		rows:    s.rows[:0],
+		stage:   s.stage[:0],
 		spacing: spacing,
 		gen:     x.Gen(),
+		ck:      s.ck[:0],
 	}
 	if maxRow := int(h.wordsPerRow()); hintWords > maxRow {
 		hintWords = maxRow
 	}
 	if hintWords > 0 {
-		s.rows = pool.Get(hintWords * h.Tau)
-		s.stage = pool.Get(hintWords)
-		s.ck = pool.Get((hintWords/spacing + 1) * h.Tau)
+		s.rows = reserve(s.rows, hintWords*h.Tau)
+		s.stage = reserve(s.stage, hintWords)
+		s.ck = reserve(s.ck, (hintWords/spacing+1)*h.Tau)
 	}
 	return s
+}
+
+// reserve returns buf, or a fresh empty buffer of capacity n if buf's
+// capacity is below n.
+func reserve(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, 0, n)
+	}
+	return buf
 }
 
 // SetBlock re-points the store at a new seed block — the epoch-refresh
@@ -136,21 +158,9 @@ func (s *Checkpointed) SetBlock(base uint64) {
 // Base returns the first stream word of the current seed block.
 func (s *Checkpointed) Base() uint64 { return s.base }
 
-// Release hands the store's buffers back to pool (nil is a no-op) and
-// empties the store; it must not be used afterwards. Nothing leaks
-// between runs through a recycled buffer: a fresh store starts with no
-// materialized seed words and no valid checkpoints, and derives every
-// word it reads from its own seed block and transcript first.
-func (s *Checkpointed) Release(pool *BufferPool) {
-	if s == nil || pool == nil {
-		return
-	}
-	pool.Put(s.rows)
-	pool.Put(s.stage)
-	pool.Put(s.ck)
-	s.rows, s.stage, s.ck = nil, nil, nil
-	s.nw, s.nck = 0, 0
-}
+// Words returns the capacity of the store's buffers in 64-bit words
+// (arena telemetry).
+func (s *Checkpointed) Words() int { return cap(s.rows) + cap(s.stage) + cap(s.ck) }
 
 // Checkpoints returns the number of currently valid checkpoints (test and
 // instrumentation hook).

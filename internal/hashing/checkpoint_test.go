@@ -272,58 +272,111 @@ func TestStableOffsetsDisjoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointedPooledEquivalence pins the pooled variant of the
-// incremental store: buffers drawn from a shared BufferPool produce
-// bit-identical hashes to the private-buffer path, Release hands the
-// seed rows and checkpoint snapshots back for reuse, and a second store
-// built from the warmed pool allocates nothing fresh (all hits).
+// TestCheckpointedPooledEquivalence pins the recycled variant of the
+// incremental store: a store built from no retired store, from a retired
+// one whose buffers are below the hint (they must grow to it), and from a
+// retired one whose buffers are above the hint (it keeps them) all match
+// the reference evaluator across appends, truncations and block switches.
 func TestCheckpointedPooledEquivalence(t *testing.T) {
 	h := NewInnerProductHash(8, 1<<13)
 	lay := NewSeedLayout(h)
-	base := lay.EpochOffset(SlotMP1, 0)
-	pool := &BufferPool{}
+	blocks := []uint64{lay.EpochOffset(SlotMP1, 0), lay.EpochOffset(SlotMP1, 1), lay.Offset(3, SlotMP2)}
 	rng := rand.New(rand.NewSource(99))
+	const hint = 64
 
 	run := func(s *Checkpointed, x *bitstring.BitVec, ref SeedSource) {
 		t.Helper()
-		for step := 0; step < 30; step++ {
-			switch op := rng.Intn(8); {
+		base := blocks[0]
+		// Hash a few words at the initial block first: this is where a
+		// store that kept stale seed rows or checkpoints would read them.
+		for i := 0; i < 20; i++ {
+			x.AppendUint(rng.Uint64(), 64)
+		}
+		for _, nbits := range []int{1, 64, 200, x.Len()} {
+			if got, want := s.HashPrefix(nbits), h.HashPrefix(x, nbits, ref, base); got != want {
+				t.Fatalf("nbits %d: recycled %#x != reference %#x", nbits, got, want)
+			}
+		}
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(10); {
 			case op < 4:
 				x.AppendUint(rng.Uint64(), 1+rng.Intn(64))
 			case op < 5 && x.Len() > 0:
 				x.Truncate(rng.Intn(x.Len() + 1))
+			case op < 6:
+				base = blocks[rng.Intn(len(blocks))]
+				s.SetBlock(base)
 			default:
 				if got, want := s.HashPrefix(x.Len()), h.HashPrefix(x, x.Len(), ref, base); got != want {
-					t.Fatalf("step %d: pooled %#x != reference %#x", step, got, want)
+					t.Fatalf("step %d: recycled %#x != reference %#x", step, got, want)
 				}
 			}
 		}
 	}
-
-	x1 := bitstring.NewBitVec(0)
-	s1 := NewCheckpointedIn(pool, h, NewPRFSource(5, 6), base, x1, 64)
-	run(s1, x1, NewPRFSource(5, 6))
-	if st := pool.Stats(); st.Hits != 0 || st.Misses == 0 {
-		t.Fatalf("cold pooled store stats %+v, want only misses", st)
-	}
-	s1.Release(pool)
-	if pool.Len() == 0 {
-		t.Fatal("Release returned no buffers to the pool")
+	// retire returns a used store built with the given hint.
+	retire := func(hintWords int) *Checkpointed {
+		x := bitstring.NewBitVec(0)
+		s := NewCheckpointedIn(nil, h, NewPRFSource(1, 2), blocks[0], x, hintWords)
+		run(s, x, NewPRFSource(1, 2))
+		return s
 	}
 
-	before := pool.Stats()
-	x2 := bitstring.NewBitVec(0)
-	s2 := NewCheckpointedIn(pool, h, NewPRFSource(7, 8), base, x2, 64)
-	run(s2, x2, NewPRFSource(7, 8))
-	delta := pool.Stats().Sub(before)
-	if delta.Misses != 0 || delta.Hits == 0 || delta.WordsReused == 0 {
-		t.Fatalf("warm pooled store stats %+v, want all hits", delta)
-	}
-	s2.Release(pool)
+	x := bitstring.NewBitVec(0)
+	s := NewCheckpointedIn(nil, h, NewPRFSource(5, 6), blocks[0], x, hint)
+	run(s, x, NewPRFSource(5, 6))
 
-	// A nil pool allocates privately.
-	x3 := bitstring.NewBitVec(0)
-	s3 := NewCheckpointedIn(nil, h, NewPRFSource(9, 10), base, x3, 64)
-	run(s3, x3, NewPRFSource(9, 10))
-	s3.Release(nil) // no-op
+	small := retire(4)
+	x = bitstring.NewBitVec(0)
+	s = NewCheckpointedIn(small, h, NewPRFSource(7, 8), blocks[0], x, hint)
+	if cap(s.rows) < hint*h.Tau || cap(s.stage) < hint || cap(s.ck) < (hint/DefaultCheckpointSpacing+1)*h.Tau {
+		t.Fatalf("store from a small retired store kept buffers below the hint: %d/%d/%d words", cap(s.rows), cap(s.stage), cap(s.ck))
+	}
+	run(s, x, NewPRFSource(7, 8))
+
+	large := retire(4 * hint)
+	words := large.Words()
+	x = bitstring.NewBitVec(0)
+	s = NewCheckpointedIn(large, h, NewPRFSource(9, 10), blocks[0], x, hint)
+	if s != large || s.Words() != words {
+		t.Fatalf("store from a large retired store reallocated: %d words, retired had %d", s.Words(), words)
+	}
+	run(s, x, NewPRFSource(9, 10))
+}
+
+// TestCheckpointedDirtyPoolEquivalence pins the arena-safety property: a
+// store re-targeted from a retired one whose buffers are larger than the
+// hint and hold stale words produces exactly the hashes of a freshly
+// built store, across block switches and prefix growth.
+func TestCheckpointedDirtyPoolEquivalence(t *testing.T) {
+	h := NewInnerProductHash(8, 4096)
+	rng := rand.New(rand.NewSource(7))
+	x := bitstring.NewBitVec(2048)
+	for i := 0; i < 2048; i++ {
+		x.Append(byte(rng.Intn(2)))
+	}
+	retired := NewCheckpointedIn(nil, h, NewPRFSource(11, 12), 0, x, 64)
+	retired.HashPrefix(2048)
+	for round := 0; round < 3; round++ {
+		// Poison every word the retired store owns, so reuse of a stale
+		// word would show up as a hash mismatch.
+		for _, b := range [][]uint64{retired.rows, retired.stage, retired.ck} {
+			b = b[:cap(b)]
+			for j := range b {
+				b[j] = 0xdeadbeefdeadbeef
+			}
+		}
+		src := NewPRFSource(uint64(round+1), uint64(round*13+5))
+		fresh := NewCheckpointedIn(nil, h, src, 0, x, 32)
+		recycled := NewCheckpointedIn(retired, h, src, 0, x, 32)
+		for _, base := range []uint64{0, 3 * h.SeedWords(), 7 * h.SeedWords()} {
+			fresh.SetBlock(base)
+			recycled.SetBlock(base)
+			for _, nbits := range []int{0, 13, 64, 700, 2048} {
+				if got, want := recycled.HashPrefix(nbits), fresh.HashPrefix(nbits); got != want {
+					t.Fatalf("round=%d base=%d nbits=%d: recycled %#x != fresh %#x", round, base, nbits, got, want)
+				}
+			}
+		}
+		retired = recycled
+	}
 }

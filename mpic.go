@@ -30,12 +30,11 @@
 //	    Seed:     1,
 //	})
 //
-// The Runner holds per-link hash buffers across runs (batch drivers stop
-// paying per-run seed materialization), honors context cancellation, and
-// executes parameter grids through Runner.RunGrid. Per-iteration
-// progress is observable by attaching an Observer to the scenario, and
-// per-run arena telemetry through Result.Arena (or the NewArenaLog
-// sink).
+// The Runner holds per-link prefix-hash stores across runs (batch
+// drivers stop paying per-run seed materialization), honors context
+// cancellation, and executes parameter grids through Runner.RunGrid.
+// Per-iteration progress is observable by attaching an Observer to the
+// scenario, and per-run arena telemetry through Result.Arena.
 //
 // # The grid engine
 //
@@ -241,9 +240,9 @@ func ParseHashMode(s string) (HashMode, error) { return core.ParseHashMode(s) }
 // when Scenario.WhiteBoxRate (or core's Options.WhiteBoxRate) was set.
 type WhiteBoxStats = core.WhiteBoxStats
 
-// ArenaStats is the runner arena's buffer-pool telemetry — hits, misses,
-// and words of recycled capacity. Result.Arena carries a per-run delta;
-// NewArenaLog prints one per run.
+// ArenaStats is the runner arena's telemetry — prefix-hash stores drawn
+// recycled (hits) or built fresh (misses), and the words of recycled
+// capacity. Result.Arena carries a per-run delta.
 type ArenaStats = core.ArenaStats
 
 // Protocol is a noiseless multiparty protocol with a fixed speaking

@@ -196,37 +196,3 @@ func newThrottledProgressLog(w io.Writer, every int, now func() time.Time) GridP
 	}
 	return l.emit
 }
-
-// arenaLog is the observer sink behind NewArenaLog.
-type arenaLog struct {
-	w io.Writer
-}
-
-// IterationDone implements Observer; the arena sink only cares about run
-// boundaries.
-func (arenaLog) IterationDone(IterationStats) {}
-
-// RunDone implements RunEndObserver: one line of arena telemetry per run.
-func (l arenaLog) RunDone(res *Result) {
-	if res.Arena == nil {
-		fmt.Fprintln(l.w, "arena: off")
-		return
-	}
-	a := res.Arena
-	total := a.Hits + a.Misses
-	rate := 0.0
-	if total > 0 {
-		rate = float64(a.Hits) / float64(total)
-	}
-	fmt.Fprintf(l.w, "arena: hits=%d misses=%d hit-rate=%.2f words-reused=%d\n",
-		a.Hits, a.Misses, rate, a.WordsReused)
-}
-
-// NewArenaLog returns an observer sink that writes one line of arena
-// telemetry per run to w — the runner's buffer-pool hits, misses, and
-// recycled words (see ArenaStats). Attach it to the scenarios of a sweep
-// to watch the arena warm up, or to spot a topology whose buffer shapes
-// keep missing the pool.
-func NewArenaLog(w io.Writer) Observer {
-	return arenaLog{w: w}
-}

@@ -7,12 +7,12 @@ import (
 )
 
 // Runner executes scenarios while holding run-to-run state: a shared
-// arena that recycles every link's hash block buffers, so batch drivers
-// (sweeps, experiment tables, services replaying many scenarios) stop
-// paying the per-run seed-materialization allocations. Results are
+// store arena that recycles every link's prefix-hash stores, so batch
+// drivers (sweeps, experiment tables, services replaying many scenarios)
+// stop paying the per-run seed-materialization allocations. Results are
 // bit-identical to one-shot runs.
 //
-// A Runner is safe for concurrent use; Close releases the pooled memory
+// A Runner is safe for concurrent use; Close releases the recycled memory
 // (using the Runner afterwards is still valid — it just re-warms).
 type Runner struct {
 	arena *core.Arena
@@ -37,7 +37,7 @@ func (r *Runner) Run(ctx context.Context, sc Scenario) (*Result, error) {
 	return core.Run(opts)
 }
 
-// Close drops the Runner's pooled memory.
+// Close drops the Runner's recycled stores.
 func (r *Runner) Close() {
 	if r != nil {
 		r.arena.Reset()
