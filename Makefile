@@ -23,7 +23,7 @@ SWEEP_PARALLEL ?= 0
 # re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-core bench-epoch bench-kernel bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz
+.PHONY: verify tier1 race examples bench bench-core bench-protocol bench-epoch bench-kernel bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz
 
 verify: tier1 lint race examples crossbuild
 
@@ -90,6 +90,13 @@ bench:
 # bytes and allocs per run. PERF.md records the figures.
 bench-core:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunLockstep' -benchmem .
+
+# The protocol set-up of one run in the scenario-lockstep shape: the
+# Random workload's schedule, its chunking at the 5m-bit budget and its
+# noiseless reference run, in ns, bytes and allocs per set-up. PERF.md
+# records the figures.
+bench-protocol:
+	$(GO) test -run '^$$' -bench 'BenchmarkProtocolSetup' -benchmem ./internal/protocol/
 
 # The epoch-refresh R-axis sweep behind core.DefaultEpochRefresh: ns per
 # iteration as the seed-refresh interval grows from every-iteration

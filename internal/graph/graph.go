@@ -7,6 +7,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -89,8 +90,7 @@ func (g *Graph) insert(v, w Node, id int) {
 // IndexOf returns the position of v in the ascending slice nodes, or -1
 // if v is absent. With nodes = g.Neighbors(u) it is the port of v at u.
 func IndexOf(nodes []Node, v Node) int {
-	i := sort.Search(len(nodes), func(i int) bool { return nodes[i] >= v })
-	if i < len(nodes) && nodes[i] == v {
+	if i, ok := slices.BinarySearch(nodes, v); ok {
 		return i
 	}
 	return -1

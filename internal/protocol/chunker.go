@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+
 	"mpic/internal/channel"
 	"mpic/internal/graph"
 )
@@ -66,8 +68,11 @@ type Chunking struct {
 
 	g     *graph.Graph
 	dummy *ChunkSpec
-	locs  [][]SeqLoc // by graph.LinkIndex: each transmission's location, by seq
+	locs  [][]seqLoc // by graph.LinkIndex: each transmission's location, by seq
 }
+
+// seqLoc is a SeqLoc stored in half the space.
+type seqLoc struct{ chunk, pos int32 }
 
 // NewChunking chunks the schedule of p into chunks of at most chunkBits
 // bits each. chunkBits must be at least the largest single round's
@@ -85,34 +90,83 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 		Sched:     sched,
 		ChunkBits: chunkBits,
 		g:         g,
-		locs:      make([][]SeqLoc, 2*m),
+		locs:      make([][]seqLoc, 2*m),
 	}
-	// Every transmission's link index, in schedule order, and each link's
-	// transmission count, which sizes its slice of one shared locs slab.
-	lis := make([]int, 0, sched.TotalBits())
-	perLink := make([]int, 2*m)
-	for r := 0; r < sched.Rounds(); r++ {
-		for _, tx := range sched.At(r) {
-			li := g.LinkIndex(tx.From, tx.To)
-			lis = append(lis, li)
-			perLink[li]++
-		}
-	}
-	slab := make([]SeqLoc, len(lis))
-	for li, n := range perLink {
-		c.locs[li] = slab[:0:n]
-		slab = slab[n:]
-	}
-	perEdge := make([]int, m)
-	for start, next := 0, 0; start < sched.Rounds(); {
-		// Pack whole rounds greedily; a chunk always takes its first round.
-		end, bits := start+1, len(sched.At(start))
+	// Pack whole rounds greedily; a chunk always takes its first round.
+	// The first pass only counts the chunks, so the second fills specs of
+	// one slab.
+	pack := func(start int) (end, bits int) {
+		end, bits = start+1, len(sched.At(start))
 		for end < sched.Rounds() && bits+len(sched.At(end)) <= chunkBits {
 			bits += len(sched.At(end))
 			end++
 		}
-		c.addChunk(start, end, lis[next:next+bits], perEdge)
-		start, next = end, next+bits
+		return end, bits
+	}
+	n := 0
+	for start := 0; start < sched.Rounds(); start, _ = pack(start) {
+		n++
+	}
+	specs := make([]ChunkSpec, n)
+	linkSlots := make([][]Slot, n*m)
+	c.Specs = make([]*ChunkSpec, n)
+	for i, start := 0, 0; i < n; i++ {
+		end, bits := pack(start)
+		specs[i] = ChunkSpec{
+			Index:      i + 1,
+			StartRound: start,
+			EndRound:   end,
+			Bits:       bits,
+			LinkSlots:  linkSlots[i*m : (i+1)*m : (i+1)*m],
+		}
+		c.Specs[i] = &specs[i]
+		c.MaxChunkRounds = max(c.MaxChunkRounds, end-start)
+		start = end
+	}
+
+	// Each edge's slots, in schedule order, are its two directions'
+	// transmissions merged by round (u→v before v→u within a round, as
+	// the round is sorted), and each chunk's LinkSlots entry for the edge
+	// is one run of that sequence: all slots share one slab.
+	slots := make([]Slot, 0, sched.TotalBits())
+	locSlab := make([]seqLoc, sched.TotalBits())
+	for _, e := range g.Edges() {
+		id := g.EdgeIndex(e.U, e.V)
+		fwd := sched.roundsOn(channel.Link{From: e.U, To: e.V})
+		bwd := sched.roundsOn(channel.Link{From: e.V, To: e.U})
+		c.locs[2*id], locSlab = locSlab[:len(fwd):len(fwd)], locSlab[len(fwd):]
+		c.locs[2*id+1], locSlab = locSlab[:len(bwd):len(bwd)], locSlab[len(bwd):]
+		ci, run := 0, len(slots)
+		for i, j := 0, 0; i < len(fwd) || j < len(bwd); {
+			var r int
+			var slot Slot
+			var loc *seqLoc
+			if j == len(bwd) || i < len(fwd) && fwd[i] <= bwd[j] {
+				r, loc = int(fwd[i]), &c.locs[2*id][i]
+				slot = Slot{Tx: Transmission{From: e.U, To: e.V}, Seq: i}
+				i++
+			} else {
+				r, loc = int(bwd[j]), &c.locs[2*id+1][j]
+				slot = Slot{Tx: Transmission{From: e.V, To: e.U}, Seq: j}
+				j++
+			}
+			if r >= specs[ci].EndRound {
+				c.closeRun(&specs[ci], id, slots[run:])
+				for r >= specs[ci].EndRound {
+					ci++
+				}
+				run = len(slots)
+			}
+			slot.RelRound = r - specs[ci].StartRound
+			*loc = seqLoc{chunk: int32(ci + 1), pos: int32(len(slots) - run)}
+			slots = append(slots, slot)
+		}
+		if len(slots) > run {
+			c.closeRun(&specs[ci], id, slots[run:])
+		}
+	}
+	if len(slots) != sched.TotalBits() {
+		panic(fmt.Sprintf("protocol: chunking a schedule using non-edges (%d of %d transmissions on edges)", len(slots), sched.TotalBits()))
 	}
 
 	// Dummy padding chunk (Section 3.2): one round in which every link
@@ -120,11 +174,12 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 	// chunk indices past |Π| so the simulation can keep making progress
 	// while stragglers catch up.
 	dummy := &ChunkSpec{StartRound: 0, EndRound: 1, Bits: 2 * m, LinkSlots: make([][]Slot, m)}
+	dslots := make([]Slot, 2*m)
 	for _, e := range g.Edges() {
-		dummy.LinkSlots[g.EdgeIndex(e.U, e.V)] = []Slot{
-			{RelRound: 0, Tx: Transmission{From: e.U, To: e.V}},
-			{RelRound: 0, Tx: Transmission{From: e.V, To: e.U}},
-		}
+		id := g.EdgeIndex(e.U, e.V)
+		dslots[2*id] = Slot{RelRound: 0, Tx: Transmission{From: e.U, To: e.V}}
+		dslots[2*id+1] = Slot{RelRound: 0, Tx: Transmission{From: e.V, To: e.U}}
+		dummy.LinkSlots[id] = dslots[2*id : 2*id+2 : 2*id+2]
 	}
 	c.dummy = dummy
 	if c.MaxSlotsPerLink < 2 {
@@ -136,46 +191,14 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 	return c
 }
 
-// addChunk appends the chunk of rounds [start, end), whose transmissions
-// have link indices lis; perEdge is zeroed scratch of length m, returned
-// zeroed.
-func (c *Chunking) addChunk(start, end int, lis, perEdge []int) {
-	spec := &ChunkSpec{
-		Index:      len(c.Specs) + 1,
-		StartRound: start,
-		EndRound:   end,
-		Bits:       len(lis),
-		LinkSlots:  make([][]Slot, len(perEdge)),
+// closeRun hands edge id's slots in one chunk to that chunk's spec; an
+// edge silent in the chunk keeps a nil entry.
+func (c *Chunking) closeRun(spec *ChunkSpec, id int, run []Slot) {
+	if len(run) == 0 {
+		return
 	}
-	for _, li := range lis {
-		perEdge[li/2]++
-	}
-	slab := make([]Slot, len(lis))
-	for e, n := range perEdge {
-		if n > 0 {
-			spec.LinkSlots[e] = slab[:0:n]
-			slab = slab[n:]
-			perEdge[e] = 0
-		}
-		if n > c.MaxSlotsPerLink {
-			c.MaxSlotsPerLink = n
-		}
-	}
-	k := 0
-	for r := start; r < end; r++ {
-		for _, tx := range c.Sched.At(r) {
-			li := lis[k]
-			k++
-			e := li / 2
-			seq := len(c.locs[li])
-			c.locs[li] = append(c.locs[li], SeqLoc{Chunk: spec.Index, Pos: len(spec.LinkSlots[e])})
-			spec.LinkSlots[e] = append(spec.LinkSlots[e], Slot{RelRound: r - start, Tx: tx, Seq: seq})
-		}
-	}
-	if spec.Rounds() > c.MaxChunkRounds {
-		c.MaxChunkRounds = spec.Rounds()
-	}
-	c.Specs = append(c.Specs, spec)
+	spec.LinkSlots[id] = run[:len(run):len(run)]
+	c.MaxSlotsPerLink = max(c.MaxSlotsPerLink, len(run))
 }
 
 // NumChunks returns |Π| in chunks (the real chunks, excluding padding).
@@ -203,5 +226,6 @@ func (c *Chunking) Locate(l channel.Link, seq int) (SeqLoc, bool) {
 	if li < 0 || seq < 0 || seq >= len(c.locs[li]) {
 		return SeqLoc{}, false
 	}
-	return c.locs[li][seq], true
+	loc := c.locs[li][seq]
+	return SeqLoc{Chunk: int(loc.chunk), Pos: int(loc.pos)}, true
 }

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"mpic/internal/bitstring"
 	"mpic/internal/channel"
 	"mpic/internal/graph"
@@ -28,17 +30,18 @@ var _ Protocol = (*FullyUtilized)(nil)
 // NewFullyUtilized wraps inner so that all links speak every round.
 func NewFullyUtilized(inner Protocol) *FullyUtilized {
 	g := inner.Graph()
-	var all []Transmission
+	all := make([]Transmission, 0, 2*g.M())
 	for _, e := range g.Edges() {
 		all = append(all,
 			Transmission{From: e.U, To: e.V},
 			Transmission{From: e.V, To: e.U})
 	}
+	slices.SortFunc(all, txCmp)
 	rounds := make([][]Transmission, inner.Schedule().Rounds())
+	slab := make([]Transmission, len(rounds)*len(all))
 	for r := range rounds {
-		txs := make([]Transmission, len(all))
-		copy(txs, all)
-		rounds[r] = txs
+		rounds[r] = slab[r*len(all) : (r+1)*len(all) : (r+1)*len(all)]
+		copy(rounds[r], all)
 	}
 	return &FullyUtilized{inner: inner, sched: NewSchedule(rounds)}
 }
@@ -107,5 +110,5 @@ func (v fuView) Observed(l channel.Link, seq int) bitstring.Symbol {
 	}
 	// In the fully-utilized schedule, link l transmits exactly once per
 	// round, so the outer sequence number equals the round number.
-	return v.outer.Observed(l, rounds[seq])
+	return v.outer.Observed(l, int(rounds[seq]))
 }

@@ -8,7 +8,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mpic/internal/bitstring"
 	"mpic/internal/channel"
@@ -28,12 +27,13 @@ func (t Transmission) Link() channel.Link { return channel.Link{From: t.From, To
 // and independent of inputs — the standing assumption of the paper.
 type Schedule struct {
 	rounds [][]Transmission
+	total  int
 	// links lists every directed link the schedule uses, ascending by
-	// (From, To); txRounds[i] holds links[i]'s transmission rounds,
-	// ascending.
-	links    []channel.Link
-	txRounds [][]int
-	total    int
+	// (From, To). links[i]'s transmission rounds are
+	// txRounds[linkStart[i]:linkStart[i+1]], ascending.
+	links     []channel.Link
+	linkStart []int32
+	txRounds  []int32
 }
 
 // linkCmp orders directed links by (From, To).
@@ -44,37 +44,44 @@ func linkCmp(a, b channel.Link) int {
 	return cmp.Compare(a.To, b.To)
 }
 
+// txCmp orders transmissions by their links.
+func txCmp(a, b Transmission) int { return linkCmp(a.Link(), b.Link()) }
+
 // NewSchedule builds a schedule from per-round transmissions. Within each
-// round, transmissions are normalized to a deterministic order.
+// round, transmissions are normalized to a deterministic order. The index
+// takes O(|Π| + links) time and memory beyond those per-round sorts: it
+// buckets the transmissions by link in counting passes and sorts only the
+// distinct links.
 func NewSchedule(rounds [][]Transmission) *Schedule {
 	s := &Schedule{rounds: rounds}
+	// at counts each distinct link's transmissions, then holds the next
+	// free slot of the link's run in txRounds.
+	at := make(map[channel.Link]int32)
 	for _, txs := range rounds {
-		slices.SortFunc(txs, func(a, b Transmission) int { return linkCmp(a.Link(), b.Link()) })
+		if !slices.IsSortedFunc(txs, txCmp) {
+			slices.SortFunc(txs, txCmp)
+		}
 		s.total += len(txs)
-	}
-	used := make([]channel.Link, 0, s.total)
-	for _, txs := range rounds {
 		for _, tx := range txs {
-			used = append(used, tx.Link())
+			at[tx.Link()]++
 		}
 	}
-	slices.SortFunc(used, linkCmp)
-	// Each distinct link's run in used is its transmission count, which
-	// sizes its slice of one shared rounds slab.
-	slab := make([]int, s.total)
-	for i := 0; i < len(used); {
-		j := i + 1
-		for j < len(used) && used[j] == used[i] {
-			j++
-		}
-		s.links = append(s.links, used[i])
-		s.txRounds = append(s.txRounds, slab[i:i:j])
-		i = j
+	s.links = make([]channel.Link, 0, len(at))
+	for l := range at {
+		s.links = append(s.links, l)
 	}
+	slices.SortFunc(s.links, linkCmp)
+	s.linkStart = make([]int32, len(s.links)+1)
+	for i, l := range s.links {
+		s.linkStart[i+1] = s.linkStart[i] + at[l]
+		at[l] = s.linkStart[i]
+	}
+	s.txRounds = make([]int32, s.total)
 	for r, txs := range rounds {
 		for _, tx := range txs {
-			i := s.linkPos(tx.Link())
-			s.txRounds[i] = append(s.txRounds[i], r)
+			i := at[tx.Link()]
+			s.txRounds[i] = int32(r)
+			at[tx.Link()] = i + 1
 		}
 	}
 	return s
@@ -91,9 +98,9 @@ func (s *Schedule) linkPos(l channel.Link) int {
 
 // roundsOn returns the ascending rounds of l's transmissions (nil for a
 // link the schedule never uses). The slice is owned by the schedule.
-func (s *Schedule) roundsOn(l channel.Link) []int {
+func (s *Schedule) roundsOn(l channel.Link) []int32 {
 	if i := s.linkPos(l); i >= 0 {
-		return s.txRounds[i]
+		return s.txRounds[s.linkStart[i]:s.linkStart[i+1]]
 	}
 	return nil
 }
@@ -115,7 +122,15 @@ func (s *Schedule) CountOn(l channel.Link) int { return len(s.roundsOn(l)) }
 // rounds strictly before r — i.e. the sequence number the next
 // transmission on l would get.
 func (s *Schedule) CountBefore(l channel.Link, r int) int {
-	return sort.SearchInts(s.roundsOn(l), r)
+	rounds := s.roundsOn(l)
+	switch {
+	case r <= 0:
+		return 0
+	case r >= len(s.rounds):
+		return len(rounds)
+	}
+	i, _ := slices.BinarySearch(rounds, int32(r))
+	return i
 }
 
 // Validate checks every transmission uses an existing link of g.

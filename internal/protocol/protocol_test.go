@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mpic/internal/channel"
@@ -39,6 +40,23 @@ func TestScheduleValidate(t *testing.T) {
 	bad := NewSchedule([][]Transmission{{{From: 0, To: 2}}})
 	if err := bad.Validate(g); err == nil {
 		t.Error("non-edge transmission accepted")
+	}
+	// Set-up on an unvalidated schedule naming a non-edge panics rather
+	// than dropping the transmission.
+	p := NewRandom(g, 1, 1, 1, DefaultInputs(3, 1, 1))
+	p.sched = bad
+	for name, setUp := range map[string]func(){
+		"NewChunking":  func() { NewChunking(p, 10) },
+		"RunReference": func() { RunReference(p) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a non-edge transmission", name)
+				}
+			}()
+			setUp()
+		}()
 	}
 }
 
@@ -329,5 +347,62 @@ func TestScheduleCounts(t *testing.T) {
 	empty := NewSchedule(nil)
 	if empty.CountOn(links[0]) != 0 || empty.CountBefore(links[0], 5) != 0 || empty.TotalBits() != 0 {
 		t.Fatal("empty schedule counts transmissions")
+	}
+
+	// A hand-built schedule with a link repeated within a round, empty
+	// rounds, and nodes no graph has (-1, 1<<40): the index must count them
+	// exactly without allocating by a node's value.
+	const far = graph.Node(1 << 40)
+	hand := [][]Transmission{
+		{{From: 2, To: 1}, {From: 0, To: 1}, {From: 2, To: 1}},
+		{},
+		{{From: far, To: -1}, {From: -1, To: far}, {From: far, To: -1}, {From: 0, To: 1}},
+		{},
+		{},
+		{{From: 1, To: 0}, {From: -1, To: 0}, {From: 2, To: 1}, {From: 2, To: 1}, {From: 2, To: 1}},
+	}
+	want := make([][]Transmission, len(hand))
+	for r, txs := range hand {
+		want[r] = append([]Transmission(nil), txs...)
+	}
+	s = NewSchedule(hand)
+	probe := []channel.Link{{From: 0, To: 0}, {From: 1, To: 2}, {From: far, To: far}, {From: -1, To: -1}, {From: 0, To: far}}
+	for _, txs := range want {
+		for _, tx := range txs {
+			probe = append(probe, tx.Link(), tx.Link().Reverse())
+		}
+	}
+	for _, l := range probe {
+		count := 0
+		for r := -1; r <= s.Rounds()+1; r++ {
+			if got := s.CountBefore(l, r); got != count {
+				t.Fatalf("hand schedule: CountBefore(%v, %d) = %d, want %d", l, r, got, count)
+			}
+			if r >= 0 && r < len(want) {
+				for _, tx := range want[r] {
+					if tx.Link() == l {
+						count++
+					}
+				}
+			}
+		}
+		if got := s.CountOn(l); got != count {
+			t.Fatalf("hand schedule: CountOn(%v) = %d, want %d", l, got, count)
+		}
+	}
+	if s.TotalBits() != 12 || s.Rounds() != 6 || len(s.At(1)) != 0 {
+		t.Fatalf("hand schedule: %d bits over %d rounds", s.TotalBits(), s.Rounds())
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s = NewSchedule([][]Transmission{{{From: far, To: 0}}})
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Fatalf("a 1-transmission schedule naming node %d allocated %d bytes", far, alloc)
+	}
+	if s.CountOn(channel.Link{From: far, To: 0}) != 1 || s.Validate(g) == nil {
+		t.Fatalf("schedule naming node %d: counted %d, validated", far, s.CountOn(channel.Link{From: far, To: 0}))
 	}
 }

@@ -27,6 +27,19 @@ func NewMapView(g *graph.Graph, self graph.Node, input []byte) *MapView {
 	return &MapView{self: self, input: input, nbrs: nbrs, obs: make([][]bitstring.Symbol, 2*len(nbrs))}
 }
 
+// reserve gives each of v's link slices room for every transmission
+// sched makes on that link, carved from syms, and returns the rest of
+// syms.
+func (v *MapView) reserve(sched *Schedule, syms []bitstring.Symbol) []bitstring.Symbol {
+	for port, w := range v.nbrs {
+		for d, l := range [2]channel.Link{{From: v.self, To: w}, {From: w, To: v.self}} {
+			n := sched.CountOn(l)
+			v.obs[2*port+d], syms = syms[:0:n], syms[n:]
+		}
+	}
+	return syms
+}
+
 // Self implements View.
 func (v *MapView) Self() graph.Node { return v.self }
 
@@ -79,19 +92,27 @@ type Reference struct {
 func RunReference(p Protocol) *Reference {
 	g := p.Graph()
 	sched := p.Schedule()
+	// One symbol slab holds each transmission twice, at its sender's and
+	// at its receiver's view.
+	syms := make([]bitstring.Symbol, 2*sched.TotalBits())
 	views := make([]*MapView, g.N())
-	for i := 0; i < g.N(); i++ {
+	for i := range views {
 		views[i] = NewMapView(g, graph.Node(i), p.Input(graph.Node(i)))
+		syms = views[i].reserve(sched, syms)
 	}
 	seq := make([]int, 2*g.M()) // by graph.LinkIndex
+	var bits []byte
 	for r := 0; r < sched.Rounds(); r++ {
 		txs := sched.At(r)
 		// Synchronous semantics: compute all of this round's bits from
 		// strictly earlier observations, then commit.
-		bits := make([]byte, len(txs))
-		for i, tx := range txs {
+		bits = bits[:0]
+		for _, tx := range txs {
 			li := g.LinkIndex(tx.From, tx.To)
-			bits[i] = p.SendBit(views[tx.From], r, tx, seq[li]) & 1
+			if li < 0 {
+				panic(fmt.Sprintf("protocol: reference run of a schedule using non-edge %v", tx.Link()))
+			}
+			bits = append(bits, p.SendBit(views[tx.From], r, tx, seq[li])&1)
 			seq[li]++
 		}
 		for i, tx := range txs {

@@ -3,50 +3,61 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"slices"
 
 	"mpic/internal/channel"
 	"mpic/internal/graph"
 )
 
-// prfBit derives a deterministic pseudo-random bit from its arguments; it
-// gives workloads input-dependent but reproducible content.
+// FNV-1a (64-bit) parameters: the workloads hash their content inline
+// with the same arithmetic as hash/fnv's New64a, so no hasher is built
+// per bit.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvByte folds one byte into the FNV-1a state h.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// prfBit derives a deterministic pseudo-random bit from its arguments —
+// the FNV-1a hash of their little-endian bytes; it gives workloads
+// input-dependent but reproducible content.
 func prfBit(parts ...uint64) byte {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(fnvOffset64)
 	for _, p := range parts {
-		binary.LittleEndian.PutUint64(buf[:], p)
-		h.Write(buf[:])
+		for i := 0; i < 8; i++ {
+			h = fnvByte(h, byte(p>>(8*i)))
+		}
 	}
-	return byte(h.Sum64() & 1)
+	return byte(h & 1)
 }
 
 func inputDigest(in []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(in)
-	return h.Sum64()
+	h := uint64(fnvOffset64)
+	for _, b := range in {
+		h = fnvByte(h, b)
+	}
+	return h
 }
 
 // foldView digests every observation a party holds on its incident links,
 // in schedule order; workloads use it as their output function so that a
 // single corrupted surviving bit anywhere flips the output.
 func foldView(v View, sched *Schedule, g *graph.Graph) []byte {
-	h := fnv.New64a()
-	h.Write(v.Input())
-	var buf [8]byte
+	h := inputDigest(v.Input())
 	self := v.Self()
 	for _, w := range g.Neighbors(self) {
-		for _, l := range []channel.Link{{From: self, To: w}, {From: w, To: self}} {
+		for _, l := range [2]channel.Link{{From: self, To: w}, {From: w, To: self}} {
 			n := sched.CountOn(l)
 			for seq := 0; seq < n; seq++ {
-				binary.LittleEndian.PutUint64(buf[:], uint64(v.Observed(l, seq)))
-				h.Write(buf[:1])
+				h = fnvByte(h, byte(v.Observed(l, seq)))
 			}
 		}
 	}
 	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, h.Sum64())
+	binary.LittleEndian.PutUint64(out, h)
 	return out
 }
 
@@ -76,21 +87,56 @@ var _ Protocol = (*Random)(nil)
 // and per-(round, directed link) speaking density in (0,1].
 func NewRandom(g *graph.Graph, rounds int, density float64, seed int64, inputs [][]byte) *Random {
 	rng := rand.New(rand.NewSource(seed))
-	var links []channel.Link
-	for _, e := range g.Edges() {
+	// The directed links in draw order: each edge of g.Edges() as U→V,
+	// then V→U.
+	edges := g.Edges()
+	links := make([]channel.Link, 0, 2*len(edges))
+	for _, e := range edges {
 		links = append(links, channel.Link{From: e.U, To: e.V}, channel.Link{From: e.V, To: e.U})
 	}
-	sch := make([][]Transmission, rounds)
+	nl := len(links)
+	// One Float64 per (round, link), then an Intn fallback for a round
+	// that drew no link. Bit r·nl+j of spoke records that links[j] speaks
+	// in round r.
+	spoke := make([]uint64, (rounds*nl+63)/64)
+	speak := func(r, j int) {
+		i := r*nl + j
+		spoke[i/64] |= 1 << (i % 64)
+	}
+	total := 0
 	for r := 0; r < rounds; r++ {
-		for _, l := range links {
+		n := 0
+		for j := 0; j < nl; j++ {
 			if rng.Float64() < density {
-				sch[r] = append(sch[r], Transmission{From: l.From, To: l.To})
+				speak(r, j)
+				n++
 			}
 		}
-		if len(sch[r]) == 0 {
-			l := links[rng.Intn(len(links))]
-			sch[r] = append(sch[r], Transmission{From: l.From, To: l.To})
+		if n == 0 {
+			speak(r, rng.Intn(nl))
+			n = 1
 		}
+		total += n
+	}
+
+	// Emit each round already in (From, To) order into one exact slab.
+	order := make([]int, nl)
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortFunc(order, func(a, b int) int { return linkCmp(links[a], links[b]) })
+	slab := make([]Transmission, total)
+	sch := make([][]Transmission, rounds)
+	k := 0
+	for r := range sch {
+		start := k
+		for _, j := range order {
+			if i := r*nl + j; spoke[i/64]>>(i%64)&1 != 0 {
+				slab[k] = Transmission{From: links[j].From, To: links[j].To}
+				k++
+			}
+		}
+		sch[r] = slab[start:k:k]
 	}
 	return &Random{g: g, sched: NewSchedule(sch), inputs: padInputs(inputs, g.N())}
 }
