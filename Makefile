@@ -85,11 +85,13 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMicro|BenchmarkScaling' -benchmem .
 
-# One default scenario run in the scenario-lockstep shape (random
-# 12-party graph, Algorithm A, light random noise) on a reused Runner: ns,
-# bytes and allocs per run. PERF.md records the figures.
+# One default scenario run on a reused Runner in the scenario-lockstep
+# shape (random 12-party graph, Algorithm A, light random noise) and in
+# the scenario-des shape (the same on the virtual-time engine with
+# lognormal delays and spikes): ns, bytes and allocs per run. PERF.md
+# records the figures.
 bench-core:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunLockstep' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkRun(Lockstep|DES)$$' -benchmem .
 
 # The protocol set-up of one run in the scenario-lockstep shape: the
 # Random workload's schedule, its chunking at the 5m-bit budget and its

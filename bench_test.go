@@ -185,6 +185,32 @@ func BenchmarkRunLockstep(b *testing.B) {
 	}
 }
 
+// BenchmarkRunDES is BenchmarkRunLockstep in the shape of the repo
+// benchmark's scenario-des workload: the same scenario on the
+// virtual-time engine with lognormal flight delays (σ 0.2) and delay
+// spikes at rate 0.0005, where late symbols become insertion–deletion
+// noise. `make bench-core` runs it.
+func BenchmarkRunDES(b *testing.B) {
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	sc := mpic.Scenario{
+		Topology:   mpic.RandomTopology(12),
+		Workload:   mpic.RandomTraffic(150),
+		Scheme:     mpic.AlgorithmA,
+		Noise:      mpic.RandomNoise(0.0003),
+		IterFactor: 32,
+		Delay:      mpic.LognormalDelay(0.2),
+		Faults:     &mpic.NetFaults{SpikeRate: 0.0005},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc.Seed = int64(i%64 + 1)
+		if _, err := runner.Run(context.Background(), sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGridSession measures the overhead of the durable-session
 // layers on a small grid: the bare engine, the same grid narrating every
 // iteration through a discarding progress sink, and the same grid

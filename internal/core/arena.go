@@ -97,14 +97,17 @@ func (a *Arena) get() *hashing.Checkpointed {
 	return s
 }
 
-// release hands a party's per-link prefix-hash stores back to the arena.
-// Exchange-mode receivers bind late, so a link may have none yet.
+// release hands a party's per-link prefix-hash stores back to the arena,
+// detached from the run's transcripts and seed sources so the free list
+// keeps only their buffers alive. Exchange-mode receivers bind late, so a
+// link may have none yet.
 func (a *Arena) release(p *party) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, ls := range p.links {
 		for _, s := range [...]*hashing.Checkpointed{ls.p1, ls.p2} {
 			if s != nil {
+				s.Detach()
 				a.free = append(a.free, s)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"mpic/internal/adversary"
 	"mpic/internal/channel"
@@ -202,6 +203,10 @@ func Run(opts Options) (*Result, error) {
 		}
 		e.codec = codec
 		lay.exchangeRounds = codec.CodewordBits()
+		e.rng = rand.New(rand.NewSource(0))
+		// One receiving endpoint per edge: the higher-id one.
+		e.exchRecvSlab = make([]byte, g.M()*lay.exchangeRounds)
+		e.exchErasedSlab = make([]bool, g.M()*lay.exchangeRounds)
 	}
 	e.lay = lay
 
@@ -372,11 +377,15 @@ type oracle struct {
 	parties []*party
 	metrics *trace.Metrics
 	edges   []graph.Edge
-	lastOK  bool
+	// states is observe's per-edge buffer, reused every iteration:
+	// potential.Compute keeps no reference to it.
+	states []potential.EdgeState
+	lastOK bool
 }
 
 func newOracle(e *env, parties []*party, metrics *trace.Metrics) *oracle {
-	return &oracle{e: e, parties: parties, metrics: metrics, edges: e.g.Edges()}
+	edges := e.g.Edges()
+	return &oracle{e: e, parties: parties, metrics: metrics, edges: edges, states: make([]potential.EdgeState, len(edges))}
 }
 
 // edgeState gathers both endpoints' view of one link.
@@ -398,11 +407,10 @@ func (o *oracle) edgeState(edge graph.Edge) potential.EdgeState {
 // undetected mismatches (evidence of hash collisions — the transcripts
 // differ yet neither endpoint is searching) and computes the potential.
 func (o *oracle) observe(iter int) potential.Snapshot {
-	states := make([]potential.EdgeState, len(o.edges))
 	ok := true
 	for i, edge := range o.edges {
 		st := o.edgeState(edge)
-		states[i] = st
+		o.states[i] = st
 		if st.B() > 0 {
 			ok = false
 			if !st.InMPU && !st.InMPV {
@@ -417,7 +425,7 @@ func (o *oracle) observe(iter int) potential.Snapshot {
 	o.lastOK = ok
 	k := o.e.params.ChunkBits / 5
 	ehc := o.metrics.TotalCorruptions() + o.metrics.HashCollisions
-	return potential.Compute(iter, states, k, len(o.edges), ehc)
+	return potential.Compute(iter, o.states, k, len(o.edges), ehc)
 }
 
 // done reports whether the network is fully synchronized with all of Π

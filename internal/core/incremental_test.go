@@ -497,7 +497,7 @@ func TestPrepareIterationEpochAllocs(t *testing.T) {
 // TruncateTo and PrefixBits (previously implicit; only the underlying
 // bitstring.Truncate panic had coverage).
 func TestTranscriptClamps(t *testing.T) {
-	tr := NewTranscript()
+	tr := NewTranscript(0, 0)
 	for i := 1; i <= 3; i++ {
 		tr.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{bitstring.Sym1}})
 	}

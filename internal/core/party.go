@@ -13,7 +13,10 @@ import (
 	"mpic/internal/trace"
 )
 
-// env bundles everything shared (read-only) by all parties of a run.
+// env bundles everything shared by all parties of a run. Parties only
+// read it, except while newParty builds them one at a time: the exchange
+// senders reseed rng, and the receivers cut their buffers from the
+// exchange slabs.
 type env struct {
 	params    Params
 	g         *graph.Graph
@@ -29,10 +32,19 @@ type env struct {
 	crsK1     uint64
 	// arena, when non-nil, recycles the prefix-hash stores across runs.
 	arena *Arena
-	// seedHintWords pre-sizes the per-link prefix-hash seed caches: the
-	// row-prefix length (in words) a run's transcripts are expected to
-	// reach, derived from the chunking when the layout is built.
+	// seedHintWords is the length in words that a run's transcripts are
+	// expected to reach, |Π|+2 chunks, derived from the chunking when the
+	// layout is built. It pre-sizes each link's transcript (64·seedHintWords
+	// bits) and the seed rows of its prefix-hash stores.
 	seedHintWords int
+
+	// Exchange mode only. rng is the one private-randomness generator of
+	// the run: each party reseeds it with its own key before its first
+	// sender draw. exchRecvSlab and exchErasedSlab hold one codeword's
+	// room per receiving link, cut off in party order.
+	rng            *rand.Rand
+	exchRecvSlab   []byte
+	exchErasedSlab []bool
 }
 
 // linkState is one endpoint's per-link state: the pairwise transcript, the
@@ -170,7 +182,7 @@ func newParty(e *env, id graph.Node) *party {
 			edge: graph.Edge{U: id, V: v}.Canonical(),
 			eid:  e.g.EdgeIndex(id, v),
 			port: i,
-			T:    NewTranscript(),
+			T:    NewTranscript(e.numChunks+2, 64*e.seedHintWords),
 			mp:   meeting.NewState(),
 		}
 	}
@@ -183,10 +195,12 @@ func newParty(e *env, id graph.Node) *party {
 // mode the sender samples a short seed and encodes it, and sources are
 // built when the exchange phase completes.
 func (p *party) initSeeds() {
-	// The party's private randomness, made on an exchange sender's first
-	// draw. Links go in neighbor order, so the senders draw their seeds
-	// in that order.
-	var rng *rand.Rand
+	// The party's private randomness is the run's one generator, reseeded
+	// with the party's key on its first sender draw; Seed restores the
+	// state rand.NewSource builds, so the draws are those of a fresh
+	// generator. Links go in neighbor order, so the senders draw their
+	// seeds in that order.
+	seeded := false
 	for _, ls := range p.links {
 		if p.env.params.Randomness == RandCRS {
 			a, b := crsLinkSeed(p.env.crsK0, p.env.crsK1, ls.edge)
@@ -194,12 +208,13 @@ func (p *party) initSeeds() {
 			continue
 		}
 		if p.isExchangeSender(ls) {
-			if rng == nil {
-				rng = rand.New(rand.NewSource(p.env.params.CRSKey ^ (0x5851f42d4c957f2d * int64(p.id+1))))
+			if !seeded {
+				p.env.rng.Seed(p.env.params.CRSKey ^ (0x5851f42d4c957f2d * int64(p.id+1)))
+				seeded = true
 			}
 			seed := make([]byte, seedBits)
 			for i := range seed {
-				seed[i] = byte(rng.Intn(2))
+				seed[i] = byte(p.env.rng.Intn(2))
 			}
 			enc, err := p.env.codec.EncodeBits(seed)
 			if err != nil {
@@ -211,8 +226,11 @@ func (p *party) initSeeds() {
 			a, b := seedToWords(seed)
 			p.env.bindSource(ls, p.env.newSource(a, b))
 		} else {
-			ls.exchRecv = make([]byte, 0, p.env.codec.CodewordBits())
-			ls.exchErased = make([]bool, 0, p.env.codec.CodewordBits())
+			cw := p.env.codec.CodewordBits()
+			ls.exchRecv = p.env.exchRecvSlab[:0:cw]
+			ls.exchErased = p.env.exchErasedSlab[:0:cw]
+			p.env.exchRecvSlab = p.env.exchRecvSlab[cw:]
+			p.env.exchErasedSlab = p.env.exchErasedSlab[cw:]
 		}
 	}
 }

@@ -31,9 +31,17 @@ type Transcript struct {
 	offs   []int // offs[i] = encoded bit length of the first i chunks
 }
 
-// NewTranscript returns an empty transcript.
-func NewTranscript() *Transcript {
-	return &Transcript{bits: bitstring.NewBitVec(0), offs: []int{0}}
+// NewTranscript returns an empty transcript with room for chunkHint
+// chunk records and bitHint encoded bits. The engine passes the same
+// |Π|+2-chunk hint that sizes the link's prefix-hash stores
+// (env.seedHintWords), so a run's transcripts append without growing; a
+// transcript that outgrows its hint still appends.
+func NewTranscript(chunkHint, bitHint int) *Transcript {
+	return &Transcript{
+		chunks: make([]ChunkRecord, 0, chunkHint),
+		bits:   bitstring.NewBitVec(bitHint),
+		offs:   append(make([]int, 0, chunkHint+1), 0),
+	}
 }
 
 // Len returns |T| in chunks.

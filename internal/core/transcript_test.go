@@ -13,7 +13,7 @@ func mkChunk(index int, syms ...bitstring.Symbol) ChunkRecord {
 }
 
 func TestTranscriptAppendLen(t *testing.T) {
-	tr := NewTranscript()
+	tr := NewTranscript(0, 0)
 	if tr.Len() != 0 {
 		t.Fatal("new transcript not empty")
 	}
@@ -38,7 +38,7 @@ func TestTranscriptAppendLen(t *testing.T) {
 }
 
 func TestTranscriptPrefixBitsClamps(t *testing.T) {
-	tr := NewTranscript()
+	tr := NewTranscript(0, 0)
 	tr.Append(mkChunk(1, bitstring.Sym0))
 	if tr.PrefixBits(-1) != 0 {
 		t.Error("negative prefix not clamped to 0")
@@ -49,7 +49,7 @@ func TestTranscriptPrefixBitsClamps(t *testing.T) {
 }
 
 func TestTranscriptTruncate(t *testing.T) {
-	tr := NewTranscript()
+	tr := NewTranscript(0, 0)
 	for i := 1; i <= 5; i++ {
 		tr.Append(mkChunk(i, bitstring.Sym1, bitstring.Sym0, bitstring.Silence))
 	}
@@ -73,12 +73,12 @@ func TestTranscriptTruncate(t *testing.T) {
 }
 
 func TestTranscriptAppendAfterTruncate(t *testing.T) {
-	tr := NewTranscript()
+	tr := NewTranscript(0, 0)
 	tr.Append(mkChunk(1, bitstring.Sym1))
 	tr.Append(mkChunk(2, bitstring.Sym0))
 	tr.TruncateTo(1)
 	tr.Append(mkChunk(2, bitstring.Sym1)) // re-simulated with new content
-	other := NewTranscript()
+	other := NewTranscript(0, 0)
 	other.Append(mkChunk(1, bitstring.Sym1))
 	other.Append(mkChunk(2, bitstring.Sym1))
 	if !tr.Equal(other) {
@@ -87,8 +87,8 @@ func TestTranscriptAppendAfterTruncate(t *testing.T) {
 }
 
 func TestCommonPrefixChunks(t *testing.T) {
-	a := NewTranscript()
-	b := NewTranscript()
+	a := NewTranscript(0, 0)
+	b := NewTranscript(0, 0)
 	for i := 1; i <= 4; i++ {
 		a.Append(mkChunk(i, bitstring.Sym0))
 	}
@@ -102,7 +102,7 @@ func TestCommonPrefixChunks(t *testing.T) {
 	if got := CommonPrefixChunks(a, b); got != 3 {
 		t.Errorf("prefix with divergent chunk 4 = %d, want 3", got)
 	}
-	empty := NewTranscript()
+	empty := NewTranscript(0, 0)
 	if CommonPrefixChunks(a, empty) != 0 {
 		t.Error("prefix with empty transcript != 0")
 	}
@@ -132,7 +132,7 @@ func TestChunkEqualVariants(t *testing.T) {
 func TestTranscriptBitsConsistencyProperty(t *testing.T) {
 	f := func(seed int64, opsRaw []byte) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := NewTranscript()
+		tr := NewTranscript(0, 0)
 		var chunks []ChunkRecord
 		for _, op := range opsRaw {
 			if op%3 == 0 && len(chunks) > 0 {
@@ -149,7 +149,7 @@ func TestTranscriptBitsConsistencyProperty(t *testing.T) {
 				chunks = append(chunks, rec)
 			}
 		}
-		rebuilt := NewTranscript()
+		rebuilt := NewTranscript(0, 0)
 		for _, rec := range chunks {
 			rebuilt.Append(rec)
 		}
@@ -164,9 +164,9 @@ func TestTranscriptBitsConsistencyProperty(t *testing.T) {
 // prefixes of different chunk counts hash differently despite the
 // zero-padding property (footnote 11's requirement).
 func TestTranscriptLengthsEncodeDifferently(t *testing.T) {
-	a := NewTranscript()
+	a := NewTranscript(0, 0)
 	a.Append(mkChunk(1, bitstring.Sym0, bitstring.Sym0))
-	b := NewTranscript()
+	b := NewTranscript(0, 0)
 	b.Append(mkChunk(1, bitstring.Sym0, bitstring.Sym0))
 	b.Append(mkChunk(2, bitstring.Sym0, bitstring.Sym0))
 	// b's encoding must not be a's encoding followed by zeros: the chunk

@@ -13,6 +13,10 @@ type gf256 struct {
 	log [256]int
 }
 
+// field is the one set of GF(256) tables, built at package load and
+// shared read-only by every RS codec.
+var field = newGF256()
+
 func newGF256() *gf256 {
 	g := &gf256{}
 	x := 1

@@ -23,13 +23,12 @@ func NewRS(n, k int) (*RS, error) {
 	if k <= 0 || k >= n || n > 255 {
 		return nil, fmt.Errorf("ecc: invalid RS parameters n=%d k=%d", n, k)
 	}
-	gf := newGF256()
 	// gen(x) = Π_{i=0}^{n-k-1} (x - α^i)
 	gen := []byte{1}
 	for i := 0; i < n-k; i++ {
-		gen = gf.polyMul(gen, []byte{1, gf.exp[i]})
+		gen = field.polyMul(gen, []byte{1, field.exp[i]})
 	}
-	return &RS{N: n, K: k, gf: gf, gen: gen}, nil
+	return &RS{N: n, K: k, gf: field, gen: gen}, nil
 }
 
 // Encode produces the systematic codeword for msg (len K): the message

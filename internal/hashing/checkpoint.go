@@ -124,6 +124,14 @@ func newCheckpointed(old *Checkpointed, h *InnerProductHash, src SeedSource, bas
 	return s
 }
 
+// Detach drops the store's references to its transcript, seed source
+// and hash, keeping only its buffers for NewCheckpointedIn to re-target;
+// a retired store then keeps nothing of the run that used it reachable.
+// The store is unusable until it is re-targeted.
+func (s *Checkpointed) Detach() {
+	*s = Checkpointed{rows: s.rows[:0], stage: s.stage[:0], ck: s.ck[:0]}
+}
+
 // reserve returns buf, or a fresh empty buffer of capacity n if buf's
 // capacity is below n.
 func reserve(buf []uint64, n int) []uint64 {
