@@ -11,7 +11,8 @@
 # cross-GOARCH and purego builds so the arch-gated hash kernel cannot
 # silently break the pure-Go fallback other platforms run. Performance is
 # gated by the repo benchmark alone (bench/, BENCHMARK.json); the bench*
-# targets below are Go benchmarks for PERF.md, not gates.
+# targets below are Go benchmarks for PERF.md, not gates, and `make
+# bench-mem` prints where one scenario-lockstep run allocates its bytes.
 
 GO ?= go
 
@@ -23,7 +24,7 @@ SWEEP_PARALLEL ?= 0
 # re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-core bench-protocol bench-epoch bench-kernel bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz
+.PHONY: verify tier1 race examples bench bench-core bench-mem bench-protocol bench-epoch bench-kernel bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz
 
 verify: tier1 lint race examples crossbuild
 
@@ -92,6 +93,18 @@ bench:
 # records the figures.
 bench-core:
 	$(GO) test -run '^$$' -bench 'BenchmarkRun(Lockstep|DES)$$' -benchmem .
+
+# The allocation profile behind PERF.md's memory figures: a 3 s
+# BenchmarkRunLockstep pass with -benchmem and -memprofile, written with
+# its test binary to .bench_mem/ (ignored by git), then the top
+# allocation sites by bytes allocated.
+BENCH_MEM_DIR ?= .bench_mem
+
+bench-mem:
+	mkdir -p $(BENCH_MEM_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkRunLockstep$$' -benchmem -benchtime=3s \
+		-memprofile $(BENCH_MEM_DIR)/mem.prof -o $(BENCH_MEM_DIR)/mpic.test .
+	$(GO) tool pprof -sample_index=alloc_space -top $(BENCH_MEM_DIR)/mpic.test $(BENCH_MEM_DIR)/mem.prof
 
 # The protocol set-up of one run in the scenario-lockstep shape: the
 # Random workload's schedule, its chunking at the 5m-bit budget and its

@@ -259,13 +259,13 @@ func TestHasherIncrementalMatchesReference(t *testing.T) {
 	e := testEnvEpoch(t, g, neverRefresh)
 	p := newParty(e, 1)
 	rng := rand.New(rand.NewSource(4))
-	appendChunk := func(ls *linkState, i int) {
-		ls.T.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{
-			bitstring.Symbol(rng.Intn(3)), bitstring.Symbol(rng.Intn(3))}})
+	appendChunk := func(ls *linkState) {
+		ls.T.Append([]bitstring.Symbol{
+			bitstring.Symbol(rng.Intn(3)), bitstring.Symbol(rng.Intn(3))})
 	}
 	for _, ls := range p.links {
 		for i := 1; i <= 12; i++ {
-			appendChunk(ls, i)
+			appendChunk(ls)
 		}
 	}
 	for it := 0; it < 5; it++ {
@@ -278,7 +278,7 @@ func TestHasherIncrementalMatchesReference(t *testing.T) {
 			}
 			if it == 3 {
 				for i, target := ls.T.Len()+1, ls.T.Len()+4; i <= target; i++ {
-					appendChunk(ls, i)
+					appendChunk(ls)
 				}
 			}
 			for chunks := 0; chunks <= ls.T.Len(); chunks += 3 {
@@ -309,13 +309,13 @@ func TestHasherEpochMatchesReference(t *testing.T) {
 	e := testEnvEpoch(t, g, 2)
 	p := newParty(e, 1)
 	rng := rand.New(rand.NewSource(4))
-	appendChunk := func(ls *linkState, i int) {
-		ls.T.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{
-			bitstring.Symbol(rng.Intn(3)), bitstring.Symbol(rng.Intn(3))}})
+	appendChunk := func(ls *linkState) {
+		ls.T.Append([]bitstring.Symbol{
+			bitstring.Symbol(rng.Intn(3)), bitstring.Symbol(rng.Intn(3))})
 	}
 	for _, ls := range p.links {
 		for i := 1; i <= 12; i++ {
-			appendChunk(ls, i)
+			appendChunk(ls)
 		}
 	}
 	for it := 0; it < 7; it++ {
@@ -330,7 +330,7 @@ func TestHasherEpochMatchesReference(t *testing.T) {
 			}
 			if it == 3 || it == 6 {
 				for i, target := ls.T.Len()+1, ls.T.Len()+4; i <= target; i++ {
-					appendChunk(ls, i)
+					appendChunk(ls)
 				}
 			}
 			for chunks := 0; chunks <= ls.T.Len(); chunks += 3 {
@@ -446,7 +446,7 @@ func TestPrepareIterationIncrementalAllocs(t *testing.T) {
 	p := newParty(e, 1)
 	for _, ls := range p.links {
 		for i := 1; i <= 30; i++ {
-			ls.T.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{bitstring.Sym1, bitstring.Sym0, bitstring.Silence}})
+			ls.T.Append([]bitstring.Symbol{bitstring.Sym1, bitstring.Sym0, bitstring.Silence})
 		}
 	}
 	p.prepareIteration(0)
@@ -474,7 +474,7 @@ func TestPrepareIterationEpochAllocs(t *testing.T) {
 	p := newParty(e, 1)
 	for _, ls := range p.links {
 		for i := 1; i <= 30; i++ {
-			ls.T.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{bitstring.Sym1, bitstring.Sym0, bitstring.Silence}})
+			ls.T.Append([]bitstring.Symbol{bitstring.Sym1, bitstring.Sym0, bitstring.Silence})
 		}
 	}
 	p.prepareIteration(0)
@@ -499,7 +499,7 @@ func TestPrepareIterationEpochAllocs(t *testing.T) {
 func TestTranscriptClamps(t *testing.T) {
 	tr := NewTranscript(0, 0)
 	for i := 1; i <= 3; i++ {
-		tr.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{bitstring.Sym1}})
+		tr.Append([]bitstring.Symbol{bitstring.Sym1})
 	}
 	full := tr.Bits().Len()
 	if got := tr.PrefixBits(-5); got != 0 {
@@ -516,7 +516,7 @@ func TestTranscriptClamps(t *testing.T) {
 	if tr.Len() != 0 || tr.Bits().Len() != 0 {
 		t.Fatalf("TruncateTo(-1): len=%d bits=%d, want empty", tr.Len(), tr.Bits().Len())
 	}
-	tr.Append(ChunkRecord{Index: 1, Syms: []bitstring.Symbol{bitstring.Sym0}})
+	tr.Append([]bitstring.Symbol{bitstring.Sym0})
 	if tr.Len() != 1 {
 		t.Fatal("append after clamped truncation broken")
 	}
@@ -533,7 +533,7 @@ func TestPlanRewindsUsesOrdinalSlice(t *testing.T) {
 	// Put one link ahead of the other.
 	long := p.link(0)
 	for i := 1; i <= 4; i++ {
-		long.T.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{bitstring.Sym1}})
+		long.T.Append([]bitstring.Symbol{bitstring.Sym1})
 	}
 	p.prepareIteration(0)
 	p.planRewinds(100)

@@ -25,7 +25,7 @@ func TestSlotCursor(t *testing.T) {
 	scan := func(slots []protocol.Slot, rel int, from graph.Node) int {
 		idx := -1
 		for i, s := range slots {
-			if s.RelRound == rel && s.Tx.From == from {
+			if int(s.RelRound) == rel && s.Tx(g).From == from {
 				idx = i
 			}
 		}
@@ -40,10 +40,10 @@ func TestSlotCursor(t *testing.T) {
 		for _, e := range g.Edges() {
 			ls := &linkState{slots: spec.LinkSlots[g.EdgeIndex(e.U, e.V)]}
 			for rel := 0; rel < ch.MaxChunkRounds; rel++ {
-				for _, from := range []graph.Node{e.U, e.V} {
-					got := ls.slotAt(rel, from)
-					if want := scan(ls.slots, rel, from); got != want {
-						t.Fatalf("chunk %d link %v rel %d from %d: slotAt = %d, want %d", i, e, rel, from, got, want)
+				for _, tx := range []protocol.Transmission{{From: e.U, To: e.V}, {From: e.V, To: e.U}} {
+					got := ls.slotAt(rel, int32(g.LinkIndex(tx.From, tx.To)))
+					if want := scan(ls.slots, rel, tx.From); got != want {
+						t.Fatalf("chunk %d link %v rel %d from %d: slotAt = %d, want %d", i, e, rel, tx.From, got, want)
 					}
 					if rel >= spec.Rounds() && got != -1 {
 						t.Fatalf("chunk %d (%d rounds) link %v: slot %d at rel %d past the end", i, spec.Rounds(), e, got, rel)

@@ -32,10 +32,11 @@ type env struct {
 	crsK1     uint64
 	// arena, when non-nil, recycles the prefix-hash stores across runs.
 	arena *Arena
-	// seedHintWords is the length in words that a run's transcripts are
-	// expected to reach, |Π|+2 chunks, derived from the chunking when the
-	// layout is built. It pre-sizes each link's transcript (64·seedHintWords
-	// bits) and the seed rows of its prefix-hash stores.
+	// seedHintWords is the length in words that the busiest link's
+	// transcripts are expected to reach, |Π|+2 chunks, derived from the
+	// chunking when the layout is built. It pre-sizes the seed rows of
+	// every link's prefix-hash stores, which the arena hands from link to
+	// link; each transcript is sized for its own link (newParty).
 	seedHintWords int
 
 	// Exchange mode only. rng is the one private-randomness generator of
@@ -54,6 +55,9 @@ type linkState struct {
 	peer graph.Node
 	edge graph.Edge
 	eid  int // edge ID (graph.EdgeIndex): indexes ChunkSpec.LinkSlots
+	// out and in are the link's two directions by graph.LinkIndex, the
+	// numbering protocol.Slot.Link uses: self → peer and peer → self.
+	out, in int32
 	// port is the link's position in the party's neighbor order, and so
 	// in party.links; per-link scratch that must not allocate per round
 	// (the rewind plan) is indexed by it too.
@@ -82,10 +86,13 @@ type linkState struct {
 	mpRecv []byte
 	mpOwn  meeting.Message
 
-	// Simulation phase state.
+	// Simulation phase state. pending holds the chunk's symbols until
+	// finishSimulation appends them to T; its room, the busiest link's
+	// slot count (Chunking.MaxSlotsPerLink), is cut once at construction
+	// and reused by every simulation phase.
 	skip     bool // received ⊥ this iteration
 	simChunk int  // chunk index being simulated; 0 = none
-	spec     *protocol.ChunkSpec
+	start    int  // the simulated chunk's first Π round
 	slots    []protocol.Slot
 	cursor   int // slotAt's position in slots
 	pending  []bitstring.Symbol
@@ -176,14 +183,22 @@ func newParty(e *env, id graph.Node) *party {
 		phRound:      -1,
 		rewindPlan:   make([]bool, len(e.g.Neighbors(id))),
 	}
+	maxSlots := e.chunking.MaxSlotsPerLink
+	pending := make([]bitstring.Symbol, len(p.neighbors)*maxSlots)
 	for i, v := range p.neighbors {
+		eid := e.g.EdgeIndex(id, v)
 		p.links[i] = &linkState{
 			peer: v,
 			edge: graph.Edge{U: id, V: v}.Canonical(),
-			eid:  e.g.EdgeIndex(id, v),
+			eid:  eid,
+			out:  int32(e.g.LinkIndex(id, v)),
+			in:   int32(e.g.LinkIndex(v, id)),
 			port: i,
-			T:    NewTranscript(e.numChunks+2, 64*e.seedHintWords),
-			mp:   meeting.NewState(),
+			// Room for every chunk of Π on the link and two padding
+			// chunks of one slot each way.
+			T:       NewTranscript(e.numChunks+2, e.chunking.EdgeSlots(eid)+4),
+			mp:      meeting.NewState(),
+			pending: pending[i*maxSlots : i*maxSlots : (i+1)*maxSlots],
 		}
 	}
 	p.initSeeds()

@@ -70,7 +70,7 @@ func (p *party) simSend(rel int, ls *linkState) bitstring.Symbol {
 	if ls.simChunk == 0 {
 		return bitstring.Silence
 	}
-	idx := ls.slotAt(rel-1, p.id)
+	idx := ls.slotAt(rel-1, ls.out)
 	if idx < 0 {
 		return bitstring.Silence
 	}
@@ -79,16 +79,16 @@ func (p *party) simSend(rel int, ls *linkState) bitstring.Symbol {
 	return ls.pending[idx]
 }
 
-// contentBit computes the bit for one outgoing slot: the underlying
-// protocol's next message given this party's current (believed) view, or
-// zero inside dummy padding chunks.
+// contentBit computes the bit for one outgoing slot (p → ls.peer): the
+// underlying protocol's next message given this party's current
+// (believed) view, or zero inside dummy padding chunks.
 func (p *party) contentBit(ls *linkState, idx int) byte {
 	if p.env.chunking.IsDummy(ls.simChunk) {
 		return 0
 	}
 	slot := ls.slots[idx]
-	r := ls.spec.StartRound + slot.RelRound
-	return p.env.proto.SendBit(codedView{p: p}, r, slot.Tx, slot.Seq) & 1
+	tx := protocol.Transmission{From: p.id, To: ls.peer}
+	return p.env.proto.SendBit(codedView{p: p}, ls.start+int(slot.RelRound), tx, int(slot.Seq)) & 1
 }
 
 // simDeliver records incoming simulation symbols into the pending chunk
@@ -104,24 +104,25 @@ func (p *party) simDeliver(rel int, ls *linkState, sym bitstring.Symbol) {
 	if ls.simChunk == 0 {
 		return
 	}
-	idx := ls.slotAt(rel-1, ls.peer)
+	idx := ls.slotAt(rel-1, ls.in)
 	if idx >= 0 {
 		ls.pending[idx] = sym
 	}
 }
 
-// slotAt returns the index into ls.slots of the transmission from `from`
-// at relative round rel of the chunk being simulated, or -1 if none is
-// scheduled. A simulation phase queries rounds in order, so the cursor —
-// the first slot not before the last queried round — only moves forward:
-// O(1) amortized per query.
-func (ls *linkState) slotAt(rel int, from graph.Node) int {
-	for ls.cursor < len(ls.slots) && ls.slots[ls.cursor].RelRound < rel {
+// slotAt returns the index into ls.slots of the transmission on the
+// directed link `link` (ls.out or ls.in) at relative round rel of the
+// chunk being simulated, or -1 if none is scheduled. A simulation phase
+// queries rounds in order, so the cursor — the first slot not before the
+// last queried round — only moves forward: O(1) amortized per query.
+func (ls *linkState) slotAt(rel int, link int32) int {
+	r := int32(rel)
+	for ls.cursor < len(ls.slots) && ls.slots[ls.cursor].RelRound < r {
 		ls.cursor++
 	}
 	idx := -1
-	for i := ls.cursor; i < len(ls.slots) && ls.slots[i].RelRound == rel; i++ {
-		if ls.slots[i].Tx.From == from {
+	for i := ls.cursor; i < len(ls.slots) && ls.slots[i].RelRound == r; i++ {
+		if ls.slots[i].Link == link {
 			idx = i
 		}
 	}
@@ -140,27 +141,26 @@ func (p *party) beginSimulation() {
 			continue
 		}
 		ls.simChunk = ls.T.Len() + 1
-		ls.spec = p.env.chunking.Spec(ls.simChunk)
-		ls.slots = ls.spec.LinkSlots[ls.eid]
+		ls.start, ls.slots = p.env.chunking.Slots(ls.simChunk, ls.eid)
 		ls.cursor = 0
-		ls.pending = make([]bitstring.Symbol, len(ls.slots))
+		ls.pending = ls.pending[:len(ls.slots)]
 		for i := range ls.pending {
 			ls.pending[i] = bitstring.Silence
 		}
 	}
 }
 
-// finishSimulation commits the pending buffers as new transcript chunks.
+// finishSimulation commits the pending buffers as new transcript chunks;
+// Append copies them, so the buffers are free for the next phase.
 func (p *party) finishSimulation() {
 	for _, ls := range p.links {
 		if ls.simChunk == 0 {
 			continue
 		}
-		ls.T.Append(ChunkRecord{Index: ls.simChunk, Syms: ls.pending})
+		ls.T.Append(ls.pending)
 		ls.simChunk = 0
-		ls.spec = nil
 		ls.slots = nil
-		ls.pending = nil
+		ls.pending = ls.pending[:0]
 	}
 }
 
@@ -236,9 +236,8 @@ func (v codedView) Observed(l channel.Link, seq int) bitstring.Symbol {
 		return bitstring.Silence
 	}
 	if loc.Chunk <= ls.T.Len() {
-		rec := ls.T.Chunk(loc.Chunk - 1)
-		if loc.Pos < len(rec.Syms) {
-			return rec.Syms[loc.Pos]
+		if syms := ls.T.Chunk(loc.Chunk - 1); loc.Pos < len(syms) {
+			return syms[loc.Pos]
 		}
 		return bitstring.Silence
 	}

@@ -29,6 +29,10 @@ func testEnv(t *testing.T, g *graph.Graph) *env {
 		crsK0:  uint64(p.CRSKey)*0x9e3779b97f4a7c15 + 0x853c49e6748fea9b,
 		crsK1:  uint64(p.CRSKey)*0xda942042e4dd58b5 + 0xd1342543de82ef95,
 	}
+	// A chunking of a short protocol on g sizes each link's transcript
+	// and pending buffer; the tests append chunks of their own.
+	e.proto = protocol.NewRandom(g, 10, 0.3, 1, nil)
+	e.chunking = protocol.NewChunking(e.proto, p.ChunkBits)
 	maxChunkBits := chunkIndexBits + 2*5
 	e.hash = hashing.NewInnerProductHash(p.HashBits, 64*maxChunkBits)
 	e.seedLay = hashing.NewSeedLayout(e.hash)
@@ -47,7 +51,7 @@ func TestPrepareIterationSteadyStateAllocs(t *testing.T) {
 	// Give the transcripts some length so prefix hashing sweeps real words.
 	for _, ls := range p.links {
 		for i := 1; i <= 30; i++ {
-			ls.T.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{bitstring.Sym1, bitstring.Sym0, bitstring.Silence}})
+			ls.T.Append([]bitstring.Symbol{bitstring.Sym1, bitstring.Sym0, bitstring.Silence})
 		}
 	}
 	p.prepareIteration(0)
@@ -72,7 +76,7 @@ func TestHasherMatchesReferenceEvaluators(t *testing.T) {
 	p := newParty(e, 1)
 	for _, ls := range p.links {
 		for i := 1; i <= 17; i++ {
-			ls.T.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{bitstring.Sym0, bitstring.Sym1}})
+			ls.T.Append([]bitstring.Symbol{bitstring.Sym0, bitstring.Sym1})
 		}
 	}
 	for it := 0; it < 3; it++ {

@@ -71,6 +71,62 @@ func TestOracleObserveAllocs(t *testing.T) {
 	}
 }
 
+// TestSimulationPhaseAllocs pins that a steady-state simulation phase
+// allocates nothing: each link's pending buffer is cut once at
+// construction, Chunking.Slots hands out the padding chunk's slots
+// without copying its spec, and the transcript appends within its hint.
+// It drives one party of a finished run through whole phases — the ⊥
+// round, every slot sent and received, the commit — on a real chunk and
+// on the padding chunk, rolling the transcripts back after each phase.
+// Before the per-link buffers, every phase allocated one buffer per link
+// (and a spec copy per link on padding chunks), and this failed.
+func TestSimulationPhaseAllocs(t *testing.T) {
+	g := graph.Ring(5)
+	var last []*party
+	keep := inspectFunc(func(_ int, parties []*party) { last = parties })
+	if _, err := Run(Options{Protocol: quickProto(g, 2), Params: quickParams(Alg1, g, 2), Observers: []Observer{keep}}); err != nil {
+		t.Fatal(err)
+	}
+	p := last[0]
+	for _, real := range []bool{true, false} {
+		lens := make([]int, len(p.links))
+		for i, ls := range p.links {
+			lens[i] = p.env.numChunks
+			if real {
+				lens[i] = p.env.numChunks / 2
+			}
+			ls.T.TruncateTo(lens[i])
+			for ls.T.Len() < lens[i] {
+				_, slots := p.env.chunking.Slots(ls.T.Len()+1, ls.eid)
+				ls.T.Append(make([]bitstring.Symbol, len(slots)))
+			}
+		}
+		phase := func() {
+			p.netCorrect = true
+			for _, ls := range p.links {
+				ls.skip = false
+			}
+			p.beginSimulation()
+			for rel := 0; rel < p.env.lay.simRounds; rel++ {
+				for _, ls := range p.links {
+					p.simDeliver(rel, ls, p.simSend(rel, ls))
+				}
+			}
+			p.finishSimulation()
+			for i, ls := range p.links {
+				ls.T.TruncateTo(lens[i])
+			}
+		}
+		phase()
+		if allocs := testing.AllocsPerRun(50, phase); allocs != 0 {
+			t.Errorf("real chunk %v: a simulation phase allocates %.1f times, want 0", real, allocs)
+		}
+		if p.env.chunking.IsDummy(lens[0]+1) == real {
+			t.Fatalf("real chunk %v: simulated chunk %d is padding: %v", real, lens[0]+1, !real)
+		}
+	}
+}
+
 // TestTranscriptAppendWithinHintAllocs pins the transcript presizing:
 // appends within the chunk and bit hints allocate nothing, and a
 // transcript that outgrows its hint still appends the same encoding.
@@ -82,7 +138,7 @@ func TestTranscriptAppendWithinHintAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		tr.TruncateTo(0)
 		for i := 1; i <= chunks; i++ {
-			tr.Append(ChunkRecord{Index: i, Syms: syms})
+			tr.Append(syms)
 		}
 	})
 	if allocs != 0 {
@@ -90,8 +146,8 @@ func TestTranscriptAppendWithinHintAllocs(t *testing.T) {
 	}
 	small, grown := NewTranscript(2, 64), NewTranscript(0, 0)
 	for i := 1; i <= 3*chunks; i++ {
-		small.Append(ChunkRecord{Index: i, Syms: syms})
-		grown.Append(ChunkRecord{Index: i, Syms: syms})
+		small.Append(syms)
+		grown.Append(syms)
 	}
 	if !small.Equal(grown) || !small.Bits().Equal(grown.Bits()) || small.PrefixBits(chunks) != grown.PrefixBits(chunks) {
 		t.Fatal("a transcript grown past its hint differs from an unsized one")

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mpic/internal/bitstring"
 )
 
@@ -10,55 +12,53 @@ import (
 // h(x) = h(x◦0) padding behavior (footnote 11).
 const chunkIndexBits = 32
 
-// ChunkRecord is one simulated chunk as observed by one endpoint of a
-// link: for slots where the endpoint was the sender, the bit it sent; for
+// Transcript is one endpoint's record of a link: the paper's T_{u,v}, a
+// sequence of simulated chunks. Chunk i (0-based) is chunk number i+1 and
+// holds one symbol per slot of that chunk on the link, in the chunk's slot
+// order: for slots where the endpoint was the sender, the bit it sent; for
 // receiver slots, the (possibly corrupted, possibly Silence) symbol it
-// received.
-type ChunkRecord struct {
-	// Index is the chunk number (1-based; dummy chunks continue the
-	// numbering past |Π|).
-	Index int
-	// Syms holds the observed symbol per slot, in the chunk's slot order.
-	Syms []bitstring.Symbol
-}
-
-// Transcript is one endpoint's record of a link: the paper's T_{u,v}. It
-// maintains the invariant chunks[i].Index == i+1 and caches the binary
-// encoding hashed by the consistency checks.
+// received. Every chunk's symbols sit in one slab, so a chunk costs its
+// symbols and one 4-byte end. The transcript also caches the binary
+// encoding hashed by the consistency checks: per chunk, its number in
+// chunkIndexBits bits, then two bits per symbol.
 type Transcript struct {
-	chunks []ChunkRecord
-	bits   *bitstring.BitVec
-	offs   []int // offs[i] = encoded bit length of the first i chunks
+	syms []bitstring.Symbol // every chunk's symbols, in chunk order
+	ends []int32            // ends[i] = symbols in the first i chunks; ends[0] = 0
+	bits *bitstring.BitVec
 }
 
 // NewTranscript returns an empty transcript with room for chunkHint
-// chunk records and bitHint encoded bits. The engine passes the same
-// |Π|+2-chunk hint that sizes the link's prefix-hash stores
-// (env.seedHintWords), so a run's transcripts append without growing; a
+// chunks holding symHint symbols in all. The engine passes |Π|+2 chunks
+// holding the link's slots over Π plus two padding chunks, so a run's
+// transcripts append without growing until they pass that length; a
 // transcript that outgrows its hint still appends.
-func NewTranscript(chunkHint, bitHint int) *Transcript {
+func NewTranscript(chunkHint, symHint int) *Transcript {
 	return &Transcript{
-		chunks: make([]ChunkRecord, 0, chunkHint),
-		bits:   bitstring.NewBitVec(bitHint),
-		offs:   append(make([]int, 0, chunkHint+1), 0),
+		syms: make([]bitstring.Symbol, 0, symHint),
+		ends: append(make([]int32, 0, chunkHint+1), 0),
+		bits: bitstring.NewBitVec(chunkIndexBits*chunkHint + 2*symHint),
 	}
 }
 
 // Len returns |T| in chunks.
-func (t *Transcript) Len() int { return len(t.chunks) }
+func (t *Transcript) Len() int { return len(t.ends) - 1 }
 
-// Chunk returns the i-th (0-based) chunk record.
-func (t *Transcript) Chunk(i int) *ChunkRecord { return &t.chunks[i] }
+// Chunk returns the symbols of the i-th (0-based) chunk, chunk number
+// i+1. The slice is a view into the transcript's slab: it stays valid
+// only until the next Append or TruncateTo, and must not be modified.
+func (t *Transcript) Chunk(i int) []bitstring.Symbol {
+	return t.syms[t.ends[i]:t.ends[i+1]:t.ends[i+1]]
+}
 
-// Append adds a chunk record. The record's index must continue the
-// sequence; the engine always simulates chunk |T|+1.
-func (t *Transcript) Append(rec ChunkRecord) {
-	t.chunks = append(t.chunks, rec)
-	t.bits.AppendUint(uint64(rec.Index), chunkIndexBits)
-	for _, s := range rec.Syms {
+// Append adds chunk number Len()+1 with the given symbols, copying them:
+// the caller may reuse syms afterwards.
+func (t *Transcript) Append(syms []bitstring.Symbol) {
+	t.syms = append(t.syms, syms...)
+	t.ends = append(t.ends, int32(len(t.syms)))
+	t.bits.AppendUint(uint64(t.Len()), chunkIndexBits)
+	for _, s := range syms {
 		t.bits.AppendSymbol(s)
 	}
-	t.offs = append(t.offs, t.bits.Len())
 }
 
 // TruncateTo rolls the transcript back to n chunks. Out-of-range
@@ -72,12 +72,12 @@ func (t *Transcript) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
 	}
-	if n >= len(t.chunks) {
+	if n >= t.Len() {
 		return
 	}
-	t.chunks = t.chunks[:n]
-	t.offs = t.offs[:n+1]
-	t.bits.Truncate(t.offs[n])
+	t.syms = t.syms[:t.ends[n]]
+	t.ends = t.ends[:n+1]
+	t.bits.Truncate(t.PrefixBits(n))
 }
 
 // PrefixBits returns the encoded bit length of the first n chunks.
@@ -86,13 +86,8 @@ func (t *Transcript) TruncateTo(n int) {
 // outruns a freshly truncated transcript must still hash a well-defined
 // prefix.
 func (t *Transcript) PrefixBits(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(t.offs) {
-		n = len(t.offs) - 1
-	}
-	return t.offs[n]
+	n = max(0, min(n, t.Len()))
+	return chunkIndexBits*n + 2*int(t.ends[n])
 }
 
 // Bits exposes the cached encoding for hashing.
@@ -101,28 +96,13 @@ func (t *Transcript) Bits() *bitstring.BitVec { return t.bits }
 // CommonPrefixChunks returns the number of leading chunks on which two
 // transcripts agree exactly — the oracle's G_{u,v} (Section 4.1).
 func CommonPrefixChunks(a, b *Transcript) int {
-	n := a.Len()
-	if b.Len() < n {
-		n = b.Len()
-	}
+	n := min(a.Len(), b.Len())
 	for i := 0; i < n; i++ {
-		if !chunkEqual(&a.chunks[i], &b.chunks[i]) {
+		if !slices.Equal(a.Chunk(i), b.Chunk(i)) {
 			return i
 		}
 	}
 	return n
-}
-
-func chunkEqual(a, b *ChunkRecord) bool {
-	if a.Index != b.Index || len(a.Syms) != len(b.Syms) {
-		return false
-	}
-	for i := range a.Syms {
-		if a.Syms[i] != b.Syms[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether two transcripts agree entirely.

@@ -2,28 +2,31 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"mpic/internal/bitstring"
 )
 
-func mkChunk(index int, syms ...bitstring.Symbol) ChunkRecord {
-	return ChunkRecord{Index: index, Syms: syms}
-}
+func mkChunk(syms ...bitstring.Symbol) []bitstring.Symbol { return syms }
 
 func TestTranscriptAppendLen(t *testing.T) {
 	tr := NewTranscript(0, 0)
 	if tr.Len() != 0 {
 		t.Fatal("new transcript not empty")
 	}
-	tr.Append(mkChunk(1, bitstring.Sym0, bitstring.Sym1))
-	tr.Append(mkChunk(2, bitstring.Silence))
+	tr.Append(mkChunk(bitstring.Sym0, bitstring.Sym1))
+	tr.Append(mkChunk(bitstring.Silence))
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tr.Len())
 	}
-	if tr.Chunk(0).Index != 1 || tr.Chunk(1).Index != 2 {
-		t.Error("chunk indices wrong")
+	if !slices.Equal(tr.Chunk(0), mkChunk(bitstring.Sym0, bitstring.Sym1)) || !slices.Equal(tr.Chunk(1), mkChunk(bitstring.Silence)) {
+		t.Errorf("chunks read back %v, %v", tr.Chunk(0), tr.Chunk(1))
+	}
+	// Chunk i encodes its number i+1 in its first chunkIndexBits bits.
+	if got := tr.Bits().Get(tr.PrefixBits(1) + 1); got != 1 {
+		t.Error("chunk 2 does not encode its number")
 	}
 	// Encoded bits: 32 (index) + 2 per symbol.
 	if got := tr.PrefixBits(1); got != 32+4 {
@@ -39,7 +42,7 @@ func TestTranscriptAppendLen(t *testing.T) {
 
 func TestTranscriptPrefixBitsClamps(t *testing.T) {
 	tr := NewTranscript(0, 0)
-	tr.Append(mkChunk(1, bitstring.Sym0))
+	tr.Append(mkChunk(bitstring.Sym0))
 	if tr.PrefixBits(-1) != 0 {
 		t.Error("negative prefix not clamped to 0")
 	}
@@ -51,7 +54,7 @@ func TestTranscriptPrefixBitsClamps(t *testing.T) {
 func TestTranscriptTruncate(t *testing.T) {
 	tr := NewTranscript(0, 0)
 	for i := 1; i <= 5; i++ {
-		tr.Append(mkChunk(i, bitstring.Sym1, bitstring.Sym0, bitstring.Silence))
+		tr.Append(mkChunk(bitstring.Sym1, bitstring.Sym0, bitstring.Silence))
 	}
 	bitsAt3 := tr.PrefixBits(3)
 	tr.TruncateTo(3)
@@ -74,13 +77,13 @@ func TestTranscriptTruncate(t *testing.T) {
 
 func TestTranscriptAppendAfterTruncate(t *testing.T) {
 	tr := NewTranscript(0, 0)
-	tr.Append(mkChunk(1, bitstring.Sym1))
-	tr.Append(mkChunk(2, bitstring.Sym0))
+	tr.Append(mkChunk(bitstring.Sym1))
+	tr.Append(mkChunk(bitstring.Sym0))
 	tr.TruncateTo(1)
-	tr.Append(mkChunk(2, bitstring.Sym1)) // re-simulated with new content
+	tr.Append(mkChunk(bitstring.Sym1)) // re-simulated with new content
 	other := NewTranscript(0, 0)
-	other.Append(mkChunk(1, bitstring.Sym1))
-	other.Append(mkChunk(2, bitstring.Sym1))
+	other.Append(mkChunk(bitstring.Sym1))
+	other.Append(mkChunk(bitstring.Sym1))
 	if !tr.Equal(other) {
 		t.Fatal("transcript after truncate+append differs from fresh build")
 	}
@@ -90,15 +93,15 @@ func TestCommonPrefixChunks(t *testing.T) {
 	a := NewTranscript(0, 0)
 	b := NewTranscript(0, 0)
 	for i := 1; i <= 4; i++ {
-		a.Append(mkChunk(i, bitstring.Sym0))
+		a.Append(mkChunk(bitstring.Sym0))
 	}
 	for i := 1; i <= 3; i++ {
-		b.Append(mkChunk(i, bitstring.Sym0))
+		b.Append(mkChunk(bitstring.Sym0))
 	}
 	if got := CommonPrefixChunks(a, b); got != 3 {
 		t.Errorf("prefix of strict-prefix pair = %d, want 3", got)
 	}
-	b.Append(mkChunk(4, bitstring.Sym1)) // diverging content
+	b.Append(mkChunk(bitstring.Sym1)) // diverging content
 	if got := CommonPrefixChunks(a, b); got != 3 {
 		t.Errorf("prefix with divergent chunk 4 = %d, want 3", got)
 	}
@@ -108,22 +111,31 @@ func TestCommonPrefixChunks(t *testing.T) {
 	}
 }
 
+// TestChunkEqualVariants compares one-chunk transcripts: a chunk agrees
+// with an equal copy and differs from one of another length or another
+// symbol. (A chunk's number is its position, so two chunks compared at
+// one position cannot differ in number.)
 func TestChunkEqualVariants(t *testing.T) {
-	a := mkChunk(1, bitstring.Sym0, bitstring.Sym1)
-	if !chunkEqual(&a, &a) {
+	one := func(syms ...bitstring.Symbol) *Transcript {
+		tr := NewTranscript(0, 0)
+		tr.Append(syms)
+		return tr
+	}
+	a := one(bitstring.Sym0, bitstring.Sym1)
+	if CommonPrefixChunks(a, a) != 1 || CommonPrefixChunks(a, one(bitstring.Sym0, bitstring.Sym1)) != 1 {
 		t.Error("chunk not equal to itself")
 	}
-	b := mkChunk(2, bitstring.Sym0, bitstring.Sym1)
-	if chunkEqual(&a, &b) {
-		t.Error("different indices compare equal")
-	}
-	c := mkChunk(1, bitstring.Sym0)
-	if chunkEqual(&a, &c) {
+	if CommonPrefixChunks(a, one(bitstring.Sym0)) != 0 {
 		t.Error("different lengths compare equal")
 	}
-	d := mkChunk(1, bitstring.Sym0, bitstring.Silence)
-	if chunkEqual(&a, &d) {
+	if CommonPrefixChunks(a, one(bitstring.Sym0, bitstring.Silence)) != 0 {
 		t.Error("different symbols compare equal")
+	}
+	// Equal symbols split differently across chunks are different chunks.
+	b := one(bitstring.Sym0)
+	b.Append(mkChunk(bitstring.Sym1))
+	if CommonPrefixChunks(a, b) != 0 {
+		t.Error("different chunk boundaries compare equal")
 	}
 }
 
@@ -133,7 +145,7 @@ func TestTranscriptBitsConsistencyProperty(t *testing.T) {
 	f := func(seed int64, opsRaw []byte) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := NewTranscript(0, 0)
-		var chunks []ChunkRecord
+		var chunks [][]bitstring.Symbol
 		for _, op := range opsRaw {
 			if op%3 == 0 && len(chunks) > 0 {
 				cut := rng.Intn(len(chunks) + 1)
@@ -144,9 +156,8 @@ func TestTranscriptBitsConsistencyProperty(t *testing.T) {
 				for i := range syms {
 					syms[i] = bitstring.Symbol(rng.Intn(3))
 				}
-				rec := ChunkRecord{Index: len(chunks) + 1, Syms: syms}
-				tr.Append(rec)
-				chunks = append(chunks, rec)
+				tr.Append(syms)
+				chunks = append(chunks, syms)
 			}
 		}
 		rebuilt := NewTranscript(0, 0)
@@ -165,10 +176,10 @@ func TestTranscriptBitsConsistencyProperty(t *testing.T) {
 // zero-padding property (footnote 11's requirement).
 func TestTranscriptLengthsEncodeDifferently(t *testing.T) {
 	a := NewTranscript(0, 0)
-	a.Append(mkChunk(1, bitstring.Sym0, bitstring.Sym0))
+	a.Append(mkChunk(bitstring.Sym0, bitstring.Sym0))
 	b := NewTranscript(0, 0)
-	b.Append(mkChunk(1, bitstring.Sym0, bitstring.Sym0))
-	b.Append(mkChunk(2, bitstring.Sym0, bitstring.Sym0))
+	b.Append(mkChunk(bitstring.Sym0, bitstring.Sym0))
+	b.Append(mkChunk(bitstring.Sym0, bitstring.Sym0))
 	// b's encoding must not be a's encoding followed by zeros: the chunk
 	// index 2 contributes a nonzero bit.
 	aBits := a.Bits()
@@ -182,5 +193,49 @@ func TestTranscriptLengthsEncodeDifferently(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("longer transcript encodes as zero-padded shorter one: hashes would collide")
+	}
+}
+
+// TestTranscriptAppendCopies: Append copies the caller's symbols, so
+// reusing the slice afterwards (as the engine reuses each link's pending
+// buffer every simulation phase) changes neither the chunk nor the
+// encoding. Before transcripts kept one symbol slab, Append aliased the
+// slice and this failed.
+func TestTranscriptAppendCopies(t *testing.T) {
+	buf := mkChunk(bitstring.Sym0, bitstring.Sym1, bitstring.Silence)
+	tr := NewTranscript(0, 0)
+	tr.Append(buf)
+	want := tr.Bits().Clone()
+	buf[0], buf[2] = bitstring.Sym1, bitstring.Sym0
+	if got := tr.Chunk(0); !slices.Equal(got, mkChunk(bitstring.Sym0, bitstring.Sym1, bitstring.Silence)) {
+		t.Errorf("Chunk(0) = %v after the caller reused its slice", got)
+	}
+	if !tr.Bits().Equal(want) {
+		t.Error("encoding changed after the caller reused its slice")
+	}
+}
+
+// TestTranscriptChunkAfterTruncate: a chunk re-simulated after a rewind
+// reads back its new symbols, both where the old chunk stood and past it,
+// and chunks before the cut keep theirs. (Passes before the slab too.)
+func TestTranscriptChunkAfterTruncate(t *testing.T) {
+	tr := NewTranscript(0, 0)
+	tr.Append(mkChunk(bitstring.Sym1, bitstring.Sym1))
+	tr.Append(mkChunk(bitstring.Sym0, bitstring.Sym0, bitstring.Sym0))
+	tr.Append(mkChunk(bitstring.Silence))
+	tr.TruncateTo(1)
+	tr.Append(mkChunk(bitstring.Silence))
+	tr.Append(mkChunk(bitstring.Sym1, bitstring.Sym0, bitstring.Sym1, bitstring.Sym0))
+	for i, want := range [][]bitstring.Symbol{
+		{bitstring.Sym1, bitstring.Sym1},
+		{bitstring.Silence},
+		{bitstring.Sym1, bitstring.Sym0, bitstring.Sym1, bitstring.Sym0},
+	} {
+		if got := tr.Chunk(i); !slices.Equal(got, want) {
+			t.Errorf("Chunk(%d) = %v, want %v", i, got, want)
+		}
+	}
+	if got, want := tr.PrefixBits(3), 3*chunkIndexBits+2*7; got != want || tr.Bits().Len() != want {
+		t.Errorf("PrefixBits(3) = %d, Bits().Len() = %d, want %d", got, tr.Bits().Len(), want)
 	}
 }

@@ -65,7 +65,7 @@ func (w *whiteBoxAttacker) Corrupt(round int, link channel.Link, sent bitstring.
 	// Only the chunk's final slot leaves both endpoint records fully
 	// determined at corruption time.
 	last := ls.slots[len(ls.slots)-1]
-	if last.RelRound != rel-1 || last.Tx.From != link.From {
+	if int(last.RelRound) != rel-1 || last.Link != ls.out {
 		return sent
 	}
 	v := w.parties[link.To]

@@ -122,7 +122,7 @@ func TestWhiteBoxPredictsPartyHash(t *testing.T) {
 					want[port] = w.futureHash(ls, ls.pending, last, sym, it+1)
 					syms := append([]bitstring.Symbol(nil), ls.pending...)
 					syms[last] = sym
-					ls.T.Append(ChunkRecord{Index: ls.simChunk, Syms: syms})
+					ls.T.Append(syms)
 				}
 				p.prepareIteration(it + 1)
 				for port, ls := range p.links {

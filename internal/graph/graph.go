@@ -146,6 +146,10 @@ func (g *Graph) MaxDegree() int {
 	return d
 }
 
+// Edge returns the edge with ID id (U < V), for id in [0, M()). Links
+// 2·id and 2·id+1 (graph.LinkIndex) are U → V and V → U.
+func (g *Graph) Edge(id int) Edge { return g.edges[id] }
+
 // Edges returns all links with U < V, sorted lexicographically. The slice
 // is a copy and safe to modify.
 func (g *Graph) Edges() []Edge {

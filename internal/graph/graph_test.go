@@ -220,8 +220,8 @@ func TestByName(t *testing.T) {
 
 // checkIndices checks EdgeIndex and LinkIndex on every node pair of g
 // against the edge set want: each edge gets a distinct ID in [0, M()),
-// both orientations agree, and non-edges, self-loops and out-of-range
-// nodes give -1.
+// both orientations agree, Edge maps the ID back to the canonical edge,
+// and non-edges, self-loops and out-of-range nodes give -1.
 func checkIndices(t *testing.T, name string, g *Graph, want []Edge) {
 	t.Helper()
 	isEdge := make(map[Edge]bool, len(want))
@@ -241,6 +241,9 @@ func checkIndices(t *testing.T, name string, g *Graph, want []Edge) {
 			}
 			if id < 0 || id >= g.M() || g.EdgeIndex(v, u) != id {
 				t.Fatalf("%s: edge (%d,%d) has EdgeIndex %d, reversed %d", name, u, v, id, g.EdgeIndex(v, u))
+			}
+			if got := g.Edge(id); got != (Edge{U: u, V: v}).Canonical() {
+				t.Fatalf("%s: Edge(%d) = %v, want (%d,%d)", name, id, got, u, v)
 			}
 			wantLink := 2 * id
 			if u > v {

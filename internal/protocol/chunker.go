@@ -10,14 +10,27 @@ import (
 // Slot is one transmission position on an undirected link within a chunk:
 // the unit of transcript storage. Both endpoints enumerate the slots of a
 // link in identical (schedule) order, so their transcripts are comparable
-// position by position.
+// position by position. A slot takes 12 bytes: its transmission is not
+// stored but named by its directed link, which Tx turns back into
+// endpoints.
 type Slot struct {
 	// RelRound is the round offset from the chunk's start.
-	RelRound int
-	// Tx is the directed transmission occupying the slot.
-	Tx Transmission
+	RelRound int32
 	// Seq is the per-directed-link sequence number of the transmission.
-	Seq int
+	Seq int32
+	// Link is the directed link carrying the transmission, by
+	// graph.LinkIndex: 2·edge ID, plus one when the sender is the edge's
+	// higher endpoint.
+	Link int32
+}
+
+// Tx returns the directed transmission occupying the slot in graph g.
+func (s Slot) Tx(g *graph.Graph) Transmission {
+	e := g.Edge(int(s.Link / 2))
+	if s.Link%2 == 1 {
+		return Transmission{From: e.V, To: e.U}
+	}
+	return Transmission{From: e.U, To: e.V}
 }
 
 // ChunkSpec describes one chunk: a maximal run of consecutive rounds whose
@@ -33,7 +46,8 @@ type ChunkSpec struct {
 	Bits int
 	// LinkSlots lists each undirected link's slots in schedule order,
 	// indexed by the link's edge ID (graph.EdgeIndex); a link silent in
-	// the chunk has none.
+	// the chunk has none. The lists are views into the chunking's one
+	// slot slab and must not be modified.
 	LinkSlots [][]Slot
 }
 
@@ -82,6 +96,8 @@ type seqLoc struct{ chunk, pos int32 }
 // Each chunk holds one slot list per edge, so the chunking takes
 // O(m·chunks + |Π|) memory — O(m + |Π|) whenever chunkBits is at least
 // twice the busiest round's communication, as the paper's 5K ≥ 5m is.
+// The per-transmission part is 20 bytes: a 12-byte Slot in one slab and
+// an 8-byte location for Locate.
 func NewChunking(p Protocol, chunkBits int) *Chunking {
 	sched := p.Schedule()
 	g := p.Graph()
@@ -130,8 +146,8 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 	// is one run of that sequence: all slots share one slab.
 	slots := make([]Slot, 0, sched.TotalBits())
 	locSlab := make([]seqLoc, sched.TotalBits())
-	for _, e := range g.Edges() {
-		id := g.EdgeIndex(e.U, e.V)
+	for id := 0; id < m; id++ {
+		e := g.Edge(id)
 		fwd := sched.roundsOn(channel.Link{From: e.U, To: e.V})
 		bwd := sched.roundsOn(channel.Link{From: e.V, To: e.U})
 		c.locs[2*id], locSlab = locSlab[:len(fwd):len(fwd)], locSlab[len(fwd):]
@@ -143,11 +159,11 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 			var loc *seqLoc
 			if j == len(bwd) || i < len(fwd) && fwd[i] <= bwd[j] {
 				r, loc = int(fwd[i]), &c.locs[2*id][i]
-				slot = Slot{Tx: Transmission{From: e.U, To: e.V}, Seq: i}
+				slot = Slot{Seq: int32(i), Link: int32(2 * id)}
 				i++
 			} else {
 				r, loc = int(bwd[j]), &c.locs[2*id+1][j]
-				slot = Slot{Tx: Transmission{From: e.V, To: e.U}, Seq: j}
+				slot = Slot{Seq: int32(j), Link: int32(2*id + 1)}
 				j++
 			}
 			if r >= specs[ci].EndRound {
@@ -157,7 +173,7 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 				}
 				run = len(slots)
 			}
-			slot.RelRound = r - specs[ci].StartRound
+			slot.RelRound = int32(r - specs[ci].StartRound)
 			*loc = seqLoc{chunk: int32(ci + 1), pos: int32(len(slots) - run)}
 			slots = append(slots, slot)
 		}
@@ -175,10 +191,9 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 	// while stragglers catch up.
 	dummy := &ChunkSpec{StartRound: 0, EndRound: 1, Bits: 2 * m, LinkSlots: make([][]Slot, m)}
 	dslots := make([]Slot, 2*m)
-	for _, e := range g.Edges() {
-		id := g.EdgeIndex(e.U, e.V)
-		dslots[2*id] = Slot{RelRound: 0, Tx: Transmission{From: e.U, To: e.V}}
-		dslots[2*id+1] = Slot{RelRound: 0, Tx: Transmission{From: e.V, To: e.U}}
+	for id := 0; id < m; id++ {
+		dslots[2*id] = Slot{Link: int32(2 * id)}
+		dslots[2*id+1] = Slot{Link: int32(2*id + 1)}
 		dummy.LinkSlots[id] = dslots[2*id : 2*id+2 : 2*id+2]
 	}
 	c.dummy = dummy
@@ -205,7 +220,9 @@ func (c *Chunking) closeRun(spec *ChunkSpec, id int, run []Slot) {
 func (c *Chunking) NumChunks() int { return len(c.Specs) }
 
 // Spec returns the chunk spec for 1-based index i; indices past the real
-// protocol return the dummy padding chunk (with Index set accordingly).
+// protocol return a copy of the dummy padding chunk with Index set
+// accordingly. The simulation reads chunks through Slots, which makes no
+// copy.
 func (c *Chunking) Spec(i int) *ChunkSpec {
 	if i >= 1 && i <= len(c.Specs) {
 		return c.Specs[i-1]
@@ -214,6 +231,22 @@ func (c *Chunking) Spec(i int) *ChunkSpec {
 	d.Index = i
 	return &d
 }
+
+// Slots returns what simulating chunk i reads for edge id — the chunk's
+// first round and the edge's slots in it — without building a spec: the
+// same values as Spec(i).StartRound and Spec(i).LinkSlots[id], with no
+// allocation for padding indices.
+func (c *Chunking) Slots(i, id int) (startRound int, slots []Slot) {
+	spec := c.dummy
+	if !c.IsDummy(i) {
+		spec = c.Specs[i-1]
+	}
+	return spec.StartRound, spec.LinkSlots[id]
+}
+
+// EdgeSlots returns the number of slots edge id has over all real
+// chunks: its transmissions in both directions.
+func (c *Chunking) EdgeSlots(id int) int { return len(c.locs[2*id]) + len(c.locs[2*id+1]) }
 
 // IsDummy reports whether chunk index i is padding.
 func (c *Chunking) IsDummy(i int) bool { return i < 1 || i > len(c.Specs) }

@@ -250,11 +250,11 @@ func TestChunkingLocate(t *testing.T) {
 			}
 			spec := ch.Spec(loc.Chunk)
 			slot := spec.LinkSlots[g.EdgeIndex(tx.From, tx.To)][loc.Pos]
-			if slot.Tx != tx || slot.Seq != seq[l] {
+			if slot.Tx(g) != tx || int(slot.Seq) != seq[l] {
 				t.Fatalf("Locate mismatch for %v seq %d: got %+v", l, seq[l], slot)
 			}
-			if spec.StartRound+slot.RelRound != r {
-				t.Fatalf("round mismatch: %d vs %d", spec.StartRound+slot.RelRound, r)
+			if spec.StartRound+int(slot.RelRound) != r {
+				t.Fatalf("round mismatch: %d vs %d", spec.StartRound+int(slot.RelRound), r)
 			}
 			seq[l]++
 		}
@@ -284,9 +284,31 @@ func TestChunkingDummySpec(t *testing.T) {
 	}
 	for _, e := range g.Edges() {
 		slots := d.LinkSlots[g.EdgeIndex(e.U, e.V)]
-		if len(slots) != 2 || slots[0].Tx.From != e.U || slots[1].Tx.From != e.V {
+		if len(slots) != 2 || slots[0].Tx(g).From != e.U || slots[1].Tx(g).From != e.V {
 			t.Fatal("dummy chunk must have one slot per direction per link")
 		}
+	}
+}
+
+// TestChunkingSlots checks that Slots reads the same start round and
+// slot list as Spec, for every real chunk, the padding indices past them
+// and every edge, and that it allocates nothing on padding indices.
+func TestChunkingSlots(t *testing.T) {
+	g := graph.Ring(5)
+	ch := NewChunking(NewRandom(g, 30, 0.4, 6, nil), 8)
+	n := ch.NumChunks()
+	for i := 1; i <= n+3; i++ {
+		spec := ch.Spec(i)
+		for id := 0; id < g.M(); id++ {
+			start, slots := ch.Slots(i, id)
+			want := spec.LinkSlots[id]
+			if start != spec.StartRound || len(slots) != len(want) || len(slots) > 0 && &slots[0] != &want[0] {
+				t.Fatalf("chunk %d edge %d: Slots = (%d, %v), Spec has (%d, %v)", i, id, start, slots, spec.StartRound, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ch.Slots(n+7, 2) }); allocs != 0 {
+		t.Fatalf("Slots on a padding index allocates %.1f times, want 0", allocs)
 	}
 }
 

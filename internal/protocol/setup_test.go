@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mpic/internal/bitstring"
@@ -43,7 +44,8 @@ func setupDigest(p Protocol) string {
 		for e, slots := range spec.LinkSlots {
 			word(e, len(slots))
 			for _, sl := range slots {
-				word(sl.RelRound, int(sl.Tx.From), int(sl.Tx.To), sl.Seq)
+				tx := sl.Tx(g)
+				word(int(sl.RelRound), int(tx.From), int(tx.To), int(sl.Seq))
 			}
 		}
 	}
@@ -161,6 +163,32 @@ func TestRandomSendBitFormula(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no transmission checked")
 	}
+}
+
+// TestChunkingSlotBytes bounds NewChunking's heap by its per-transmission
+// records: a 12-byte Slot in the slot slab plus the 8-byte location
+// behind Locate. A long schedule on a small ring packed into one chunk
+// leaves only O(m) other records, which the slack (a few pages of
+// size-class rounding) covers. At 32-byte slots that held both endpoints
+// as ints the same chunking took 40 B per transmission, and this failed.
+func TestChunkingSlotBytes(t *testing.T) {
+	g := graph.Ring(4)
+	p := NewRandom(g, 20000, 0.5, 3, nil)
+	total := p.Schedule().TotalBits()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ch := NewChunking(p, total)
+	runtime.ReadMemStats(&after)
+	if ch.NumChunks() != 1 {
+		t.Fatalf("%d chunks, want 1", ch.NumChunks())
+	}
+	const slotBytes, locBytes, slack = 12, 8, 32 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	if want := uint64((slotBytes+locBytes)*total + slack); got > want {
+		t.Fatalf("NewChunking allocated %d B for %d transmissions (%.1f B each), want at most %d", got, total, float64(got)/float64(total), want)
+	}
+	runtime.KeepAlive(ch)
 }
 
 // BenchmarkProtocolSetup measures the per-run protocol set-up of the
