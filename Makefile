@@ -12,7 +12,8 @@
 # silently break the pure-Go fallback other platforms run. Performance is
 # gated by the repo benchmark alone (bench/, BENCHMARK.json); the bench*
 # targets below are Go benchmarks for PERF.md, not gates, and `make
-# bench-mem` prints where one scenario-lockstep run allocates its bytes.
+# bench-mem` and `make bench-cpu` print where one scenario-lockstep run
+# allocates its bytes and spends its CPU time.
 
 GO ?= go
 
@@ -24,7 +25,7 @@ SWEEP_PARALLEL ?= 0
 # re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-core bench-mem bench-protocol bench-epoch bench-kernel bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz
+.PHONY: verify tier1 race examples bench bench-core bench-mem bench-cpu bench-protocol bench-epoch bench-kernel bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz
 
 verify: tier1 lint race examples crossbuild
 
@@ -106,6 +107,16 @@ bench-mem:
 		-memprofile $(BENCH_MEM_DIR)/mem.prof -o $(BENCH_MEM_DIR)/mpic.test .
 	$(GO) tool pprof -sample_index=alloc_space -top $(BENCH_MEM_DIR)/mpic.test $(BENCH_MEM_DIR)/mem.prof
 
+# The CPU counterpart of bench-mem: a 5 s BenchmarkRunLockstep pass with
+# -cpuprofile, written with its test binary to the same ignored
+# directory, then the top functions by flat and cumulative CPU time.
+# PERF.md's per-function CPU shares come from it.
+bench-cpu:
+	mkdir -p $(BENCH_MEM_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkRunLockstep$$' -benchtime=5s \
+		-cpuprofile $(BENCH_MEM_DIR)/cpu.prof -o $(BENCH_MEM_DIR)/mpic.test .
+	$(GO) tool pprof -top $(BENCH_MEM_DIR)/mpic.test $(BENCH_MEM_DIR)/cpu.prof
+
 # The protocol set-up of one run in the scenario-lockstep shape: the
 # Random workload's schedule, its chunking at the 5m-bit budget and its
 # noiseless reference run, in ns, bytes and allocs per set-up. PERF.md
@@ -127,11 +138,12 @@ bench-epoch:
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelSweep' -benchmem ./internal/hashing/
 
-# One virtual-time (DES) round on Clique(12), under the unit model and
-# under lognormal delays with rare spikes: ns and allocs per round
-# (allocs must stay 0). PERF.md records the figures.
+# One network round on Clique(12) of sink parties: on the lockstep engine,
+# and on the virtual-time (DES) engine under the unit model and under
+# lognormal delays with rare spikes: ns and allocs per round (allocs must
+# stay 0). PERF.md records the figures.
 bench-net:
-	$(GO) test -run '^$$' -bench 'BenchmarkStepTimed' -benchmem ./internal/network/
+	$(GO) test -run '^$$' -bench 'BenchmarkStep(Timed)?$$' -benchmem ./internal/network/
 
 # The durable session's per-cell store cost: one FileGridStore.Save
 # handed only the new cell, as the grid engine calls it, on a session of

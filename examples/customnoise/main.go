@@ -86,7 +86,9 @@ func buildEcho(g *mpic.Graph, rounds int, seed int64) (mpic.Protocol, error) {
 			rr = append(rr, []mpic.Transmission{{From: 1, To: 0}})
 		}
 	}
-	return &echoProto{g: g, sched: mpic.NewSchedule(rr), value: uint16(seed*40503 + 977)}, nil
+	// Built over the topology the run hands in: the schedule numbers its
+	// links the way g does.
+	return &echoProto{g: g, sched: mpic.NewSchedule(g, rr), value: uint16(seed*40503 + 977)}, nil
 }
 
 func (p *echoProto) Name() string             { return "echo" }

@@ -46,7 +46,9 @@ func newMaxFinder(n int, inputs [][]byte) *maxFinder {
 		}
 		rounds = append(rounds, txs)
 	}
-	return &maxFinder{g: g, sched: mpic.NewSchedule(rounds), inputs: inputs}
+	// The schedule indexes each link's rounds by g's link numbering, so
+	// it is built over the graph Graph returns.
+	return &maxFinder{g: g, sched: mpic.NewSchedule(g, rounds), inputs: inputs}
 }
 
 func (p *maxFinder) Name() string             { return "max-finder" }

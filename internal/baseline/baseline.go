@@ -34,6 +34,7 @@ type Result struct {
 // at face value, Silence reads as 0.
 type uncodedParty struct {
 	id    graph.Node
+	nbrs  []graph.Node
 	proto protocol.Protocol
 	rep   int // repetition factor; 1 = uncoded
 	view  *protocol.MapView
@@ -48,6 +49,7 @@ func newUncodedParty(id graph.Node, proto protocol.Protocol, rep int) *uncodedPa
 	deg := g.Degree(id)
 	return &uncodedParty{
 		id:    id,
+		nbrs:  g.Neighbors(id),
 		proto: proto,
 		rep:   rep,
 		view:  protocol.NewMapView(g, id, proto.Input(id)),
@@ -61,29 +63,32 @@ func newUncodedParty(id graph.Node, proto protocol.Protocol, rep int) *uncodedPa
 func (p *uncodedParty) ID() graph.Node { return p.id }
 
 // Send implements network.Party: round r of the real network carries
-// repetition copy r%rep of Π round r/rep.
-func (p *uncodedParty) Send(round int, to graph.Node, port int) bitstring.Symbol {
+// repetition copy r%rep of Π round r/rep. One pass over the Π round
+// fills every port the party speaks on; the round is sorted by
+// (From, To), so those come in port order.
+func (p *uncodedParty) Send(round int, out []bitstring.Symbol) {
+	for port := range out {
+		out[port] = bitstring.Silence
+	}
 	sched := p.proto.Schedule()
 	pr := round / p.rep
 	if pr >= sched.Rounds() {
-		return bitstring.Silence
+		return
 	}
-	l := channel.Link{From: p.id, To: to}
 	for _, tx := range sched.At(pr) {
-		if tx.Link() == l {
-			bit := p.proto.SendBit(p.view, pr, tx, p.seq[port]) & 1
-			if round%p.rep == p.rep-1 {
-				// Completed all copies: commit to own view on the last
-				// copy (the commit round shared with the receiver).
-				defer func() {
-					p.view.Record(l, bitstring.SymbolFromBit(bit))
-					p.seq[port]++
-				}()
-			}
-			return bitstring.SymbolFromBit(bit)
+		if tx.From != p.id {
+			continue
+		}
+		port := graph.IndexOf(p.nbrs, tx.To)
+		bit := p.proto.SendBit(p.view, pr, tx, p.seq[port]) & 1
+		out[port] = bitstring.SymbolFromBit(bit)
+		if round%p.rep == p.rep-1 {
+			// Completed all copies: commit to own view on the last copy
+			// (the commit round shared with the receiver).
+			p.view.Record(tx.Link(), out[port])
+			p.seq[port]++
 		}
 	}
-	return bitstring.Silence
 }
 
 // Deliver implements network.Party: majority-decode the repetition block.

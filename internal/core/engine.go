@@ -155,6 +155,7 @@ func Run(opts Options) (*Result, error) {
 		tree:      g.BFSTree(0),
 		arena:     opts.Arena,
 		numChunks: numChunks,
+		phRound:   -1,
 		crsK0:     uint64(p.CRSKey)*0x9e3779b97f4a7c15 + 0x853c49e6748fea9b,
 		crsK1:     uint64(p.CRSKey)*0xda942042e4dd58b5 + 0xd1342543de82ef95,
 	}

@@ -38,7 +38,8 @@ func TestSlotCursor(t *testing.T) {
 			short++
 		}
 		for _, e := range g.Edges() {
-			ls := &linkState{slots: spec.LinkSlots[g.EdgeIndex(e.U, e.V)]}
+			_, slots := ch.Slots(i, g.EdgeIndex(e.U, e.V))
+			ls := &linkState{slots: slots}
 			for rel := 0; rel < ch.MaxChunkRounds; rel++ {
 				for _, tx := range []protocol.Transmission{{From: e.U, To: e.V}, {From: e.V, To: e.U}} {
 					got := ls.slotAt(rel, int32(g.LinkIndex(tx.From, tx.To)))

@@ -46,6 +46,15 @@ type env struct {
 	rng            *rand.Rand
 	exchRecvSlab   []byte
 	exchErasedSlab []bool
+
+	// Memoized phase decomposition of the last round any party asked
+	// about (party.phaseAt): every party's Send, Deliver and EndRound
+	// decompose the same round, and the parties of a run step in one
+	// goroutine, so the layout division runs once per round.
+	phRound int
+	phIter  int
+	phPh    trace.Phase
+	phRel   int
 }
 
 // linkState is one endpoint's per-link state: the pairwise transcript, the
@@ -148,23 +157,16 @@ type party struct {
 	// planRewinds runs every rewind round of every iteration, and
 	// per-round map churn showed up as steady-state allocation.
 	rewindPlan []bool
-
-	// Memoized phase decomposition of the last round seen: Send, Deliver
-	// and EndRound each decompose the same round once per link, and the
-	// layout division showed up in profiles.
-	phRound int
-	phIter  int
-	phPh    trace.Phase
-	phRel   int
 }
 
-// phaseAt is the memoizing wrapper over layout.phaseAt.
+// phaseAt is layout.phaseAt through the run's one memo (env.phRound).
 func (p *party) phaseAt(round int) (int, trace.Phase, int) {
-	if p.phRound != round {
-		p.phIter, p.phPh, p.phRel = p.env.lay.phaseAt(round)
-		p.phRound = round
+	e := p.env
+	if e.phRound != round {
+		e.phIter, e.phPh, e.phRel = e.lay.phaseAt(round)
+		e.phRound = round
 	}
-	return p.phIter, p.phPh, p.phRel
+	return e.phIter, e.phPh, e.phRel
 }
 
 var _ network.Party = (*party)(nil)
@@ -180,7 +182,6 @@ func newParty(e *env, id graph.Node) *party {
 		netCorrect:   true,
 		preparedIter: -1,
 		rewindRound:  -1,
-		phRound:      -1,
 		rewindPlan:   make([]bool, len(e.g.Neighbors(id))),
 	}
 	maxSlots := e.chunking.MaxSlotsPerLink
@@ -327,32 +328,42 @@ func (p *party) link(peer graph.Node) *linkState {
 	return nil
 }
 
-// Send implements network.Party.
-func (p *party) Send(round int, to graph.Node, port int) bitstring.Symbol {
+// Send implements network.Party: it decodes the round once and fills the
+// ports in order.
+func (p *party) Send(round int, out []bitstring.Symbol) {
 	iter, ph, rel := p.phaseAt(round)
-	ls := p.links[port]
 	switch ph {
 	case trace.PhaseExchange:
-		if ls.exchSend != nil && rel < len(ls.exchSend) {
-			return bitstring.SymbolFromBit(ls.exchSend[rel])
+		for port, ls := range p.links {
+			out[port] = bitstring.Silence
+			if ls.exchSend != nil && rel < len(ls.exchSend) {
+				out[port] = bitstring.SymbolFromBit(ls.exchSend[rel])
+			}
 		}
-		return bitstring.Silence
 	case trace.PhaseMeetingPoints:
 		if p.preparedIter != iter {
 			p.prepareIteration(iter)
 		}
-		return bitstring.SymbolFromBit(ls.mpOut[rel])
+		for port, ls := range p.links {
+			out[port] = bitstring.SymbolFromBit(ls.mpOut[rel])
+		}
 	case trace.PhaseFlagPassing:
-		return p.flagSend(rel, to)
+		for port, to := range p.neighbors {
+			out[port] = p.flagSend(rel, to)
+		}
 	case trace.PhaseSimulation:
-		return p.simSend(rel, ls)
+		for port, ls := range p.links {
+			out[port] = p.simSend(rel, ls)
+		}
 	default: // rewind
 		p.planRewinds(round)
-		if p.rewindPlan[port] {
-			p.rewindPlan[port] = false
-			return bitstring.Sym1
+		for port, planned := range p.rewindPlan {
+			out[port] = bitstring.Silence
+			if planned {
+				p.rewindPlan[port] = false
+				out[port] = bitstring.Sym1
+			}
 		}
-		return bitstring.Silence
 	}
 }
 

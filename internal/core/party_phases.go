@@ -218,20 +218,22 @@ func (v codedView) Input() []byte { return v.p.env.proto.Input(v.p.id) }
 
 // Observed implements protocol.View.
 func (v codedView) Observed(l channel.Link, seq int) bitstring.Symbol {
-	var peer graph.Node
+	var ls *linkState
+	var li int32
 	switch {
 	case l.From == v.p.id:
-		peer = l.To
+		if ls = v.p.link(l.To); ls != nil {
+			li = ls.out
+		}
 	case l.To == v.p.id:
-		peer = l.From
-	default:
-		return bitstring.Silence
+		if ls = v.p.link(l.From); ls != nil {
+			li = ls.in
+		}
 	}
-	ls := v.p.link(peer)
 	if ls == nil {
 		return bitstring.Silence
 	}
-	loc, ok := v.p.env.chunking.Locate(l, seq)
+	loc, ok := v.p.env.chunking.Locate(int(li), seq)
 	if !ok {
 		return bitstring.Silence
 	}

@@ -154,8 +154,9 @@ func TestChunkingPropertyRandomSchedules(t *testing.T) {
 			count += len(proto.Schedule().At(r))
 		}
 		located := 0
-		for _, spec := range ch.Specs {
-			for _, slots := range spec.LinkSlots {
+		for i := 1; i <= ch.NumChunks(); i++ {
+			for id := 0; id < g.M(); id++ {
+				_, slots := ch.Slots(i, id)
 				located += len(slots)
 			}
 		}

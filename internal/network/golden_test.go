@@ -146,7 +146,7 @@ func TestDESGoldenDigest(t *testing.T) {
 						t.Fatalf("%s seed %d: %v", name, seed, err)
 					}
 				}
-				ps, eps := mkParties(5, cliqueFns(5))
+				ps, eps := mkParties(g, cliqueFns(5))
 				eng, err := NewEngine(g, ps, pat, nil)
 				if err != nil {
 					t.Fatal(err)

@@ -30,22 +30,29 @@ import (
 
 // Party is one protocol participant driven by the engine.
 //
-// Within a round the engine first collects Send for every outgoing
-// directed link of every party, then applies channel noise, then calls
-// Deliver for every incoming directed link of every party (Silence when
-// nothing arrived). Implementations must not assume any ordering between
-// parties within a round.
+// Within a round the engine first calls Send once on every party, then
+// applies channel noise, then calls Deliver for every incoming directed
+// link of every party (Silence when nothing arrived). Implementations
+// must not assume any ordering between parties within a round.
 //
-// Both calls name the neighbor twice: as a node and as a port, its
-// position in the party's ascending neighbor list (graph.Neighbors), so
-// a party can keep its per-link state in a slice indexed by port.
+// A party's links are numbered by port: a neighbor's position in the
+// party's ascending neighbor list (graph.Neighbors), so a party can keep
+// its per-link state in a slice indexed by port.
+//
+// Send is per party because a party decides all of a round's symbols
+// from the same state: one call decodes the round once and fills every
+// port. Deliver stays per link because the lockstep engine interleaves
+// each link's noise with its delivery, and an adversary that reads party
+// state (a white-box attacker) sees the deliveries of the links before
+// the one it corrupts.
 type Party interface {
 	// ID returns the node this party occupies.
 	ID() graph.Node
-	// Send returns the symbol to transmit to neighbor `to`, at port
-	// `port`, this round; Silence means the party stays quiet on that
-	// link.
-	Send(round int, to graph.Node, port int) bitstring.Symbol
+	// Send writes the round's symbol for every port into out, one entry
+	// per neighbor in port order; Silence means the party stays quiet on
+	// that link. The engine does not clear out between rounds, so Send
+	// writes every entry.
+	Send(round int, out []bitstring.Symbol)
 	// Deliver hands the party what it observed from neighbor `from`, at
 	// port `port`, this round (Silence when no symbol arrived).
 	Deliver(round int, from graph.Node, port int, sym bitstring.Symbol)
@@ -64,13 +71,19 @@ type Engine struct {
 	parties []Party
 	adv     adversary.Adversary
 	metrics *trace.Metrics
-	links   []channel.Link // all directed links, deterministic order
-	// sendPort[i] and recvPort[i] are links[i]'s port at its sender (the
-	// receiver's position among the sender's neighbors) and at its
-	// receiver (the sender's position among the receiver's neighbors).
-	sendPort, recvPort []int
-	phaseFn            func(round int) trace.Phase
-	sendBuf            []bitstring.Symbol
+	// links holds all directed links ascending by (From, To), so party
+	// p's outgoing links are links[sendStart[p]:sendStart[p+1]] in port
+	// order, and sendBuf, by link, holds each party's Send output in one
+	// run.
+	links     []channel.Link
+	sendStart []int
+	// recvPort[i] is links[i]'s port at its receiver (the sender's
+	// position among the receiver's neighbors).
+	recvPort []int
+	// enders are the parties that implement RoundEnder, in party order.
+	enders  []RoundEnder
+	phaseFn func(round int) trace.Phase
+	sendBuf []bitstring.Symbol
 	// timing, when non-nil, switches the engine onto the virtual-time
 	// discrete-event path (see vtime.go). Installed by SetTiming; nil
 	// engines run the classic synchronous loop.
@@ -109,18 +122,23 @@ func NewEngine(g *graph.Graph, parties []Party, adv adversary.Adversary, metrics
 		return links[i].To < links[j].To
 	})
 	e := &Engine{
-		g:        g,
-		parties:  parties,
-		adv:      adv,
-		metrics:  metrics,
-		links:    links,
-		sendPort: make([]int, len(links)),
-		recvPort: make([]int, len(links)),
-		sendBuf:  make([]bitstring.Symbol, len(links)),
+		g:         g,
+		parties:   parties,
+		adv:       adv,
+		metrics:   metrics,
+		links:     links,
+		sendStart: make([]int, len(parties)+1),
+		recvPort:  make([]int, len(links)),
+		sendBuf:   make([]bitstring.Symbol, len(links)),
 	}
 	for i, l := range links {
-		e.sendPort[i] = graph.IndexOf(g.Neighbors(l.From), l.To)
 		e.recvPort[i] = graph.IndexOf(g.Neighbors(l.To), l.From)
+	}
+	for p, pt := range parties {
+		e.sendStart[p+1] = e.sendStart[p] + g.Degree(graph.Node(p))
+		if re, ok := pt.(RoundEnder); ok {
+			e.enders = append(e.enders, re)
+		}
 	}
 	if ca, ok := adv.(adversary.ContextAware); ok {
 		ca.SetContext(e)
@@ -155,11 +173,19 @@ func (e *Engine) RunRounds(from, to int) {
 	}
 }
 
-// collectSends runs one round's Send phase into sendBuf. Both the
+// collectSends runs one round's Send phase into sendBuf: one call per
+// party, in party order, each filling its own run of links. Both the
 // synchronous and the virtual-time paths use it.
 func (e *Engine) collectSends(round int) {
-	for i, l := range e.links {
-		e.sendBuf[i] = e.parties[l.From].Send(round, l.To, e.sendPort[i])
+	for p, pt := range e.parties {
+		pt.Send(round, e.sendBuf[e.sendStart[p]:e.sendStart[p+1]])
+	}
+}
+
+// endRound calls every RoundEnder's EndRound, in party order.
+func (e *Engine) endRound(round int) {
+	for _, re := range e.enders {
+		re.EndRound(round)
 	}
 }
 
@@ -187,9 +213,5 @@ func (e *Engine) step(round int) {
 		}
 		e.parties[l.To].Deliver(round, l.From, e.recvPort[i], recv)
 	}
-	for _, p := range e.parties {
-		if re, ok := p.(RoundEnder); ok {
-			re.EndRound(round)
-		}
-	}
+	e.endRound(round)
 }

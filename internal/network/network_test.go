@@ -16,6 +16,7 @@ import (
 // observes, for engine-behavior tests.
 type echoParty struct {
 	id       graph.Node
+	nbrs     []graph.Node
 	sendFn   func(round int, to graph.Node) bitstring.Symbol
 	received []recorded
 	ends     []int
@@ -30,11 +31,13 @@ type recorded struct {
 
 func (p *echoParty) ID() graph.Node { return p.id }
 
-func (p *echoParty) Send(round int, to graph.Node, _ int) bitstring.Symbol {
-	if p.sendFn == nil {
-		return bitstring.Silence
+func (p *echoParty) Send(round int, out []bitstring.Symbol) {
+	for port, to := range p.nbrs {
+		out[port] = bitstring.Silence
+		if p.sendFn != nil {
+			out[port] = p.sendFn(round, to)
+		}
 	}
-	return p.sendFn(round, to)
 }
 
 func (p *echoParty) Deliver(round int, from graph.Node, port int, sym bitstring.Symbol) {
@@ -43,11 +46,14 @@ func (p *echoParty) Deliver(round int, from graph.Node, port int, sym bitstring.
 
 func (p *echoParty) EndRound(round int) { p.ends = append(p.ends, round) }
 
-func mkParties(n int, fns map[int]func(int, graph.Node) bitstring.Symbol) ([]Party, []*echoParty) {
+// mkParties returns one echo party per node of g; fns[i], when set, is
+// party i's send pattern.
+func mkParties(g *graph.Graph, fns map[int]func(int, graph.Node) bitstring.Symbol) ([]Party, []*echoParty) {
+	n := g.N()
 	eps := make([]*echoParty, n)
 	ps := make([]Party, n)
 	for i := 0; i < n; i++ {
-		eps[i] = &echoParty{id: graph.Node(i), sendFn: fns[i]}
+		eps[i] = &echoParty{id: graph.Node(i), nbrs: g.Neighbors(graph.Node(i)), sendFn: fns[i]}
 		ps[i] = eps[i]
 	}
 	return ps, eps
@@ -55,7 +61,7 @@ func mkParties(n int, fns map[int]func(int, graph.Node) bitstring.Symbol) ([]Par
 
 func TestEngineDeliversSymbols(t *testing.T) {
 	g := graph.Line(3)
-	ps, eps := mkParties(3, map[int]func(int, graph.Node) bitstring.Symbol{
+	ps, eps := mkParties(g, map[int]func(int, graph.Node) bitstring.Symbol{
 		0: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym1 },
 	})
 	eng, err := NewEngine(g, ps, nil, nil)
@@ -85,7 +91,7 @@ func TestEngineDeliversSymbols(t *testing.T) {
 
 func TestEngineEndRoundHook(t *testing.T) {
 	g := graph.Line(2)
-	ps, eps := mkParties(2, nil)
+	ps, eps := mkParties(g, nil)
 	eng, _ := NewEngine(g, ps, nil, nil)
 	eng.RunRounds(0, 3)
 	want := []int{0, 1, 2}
@@ -103,7 +109,7 @@ func TestEngineEndRoundHook(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	g := graph.Line(3)
-	ps, _ := mkParties(2, nil)
+	ps, _ := mkParties(graph.Line(2), nil)
 	if _, err := NewEngine(g, ps, nil, nil); err == nil {
 		t.Error("party/node count mismatch accepted")
 	}
@@ -115,7 +121,7 @@ func TestEngineValidation(t *testing.T) {
 
 func TestEngineAdversaryConsultedOnSilentSlots(t *testing.T) {
 	g := graph.Line(2)
-	ps, eps := mkParties(2, nil) // nobody transmits
+	ps, eps := mkParties(g, nil) // nobody transmits
 	// Insert a bit on every slot of link 0→1.
 	pat := adversary.NewPattern()
 	for r := 0; r < 3; r++ {
@@ -143,7 +149,7 @@ func TestEngineAdversaryConsultedOnSilentSlots(t *testing.T) {
 
 func TestEngineCorruptionClassification(t *testing.T) {
 	g := graph.Line(2)
-	ps, _ := mkParties(2, map[int]func(int, graph.Node) bitstring.Symbol{
+	ps, _ := mkParties(g, map[int]func(int, graph.Node) bitstring.Symbol{
 		0: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym0 },
 	})
 	pat := adversary.NewPattern()
@@ -162,7 +168,7 @@ func TestEngineCorruptionClassification(t *testing.T) {
 
 func TestEnginePhaseAttribution(t *testing.T) {
 	g := graph.Line(2)
-	ps, _ := mkParties(2, map[int]func(int, graph.Node) bitstring.Symbol{
+	ps, _ := mkParties(g, map[int]func(int, graph.Node) bitstring.Symbol{
 		0: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym1 },
 		1: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym1 },
 	})
@@ -183,7 +189,7 @@ func TestEnginePhaseAttribution(t *testing.T) {
 
 func TestLinksDeterministicOrder(t *testing.T) {
 	g := graph.Ring(4)
-	ps, _ := mkParties(4, nil)
+	ps, _ := mkParties(g, nil)
 	eng, _ := NewEngine(g, ps, nil, nil)
 	links := eng.Links()
 	if len(links) != 8 {
@@ -197,10 +203,13 @@ func TestLinksDeterministicOrder(t *testing.T) {
 	}
 }
 
-// portParty checks that every Send and Deliver names the neighbor's
-// position in the party's sorted neighbor list as its port.
+// portParty checks that every Send gets one entry per neighbor and every
+// Deliver names the neighbor's position in the party's sorted neighbor
+// list as its port. It sends its own ID on every port, tagged with the
+// port, so a delivery shows which sender's entry carried it.
 type portParty struct {
 	id    graph.Node
+	g     *graph.Graph
 	nbrs  []graph.Node
 	calls int
 	bad   []string
@@ -208,19 +217,30 @@ type portParty struct {
 
 func (p *portParty) ID() graph.Node { return p.id }
 
-func (p *portParty) Send(round int, to graph.Node, port int) bitstring.Symbol {
-	p.check("Send", round, to, port)
-	return bitstring.Sym1
+// portSym is the symbol party from sends on port: a neighboring port's
+// symbol differs, so an entry handed to the wrong link shows.
+func portSym(from graph.Node, port int) bitstring.Symbol {
+	return bitstring.Symbol((int(from) + 2*port) % 3)
 }
 
-func (p *portParty) Deliver(round int, from graph.Node, port int, _ bitstring.Symbol) {
-	p.check("Deliver", round, from, port)
-}
-
-func (p *portParty) check(call string, round int, peer graph.Node, port int) {
+func (p *portParty) Send(round int, out []bitstring.Symbol) {
 	p.calls++
-	if port < 0 || port >= len(p.nbrs) || p.nbrs[port] != peer {
-		p.bad = append(p.bad, fmt.Sprintf("party %d %s(round %d, %d) got port %d", p.id, call, round, peer, port))
+	if len(out) != len(p.nbrs) {
+		p.bad = append(p.bad, fmt.Sprintf("party %d Send(round %d) got %d entries for %d neighbors", p.id, round, len(out), len(p.nbrs)))
+	}
+	for port := range out {
+		out[port] = portSym(p.id, port)
+	}
+}
+
+func (p *portParty) Deliver(round int, from graph.Node, port int, sym bitstring.Symbol) {
+	p.calls++
+	if port < 0 || port >= len(p.nbrs) || p.nbrs[port] != from {
+		p.bad = append(p.bad, fmt.Sprintf("party %d Deliver(round %d, %d) got port %d", p.id, round, from, port))
+		return
+	}
+	if want := portSym(from, graph.IndexOf(p.g.Neighbors(from), p.id)); sym != want {
+		p.bad = append(p.bad, fmt.Sprintf("party %d Deliver(round %d, %d) got %v, want %v", p.id, round, from, sym, want))
 	}
 }
 
@@ -230,7 +250,7 @@ func TestEnginePorts(t *testing.T) {
 		ps := make([]Party, g.N())
 		pps := make([]*portParty, g.N())
 		for i := range ps {
-			pps[i] = &portParty{id: graph.Node(i), nbrs: g.Neighbors(graph.Node(i))}
+			pps[i] = &portParty{id: graph.Node(i), g: g, nbrs: g.Neighbors(graph.Node(i))}
 			ps[i] = pps[i]
 		}
 		eng, err := NewEngine(g, ps, nil, nil)
@@ -243,7 +263,8 @@ func TestEnginePorts(t *testing.T) {
 		}
 		eng.RunRounds(0, 3)
 		for _, p := range pps {
-			if want := 3 * 2 * g.Degree(p.id); p.calls != want {
+			// One Send per round, one Deliver per incoming link.
+			if want := 3 * (1 + g.Degree(p.id)); p.calls != want {
 				t.Errorf("timed=%v: party %d saw %d calls, want %d", timed, p.id, p.calls, want)
 			}
 			for _, msg := range p.bad {

@@ -223,9 +223,5 @@ func (e *Engine) stepTimed(round int) {
 	for i, l := range e.links {
 		e.parties[l.To].Deliver(round, l.From, e.recvPort[i], t.slots[i])
 	}
-	for _, p := range e.parties {
-		if re, ok := p.(RoundEnder); ok {
-			re.EndRound(round)
-		}
-	}
+	e.endRound(round)
 }

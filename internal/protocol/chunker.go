@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 
-	"mpic/internal/channel"
 	"mpic/internal/graph"
 )
 
@@ -35,6 +34,7 @@ func (s Slot) Tx(g *graph.Graph) Transmission {
 
 // ChunkSpec describes one chunk: a maximal run of consecutive rounds whose
 // total communication does not exceed the chunk budget (Section 3.2).
+// Its slots are read through Chunking.Slots.
 type ChunkSpec struct {
 	// Index is the 1-based chunk number (chunk numbers start at 1 so a
 	// transcript containing any chunk differs from the empty string even
@@ -44,11 +44,6 @@ type ChunkSpec struct {
 	StartRound, EndRound int
 	// Bits is the total communication in the chunk.
 	Bits int
-	// LinkSlots lists each undirected link's slots in schedule order,
-	// indexed by the link's edge ID (graph.EdgeIndex); a link silent in
-	// the chunk has none. The lists are views into the chunking's one
-	// slot slab and must not be modified.
-	LinkSlots [][]Slot
 }
 
 // Rounds returns the number of Π rounds the chunk spans.
@@ -58,8 +53,8 @@ func (c *ChunkSpec) Rounds() int { return c.EndRound - c.StartRound }
 type SeqLoc struct {
 	// Chunk is the 1-based chunk index.
 	Chunk int
-	// Pos is the slot position within the chunk's LinkSlots entry for the
-	// transmission's undirected link.
+	// Pos is the slot position within the chunk's slots for the
+	// transmission's undirected link (Chunking.Slots).
 	Pos int
 }
 
@@ -80,9 +75,17 @@ type Chunking struct {
 	// chunk (including the dummy chunk), used to size hash inputs.
 	MaxSlotsPerLink int
 
-	g     *graph.Graph
 	dummy *ChunkSpec
-	locs  [][]seqLoc // by graph.LinkIndex: each transmission's location, by seq
+	// slots holds every real slot, edge by edge, each edge's chunks in
+	// order. Edge id's slots in the chunk at 0-based position ci are
+	// slots[starts[id·n+ci]:starts[id·n+ci+1]] for n real chunks; the
+	// final entry of starts is len(slots).
+	slots  []Slot
+	starts []int32
+	// dslots holds the dummy chunk's slots: edge id's are
+	// dslots[2·id : 2·id+2].
+	dslots []Slot
+	locs   [][]seqLoc // by graph.LinkIndex: each transmission's location, by seq
 }
 
 // seqLoc is a SeqLoc stored in half the space.
@@ -93,11 +96,11 @@ type seqLoc struct{ chunk, pos int32 }
 // communication or that round becomes a chunk by itself. The schedule
 // must use only links of p's graph (Schedule.Validate).
 //
-// Each chunk holds one slot list per edge, so the chunking takes
-// O(m·chunks + |Π|) memory — O(m + |Π|) whenever chunkBits is at least
-// twice the busiest round's communication, as the paper's 5K ≥ 5m is.
-// The per-transmission part is 20 bytes: a 12-byte Slot in one slab and
-// an 8-byte location for Locate.
+// Each (chunk, edge) pair costs a 4-byte start into the slot slab, so
+// the chunking takes O(m·chunks + |Π|) memory — O(m + |Π|) whenever
+// chunkBits is at least twice the busiest round's communication, as the
+// paper's 5K ≥ 5m is. The per-transmission part is 20 bytes: a 12-byte
+// Slot in one slab and an 8-byte location for Locate.
 func NewChunking(p Protocol, chunkBits int) *Chunking {
 	sched := p.Schedule()
 	g := p.Graph()
@@ -105,7 +108,6 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 	c := &Chunking{
 		Sched:     sched,
 		ChunkBits: chunkBits,
-		g:         g,
 		locs:      make([][]seqLoc, 2*m),
 	}
 	// Pack whole rounds greedily; a chunk always takes its first round.
@@ -124,17 +126,10 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 		n++
 	}
 	specs := make([]ChunkSpec, n)
-	linkSlots := make([][]Slot, n*m)
 	c.Specs = make([]*ChunkSpec, n)
 	for i, start := 0, 0; i < n; i++ {
 		end, bits := pack(start)
-		specs[i] = ChunkSpec{
-			Index:      i + 1,
-			StartRound: start,
-			EndRound:   end,
-			Bits:       bits,
-			LinkSlots:  linkSlots[i*m : (i+1)*m : (i+1)*m],
-		}
+		specs[i] = ChunkSpec{Index: i + 1, StartRound: start, EndRound: end, Bits: bits}
 		c.Specs[i] = &specs[i]
 		c.MaxChunkRounds = max(c.MaxChunkRounds, end-start)
 		start = end
@@ -142,17 +137,17 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 
 	// Each edge's slots, in schedule order, are its two directions'
 	// transmissions merged by round (u→v before v→u within a round, as
-	// the round is sorted), and each chunk's LinkSlots entry for the edge
-	// is one run of that sequence: all slots share one slab.
-	slots := make([]Slot, 0, sched.TotalBits())
+	// the round is sorted); each chunk's slots for the edge are one run
+	// of that sequence, which starts marks.
+	c.slots = make([]Slot, 0, sched.TotalBits())
+	c.starts = make([]int32, n*m+1)
 	locSlab := make([]seqLoc, sched.TotalBits())
 	for id := 0; id < m; id++ {
-		e := g.Edge(id)
-		fwd := sched.roundsOn(channel.Link{From: e.U, To: e.V})
-		bwd := sched.roundsOn(channel.Link{From: e.V, To: e.U})
+		fwd, bwd := sched.linkRounds(2*id), sched.linkRounds(2*id+1)
 		c.locs[2*id], locSlab = locSlab[:len(fwd):len(fwd)], locSlab[len(fwd):]
 		c.locs[2*id+1], locSlab = locSlab[:len(bwd):len(bwd)], locSlab[len(bwd):]
-		ci, run := 0, len(slots)
+		row := c.starts[id*n : (id+1)*n]
+		ci, set := 0, 0 // the current chunk; row[:set] is filled
 		for i, j := 0, 0; i < len(fwd) || j < len(bwd); {
 			var r int
 			var slot Slot
@@ -166,37 +161,38 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 				slot = Slot{Seq: int32(j), Link: int32(2*id + 1)}
 				j++
 			}
-			if r >= specs[ci].EndRound {
-				c.closeRun(&specs[ci], id, slots[run:])
-				for r >= specs[ci].EndRound {
-					ci++
-				}
-				run = len(slots)
+			for r >= specs[ci].EndRound {
+				ci++
+			}
+			// Chunks up to ci start here: the ones skipped are empty.
+			for ; set <= ci; set++ {
+				row[set] = int32(len(c.slots))
 			}
 			slot.RelRound = int32(r - specs[ci].StartRound)
-			*loc = seqLoc{chunk: int32(ci + 1), pos: int32(len(slots) - run)}
-			slots = append(slots, slot)
+			*loc = seqLoc{chunk: int32(ci + 1), pos: int32(len(c.slots)) - row[ci]}
+			c.slots = append(c.slots, slot)
 		}
-		if len(slots) > run {
-			c.closeRun(&specs[ci], id, slots[run:])
+		for ; set < n; set++ {
+			row[set] = int32(len(c.slots))
 		}
 	}
-	if len(slots) != sched.TotalBits() {
-		panic(fmt.Sprintf("protocol: chunking a schedule using non-edges (%d of %d transmissions on edges)", len(slots), sched.TotalBits()))
+	if len(c.slots) != sched.TotalBits() {
+		panic(fmt.Sprintf("protocol: chunking a schedule using non-edges (%d of %d transmissions on edges)", len(c.slots), sched.TotalBits()))
+	}
+	c.starts[n*m] = int32(len(c.slots))
+	for k := 0; k < n*m; k++ {
+		c.MaxSlotsPerLink = max(c.MaxSlotsPerLink, int(c.starts[k+1]-c.starts[k]))
 	}
 
 	// Dummy padding chunk (Section 3.2): one round in which every link
 	// carries one bit in each direction, content fixed to zero. Used for
 	// chunk indices past |Π| so the simulation can keep making progress
 	// while stragglers catch up.
-	dummy := &ChunkSpec{StartRound: 0, EndRound: 1, Bits: 2 * m, LinkSlots: make([][]Slot, m)}
-	dslots := make([]Slot, 2*m)
-	for id := 0; id < m; id++ {
-		dslots[2*id] = Slot{Link: int32(2 * id)}
-		dslots[2*id+1] = Slot{Link: int32(2*id + 1)}
-		dummy.LinkSlots[id] = dslots[2*id : 2*id+2 : 2*id+2]
+	c.dummy = &ChunkSpec{StartRound: 0, EndRound: 1, Bits: 2 * m}
+	c.dslots = make([]Slot, 2*m)
+	for li := range c.dslots {
+		c.dslots[li] = Slot{Link: int32(li)}
 	}
-	c.dummy = dummy
 	if c.MaxSlotsPerLink < 2 {
 		c.MaxSlotsPerLink = 2
 	}
@@ -204,16 +200,6 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 		c.MaxChunkRounds = 1
 	}
 	return c
-}
-
-// closeRun hands edge id's slots in one chunk to that chunk's spec; an
-// edge silent in the chunk keeps a nil entry.
-func (c *Chunking) closeRun(spec *ChunkSpec, id int, run []Slot) {
-	if len(run) == 0 {
-		return
-	}
-	spec.LinkSlots[id] = run[:len(run):len(run)]
-	c.MaxSlotsPerLink = max(c.MaxSlotsPerLink, len(run))
 }
 
 // NumChunks returns |Π| in chunks (the real chunks, excluding padding).
@@ -233,15 +219,17 @@ func (c *Chunking) Spec(i int) *ChunkSpec {
 }
 
 // Slots returns what simulating chunk i reads for edge id — the chunk's
-// first round and the edge's slots in it — without building a spec: the
-// same values as Spec(i).StartRound and Spec(i).LinkSlots[id], with no
-// allocation for padding indices.
+// first round and the edge's slots in it, in schedule order — with no
+// allocation, for padding indices too. The slots are a view into the
+// chunking and must not be modified; an edge silent in the chunk has
+// none.
 func (c *Chunking) Slots(i, id int) (startRound int, slots []Slot) {
-	spec := c.dummy
-	if !c.IsDummy(i) {
-		spec = c.Specs[i-1]
+	if c.IsDummy(i) {
+		return c.dummy.StartRound, c.dslots[2*id : 2*id+2 : 2*id+2]
 	}
-	return spec.StartRound, spec.LinkSlots[id]
+	k := id*len(c.Specs) + i - 1
+	a, b := c.starts[k], c.starts[k+1]
+	return c.Specs[i-1].StartRound, c.slots[a:b:b]
 }
 
 // EdgeSlots returns the number of slots edge id has over all real
@@ -251,12 +239,11 @@ func (c *Chunking) EdgeSlots(id int) int { return len(c.locs[2*id]) + len(c.locs
 // IsDummy reports whether chunk index i is padding.
 func (c *Chunking) IsDummy(i int) bool { return i < 1 || i > len(c.Specs) }
 
-// Locate maps a directed transmission (link, seq) to its chunk and slot
-// position; ok is false if l is not a link of the graph or seq is out of
-// range.
-func (c *Chunking) Locate(l channel.Link, seq int) (SeqLoc, bool) {
-	li := c.g.LinkIndex(l.From, l.To)
-	if li < 0 || seq < 0 || seq >= len(c.locs[li]) {
+// Locate maps the seq-th transmission on the directed link numbered li
+// by graph.LinkIndex to its chunk and slot position; ok is false if li is
+// not a link of the graph or seq is out of range.
+func (c *Chunking) Locate(li, seq int) (SeqLoc, bool) {
+	if li < 0 || li >= len(c.locs) || seq < 0 || seq >= len(c.locs[li]) {
 		return SeqLoc{}, false
 	}
 	loc := c.locs[li][seq]

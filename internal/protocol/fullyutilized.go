@@ -43,7 +43,7 @@ func NewFullyUtilized(inner Protocol) *FullyUtilized {
 		rounds[r] = slab[r*len(all) : (r+1)*len(all) : (r+1)*len(all)]
 		copy(rounds[r], all)
 	}
-	return &FullyUtilized{inner: inner, sched: NewSchedule(rounds)}
+	return &FullyUtilized{inner: inner, sched: NewSchedule(g, rounds)}
 }
 
 // Name implements Protocol.

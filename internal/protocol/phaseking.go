@@ -47,7 +47,7 @@ func NewPhaseKing(n, phases int, inputs [][]byte) *PhaseKing {
 		}
 		sch = append(sch, kb)
 	}
-	return &PhaseKing{g: g, sched: NewSchedule(sch), inputs: padInputs(inputs, n), phases: phases}
+	return &PhaseKing{g: g, sched: NewSchedule(g, sch), inputs: padInputs(inputs, n), phases: phases}
 }
 
 // Name implements Protocol.

@@ -6,6 +6,7 @@ package protocol
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -26,12 +27,13 @@ func (t Transmission) Link() channel.Link { return channel.Link{From: t.From, To
 // set of directed transmissions that occur. It is known to all parties
 // and independent of inputs — the standing assumption of the paper.
 type Schedule struct {
+	g      *graph.Graph
 	rounds [][]Transmission
 	total  int
-	// links lists every directed link the schedule uses, ascending by
-	// (From, To). links[i]'s transmission rounds are
-	// txRounds[linkStart[i]:linkStart[i+1]], ascending.
-	links     []channel.Link
+	// The rounds of the transmissions on the directed link numbered li
+	// by graph.LinkIndex are txRounds[linkStart[li]:linkStart[li+1]],
+	// ascending. Transmissions on non-edges are not indexed (Validate
+	// rejects them).
 	linkStart []int32
 	txRounds  []int32
 }
@@ -47,60 +49,58 @@ func linkCmp(a, b channel.Link) int {
 // txCmp orders transmissions by their links.
 func txCmp(a, b Transmission) int { return linkCmp(a.Link(), b.Link()) }
 
-// NewSchedule builds a schedule from per-round transmissions. Within each
-// round, transmissions are normalized to a deterministic order. The index
-// takes O(|Π| + links) time and memory beyond those per-round sorts: it
-// buckets the transmissions by link in counting passes and sorts only the
-// distinct links.
-func NewSchedule(rounds [][]Transmission) *Schedule {
-	s := &Schedule{rounds: rounds}
-	// at counts each distinct link's transmissions, then holds the next
-	// free slot of the link's run in txRounds.
-	at := make(map[channel.Link]int32)
+// NewSchedule builds a schedule over graph g from per-round
+// transmissions. Within each round, transmissions are normalized to a
+// deterministic order. Each directed link's rounds are indexed by its
+// graph.LinkIndex in O(|Π| + m) time and memory beyond those per-round
+// sorts: one counting pass, one filling pass.
+func NewSchedule(g *graph.Graph, rounds [][]Transmission) *Schedule {
+	nl := 2 * g.M()
+	s := &Schedule{g: g, rounds: rounds, linkStart: make([]int32, nl+1)}
+	// Count each link's transmissions at linkStart[li+1]; the prefix sums
+	// then make linkStart[li] the start of li's run.
 	for _, txs := range rounds {
 		if !slices.IsSortedFunc(txs, txCmp) {
 			slices.SortFunc(txs, txCmp)
 		}
 		s.total += len(txs)
 		for _, tx := range txs {
-			at[tx.Link()]++
+			if li := g.LinkIndex(tx.From, tx.To); li >= 0 {
+				s.linkStart[li+1]++
+			}
 		}
 	}
-	s.links = make([]channel.Link, 0, len(at))
-	for l := range at {
-		s.links = append(s.links, l)
+	for li := 1; li <= nl; li++ {
+		s.linkStart[li] += s.linkStart[li-1]
 	}
-	slices.SortFunc(s.links, linkCmp)
-	s.linkStart = make([]int32, len(s.links)+1)
-	for i, l := range s.links {
-		s.linkStart[i+1] = s.linkStart[i] + at[l]
-		at[l] = s.linkStart[i]
-	}
-	s.txRounds = make([]int32, s.total)
+	// Fill each run with linkStart[li] as its cursor, which leaves
+	// linkStart[li] at the run's end; shifting by one restores the starts.
+	s.txRounds = make([]int32, s.linkStart[nl])
 	for r, txs := range rounds {
 		for _, tx := range txs {
-			i := at[tx.Link()]
-			s.txRounds[i] = int32(r)
-			at[tx.Link()] = i + 1
+			if li := g.LinkIndex(tx.From, tx.To); li >= 0 {
+				s.txRounds[s.linkStart[li]] = int32(r)
+				s.linkStart[li]++
+			}
 		}
 	}
+	copy(s.linkStart[1:], s.linkStart[:nl])
+	s.linkStart[0] = 0
 	return s
 }
 
-// linkPos returns l's position in s.links, or -1 if the schedule never
-// uses l.
-func (s *Schedule) linkPos(l channel.Link) int {
-	if i, ok := slices.BinarySearchFunc(s.links, l, linkCmp); ok {
-		return i
-	}
-	return -1
+// linkRounds returns the ascending rounds of the transmissions on the
+// directed link numbered li by graph.LinkIndex. The slice is owned by
+// the schedule.
+func (s *Schedule) linkRounds(li int) []int32 {
+	return s.txRounds[s.linkStart[li]:s.linkStart[li+1]]
 }
 
 // roundsOn returns the ascending rounds of l's transmissions (nil for a
-// link the schedule never uses). The slice is owned by the schedule.
+// non-edge).
 func (s *Schedule) roundsOn(l channel.Link) []int32 {
-	if i := s.linkPos(l); i >= 0 {
-		return s.txRounds[s.linkStart[i]:s.linkStart[i+1]]
+	if li := s.g.LinkIndex(l.From, l.To); li >= 0 {
+		return s.linkRounds(li)
 	}
 	return nil
 }
@@ -115,12 +115,12 @@ func (s *Schedule) At(r int) []Transmission { return s.rounds[r] }
 func (s *Schedule) TotalBits() int { return s.total }
 
 // CountOn returns the total number of transmissions on a directed link
-// (0 for a link the schedule never uses).
+// (0 for a link the schedule never uses and for a non-edge).
 func (s *Schedule) CountOn(l channel.Link) int { return len(s.roundsOn(l)) }
 
 // CountBefore returns how many transmissions occur on directed link l in
 // rounds strictly before r — i.e. the sequence number the next
-// transmission on l would get.
+// transmission on l would get (0 for a non-edge).
 func (s *Schedule) CountBefore(l channel.Link, r int) int {
 	rounds := s.roundsOn(l)
 	switch {
@@ -133,16 +133,42 @@ func (s *Schedule) CountBefore(l channel.Link, r int) int {
 	return i
 }
 
-// Validate checks every transmission uses an existing link of g.
+// Validate checks that the schedule is over g (its index numbers g's
+// links), that every transmission uses a link of g, and that no round
+// schedules a directed link twice: a network round carries one symbol
+// per link.
 func (s *Schedule) Validate(g *graph.Graph) error {
+	if !sameEdges(s.g, g) {
+		return errors.New("protocol: schedule was built over a different graph")
+	}
 	for r, txs := range s.rounds {
-		for _, tx := range txs {
+		for i, tx := range txs {
 			if !g.HasEdge(tx.From, tx.To) {
 				return fmt.Errorf("protocol: round %d transmission %v uses a non-edge", r, tx)
+			}
+			if i > 0 && txs[i-1] == tx {
+				return fmt.Errorf("protocol: round %d schedules link %d→%d twice", r, tx.From, tx.To)
 			}
 		}
 	}
 	return nil
+}
+
+// sameEdges reports whether a and b number the same edges alike, so a
+// link index taken in one names the same link in the other.
+func sameEdges(a, b *graph.Graph) bool {
+	if a == b {
+		return true
+	}
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
+	}
+	for id := 0; id < a.M(); id++ {
+		if a.Edge(id) != b.Edge(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // View is what one party has observed: its input plus, for each incident

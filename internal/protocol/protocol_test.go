@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"mpic/internal/channel"
@@ -11,7 +13,7 @@ import (
 )
 
 func TestScheduleBasics(t *testing.T) {
-	s := NewSchedule([][]Transmission{
+	s := NewSchedule(graph.Line(2), [][]Transmission{
 		{{From: 0, To: 1}, {From: 1, To: 0}},
 		{},
 		{{From: 0, To: 1}},
@@ -33,13 +35,25 @@ func TestScheduleBasics(t *testing.T) {
 
 func TestScheduleValidate(t *testing.T) {
 	g := graph.Line(3)
-	ok := NewSchedule([][]Transmission{{{From: 0, To: 1}}})
+	ok := NewSchedule(g, [][]Transmission{{{From: 0, To: 1}, {From: 1, To: 0}}, {{From: 0, To: 1}}})
 	if err := ok.Validate(g); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)
 	}
-	bad := NewSchedule([][]Transmission{{{From: 0, To: 2}}})
+	bad := NewSchedule(g, [][]Transmission{{{From: 0, To: 2}}})
 	if err := bad.Validate(g); err == nil {
 		t.Error("non-edge transmission accepted")
+	}
+	// One network round carries one symbol per directed link.
+	twice := NewSchedule(g, [][]Transmission{{{From: 1, To: 2}}, {{From: 2, To: 1}, {From: 0, To: 1}, {From: 2, To: 1}}})
+	if err := twice.Validate(g); err == nil || !strings.Contains(err.Error(), "round 1 schedules link 2→1 twice") {
+		t.Errorf("a link scheduled twice in one round: Validate = %v, want an error naming round 1 and link 2→1", err)
+	}
+	// The index numbers the links of the graph it was built over.
+	if err := NewSchedule(graph.Star(3), [][]Transmission{{{From: 0, To: 1}}}).Validate(g); err == nil {
+		t.Error("a schedule built over another graph accepted")
+	}
+	if err := NewSchedule(graph.Line(3), [][]Transmission{{{From: 0, To: 1}}}).Validate(g); err != nil {
+		t.Errorf("a schedule built over an equal graph rejected: %v", err)
 	}
 	// Set-up on an unvalidated schedule naming a non-edge panics rather
 	// than dropping the transmission.
@@ -239,17 +253,18 @@ func TestChunkingLocate(t *testing.T) {
 	g := graph.Line(3)
 	p := NewRandom(g, 30, 0.7, 2, nil)
 	ch := NewChunking(p, 10)
-	// Walk the schedule and verify Locate round-trips through LinkSlots.
+	// Walk the schedule and verify Locate round-trips through Slots.
 	seq := map[channel.Link]int{}
 	for r := 0; r < p.Schedule().Rounds(); r++ {
 		for _, tx := range p.Schedule().At(r) {
 			l := tx.Link()
-			loc, ok := ch.Locate(l, seq[l])
+			loc, ok := ch.Locate(g.LinkIndex(tx.From, tx.To), seq[l])
 			if !ok {
 				t.Fatalf("Locate failed for %v seq %d", l, seq[l])
 			}
 			spec := ch.Spec(loc.Chunk)
-			slot := spec.LinkSlots[g.EdgeIndex(tx.From, tx.To)][loc.Pos]
+			_, slots := ch.Slots(loc.Chunk, g.EdgeIndex(tx.From, tx.To))
+			slot := slots[loc.Pos]
 			if slot.Tx(g) != tx || int(slot.Seq) != seq[l] {
 				t.Fatalf("Locate mismatch for %v seq %d: got %+v", l, seq[l], slot)
 			}
@@ -259,8 +274,10 @@ func TestChunkingLocate(t *testing.T) {
 			seq[l]++
 		}
 	}
-	if _, ok := ch.Locate(channel.Link{From: 0, To: 1}, 9999); ok {
-		t.Error("Locate accepted out-of-range seq")
+	for _, c := range [][2]int{{0, 9999}, {0, -1}, {-1, 0}, {2 * g.M(), 0}} {
+		if _, ok := ch.Locate(c[0], c[1]); ok {
+			t.Errorf("Locate accepted link %d seq %d", c[0], c[1])
+		}
 	}
 }
 
@@ -283,32 +300,59 @@ func TestChunkingDummySpec(t *testing.T) {
 		t.Errorf("dummy Bits = %d, want %d", d.Bits, 2*g.M())
 	}
 	for _, e := range g.Edges() {
-		slots := d.LinkSlots[g.EdgeIndex(e.U, e.V)]
-		if len(slots) != 2 || slots[0].Tx(g).From != e.U || slots[1].Tx(g).From != e.V {
+		start, slots := ch.Slots(n+5, g.EdgeIndex(e.U, e.V))
+		if start != 0 || len(slots) != 2 || slots[0].Tx(g).From != e.U || slots[1].Tx(g).From != e.V {
 			t.Fatal("dummy chunk must have one slot per direction per link")
 		}
 	}
 }
 
-// TestChunkingSlots checks that Slots reads the same start round and
-// slot list as Spec, for every real chunk, the padding indices past them
-// and every edge, and that it allocates nothing on padding indices.
+// TestChunkingSlots checks Slots against the schedule, for every real
+// chunk, the padding indices past them and every edge: each read starts
+// at its chunk's first round, holds only the edge's slots inside the
+// chunk, and the reads of one edge, chunk by chunk, list exactly its
+// transmissions in schedule order. Slots allocates nothing.
 func TestChunkingSlots(t *testing.T) {
 	g := graph.Ring(5)
-	ch := NewChunking(NewRandom(g, 30, 0.4, 6, nil), 8)
+	p := NewRandom(g, 30, 0.4, 6, nil)
+	ch := NewChunking(p, 8)
 	n := ch.NumChunks()
-	for i := 1; i <= n+3; i++ {
-		spec := ch.Spec(i)
-		for id := 0; id < g.M(); id++ {
-			start, slots := ch.Slots(i, id)
-			want := spec.LinkSlots[id]
-			if start != spec.StartRound || len(slots) != len(want) || len(slots) > 0 && &slots[0] != &want[0] {
-				t.Fatalf("chunk %d edge %d: Slots = (%d, %v), Spec has (%d, %v)", i, id, start, slots, spec.StartRound, want)
+	for id := 0; id < g.M(); id++ {
+		var want []Slot
+		seq := [2]int32{}
+		for r := 0; r < p.Schedule().Rounds(); r++ {
+			for _, tx := range p.Schedule().At(r) {
+				if li := g.LinkIndex(tx.From, tx.To); li/2 == id {
+					want = append(want, Slot{RelRound: int32(r), Seq: seq[li%2], Link: int32(li)})
+					seq[li%2]++
+				}
 			}
 		}
+		var got []Slot
+		for i := 1; i <= n+3; i++ {
+			spec := ch.Spec(i)
+			start, slots := ch.Slots(i, id)
+			if start != spec.StartRound {
+				t.Fatalf("chunk %d edge %d: Slots starts at round %d, Spec at %d", i, id, start, spec.StartRound)
+			}
+			for _, sl := range slots {
+				if int(sl.RelRound) >= spec.Rounds() || int(sl.Link)/2 != id {
+					t.Fatalf("chunk %d edge %d: slot %+v outside the chunk or the edge", i, id, sl)
+				}
+				if !ch.IsDummy(i) {
+					sl.RelRound += int32(start)
+					got = append(got, sl)
+				}
+			}
+		}
+		if !slices.Equal(got, want) || len(got) != ch.EdgeSlots(id) {
+			t.Fatalf("edge %d: slots %v, want %v", id, got, want)
+		}
 	}
-	if allocs := testing.AllocsPerRun(10, func() { ch.Slots(n+7, 2) }); allocs != 0 {
-		t.Fatalf("Slots on a padding index allocates %.1f times, want 0", allocs)
+	for _, i := range []int{1, n, n + 7} {
+		if allocs := testing.AllocsPerRun(10, func() { ch.Slots(i, 2) }); allocs != 0 {
+			t.Fatalf("Slots(%d, 2) allocates %.1f times, want 0", i, allocs)
+		}
 	}
 }
 
@@ -366,14 +410,15 @@ func TestScheduleCounts(t *testing.T) {
 			t.Fatalf("CountOn(%v) = %d, want %d", l, got, count)
 		}
 	}
-	empty := NewSchedule(nil)
+	empty := NewSchedule(g, nil)
 	if empty.CountOn(links[0]) != 0 || empty.CountBefore(links[0], 5) != 0 || empty.TotalBits() != 0 {
 		t.Fatal("empty schedule counts transmissions")
 	}
 
 	// A hand-built schedule with a link repeated within a round, empty
-	// rounds, and nodes no graph has (-1, 1<<40): the index must count them
-	// exactly without allocating by a node's value.
+	// rounds, and nodes no graph has (-1, 1<<40): the index must count the
+	// links of its graph exactly, count the non-edges 0, and allocate
+	// nothing by a node's value.
 	const far = graph.Node(1 << 40)
 	hand := [][]Transmission{
 		{{From: 2, To: 1}, {From: 0, To: 1}, {From: 2, To: 1}},
@@ -387,7 +432,8 @@ func TestScheduleCounts(t *testing.T) {
 	for r, txs := range hand {
 		want[r] = append([]Transmission(nil), txs...)
 	}
-	s = NewSchedule(hand)
+	line := graph.Line(3)
+	s = NewSchedule(line, hand)
 	probe := []channel.Link{{From: 0, To: 0}, {From: 1, To: 2}, {From: far, To: far}, {From: -1, To: -1}, {From: 0, To: far}}
 	for _, txs := range want {
 		for _, tx := range txs {
@@ -402,7 +448,7 @@ func TestScheduleCounts(t *testing.T) {
 			}
 			if r >= 0 && r < len(want) {
 				for _, tx := range want[r] {
-					if tx.Link() == l {
+					if tx.Link() == l && line.HasEdge(l.From, l.To) {
 						count++
 					}
 				}
@@ -419,12 +465,12 @@ func TestScheduleCounts(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s = NewSchedule([][]Transmission{{{From: far, To: 0}}})
+	s = NewSchedule(g, [][]Transmission{{{From: far, To: 0}}})
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
 		t.Fatalf("a 1-transmission schedule naming node %d allocated %d bytes", far, alloc)
 	}
-	if s.CountOn(channel.Link{From: far, To: 0}) != 1 || s.Validate(g) == nil {
+	if s.CountOn(channel.Link{From: far, To: 0}) != 0 || s.TotalBits() != 1 || s.Validate(g) == nil {
 		t.Fatalf("schedule naming node %d: counted %d, validated", far, s.CountOn(channel.Link{From: far, To: 0}))
 	}
 }

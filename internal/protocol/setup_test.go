@@ -40,8 +40,9 @@ func setupDigest(p Protocol) string {
 	word(ch.NumChunks(), ch.MaxChunkRounds, ch.MaxSlotsPerLink)
 	for i := 1; i <= ch.NumChunks()+1; i++ {
 		spec := ch.Spec(i)
-		word(spec.Index, spec.StartRound, spec.EndRound, spec.Bits, len(spec.LinkSlots))
-		for e, slots := range spec.LinkSlots {
+		word(spec.Index, spec.StartRound, spec.EndRound, spec.Bits, g.M())
+		for e := 0; e < g.M(); e++ {
+			_, slots := ch.Slots(i, e)
 			word(e, len(slots))
 			for _, sl := range slots {
 				tx := sl.Tx(g)
@@ -52,7 +53,7 @@ func setupDigest(p Protocol) string {
 	for _, e := range g.Edges() {
 		for _, l := range []channel.Link{{From: e.U, To: e.V}, {From: e.V, To: e.U}} {
 			for seq := -1; seq <= s.CountOn(l); seq++ {
-				loc, ok := ch.Locate(l, seq)
+				loc, ok := ch.Locate(g.LinkIndex(l.From, l.To), seq)
 				word(seq, loc.Chunk, loc.Pos)
 				if ok {
 					word(1)
@@ -165,30 +166,47 @@ func TestRandomSendBitFormula(t *testing.T) {
 	}
 }
 
-// TestChunkingSlotBytes bounds NewChunking's heap by its per-transmission
-// records: a 12-byte Slot in the slot slab plus the 8-byte location
-// behind Locate. A long schedule on a small ring packed into one chunk
-// leaves only O(m) other records, which the slack (a few pages of
-// size-class rounding) covers. At 32-byte slots that held both endpoints
-// as ints the same chunking took 40 B per transmission, and this failed.
+// TestChunkingSlotBytes bounds NewChunking's heap by its records: per
+// transmission a 12-byte Slot in the slot slab plus the 8-byte location
+// behind Locate, and per chunk its 32-byte spec, the spec's pointer and a
+// 4-byte slot-slab start for each edge. Two shapes: a long schedule on a
+// small ring packed into one chunk, and a sparse schedule on Clique(12)
+// cut into about a thousand chunks, where the per-(chunk, edge) records
+// dominate. The remaining O(m) records fit the slack (a few pages of
+// size-class rounding). At 32-byte slots that held both endpoints as ints
+// the first shape took 40 B per transmission, and with a 24-byte slice
+// header per (chunk, edge) the second took over 1.6 KB per chunk; both
+// failed.
 func TestChunkingSlotBytes(t *testing.T) {
-	g := graph.Ring(4)
-	p := NewRandom(g, 20000, 0.5, 3, nil)
-	total := p.Schedule().TotalBits()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	ch := NewChunking(p, total)
-	runtime.ReadMemStats(&after)
-	if ch.NumChunks() != 1 {
-		t.Fatalf("%d chunks, want 1", ch.NumChunks())
+	cases := []struct {
+		name      string
+		p         *Random
+		chunkBits int // 0: the whole schedule in one chunk
+	}{
+		{"ring-one-chunk", NewRandom(graph.Ring(4), 20000, 0.5, 3, nil), 0},
+		{"clique-many-chunks", NewRandom(graph.Clique(12), 3000, 0.02, 3, nil), 8},
 	}
-	const slotBytes, locBytes, slack = 12, 8, 32 << 10
-	got := after.TotalAlloc - before.TotalAlloc
-	if want := uint64((slotBytes+locBytes)*total + slack); got > want {
-		t.Fatalf("NewChunking allocated %d B for %d transmissions (%.1f B each), want at most %d", got, total, float64(got)/float64(total), want)
+	for _, c := range cases {
+		total, m := c.p.Schedule().TotalBits(), c.p.Graph().M()
+		chunkBits := c.chunkBits
+		if chunkBits == 0 {
+			chunkBits = total
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ch := NewChunking(c.p, chunkBits)
+		runtime.ReadMemStats(&after)
+		if c.chunkBits == 0 && ch.NumChunks() != 1 || c.chunkBits > 0 && ch.NumChunks() < 500 {
+			t.Fatalf("%s: %d chunks", c.name, ch.NumChunks())
+		}
+		const slotBytes, locBytes, specBytes, startBytes, slack = 12, 8, 32 + 8, 4, 32 << 10
+		got := after.TotalAlloc - before.TotalAlloc
+		if want := uint64((slotBytes+locBytes)*total + (specBytes+startBytes*m)*ch.NumChunks() + slack); got > want {
+			t.Errorf("%s: NewChunking allocated %d B for %d transmissions in %d chunks of %d edges, want at most %d", c.name, got, total, ch.NumChunks(), m, want)
+		}
+		runtime.KeepAlive(ch)
 	}
-	runtime.KeepAlive(ch)
 }
 
 // BenchmarkProtocolSetup measures the per-run protocol set-up of the

@@ -79,6 +79,8 @@ type Random struct {
 	g      *graph.Graph
 	sched  *Schedule
 	inputs [][]byte
+	// digests[v] is inputDigest(inputs[v]), hashed once at construction.
+	digests []uint64
 }
 
 var _ Protocol = (*Random)(nil)
@@ -138,7 +140,11 @@ func NewRandom(g *graph.Graph, rounds int, density float64, seed int64, inputs [
 		}
 		sch[r] = slab[start:k:k]
 	}
-	return &Random{g: g, sched: NewSchedule(sch), inputs: padInputs(inputs, g.N())}
+	p := &Random{g: g, sched: NewSchedule(g, sch), inputs: padInputs(inputs, g.N()), digests: make([]uint64, g.N())}
+	for v, in := range p.inputs {
+		p.digests[v] = inputDigest(in)
+	}
+	return p
 }
 
 // Name implements Protocol.
@@ -155,10 +161,11 @@ func (p *Random) Input(n graph.Node) []byte { return p.inputs[n] }
 
 // SendBit implements Protocol: a PRF of (input, position) XOR the latest
 // bit observed from the receiving party, which chains transcripts across
-// the link in both directions.
+// the link in both directions. The input is the view's party's own
+// (Input(v.Self())), whose digest is taken once at construction.
 func (p *Random) SendBit(v View, r int, tx Transmission, seq int) byte {
 	prev := lastObservedBit(v, p.sched, channel.Link{From: tx.To, To: tx.From}, r)
-	return prfBit(inputDigest(v.Input()), uint64(tx.To), uint64(seq)) ^ prev
+	return prfBit(p.digests[v.Self()], uint64(tx.To), uint64(seq)) ^ prev
 }
 
 // Output implements Protocol.
@@ -201,7 +208,7 @@ func NewPipelinedLine(n, blocks, chatter int, inputs [][]byte) (*PipelinedLine, 
 	}
 	return &PipelinedLine{
 		g:       g,
-		sched:   NewSchedule(sch),
+		sched:   NewSchedule(g, sch),
 		inputs:  padInputs(inputs, n),
 		blocks:  blocks,
 		chatter: chatter,
@@ -302,7 +309,7 @@ func NewTreeSum(g *graph.Graph, epochs, valueBits int, inputs [][]byte) *TreeSum
 	return &TreeSum{
 		g:      g,
 		tree:   tree,
-		sched:  NewSchedule(sch),
+		sched:  NewSchedule(g, sch),
 		inputs: padInputs(inputs, g.N()),
 		epochs: epochs,
 		width:  width,
@@ -405,7 +412,7 @@ func NewTokenRing(n, laps int, inputs [][]byte) (*TokenRing, error) {
 		to := graph.Node((r + 1) % n)
 		sch = append(sch, []Transmission{{From: from, To: to}})
 	}
-	return &TokenRing{g: g, sched: NewSchedule(sch), inputs: padInputs(inputs, n)}, nil
+	return &TokenRing{g: g, sched: NewSchedule(g, sch), inputs: padInputs(inputs, n)}, nil
 }
 
 // Name implements Protocol.

@@ -181,7 +181,9 @@
 // via NewWorkload, the re-exported option types, and
 // RunProtocol(p, params, adv), which runs the coding scheme over a
 // caller-built protocol with explicit Params under an Adversary (nil
-// for none).
+// for none). A caller-built protocol implements Protocol over its own
+// Graph and builds its speaking order with NewSchedule(g, rounds); see
+// examples/customproto.
 package mpic
 
 import (
@@ -278,8 +280,14 @@ const (
 	Silence = bitstring.Silence
 )
 
-// NewSchedule builds a speaking order from per-round transmissions.
-func NewSchedule(rounds [][]Transmission) *Schedule { return protocol.NewSchedule(rounds) }
+// NewSchedule builds a speaking order over topology g from per-round
+// transmissions. It indexes each directed link's rounds by g's link
+// numbering, so g must be the graph the protocol's Graph returns (or one
+// with the same edges added in the same order); a run checks this, and
+// that every transmission uses a link of g at most once per round.
+func NewSchedule(g *Graph, rounds [][]Transmission) *Schedule {
+	return protocol.NewSchedule(g, rounds)
+}
 
 // NewGraph returns an empty topology on n nodes; add links with AddEdge
 // and finish with Validate.

@@ -2,6 +2,7 @@ package mpic
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -88,6 +89,45 @@ func TestRunValidation(t *testing.T) {
 		if _, err := run(Scenario{Topology: Line(n)}); err == nil {
 			t.Errorf("n=%d accepted", n)
 		}
+	}
+}
+
+// fixedProto is a caller-built protocol with a given speaking order
+// whose every bit is 1.
+type fixedProto struct {
+	g     *Graph
+	sched *Schedule
+}
+
+func (p *fixedProto) Name() string                              { return "fixed" }
+func (p *fixedProto) Graph() *Graph                             { return p.g }
+func (p *fixedProto) Schedule() *Schedule                       { return p.sched }
+func (p *fixedProto) Input(Node) []byte                         { return nil }
+func (p *fixedProto) SendBit(View, int, Transmission, int) byte { return 1 }
+func (p *fixedProto) Output(v View) []byte                      { return []byte{byte(v.Observed(Link{From: 0, To: 1}, 0))} }
+
+// TestRunProtocolRejectsRepeatedLink: one network round carries one
+// symbol per directed link, so a schedule naming a link twice in one
+// round is rejected before the run, by the coded and the uncoded paths,
+// with the round and the link in the error. Before Validate checked it, a
+// noiseless Algorithm A run of this schedule ended with Success false.
+func TestRunProtocolRejectsRepeatedLink(t *testing.T) {
+	g := NewGraph(2)
+	if err := g.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	p := &fixedProto{g: g, sched: NewSchedule(g, [][]Transmission{{{From: 0, To: 1}, {From: 0, To: 1}}, {{From: 1, To: 0}}})}
+	const want = "round 0 schedules link 0→1 twice"
+	if _, err := RunProtocol(p, ParamsFor(AlgorithmA, g), nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RunProtocol: error %v, want one containing %q", err, want)
+	}
+	if _, err := RunUncodedProtocol(p, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RunUncodedProtocol: error %v, want one containing %q", err, want)
+	}
+	p.sched = NewSchedule(g, [][]Transmission{{{From: 0, To: 1}}, {{From: 1, To: 0}}})
+	res, err := RunProtocol(p, ParamsFor(AlgorithmA, g), nil)
+	if err != nil || !res.Success {
+		t.Fatalf("the same links once per round: %v, %+v", err, res)
 	}
 }
 
