@@ -25,7 +25,7 @@ SWEEP_PARALLEL ?= 0
 # re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-core bench-mem bench-cpu bench-protocol bench-epoch bench-kernel bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz
+.PHONY: verify tier1 race examples bench bench-core bench-mem bench-cpu bench-protocol bench-epoch bench-kernel bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz loc
 
 verify: tier1 lint race examples crossbuild
 
@@ -64,6 +64,13 @@ crossbuild:
 	$(GO) vet -tags purego ./internal/hashing/
 	$(GO) test -tags purego -count=1 ./internal/hashing/
 	$(GO) test -tags purego -count=1 ./internal/core/
+
+# Size of the program: lines of non-test Go outside bench/ (and outside
+# dot-directories such as .git and the benchmark's build tree), the figure
+# ROADMAP.md and CHANGES.md quote, so a change's line delta is this
+# command's output before and after.
+loc:
+	@find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # Static analysis beyond `go vet`: staticcheck when installed, with a
 # loud fallback to a second vet pass so `make verify` never silently

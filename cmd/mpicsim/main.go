@@ -122,6 +122,9 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	if *obsEvery < -1 {
+		return fmt.Errorf("-observe-every must be -1 (auto), 0 (every iteration) or positive, got %d", *obsEvery)
+	}
 	if *obsEvery != 0 && !*observe {
 		return fmt.Errorf("-observe-every subsamples the -observe stream; it needs -observe")
 	}

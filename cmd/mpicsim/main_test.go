@@ -246,6 +246,7 @@ func TestRunTrialsRetries(t *testing.T) {
 // TestRunRejectsIgnoredGridFlags pins that the flags a single run would
 // drop are refused, the way -checkpoint and -retries are: -workers and
 // -observe-every need -trials > 1, and -observe-every needs -observe.
+// An -observe-every below -1, which no setting means, is refused too.
 func TestRunRejectsIgnoredGridFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -255,6 +256,7 @@ func TestRunRejectsIgnoredGridFlags(t *testing.T) {
 		{[]string{"-observe", "-observe-every", "3"}, "needs -trials"},
 		{[]string{"-trials", "2", "-observe-every", "3"}, "needs -observe"},
 		{[]string{"-trials", "2", "-observe-every", "-1"}, "needs -observe"},
+		{[]string{"-trials", "2", "-observe", "-observe-every", "-7"}, "-observe-every must be"},
 	} {
 		args := append([]string{"-topology", "line", "-n", "4", "-iterfactor", "10"}, tc.args...)
 		if err := run(io.Discard, args); err == nil || !strings.Contains(err.Error(), tc.want) {

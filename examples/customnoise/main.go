@@ -1,8 +1,9 @@
 // Customnoise demonstrates the library's open registries: a third-party
 // package registers its own topology family, workload, and noise model —
-// using only the public API — and they become first-class citizens: the
-// typed specs, the legacy string Config, and the command-line tools all
-// accept the new names.
+// using only the public API — and they become first-class citizens: both
+// the typed specs and the string specs of the command-line tools and
+// mpicserve (parsed by internal/gridspec, which resolves names through
+// the same registries) accept the new names.
 //
 // The cast:
 //

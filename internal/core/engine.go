@@ -155,7 +155,6 @@ func Run(opts Options) (*Result, error) {
 		tree:      g.BFSTree(0),
 		arena:     opts.Arena,
 		numChunks: numChunks,
-		phRound:   -1,
 		crsK0:     uint64(p.CRSKey)*0x9e3779b97f4a7c15 + 0x853c49e6748fea9b,
 		crsK1:     uint64(p.CRSKey)*0xda942042e4dd58b5 + 0xd1342543de82ef95,
 	}
@@ -276,11 +275,6 @@ func Run(opts Options) (*Result, error) {
 		}
 		eng.SetTiming(opts.Delay, wired)
 	}
-	eng.SetPhaseFn(func(round int) trace.Phase {
-		_, ph, _ := lay.phaseAt(round)
-		return ph
-	})
-
 	ref := protocol.RunReference(opts.Protocol)
 
 	res := &Result{
@@ -298,15 +292,57 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	eng.RunRounds(0, lay.exchangeRounds)
+	// Run walks the layout itself: one RunRounds call per phase, plus one
+	// for the simulation phase's ⊥ round. enter tells the parties, and the
+	// engine's CC accounting, which phase the next rounds belong to, so
+	// nothing decodes a round; each runs a phase's boundary work on every
+	// party, in party order, between the calls.
+	enter := func(it int, ph trace.Phase, start int) {
+		e.iter, e.phase, e.phStart = it, ph, start
+		eng.SetPhase(ph)
+	}
+	each := func(step func(*party)) {
+		for _, cp := range coreParties {
+			step(cp)
+		}
+	}
+	if lay.exchangeRounds > 0 {
+		enter(0, trace.PhaseExchange, 0)
+		eng.RunRounds(0, lay.exchangeRounds)
+		each((*party).finishExchange)
+	}
 	oracle := newOracle(e, coreParties, metrics)
 	executed := 0
 	for it := 0; it < iters; it++ {
 		if err := cancelled(opts.Context); err != nil {
 			return nil, err
 		}
-		start := lay.iterStart(it)
-		eng.RunRounds(start, start+lay.iterRounds())
+		r := lay.iterStart(it)
+		each(func(cp *party) { cp.prepareIteration(it) })
+		enter(it, trace.PhaseMeetingPoints, r)
+		eng.RunRounds(r, r+lay.mpRounds)
+		each(func(cp *party) {
+			cp.finishMeetingPoints()
+			if lay.flagRounds == 0 {
+				// Flag passing ablated (or trivial tree): a party trusts
+				// its own status only.
+				cp.netCorrect = cp.status
+			}
+		})
+		r += lay.mpRounds
+		enter(it, trace.PhaseFlagPassing, r)
+		eng.RunRounds(r, r+lay.flagRounds)
+		r += lay.flagRounds
+		// A party sets up its chunk simulation only once it has seen
+		// every ⊥ symbol of the phase's first round.
+		enter(it, trace.PhaseSimulation, r)
+		eng.RunRounds(r, r+1)
+		each((*party).beginSimulation)
+		eng.RunRounds(r+1, r+lay.simRounds)
+		each((*party).finishSimulation)
+		r += lay.simRounds
+		enter(it, trace.PhaseRewind, r)
+		eng.RunRounds(r, r+lay.rewindRounds)
 		executed++
 		metrics.Iterations = executed
 		var snap *potential.Snapshot

@@ -522,10 +522,10 @@ func TestTranscriptClamps(t *testing.T) {
 	}
 }
 
-// TestPlanRewindsUsesOrdinalSlice covers the rewind-planning path after
-// the map→slice change: planning marks exactly the links ahead of the
-// minimum, Send-style consumption clears them, and steady-state planning
-// allocates nothing.
+// TestPlanRewindsUsesOrdinalSlice covers the rewind-planning path, which
+// writes its decisions straight into Send's port-indexed slice: planning
+// marks exactly the links ahead of the minimum, silences the rest, and
+// allocates nothing in steady state.
 func TestPlanRewindsUsesOrdinalSlice(t *testing.T) {
 	g := graph.Line(3)
 	e := testEnv(t, g)
@@ -536,27 +536,29 @@ func TestPlanRewindsUsesOrdinalSlice(t *testing.T) {
 		long.T.Append([]bitstring.Symbol{bitstring.Sym1})
 	}
 	p.prepareIteration(0)
-	p.planRewinds(100)
-	if !p.rewindPlan[long.port] {
+	out := []bitstring.Symbol{bitstring.Sym0, bitstring.Sym0}
+	p.planRewinds(out)
+	if out[long.port] != bitstring.Sym1 {
 		t.Fatal("rewind not planned for the link ahead of the minimum")
 	}
-	if p.rewindPlan[p.link(2).port] {
-		t.Fatal("rewind planned for a link at the minimum")
+	if out[p.link(2).port] != bitstring.Silence {
+		t.Fatal("link at the minimum not silenced")
 	}
 	if long.T.Len() != 3 {
 		t.Fatalf("planned rewind did not truncate: len=%d, want 3", long.T.Len())
 	}
-	p.rewindPlan[long.port] = false
+	// A link rewinds at most once per iteration.
+	p.planRewinds(out)
+	if out[long.port] != bitstring.Silence || long.T.Len() != 3 {
+		t.Fatalf("second rewind in one iteration: sym %v, len %d", out[long.port], long.T.Len())
+	}
 	// Steady state: repeated planning rounds (lengths equalize, then
 	// no-ops) must not allocate.
-	round := 101
 	allocs := testing.AllocsPerRun(100, func() {
 		p.prepareIteration(1)
-		p.planRewinds(round)
-		round++
+		p.planRewinds(out)
 		p.prepareIteration(2)
-		p.planRewinds(round)
-		round++
+		p.planRewinds(out)
 	})
 	if allocs != 0 {
 		t.Fatalf("rewind planning allocates %.1f times in steady state, want 0", allocs)

@@ -30,7 +30,10 @@ func (l *layout) iterStart(it int) int {
 }
 
 // phaseAt decomposes an absolute round into (iteration, phase, offset
-// within phase). Rounds before the first iteration are the exchange.
+// within phase). Rounds before the first iteration are the exchange. The
+// run itself never decodes a round: Run walks the phases in order and
+// tells the parties which one is running. phaseAt serves only
+// RunInfo.PhaseOracle, the public layout adaptive adversaries key on.
 func (l *layout) phaseAt(round int) (iter int, ph trace.Phase, rel int) {
 	if round < l.exchangeRounds {
 		return 0, trace.PhaseExchange, round
@@ -48,30 +51,4 @@ func (l *layout) phaseAt(round int) (iter int, ph trace.Phase, rel int) {
 	default:
 		return iter, trace.PhaseRewind, rel - l.mpRounds - l.flagRounds - l.simRounds
 	}
-}
-
-// lastOf reports whether phase offset rel is the final round of phase ph.
-// round disambiguates the exchange preamble, whose rel counts absolute
-// rounds. Callers that already hold a phaseAt decomposition (the party's
-// per-round memo) use this directly instead of re-dividing via phaseEnd.
-func (l *layout) lastOf(ph trace.Phase, rel, round int) bool {
-	switch ph {
-	case trace.PhaseExchange:
-		return round == l.exchangeRounds-1
-	case trace.PhaseMeetingPoints:
-		return rel == l.mpRounds-1
-	case trace.PhaseFlagPassing:
-		return rel == l.flagRounds-1
-	case trace.PhaseSimulation:
-		return rel == l.simRounds-1
-	default:
-		return rel == l.rewindRounds-1
-	}
-}
-
-// phaseEnd reports whether round is the final round of the given phase in
-// its iteration.
-func (l *layout) phaseEnd(round int) (iter int, ph trace.Phase, last bool) {
-	iter, ph, rel := l.phaseAt(round)
-	return iter, ph, l.lastOf(ph, rel, round)
 }

@@ -60,37 +60,6 @@ func TestLayoutPhaseAt(t *testing.T) {
 	}
 }
 
-func TestLayoutPhaseEnd(t *testing.T) {
-	l := mkLayout()
-	boundaries := map[int]trace.Phase{
-		9:  trace.PhaseExchange,
-		33: trace.PhaseMeetingPoints,
-		39: trace.PhaseFlagPassing,
-		70: trace.PhaseSimulation,
-		75: trace.PhaseRewind,
-	}
-	for r := 0; r < l.totalRounds(); r++ {
-		_, ph, last := l.phaseEnd(r)
-		rel := (r - l.exchangeRounds) % l.iterRounds()
-		if r < l.exchangeRounds {
-			rel = r
-		}
-		_ = rel
-		wantPh, isBoundary := boundaries[r]
-		if r > 75 {
-			// Later iterations repeat the same boundary offsets.
-			off := (r - 10) % 66
-			isBoundary = off == 23 || off == 29 || off == 60 || off == 65
-		}
-		if isBoundary != last {
-			t.Fatalf("phaseEnd(%d): last=%v, want %v (phase %v)", r, last, isBoundary, ph)
-		}
-		if isBoundary && r <= 75 && ph != wantPh {
-			t.Fatalf("phaseEnd(%d): phase %v, want %v", r, ph, wantPh)
-		}
-	}
-}
-
 // TestLayoutPhaseCoverage: every round of an iteration belongs to exactly
 // one phase, phases come in order, and relative offsets reset at phase
 // boundaries.
@@ -121,9 +90,9 @@ func TestLayoutNoFlagNoRewind(t *testing.T) {
 		t.Fatalf("phaseAt(6) = (%v,%d), want simulation start", ph, rel)
 	}
 	// The last simulation round ends the iteration.
-	_, ph, last := l.phaseEnd(9)
-	if ph != trace.PhaseSimulation || !last {
-		t.Fatal("simulation end not detected with ablated phases")
+	_, ph, rel = l.phaseAt(9)
+	if ph != trace.PhaseSimulation || rel != l.simRounds-1 {
+		t.Fatalf("phaseAt(9) = (%v,%d), want the last simulation round", ph, rel)
 	}
 	_, ph, _ = l.phaseAt(10)
 	if ph != trace.PhaseMeetingPoints {

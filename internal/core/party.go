@@ -47,14 +47,12 @@ type env struct {
 	exchRecvSlab   []byte
 	exchErasedSlab []bool
 
-	// Memoized phase decomposition of the last round any party asked
-	// about (party.phaseAt): every party's Send, Deliver and EndRound
-	// decompose the same round, and the parties of a run step in one
-	// goroutine, so the layout division runs once per round.
-	phRound int
-	phIter  int
-	phPh    trace.Phase
-	phRel   int
+	// The phase the run loop is executing (Run sets them before each
+	// phase's rounds): its iteration, its kind and its first round, from
+	// which Send and Deliver count a round's offset in the phase.
+	iter    int
+	phase   trace.Phase
+	phStart int
 }
 
 // linkState is one endpoint's per-link state: the pairwise transcript, the
@@ -68,8 +66,7 @@ type linkState struct {
 	// numbering protocol.Slot.Link uses: self → peer and peer → self.
 	out, in int32
 	// port is the link's position in the party's neighbor order, and so
-	// in party.links; per-link scratch that must not allocate per round
-	// (the rewind plan) is indexed by it too.
+	// in party.links and in the slice Send fills.
 	port int
 	T    *Transcript
 	mp   *meeting.State
@@ -148,41 +145,18 @@ type party struct {
 	status     bool // the party's own continue/idle flag
 	flagAgg    bool // AND of own status and children's upward flags
 	netCorrect bool
-
-	preparedIter int // iteration whose MP messages are prepared (-1 none)
-
-	rewindRound int // round whose rewind decisions are already planned
-	// rewindPlan[port] says whether a rewind symbol is pending for the
-	// link at that port. A reusable slice rather than a map:
-	// planRewinds runs every rewind round of every iteration, and
-	// per-round map churn showed up as steady-state allocation.
-	rewindPlan []bool
-}
-
-// phaseAt is layout.phaseAt through the run's one memo (env.phRound).
-func (p *party) phaseAt(round int) (int, trace.Phase, int) {
-	e := p.env
-	if e.phRound != round {
-		e.phIter, e.phPh, e.phRel = e.lay.phaseAt(round)
-		e.phRound = round
-	}
-	return e.phIter, e.phPh, e.phRel
 }
 
 var _ network.Party = (*party)(nil)
-var _ network.RoundEnder = (*party)(nil)
 
 func newParty(e *env, id graph.Node) *party {
 	p := &party{
-		env:          e,
-		id:           id,
-		neighbors:    e.g.Neighbors(id),
-		links:        make([]*linkState, len(e.g.Neighbors(id))),
-		status:       true,
-		netCorrect:   true,
-		preparedIter: -1,
-		rewindRound:  -1,
-		rewindPlan:   make([]bool, len(e.g.Neighbors(id))),
+		env:        e,
+		id:         id,
+		neighbors:  e.g.Neighbors(id),
+		links:      make([]*linkState, len(e.g.Neighbors(id))),
+		status:     true,
+		netCorrect: true,
 	}
 	maxSlots := e.chunking.MaxSlotsPerLink
 	pending := make([]bitstring.Symbol, len(p.neighbors)*maxSlots)
@@ -328,11 +302,11 @@ func (p *party) link(peer graph.Node) *linkState {
 	return nil
 }
 
-// Send implements network.Party: it decodes the round once and fills the
-// ports in order.
+// Send implements network.Party: it fills the ports in order for the
+// round at offset rel in the phase the run loop set.
 func (p *party) Send(round int, out []bitstring.Symbol) {
-	iter, ph, rel := p.phaseAt(round)
-	switch ph {
+	rel := round - p.env.phStart
+	switch p.env.phase {
 	case trace.PhaseExchange:
 		for port, ls := range p.links {
 			out[port] = bitstring.Silence
@@ -341,9 +315,6 @@ func (p *party) Send(round int, out []bitstring.Symbol) {
 			}
 		}
 	case trace.PhaseMeetingPoints:
-		if p.preparedIter != iter {
-			p.prepareIteration(iter)
-		}
 		for port, ls := range p.links {
 			out[port] = bitstring.SymbolFromBit(ls.mpOut[rel])
 		}
@@ -356,22 +327,15 @@ func (p *party) Send(round int, out []bitstring.Symbol) {
 			out[port] = p.simSend(rel, ls)
 		}
 	default: // rewind
-		p.planRewinds(round)
-		for port, planned := range p.rewindPlan {
-			out[port] = bitstring.Silence
-			if planned {
-				p.rewindPlan[port] = false
-				out[port] = bitstring.Sym1
-			}
-		}
+		p.planRewinds(out)
 	}
 }
 
 // Deliver implements network.Party.
 func (p *party) Deliver(round int, from graph.Node, port int, sym bitstring.Symbol) {
-	_, ph, rel := p.phaseAt(round)
+	rel := round - p.env.phStart
 	ls := p.links[port]
-	switch ph {
+	switch p.env.phase {
 	case trace.PhaseExchange:
 		if ls.exchRecv != nil && rel < p.env.codec.CodewordBits() {
 			ls.exchRecv = append(ls.exchRecv, sym.Bit())
@@ -394,42 +358,6 @@ func (p *party) Deliver(round int, from graph.Node, port int, sym bitstring.Symb
 	}
 }
 
-// EndRound implements network.RoundEnder: phase-boundary finalization.
-func (p *party) EndRound(round int) {
-	iter, ph, rel := p.phaseAt(round)
-	if !p.env.lay.lastOf(ph, rel, round) {
-		// The ⊥ round inside the simulation phase also needs
-		// finalization: chunk simulation state is set up only once all
-		// ⊥ symbols of the round have been seen.
-		if ph == trace.PhaseSimulation && rel == 0 {
-			p.beginSimulation()
-		}
-		return
-	}
-	switch ph {
-	case trace.PhaseExchange:
-		p.finishExchange()
-	case trace.PhaseMeetingPoints:
-		p.finishMeetingPoints()
-		if p.env.lay.flagRounds == 0 {
-			// Flag passing ablated (or trivial tree): a party trusts its
-			// own status only.
-			p.netCorrect = p.status
-		}
-		if p.env.lay.simRounds == 1 {
-			// Degenerate: no chunk rounds (cannot happen with a real
-			// protocol, but keep the machine total).
-			p.beginSimulation()
-		}
-	case trace.PhaseFlagPassing:
-		// netCorrect was fixed during delivery; nothing to finalize.
-	case trace.PhaseSimulation:
-		p.finishSimulation()
-	default: // rewind: end of the iteration
-		_ = iter
-	}
-}
-
 // prepareIteration computes the meeting-points messages for iteration it
 // and resets the per-iteration link scratch state. The mpOut/mpRecv
 // buffers and the hashers' seed buffers are reused across iterations, so in
@@ -437,7 +365,6 @@ func (p *party) EndRound(round int) {
 // because the engine delivers exactly one symbol per slot of the phase,
 // overwriting all 3τ positions.
 func (p *party) prepareIteration(it int) {
-	p.preparedIter = it
 	tau := p.env.params.HashBits
 	for _, ls := range p.links {
 		ls.iter = it
@@ -518,25 +445,21 @@ func (p *party) minChunk() int {
 	return min
 }
 
-// planRewinds makes this round's rewind decisions once (Algorithm 1 lines
-// 25–32): send a rewind on every link that is ahead of the party's
-// current minimum, outside meeting-points recovery, at most once per
-// iteration per link. minChunk is recomputed from the live transcript
-// lengths so the rewind wave of Claim 4.7 propagates one hop per round.
-func (p *party) planRewinds(round int) {
-	if p.rewindRound == round || p.env.params.DisableRewind {
-		return
-	}
-	p.rewindRound = round
+// planRewinds makes a rewind round's decisions (Algorithm 1 lines 25–32)
+// and writes them into out by port: a rewind on every link that is ahead
+// of the party's current minimum, outside meeting-points recovery, at
+// most once per iteration per link, and silence elsewhere. minChunk is
+// recomputed from the live transcript lengths so the rewind wave of
+// Claim 4.7 propagates one hop per round.
+func (p *party) planRewinds(out []bitstring.Symbol) {
 	minChunk := p.minChunk()
-	for _, ls := range p.links {
-		if ls.mp.Status == meeting.StatusMeetingPoints || ls.alreadyRewound {
+	for port, ls := range p.links {
+		out[port] = bitstring.Silence
+		if ls.mp.Status == meeting.StatusMeetingPoints || ls.alreadyRewound || ls.T.Len() <= minChunk {
 			continue
 		}
-		if ls.T.Len() > minChunk {
-			ls.T.TruncateTo(ls.T.Len() - 1)
-			ls.alreadyRewound = true
-			p.rewindPlan[ls.port] = true
-		}
+		ls.T.TruncateTo(ls.T.Len() - 1)
+		ls.alreadyRewound = true
+		out[port] = bitstring.Sym1
 	}
 }

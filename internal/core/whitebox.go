@@ -53,8 +53,8 @@ func (w *whiteBoxAttacker) Corrupt(round int, link channel.Link, sent bitstring.
 	if sent == bitstring.Silence {
 		return sent
 	}
-	iter, ph, rel := w.e.lay.phaseAt(round)
-	if ph != trace.PhaseSimulation || rel == 0 {
+	rel := round - w.e.phStart
+	if w.e.phase != trace.PhaseSimulation || rel == 0 {
 		return sent
 	}
 	u := w.parties[link.From]
@@ -83,10 +83,10 @@ func (w *whiteBoxAttacker) Corrupt(round int, link channel.Link, sent bitstring.
 	}
 	w.Tried++
 	lastIdx := len(ls.slots) - 1
-	hu := w.futureHash(ls, ls.pending, lastIdx, sent, iter+1)
+	hu := w.futureHash(ls, ls.pending, lastIdx, sent, w.e.iter+1)
 	for e := uint8(1); e <= 2; e++ {
 		recv := sent.Add(e)
-		hv := w.futureHash(lsv, lsv.pending, lastIdx, recv, iter+1)
+		hv := w.futureHash(lsv, lsv.pending, lastIdx, recv, w.e.iter+1)
 		if hu == hv {
 			w.budget.TrySpend()
 			w.Landed++

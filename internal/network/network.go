@@ -15,6 +15,11 @@
 // round's deadline fills its receiver's slot directly; only late symbols
 // go on the event heap. Both paths are bit-exactly deterministic from
 // their seeds at any GOMAXPROCS.
+//
+// The engine knows nothing of a protocol's phases. A phase-structured
+// caller runs each phase with its own RunRounds call: before it, the
+// caller sets the phase that per-phase CC is charged to (SetPhase); after
+// it, the caller does the phase's boundary work on its parties itself.
 package network
 
 import (
@@ -33,15 +38,17 @@ import (
 // Within a round the engine first calls Send once on every party, then
 // applies channel noise, then calls Deliver for every incoming directed
 // link of every party (Silence when nothing arrived). Implementations
-// must not assume any ordering between parties within a round.
+// must not assume any ordering between parties within a round. The engine
+// calls nothing between rounds: a party learns which protocol phase it is
+// in from its caller, which also does each phase's boundary work between
+// RunRounds calls.
 //
 // A party's links are numbered by port: a neighbor's position in the
 // party's ascending neighbor list (graph.Neighbors), so a party can keep
 // its per-link state in a slice indexed by port.
 //
 // Send is per party because a party decides all of a round's symbols
-// from the same state: one call decodes the round once and fills every
-// port. Deliver stays per link because the lockstep engine interleaves
+// from the same state: one call fills every port. Deliver stays per link because the lockstep engine interleaves
 // each link's noise with its delivery, and an adversary that reads party
 // state (a white-box attacker) sees the deliveries of the links before
 // the one it corrupts.
@@ -56,13 +63,6 @@ type Party interface {
 	// Deliver hands the party what it observed from neighbor `from`, at
 	// port `port`, this round (Silence when no symbol arrived).
 	Deliver(round int, from graph.Node, port int, sym bitstring.Symbol)
-}
-
-// RoundEnder is an optional Party extension: EndRound is invoked after all
-// of a round's deliveries, letting phase-structured parties finalize state
-// exactly at phase boundaries.
-type RoundEnder interface {
-	EndRound(round int)
 }
 
 // Engine runs parties over a noisy network.
@@ -80,9 +80,9 @@ type Engine struct {
 	// recvPort[i] is links[i]'s port at its receiver (the sender's
 	// position among the receiver's neighbors).
 	recvPort []int
-	// enders are the parties that implement RoundEnder, in party order.
-	enders  []RoundEnder
-	phaseFn func(round int) trace.Phase
+	// phase is what AddTransmission charges this round's symbols to
+	// (SetPhase); -1 charges CC alone.
+	phase   trace.Phase
 	sendBuf []bitstring.Symbol
 	// timing, when non-nil, switches the engine onto the virtual-time
 	// discrete-event path (see vtime.go). Installed by SetTiming; nil
@@ -129,16 +129,14 @@ func NewEngine(g *graph.Graph, parties []Party, adv adversary.Adversary, metrics
 		links:     links,
 		sendStart: make([]int, len(parties)+1),
 		recvPort:  make([]int, len(links)),
+		phase:     -1,
 		sendBuf:   make([]bitstring.Symbol, len(links)),
 	}
 	for i, l := range links {
 		e.recvPort[i] = graph.IndexOf(g.Neighbors(l.To), l.From)
 	}
-	for p, pt := range parties {
+	for p := range parties {
 		e.sendStart[p+1] = e.sendStart[p] + g.Degree(graph.Node(p))
-		if re, ok := pt.(RoundEnder); ok {
-			e.enders = append(e.enders, re)
-		}
 	}
 	if ca, ok := adv.(adversary.ContextAware); ok {
 		ca.SetContext(e)
@@ -159,9 +157,10 @@ func (e *Engine) Links() []channel.Link {
 	return out
 }
 
-// SetPhaseFn installs the round → phase attribution used for per-phase CC
-// accounting.
-func (e *Engine) SetPhaseFn(fn func(round int) trace.Phase) { e.phaseFn = fn }
+// SetPhase sets the phase that the following RunRounds calls charge
+// their transmissions to in Metrics.CCPhase. The default, -1, charges
+// total CC only.
+func (e *Engine) SetPhase(ph trace.Phase) { e.phase = ph }
 
 // RunRounds executes rounds [from, to).
 func (e *Engine) RunRounds(from, to int) {
@@ -182,21 +181,10 @@ func (e *Engine) collectSends(round int) {
 	}
 }
 
-// endRound calls every RoundEnder's EndRound, in party order.
-func (e *Engine) endRound(round int) {
-	for _, re := range e.enders {
-		re.EndRound(round)
-	}
-}
-
 func (e *Engine) step(round int) {
 	if e.timing != nil {
 		e.stepTimed(round)
 		return
-	}
-	phase := trace.Phase(-1)
-	if e.phaseFn != nil {
-		phase = e.phaseFn(round)
 	}
 	// Collect phase: every party decides its outgoing symbols based on
 	// deliveries from strictly earlier rounds.
@@ -205,7 +193,7 @@ func (e *Engine) step(round int) {
 	for i, l := range e.links {
 		sent := e.sendBuf[i]
 		if sent != bitstring.Silence {
-			e.metrics.AddTransmission(phase)
+			e.metrics.AddTransmission(e.phase)
 		}
 		recv := e.adv.Corrupt(round, l, sent)
 		if k := channel.Classify(sent, recv); k != channel.KindNone {
@@ -213,5 +201,4 @@ func (e *Engine) step(round int) {
 		}
 		e.parties[l.To].Deliver(round, l.From, e.recvPort[i], recv)
 	}
-	e.endRound(round)
 }

@@ -19,7 +19,6 @@ type echoParty struct {
 	nbrs     []graph.Node
 	sendFn   func(round int, to graph.Node) bitstring.Symbol
 	received []recorded
-	ends     []int
 }
 
 type recorded struct {
@@ -43,8 +42,6 @@ func (p *echoParty) Send(round int, out []bitstring.Symbol) {
 func (p *echoParty) Deliver(round int, from graph.Node, port int, sym bitstring.Symbol) {
 	p.received = append(p.received, recorded{round: round, from: from, port: port, sym: sym})
 }
-
-func (p *echoParty) EndRound(round int) { p.ends = append(p.ends, round) }
 
 // mkParties returns one echo party per node of g; fns[i], when set, is
 // party i's send pattern.
@@ -86,24 +83,6 @@ func TestEngineDeliversSymbols(t *testing.T) {
 	// CC: party 0 transmits on 1 link × 2 rounds.
 	if eng.Metrics().CC != 2 {
 		t.Fatalf("CC = %d, want 2", eng.Metrics().CC)
-	}
-}
-
-func TestEngineEndRoundHook(t *testing.T) {
-	g := graph.Line(2)
-	ps, eps := mkParties(g, nil)
-	eng, _ := NewEngine(g, ps, nil, nil)
-	eng.RunRounds(0, 3)
-	want := []int{0, 1, 2}
-	for _, p := range eps {
-		if len(p.ends) != 3 {
-			t.Fatalf("EndRound called %d times, want 3", len(p.ends))
-		}
-		for i, r := range p.ends {
-			if r != want[i] {
-				t.Fatalf("EndRound rounds = %v", p.ends)
-			}
-		}
 	}
 }
 
@@ -173,17 +152,16 @@ func TestEnginePhaseAttribution(t *testing.T) {
 		1: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym1 },
 	})
 	eng, _ := NewEngine(g, ps, nil, nil)
-	eng.SetPhaseFn(func(round int) trace.Phase {
-		if round < 2 {
-			return trace.PhaseSimulation
-		}
-		return trace.PhaseRewind
-	})
-	eng.RunRounds(0, 3)
+	// Before any SetPhase the engine charges total CC only.
+	eng.RunRounds(0, 1)
+	eng.SetPhase(trace.PhaseSimulation)
+	eng.RunRounds(1, 3)
+	eng.SetPhase(trace.PhaseRewind)
+	eng.RunRounds(3, 4)
 	m := eng.Metrics()
-	if m.CCPhase[trace.PhaseSimulation] != 4 || m.CCPhase[trace.PhaseRewind] != 2 {
-		t.Fatalf("phase CC = sim %d / rewind %d, want 4/2",
-			m.CCPhase[trace.PhaseSimulation], m.CCPhase[trace.PhaseRewind])
+	if m.CC != 8 || m.CCPhase[trace.PhaseSimulation] != 4 || m.CCPhase[trace.PhaseRewind] != 2 {
+		t.Fatalf("CC = %d, phase CC = sim %d / rewind %d, want 8, 4/2",
+			m.CC, m.CCPhase[trace.PhaseSimulation], m.CCPhase[trace.PhaseRewind])
 	}
 }
 

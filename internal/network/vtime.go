@@ -142,10 +142,6 @@ func (e *Engine) SetTiming(model DelayModel, wf *WiredFaults) {
 // reason lockstep-no-fault runs stay on the classic path.
 func (e *Engine) stepTimed(round int) {
 	t := e.timing
-	phase := trace.Phase(-1)
-	if e.phaseFn != nil {
-		phase = e.phaseFn(round)
-	}
 	e.collectSends(round)
 
 	deadline := float64(round + 1)
@@ -155,7 +151,7 @@ func (e *Engine) stepTimed(round int) {
 	for i, l := range e.links {
 		sent := e.sendBuf[i]
 		if sent != bitstring.Silence {
-			e.metrics.AddTransmission(phase)
+			e.metrics.AddTransmission(e.phase)
 		}
 		recv := e.adv.Corrupt(round, l, sent)
 		if k := channel.Classify(sent, recv); k != channel.KindNone {
@@ -223,5 +219,4 @@ func (e *Engine) stepTimed(round int) {
 	for i, l := range e.links {
 		e.parties[l.To].Deliver(round, l.From, e.recvPort[i], t.slots[i])
 	}
-	e.endRound(round)
 }
