@@ -30,10 +30,9 @@ func (l *layout) iterStart(it int) int {
 }
 
 // phaseAt decomposes an absolute round into (iteration, phase, offset
-// within phase). Rounds before the first iteration are the exchange. The
-// run itself never decodes a round: Run walks the phases in order and
-// tells the parties which one is running. phaseAt serves only
-// RunInfo.PhaseOracle, the public layout adaptive adversaries key on.
+// within phase). Rounds before the first iteration are the exchange. Run
+// walks the phases itself, so phaseAt serves only RunInfo.PhaseOracle,
+// the public layout that adaptive adversaries key on.
 func (l *layout) phaseAt(round int) (iter int, ph trace.Phase, rel int) {
 	if round < l.exchangeRounds {
 		return 0, trace.PhaseExchange, round

@@ -39,19 +39,18 @@ import (
 // applies channel noise, then calls Deliver for every incoming directed
 // link of every party (Silence when nothing arrived). Implementations
 // must not assume any ordering between parties within a round. The engine
-// calls nothing between rounds: a party learns which protocol phase it is
-// in from its caller, which also does each phase's boundary work between
-// RunRounds calls.
+// calls nothing between rounds: a protocol phase's boundary work is the
+// caller's, between RunRounds calls.
 //
 // A party's links are numbered by port: a neighbor's position in the
 // party's ascending neighbor list (graph.Neighbors), so a party can keep
 // its per-link state in a slice indexed by port.
 //
 // Send is per party because a party decides all of a round's symbols
-// from the same state: one call fills every port. Deliver stays per link because the lockstep engine interleaves
-// each link's noise with its delivery, and an adversary that reads party
-// state (a white-box attacker) sees the deliveries of the links before
-// the one it corrupts.
+// from the same state: one call fills every port. Deliver stays per link
+// because the lockstep engine interleaves each link's noise with its
+// delivery, and an adversary that reads party state (a white-box
+// attacker) sees the deliveries of the links before the one it corrupts.
 type Party interface {
 	// ID returns the node this party occupies.
 	ID() graph.Node
