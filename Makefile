@@ -25,7 +25,7 @@ SWEEP_PARALLEL ?= 0
 # re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-core bench-mem bench-cpu bench-protocol bench-epoch bench-kernel bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz loc
+.PHONY: verify tier1 race examples bench bench-core bench-mem bench-cpu bench-protocol bench-epoch bench-kernel bench-seeds bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz loc
 
 verify: tier1 lint race examples crossbuild
 
@@ -145,6 +145,13 @@ bench-epoch:
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelSweep' -benchmem ./internal/hashing/
 
+# The δ-biased seed source against the source it replaced (kept as the
+# test oracle) and the PRF: one counter hash (τ strided reads), one τ-row
+# seed refill of a prefix store after SetBlock, and one source built from
+# its seed, in ns, bytes and allocs per op. PERF.md records the figures.
+bench-seeds:
+	$(GO) test -run '^$$' -bench 'BenchmarkSeeds' -benchmem ./internal/hashing/
+
 # One network round on Clique(12) of sink parties: on the lockstep engine,
 # and on the virtual-time (DES) engine under the unit model and under
 # lognormal delays with rare spikes: ns and allocs per round (allocs must
@@ -172,10 +179,11 @@ bench-serve:
 # A bounded run of each fuzzer: the grid-spec body (decode → Normalize →
 # Build), the CLI delay and network-fault strings (parse → wire →
 # probe), the hash-mode names (parse → String round trip), the session
-# journal decoder (arbitrary bytes → Load, Save, reload), and the
+# journal decoder (arbitrary bytes → Load, Save, reload), the
 # Reed–Solomon decoder (codes, error patterns and erasure lists →
-# Decode). `go test -fuzz` takes one target per run, hence six runs;
-# plain `go test` only replays their seed corpora. The journal fuzzer
+# Decode), and the AGHP seed source against its oracle (seeds and access
+# scripts → Fill). `go test -fuzz` takes one target per run, hence seven
+# runs; plain `go test` only replays their seed corpora. The journal fuzzer
 # writes and fsyncs a file per input, so it runs in /dev/shm where that
 # exists: on a disk the fsyncs hold a 20 s pass to a few hundred inputs.
 fuzz:
@@ -184,6 +192,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNetFaults$$' -fuzztime 20s -parallel 2 .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHashMode$$' -fuzztime 20s -parallel 2 .
 	$(GO) test -run '^$$' -fuzz '^FuzzRSDecode$$' -fuzztime 20s -parallel 2 ./internal/ecc/
+	$(GO) test -run '^$$' -fuzz '^FuzzAGHPFill$$' -fuzztime 20s -parallel 2 ./internal/hashing/
 	TMPDIR=$$(test -d /dev/shm && echo /dev/shm || echo $${TMPDIR:-/tmp}) \
 		$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 20s -parallel 2 .
 

@@ -122,6 +122,9 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	if *trials < 1 {
+		return fmt.Errorf("-trials must be at least 1, got %d", *trials)
+	}
 	if *obsEvery < -1 {
 		return fmt.Errorf("-observe-every must be -1 (auto), 0 (every iteration) or positive, got %d", *obsEvery)
 	}

@@ -246,7 +246,8 @@ func TestRunTrialsRetries(t *testing.T) {
 // TestRunRejectsIgnoredGridFlags pins that the flags a single run would
 // drop are refused, the way -checkpoint and -retries are: -workers and
 // -observe-every need -trials > 1, and -observe-every needs -observe.
-// An -observe-every below -1, which no setting means, is refused too.
+// An -observe-every below -1 and a -trials below 1, which no setting
+// means, are refused too.
 func TestRunRejectsIgnoredGridFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -257,6 +258,8 @@ func TestRunRejectsIgnoredGridFlags(t *testing.T) {
 		{[]string{"-trials", "2", "-observe-every", "3"}, "needs -observe"},
 		{[]string{"-trials", "2", "-observe-every", "-1"}, "needs -observe"},
 		{[]string{"-trials", "2", "-observe", "-observe-every", "-7"}, "-observe-every must be"},
+		{[]string{"-trials", "0"}, "-trials must be"},
+		{[]string{"-trials", "-3"}, "-trials must be"},
 	} {
 		args := append([]string{"-topology", "line", "-n", "4", "-iterfactor", "10"}, tc.args...)
 		if err := run(io.Discard, args); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -61,7 +61,7 @@ type env struct {
 type linkState struct {
 	peer graph.Node
 	edge graph.Edge
-	eid  int // edge ID (graph.EdgeIndex): indexes ChunkSpec.LinkSlots
+	eid  int // edge ID (graph.EdgeIndex): keys Chunking.Slots and Chunking.EdgeSlots
 	// out and in are the link's two directions by graph.LinkIndex, the
 	// numbering protocol.Slot.Link uses: self → peer and peer → self.
 	out, in int32

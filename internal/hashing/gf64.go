@@ -64,8 +64,6 @@
 // the golden oracle, which uses no kernel at all.
 package hashing
 
-import "math/bits"
-
 // gf64Poly is the reduction polynomial x^64 + x^4 + x^3 + x + 1 for
 // GF(2^64), represented by its low 64 bits.
 const gf64Poly uint64 = 0x1b
@@ -94,9 +92,29 @@ func gfMul64(a, b uint64) uint64 {
 		lo ^= tlo[k]
 		hi ^= thi[k]
 	}
-	// Reduce the 128-bit product modulo x^64 + x^4 + x^3 + x + 1. Folding
-	// the high half twice suffices because the reduction polynomial's
-	// non-leading part fits in 5 bits.
+	return gfReduce(lo, hi)
+}
+
+// gfSqr64 squares x in GF(2^64). Squaring is linear over GF(2): the
+// carry-less square moves bit k of x to bit 2k, then reduces.
+func gfSqr64(x uint64) uint64 {
+	return gfReduce(spread32(x), spread32(x>>32))
+}
+
+// spread32 moves bit k of the low 32 bits of x to bit 2k.
+func spread32(x uint64) uint64 {
+	x &= 0xffffffff
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x<<2) & 0x3333333333333333
+	return (x | x<<1) & 0x5555555555555555
+}
+
+// gfReduce reduces the 128-bit carry-less product hi·x^64 + lo modulo
+// x^64 + x^4 + x^3 + x + 1. Folding the high half twice suffices because
+// the reduction polynomial's non-leading part fits in 5 bits.
+func gfReduce(lo, hi uint64) uint64 {
 	for hi != 0 {
 		h := hi
 		hi = 0
@@ -104,23 +122,4 @@ func gfMul64(a, b uint64) uint64 {
 		hi ^= (h >> 63) ^ (h >> 61) ^ (h >> 60)
 	}
 	return lo
-}
-
-// gfPow64 raises a to the k-th power in GF(2^64) by square-and-multiply.
-func gfPow64(a uint64, k uint64) uint64 {
-	result := uint64(1)
-	base := a
-	for k > 0 {
-		if k&1 == 1 {
-			result = gfMul64(result, base)
-		}
-		base = gfMul64(base, base)
-		k >>= 1
-	}
-	return result
-}
-
-// parity64 returns the GF(2) inner product of x and y packed in words.
-func parity64(x, y uint64) uint64 {
-	return uint64(bits.OnesCount64(x&y) & 1)
 }

@@ -467,12 +467,20 @@ func TestGFMulMatchesBitSerial(t *testing.T) {
 				t.Fatalf("gfMul64(%#x, %#x) = %#x, want %#x", a, b, got, want)
 			}
 		}
+		if got, want := gfSqr64(a), gfMul64BitSerial(a, a); got != want {
+			t.Fatalf("gfSqr64(%#x) = %#x, want %#x", a, got, want)
+		}
 	}
 	rng := rand.New(rand.NewSource(64))
 	for i := 0; i < 1000000; i++ {
 		a, b := rng.Uint64(), rng.Uint64()
 		if got, want := gfMul64(a, b), gfMul64BitSerial(a, b); got != want {
 			t.Fatalf("gfMul64(%#x, %#x) = %#x, want %#x", a, b, got, want)
+		}
+		if i%64 == 0 {
+			if got, want := gfSqr64(a), gfMul64BitSerial(a, a); got != want {
+				t.Fatalf("gfSqr64(%#x) = %#x, want %#x", a, got, want)
+			}
 		}
 	}
 }
