@@ -11,9 +11,10 @@
 # cross-GOARCH and purego builds so the arch-gated hash kernel cannot
 # silently break the pure-Go fallback other platforms run. Performance is
 # gated by the repo benchmark alone (bench/, BENCHMARK.json); the bench*
-# targets below are Go benchmarks for PERF.md, not gates, and `make
+# targets below are Go benchmarks for PERF.md, not gates, `make
 # bench-mem` and `make bench-cpu` print where one scenario-lockstep run
-# allocates its bytes and spends its CPU time.
+# allocates its bytes and spends its CPU time, and `make bench-tables`
+# times each experiment table with its grid on one and on two procs.
 
 GO ?= go
 
@@ -25,7 +26,7 @@ SWEEP_PARALLEL ?= 0
 # re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-core bench-mem bench-cpu bench-protocol bench-epoch bench-kernel bench-seeds bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz loc
+.PHONY: verify tier1 race examples bench bench-tables bench-core bench-mem bench-cpu bench-protocol bench-epoch bench-kernel bench-seeds bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz loc
 
 verify: tier1 lint race examples crossbuild
 
@@ -93,6 +94,13 @@ cover:
 # The prefix-hash kernel sweep itself is `make bench-kernel`.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMicro|BenchmarkScaling' -benchmem .
+
+# The experiment tables one at a time in quick form (Table 1 and the
+# figure-style tables), at GOMAXPROCS 1 and 2: each table's grid runs its
+# cells on GOMAXPROCS workers, so the two columns of ns/op show what the
+# second proc buys per table. PERF.md records the figures.
+bench-tables:
+	$(GO) test -run '^$$' -bench 'BenchmarkTable1$$|BenchmarkFig' -cpu 1,2 .
 
 # One default scenario run on a reused Runner in the scenario-lockstep
 # shape (random 12-party graph, Algorithm A, light random noise) and in

@@ -12,7 +12,9 @@
 // (experiment ID, registry name, title, header, rows, notes), so the
 // fidelity trajectory is tracked by diffing artefact files instead of
 // re-parsing markdown. The tables' performance is measured by the repo
-// benchmark (bench/, workload tables-quick), not by this command.
+// benchmark (bench/, workload tables-quick), not by this command. Each
+// table runs its cells on GOMAXPROCS workers (GOMAXPROCS=1 runs them one
+// at a time); the rows are the same at any width.
 //
 // The -sweep flag switches the command to a streaming grid run instead
 // of the named experiments: a cartesian product over party counts,
@@ -120,6 +122,9 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *trials < 1 {
+		return fmt.Errorf("-trials must be at least 1, got %d", *trials)
 	}
 	if *retries < 0 {
 		return fmt.Errorf("-retries must be non-negative, got %d", *retries)

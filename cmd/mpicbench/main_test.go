@@ -111,6 +111,30 @@ func TestRunRetryFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTrialsBelowOne pins that a -trials below 1, which no
+// setting means, is refused in both modes before anything runs: no
+// table is computed and no checkpoint is opened.
+func TestRunRejectsTrialsBelowOne(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt")
+	sweepCkpt := filepath.Join(dir, "sweep.ckpt.json")
+	for _, args := range [][]string{
+		{"-experiment", "rewind-wave", "-quick", "-trials", "0", "-checkpoint", ckpt},
+		{"-experiment", "rewind-wave", "-quick", "-trials", "-3", "-checkpoint", ckpt},
+		{"-sweep", "-sweep-n", "4", "-trials", "0", "-sweep-checkpoint", sweepCkpt},
+		{"-sweep", "-sweep-n", "4", "-trials", "-2", "-sweep-checkpoint", sweepCkpt},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-trials must be at least 1") {
+			t.Errorf("%v: got %v, want an error naming -trials", args, err)
+		}
+	}
+	for _, path := range []string{ckpt, sweepCkpt} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("rejected -trials still created %s (stat: %v)", path, err)
+		}
+	}
+}
+
 // TestRunExperimentRejectsSweepFlags pins that experiment mode refuses
 // the grid flags it would otherwise drop: -parallel and every -sweep-*
 // flag. A -sweep-checkpoint given there must not leave the run looking

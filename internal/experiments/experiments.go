@@ -196,16 +196,17 @@ func noiseCell(scheme core.Scheme, g *graph.Graph, noiseKind string, rate float6
 // opens a fresh session instead of silently restoring stale cells under
 // an unchanged fingerprint.
 //
+// The cells run on the engine's default pool, GOMAXPROCS workers capped
+// at the cell count (GOMAXPROCS=1 runs them one at a time); a cell's
+// result does not depend on the pool's width, so neither does a table.
+//
 // With cfg.Checkpoint set, the grid persists each completed cell into a
 // per-grid file, so re-running the same experiment under the same Config
 // resumes instead of restarting. Resume is exact at any worker count:
 // the session matches saved cells on (Index, Key), so duplicate-key
-// cells such as ablation variants get their own results back
-// (mpic's TestGridDuplicateKeyResume). Workers stays 1 only because
-// lifting it changes the tables-quick benchmark's cost, which needs its
-// own measurement.
+// cells such as ablation variants get their own results back.
 func runGrid(cfg Config, salt string, cells []mpic.GridCell, keep bool) ([]mpic.GridCellResult, error) {
-	g := mpic.Grid{Cells: cells, Workers: 1, KeepResults: keep, Retries: cfg.Retries}
+	g := mpic.Grid{Cells: cells, KeepResults: keep, Retries: cfg.Retries}
 	if cfg.Checkpoint != "" {
 		g.Spec = salt + " " + g.Fingerprint()
 		sum := sha256.Sum256([]byte(g.Spec))

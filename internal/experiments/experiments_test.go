@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -181,6 +182,98 @@ func TestExperimentCheckpointResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(trajReplayed.Rows, traj.Rows) {
 		t.Fatalf("replayed trajectory rows differ from fresh:\n%v\n%v", trajReplayed.Rows, traj.Rows)
+	}
+}
+
+// TestTablesIndependentOfWorkerCount pins that a table's rows do not
+// depend on how many cells its grid runs at once: each table below is
+// rendered at GOMAXPROCS 1 (one cell at a time) and at 4, and the rows
+// must match. The four cover the grid shapes that could couple cells:
+// duplicate-key Tune variants (ablation), KeepResults trajectories
+// (potential), UseProtocol protocols shared by a cell's trials
+// (fully-utilized) and the white-box attacker (collision-attack).
+// Forcing the width keeps the parallel path covered on a one-CPU box.
+func TestTablesIndependentOfWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := Config{Trials: 2, Seed: 3, Quick: true}
+	for _, name := range []string{"ablation", "potential", "fully-utilized", "collision-attack"} {
+		runtime.GOMAXPROCS(1)
+		seq, err := Run(name, cfg)
+		if err != nil {
+			t.Fatalf("%s at GOMAXPROCS 1: %v", name, err)
+		}
+		runtime.GOMAXPROCS(4)
+		par, err := Run(name, cfg)
+		if err != nil {
+			t.Fatalf("%s at GOMAXPROCS 4: %v", name, err)
+		}
+		if !reflect.DeepEqual(par.Rows, seq.Rows) {
+			t.Errorf("%s rows depend on the worker count:\nGOMAXPROCS 1: %v\nGOMAXPROCS 4: %v", name, seq.Rows, par.Rows)
+		}
+	}
+}
+
+// TestParallelResumeDuplicateKeys pins resume of a duplicate-key table
+// on a parallel pool: the ablation variants share one grid key and
+// differ only in their Tune closures, and at GOMAXPROCS 4 the journal
+// holds them in completion order. A session that kept a subset of the
+// cells that is not a prefix in index order (the middle variant is
+// missing) must resume to the rows of a fresh run.
+func TestParallelResumeDuplicateKeys(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := Config{Trials: 2, Seed: 3, Quick: true}
+	fresh, err := Ablation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Checkpoint = t.TempDir()
+	if _, err := Ablation(cfg); err != nil {
+		t.Fatal(err)
+	}
+	sessions := sessionFiles(t, cfg.Checkpoint)
+	if len(sessions) != 1 {
+		t.Fatalf("checkpoint dir holds %d session files, want 1", len(sessions))
+	}
+	// Rewrite the session through the store API without the middle
+	// variant, as TestExperimentCheckpointResume does.
+	path := filepath.Join(cfg.Checkpoint, sessions[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(string(data), "\n")
+	var state struct {
+		Spec string
+	}
+	if err := json.Unmarshal([]byte(header), &state); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := mpic.NewFileGridStore(path).Load(state.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 3 {
+		t.Fatalf("session holds %d cells, want 3", len(cells))
+	}
+	var kept []mpic.StoredCell
+	for _, c := range cells {
+		if c.Index != 1 {
+			kept = append(kept, c)
+		}
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := mpic.NewFileGridStore(path).Save(state.Spec, kept); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Ablation(cfg)
+	if err != nil {
+		t.Fatalf("resume failed: %v", err)
+	}
+	if !reflect.DeepEqual(resumed.Rows, fresh.Rows) {
+		t.Fatalf("resumed rows differ from fresh:\n%v\n%v", resumed.Rows, fresh.Rows)
 	}
 }
 
