@@ -12,9 +12,10 @@
 # silently break the pure-Go fallback other platforms run. Performance is
 # gated by the repo benchmark alone (bench/, BENCHMARK.json); the bench*
 # targets below are Go benchmarks for PERF.md, not gates, `make
-# bench-mem` and `make bench-cpu` print where one scenario-lockstep run
-# allocates its bytes and spends its CPU time, and `make bench-tables`
-# times each experiment table with its grid on one and on two procs.
+# bench-mem` prints where one scenario-lockstep run and one grid-session
+# session allocate their bytes, `make bench-cpu` where the run spends its
+# CPU time, and `make bench-tables` times each of the 14 experiment
+# tables with its grid on one and on two procs.
 
 GO ?= go
 
@@ -110,10 +111,12 @@ bench-tables:
 bench-core:
 	$(GO) test -run '^$$' -bench 'BenchmarkRun(Lockstep|DES)$$' -benchmem .
 
-# The allocation profile behind PERF.md's memory figures: a 3 s
-# BenchmarkRunLockstep pass with -benchmem and -memprofile, written with
-# its test binary to .bench_mem/ (ignored by git), then the top
-# allocation sites by bytes allocated.
+# The allocation profiles behind PERF.md's memory figures: a 3 s
+# BenchmarkRunLockstep pass (one scenario-lockstep run per op) and four
+# BenchmarkGridSessionWorkload sessions (the grid-session workload's
+# 1000-cell durable grid per op), each with -benchmem and -memprofile,
+# written with the test binary to .bench_mem/ (ignored by git), each
+# followed by its top allocation sites by bytes allocated.
 BENCH_MEM_DIR ?= .bench_mem
 
 bench-mem:
@@ -121,6 +124,9 @@ bench-mem:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunLockstep$$' -benchmem -benchtime=3s \
 		-memprofile $(BENCH_MEM_DIR)/mem.prof -o $(BENCH_MEM_DIR)/mpic.test .
 	$(GO) tool pprof -sample_index=alloc_space -top $(BENCH_MEM_DIR)/mpic.test $(BENCH_MEM_DIR)/mem.prof
+	$(GO) test -run '^$$' -bench 'BenchmarkGridSessionWorkload$$' -benchmem -benchtime=4x \
+		-memprofile $(BENCH_MEM_DIR)/grid-mem.prof -o $(BENCH_MEM_DIR)/mpic.test .
+	$(GO) tool pprof -sample_index=alloc_space -top $(BENCH_MEM_DIR)/mpic.test $(BENCH_MEM_DIR)/grid-mem.prof
 
 # The CPU counterpart of bench-mem: a 5 s BenchmarkRunLockstep pass with
 # -cpuprofile, written with its test binary to the same ignored

@@ -14,7 +14,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"mpic"
@@ -24,6 +26,7 @@ import (
 	"mpic/internal/ecc"
 	"mpic/internal/experiments"
 	"mpic/internal/graph"
+	"mpic/internal/gridspec"
 	"mpic/internal/hashing"
 	"mpic/internal/protocol"
 
@@ -81,6 +84,10 @@ func BenchmarkFigFullyUtilized(b *testing.B) { benchExperiment(b, "fully-utilize
 // BenchmarkFigCollisionAttack is E-F12: the §6.1 seed-aware collision
 // attack vs hash length.
 func BenchmarkFigCollisionAttack(b *testing.B) { benchExperiment(b, "collision-attack") }
+
+// BenchmarkFigDelayOverhead is E-D1: the virtual-time network's
+// overhead against lockstep under flight delays.
+func BenchmarkFigDelayOverhead(b *testing.B) { benchExperiment(b, "delay-overhead") }
 
 // BenchmarkSchemeEndToEnd times one complete coded simulation per scheme
 // on a moderately sized network, reporting the communication blowup.
@@ -269,6 +276,45 @@ func BenchmarkGridSession(b *testing.B) {
 			g.Store = mpic.NewFileGridStore(filepath.Join(dir, fmt.Sprintf("s%d.json", n)))
 		})
 	})
+}
+
+// BenchmarkGridSessionWorkload runs the repo benchmark's grid-session
+// grid as one durable session per op: n 4,6 × schemes A,B × 250 rates
+// evenly spaced in [0, 0.002), one trial per cell at IterFactor 12, on
+// two workers with a FileGridStore in a fresh directory. It reports ns
+// and bytes per cell; `make bench-mem` profiles its allocations next to
+// BenchmarkRunLockstep's.
+func BenchmarkGridSessionWorkload(b *testing.B) {
+	rates := make([]string, 250)
+	for i := range rates {
+		rates[i] = strconv.FormatFloat(0.002*float64(i)/float64(len(rates)), 'g', -1, 64)
+	}
+	grid, err := gridspec.Grid{
+		N: "4,6", Schemes: "A,B", Rates: strings.Join(rates, ","),
+		Trials: 1, IterFactor: 12, Seed: 1,
+	}.Normalize().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid.Workers = 2
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	dir := b.TempDir()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := grid
+		g.Store = mpic.NewFileGridStore(filepath.Join(dir, fmt.Sprintf("s%d.journal", i)))
+		if err := runner.RunGrid(context.Background(), g, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	cells := float64(b.N * len(grid.Cells))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cells, "ns/cell")
+	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/cells, "B/cell")
 }
 
 // BenchmarkFileGridStoreSave measures the durable session's per-cell

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -933,5 +934,33 @@ func TestFileGridStoreLockSerializesWriters(t *testing.T) {
 	}
 	if len(seen) != workers*each {
 		t.Errorf("session holds %d distinct cells, want %d", len(seen), workers*each)
+	}
+}
+
+// TestFileGridStoreSaveHeaderAllocs checks that a Save does not allocate
+// the journal header: every save re-reads the header to detect a file
+// replaced in place, and a grid's header carries its whole spec.
+func TestFileGridStoreSaveHeaderAllocs(t *testing.T) {
+	spec := strings.Repeat("spec-", 64<<10/5)
+	store := mpic.NewFileGridStore(filepath.Join(t.TempDir(), "session.journal"))
+	save := func(i int) {
+		key := mpic.GridKey{N: 4, Scheme: mpic.AlgorithmA, Rate: float64(i) / 1000}
+		cell := mpic.StoredCell{Index: i, Key: key, Cell: mpic.SweepCell{N: 4, Scheme: mpic.AlgorithmA, Rate: key.Rate, Trials: 1}}
+		if err := store.Save(spec, []mpic.StoredCell{cell}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first saves create the journal and warm the store's buffers.
+	save(0)
+	save(1)
+	const saves = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 2; i < 2+saves; i++ {
+		save(i)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / saves; per >= 8<<10 {
+		t.Errorf("a Save with a %d-byte spec allocates %d bytes, want < 8 KiB", len(spec), per)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"mpic/internal/hashing"
+	"mpic/internal/protocol"
 )
 
 // Arena recycles the per-link prefix-hash stores across runs. One run of
@@ -17,18 +18,25 @@ import (
 // stop allocating in the seed-materialization path. A recycled store
 // keeps its own buffers, so each buffer returns to the role it had.
 //
-// The free list needs no bound: a run creates a store only when the list
-// is empty, so the list never holds more stores than the runs that
+// The arena recycles each run's chunking of Π the same way: the run
+// rebuilds a retired chunking's slabs (protocol.RebuildChunking) and
+// hands the chunking back on exit, on error paths too. Stats counts
+// stores only.
+//
+// The free lists need no bound: a run creates a store or a chunking only
+// when its list is empty, so a list never holds more than the runs that
 // overlapped in time once held together.
 //
 // An Arena is safe for concurrent use by multiple runs — the grid engine
 // drives one arena from its whole worker pool — and results are
 // bit-identical with and without one (a recycled store re-derives every
-// word before it reads it). Stats exposes the cumulative counters.
+// word before it reads it, and a rebuilt chunking writes every entry
+// before it reads it). Stats exposes the cumulative counters.
 type Arena struct {
-	mu    sync.Mutex
-	free  []*hashing.Checkpointed
-	stats ArenaStats
+	mu        sync.Mutex
+	free      []*hashing.Checkpointed
+	chunkings []*protocol.Chunking
+	stats     ArenaStats
 }
 
 // ArenaStats is a snapshot of an arena's traffic: how many prefix-hash
@@ -54,13 +62,14 @@ func (s ArenaStats) Sub(prev ArenaStats) ArenaStats {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Reset drops every retired store and clears the traffic counters.
+// Reset drops every retired store and chunking and clears the traffic
+// counters.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.free, a.stats = nil, ArenaStats{}
+	a.free, a.chunkings, a.stats = nil, nil, ArenaStats{}
 	a.mu.Unlock()
 }
 
@@ -113,4 +122,33 @@ func (a *Arena) release(p *party) {
 		}
 		ls.p1, ls.p2 = nil, nil
 	}
+}
+
+// chunking chunks p's schedule at chunkBits bits per chunk in a retired
+// chunking's buffers, or in fresh ones when none is left or a is nil.
+func (a *Arena) chunking(p protocol.Protocol, chunkBits int) *protocol.Chunking {
+	var old *protocol.Chunking
+	if a != nil {
+		a.mu.Lock()
+		if n := len(a.chunkings); n > 0 {
+			old = a.chunkings[n-1]
+			a.chunkings[n-1] = nil
+			a.chunkings = a.chunkings[:n-1]
+		}
+		a.mu.Unlock()
+	}
+	return protocol.RebuildChunking(old, p, chunkBits)
+}
+
+// releaseChunking hands a finished run's chunking back to the arena. It
+// drops the schedule, so the free list does not keep the run's protocol
+// alive; a nil arena drops the chunking.
+func (a *Arena) releaseChunking(c *protocol.Chunking) {
+	if a == nil {
+		return
+	}
+	c.Sched = nil
+	a.mu.Lock()
+	a.chunkings = append(a.chunkings, c)
+	a.mu.Unlock()
 }

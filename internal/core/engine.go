@@ -5,10 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"mpic/internal/adversary"
 	"mpic/internal/channel"
+	"mpic/internal/detrand"
 	"mpic/internal/ecc"
 	"mpic/internal/graph"
 	"mpic/internal/hashing"
@@ -69,8 +69,9 @@ type Options struct {
 	// returns ctx.Err() and no Result. Cancellation granularity is one
 	// iteration — a round in flight always completes.
 	Context context.Context
-	// Arena, if non-nil, supplies recycled per-link prefix-hash stores and
-	// gets them back when the run ends (see Arena).
+	// Arena, if non-nil, supplies recycled per-link prefix-hash stores
+	// and a recycled chunking, and gets them back when the run ends (see
+	// Arena).
 	Arena *Arena
 }
 
@@ -140,7 +141,8 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	chunking := protocol.NewChunking(opts.Protocol, p.ChunkBits)
+	chunking := opts.Arena.chunking(opts.Protocol, p.ChunkBits)
+	defer opts.Arena.releaseChunking(chunking)
 	numChunks := chunking.NumChunks()
 	iters := p.IterFactor * numChunks
 	if iters < 1 {
@@ -203,7 +205,6 @@ func Run(opts Options) (*Result, error) {
 		}
 		e.codec = codec
 		lay.exchangeRounds = codec.CodewordBits()
-		e.rng = rand.New(rand.NewSource(0))
 		// One receiving endpoint per edge: the higher-id one.
 		e.exchRecvSlab = make([]byte, g.M()*lay.exchangeRounds)
 		e.exchErasedSlab = make([]bool, g.M()*lay.exchangeRounds)
@@ -223,6 +224,10 @@ func Run(opts Options) (*Result, error) {
 		coreParties[i] = cp
 		parties[i] = cp
 	}
+	// The senders have drawn their seeds; nothing reads the exchange
+	// generator after the parties are built.
+	detrand.PutRand(e.rng)
+	e.rng = nil
 	if opts.Arena != nil {
 		defer func() {
 			for _, cp := range coreParties {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"mpic/internal/bitstring"
+	"mpic/internal/detrand"
 	"mpic/internal/ecc"
 	"mpic/internal/graph"
 	"mpic/internal/hashing"
@@ -40,9 +41,10 @@ type env struct {
 	seedHintWords int
 
 	// Exchange mode only. rng is the one private-randomness generator of
-	// the run: each party reseeds it with its own key before its first
-	// sender draw. exchRecvSlab and exchErasedSlab hold one codeword's
-	// room per receiving link, cut off in party order.
+	// the run: the first sender takes it from the pool at its own key,
+	// every later one reseeds it with its own, and Run hands it back once
+	// the parties are built. exchRecvSlab and exchErasedSlab hold one
+	// codeword's room per receiving link, cut off in party order.
 	rng            *rand.Rand
 	exchRecvSlab   []byte
 	exchErasedSlab []bool
@@ -185,11 +187,12 @@ func newParty(e *env, id graph.Node) *party {
 // mode the sender samples a short seed and encodes it, and sources are
 // built when the exchange phase completes.
 func (p *party) initSeeds() {
-	// The party's private randomness is the run's one generator, reseeded
-	// with the party's key on its first sender draw; Seed restores the
-	// state rand.NewSource builds, so the draws are those of a fresh
-	// generator. Links go in neighbor order, so the senders draw their
-	// seeds in that order.
+	// The party's private randomness is the run's one generator, seeded
+	// with the party's key on its first sender draw (the first sender
+	// takes it from the pool already seeded); Seed restores the state
+	// rand.NewSource builds, so the draws are those of a fresh generator.
+	// Links go in neighbor order, so the senders draw their seeds in that
+	// order.
 	seeded := false
 	for _, ls := range p.links {
 		if p.env.params.Randomness == RandCRS {
@@ -199,7 +202,12 @@ func (p *party) initSeeds() {
 		}
 		if p.isExchangeSender(ls) {
 			if !seeded {
-				p.env.rng.Seed(p.env.params.CRSKey ^ (0x5851f42d4c957f2d * int64(p.id+1)))
+				key := p.env.params.CRSKey ^ (0x5851f42d4c957f2d * int64(p.id+1))
+				if p.env.rng == nil {
+					p.env.rng = detrand.GetRand(key)
+				} else {
+					p.env.rng.Seed(key)
+				}
 				seeded = true
 			}
 			seed := make([]byte, seedBits)

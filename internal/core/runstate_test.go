@@ -32,9 +32,12 @@ func TestArenaDropsFinishedRun(t *testing.T) {
 				}
 			}
 		})
-		if _, err := Run(Options{Protocol: quickProto(g, 3), Params: quickParams(s, g, 3), Arena: arena, Observers: []Observer{capture}}); err != nil {
+		proto := quickProto(g, 3)
+		sched := weak.Make(proto.Schedule())
+		if _, err := Run(Options{Protocol: proto, Params: quickParams(s, g, 3), Arena: arena, Observers: []Observer{capture}}); err != nil {
 			t.Fatal(err)
 		}
+		proto = nil
 		if len(refs) != 2*g.M() {
 			t.Fatalf("%v: captured %d transcripts, want %d", s, len(refs), 2*g.M())
 		}
@@ -46,6 +49,12 @@ func TestArenaDropsFinishedRun(t *testing.T) {
 		}
 		if n := len(arena.free); n != 4*g.M() {
 			t.Errorf("%v: arena holds %d stores, want %d", s, n, 4*g.M())
+		}
+		if n := len(arena.chunkings); n != 1 {
+			t.Errorf("%v: arena holds %d chunkings, want 1", s, n)
+		}
+		if sched.Value() != nil {
+			t.Errorf("%v: the run's schedule still reachable after the run", s)
 		}
 	}
 }

@@ -1,19 +1,27 @@
-// Package detrand holds the deterministic, site-hashed randomness
-// primitives shared by every seed-driven decision maker in the repo —
-// the fault injector (internal/faults), the virtual-time delay models
-// and the network-fault schedule (internal/network). Each draw is a pure
-// function of (seed, site, ordinal): no global state, no time, no
-// math/rand, so any consumer replays bit-identically from its seed at
-// any worker count.
+// Package detrand holds the deterministic randomness shared by every
+// seed-driven part of the repo.
+//
+// Its site-hashed draws serve the fault injector (internal/faults), the
+// virtual-time delay models and the network-fault schedule
+// (internal/network). Each such draw is a pure function of (seed, site,
+// ordinal): no global state, no time, no math/rand, so any consumer
+// replays bit-identically from its seed at any worker count.
 //
 // A site is a label's FNV-1a hash, computed once by NewSite: callers on
 // a hot path (the delay models draw once or twice per symbol) keep their
 // sites in package-level variables, so a draw is two splitmix64 rounds
 // and nothing else.
 //
-// The package sits below everything (it imports nothing), which is what
-// lets both internal/network and internal/faults draw from the same
-// primitives without an import cycle through internal/core.
+// The math/rand streams a run is defined by — Π's inputs and schedule,
+// the random topology, the exchange senders' private seeds and the
+// oblivious noise — come from GetRand instead, a pool of generators
+// reseeded in place (pool.go): the same stream as a fresh
+// rand.NewSource, without its 4.9 KB of state per stream and run.
+//
+// The package sits below everything (it imports nothing of the module),
+// which is what lets internal/graph, internal/protocol, internal/network
+// and internal/faults draw from it without an import cycle through
+// internal/core.
 package detrand
 
 // Site is a pre-hashed site label: the 64-bit FNV-1a hash of the label.

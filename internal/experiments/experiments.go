@@ -31,7 +31,9 @@ import (
 
 // Config scopes an experiment run.
 type Config struct {
-	// Trials is the number of repetitions per measured cell.
+	// Trials is the number of repetitions per measured cell. Zero means
+	// the default, 5; Quick caps either at 3. Run and RunAll reject a
+	// negative count.
 	Trials int
 	// Seed makes runs reproducible.
 	Seed int64
@@ -56,14 +58,23 @@ type Config struct {
 	Retries int
 }
 
-func (c Config) trials() int {
-	if c.Trials <= 0 {
-		return 5
+// validate rejects a configuration Run and RunAll cannot honour.
+func (c Config) validate() error {
+	if c.Trials < 0 {
+		return fmt.Errorf("experiments: Config.Trials is %d; want a positive count, or 0 for the default", c.Trials)
 	}
-	if c.Quick && c.Trials > 3 {
+	return nil
+}
+
+func (c Config) trials() int {
+	n := c.Trials
+	if n == 0 {
+		n = 5
+	}
+	if c.Quick && n > 3 {
 		return 3
 	}
-	return c.Trials
+	return n
 }
 
 // sharedRunner executes every experiment cell; one arena for the whole

@@ -301,6 +301,36 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
+// TestRunTrialsCount checks Config.Trials at Run and RunAll: a negative
+// count is an error naming the field, and zero runs the default.
+func TestRunTrialsCount(t *testing.T) {
+	for _, tc := range []struct {
+		trials int
+		want   string // error substring; "" = the table runs
+	}{
+		{-1, "Config.Trials"},
+		{0, ""},
+	} {
+		cfg := Config{Trials: tc.trials, Seed: 3, Quick: true}
+		tab, err := Run("rewind-wave", cfg)
+		if tc.want == "" {
+			if err != nil || len(tab.Rows) == 0 {
+				t.Errorf("Trials %d: Run = %v, %v; want a table", tc.trials, tab, err)
+			}
+			if got := cfg.trials(); got != 3 {
+				t.Errorf("Trials %d under Quick runs %d trials, want 3", tc.trials, got)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Trials %d: Run error %v, want one naming %s", tc.trials, err, tc.want)
+		}
+		if _, err := RunAll(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Trials %d: RunAll error %v, want one naming %s", tc.trials, err, tc.want)
+		}
+	}
+}
+
 // TestAllExperimentsQuick executes every experiment end to end in quick
 // mode at seed 1 and pins every table — ID, registry name, title,
 // header, rows and notes — to the experiment artefact BENCH_PR10.json

@@ -39,6 +39,9 @@ func Names() []string {
 // Run executes one named experiment, stamping the table with the
 // registry key.
 func Run(name string, cfg Config) (*Table, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	r, ok := Registry[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
@@ -53,6 +56,9 @@ func Run(name string, cfg Config) (*Table, error) {
 
 // RunAll executes every experiment in name order.
 func RunAll(cfg Config) ([]*Table, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	var out []*Table
 	for _, name := range Names() {
 		t, err := Run(name, cfg)

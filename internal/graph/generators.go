@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+
+	"mpic/internal/detrand"
 )
 
 // Line returns the path topology 0-1-2-...-n-1, the paper's running
@@ -128,7 +130,9 @@ func ByName(name string, n int) (*Graph, error) {
 	case "tree":
 		return BalancedTree(n, 2), nil
 	case "random":
-		return RandomConnected(n, n/2, rand.New(rand.NewSource(int64(n)*7919))), nil
+		rng := detrand.GetRand(int64(n) * 7919)
+		defer detrand.PutRand(rng)
+		return RandomConnected(n, n/2, rng), nil
 	default:
 		return nil, fmt.Errorf("graph: unknown topology %q", name)
 	}

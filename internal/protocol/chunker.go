@@ -75,7 +75,9 @@ type Chunking struct {
 	// chunk (including the dummy chunk), used to size hash inputs.
 	MaxSlotsPerLink int
 
-	dummy *ChunkSpec
+	dummy ChunkSpec
+	// specs is the slab Specs points into.
+	specs []ChunkSpec
 	// slots holds every real slot, edge by edge, each edge's chunks in
 	// order. Edge id's slots in the chunk at 0-based position ci are
 	// slots[starts[id·n+ci]:starts[id·n+ci+1]] for n real chunks; the
@@ -86,29 +88,48 @@ type Chunking struct {
 	// dslots[2·id : 2·id+2].
 	dslots []Slot
 	locs   [][]seqLoc // by graph.LinkIndex: each transmission's location, by seq
+	// locSlab is the slab the locs rows are cut from.
+	locSlab []seqLoc
 }
 
 // seqLoc is a SeqLoc stored in half the space.
 type seqLoc struct{ chunk, pos int32 }
 
 // NewChunking chunks the schedule of p into chunks of at most chunkBits
-// bits each. chunkBits must be at least the largest single round's
-// communication or that round becomes a chunk by itself. The schedule
-// must use only links of p's graph (Schedule.Validate).
+// bits each: RebuildChunking with no buffers to reuse.
+func NewChunking(p Protocol, chunkBits int) *Chunking { return RebuildChunking(nil, p, chunkBits) }
+
+// RebuildChunking chunks the schedule of p into chunks of at most
+// chunkBits bits each, reusing the buffers of c, a chunking no longer in
+// use (nil allocates fresh ones). The result is c itself when c is
+// non-nil, and equals what a fresh chunking of p would hold: every slot,
+// start, location and spec is written before it is read. chunkBits must
+// be at least the largest single round's communication or that round
+// becomes a chunk by itself. The schedule must use only links of p's
+// graph (Schedule.Validate).
 //
 // Each (chunk, edge) pair costs a 4-byte start into the slot slab, so
 // the chunking takes O(m·chunks + |Π|) memory — O(m + |Π|) whenever
 // chunkBits is at least twice the busiest round's communication, as the
 // paper's 5K ≥ 5m is. The per-transmission part is 20 bytes: a 12-byte
 // Slot in one slab and an 8-byte location for Locate.
-func NewChunking(p Protocol, chunkBits int) *Chunking {
+func RebuildChunking(c *Chunking, p Protocol, chunkBits int) *Chunking {
+	if c == nil {
+		c = &Chunking{}
+	}
 	sched := p.Schedule()
 	g := p.Graph()
 	m := g.M()
-	c := &Chunking{
+	*c = Chunking{
 		Sched:     sched,
 		ChunkBits: chunkBits,
-		locs:      make([][]seqLoc, 2*m),
+		Specs:     c.Specs,
+		specs:     c.specs,
+		slots:     c.slots[:0],
+		starts:    c.starts,
+		dslots:    c.dslots,
+		locs:      resize(c.locs, 2*m),
+		locSlab:   c.locSlab,
 	}
 	// Pack whole rounds greedily; a chunk always takes its first round.
 	// The first pass only counts the chunks, so the second fills specs of
@@ -125,12 +146,12 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 	for start := 0; start < sched.Rounds(); start, _ = pack(start) {
 		n++
 	}
-	specs := make([]ChunkSpec, n)
-	c.Specs = make([]*ChunkSpec, n)
+	c.specs = resize(c.specs, n)
+	c.Specs = resize(c.Specs, n)
 	for i, start := 0, 0; i < n; i++ {
 		end, bits := pack(start)
-		specs[i] = ChunkSpec{Index: i + 1, StartRound: start, EndRound: end, Bits: bits}
-		c.Specs[i] = &specs[i]
+		c.specs[i] = ChunkSpec{Index: i + 1, StartRound: start, EndRound: end, Bits: bits}
+		c.Specs[i] = &c.specs[i]
 		c.MaxChunkRounds = max(c.MaxChunkRounds, end-start)
 		start = end
 	}
@@ -139,9 +160,12 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 	// transmissions merged by round (u→v before v→u within a round, as
 	// the round is sorted); each chunk's slots for the edge are one run
 	// of that sequence, which starts marks.
-	c.slots = make([]Slot, 0, sched.TotalBits())
-	c.starts = make([]int32, n*m+1)
-	locSlab := make([]seqLoc, sched.TotalBits())
+	if cap(c.slots) < sched.TotalBits() {
+		c.slots = make([]Slot, 0, sched.TotalBits())
+	}
+	c.starts = resize(c.starts, n*m+1)
+	c.locSlab = resize(c.locSlab, sched.TotalBits())
+	locSlab := c.locSlab
 	for id := 0; id < m; id++ {
 		fwd, bwd := sched.linkRounds(2*id), sched.linkRounds(2*id+1)
 		c.locs[2*id], locSlab = locSlab[:len(fwd):len(fwd)], locSlab[len(fwd):]
@@ -161,14 +185,14 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 				slot = Slot{Seq: int32(j), Link: int32(2*id + 1)}
 				j++
 			}
-			for r >= specs[ci].EndRound {
+			for r >= c.specs[ci].EndRound {
 				ci++
 			}
 			// Chunks up to ci start here: the ones skipped are empty.
 			for ; set <= ci; set++ {
 				row[set] = int32(len(c.slots))
 			}
-			slot.RelRound = int32(r - specs[ci].StartRound)
+			slot.RelRound = int32(r - c.specs[ci].StartRound)
 			*loc = seqLoc{chunk: int32(ci + 1), pos: int32(len(c.slots)) - row[ci]}
 			c.slots = append(c.slots, slot)
 		}
@@ -188,8 +212,8 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 	// carries one bit in each direction, content fixed to zero. Used for
 	// chunk indices past |Π| so the simulation can keep making progress
 	// while stragglers catch up.
-	c.dummy = &ChunkSpec{StartRound: 0, EndRound: 1, Bits: 2 * m}
-	c.dslots = make([]Slot, 2*m)
+	c.dummy = ChunkSpec{StartRound: 0, EndRound: 1, Bits: 2 * m}
+	c.dslots = resize(c.dslots, 2*m)
 	for li := range c.dslots {
 		c.dslots[li] = Slot{Link: int32(li)}
 	}
@@ -200,6 +224,15 @@ func NewChunking(p Protocol, chunkBits int) *Chunking {
 		c.MaxChunkRounds = 1
 	}
 	return c
+}
+
+// resize returns s at length n, reusing its array when it is large
+// enough; the contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // NumChunks returns |Π| in chunks (the real chunks, excluding padding).
@@ -213,7 +246,7 @@ func (c *Chunking) Spec(i int) *ChunkSpec {
 	if i >= 1 && i <= len(c.Specs) {
 		return c.Specs[i-1]
 	}
-	d := *c.dummy
+	d := c.dummy
 	d.Index = i
 	return &d
 }

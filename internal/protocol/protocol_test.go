@@ -356,6 +356,67 @@ func TestChunkingSlots(t *testing.T) {
 	}
 }
 
+// TestRebuildChunkingMatchesFresh rebuilds one chunking in turn for a
+// small ring packed into one chunk, a clique cut into hundreds of
+// chunks, and both again, so it is rebuilt from a larger run's buffers
+// and from a smaller one's (whose chunks are longer and fuller), and
+// checks each rebuild against a fresh NewChunking:
+// every exported field, Slots for every chunk and edge (the dummy chunk
+// included), and Locate for every transmission and one past each end.
+func TestRebuildChunkingMatchesFresh(t *testing.T) {
+	type shape struct {
+		name      string
+		p         *Random
+		chunkBits int
+	}
+	small := shape{"ring", NewRandom(graph.Ring(4), 30, 0.5, 2, nil), 1 << 20}
+	large := shape{"clique", NewRandom(graph.Clique(12), 400, 0.05, 3, nil), 8}
+	var c *Chunking
+	for _, sh := range []shape{small, large, small, large} {
+		old := c
+		c = RebuildChunking(c, sh.p, sh.chunkBits)
+		if old != nil && c != old {
+			t.Fatalf("%s: rebuild returned a new chunking", sh.name)
+		}
+		want := NewChunking(sh.p, sh.chunkBits)
+		if c.Sched != want.Sched || c.ChunkBits != want.ChunkBits || c.MaxChunkRounds != want.MaxChunkRounds ||
+			c.MaxSlotsPerLink != want.MaxSlotsPerLink || c.NumChunks() != want.NumChunks() {
+			t.Fatalf("%s: rebuilt %+v, fresh %+v", sh.name, c, want)
+		}
+		g := sh.p.Graph()
+		for i := 1; i <= want.NumChunks()+1; i++ {
+			if got, exp := *c.Spec(i), *want.Spec(i); got != exp {
+				t.Fatalf("%s: chunk %d spec %+v, want %+v", sh.name, i, got, exp)
+			}
+			for e := 0; e < g.M(); e++ {
+				gs, gotSlots := c.Slots(i, e)
+				ws, wantSlots := want.Slots(i, e)
+				if gs != ws || !slices.Equal(gotSlots, wantSlots) {
+					t.Fatalf("%s: chunk %d edge %d: slots %d %v, want %d %v", sh.name, i, e, gs, gotSlots, ws, wantSlots)
+				}
+			}
+		}
+		for li := -1; li <= 2*g.M(); li++ {
+			n := 0
+			if li >= 0 && li < 2*g.M() {
+				e := g.Edge(li / 2)
+				from, to := e.U, e.V
+				if li%2 == 1 {
+					from, to = to, from
+				}
+				n = sh.p.Schedule().CountOn(channel.Link{From: from, To: to})
+			}
+			for seq := -1; seq <= n; seq++ {
+				gl, gok := c.Locate(li, seq)
+				wl, wok := want.Locate(li, seq)
+				if gl != wl || gok != wok {
+					t.Fatalf("%s: Locate(%d, %d) = %v %v, want %v %v", sh.name, li, seq, gl, gok, wl, wok)
+				}
+			}
+		}
+	}
+}
+
 func TestPadInputs(t *testing.T) {
 	in := padInputs([][]byte{{1}, nil}, 3)
 	if len(in) != 3 {
@@ -376,6 +437,21 @@ func TestDefaultInputsDeterministic(t *testing.T) {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Fatal("DefaultInputs not deterministic")
 		}
+	}
+	// The generator comes from a pool: the inputs are the stream of a
+	// fresh rand.NewSource, and the only allocations are the outer slice
+	// and the n inputs.
+	rng := rand.New(rand.NewSource(9))
+	for i := range a {
+		want := make([]byte, 4)
+		rng.Read(want)
+		if !bytes.Equal(a[i], want) {
+			t.Fatalf("input %d is %x, want %x", i, a[i], want)
+		}
+	}
+	const n = 12
+	if allocs := testing.AllocsPerRun(100, func() { DefaultInputs(n, 4, 9) }); allocs != n+1 {
+		t.Errorf("DefaultInputs(%d, ...) allocates %v times, want %d", n, allocs, n+1)
 	}
 }
 

@@ -3,10 +3,10 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"mpic/internal/channel"
+	"mpic/internal/detrand"
 	"mpic/internal/graph"
 )
 
@@ -88,7 +88,7 @@ var _ Protocol = (*Random)(nil)
 // NewRandom builds a Random workload with the given number of Π rounds
 // and per-(round, directed link) speaking density in (0,1].
 func NewRandom(g *graph.Graph, rounds int, density float64, seed int64, inputs [][]byte) *Random {
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.GetRand(seed)
 	// The directed links in draw order: each edge of g.Edges() as U→V,
 	// then V→U.
 	edges := g.Edges()
@@ -120,6 +120,7 @@ func NewRandom(g *graph.Graph, rounds int, density float64, seed int64, inputs [
 		}
 		total += n
 	}
+	detrand.PutRand(rng)
 
 	// Emit each round already in (From, To) order into one exact slab.
 	order := make([]int, nl)
@@ -476,11 +477,12 @@ func bitsFor(n int) int {
 // DefaultInputs derives n deterministic pseudo-random inputs of the given
 // byte length from a seed; experiments use it for reproducible workloads.
 func DefaultInputs(n, bytes int, seed int64) [][]byte {
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.GetRand(seed)
 	out := make([][]byte, n)
 	for i := range out {
 		out[i] = make([]byte, bytes)
 		rng.Read(out[i])
 	}
+	detrand.PutRand(rng)
 	return out
 }

@@ -69,10 +69,14 @@ type journal struct {
 
 	cells []StoredCell // completed cells, first occurrence, in journal order
 	held  map[cellID]bool
+
+	// headerBuf is headerIntact's read buffer, kept across syncs: a
+	// header carries the whole spec, kilobytes for a large grid.
+	headerBuf []byte
 }
 
 // reset forgets the replayed state, so the next sync rereads the file.
-func (j *journal) reset() { *j = journal{path: j.path} }
+func (j *journal) reset() { *j = journal{path: j.path, headerBuf: j.headerBuf} }
 
 // setHeader starts an empty state under a header.
 func (j *journal) setHeader(line []byte, spec string) {
@@ -174,7 +178,10 @@ var errNoLineEnd = errors.New("record without a line end")
 // headerIntact reports whether the file still starts with the replayed
 // header — false when a new file took over the old one's inode.
 func (j *journal) headerIntact(f *os.File) bool {
-	got := make([]byte, len(j.header))
+	if cap(j.headerBuf) < len(j.header) {
+		j.headerBuf = make([]byte, len(j.header))
+	}
+	got := j.headerBuf[:len(j.header)]
 	_, err := f.ReadAt(got, 0)
 	return err == nil && bytes.Equal(got, j.header)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"mpic/internal/core"
+	"mpic/internal/detrand"
 )
 
 // Runner executes scenarios while holding run-to-run state: a shared
@@ -26,10 +27,11 @@ func NewRunner() *Runner { return &Runner{arena: core.NewArena()} }
 // context.Background() when cancellation is not needed. A nil Runner is
 // valid and runs without an arena.
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*Result, error) {
-	opts, err := sc.options()
+	opts, noiseRng, err := sc.options()
 	if err != nil {
 		return nil, err
 	}
+	defer detrand.PutRand(noiseRng)
 	opts.Context = ctx
 	if r != nil {
 		opts.Arena = r.arena

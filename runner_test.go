@@ -210,6 +210,41 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRunnerReuseAcrossShapes runs scenarios of different sizes, schemes
+// and noise models in turn through one Runner, so each run rebuilds its
+// chunking in the buffers of a larger or a smaller run's and draws its
+// generators from the pool after the others; every run must match a
+// fresh one-shot run exactly.
+func TestRunnerReuseAcrossShapes(t *testing.T) {
+	scenarios := []mpic.Scenario{
+		{Topology: mpic.Clique(4), Workload: mpic.RandomTraffic(60), Scheme: mpic.AlgorithmA,
+			Noise: mpic.RandomNoise(0.002), Seed: 21, IterFactor: 20},
+		{Topology: mpic.RandomTopology(12), Workload: mpic.RandomTraffic(150), Scheme: mpic.AlgorithmB,
+			Noise: mpic.RandomNoise(0.0005), Seed: 4, IterFactor: 12},
+		{Topology: mpic.Line(3), Workload: mpic.RandomTraffic(20), Scheme: mpic.Algorithm1,
+			Noise: mpic.BurstNoise(0.003), Seed: 9, IterFactor: 20},
+	}
+	oneShot := make([]*mpic.Result, len(scenarios))
+	for i, sc := range scenarios {
+		res, err := mpic.RunScenario(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneShot[i] = res
+	}
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	for pass := 0; pass < 2; pass++ {
+		for i, sc := range scenarios {
+			res, err := runner.Run(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, oneShot[i], res)
+		}
+	}
+}
+
 // TestObserverLifecycle pins the Observer contract: RunStarted once,
 // IterationDone exactly once per executed iteration with monotone
 // communication, RunDone once with the final result.

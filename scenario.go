@@ -6,6 +6,7 @@ import (
 
 	"mpic/internal/adversary"
 	"mpic/internal/core"
+	"mpic/internal/detrand"
 	"mpic/internal/trace"
 )
 
@@ -156,7 +157,10 @@ type NoiseEnv struct {
 	// Graph is the scenario's topology.
 	Graph *Graph
 	// Rng is derived from the scenario seed; specs must draw all their
-	// randomness from it so runs stay reproducible.
+	// randomness from it so runs stay reproducible. It is valid until the
+	// run returns: the runner then hands it back to a pool of generators,
+	// so an adversary may draw from it during the run but must not keep it
+	// past the run.
 	Rng *rand.Rand
 }
 
@@ -447,11 +451,14 @@ func (sc Scenario) materialize() (Protocol, *Graph, error) {
 	return proto, g, nil
 }
 
-// options compiles the scenario into core run options.
-func (sc Scenario) options() (core.Options, error) {
+// options compiles the scenario into core run options. noiseRng is the
+// pooled generator the noise was wired with (nil for a noiseless
+// scenario); the caller hands it back with detrand.PutRand once the run
+// returns. On error it is already back.
+func (sc Scenario) options() (opts core.Options, noiseRng *rand.Rand, err error) {
 	proto, g, err := sc.materialize()
 	if err != nil {
-		return core.Options{}, err
+		return core.Options{}, nil, err
 	}
 	scheme := sc.Scheme
 	if scheme == 0 {
@@ -470,19 +477,20 @@ func (sc Scenario) options() (core.Options, error) {
 	if sc.Tune != nil {
 		sc.Tune(&params)
 	}
-	opts := core.Options{
+	opts = core.Options{
 		Protocol:     proto,
 		Params:       params,
 		WhiteBoxRate: sc.WhiteBoxRate,
 		Observers:    sc.Observers,
 	}
-	if err := sc.wireNoise(g, &opts); err != nil {
-		return core.Options{}, err
+	if noiseRng, err = sc.wireNoise(g, &opts); err != nil {
+		return core.Options{}, nil, err
 	}
 	if err := sc.wireDelay(g, &opts); err != nil {
-		return core.Options{}, err
+		detrand.PutRand(noiseRng)
+		return core.Options{}, nil, err
 	}
-	return opts, nil
+	return opts, noiseRng, nil
 }
 
 // wireDelay materializes the scenario's delay spec and fault schedule
@@ -510,21 +518,25 @@ func (sc Scenario) wireDelay(g *Graph, opts *core.Options) error {
 	return nil
 }
 
-// wireNoise materializes the scenario's noise spec into the options.
-func (sc Scenario) wireNoise(g *Graph, opts *core.Options) error {
+// wireNoise materializes the scenario's noise spec into the options and
+// returns the pooled generator NoiseEnv.Rng, which the adversary may
+// draw from until the run returns (nil for a noiseless scenario). On
+// error the generator is already back in the pool.
+func (sc Scenario) wireNoise(g *Graph, opts *core.Options) (*rand.Rand, error) {
 	if sc.Noise == nil {
 		opts.Adversary = adversary.None{}
-		return nil
+		return nil, nil
 	}
-	env := NoiseEnv{Graph: g, Rng: rand.New(rand.NewSource(sc.Seed*noiseRngSalt + 1))}
+	env := NoiseEnv{Graph: g, Rng: detrand.GetRand(sc.Seed*noiseRngSalt + 1)}
 	wn, err := sc.Noise.Wire(env)
-	if err != nil {
-		return err
+	if err == nil && wn.Adversary == nil && wn.Factory == nil {
+		err = fmt.Errorf("mpic: noise %q wired neither an adversary nor a factory", sc.Noise.NoiseName())
 	}
-	if wn.Adversary == nil && wn.Factory == nil {
-		return fmt.Errorf("mpic: noise %q wired neither an adversary nor a factory", sc.Noise.NoiseName())
+	if err != nil {
+		detrand.PutRand(env.Rng)
+		return nil, err
 	}
 	opts.Adversary = wn.Adversary
 	opts.AdversaryFactory = wn.Factory
-	return nil
+	return env.Rng, nil
 }
