@@ -112,11 +112,13 @@ bench-core:
 	$(GO) test -run '^$$' -bench 'BenchmarkRun(Lockstep|DES)$$' -benchmem .
 
 # The allocation profiles behind PERF.md's memory figures: a 3 s
-# BenchmarkRunLockstep pass (one scenario-lockstep run per op) and four
+# BenchmarkRunLockstep pass (one scenario-lockstep run per op), four
 # BenchmarkGridSessionWorkload sessions (the grid-session workload's
-# 1000-cell durable grid per op), each with -benchmem and -memprofile,
-# written with the test binary to .bench_mem/ (ignored by git), each
-# followed by its top allocation sites by bytes allocated.
+# 1000-cell durable grid per op) and a 3 s BenchmarkServeShapedGrid pass
+# (one serve session's 16-run grid per op, in process), each with
+# -benchmem and -memprofile, written with the test binary to .bench_mem/
+# (ignored by git), each followed by its top allocation sites by bytes
+# allocated.
 BENCH_MEM_DIR ?= .bench_mem
 
 bench-mem:
@@ -127,6 +129,9 @@ bench-mem:
 	$(GO) test -run '^$$' -bench 'BenchmarkGridSessionWorkload$$' -benchmem -benchtime=4x \
 		-memprofile $(BENCH_MEM_DIR)/grid-mem.prof -o $(BENCH_MEM_DIR)/mpic.test .
 	$(GO) tool pprof -sample_index=alloc_space -top $(BENCH_MEM_DIR)/mpic.test $(BENCH_MEM_DIR)/grid-mem.prof
+	$(GO) test -run '^$$' -bench 'BenchmarkServeShapedGrid$$' -benchmem -benchtime=3s \
+		-memprofile $(BENCH_MEM_DIR)/serve-mem.prof -o $(BENCH_MEM_DIR)/mpic.test .
+	$(GO) tool pprof -sample_index=alloc_space -top $(BENCH_MEM_DIR)/mpic.test $(BENCH_MEM_DIR)/serve-mem.prof
 
 # The CPU counterpart of bench-mem: a 5 s BenchmarkRunLockstep pass with
 # -cpuprofile, written with its test binary to the same ignored

@@ -317,6 +317,33 @@ func BenchmarkGridSessionWorkload(b *testing.B) {
 	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/cells, "B/cell")
 }
 
+// BenchmarkServeShapedGrid runs the grid of one serve workload session
+// in process, with no HTTP and no store: n 4,6 × schemes A,B × rates
+// 0,0.001, two trials per cell at IterFactor 20, on two workers (the
+// service's default) of one Runner. Each op runs a new seed, as each
+// serve op submits one, so no op reuses another's protocol set-up; it
+// reports ns and bytes per op. `make bench-mem` profiles its
+// allocations.
+func BenchmarkServeShapedGrid(b *testing.B) {
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		grid, err := gridspec.Grid{
+			N: "4,6", Schemes: "A,B", Rates: "0,0.001",
+			Trials: 2, IterFactor: 20, Seed: int64(i + 1),
+		}.Normalize().Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		grid.Workers = 2
+		grid.OnCellError = mpic.QuarantineCells
+		if err := runner.RunGrid(context.Background(), grid, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFileGridStoreSave measures the durable session's per-cell
 // cost: one Save that adds a single completed cell to a live session
 // already holding 10, 100 or 1000 cells, handed only that cell — the

@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"mpic/internal/core"
 )
 
 // GridKey identifies one cell of a grid by its (n, scheme, rate, delay)
@@ -57,6 +59,19 @@ type GridCell struct {
 // Cells are independent by construction (see GridCell on seed
 // derivation), which is what lets the engine hand them to a worker pool
 // without changing any result.
+//
+// Runs share their protocol set-up. Section 2.1 fixes Π's speaking order
+// in advance, so Π, its graph and its noiseless reference depend only on
+// (topology, n, workload, rounds, seed), not on the scheme, the noise or
+// the delay. When several of a grid's runs — cells over schemes and
+// rates at one seed, or trials of such cells — name the same registered
+// workload on the same registered topology family, RunGrid builds that
+// set-up once, runs them all over it, and drops it when the last of them
+// finishes; nothing is kept past the call. This relies on the
+// WorkloadBuilder contract (deterministic builds, protocols safe for
+// concurrent use). Runs with a caller-built protocol, graph or builder
+// (WorkloadSpec.Protocol or Build, TopologySpec.Graph or Build) build
+// their own, as Runner.Run does.
 type Grid struct {
 	// Cells are the grid points, in definition order.
 	Cells []GridCell
@@ -491,15 +506,10 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 		}
 		for _, res := range restored {
 			if prog != nil {
-				cell := g.Cells[res.Index]
-				trials := cell.Trials
-				if trials < 1 {
-					trials = 1
-				}
 				prog.emit(GridProgress{
 					Event: GridCellRestored,
 					Cell:  res.Index, Cells: len(g.Cells),
-					Key: res.Key, Trials: trials,
+					Key: res.Key, Trials: g.Cells[res.Index].trials(),
 				})
 			}
 			if sink != nil {
@@ -516,6 +526,7 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 		return nil
 	}
 
+	memo := planSetups(g.Cells, pending)
 	workers := g.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -548,7 +559,7 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 					return
 				}
 				i := pending[slot]
-				res, err := r.runGridCellRetrying(ctx, g, i, prog)
+				res, err := r.runGridCellRetrying(ctx, g, i, prog, memo)
 				mu.Lock()
 				if err != nil && g.OnCellError == QuarantineCells && ctx.Err() == nil {
 					// Quarantine: record and stream the failure, keep the
@@ -627,10 +638,12 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 // attempt re-derives the same trial seeds (so a retried success is
 // bit-identical to a first-try success), recovered panics count as
 // ordinary attempt failures, and cancellation is returned immediately
-// rather than retried.
-func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *progressEmitter) (GridCellResult, error) {
+// rather than retried. The cell's uses of shared set-ups end with its
+// last attempt.
+func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *progressEmitter, memo *setupMemo) (GridCellResult, error) {
+	defer memo.release(g.Cells[i])
 	for attempt := 1; ; attempt++ {
-		res, err := r.runGridCellOnce(ctx, g.Cells[i], i, len(g.Cells), g.KeepResults, prog)
+		res, err := r.runGridCellOnce(ctx, g.Cells[i], i, len(g.Cells), g.KeepResults, prog, memo)
 		res.Attempts = attempt
 		if err == nil || attempt > g.Retries {
 			return res, err
@@ -655,7 +668,7 @@ func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *p
 // closures, observers — comes back as a *CellPanicError instead of
 // crashing the pool, so the retry and quarantine machinery can treat it
 // like any other cell failure.
-func (r *Runner) runGridCellOnce(ctx context.Context, cell GridCell, index, total int, keep bool, prog *progressEmitter) (res GridCellResult, err error) {
+func (r *Runner) runGridCellOnce(ctx context.Context, cell GridCell, index, total int, keep bool, prog *progressEmitter, memo *setupMemo) (res GridCellResult, err error) {
 	key := cell.key()
 	defer func() {
 		if p := recover(); p != nil {
@@ -668,7 +681,7 @@ func (r *Runner) runGridCellOnce(ctx context.Context, cell GridCell, index, tota
 			err = &CellPanicError{Cell: index, Key: key, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return r.runGridCell(ctx, cell, index, total, keep, prog)
+	return r.runGridCell(ctx, cell, index, total, keep, prog, memo)
 }
 
 // CollectGrid is RunGrid buffered into a slice: it runs the grid and
@@ -706,17 +719,155 @@ func (c GridCell) key() GridKey {
 	return k
 }
 
-// runGridCell executes one cell's trials and aggregates them.
-func (r *Runner) runGridCell(ctx context.Context, cell GridCell, index, total int, keep bool, prog *progressEmitter) (GridCellResult, error) {
-	key := cell.key()
-	trials := cell.Trials
-	if trials < 1 {
-		trials = 1
-	}
-	step := cell.SeedStep
+// trials is the cell's trial count (Trials, where zero means 1).
+func (c GridCell) trials() int { return max(c.Trials, 1) }
+
+// seed is trial t's seed: Scenario.Seed + t·SeedStep, where a zero step
+// means 1.
+func (c GridCell) seed(t int) int64 {
+	step := c.SeedStep
 	if step == 0 {
 		step = 1
 	}
+	return c.Scenario.Seed + int64(t)*step
+}
+
+// setupKey names a protocol set-up that runs can share. Section 2.1
+// fixes Π's speaking order in advance, independent of the inputs, so Π,
+// its schedule, its graph and its noiseless reference depend only on
+// these fields — never on the scheme, the noise or the delay.
+type setupKey struct {
+	topology string
+	n        int
+	workload string // "" is stored as "random"
+	rounds   int    // a non-positive scale (the 30·n default) is stored as 0
+	seed     int64
+}
+
+// shareKey returns sc's set-up key, and false when sc's set-up cannot be
+// shared: only a registered workload on a registered topology family has
+// a name to compare; a caller-built protocol, graph or builder has none.
+func (sc Scenario) shareKey() (setupKey, bool) {
+	t, w := sc.Topology, sc.Workload
+	if t.Name == "" || t.Graph != nil || t.Build != nil || w.Protocol != nil || w.Build != nil {
+		return setupKey{}, false
+	}
+	k := setupKey{topology: t.Name, n: t.N, workload: w.Name, rounds: max(w.Rounds, 0), seed: sc.Seed}
+	if k.workload == "" {
+		k.workload = "random"
+	}
+	return k, true
+}
+
+// setupMemo shares protocol set-ups among the cells and trials of one
+// RunGrid call. It holds only the keys that two or more of the grid's
+// pending runs name, and drops an entry once the last cell naming it has
+// finished, so nothing outlives the call and a long-lived Runner holds
+// no set-up without pending users. A nil memo shares nothing.
+type setupMemo struct {
+	mu      sync.Mutex
+	entries map[setupKey]*sharedSetup
+}
+
+// sharedSetup is one memoized set-up. The first user builds it under
+// mu; later users wait and reuse it. A build that fails or panics stores
+// nothing, so the next user builds again and reports its own error.
+type sharedSetup struct {
+	uses int // planned runs not yet released; guarded by setupMemo.mu
+	mu   sync.Mutex
+	su   setup
+}
+
+// planSetups counts the set-up keys of the pending cells' trials and
+// returns a memo of those named more than once, or nil if none is.
+func planSetups(cells []GridCell, pending []int) *setupMemo {
+	var entries map[setupKey]*sharedSetup
+	for _, i := range pending {
+		cell := cells[i]
+		sc := cell.Scenario
+		for t := 0; t < cell.trials(); t++ {
+			sc.Seed = cell.seed(t)
+			k, ok := sc.shareKey()
+			if !ok {
+				break // every trial of the cell differs only in its seed
+			}
+			if entries == nil {
+				entries = make(map[setupKey]*sharedSetup)
+			}
+			e := entries[k]
+			if e == nil {
+				e = &sharedSetup{}
+				entries[k] = e
+			}
+			e.uses++
+		}
+	}
+	for k, e := range entries {
+		if e.uses < 2 {
+			delete(entries, k)
+		}
+	}
+	if len(entries) == 0 {
+		return nil
+	}
+	return &setupMemo{entries: entries}
+}
+
+// setup returns sc's shared set-up, building it on first use, or the
+// zero setup when the memo does not share sc's.
+func (m *setupMemo) setup(sc Scenario) (setup, error) {
+	if m == nil {
+		return setup{}, nil
+	}
+	k, ok := sc.shareKey()
+	if !ok {
+		return setup{}, nil
+	}
+	m.mu.Lock()
+	e := m.entries[k]
+	m.mu.Unlock()
+	if e == nil {
+		return setup{}, nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.su.proto == nil {
+		proto, g, err := sc.materialize()
+		if err != nil {
+			return setup{}, err
+		}
+		e.su = setup{proto: proto, g: g, ref: core.Reference(proto)}
+	}
+	return e.su, nil
+}
+
+// release ends the cell's planned uses, dropping each entry whose last
+// use this was.
+func (m *setupMemo) release(cell GridCell) {
+	if m == nil {
+		return
+	}
+	sc := cell.Scenario
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for t := 0; t < cell.trials(); t++ {
+		sc.Seed = cell.seed(t)
+		k, ok := sc.shareKey()
+		if !ok {
+			return
+		}
+		if e := m.entries[k]; e != nil {
+			if e.uses--; e.uses == 0 {
+				delete(m.entries, k)
+			}
+		}
+	}
+}
+
+// runGridCell executes one cell's trials and aggregates them.
+func (r *Runner) runGridCell(ctx context.Context, cell GridCell, index, total int, keep bool, prog *progressEmitter, memo *setupMemo) (GridCellResult, error) {
+	key := cell.key()
+	trials := cell.trials()
 	out := GridCellResult{
 		Index: index,
 		Key:   key,
@@ -725,7 +876,7 @@ func (r *Runner) runGridCell(ctx context.Context, cell GridCell, index, total in
 	agg := &out.Cell
 	for trial := 0; trial < trials; trial++ {
 		sc := cell.Scenario
-		sc.Seed = cell.Scenario.Seed + int64(trial)*step
+		sc.Seed = cell.seed(trial)
 		if prog != nil {
 			// The progress observer rides the same Observer hooks user
 			// scenarios attach through; appending to a copy keeps the
@@ -737,7 +888,7 @@ func (r *Runner) runGridCell(ctx context.Context, cell GridCell, index, total in
 			}}
 			sc.Observers = append(append([]Observer(nil), sc.Observers...), tp)
 		}
-		res, err := r.Run(ctx, sc)
+		res, err := r.run(ctx, sc, memo)
 		if err != nil {
 			return out, fmt.Errorf("grid cell n=%d scheme=%v rate=%g trial=%d: %w",
 				key.N, key.Scheme, key.Rate, trial, err)

@@ -73,6 +73,10 @@ type Options struct {
 	// and a recycled chunking, and gets them back when the run ends (see
 	// Arena).
 	Arena *Arena
+	// Reference, if non-nil, is Protocol's noiseless reference run (see
+	// Reference), and Run skips its own. A grid shares one among the runs
+	// that simulate the same Π.
+	Reference *protocol.Reference
 }
 
 // WhiteBoxStats reports the collision attacker's bookkeeping.
@@ -129,17 +133,11 @@ func Run(opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := opts.Protocol.Graph()
-	if g.N() < 2 {
-		return nil, errors.New("core: need at least two parties")
-	}
-	sched := opts.Protocol.Schedule()
-	if sched.TotalBits() == 0 {
-		return nil, errors.New("core: protocol has no communication")
-	}
-	if err := sched.Validate(g); err != nil {
+	if err := checkProtocol(opts.Protocol); err != nil {
 		return nil, err
 	}
+	g := opts.Protocol.Graph()
+	sched := opts.Protocol.Schedule()
 
 	chunking := opts.Arena.chunking(opts.Protocol, p.ChunkBits)
 	defer opts.Arena.releaseChunking(chunking)
@@ -205,7 +203,9 @@ func Run(opts Options) (*Result, error) {
 		}
 		e.codec = codec
 		lay.exchangeRounds = codec.CodewordBits()
-		// One receiving endpoint per edge: the higher-id one.
+		// One sending endpoint per edge, the lower-id one, and one
+		// receiving endpoint, the higher-id one.
+		e.exchSendSlab = make([]byte, g.M()*lay.exchangeRounds)
 		e.exchRecvSlab = make([]byte, g.M()*lay.exchangeRounds)
 		e.exchErasedSlab = make([]bool, g.M()*lay.exchangeRounds)
 	}
@@ -280,7 +280,10 @@ func Run(opts Options) (*Result, error) {
 		}
 		eng.SetTiming(opts.Delay, wired)
 	}
-	ref := protocol.RunReference(opts.Protocol)
+	ref := opts.Reference
+	if ref == nil {
+		ref = protocol.RunReference(opts.Protocol)
+	}
 
 	res := &Result{
 		Metrics:    metrics,
@@ -396,6 +399,29 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// checkProtocol rejects a protocol Run cannot simulate.
+func checkProtocol(proto protocol.Protocol) error {
+	g := proto.Graph()
+	if g.N() < 2 {
+		return errors.New("core: need at least two parties")
+	}
+	sched := proto.Schedule()
+	if sched.TotalBits() == 0 {
+		return errors.New("core: protocol has no communication")
+	}
+	return sched.Validate(g)
+}
+
+// Reference runs Π's noiseless reference, for Options.Reference. It
+// returns nil for a protocol Run rejects, so that Run reports the reason
+// instead of the reference run failing first.
+func Reference(proto protocol.Protocol) *protocol.Reference {
+	if checkProtocol(proto) != nil {
+		return nil
+	}
+	return protocol.RunReference(proto)
 }
 
 // cancelled reports a context's cancellation as its error, tolerating a

@@ -43,9 +43,11 @@ type env struct {
 	// Exchange mode only. rng is the one private-randomness generator of
 	// the run: the first sender takes it from the pool at its own key,
 	// every later one reseeds it with its own, and Run hands it back once
-	// the parties are built. exchRecvSlab and exchErasedSlab hold one
-	// codeword's room per receiving link, cut off in party order.
+	// the parties are built. exchSendSlab, exchRecvSlab and
+	// exchErasedSlab hold one codeword's room per sending or receiving
+	// link, cut off in party order.
 	rng            *rand.Rand
+	exchSendSlab   []byte
 	exchRecvSlab   []byte
 	exchErasedSlab []bool
 
@@ -210,17 +212,19 @@ func (p *party) initSeeds() {
 				}
 				seeded = true
 			}
-			seed := make([]byte, seedBits)
+			seed := make([]byte, seedBits) // stays on the stack
 			for i := range seed {
 				seed[i] = byte(p.env.rng.Intn(2))
 			}
-			enc, err := p.env.codec.EncodeBits(seed)
+			cw := p.env.codec.CodewordBits()
+			enc, err := p.env.codec.AppendBits(p.env.exchSendSlab[:0:cw], seed)
 			if err != nil {
 				// The codec is sized for seedBits at construction; an
 				// error here is a programming bug, not a runtime state.
 				panic(err)
 			}
 			ls.exchSend = enc
+			p.env.exchSendSlab = p.env.exchSendSlab[cw:]
 			a, b := seedToWords(seed)
 			p.env.bindSource(ls, p.env.newSource(a, b))
 		} else {

@@ -33,30 +33,35 @@ func NewBitCodec(msgBits, n, k int) (*BitCodec, error) {
 func (c *BitCodec) CodewordBits() int { return c.blocks * c.rs.N * 8 }
 
 // EncodeBits encodes msg (exactly msgBits 0/1 bytes) to CodewordBits()
-// channel bits.
+// channel bits, in a new slice.
 func (c *BitCodec) EncodeBits(msg []byte) ([]byte, error) {
+	return c.AppendBits(make([]byte, 0, c.CodewordBits()), msg)
+}
+
+// AppendBits appends msg's CodewordBits() channel bits to dst and
+// returns the extended slice: EncodeBits for a caller that owns the
+// buffer. It allocates nothing when dst has the room.
+func (c *BitCodec) AppendBits(dst, msg []byte) ([]byte, error) {
 	if len(msg) != c.msgBits {
 		return nil, fmt.Errorf("ecc: message has %d bits, want %d", len(msg), c.msgBits)
 	}
-	packed := make([]byte, c.blocks*c.rs.K)
-	for i, b := range msg {
-		if b != 0 {
-			packed[i/8] |= 1 << uint(i%8)
-		}
-	}
-	out := make([]byte, 0, c.CodewordBits())
+	var word [255]byte // one RS block; NewRS caps N at 255
 	for blk := 0; blk < c.blocks; blk++ {
-		cw, err := c.rs.Encode(packed[blk*c.rs.K : (blk+1)*c.rs.K])
-		if err != nil {
-			return nil, err
+		// Pack the block's message bits, LSB first, then add its parity.
+		clear(word[:c.rs.K])
+		for i := blk * c.rs.K * 8; i < min(len(msg), (blk+1)*c.rs.K*8); i++ {
+			if msg[i] != 0 {
+				word[i/8-blk*c.rs.K] |= 1 << uint(i%8)
+			}
 		}
-		for _, sym := range cw {
+		c.rs.parity(word[:c.rs.N])
+		for _, sym := range word[:c.rs.N] {
 			for j := 0; j < 8; j++ {
-				out = append(out, sym>>uint(j)&1)
+				dst = append(dst, sym>>uint(j)&1)
 			}
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // DecodeBits reconstructs the message from received channel bits. erased

@@ -355,3 +355,77 @@ func bytesEq(a, b []byte) bool {
 	}
 	return true
 }
+
+// encodeBitsOracle is the encoder before AppendBits: pack the message
+// into a byte slice, divide each block by the generator, and emit the
+// message and parity symbols LSB first.
+func encodeBitsOracle(c *BitCodec, msg []byte) []byte {
+	packed := make([]byte, c.blocks*c.rs.K)
+	for i, b := range msg {
+		if b != 0 {
+			packed[i/8] |= 1 << uint(i%8)
+		}
+	}
+	var out []byte
+	for blk := 0; blk < c.blocks; blk++ {
+		data := packed[blk*c.rs.K : (blk+1)*c.rs.K]
+		rem := make([]byte, len(c.rs.gen)-1)
+		for _, m := range data {
+			factor := m ^ rem[0]
+			copy(rem, rem[1:])
+			rem[len(rem)-1] = 0
+			if factor != 0 {
+				for i := 1; i < len(c.rs.gen); i++ {
+					rem[i-1] ^= c.rs.gf.mul(c.rs.gen[i], factor)
+				}
+			}
+		}
+		for _, sym := range append(append([]byte(nil), data...), rem...) {
+			for j := 0; j < 8; j++ {
+				out = append(out, sym>>uint(j)&1)
+			}
+		}
+	}
+	return out
+}
+
+// TestAppendBitsMatchesOracle checks EncodeBits and AppendBits against
+// the pre-AppendBits encoder on one- and multi-block codecs, message
+// lengths that do and do not fill their last byte and block, and a dst
+// that already holds bits; AppendBits into a buffer with room allocates
+// nothing.
+func TestAppendBitsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, tc := range []struct{ bits, n, k int }{
+		{128, 31, 11}, {128, 31, 19}, {64, 15, 9}, {400, 15, 9}, {77, 15, 9}, {5, 7, 3}, {2000, 255, 223},
+	} {
+		c, err := NewBitCodec(tc.bits, tc.n, tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 20; trial++ {
+			msg := randBits(rng, tc.bits)
+			want := encodeBitsOracle(c, msg)
+			enc, err := c.EncodeBits(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytesEq(enc, want) {
+				t.Fatalf("%+v trial %d: EncodeBits differs from the oracle", tc, trial)
+			}
+			prefix := []byte{1, 0, 1}
+			got, err := c.AppendBits(append(make([]byte, 0, len(prefix)+len(want)), prefix...), msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytesEq(got[:len(prefix)], prefix) || !bytesEq(got[len(prefix):], want) {
+				t.Fatalf("%+v trial %d: AppendBits differs from the oracle", tc, trial)
+			}
+		}
+		msg := randBits(rng, tc.bits)
+		buf := make([]byte, 0, c.CodewordBits())
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = c.AppendBits(buf, msg) }); allocs != 0 {
+			t.Errorf("%+v: AppendBits with room allocates %.0f times", tc, allocs)
+		}
+	}
+}

@@ -37,8 +37,18 @@ func (c *RS) Encode(msg []byte) ([]byte, error) {
 	if len(msg) != c.K {
 		return nil, fmt.Errorf("ecc: message length %d, want %d", len(msg), c.K)
 	}
+	out := make([]byte, c.N)
+	copy(out, msg)
+	c.parity(out)
+	return out, nil
+}
+
+// parity fills word[K:N] with the parity symbols of the message in
+// word[:K], making word the systematic codeword.
+func (c *RS) parity(word []byte) {
 	// Polynomial long division of msg·x^(n-k) by gen; remainder is parity.
-	rem := make([]byte, len(c.gen)-1)
+	msg, rem := word[:c.K], word[c.K:c.N]
+	clear(rem)
 	for _, m := range msg {
 		factor := m ^ rem[0]
 		copy(rem, rem[1:])
@@ -49,10 +59,6 @@ func (c *RS) Encode(msg []byte) ([]byte, error) {
 			}
 		}
 	}
-	out := make([]byte, 0, c.N)
-	out = append(out, msg...)
-	out = append(out, rem...)
-	return out, nil
 }
 
 // Decode corrects recv in place (recv has length N; erasures lists the

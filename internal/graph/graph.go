@@ -151,16 +151,18 @@ func (g *Graph) MaxDegree() int {
 func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 
 // Edges returns all links with U < V, sorted lexicographically. The slice
-// is a copy and safe to modify.
+// is a copy and safe to modify. It takes O(m) with no sort: walking U in
+// ascending order over its already-ascending neighbors above U emits
+// that order directly.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, len(g.edges))
-	copy(out, g.edges)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	out := make([]Edge, 0, len(g.edges))
+	for u, nbrs := range g.adj {
+		for _, v := range nbrs {
+			if v > Node(u) {
+				out = append(out, Edge{U: Node(u), V: v})
+			}
 		}
-		return out[i].V < out[j].V
-	})
+	}
 	return out
 }
 

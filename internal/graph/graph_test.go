@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +112,52 @@ func TestEdgesSortedCanonical(t *testing.T) {
 			p := es[i-1]
 			if p.U > e.U || (p.U == e.U && p.V >= e.V) {
 				t.Error("edges not sorted")
+			}
+		}
+	}
+}
+
+// TestEdgesMatchSortedReference checks the sort-free Edges against the
+// edge list copied and sorted, its implementation before it walked the
+// adjacency, on every generator and on a graph whose edges were added
+// out of order; the returned slice must be a copy.
+func TestEdgesMatchSortedReference(t *testing.T) {
+	shuffled := New(6)
+	for _, e := range [][2]Node{{4, 1}, {0, 5}, {3, 2}, {2, 0}, {5, 1}, {1, 0}, {3, 4}} {
+		mustAdd(shuffled, e[0], e[1])
+	}
+	graphs := map[string]*Graph{
+		"line 9": Line(9), "ring 7": Ring(7), "star 8": Star(8), "clique 6": Clique(6),
+		"grid 3x4": Grid(3, 4), "tree 13/2": BalancedTree(13, 2), "tree 13/3": BalancedTree(13, 3),
+		"single": Line(1), "shuffled": shuffled,
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		graphs[fmt.Sprintf("random 12/%d", seed)] = RandomConnected(12, 10, rand.New(rand.NewSource(seed)))
+	}
+	for _, name := range []string{"line", "ring", "star", "clique", "tree", "random"} {
+		g, err := ByName(name, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs["ByName "+name] = g
+	}
+	for name, g := range graphs {
+		want := append([]Edge(nil), g.edges...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].U != want[j].U {
+				return want[i].U < want[j].U
+			}
+			return want[i].V < want[j].V
+		})
+		got := g.Edges()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: Edges() = %v, want %v", name, got, want)
+			continue
+		}
+		if len(got) > 0 {
+			got[0] = Edge{U: -1, V: -1}
+			if slices.Contains(g.Edges(), got[0]) {
+				t.Errorf("%s: Edges() shares its slice with the graph", name)
 			}
 		}
 	}

@@ -192,6 +192,11 @@ type View interface {
 // SendBit must be a deterministic function of the view restricted to
 // observations from rounds strictly before r — that is what lets the
 // coding schemes re-simulate a chunk after a rewind.
+//
+// Its methods must be safe for concurrent use: a grid runs one protocol
+// in several runs at once when its cells share a set-up. A protocol
+// whose fields are written only at construction meets this, as every
+// built-in workload does.
 type Protocol interface {
 	// Name identifies the workload in reports.
 	Name() string

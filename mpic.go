@@ -249,7 +249,9 @@ type ArenaStats = core.ArenaStats
 
 // Protocol is a noiseless multiparty protocol with a fixed speaking
 // order; implement it to simulate your own workloads. The aliases below
-// re-export everything an implementation needs.
+// re-export everything an implementation needs. Its methods must be
+// safe for concurrent use, since a grid may run one protocol in several
+// runs at once (see Grid).
 type Protocol = protocol.Protocol
 
 // Protocol-authoring building blocks.

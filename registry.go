@@ -28,12 +28,19 @@ import (
 // All registry operations are safe for concurrent use.
 
 // TopologyBuilder materializes a registered topology family at size n.
+// It must be deterministic in n: a grid shares one graph among the runs
+// that name the same family and size (see Grid).
 type TopologyBuilder func(n int) (*Graph, error)
 
 // WorkloadBuilder materializes a registered workload over a topology.
 // rounds is the requested workload scale (always positive — the scenario
 // layer fills the 30·n default before calling) and seed derives the
 // workload's inputs and randomness.
+//
+// A registered builder must be deterministic in (g, rounds, seed), and
+// the Protocol it returns safe for concurrent use: a grid builds each
+// distinct (topology, n, workload, rounds, seed) once and shares the
+// protocol among the cells and trials that name it (see Grid).
 type WorkloadBuilder func(g *Graph, rounds int, seed int64) (Protocol, error)
 
 // WorkloadDef describes a registered workload family.
@@ -118,7 +125,8 @@ func RegisterTopology(name string, build TopologyBuilder) error {
 }
 
 // RegisterWorkload adds a workload family under name. It fails on an
-// empty or already-registered name.
+// empty or already-registered name. The builder must meet the
+// WorkloadBuilder contract: grids share what it builds.
 func RegisterWorkload(name string, def WorkloadDef) error {
 	if def.Build == nil {
 		return fmt.Errorf("mpic: workload %q has no builder", name)

@@ -27,7 +27,18 @@ func NewRunner() *Runner { return &Runner{arena: core.NewArena()} }
 // context.Background() when cancellation is not needed. A nil Runner is
 // valid and runs without an arena.
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*Result, error) {
-	opts, noiseRng, err := sc.options()
+	return r.run(ctx, sc, nil)
+}
+
+// run is Run inside a grid: a scenario whose set-up the grid's memo
+// shares takes Π, its graph and its reference from the memo instead of
+// building them (a nil memo shares nothing).
+func (r *Runner) run(ctx context.Context, sc Scenario, memo *setupMemo) (*Result, error) {
+	su, err := memo.setup(sc)
+	if err != nil {
+		return nil, err
+	}
+	opts, noiseRng, err := sc.options(su)
 	if err != nil {
 		return nil, err
 	}

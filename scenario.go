@@ -7,6 +7,7 @@ import (
 	"mpic/internal/adversary"
 	"mpic/internal/core"
 	"mpic/internal/detrand"
+	"mpic/internal/protocol"
 	"mpic/internal/trace"
 )
 
@@ -451,15 +452,27 @@ func (sc Scenario) materialize() (Protocol, *Graph, error) {
 	return proto, g, nil
 }
 
-// options compiles the scenario into core run options. noiseRng is the
+// setup is a scenario's materialized protocol: Π, its graph and, when
+// a grid shares the set-up among its runs, Π's noiseless reference. The
+// zero value means "not built yet".
+type setup struct {
+	proto Protocol
+	g     *Graph
+	ref   *protocol.Reference
+}
+
+// options compiles the scenario into core run options, over su when it
+// is built and over a fresh materialize otherwise. noiseRng is the
 // pooled generator the noise was wired with (nil for a noiseless
 // scenario); the caller hands it back with detrand.PutRand once the run
 // returns. On error it is already back.
-func (sc Scenario) options() (opts core.Options, noiseRng *rand.Rand, err error) {
-	proto, g, err := sc.materialize()
-	if err != nil {
-		return core.Options{}, nil, err
+func (sc Scenario) options(su setup) (opts core.Options, noiseRng *rand.Rand, err error) {
+	if su.proto == nil {
+		if su.proto, su.g, err = sc.materialize(); err != nil {
+			return core.Options{}, nil, err
+		}
 	}
+	proto, g := su.proto, su.g
 	scheme := sc.Scheme
 	if scheme == 0 {
 		scheme = AlgorithmA
@@ -479,6 +492,7 @@ func (sc Scenario) options() (opts core.Options, noiseRng *rand.Rand, err error)
 	}
 	opts = core.Options{
 		Protocol:     proto,
+		Reference:    su.ref,
 		Params:       params,
 		WhiteBoxRate: sc.WhiteBoxRate,
 		Observers:    sc.Observers,
