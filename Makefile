@@ -19,15 +19,15 @@
 
 GO ?= go
 
-# Worker-pool width for `make sweep` (0 = GOMAXPROCS, 1 = sequential).
+# Worker-pool width for `make grid` (0 = GOMAXPROCS, 1 = sequential).
 # Grid results are bit-identical at any setting.
-SWEEP_PARALLEL ?= 0
+GRID_PARALLEL ?= 0
 
-# Session journal for `make sweep`: every completed cell is appended, and
+# Session journal for `make grid`: every completed cell is appended, and
 # re-running the same grid resumes instead of restarting.
-SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
+GRID_CHECKPOINT ?= GRID.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-tables bench-core bench-mem bench-cpu bench-protocol bench-epoch bench-kernel bench-seeds bench-net bench-store bench-serve sweep cover chaos lint serve-e2e crossbuild fuzz loc
+.PHONY: verify tier1 race examples bench bench-tables bench-core bench-mem bench-cpu bench-protocol bench-epoch bench-kernel bench-seeds bench-net bench-store bench-serve grid cover chaos lint serve-e2e crossbuild fuzz loc
 
 verify: tier1 lint race examples crossbuild
 
@@ -236,11 +236,9 @@ serve-e2e:
 chaos:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestChaos' -v .
 
-# Exercise the streaming grid engine on a small n × scheme × rate grid;
-# rows print as cells complete and land in the resumable checkpoint.
-# Tune concurrency with SWEEP_PARALLEL=k.
-sweep:
-	$(GO) run ./cmd/mpicbench -sweep -parallel $(SWEEP_PARALLEL) \
-		-sweep-checkpoint $(SWEEP_CHECKPOINT) \
-		-sweep-n 4,6 -sweep-schemes A,B \
-		-sweep-rates 0,0.001 -trials 2 -sweep-iterfactor 20
+# Exercise the streaming grid engine on the small n × scheme × rate grid
+# of examples/grid.json; rows print as cells complete and land in the
+# resumable checkpoint. Tune concurrency with GRID_PARALLEL=k.
+grid:
+	$(GO) run ./cmd/mpicbench -grid examples/grid.json -parallel $(GRID_PARALLEL) \
+		-checkpoint $(GRID_CHECKPOINT)

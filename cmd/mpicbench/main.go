@@ -16,47 +16,38 @@
 // table runs its cells on GOMAXPROCS workers (GOMAXPROCS=1 runs them one
 // at a time); the rows are the same at any width.
 //
-// The -sweep flag switches the command to a streaming grid run instead
-// of the named experiments: a cartesian product over party counts,
-// schemes and noise rates, executed by the parallel grid engine
-// (mpic.Runner.RunGrid) with each row printed the moment its cell
+// The -grid flag runs a streaming grid instead of the named
+// experiments: the spec in the named file, the JSON body mpicserve's
+// POST /sessions takes (package gridspec; omitted fields take its
+// defaults). Its cells — party counts × schemes × noise rates, × delay
+// models when the spec has a "delay" field — run on the parallel grid
+// engine (mpic.Runner.RunGrid), and each row prints the moment its cell
 // completes. -parallel bounds the worker pool (0 = GOMAXPROCS, 1 =
-// sequential); results are bit-identical at any setting, only row order
-// and wall clock change. Example:
+// sequential); rows are bit-identical at any setting, only their order
+// changes:
 //
-//	mpicbench -sweep -sweep-n 4,6 -sweep-schemes A,B -sweep-rates 0,0.002 -trials 2
+//	mpicbench -grid examples/grid.json -parallel 2
 //
-// -parallel and the -sweep-* flags, like -delay, -netfaults and
-// -fail-fast below, apply to sweep mode only: experiment mode rejects
-// them instead of ignoring them.
-//
-// In sweep mode, -delay adds a fourth grid axis of network delay models
-// (comma-separated name[:param], run on the virtual-time executor; the
-// table gains a delay column) and -netfaults layers a deterministic
-// network-fault schedule — outages, delay spikes, stragglers, crash-stop
-// parties — onto every cell:
-//
-//	mpicbench -sweep -sweep-n 6 -delay unit,jitter:0.5,lognormal:0.3 \
-//	    -netfaults outage=0.01,stragglers=1 -trials 2
+// Each mode rejects the other's flags instead of ignoring them. Grid
+// mode takes -grid, -checkpoint, -retries, -fail-fast and -parallel; its
+// trials and seed are fields of the spec.
 //
 // The -retries flag gives every failed grid cell that many extra
 // attempts, each run at once (retried results are bit-identical to
-// first-try ones); in sweep mode -fail-fast=false additionally
+// first-try ones); in grid mode -fail-fast=false additionally
 // quarantines cells that exhaust the budget — the grid finishes, failed
 // cells print as ERROR rows, and the command exits with code 3 (partial
 // success) instead of 1 (hard failure).
 //
-// The -sweep-checkpoint flag makes long grids resumable through the
-// library's durable-session layer (mpic.FileGridStore): every completed
-// cell is appended to the named session journal as one checksummed
-// record, keyed by (n, scheme, rate), under a header holding a
-// fingerprint of the grid flags. Re-running the same command after an interruption restores
-// the checkpointed cells without re-running them and executes only the
-// rest; a checkpoint written by different grid flags is rejected. The
-// -checkpoint flag is the experiment-mode equivalent: a directory in
-// which every experiment grid persists its cells, so an interrupted
-// `-experiment all` resumes the tables it finished. Restored cells are
-// bit-identical to re-run ones, so a resumed -json artefact is
+// The -checkpoint flag makes long runs resumable through the library's
+// durable-session layer (mpic.FileGridStore). In grid mode it names a
+// session journal file: every completed cell is appended as one
+// checksummed record under a header holding the spec's fingerprint
+// (gridspec.Grid.Spec), a re-run restores those cells and runs only the
+// rest, and a journal written by a different grid is rejected. In
+// experiment mode it names a directory of per-grid journals, so an
+// interrupted `-experiment all` resumes the tables it finished. Restored
+// cells are bit-identical to re-run ones, so a resumed -json artefact is
 // byte-identical to a fresh one.
 package main
 
@@ -68,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"mpic"
@@ -75,7 +67,7 @@ import (
 	"mpic/internal/gridspec"
 )
 
-// Exit codes: 0 — clean success; 3 — a -sweep grid in quarantine mode
+// Exit codes: 0 — clean success; 3 — a -grid run in quarantine mode
 // (-fail-fast=false) finished with failed cells (partial success: the
 // printed healthy rows are valid); 1 — hard failure (bad flags, a run
 // error in fail-fast mode).
@@ -92,95 +84,65 @@ func main() {
 	os.Exit(1)
 }
 
+// modeFlags lists the flags each mode takes; any other flag set on the
+// command line is an error rather than silently ignored.
+var modeFlags = map[string][]string{
+	"experiment": {"experiment", "trials", "seed", "quick", "json", "checkpoint", "retries"},
+	"grid":       {"grid", "checkpoint", "retries", "fail-fast", "parallel"},
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("mpicbench", flag.ContinueOnError)
 	var (
 		name     = fs.String("experiment", "all", "experiment name or 'all': "+strings.Join(experiments.Names(), ", "))
-		trials   = fs.Int("trials", 10, "trials per measured cell")
-		seed     = fs.Int64("seed", 1, "base random seed")
-		quick    = fs.Bool("quick", false, "smaller sizes and trial counts")
-		jsonPath = fs.String("json", "", "also write results as JSON to this file")
-		ckptDir  = fs.String("checkpoint", "", "experiment mode: directory of resumable per-grid checkpoints (interrupted tables resume instead of restarting)")
+		trials   = fs.Int("trials", 10, "experiment mode: trials per measured cell")
+		seed     = fs.Int64("seed", 1, "experiment mode: base random seed")
+		quick    = fs.Bool("quick", false, "experiment mode: smaller sizes and trial counts")
+		jsonPath = fs.String("json", "", "experiment mode: also write results as JSON to this file")
+		ckpt     = fs.String("checkpoint", "", "resume instead of restarting: experiment mode, a directory of per-grid session journals; grid mode, the session journal file")
 		retries  = fs.Int("retries", 0, "re-run a failed grid cell up to this many extra times (run at once; retried results are bit-identical)")
-		failFast = fs.Bool("fail-fast", true, "sweep mode: stop on the first failed cell; =false quarantines failed cells, finishes the grid, and exits with code 3")
-
-		doSweep    = fs.Bool("sweep", false, "run a streaming grid instead of the named experiments")
-		swTopology = fs.String("sweep-topology", "", "sweep: topology family ("+strings.Join(mpic.TopologyNames(), "|")+"; default: the workload's)")
-		swWorkload = fs.String("sweep-workload", "random", "sweep: workload family ("+strings.Join(mpic.WorkloadNames(), "|")+")")
-		swRounds   = fs.Int("sweep-rounds", 0, "sweep: workload rounds (0 = default)")
-		swNoise    = fs.String("sweep-noise", "random", "sweep: noise family ("+strings.Join(mpic.NoiseNames(), "|")+")")
-		swN        = fs.String("sweep-n", "4,6", "sweep: comma-separated party counts")
-		swSchemes  = fs.String("sweep-schemes", "A", "sweep: comma-separated schemes (1|A|B|C)")
-		swRates    = fs.String("sweep-rates", "0.001", "sweep: comma-separated noise rates")
-		swIters    = fs.Int("sweep-iterfactor", 30, "sweep: iteration budget multiplier")
-		swParallel = fs.Int("parallel", 0, "sweep: concurrent cells (0 = GOMAXPROCS, 1 = sequential)")
-		swCkpt     = fs.String("sweep-checkpoint", "", "sweep: incremental JSON checkpoint file; an existing one resumes the grid")
-		swHashMode = fs.String("sweep-hashmode", "", "sweep: prefix-hash seed discipline for every cell (epoch|legacy; empty = the library default, epoch)")
-		swEpochR   = fs.Int("sweep-epoch-refresh", 0, "sweep: epoch mode's seed-refresh interval R in iterations (0 = default)")
-		swDelay    = fs.String("delay", "", "sweep: comma-separated delay models (name[:param], "+strings.Join(mpic.DelayNames(), "|")+") run as a fourth grid axis; empty = lockstep")
-		swNetFlt   = fs.String("netfaults", "", "sweep: network-fault schedule applied to every cell, comma-separated k=v (outage, spike, stragglers, crashes, ...)")
+		gridPath = fs.String("grid", "", "run the grid spec in this JSON file (the body mpicserve's POST /sessions takes) instead of the named experiments")
+		failFast = fs.Bool("fail-fast", true, "grid mode: stop on the first failed cell; =false quarantines failed cells, finishes the grid, and exits with code 3")
+		parallel = fs.Int("parallel", 0, "grid mode: concurrent cells (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *trials < 1 {
-		return fmt.Errorf("-trials must be at least 1, got %d", *trials)
+	mode := "experiment"
+	if *gridPath != "" {
+		mode = "grid"
+	}
+	var flagErr error
+	fs.Visit(func(fl *flag.Flag) {
+		if flagErr == nil && !slices.Contains(modeFlags[mode], fl.Name) {
+			flagErr = fmt.Errorf("-%s does not apply in %s mode (it takes -%s)", fl.Name, mode, strings.Join(modeFlags[mode], ", -"))
+		}
+	})
+	if flagErr != nil {
+		return flagErr
 	}
 	if *retries < 0 {
 		return fmt.Errorf("-retries must be non-negative, got %d", *retries)
 	}
-	if !*doSweep {
-		// Quarantine is a streaming-grid mode: a named experiment's table
-		// is meaningless with holes in it, so experiment mode always fails
-		// fast and the flag is rejected rather than ignored. The network
-		// timing flags are likewise sweep-only: the named experiments pin
-		// the paper's lockstep tables. So are -parallel and every -sweep-*
-		// flag: the tables define their own grids.
-		var flagErr error
-		fs.Visit(func(fl *flag.Flag) {
-			switch {
-			case fl.Name == "fail-fast":
-				flagErr = fmt.Errorf("-fail-fast applies to -sweep mode only (experiment tables always fail fast)")
-			case fl.Name == "delay", fl.Name == "netfaults":
-				flagErr = fmt.Errorf("-%s applies to -sweep mode only (experiment tables pin the lockstep network)", fl.Name)
-			case fl.Name == "parallel", strings.HasPrefix(fl.Name, "sweep-"):
-				flagErr = fmt.Errorf("-%s applies to -sweep mode only (experiment tables define their own grids)", fl.Name)
-			}
-		})
-		if flagErr != nil {
-			return flagErr
+	if mode == "grid" {
+		if *parallel < 0 {
+			return fmt.Errorf("-parallel must be non-negative (0 = GOMAXPROCS, 1 = sequential), got %d", *parallel)
 		}
-	}
-	if *doSweep {
-		ratesSet := false
-		var flagErr error
-		fs.Visit(func(fl *flag.Flag) {
-			switch fl.Name {
-			case "sweep-rates":
-				ratesSet = true
-			case "json", "experiment", "quick", "checkpoint":
-				// Dropping these silently would leave a -json artefact
-				// unwritten (or a -quick grid running at full cost);
-				// reject the combination loudly instead.
-				flagErr = fmt.Errorf("-%s is not supported in -sweep mode", fl.Name)
-			}
-		})
-		if flagErr != nil {
-			return flagErr
+		f, err := os.Open(*gridPath)
+		if err != nil {
+			return err
 		}
-		return runSweep(os.Stdout, sweepFlags{
-			Grid: gridspec.Grid{
-				Topology: *swTopology, Workload: *swWorkload, Rounds: *swRounds,
-				Noise: *swNoise, N: *swN, Schemes: *swSchemes, Rates: *swRates,
-				IterFactor: *swIters, Trials: *trials, Seed: *seed,
-				HashMode: *swHashMode, EpochRefresh: *swEpochR,
-				Delay: *swDelay, NetFaults: *swNetFlt,
-			},
-			ratesSet: ratesSet, parallel: *swParallel, checkpoint: *swCkpt,
-			retries: *retries, failFast: *failFast,
-		})
+		spec, err := gridspec.Decode(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", *gridPath, err)
+		}
+		return runGrid(os.Stdout, spec, gridRun{checkpoint: *ckpt, parallel: *parallel, retries: *retries, failFast: *failFast})
 	}
-	cfg := experiments.Config{Trials: *trials, Seed: *seed, Quick: *quick, Checkpoint: *ckptDir, Retries: *retries}
+	if *trials < 1 {
+		return fmt.Errorf("-trials must be at least 1, got %d", *trials)
+	}
+	cfg := experiments.Config{Trials: *trials, Seed: *seed, Quick: *quick, Checkpoint: *ckpt, Retries: *retries}
 	var tables []*experiments.Table
 	if *name == "all" {
 		var err error
@@ -213,54 +175,48 @@ func writeJSON(path string, tables []*experiments.Table) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// sweepFlags carries the -sweep-* flag values: the grid-defining ones
-// as a shared gridspec.Grid (the same struct mpicserve accepts as a
-// JSON body), plus the execution-only flags that shape how — not what —
-// the grid runs.
-type sweepFlags struct {
-	gridspec.Grid
-	// ratesSet records whether -sweep-rates was given explicitly, so a
-	// rate axis that would silently vanish (noise "none") errors instead.
-	ratesSet bool
+// gridRun carries the grid-mode flags, which shape how — not what —
+// a grid runs, so they stay out of the spec and its fingerprint.
+type gridRun struct {
+	// checkpoint, when set, is the session journal file.
+	checkpoint string
 	// parallel bounds the engine's worker pool (0 = GOMAXPROCS).
 	parallel int
-	// checkpoint, when set, is the incremental JSON checkpoint file.
-	checkpoint string
 	// retries is the extra attempts a failed cell gets; failFast=false
 	// quarantines cells that still fail instead of aborting the grid.
 	retries  int
 	failFast bool
 }
 
-// runSweep executes the cartesian grid through the streaming parallel
-// engine, printing one markdown row per cell as it completes. When a
-// checkpoint file is configured, the grid runs as a durable session
-// (mpic.FileGridStore under the flag fingerprint): every finished cell
-// is persisted by the engine, and a re-run restores the completed cells
-// — streamed first, in definition order — before executing the rest.
-func runSweep(w io.Writer, f sweepFlags) error {
-	// The grid-defining flags resolve through the shared spec parser
-	// (internal/gridspec) — the same code path mpicserve submissions
-	// take, including the checkpoint fingerprint.
-	grid, err := f.Grid.Build()
+// runGrid normalizes and builds a decoded spec and executes it through
+// the streaming parallel engine, printing one markdown row per cell as
+// it completes. When a checkpoint file is configured, the grid runs as
+// a durable session (mpic.FileGridStore under the spec's fingerprint):
+// every finished cell is persisted by the engine, and a re-run restores
+// the completed cells — streamed first, in definition order — before
+// executing the rest.
+func runGrid(w io.Writer, spec gridspec.Grid, r gridRun) error {
+	// An explicit rate axis must be seen before Normalize fills in the
+	// default one.
+	ratesSet := spec.Rates != ""
+	spec = spec.Normalize()
+	grid, err := spec.Build()
 	if err != nil {
 		return err
 	}
 	base := grid.Cells[0].Scenario
-	if base.Noise == nil && f.ratesSet {
-		return fmt.Errorf("-sweep-rates has no effect with -sweep-noise %q; pick a noise model to sweep rates over", f.Noise)
+	if base.Noise == nil && ratesSet {
+		return fmt.Errorf("rates has no effect with noise %q; pick a noise model to sweep rates over", spec.Noise)
 	}
-	grid.Workers = f.parallel
-	if f.checkpoint != "" {
-		// The library owns the resume flow; the flag fingerprint is the
-		// session's spec (Build sets it), so a checkpoint written by
-		// different grid flags is rejected instead of silently merged.
-		// Retry/quarantine flags stay out of the spec: they change fault
-		// handling, never results.
-		grid.Store = mpic.NewFileGridStore(f.checkpoint)
+	grid.Workers = r.parallel
+	if r.checkpoint != "" {
+		// The library owns the resume flow; the spec's fingerprint is the
+		// session's spec (Build sets it), so a checkpoint written by a
+		// different grid is rejected instead of silently merged.
+		grid.Store = mpic.NewFileGridStore(r.checkpoint)
 	}
-	grid.Retries = f.retries
-	if !f.failFast {
+	grid.Retries = r.retries
+	if !r.failFast {
 		grid.OnCellError = mpic.QuarantineCells
 	}
 
@@ -268,10 +224,10 @@ func runSweep(w io.Writer, f sweepFlags) error {
 	// moment it completes (restored cells first, in definition order).
 	// Row order under -parallel is completion order; the n/scheme/rate
 	// columns are the row identity, exactly like the checkpoint keys.
-	title := fmt.Sprintf("grid: %s workload over %s, noise %s", f.Workload, base.Topology.Name, f.Noise)
+	title := fmt.Sprintf("grid: %s workload over %s, noise %s", spec.Workload, base.Topology.Name, spec.Noise)
 	// The delay column appears only when the delay axis is in use, so
-	// lockstep sweeps keep their historical table shape.
-	withDelay := f.Delay != ""
+	// lockstep grids keep their historical table shape.
+	withDelay := spec.Delay != ""
 	header := []string{"n", "scheme", "noise rate", "success", "mean blowup",
 		"mean iterations", "corruptions"}
 	if withDelay {
@@ -300,7 +256,7 @@ func runSweep(w io.Writer, f sweepFlags) error {
 		if res.Restored {
 			restored++
 		}
-		fmt.Fprintln(w, sweepRow(res.Cell, withDelay))
+		fmt.Fprintln(w, gridRow(res.Cell, withDelay))
 	})
 	var gridFail *mpic.GridFailure
 	if err != nil && !errors.As(err, &gridFail) {
@@ -308,7 +264,7 @@ func runSweep(w io.Writer, f sweepFlags) error {
 	}
 	fmt.Fprintln(w)
 	if restored > 0 {
-		fmt.Fprintf(w, "*restored %d of %d cells from %s*\n", restored, len(grid.Cells), f.checkpoint)
+		fmt.Fprintf(w, "*restored %d of %d cells from %s*\n", restored, len(grid.Cells), r.checkpoint)
 	}
 	if failed > 0 {
 		fmt.Fprintf(w, "*quarantined %d of %d cells; they are not checkpointed and will re-run on resume*\n", failed, len(grid.Cells))
@@ -316,9 +272,9 @@ func runSweep(w io.Writer, f sweepFlags) error {
 	return err
 }
 
-// sweepRow formats one completed cell as a markdown table row; withDelay
+// gridRow formats one completed cell as a markdown table row; withDelay
 // inserts the delay-axis column after the rate.
-func sweepRow(c mpic.SweepCell, withDelay bool) string {
+func gridRow(c mpic.SweepCell, withDelay bool) string {
 	cols := []string{
 		fmt.Sprint(c.N),
 		c.Scheme.String(),

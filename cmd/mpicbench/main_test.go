@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,34 +48,74 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// specFile writes a grid spec to a fresh file and returns its path.
+func specFile(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// captureStdout runs f with os.Stdout redirected to a file and returns
+// what it printed there.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	old := os.Stdout
+	os.Stdout = tmp
+	defer func() { os.Stdout = old }()
+	f()
+	data, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 func TestRunSweepGrid(t *testing.T) {
-	if err := run([]string{"-sweep", "-sweep-n", "4", "-sweep-schemes", "A",
-		"-sweep-rates", "0,0.001", "-trials", "1", "-sweep-iterfactor", "10"}); err != nil {
+	if err := run([]string{"-grid", specFile(t, `{"n":"4","schemes":"A","rates":"0,0.001","trials":1,"iterfactor":10}`)}); err != nil {
 		t.Fatal(err)
 	}
 	// An explicit rate axis with no noise model to apply it to must fail
 	// instead of printing a table whose rate column silently reads 0.
-	if err := run([]string{"-sweep", "-sweep-noise", "none", "-sweep-rates", "0.001"}); err == nil {
-		t.Error("-sweep-rates with -sweep-noise none accepted")
+	if err := run([]string{"-grid", specFile(t, `{"noise":"none","rates":"0.001"}`)}); err == nil {
+		t.Error("rates with noise none accepted")
 	}
 	// Noise "none" without an explicit rate axis is a plain noiseless grid.
-	if err := run([]string{"-sweep", "-sweep-noise", "none", "-sweep-n", "4",
-		"-trials", "1", "-sweep-iterfactor", "10"}); err != nil {
-		t.Fatalf("noiseless sweep: %v", err)
+	if err := run([]string{"-grid", specFile(t, `{"noise":"none","n":"4","trials":1,"iterfactor":10}`)}); err != nil {
+		t.Fatalf("noiseless grid: %v", err)
 	}
-	// A fixed-topology workload with the default (empty) -sweep-topology
+	// A fixed-topology workload with the default (empty) topology
 	// resolves to its own family, exactly like mpicsim.
-	if err := run([]string{"-sweep", "-sweep-workload", "token-ring", "-sweep-n", "4,5",
-		"-trials", "1", "-sweep-iterfactor", "10"}); err != nil {
-		t.Fatalf("token-ring sweep with default topology: %v", err)
+	if err := run([]string{"-grid", specFile(t, `{"workload":"token-ring","n":"4,5","trials":1,"iterfactor":10}`)}); err != nil {
+		t.Fatalf("token-ring grid with default topology: %v", err)
 	}
-	if err := run([]string{"-sweep", "-sweep-schemes", "Z"}); err == nil {
-		t.Error("bad sweep scheme accepted")
+	if err := run([]string{"-grid", specFile(t, `{"schemes":"Z"}`)}); err == nil {
+		t.Error("bad grid scheme accepted")
 	}
-	// The experiment-mode artefact flag has no meaning on a sweep grid;
+	// The experiment-mode artefact flag has no meaning on a grid;
 	// combining the two must fail rather than silently skip the artefact.
-	if err := run([]string{"-sweep", "-json", "x.json"}); err == nil {
-		t.Error("-json in sweep mode accepted")
+	if err := run([]string{"-grid", specFile(t, `{}`), "-json", "x.json"}); err == nil {
+		t.Error("-json in grid mode accepted")
+	}
+	// The spec file is read as strictly as mpicserve reads a POST body.
+	for body, want := range map[string]string{
+		`{"nope":"x"}`:       "unknown field",
+		`{"n":"4"}{"n":"6"}`: "data after the spec object",
+		`{"n":"4"`:           "unexpected EOF",
+	} {
+		if err := run([]string{"-grid", specFile(t, body)}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("spec %s: got %v, want an error containing %q", body, err, want)
+		}
+	}
+	if err := run([]string{"-grid", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
+		t.Error("missing spec file accepted")
 	}
 }
 
@@ -92,74 +133,94 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 // TestRunRetryFlags pins the fault-tolerance knobs: -retries is valid in
-// both modes (a healthy run is unaffected), -fail-fast is sweep-only,
+// both modes (a healthy run is unaffected), -fail-fast is grid-only,
 // and a negative budget is rejected.
 func TestRunRetryFlags(t *testing.T) {
-	if err := run([]string{"-sweep", "-sweep-n", "4", "-sweep-rates", "0", "-trials", "1",
-		"-sweep-iterfactor", "10", "-retries", "2", "-fail-fast=false"}); err != nil {
-		t.Fatalf("healthy quarantine-mode sweep: %v", err)
+	if err := run([]string{"-grid", specFile(t, `{"n":"4","rates":"0","trials":1,"iterfactor":10}`),
+		"-retries", "2", "-fail-fast=false"}); err != nil {
+		t.Fatalf("healthy quarantine-mode grid: %v", err)
 	}
 	if err := run([]string{"-experiment", "rewind-wave", "-quick", "-trials", "1", "-retries", "1"}); err != nil {
 		t.Fatalf("experiment mode with -retries: %v", err)
 	}
 	if err := run([]string{"-experiment", "rewind-wave", "-fail-fast=false"}); err == nil ||
-		!strings.Contains(err.Error(), "-sweep mode only") {
-		t.Errorf("-fail-fast outside sweep mode: got %v", err)
+		!strings.Contains(err.Error(), "-fail-fast does not apply in experiment mode") {
+		t.Errorf("-fail-fast outside grid mode: got %v", err)
 	}
 	if err := run([]string{"-retries", "-2"}); err == nil || !strings.Contains(err.Error(), "non-negative") {
 		t.Errorf("negative -retries: got %v", err)
 	}
 }
 
-// TestRunRejectsTrialsBelowOne pins that a -trials below 1, which no
-// setting means, is refused in both modes before anything runs: no
-// table is computed and no checkpoint is opened.
+// TestRunRejectsTrialsBelowOne pins that a trial count below 1, which
+// no setting means, is refused in both modes before anything runs: no
+// table is computed and no checkpoint is opened. In grid mode the count
+// is the spec's (an omitted or zero one is the default, 10), and the
+// -trials flag is an experiment-mode flag.
 func TestRunRejectsTrialsBelowOne(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ckpt")
-	sweepCkpt := filepath.Join(dir, "sweep.ckpt.json")
-	for _, args := range [][]string{
-		{"-experiment", "rewind-wave", "-quick", "-trials", "0", "-checkpoint", ckpt},
-		{"-experiment", "rewind-wave", "-quick", "-trials", "-3", "-checkpoint", ckpt},
-		{"-sweep", "-sweep-n", "4", "-trials", "0", "-sweep-checkpoint", sweepCkpt},
-		{"-sweep", "-sweep-n", "4", "-trials", "-2", "-sweep-checkpoint", sweepCkpt},
+	gridCkpt := filepath.Join(dir, "grid.ckpt.json")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-experiment", "rewind-wave", "-quick", "-trials", "0", "-checkpoint", ckpt}, "-trials must be at least 1"},
+		{[]string{"-experiment", "rewind-wave", "-quick", "-trials", "-3", "-checkpoint", ckpt}, "-trials must be at least 1"},
+		{[]string{"-grid", specFile(t, `{"n":"4"}`), "-trials", "0", "-checkpoint", gridCkpt}, "-trials does not apply in grid mode"},
+		{[]string{"-grid", specFile(t, `{"n":"4","trials":-2}`), "-checkpoint", gridCkpt}, "trials: must be non-negative"},
 	} {
-		if err := run(args); err == nil || !strings.Contains(err.Error(), "-trials must be at least 1") {
-			t.Errorf("%v: got %v, want an error naming -trials", args, err)
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
-	for _, path := range []string{ckpt, sweepCkpt} {
+	for _, path := range []string{ckpt, gridCkpt} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("rejected -trials still created %s (stat: %v)", path, err)
 		}
 	}
 }
 
-// TestRunExperimentRejectsSweepFlags pins that experiment mode refuses
-// the grid flags it would otherwise drop: -parallel and every -sweep-*
-// flag. A -sweep-checkpoint given there must not leave the run looking
-// checkpointed while writing nothing.
+// TestRunExperimentRejectsSweepFlags pins that each mode refuses the
+// flags of the other instead of dropping them: experiment mode the
+// grid-only -parallel, -fail-fast and -grid, grid mode the
+// experiment-only flags (its trials and seed are spec fields). A
+// rejected run prints nothing and leaves the -checkpoint it was given
+// unwritten, and so does a negative -parallel, which once printed the
+// table header and then failed in the engine.
 func TestRunExperimentRejectsSweepFlags(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck")
-	for _, args := range [][]string{
-		{"-parallel", "2"},
-		{"-sweep-checkpoint", ck},
-		{"-sweep-n", "4"},
-		{"-sweep-rates", "0"},
-		{"-sweep-hashmode", "legacy"},
+	spec := specFile(t, `{"n":"4","rates":"0","trials":1,"iterfactor":10}`)
+	experiment := []string{"-experiment", "rewind-wave", "-quick", "-trials", "1", "-checkpoint", ck}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{append(experiment, "-parallel", "2"), "-parallel does not apply in experiment mode"},
+		{append(experiment, "-fail-fast=false"), "-fail-fast does not apply in experiment mode"},
+		{append(experiment, "-grid", ""), "-grid does not apply in experiment mode"},
+		{[]string{"-grid", spec, "-checkpoint", ck, "-json", "x.json"}, "-json does not apply in grid mode"},
+		{[]string{"-grid", spec, "-checkpoint", ck, "-experiment", "table1"}, "-experiment does not apply in grid mode"},
+		{[]string{"-grid", spec, "-checkpoint", ck, "-quick"}, "-quick does not apply in grid mode"},
+		{[]string{"-grid", spec, "-checkpoint", ck, "-seed", "2"}, "-seed does not apply in grid mode"},
+		{[]string{"-grid", spec, "-checkpoint", ck, "-parallel", "-1"}, "-parallel must be non-negative"},
 	} {
-		err := run(append([]string{"-experiment", "rewind-wave", "-quick", "-trials", "1"}, args...))
-		if err == nil || !strings.Contains(err.Error(), "-sweep mode only") {
-			t.Errorf("experiment mode with %v: got %v, want a sweep-only error", args, err)
+		var err error
+		out := captureStdout(t, func() { err = run(tc.args) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
+		}
+		if out != "" {
+			t.Errorf("%v: rejected run printed %q", tc.args, out)
 		}
 	}
 	if _, err := os.Stat(ck); !os.IsNotExist(err) {
-		t.Errorf("rejected -sweep-checkpoint still created %s (stat: %v)", ck, err)
+		t.Errorf("rejected run still created %s (stat: %v)", ck, err)
 	}
 }
 
 // failWireNoise is a rate-parameterized noise family whose wiring
-// always errors — it drives the sweep sink's failure path without
+// always errors — it drives the grid sink's failure path without
 // touching the engine.
 type failWireNoise struct{ rate float64 }
 
@@ -170,8 +231,8 @@ func (failWireNoise) Wire(mpic.NoiseEnv) (mpic.WiredNoise, error) {
 }
 
 // TestRunSweepQuarantineOutput drives the failure path through the
-// sweep sink: every cell's wiring errors, quarantine mode prints ERROR
-// markdown rows plus the quarantine note, and runSweep returns the
+// grid sink: every cell's wiring errors, quarantine mode prints ERROR
+// markdown rows plus the quarantine note, and runGrid returns the
 // *mpic.GridFailure that main maps to exit code 3.
 func TestRunSweepQuarantineOutput(t *testing.T) {
 	if err := mpic.RegisterNoise("bench-test-failwire", func(rate float64) mpic.NoiseSpec {
@@ -179,15 +240,16 @@ func TestRunSweepQuarantineOutput(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f := sweepTestFlags("")
-	f.Noise = "bench-test-failwire"
-	f.retries = 1
-	f.failFast = false
+	spec := gridTestSpec()
+	spec.Noise = "bench-test-failwire"
+	r := gridTestRun("")
+	r.retries = 1
+	r.failFast = false
 	var out strings.Builder
-	err := runSweep(&out, f)
+	err := runGrid(&out, spec, r)
 	var gf *mpic.GridFailure
 	if !errors.As(err, &gf) {
-		t.Fatalf("quarantined sweep returned %v, want *mpic.GridFailure", err)
+		t.Fatalf("quarantined grid returned %v, want *mpic.GridFailure", err)
 	}
 	if len(gf.Report.Failed) != 2 {
 		t.Fatalf("report lists %d failed cells, want 2", len(gf.Report.Failed))
@@ -203,20 +265,19 @@ func TestRunSweepQuarantineOutput(t *testing.T) {
 	}
 }
 
-// sweepTestFlags mirrors the flag defaults of run() for direct runSweep
-// calls (which let tests capture the streamed output).
-func sweepTestFlags(checkpoint string) sweepFlags {
-	return sweepFlags{
-		Grid: gridspec.Grid{
-			Workload: "random", Noise: "random",
-			N: "4", Schemes: "A", Rates: "0,0.001",
-			IterFactor: 10, Trials: 1, Seed: 1,
-		},
-		ratesSet: true, parallel: 1, checkpoint: checkpoint, failFast: true,
-	}
+// gridTestSpec is a small two-cell grid as a decoded spec file holds it,
+// for direct runGrid calls (which let tests capture the streamed output).
+func gridTestSpec() gridspec.Grid {
+	return gridspec.Grid{N: "4", Rates: "0,0.001", IterFactor: 10, Trials: 1}
 }
 
-// rowLines extracts the markdown data rows from a streamed sweep output.
+// gridTestRun is the grid-mode flag set of run()'s defaults, with one
+// worker so rows stream in definition order.
+func gridTestRun(checkpoint string) gridRun {
+	return gridRun{checkpoint: checkpoint, parallel: 1, failFast: true}
+}
+
+// rowLines extracts the markdown data rows from a streamed grid output.
 func rowLines(out string) []string {
 	var rows []string
 	for _, line := range strings.Split(out, "\n") {
@@ -238,7 +299,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 
 	// A complete run: every cell lands in the checkpoint.
 	var fresh strings.Builder
-	if err := runSweep(&fresh, sweepTestFlags(full)); err != nil {
+	if err := runGrid(&fresh, gridTestSpec(), gridTestRun(full)); err != nil {
 		t.Fatal(err)
 	}
 	version, spec := checkpointHeader(t, full)
@@ -260,7 +321,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resumed strings.Builder
-	if err := runSweep(&resumed, sweepTestFlags(partial)); err != nil {
+	if err := runGrid(&resumed, gridTestSpec(), gridTestRun(partial)); err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
 	if !strings.Contains(resumed.String(), "restored 1 of 2 cells") {
@@ -282,18 +343,18 @@ func TestSweepCheckpointResume(t *testing.T) {
 
 	// A fully checkpointed grid restores everything and runs nothing.
 	var done strings.Builder
-	if err := runSweep(&done, sweepTestFlags(partial)); err != nil {
+	if err := runGrid(&done, gridTestSpec(), gridTestRun(partial)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(done.String(), "restored 2 of 2 cells") {
 		t.Fatalf("complete checkpoint not fully restored:\n%s", done.String())
 	}
 
-	// A checkpoint written by different grid flags must be rejected, not
+	// A checkpoint written by a different grid must be rejected, not
 	// silently merged.
-	other := sweepTestFlags(partial)
+	other := gridTestSpec()
 	other.Rates = "0,0.002"
-	if err := runSweep(io.Discard, other); err == nil || !strings.Contains(err.Error(), "different grid") {
+	if err := runGrid(io.Discard, other, gridTestRun(partial)); err == nil || !strings.Contains(err.Error(), "different grid") {
 		t.Fatalf("mismatched checkpoint spec accepted: %v", err)
 	}
 }
@@ -327,7 +388,7 @@ func TestSweepCheckpointVersionRejected(t *testing.T) {
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := runSweep(io.Discard, sweepTestFlags(path))
+	err := runGrid(io.Discard, gridTestSpec(), gridTestRun(path))
 	if err == nil || !strings.Contains(err.Error(), "format version") {
 		t.Fatalf("legacy checkpoint accepted: %v", err)
 	}
@@ -367,23 +428,75 @@ func TestRunExperimentCheckpoint(t *testing.T) {
 	if string(first) != string(fresh) || string(resumed) != string(fresh) {
 		t.Fatalf("artefacts differ:\nfresh:   %s\nfirst:   %s\nresumed: %s", fresh, first, resumed)
 	}
-	// The flag belongs to experiment mode; a sweep grid uses
-	// -sweep-checkpoint instead.
-	if err := run([]string{"-sweep", "-checkpoint", dir}); err == nil {
-		t.Error("-checkpoint in sweep mode accepted")
+	// In grid mode the flag names a session journal file, not a
+	// directory of them.
+	spec := specFile(t, `{"n":"4","rates":"0","trials":1,"iterfactor":10}`)
+	if err := run([]string{"-grid", spec, "-checkpoint", dir}); err == nil {
+		t.Error("a directory as the grid-mode -checkpoint accepted")
 	}
 }
 
-// TestRunSweepParallelAndCheckpointFlags exercises the new flags through
-// the real flag parser.
+// TestRunSweepParallelAndCheckpointFlags exercises the grid-mode flags
+// through the real flag parser.
 func TestRunSweepParallelAndCheckpointFlags(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.json")
-	if err := run([]string{"-sweep", "-sweep-n", "4", "-sweep-schemes", "A",
-		"-sweep-rates", "0,0.001", "-trials", "1", "-sweep-iterfactor", "10",
-		"-parallel", "2", "-sweep-checkpoint", ck}); err != nil {
+	spec := specFile(t, `{"n":"4","schemes":"A","rates":"0,0.001","trials":1,"iterfactor":10}`)
+	if err := run([]string{"-grid", spec, "-parallel", "2", "-checkpoint", ck}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(ck); err != nil {
 		t.Fatalf("checkpoint not written: %v", err)
+	}
+}
+
+// TestGridResumesSweepEraJournal pins compatibility with the session
+// journals the retired `mpicbench -sweep -sweep-checkpoint FILE` wrote:
+// testdata/sweep-era.journal is one, written by `-sweep -sweep-n 4
+// -sweep-rates 0,0.001 -trials 1 -sweep-iterfactor 10`, and
+// testdata/sweep-era.json is the same grid as a spec. Its fingerprint is
+// the journal's, so -grid restores every cell, runs none, and prints
+// the rows of a fresh run.
+func TestGridResumesSweepEraJournal(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "sweep-era.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "sweep-era.journal")
+	if err := os.WriteFile(journal, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join("testdata", "sweep-era.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := gridspec.Decode(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, want := checkpointHeader(t, journal); spec.Normalize().Spec() != want {
+		t.Fatalf("spec fingerprint %q, journal %q", spec.Normalize().Spec(), want)
+	}
+
+	var resumed, fresh strings.Builder
+	if err := runGrid(&resumed, spec, gridTestRun(journal)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resumed.String(), "restored 2 of 2 cells") {
+		t.Fatalf("sweep-era journal not fully restored:\n%s", resumed.String())
+	}
+	// Nothing re-ran: the engine saves each fresh cell, and the journal
+	// gained no line.
+	if after, err := os.ReadFile(journal); err != nil || string(after) != string(data) {
+		t.Fatalf("resume changed the journal (%v):\n%s", err, after)
+	}
+	if err := runGrid(&fresh, spec, gridTestRun("")); err != nil {
+		t.Fatal(err)
+	}
+	freshRows, resumedRows := rowLines(fresh.String()), rowLines(resumed.String())
+	slices.Sort(freshRows)
+	slices.Sort(resumedRows)
+	if len(freshRows) != 2 || !slices.Equal(freshRows, resumedRows) {
+		t.Fatalf("restored rows differ from a fresh run:\nfresh:   %q\nresumed: %q", freshRows, resumedRows)
 	}
 }

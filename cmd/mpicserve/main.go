@@ -1,6 +1,6 @@
 // Command mpicserve is the grid execution service: a long-lived HTTP
-// server that accepts grid specifications over JSON — the same fields
-// the mpicbench -sweep-* flags take — runs each as a durable session
+// server that accepts grid specifications over JSON — the same spec
+// `mpicbench -grid FILE` reads from a file — runs each as a durable session
 // under a data directory, and streams the engine's fine-grained progress
 // over Server-Sent Events.
 //

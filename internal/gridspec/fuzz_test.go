@@ -2,23 +2,20 @@ package gridspec
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 )
 
-// FuzzGridBuild feeds request bodies through the grid service's parse
-// path — a DisallowUnknownFields decode, Normalize, Build — and checks
+// FuzzGridBuild feeds grid specs through the parse path every spec
+// takes — Decode, Normalize, Build — and checks
 // the contract: the result is an error or a grid, every cell of a grid
 // has at least one party and a finite, non-negative rate, the grid
 // carries the normalized spec's fingerprint, and nothing panics. Plain `go test` replays the seed
 // corpus in testdata/fuzz/FuzzGridBuild; `make fuzz` explores further.
 func FuzzGridBuild(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var g Grid
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&g); err != nil {
+		g, err := Decode(bytes.NewReader(body))
+		if err != nil {
 			return
 		}
 		g = g.Normalize()

@@ -1,14 +1,17 @@
 // Package gridspec is the one parser for scenario and grid
 // specifications shared by the CLIs (cmd/mpicsim, cmd/mpicbench) and
 // the grid service (cmd/mpicserve). Each spec is a flat struct of
-// strings and scalars — the shape of a flag set and of a JSON request
-// body alike — resolved through the library's four open registries
-// (topology / workload / noise / delay), so the same field values parse
-// identically whether they arrive on a command line or over HTTP.
+// strings and scalars resolved through the library's four open
+// registries (topology / workload / noise / delay). A Scenario is
+// mpicsim's flag set; a Grid is a JSON object, and Decode is the one
+// reader of it, whether it arrives as an mpicserve request body, a
+// persisted session's spec.json or an `mpicbench -grid` file.
 package gridspec
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -134,10 +137,9 @@ const defaultSeedStep = 7907
 // memory before a single cell ran.
 const maxCells = 1 << 16
 
-// Grid is a cartesian grid specification — the sweep-shaping flags of
-// `mpicbench -sweep`, by their flag names, with list-valued axes as
-// comma-separated strings. The JSON tags make the struct double as the
-// grid service's request body.
+// Grid is a cartesian grid specification, with list-valued axes as
+// comma-separated strings. Its JSON form is the body of mpicserve's
+// POST /sessions and the file `mpicbench -grid` reads; Decode reads it.
 type Grid struct {
 	Topology   string `json:"topology,omitempty"`
 	Workload   string `json:"workload,omitempty"`
@@ -162,9 +164,28 @@ type Grid struct {
 	SeedStep int64 `json:"seedstep,omitempty"`
 }
 
-// Normalize fills the fields a service submission may omit with the
-// same defaults the mpicbench flag set declares, so an HTTP body and a
-// bare `-sweep` invocation describe the same grid.
+// Decode reads one grid spec in its JSON form. A field this build does
+// not know is an error, and so is anything but whitespace after the
+// object; read errors stay matchable (errors.As). It does not Normalize.
+func Decode(r io.Reader) (Grid, error) {
+	var g Grid
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
+		return Grid{}, err
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("%v", tok)
+		}
+		return Grid{}, fmt.Errorf("data after the spec object: %w", err)
+	}
+	return g, nil
+}
+
+// Normalize fills the fields a spec may omit with their defaults. They
+// are the retired `mpicbench -sweep` flags' defaults, so a journal that
+// command wrote resumes under the same grid given as a spec.
 func (g Grid) Normalize() Grid {
 	if g.Workload == "" {
 		g.Workload = "random"
@@ -222,8 +243,11 @@ func (g Grid) Spec() string {
 // that order; an empty scheme or delay axis keeps the scenario default.
 // The rate axis applies only when the scenario has a noise model at all;
 // callers that want to reject a useless rate axis loudly (mpicbench does,
-// for an explicit -sweep-rates flag) check the cells' Noise themselves.
+// for an explicit rates field) check the cells' Noise themselves.
 func (g Grid) Build() (mpic.Grid, error) {
+	if g.Trials < 0 {
+		return mpic.Grid{}, fmt.Errorf("trials: must be non-negative (0 = the default), got %d", g.Trials)
+	}
 	ns, err := ParseInts(g.N)
 	if err != nil {
 		return mpic.Grid{}, fmt.Errorf("n: %w", err)

@@ -1,10 +1,13 @@
 package gridspec
 
 import (
+	"errors"
+	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"mpic"
 )
@@ -208,6 +211,7 @@ func TestGridSweepErrors(t *testing.T) {
 		"rates=+Inf":      {N: "4", Rates: "+Inf", Workload: "random", Trials: 1},
 		"rates=-0.01":     {N: "4", Rates: "-0.01", Workload: "random", Trials: 1},
 		"late rate=NaN":   {N: "4", Rates: "0,NaN", Workload: "random", Trials: 1},
+		"trials=-2":       {N: "4", Workload: "random", Trials: -2},
 	} {
 		if _, err := g.Build(); err == nil {
 			t.Errorf("%s accepted", name)
@@ -250,5 +254,44 @@ func TestParseHelpers(t *testing.T) {
 	}
 	if _, err := (Grid{N: "", Workload: "random"}).Build(); err == nil || !strings.Contains(err.Error(), "n:") {
 		t.Error("empty n accepted")
+	}
+}
+
+// TestDecode pins the one reader of a grid spec: a single JSON object,
+// optionally surrounded by whitespace, with only fields Grid declares.
+// Trailing data once ran the first of two concatenated grids silently.
+func TestDecode(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want Grid
+		err  string
+	}{
+		{body: `{"n":"4","trials":2}`, want: Grid{N: "4", Trials: 2}},
+		{body: " \n{\"n\":\"4\"}\n\t ", want: Grid{N: "4"}},
+		{body: `{}`, want: Grid{}},
+		{body: ``, err: "EOF"},
+		{body: `{not json`, err: "invalid character"},
+		{body: `{"nope":"x"}`, err: "unknown field"},
+		{body: `{"n":"4"}{"n":"6"}`, err: "data after the spec object"},
+		{body: `{"n":"4"} x`, err: "data after the spec object"},
+		{body: `{"n":"4"}]`, err: "data after the spec object"},
+		{body: `{"n":"4"} 7`, err: "data after the spec object"},
+		{body: `[{"n":"4"}]`, err: "cannot unmarshal"},
+	} {
+		g, err := Decode(strings.NewReader(tc.body))
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("Decode(%q): %v", tc.body, err)
+		case tc.err == "" && g != tc.want:
+			t.Errorf("Decode(%q) = %+v, want %+v", tc.body, g, tc.want)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("Decode(%q) = %+v, %v; want an error containing %q", tc.body, g, err, tc.err)
+		}
+	}
+	// A read error is wrapped, not replaced, so callers can match it.
+	sentinel := errors.New("read failed")
+	_, err := Decode(io.MultiReader(strings.NewReader(`{"n":"4"} `), iotest.ErrReader(sentinel)))
+	if !errors.Is(err, sentinel) {
+		t.Errorf("read error after the object: got %v, want it wrapped", err)
 	}
 }

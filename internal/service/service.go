@@ -1,10 +1,10 @@
 // Package service is the grid execution service behind cmd/mpicserve: a
-// long-lived HTTP server that accepts grid specifications (the same
-// gridspec.Grid struct the CLIs parse from flags), runs each as a
-// durable session under a data directory — one Runner.RunGrid call on a
-// worker pool over a FileGridStore journal — and streams the engine's
-// fine-grained progress to any number of clients over Server-Sent
-// Events.
+// long-lived HTTP server that accepts grid specifications (a
+// gridspec.Grid as JSON, the same file `mpicbench -grid` reads), runs
+// each as a durable session under a data directory — one Runner.RunGrid
+// call on a worker pool over a FileGridStore journal — and streams the
+// engine's fine-grained progress to any number of clients over
+// Server-Sent Events.
 //
 // Sessions are content-addressed: the session ID is a hash of the
 // grid's checkpoint fingerprint, so submitting the same spec twice
@@ -155,25 +155,28 @@ func (s *Server) resume() error {
 		if !e.IsDir() {
 			continue
 		}
-		specPath := filepath.Join(s.opts.DataDir, e.Name(), "spec.json")
-		data, err := os.ReadFile(specPath)
+		dir := filepath.Join(s.opts.DataDir, e.Name())
+		f, err := os.Open(filepath.Join(dir, "spec.json"))
 		if err != nil {
 			if os.IsNotExist(err) {
 				continue // not a session directory
 			}
 			return err
 		}
-		var g gridspec.Grid
-		if err := json.Unmarshal(data, &g); err != nil {
-			return fmt.Errorf("service: parsing %s: %w", specPath, err)
+		g, err := gridspec.Decode(f)
+		f.Close()
+		var sess *session
+		if err == nil {
+			sess, _, err = s.open(g)
 		}
-		sess, _, err := s.open(g)
 		if err != nil {
-			// A spec persisted by an older build may name something this
-			// build no longer runs (a retired hash mode, say); the session
-			// cannot resume, and only the operator may discard its results.
+			// A spec persisted by another build may name something this
+			// build does not run (a retired hash mode, a field it does not
+			// know, whose loss would address a different session); the
+			// session cannot resume, and only the operator may discard its
+			// results.
 			return fmt.Errorf("service: session directory %s cannot resume: %w (delete the directory and restart to drop the session)",
-				filepath.Join(s.opts.DataDir, e.Name()), err)
+				dir, err)
 		}
 		s.opts.Logf("service: resumed session %s (%d cells)", sess.id, sess.cells)
 	}
@@ -577,10 +580,8 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 		writeJSON(w, http.StatusOK, infos)
 	case http.MethodPost:
-		var g gridspec.Grid
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&g); err != nil {
+		g, err := gridspec.Decode(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		if err != nil {
 			code := http.StatusBadRequest
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {

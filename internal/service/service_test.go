@@ -529,6 +529,41 @@ func TestServiceRejectsRetiredSpec(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsUnknownSpecField pins that a persisted spec.json is
+// read as strictly as a POST body. A field this build does not know
+// once was dropped on resume: the reduced spec addressed a different
+// session, which New created beside the old directory and ran from
+// scratch, orphaning the old journal. Now New fails, names the
+// directory and the field, and creates nothing.
+func TestServiceRejectsUnknownSpecField(t *testing.T) {
+	dataDir := t.TempDir()
+	dir := filepath.Join(dataDir, "0123456789abcdef")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"workload":"random","noise":"random","n":"4","schemes":"A","rates":"0.001","trials":1,"seed":1,"iterfactor":10,"future":"x"}`
+	if err := os.WriteFile(filepath.Join(dir, "spec.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{DataDir: dataDir, Workers: 1})
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("New resumed a session whose spec has an unknown field")
+	}
+	for _, want := range []string{dir, `"future"`, "delete the directory and restart"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	entries, err := os.ReadDir(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("data directory holds %d entries after the failed resume, want only the old session", len(entries))
+	}
+}
+
 // TestServiceRejectsRetiredSessionLayout pins the restart path for a
 // session directory written before the session journal: a session whose
 // store still holds the two-ledger cells.json/leases.json layout fails
@@ -622,8 +657,9 @@ func TestServiceBadRequests(t *testing.T) {
 	// grid whose cells panicked in the graph constructor). NaN, infinite
 	// and huge (above a billion rounds) delay or fault parameters are
 	// rejected too (a NaN delay once wedged the virtual-time engine; a
-	// 1e308 one was filed in the wrong histogram bucket).
-	for _, body := range []string{"{not json", `{"nope":"x"}`, `{"schemes":"Z"}`, `{"n":"0"}`, `{"n":"-3"}`, `{"hashmode":"incremental"}`,
+	// 1e308 one was filed in the wrong histogram bucket). A second spec
+	// object after the first once ran the first grid silently.
+	for _, body := range []string{"{not json", `{"nope":"x"}`, `{"n":"4"}{"n":"6"}`, `{"schemes":"Z"}`, `{"n":"0"}`, `{"n":"-3"}`, `{"hashmode":"incremental"}`,
 		`{"delay":"lognormal:NaN"}`, `{"delay":"jitter:Inf"}`, `{"netfaults":"spike=NaN"}`, `{"netfaults":"spike=0.01,spike-delay=NaN"}`,
 		`{"delay":"jitter:1e308"}`, `{"netfaults":"spike=0.01,spike-delay=1e308"}`} {
 		resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(body))

@@ -65,9 +65,9 @@
 // scheduling never leaks into results. Cells are
 // keyed by (n, scheme, rate) — GridKey — which is how streamed,
 // shuffled, and resumed runs merge; CollectGrid buffers the results in
-// definition order. The experiment harness (internal/experiments) and
-// both CLIs (mpicbench -sweep, mpicsim -trials) declare cells and let
-// the engine execute them.
+// definition order. The experiment harness (internal/experiments), both
+// CLIs (mpicbench -grid, mpicsim -trials) and the grid service
+// (cmd/mpicserve) declare cells and let the engine execute them.
 //
 // # Durable sessions
 //
