@@ -106,6 +106,9 @@ func run(args []string) error {
 		parallel = fs.Int("parallel", 0, "grid mode: concurrent cells (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the flag set printed the usage
+		}
 		return err
 	}
 	mode := "experiment"

@@ -60,16 +60,20 @@ func specFile(t *testing.T, body string) string {
 
 // captureStdout runs f with os.Stdout redirected to a file and returns
 // what it printed there.
-func captureStdout(t *testing.T, f func()) string {
+func captureStdout(t *testing.T, f func()) string { return capture(t, &os.Stdout, f) }
+
+// capture runs f with *std (os.Stdout or os.Stderr) redirected to a file
+// and returns what it printed there.
+func capture(t *testing.T, std **os.File, f func()) string {
 	t.Helper()
-	tmp, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tmp.Close()
-	old := os.Stdout
-	os.Stdout = tmp
-	defer func() { os.Stdout = old }()
+	old := *std
+	*std = tmp
+	defer func() { *std = old }()
 	f()
 	data, err := os.ReadFile(tmp.Name())
 	if err != nil {
@@ -116,6 +120,19 @@ func TestRunSweepGrid(t *testing.T) {
 	}
 	if err := run([]string{"-grid", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Error("missing spec file accepted")
+	}
+}
+
+// TestRunHelp pins that -h prints the usage on the flag set's output
+// (stderr) and succeeds, so the process exits 0.
+func TestRunHelp(t *testing.T) {
+	var err error
+	out := capture(t, &os.Stderr, func() { err = run([]string{"-h"}) })
+	if err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(out, "Usage of mpicbench") || !strings.Contains(out, "-grid") {
+		t.Errorf("-h printed %q, want the usage", out)
 	}
 }
 

@@ -52,6 +52,9 @@ func run(args []string) error {
 		retries = fs.Int("retries", 0, "extra attempts per failed cell before it is quarantined")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the flag set printed the usage
+		}
 		return err
 	}
 	if *dataDir == "" {

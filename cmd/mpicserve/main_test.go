@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,4 +25,37 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
 	}
+}
+
+// TestRunHelp pins that -h prints the usage on the flag set's output
+// (stderr) and succeeds, so the process exits 0 without serving.
+func TestRunHelp(t *testing.T) {
+	var err error
+	out := captureStderr(t, func() { err = run([]string{"-h"}) })
+	if err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(out, "Usage of mpicserve") || !strings.Contains(out, "-data") {
+		t.Errorf("-h printed %q, want the usage", out)
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected to a file and returns
+// what it printed there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	old := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = old }()
+	f()
+	data, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

@@ -99,6 +99,9 @@ func run(w io.Writer, args []string) error {
 		retries  = fs.Int("retries", 0, "with -trials > 1: re-run a failed trial up to this many extra times, then quarantine it and finish the batch (exit code 3 on partial success)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the flag set printed the usage
+		}
 		return err
 	}
 	// The flag values resolve through the shared spec parser — the same

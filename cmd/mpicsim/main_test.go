@@ -58,6 +58,39 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunHelp pins that -h prints the usage on the flag set's output
+// (stderr) and succeeds, so the process exits 0.
+func TestRunHelp(t *testing.T) {
+	var err error
+	out := captureStderr(t, func() { err = run(io.Discard, []string{"-h"}) })
+	if err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(out, "Usage of mpicsim") || !strings.Contains(out, "-topology") {
+		t.Errorf("-h printed %q, want the usage", out)
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected to a file and returns
+// what it printed there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	old := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = old }()
+	f()
+	data, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 func TestParseScheme(t *testing.T) {
 	for _, s := range []string{"1", "A", "a", "B", "b", "C", "c"} {
 		if _, err := mpic.ParseScheme(s); err != nil {

@@ -85,11 +85,15 @@ type Grid struct {
 	// GridCellResult — for consumers that need per-run detail (potential
 	// trajectories, round counts) beyond the SweepCell aggregate. Off by
 	// default: a long grid's Results would otherwise pin every
-	// transcript's metrics in memory. With a Store set, a KeepResults
-	// grid also persists the serializable core of each trial's Result
-	// (see StoredResult), so restored cells stream their Results back and
-	// trajectory consumers resume without re-running — minus the fields a
-	// checkpoint cannot carry (Outputs, Arena).
+	// transcript's metrics in memory. Without it a run records no
+	// potential trajectory, so the Result a RunEndObserver or a
+	// GridTrialDone event sees has a nil Potential; the per-iteration
+	// snapshots still reach observers and GridIteration events. With a
+	// Store set, a KeepResults grid also persists the serializable core
+	// of each trial's Result (see StoredResult), so restored cells stream
+	// their Results back and trajectory consumers resume without
+	// re-running — minus the fields a checkpoint cannot carry (Outputs,
+	// Arena).
 	KeepResults bool
 	// Store, when non-nil, makes the grid a durable session: completed
 	// cells already persisted under this grid's spec are restored (and
@@ -217,7 +221,8 @@ const (
 	// GridIteration: the trial finished one iteration; Iteration is its
 	// 0-based index and Stats the live per-iteration snapshot.
 	GridIteration
-	// GridTrialDone: the trial finished; Result is its outcome.
+	// GridTrialDone: the trial finished; Result is its outcome (its
+	// Potential is nil unless Grid.KeepResults is set).
 	GridTrialDone
 	// GridCellDone: every trial of the cell finished (identity fields
 	// only — the aggregate streams through the GridSink).
@@ -888,7 +893,7 @@ func (r *Runner) runGridCell(ctx context.Context, cell GridCell, index, total in
 			}}
 			sc.Observers = append(append([]Observer(nil), sc.Observers...), tp)
 		}
-		res, err := r.run(ctx, sc, memo)
+		res, err := r.run(ctx, sc, memo, keep)
 		if err != nil {
 			return out, fmt.Errorf("grid cell n=%d scheme=%v rate=%g trial=%d: %w",
 				key.N, key.Scheme, key.Rate, trial, err)

@@ -18,25 +18,49 @@ import (
 // stop allocating in the seed-materialization path. A recycled store
 // keeps its own buffers, so each buffer returns to the role it had.
 //
-// The arena recycles each run's chunking of Π the same way: the run
-// rebuilds a retired chunking's slabs (protocol.RebuildChunking) and
-// hands the chunking back on exit, on error paths too. Stats counts
-// stores only.
+// The arena recycles each run's chunking of Π (rebuilt in place by
+// protocol.RebuildChunking) and, on the exchange schemes, its three
+// exchange slabs (one codeword per edge for the sent bits, the received
+// bits and the erasure marks) the same way, and takes them back on every
+// exit path. Stats counts stores only.
 //
-// The free lists need no bound: a run creates a store or a chunking only
-// when its list is empty, so a list never holds more than the runs that
-// overlapped in time once held together.
+// A run makes a new item only when its free list is empty, so a list
+// never holds more items than overlapping runs once held together. A
+// recycled item keeps its capacity, so without a bound one long run
+// would leave its buffers to every later short run. The arena drops a
+// returned item holding more than retainSlack times what the returning
+// run needed of it (a store: hashing.Checkpointed.NeedWords; a
+// chunking: the bytes it uses; exchange slabs: their length). The bound
+// is per item: stores left by a run on more links than later runs draw
+// stay on the list.
 //
 // An Arena is safe for concurrent use by multiple runs — the grid engine
 // drives one arena from its whole worker pool — and results are
 // bit-identical with and without one (a recycled store re-derives every
-// word before it reads it, and a rebuilt chunking writes every entry
-// before it reads it). Stats exposes the cumulative counters.
+// word before it reads it, a rebuilt chunking writes every entry before
+// it reads it, and every codeword buffer starts empty and is filled by
+// appends). Stats exposes the cumulative counters.
 type Arena struct {
 	mu        sync.Mutex
 	free      []*hashing.Checkpointed
 	chunkings []*protocol.Chunking
+	exch      []exchSlabs
 	stats     ArenaStats
+}
+
+// retainSlack is the ratchet bound (see Arena). It sits above the ratios
+// of held to needed that mixed batches reach, so it never fires on them:
+// 3.3 on the grid-session benchmark's n 4,6 × A,B grid, and 10.4 (a
+// chunking) on the 14 quick tables, which share one Runner across
+// topologies. At 4, the tables' store misses rise from 112 to 128.
+const retainSlack = 16
+
+// exchSlabs is one run's randomness-exchange buffers: for each edge, one
+// codeword's room for the bits its sender encodes, the bits its receiver
+// hears and the receiver's erasure marks, cut off in party order.
+type exchSlabs struct {
+	send, recv []byte
+	erased     []bool
 }
 
 // ArenaStats is a snapshot of an arena's traffic: how many prefix-hash
@@ -62,14 +86,13 @@ func (s ArenaStats) Sub(prev ArenaStats) ArenaStats {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Reset drops every retired store and chunking and clears the traffic
-// counters.
+// Reset drops every retired item and clears the traffic counters.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.free, a.chunkings, a.stats = nil, nil, ArenaStats{}
+	a.free, a.chunkings, a.exch, a.stats = nil, nil, nil, ArenaStats{}
 	a.mu.Unlock()
 }
 
@@ -108,14 +131,15 @@ func (a *Arena) get() *hashing.Checkpointed {
 
 // release hands a party's per-link prefix-hash stores back to the arena,
 // detached from the run's transcripts and seed sources so the free list
-// keeps only their buffers alive. Exchange-mode receivers bind late, so a
-// link may have none yet.
+// keeps only their buffers alive; a store holding more than retainSlack
+// times its need is dropped instead. Exchange-mode receivers bind late,
+// so a link may have none yet.
 func (a *Arena) release(p *party) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, ls := range p.links {
 		for _, s := range [...]*hashing.Checkpointed{ls.p1, ls.p2} {
-			if s != nil {
+			if s != nil && s.Words() <= retainSlack*s.NeedWords() {
 				s.Detach()
 				a.free = append(a.free, s)
 			}
@@ -142,13 +166,49 @@ func (a *Arena) chunking(p protocol.Protocol, chunkBits int) *protocol.Chunking 
 
 // releaseChunking hands a finished run's chunking back to the arena. It
 // drops the schedule, so the free list does not keep the run's protocol
-// alive; a nil arena drops the chunking.
+// alive; a nil arena drops the chunking, and so does an arena when the
+// chunking holds more than retainSlack times the bytes the run used.
 func (a *Arena) releaseChunking(c *protocol.Chunking) {
 	if a == nil {
+		return
+	}
+	if used, held := c.Bytes(); held > retainSlack*used {
 		return
 	}
 	c.Sched = nil
 	a.mu.Lock()
 	a.chunkings = append(a.chunkings, c)
+	a.mu.Unlock()
+}
+
+// exchange returns exchange slabs of n entries each, cut from retired
+// ones when the arena holds slabs that large, else fresh. Their contents
+// are stale: each codeword buffer is cut empty and filled by appends.
+func (a *Arena) exchange(n int) exchSlabs {
+	var s exchSlabs
+	if a != nil {
+		a.mu.Lock()
+		if k := len(a.exch); k > 0 {
+			s = a.exch[k-1]
+			a.exch[k-1] = exchSlabs{}
+			a.exch = a.exch[:k-1]
+		}
+		a.mu.Unlock()
+	}
+	if cap(s.send) < n {
+		return exchSlabs{send: make([]byte, n), recv: make([]byte, n), erased: make([]bool, n)}
+	}
+	return exchSlabs{send: s.send[:n], recv: s.recv[:n], erased: s.erased[:n]}
+}
+
+// releaseExchange hands a finished run's exchange slabs back to the
+// arena, or drops them when they hold more than retainSlack times the
+// run's n entries; a nil arena drops them.
+func (a *Arena) releaseExchange(s exchSlabs) {
+	if a == nil || cap(s.send) > retainSlack*len(s.send) {
+		return
+	}
+	a.mu.Lock()
+	a.exch = append(a.exch, s)
 	a.mu.Unlock()
 }

@@ -69,14 +69,19 @@ type Options struct {
 	// returns ctx.Err() and no Result. Cancellation granularity is one
 	// iteration — a round in flight always completes.
 	Context context.Context
-	// Arena, if non-nil, supplies recycled per-link prefix-hash stores
-	// and a recycled chunking, and gets them back when the run ends (see
-	// Arena).
+	// Arena, if non-nil, supplies recycled per-link prefix-hash stores,
+	// a recycled chunking and recycled exchange slabs, and gets them back
+	// when the run ends (see Arena).
 	Arena *Arena
 	// Reference, if non-nil, is Protocol's noiseless reference run (see
 	// Reference), and Run skips its own. A grid shares one among the runs
 	// that simulate the same Π.
 	Reference *protocol.Reference
+	// DropTrajectory leaves Result.Potential nil, for a caller that never
+	// reads the per-iteration trajectory (a grid cell aggregating only
+	// success, blowup, iterations and counters). Observers still receive
+	// every iteration's snapshot.
+	DropTrajectory bool
 }
 
 // WhiteBoxStats reports the collision attacker's bookkeeping.
@@ -108,7 +113,8 @@ type Result struct {
 	// WrongParties counts parties whose output differs from the
 	// reference.
 	WrongParties int
-	// Potential holds per-iteration snapshots when the oracle is on.
+	// Potential holds per-iteration snapshots when the oracle is on,
+	// unless Options.DropTrajectory was set: then it is nil.
 	Potential []potential.Snapshot
 	// Outputs are the parties' final outputs.
 	Outputs [][]byte
@@ -205,9 +211,9 @@ func Run(opts Options) (*Result, error) {
 		lay.exchangeRounds = codec.CodewordBits()
 		// One sending endpoint per edge, the lower-id one, and one
 		// receiving endpoint, the higher-id one.
-		e.exchSendSlab = make([]byte, g.M()*lay.exchangeRounds)
-		e.exchRecvSlab = make([]byte, g.M()*lay.exchangeRounds)
-		e.exchErasedSlab = make([]bool, g.M()*lay.exchangeRounds)
+		slabs := opts.Arena.exchange(g.M() * lay.exchangeRounds)
+		defer opts.Arena.releaseExchange(slabs)
+		e.exchSendSlab, e.exchRecvSlab, e.exchErasedSlab = slabs.send, slabs.recv, slabs.erased
 	}
 	e.lay = lay
 
@@ -356,8 +362,16 @@ func Run(opts Options) (*Result, error) {
 		var snap *potential.Snapshot
 		if p.Oracle {
 			s := oracle.observe(it)
-			res.Potential = append(res.Potential, s)
-			snap = &res.Potential[len(res.Potential)-1]
+			switch {
+			case !opts.DropTrajectory:
+				res.Potential = append(res.Potential, s)
+				snap = &res.Potential[len(res.Potential)-1]
+			case len(opts.Observers) > 0:
+				// An observer may keep the snapshot past the call, so
+				// each iteration gets its own.
+				snap = new(potential.Snapshot)
+				*snap = s
+			}
 		}
 		notifyIteration(opts.Observers, IterationStats{Iteration: it, Metrics: metrics, Snapshot: snap}, coreParties)
 		if p.Oracle && p.EarlyStop && oracle.done() {

@@ -13,7 +13,8 @@ type IterationStats struct {
 	// engine: observers must treat it as read-only.
 	Metrics *trace.Metrics
 	// Snapshot is the oracle's potential snapshot for this iteration, nil
-	// when Params.Oracle is off.
+	// when Params.Oracle is off. Each iteration has its own, and it stays
+	// valid after the callback, with or without a recorded trajectory.
 	Snapshot *potential.Snapshot
 }
 
@@ -42,7 +43,9 @@ type RunStartObserver interface {
 }
 
 // RunEndObserver is an optional Observer extension: RunDone fires once
-// with the final result, after outputs are collected.
+// with the final result, after outputs are collected. A run started with
+// Options.DropTrajectory (a grid cell without KeepResults) hands it a
+// Result whose Potential is nil; IterationDone still saw every snapshot.
 type RunEndObserver interface {
 	RunDone(res *Result)
 }

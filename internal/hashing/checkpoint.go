@@ -74,6 +74,10 @@ type Checkpointed struct {
 	gen     uint64   // x.Gen() at the last sync
 	ck      []uint64 // ck[(i-1)·τ + j]: row-j accumulator over words [0, i·spacing)
 	nck     int      // highest valid checkpoint index (0 = none)
+
+	// hint is the row prefix, in words, the store was sized for, and peak
+	// the longest row prefix it has materialized since: NeedWords.
+	hint, peak int
 }
 
 // NewCheckpointedIn returns an incremental prefix hasher for x over the
@@ -117,11 +121,30 @@ func newCheckpointed(old *Checkpointed, h *InnerProductHash, src SeedSource, bas
 		hintWords = maxRow
 	}
 	if hintWords > 0 {
-		s.rows = reserve(s.rows, hintWords*h.Tau)
-		s.stage = reserve(s.stage, hintWords)
-		s.ck = reserve(s.ck, (hintWords/spacing+1)*h.Tau)
+		s.hint = hintWords
+		rows, stage, ck := reservation(h.Tau, hintWords, spacing)
+		s.rows = reserve(s.rows, rows)
+		s.stage = reserve(s.stage, stage)
+		s.ck = reserve(s.ck, ck)
 	}
 	return s
+}
+
+// reservation returns the buffer lengths, in words, that hashing row
+// prefixes of nw words takes: the interleaved seed rows, the staging row
+// and the checkpoint store.
+func reservation(tau, nw, spacing int) (rows, stage, ck int) {
+	return nw * tau, nw, (nw/spacing + 1) * tau
+}
+
+// NeedWords returns the buffer words a fresh store would hold for what
+// this one has been asked since it was re-targeted: the reservation for
+// its hint, or for the longest row prefix it materialized if that is
+// longer. Words beyond it are capacity a larger earlier use left behind
+// (core.Arena drops a store that holds too many).
+func (s *Checkpointed) NeedWords() int {
+	rows, stage, ck := reservation(s.h.Tau, max(s.hint, s.peak), s.spacing)
+	return rows + stage + ck
 }
 
 // Detach drops the store's references to its transcript, seed source
@@ -222,6 +245,7 @@ func (s *Checkpointed) ensure(nw int) {
 	}
 	s.rows = rows
 	s.nw = nw
+	s.peak = max(s.peak, nw)
 }
 
 // HashPrefix evaluates the hash on the first nbits bits of x, resuming

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mpic/internal/graph"
 )
@@ -224,6 +225,27 @@ func RebuildChunking(c *Chunking, p Protocol, chunkBits int) *Chunking {
 		c.MaxChunkRounds = 1
 	}
 	return c
+}
+
+// Bytes returns the bytes the chunking's slabs use and the bytes they
+// hold. A rebuilt chunking keeps its buffers' capacity, so held exceeds
+// used after a rebuild for a smaller schedule (core.Arena drops a
+// chunking that holds too much).
+func (c *Chunking) Bytes() (used, held int) {
+	for _, b := range [...][2]int{
+		slabBytes(c.Specs), slabBytes(c.specs), slabBytes(c.slots), slabBytes(c.starts),
+		slabBytes(c.dslots), slabBytes(c.locs), slabBytes(c.locSlab),
+	} {
+		used += b[0]
+		held += b[1]
+	}
+	return used, held
+}
+
+// slabBytes returns a slice's length and capacity in bytes.
+func slabBytes[T any](s []T) [2]int {
+	size := int(unsafe.Sizeof(*new(T)))
+	return [2]int{len(s) * size, cap(s) * size}
 }
 
 // resize returns s at length n, reusing its array when it is large

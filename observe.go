@@ -30,7 +30,11 @@ type ObserverFunc = core.ObserverFunc
 // RunStartObserver is the optional run-start extension of Observer.
 type RunStartObserver = core.RunStartObserver
 
-// RunEndObserver is the optional run-end extension of Observer.
+// RunEndObserver is the optional run-end extension of Observer. In a
+// grid cell without Grid.KeepResults the Result it receives has a nil
+// Potential: only a caller that receives the Result (Runner.Run,
+// RunScenario, a KeepResults cell) gets the trajectory recorded. The
+// per-iteration snapshots still reach IterationDone.
 type RunEndObserver = core.RunEndObserver
 
 // Snapshot is the oracle's per-iteration ground-truth view (agreed

@@ -27,13 +27,15 @@ func NewRunner() *Runner { return &Runner{arena: core.NewArena()} }
 // context.Background() when cancellation is not needed. A nil Runner is
 // valid and runs without an arena.
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*Result, error) {
-	return r.run(ctx, sc, nil)
+	return r.run(ctx, sc, nil, true)
 }
 
 // run is Run inside a grid: a scenario whose set-up the grid's memo
 // shares takes Π, its graph and its reference from the memo instead of
-// building them (a nil memo shares nothing).
-func (r *Runner) run(ctx context.Context, sc Scenario, memo *setupMemo) (*Result, error) {
+// building them (a nil memo shares nothing), and the run records the
+// potential trajectory in Result.Potential only when keep says its
+// caller reads the Result.
+func (r *Runner) run(ctx context.Context, sc Scenario, memo *setupMemo, keep bool) (*Result, error) {
 	su, err := memo.setup(sc)
 	if err != nil {
 		return nil, err
@@ -44,6 +46,7 @@ func (r *Runner) run(ctx context.Context, sc Scenario, memo *setupMemo) (*Result
 	}
 	defer detrand.PutRand(noiseRng)
 	opts.Context = ctx
+	opts.DropTrajectory = !keep
 	if r != nil {
 		opts.Arena = r.arena
 	}
